@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .power import PowerParams
+from .switching import EXHAUSTIVE_SBS_CAP
 
 DEFAULT_HAPS_POWER = PowerParams(
     operational_power=220.0, amplifier_slope=6.0, transmit_power=120.0, sleep_power=0.0
@@ -72,7 +73,7 @@ class ExperimentConfig:
     base_haps_load: float = 0.2
     offload_to_mbs: float = 0.05
     offload_to_haps: float = 0.02
-    exhaustive_cap: int = 20
+    exhaustive_cap: int = EXHAUSTIVE_SBS_CAP
 
     profile: str = "custom"
 

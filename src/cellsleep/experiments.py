@@ -37,13 +37,12 @@ from .estimators import (
     estimate,
     estimation_error,
 )
-from .power import NetworkPowerConfig
+from .power import NetworkPowerConfig, network_power
 from .switching import (
     OffloadScales,
     SwitchingSolution,
     apply_offloads,
     decision_change_rate,
-    objective,
     optimize_exhaustive,
     optimize_greedy,
 )
@@ -179,36 +178,32 @@ def write_report(report: ExperimentReport, out_dir: str | Path) -> tuple[Path, P
 # axis builders
 # --------------------------------------------------------------------------
 
+def _neighbor_points(
+    kind: str, pairs: Sequence[tuple[int, int | None]]
+) -> list[tuple[dict, EstimatorConfig]]:
+    """Labelled distance or random estimator configs, one per (neighbors, exponent)."""
+    configs = {"distance": DistanceConfig, "random": RandomConfig}
+    if kind not in configs:
+        raise ValueError(f"neighbor axes need 'distance' or 'random', got {kind!r}")
+    return [
+        (
+            {"estimator": kind, "neighbors": n, "exponent": n_exp, "layers": None},
+            configs[kind](neighbors=n, weighting=n_exp),
+        )
+        for n, n_exp in pairs
+    ]
+
+
 def neighbors_axis(
     kind: str, values: Sequence[int], weighting: int | None = None
 ) -> list[tuple[dict, EstimatorConfig]]:
     """Sweep the neighbor count of the distance or random estimator."""
-    points = []
-    for n in values:
-        labels = {"estimator": kind, "neighbors": n, "exponent": weighting, "layers": None}
-        if kind == "distance":
-            cfg: EstimatorConfig = DistanceConfig(neighbors=n, weighting=weighting)
-        elif kind == "random":
-            cfg = RandomConfig(neighbors=n, weighting=weighting)
-        else:
-            raise ValueError(f"neighbors_axis needs 'distance' or 'random', got {kind!r}")
-        points.append((labels, cfg))
-    return points
+    return _neighbor_points(kind, [(n, weighting) for n in values])
 
 
 def exponent_axis(kind: str, neighbors: int, values: Sequence[int]) -> list[tuple[dict, EstimatorConfig]]:
     """Sweep the inverse-distance weighting exponent at fixed neighbor count."""
-    points = []
-    for n_exp in values:
-        labels = {"estimator": kind, "neighbors": neighbors, "exponent": n_exp, "layers": None}
-        if kind == "distance":
-            cfg: EstimatorConfig = DistanceConfig(neighbors=neighbors, weighting=n_exp)
-        elif kind == "random":
-            cfg = RandomConfig(neighbors=neighbors, weighting=n_exp)
-        else:
-            raise ValueError(f"exponent_axis needs 'distance' or 'random', got {kind!r}")
-        points.append((labels, cfg))
-    return points
+    return _neighbor_points(kind, [(neighbors, n_exp) for n_exp in values])
 
 
 def layers_axis(values: Sequence[int], k_override: int | None = None) -> list[tuple[dict, EstimatorConfig]]:
@@ -445,7 +440,12 @@ def _switch_iteration(task: tuple[int, int]) -> dict:
         deployed_cap = apply_offloads(
             config.base_mbs_load, config.base_haps_load, actual, est_sol.state, scales
         )
-        deployed_power = objective(est_sol.state, actual, deployed_cap, power_cfg)
+        # A decision that overloads a tier at the actual loads is recorded as
+        # infeasible and priced with that tier at full load.
+        deployed_power = network_power(
+            power_cfg, min(deployed_cap.haps_load, 1.0), min(deployed_cap.mbs_load, 1.0),
+            actual, est_sol.state.on_off,
+        )
         return {
             "rate": decision_change_rate(actual_sol.state, est_sol.state),
             "deployed": deployed_power,
@@ -468,12 +468,15 @@ def _switch_iteration(task: tuple[int, int]) -> dict:
     return out
 
 
-def _switching_sweep(
+def _switching_report(
+    experiment: str,
+    columns: tuple[str, ...],
     config: ExperimentConfig,
     s_values: Sequence[int],
     l_values: Sequence[int],
     workers: int,
-) -> tuple[list[SweepPoint], dict]:
+) -> ExperimentReport:
+    """Optimize actual, perfect and per-L estimated loads for every (s, iteration)."""
     for s in s_values:
         if s < 2:
             raise ValueError("switching sweeps need n_sbs >= 2 per point")
@@ -525,13 +528,24 @@ def _switching_sweep(
                     },
                 )
             )
-    meta = {
-        "wall_clock_s": time.perf_counter() - t0,
-        "optimizer_by_s": {
-            str(s): ("exhaustive" if s <= config.exhaustive_cap else "greedy") for s in s_values
+    return ExperimentReport(
+        experiment=experiment,
+        profile=config.profile,
+        base_seed=config.base_seed,
+        config=config.to_dict(),
+        config_hash=config_hash(config),
+        columns=columns,
+        points=points,
+        metadata={
+            "wall_clock_s": time.perf_counter() - t0,
+            "optimizer_by_s": {
+                str(s): ("exhaustive" if s <= config.exhaustive_cap else "greedy") for s in s_values
+            },
+            "deployed_infeasible_per_point": [
+                p.per_iteration["deployed_feasible"].count(False) for p in points
+            ],
         },
-    }
-    return points, meta
+    )
 
 
 def run_decision_sweep(
@@ -542,17 +556,7 @@ def run_decision_sweep(
     workers: int = 1,
 ) -> ExperimentReport:
     """Switch-off decision disagreement between actual and estimated loads."""
-    points, meta = _switching_sweep(config, s_values, l_values, workers)
-    return ExperimentReport(
-        experiment="decision_sweep",
-        profile=config.profile,
-        base_seed=config.base_seed,
-        config=config.to_dict(),
-        config_hash=config_hash(config),
-        columns=_DECISION_COLUMNS,
-        points=points,
-        metadata=meta,
-    )
+    return _switching_report("decision_sweep", _DECISION_COLUMNS, config, s_values, l_values, workers)
 
 
 def run_power_sweep(
@@ -563,17 +567,7 @@ def run_power_sweep(
     workers: int = 1,
 ) -> ExperimentReport:
     """Actual-optimal power next to the deployed cost of estimated decisions."""
-    points, meta = _switching_sweep(config, s_values, l_values, workers)
-    return ExperimentReport(
-        experiment="power_sweep",
-        profile=config.profile,
-        base_seed=config.base_seed,
-        config=config.to_dict(),
-        config_hash=config_hash(config),
-        columns=_POWER_COLUMNS,
-        points=points,
-        metadata=meta,
-    )
+    return _switching_report("power_sweep", _POWER_COLUMNS, config, s_values, l_values, workers)
 
 
 # --------------------------------------------------------------------------

@@ -5,12 +5,17 @@ offload target (the macro station or the HAPS). Offloaded traffic raises
 the target tier's load by the SBS load times a per-tier conversion factor,
 and a state is feasible only while both tiers stay at or below unit load.
 
-Two optimizers are provided: an exhaustive search over all 2^s on/off
-vectors (the oracle, capped by ``max_sbs``) and a greedy heuristic that
-switches SBSs off in ascending-load order while that strictly lowers total
-power. Both are deterministic, including tie-breaks: among equal-power
-optima the exhaustive search returns the lexicographically smallest on/off
-vector, preferring MBS over HAPS targets position by position.
+Network power is affine in the state. Switching SBS j off onto tier t
+changes it by ``sleep_j + cost_{t,j} - active_j``, where ``cost_{t,j}`` is
+the tier's amplifier power for the offloaded load, and uses ``use_{t,j}`` of
+the tier's headroom. Both optimizers read these per-SBS coefficients from
+one ``_LinearModel``: an exhaustive search prices all 2^s on/off vectors
+(the oracle, capped by ``max_sbs``), and a greedy heuristic switches SBSs
+off in ascending-load order onto the cheaper tier that still fits, while
+that delta is negative. Both are deterministic, including tie-breaks: among
+equal-power optima the exhaustive search returns the lexicographically
+smallest on/off vector, preferring MBS over HAPS targets position by
+position.
 """
 
 from __future__ import annotations
@@ -138,6 +143,25 @@ class SwitchingSolution:
         }
 
 
+def _validated_loads(
+    base_mbs_load: float, base_haps_load: float, sbs_loads: Sequence[float], n_sbs: int
+) -> np.ndarray:
+    loads = np.asarray(sbs_loads, dtype=float)
+    if loads.shape != (n_sbs,):
+        raise ValueError(f"expected {n_sbs} SBS loads, got shape {loads.shape}")
+    for name, value in (("base_mbs_load", base_mbs_load), ("base_haps_load", base_haps_load)):
+        if not (0.0 <= value <= 1.0):
+            raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+    if loads.size and (np.isnan(loads).any() or loads.min() < 0.0 or loads.max() > 1.0):
+        raise ValueError("SBS loads must lie in [0, 1]")
+    return loads
+
+
+def _ordered_sum(values: np.ndarray) -> float:
+    """Left-to-right sum; numpy's pairwise ``sum`` rounds differently."""
+    return float(np.cumsum(values)[-1]) if values.size else 0.0
+
+
 def apply_offloads(
     base_mbs_load: float,
     base_haps_load: float,
@@ -150,28 +174,14 @@ def apply_offloads(
     Infeasibility (a tier above unit load) is a flag on the returned state,
     not an error: optimizers evaluate and then skip infeasible states.
     """
-    loads = np.asarray(sbs_loads, dtype=float)
-    if loads.shape != (state.n_sbs,):
-        raise ValueError(f"expected {state.n_sbs} SBS loads, got shape {loads.shape}")
-    for name, value in (("base_mbs_load", base_mbs_load), ("base_haps_load", base_haps_load)):
-        if not (0.0 <= value <= 1.0):
-            raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-    if loads.size and (np.isnan(loads).any() or loads.min() < 0.0 or loads.max() > 1.0):
-        raise ValueError("SBS loads must lie in [0, 1]")
-    off_mbs = 0.0
-    off_haps = 0.0
-    for load, on, tgt in zip(loads, state.on_off, state.targets):
-        if on:
-            continue
-        if tgt is OffloadTarget.MBS:
-            off_mbs += scales.to_mbs * float(load)
-        else:
-            off_haps += scales.to_haps * float(load)
+    loads = _validated_loads(base_mbs_load, base_haps_load, sbs_loads, state.n_sbs)
+    to_mbs = np.array([t is OffloadTarget.MBS for t in state.targets], dtype=bool)
+    to_haps = np.array([t is OffloadTarget.HAPS for t in state.targets], dtype=bool)
     return CapacityState(
         base_mbs=float(base_mbs_load),
         base_haps=float(base_haps_load),
-        offloaded_mbs=off_mbs,
-        offloaded_haps=off_haps,
+        offloaded_mbs=_ordered_sum(scales.to_mbs * loads[to_mbs]),
+        offloaded_haps=_ordered_sum(scales.to_haps * loads[to_haps]),
     )
 
 
@@ -199,6 +209,64 @@ def decision_change_rate(state_actual: StateVector, state_estimated: StateVector
     return diff / state_actual.n_sbs
 
 
+@dataclass(frozen=True)
+class _LinearModel:
+    """Network power of one instance as an affine function of the state.
+
+    A state draws ``base_power`` plus ``active[j]`` for every ON SBS and
+    ``sleep[j] + cost[t][j]`` for every SBS OFF onto tier t. It is feasible
+    while each tier's summed ``use[t]`` stays within ``cap[t]``.
+    """
+
+    loads: np.ndarray
+    active: np.ndarray
+    sleep: np.ndarray
+    cost: dict[OffloadTarget, np.ndarray]
+    use: dict[OffloadTarget, np.ndarray]
+    cap: dict[OffloadTarget, float]
+    base_power: float
+
+
+def _linear_model(
+    sbs_loads: Sequence[float],
+    base_mbs_load: float,
+    base_haps_load: float,
+    power_config: NetworkPowerConfig,
+    scales: OffloadScales,
+) -> _LinearModel:
+    loads = _validated_loads(base_mbs_load, base_haps_load, sbs_loads, power_config.n_sbs)
+    mbs, haps = power_config.mbs, power_config.haps
+    tiers = {
+        OffloadTarget.MBS: (mbs, scales.to_mbs, base_mbs_load),
+        OffloadTarget.HAPS: (haps, scales.to_haps, base_haps_load),
+    }
+    return _LinearModel(
+        loads=loads,
+        active=np.array(
+            [p.operational_power + p.amplifier_slope * l * p.transmit_power
+             for p, l in zip(power_config.sbs, loads)]
+        ),
+        sleep=np.array([p.sleep_power for p in power_config.sbs]),
+        cost={t: p.amplifier_slope * p.transmit_power * k * loads for t, (p, k, _) in tiers.items()},
+        use={t: k * loads for t, (_, k, _) in tiers.items()},
+        cap={t: 1.0 - base for t, (_, _, base) in tiers.items()},
+        base_power=(
+            haps.operational_power
+            + haps.amplifier_slope * base_haps_load * haps.transmit_power
+            + mbs.operational_power
+            + mbs.amplifier_slope * base_mbs_load * mbs.transmit_power
+        ),
+    )
+
+
+def _cheaper_target(
+    model: _LinearModel, j: int, used: dict[OffloadTarget, float]
+) -> OffloadTarget | None:
+    """The cheaper tier that still fits SBS j on top of ``used``, MBS on ties."""
+    fits = [t for t in OffloadTarget if used[t] + model.use[t][j] <= model.cap[t]]
+    return min(fits, key=lambda t: model.cost[t][j], default=None)
+
+
 def _solution(
     on_off: tuple[bool, ...],
     targets: tuple[OffloadTarget | None, ...],
@@ -218,14 +286,7 @@ def _solution(
 
 
 def _assign_offloads(
-    off_ids: np.ndarray,
-    loads: np.ndarray,
-    cap_mbs: float,
-    cap_haps: float,
-    cost_mbs: np.ndarray,
-    cost_haps: np.ndarray,
-    use_mbs: np.ndarray,
-    use_haps: np.ndarray,
+    model: _LinearModel, off_ids: np.ndarray
 ) -> tuple[float, list[OffloadTarget]] | None:
     """Cheapest feasible target assignment for one OFF set, or None.
 
@@ -235,43 +296,40 @@ def _assign_offloads(
     beyond that.
     """
     m = off_ids.size
-    if m == 0:
-        return 0.0, []
     if m <= INNER_ENUM_CAP:
+        # Plain float lists and locals: this loop visits 2^m assignments.
+        mbs, haps = OffloadTarget
+        use_m, cost_m = model.use[mbs][off_ids].tolist(), model.cost[mbs][off_ids].tolist()
+        use_h, cost_h = model.use[haps][off_ids].tolist(), model.cost[haps][off_ids].tolist()
         best: tuple[float, list[OffloadTarget]] | None = None
-        for combo in itertools.product((OffloadTarget.MBS, OffloadTarget.HAPS), repeat=m):
+        for combo in itertools.product(OffloadTarget, repeat=m):
             used_m = used_h = cost = 0.0
-            for j, tgt in zip(off_ids, combo):
-                if tgt is OffloadTarget.MBS:
-                    used_m += use_mbs[j]
-                    cost += cost_mbs[j]
+            for i, tgt in enumerate(combo):
+                if tgt is mbs:
+                    used_m += use_m[i]
+                    cost += cost_m[i]
                 else:
-                    used_h += use_haps[j]
-                    cost += cost_haps[j]
-            if used_m > cap_mbs or used_h > cap_haps:
+                    used_h += use_h[i]
+                    cost += cost_h[i]
+            if used_m > model.cap[mbs] or used_h > model.cap[haps]:
                 continue
             if best is None or cost < best[0]:
                 best = (cost, list(combo))
         return best
     # Greedy best-fit, largest loads first so the tight ones are placed early.
-    order = sorted(range(m), key=lambda i: (-loads[off_ids[i]], off_ids[i]))
+    order = sorted(range(m), key=lambda i: (-model.loads[off_ids[i]], off_ids[i]))
     targets: list[OffloadTarget | None] = [None] * m
-    used_m = used_h = cost = 0.0
+    used = dict.fromkeys(OffloadTarget, 0.0)
+    cost = 0.0
     for i in order:
         j = off_ids[i]
-        fits_m = used_m + use_mbs[j] <= cap_mbs
-        fits_h = used_h + use_haps[j] <= cap_haps
-        if fits_m and (not fits_h or cost_mbs[j] <= cost_haps[j]):
-            targets[i] = OffloadTarget.MBS
-            used_m += use_mbs[j]
-            cost += cost_mbs[j]
-        elif fits_h:
-            targets[i] = OffloadTarget.HAPS
-            used_h += use_haps[j]
-            cost += cost_haps[j]
-        else:
+        tgt = _cheaper_target(model, j, used)
+        if tgt is None:
             return None
-    return cost, [t for t in targets if t is not None]
+        used[tgt] += model.use[tgt][j]
+        cost += model.cost[tgt][j]
+        targets[i] = tgt
+    return cost, targets
 
 
 def optimize_exhaustive(
@@ -296,35 +354,14 @@ def optimize_exhaustive(
         InfeasibleNetworkError: never for valid inputs (the all-ON state is
             feasible whenever base loads are), kept for defense in depth.
     """
-    loads = np.asarray(sbs_loads, dtype=float)
-    s = loads.shape[0]
-    if s != power_config.n_sbs:
-        raise ValueError(f"got {s} loads for {power_config.n_sbs} configured SBSs")
+    model = _linear_model(sbs_loads, base_mbs_load, base_haps_load, power_config, scales)
+    s = model.loads.size
     if s > max_sbs:
         raise ValueError(f"exhaustive search capped at {max_sbs} SBSs, got {s}")
-    if loads.size and (np.isnan(loads).any() or loads.min() < 0.0 or loads.max() > 1.0):
-        raise ValueError("SBS loads must lie in [0, 1]")
 
-    params = power_config.sbs
-    active_term = np.array(
-        [p.operational_power + p.amplifier_slope * l * p.transmit_power for p, l in zip(params, loads)]
-    )
-    sleep_term = np.array([p.sleep_power for p in params])
-    cost_mbs = power_config.mbs.amplifier_slope * power_config.mbs.transmit_power * scales.to_mbs * loads
-    cost_haps = power_config.haps.amplifier_slope * power_config.haps.transmit_power * scales.to_haps * loads
-    use_mbs = scales.to_mbs * loads
-    use_haps = scales.to_haps * loads
-    cap_mbs = 1.0 - base_mbs_load
-    cap_haps = 1.0 - base_haps_load
-    prefer_mbs = cost_mbs <= cost_haps
-    best_off_cost = np.where(prefer_mbs, cost_mbs, cost_haps)
-    base_power = (
-        power_config.haps.operational_power
-        + power_config.haps.amplifier_slope * base_haps_load * power_config.haps.transmit_power
-        + power_config.mbs.operational_power
-        + power_config.mbs.amplifier_slope * base_mbs_load * power_config.mbs.transmit_power
-    )
-
+    mbs, haps = OffloadTarget
+    prefer_mbs = model.cost[mbs] <= model.cost[haps]
+    best_off_cost = np.where(prefer_mbs, model.cost[mbs], model.cost[haps])
     shifts = np.arange(s - 1, -1, -1, dtype=np.uint64)  # bit i of the index is delta_{i+1}
     best_power = np.inf
     best_mask = -1
@@ -335,46 +372,32 @@ def optimize_exhaustive(
         idx = np.arange(start, stop, dtype=np.uint64)
         on = ((idx[:, None] >> shifts[None, :]) & 1).astype(bool)
         off = ~on
-        fixed = on @ active_term + off @ sleep_term
+        fixed = on @ model.active + off @ model.sleep
         # Per-SBS cheapest target, valid whenever it happens to fit capacity.
-        greedy_m = off @ (use_mbs * prefer_mbs)
-        greedy_h = off @ (use_haps * ~prefer_mbs)
-        greedy_ok = (greedy_m <= cap_mbs) & (greedy_h <= cap_haps)
-        chunk_power = base_power + fixed + off @ best_off_cost
+        greedy_ok = (off @ (model.use[mbs] * prefer_mbs) <= model.cap[mbs]) & (
+            off @ (model.use[haps] * ~prefer_mbs) <= model.cap[haps]
+        )
+        chunk_power = model.base_power + fixed + off @ best_off_cost
         chunk_power[~greedy_ok] = np.inf
 
         for local in np.flatnonzero(~greedy_ok):
-            off_ids = np.flatnonzero(off[local])
-            assigned = _assign_offloads(
-                off_ids, loads, cap_mbs, cap_haps, cost_mbs, cost_haps, use_mbs, use_haps
-            )
+            assigned = _assign_offloads(model, np.flatnonzero(off[local]))
             if assigned is not None:
-                chunk_power[local] = base_power + fixed[local] + assigned[0]
+                chunk_power[local] = model.base_power + fixed[local] + assigned[0]
 
         local_best = int(np.argmin(chunk_power))
         if chunk_power[local_best] < best_power:
             best_power = float(chunk_power[local_best])
             best_mask = start + local_best
+            off_ids = np.flatnonzero(off[local_best])
             if greedy_ok[local_best]:
-                off_ids = np.flatnonzero(off[local_best])
-                best_targets = [
-                    OffloadTarget.MBS if prefer_mbs[j] else OffloadTarget.HAPS for j in off_ids
-                ]
+                best_targets = [mbs if prefer_mbs[j] else haps for j in off_ids]
             else:
-                off_ids = np.flatnonzero(off[local_best])
-                assigned = _assign_offloads(
-                    off_ids, loads, cap_mbs, cap_haps, cost_mbs, cost_haps, use_mbs, use_haps
-                )
+                assigned = _assign_offloads(model, off_ids)
                 assert assigned is not None
                 best_targets = list(assigned[1])
 
     if best_mask < 0:
-        all_on = _solution(
-            (True,) * s, (None,) * s, loads, base_mbs_load, base_haps_load,
-            power_config, scales, "exhaustive",
-        )
-        if not all_on.feasible:
-            return all_on
         raise InfeasibleNetworkError("exhaustive search found no feasible state")
 
     on_off = tuple(bool((best_mask >> int(sh)) & 1) for sh in shifts)
@@ -382,7 +405,7 @@ def optimize_exhaustive(
     for j, tgt in zip(np.flatnonzero(~np.array(on_off)), best_targets):
         targets[j] = tgt
     return _solution(
-        on_off, tuple(targets), loads, base_mbs_load, base_haps_load,
+        on_off, tuple(targets), model.loads, base_mbs_load, base_haps_load,
         power_config, scales, "exhaustive",
     )
 
@@ -396,52 +419,27 @@ def optimize_greedy(
 ) -> SwitchingSolution:
     """Scalable heuristic: switch SBSs off in ascending-load order.
 
-    Starting from all-ON, each candidate is tentatively switched off onto
-    its cheaper feasible target; the move is kept only while total power
-    strictly decreases, and the scan stops at the first candidate that
-    cannot improve (including one with no feasible target). The returned
-    state is always feasible whenever the all-ON state is.
+    Starting from all-ON, each candidate (equal loads by index) is offered
+    to the cheaper tier that still fits its offloaded load, MBS on ties.
+    Switching SBS j off onto tier t changes total power by
+    ``sleep_j + cost_{t,j} - active_j``: the move is kept while that delta
+    is negative, and the scan stops at the first candidate that has no
+    fitting tier or would not lower the power. Tier usage is kept as running
+    sums, so a solve sorts once and prices only the returned state in full.
     """
-    loads = np.asarray(sbs_loads, dtype=float)
-    s = loads.shape[0]
-    if s != power_config.n_sbs:
-        raise ValueError(f"got {s} loads for {power_config.n_sbs} configured SBSs")
-    if loads.size and (np.isnan(loads).any() or loads.min() < 0.0 or loads.max() > 1.0):
-        raise ValueError("SBS loads must lie in [0, 1]")
-
+    model = _linear_model(sbs_loads, base_mbs_load, base_haps_load, power_config, scales)
+    s = model.loads.size
     on_off = [True] * s
     targets: list[OffloadTarget | None] = [None] * s
-    current = _solution(
-        tuple(on_off), tuple(targets), loads, base_mbs_load, base_haps_load,
-        power_config, scales, "greedy",
-    )
-    if not current.feasible:
-        return current
-
-    cost_mbs = power_config.mbs.amplifier_slope * power_config.mbs.transmit_power * scales.to_mbs * loads
-    cost_haps = power_config.haps.amplifier_slope * power_config.haps.transmit_power * scales.to_haps * loads
-    order = sorted(range(s), key=lambda j: (loads[j], j))
-    for j in order:
-        used_m = current.capacity.offloaded_mbs
-        used_h = current.capacity.offloaded_haps
-        fits_m = used_m + scales.to_mbs * loads[j] <= 1.0 - base_mbs_load
-        fits_h = used_h + scales.to_haps * loads[j] <= 1.0 - base_haps_load
-        if fits_m and (not fits_h or cost_mbs[j] <= cost_haps[j]):
-            tgt = OffloadTarget.MBS
-        elif fits_h:
-            tgt = OffloadTarget.HAPS
-        else:
+    used = dict.fromkeys(OffloadTarget, 0.0)
+    for j in np.argsort(model.loads, kind="stable"):
+        tgt = _cheaper_target(model, j, used)
+        if tgt is None or model.sleep[j] + model.cost[tgt][j] - model.active[j] >= 0:
             break
         on_off[j] = False
         targets[j] = tgt
-        trial = _solution(
-            tuple(on_off), tuple(targets), loads, base_mbs_load, base_haps_load,
-            power_config, scales, "greedy",
-        )
-        if trial.power < current.power and trial.feasible:
-            current = trial
-        else:
-            on_off[j] = True
-            targets[j] = None
-            break
-    return current
+        used[tgt] += model.use[tgt][j]
+    return _solution(
+        tuple(on_off), tuple(targets), model.loads, base_mbs_load, base_haps_load,
+        power_config, scales, "greedy",
+    )

@@ -1,11 +1,12 @@
-"""Independent brute-force reference optimizer for the switching tests.
+"""Independent reference optimizers for the switching tests.
 
-Deliberately shares no code with the package: plain-Python enumeration of
-every on/off vector and every offload-target assignment, pricing states
-directly from the affine power formula. Tie-break mirrors the documented
-contract: candidates are visited in ascending lexicographic order (on/off
-vector, then MBS-before-HAPS targets) and only strict improvements replace
-the incumbent.
+Deliberately shares no code with the package: plain Python that prices
+every state it visits from scratch with the affine power formula.
+``naive_optimize`` enumerates every on/off vector and every offload-target
+assignment. Its tie-break mirrors the documented contract: candidates are
+visited in ascending lexicographic order (on/off vector, then
+MBS-before-HAPS targets) and only strict improvements replace the
+incumbent. ``naive_greedy`` replays the greedy switch-off scan.
 """
 
 import itertools
@@ -53,3 +54,49 @@ def naive_optimize(
             if best is None or power < best[2]:
                 best = (on_off, tuple(targets), power)
     return best
+
+
+def naive_greedy(loads, base_mbs, base_haps, haps, mbs, sbs_params, scale_mbs, scale_haps):
+    """Greedy switch-off with every trial state priced in full.
+
+    SBSs are visited in ascending load order, equal loads by index. Each is
+    moved onto the cheaper tier that still fits its offloaded load (MBS on
+    ties) and stays off only if total power strictly falls; the first
+    candidate with no fitting tier or no gain ends the scan.
+    Returns (on_off bits tuple, target letters tuple, power).
+    """
+    s = len(loads)
+    targets = ["-"] * s
+
+    def tier_loads():
+        lam_m = base_mbs + sum(scale_mbs * loads[j] for j in range(s) if targets[j] == "M")
+        lam_h = base_haps + sum(scale_haps * loads[j] for j in range(s) if targets[j] == "H")
+        return lam_m, lam_h
+
+    def power():
+        lam_m, lam_h = tier_loads()
+        total = haps[0] + haps[1] * lam_h * haps[2] + mbs[0] + mbs[1] * lam_m * mbs[2]
+        for j in range(s):
+            o, sl, tx, sp = sbs_params[j]
+            total += (o + sl * loads[j] * tx) if targets[j] == "-" else sp
+        return total
+
+    current = power()
+    for j in sorted(range(s), key=lambda j: (loads[j], j)):
+        lam_m, lam_h = tier_loads()
+        fits_m = lam_m + scale_mbs * loads[j] <= 1.0
+        fits_h = lam_h + scale_haps * loads[j] <= 1.0
+        cheaper_m = mbs[1] * mbs[2] * scale_mbs <= haps[1] * haps[2] * scale_haps
+        if fits_m and (not fits_h or cheaper_m):
+            targets[j] = "M"
+        elif fits_h:
+            targets[j] = "H"
+        else:
+            break
+        trial = power()
+        if not trial < current:
+            targets[j] = "-"
+            break
+        current = trial
+    bits = tuple(1 if t == "-" else 0 for t in targets)
+    return bits, tuple(targets), current

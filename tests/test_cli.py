@@ -180,3 +180,19 @@ class TestSweepCli:
         assert code == 0
         text = (out / "fig5_desk_0.csv").read_text()
         assert "power_actual_w" in text.splitlines()[1]
+
+    def test_fig5_counts_overloaded_deployed_decision(self, tmp_path):
+        # With tiers at 0.9 base load, an L=1 estimate switches off more than
+        # the actual loads allow; that decision must be counted, not fatal.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": {
+            "n_iterations": 4, "slot_stride": 36, "base_mbs_load": 0.9,
+            "base_haps_load": 0.9, "mlc_k_override": 3}}))
+        out = tmp_path / "r5"
+        code = run_cli("sweep", "--experiment", "fig5", "--profile", "desk", "--config", path,
+                       "--out", out, "--s-values", "100", "--l-values", "1")
+        assert code == 0
+        doc = json.loads((out / "fig5_desk_0.json").read_text())
+        assert sum(doc["metadata"]["deployed_infeasible_per_point"]) >= 1
+        for point, count in zip(doc["points"], doc["metadata"]["deployed_infeasible_per_point"]):
+            assert point["per_iteration"]["deployed_feasible"].count(False) == count

@@ -15,7 +15,7 @@ from cellsleep.switching import (
 )
 
 from conftest import random_network_config
-from naive_opt import naive_optimize
+from naive_opt import naive_greedy, naive_optimize
 
 HAPS = PowerParams(100.0, 3.0, 50.0, 0.0)
 MBS = PowerParams(60.0, 4.0, 10.0, 30.0)
@@ -252,6 +252,30 @@ class TestOptimizeGreedy:
             gr = optimize_greedy(loads, base_m, base_h, cfg, scales)
             assert gr.power >= ex.power - 1e-9
             assert gr.feasible
+
+    def test_matches_naive_greedy(self, rng):
+        # Base loads up to 0.99 and scales up to 0.3 make the tiers bind.
+        for trial in range(200):
+            s = int(rng.integers(1, 41))
+            cfg = random_network_config(rng, s)
+            loads = rng.uniform(0, 1, s)
+            base_m, base_h = rng.uniform(0.0, 0.99, 2)
+            scales = OffloadScales(
+                to_mbs=float(rng.uniform(0, 0.3)), to_haps=float(rng.uniform(0, 0.3))
+            )
+            sol = optimize_greedy(loads, base_m, base_h, cfg, scales)
+            ref = naive_greedy(
+                [float(v) for v in loads],
+                float(base_m),
+                float(base_h),
+                params_tuple(cfg.haps),
+                params_tuple(cfg.mbs),
+                [params_tuple(p) for p in cfg.sbs],
+                scales.to_mbs,
+                scales.to_haps,
+            )
+            assert as_plain(sol) == ref[:2], f"trial {trial} (s={s})"
+            assert sol.power == pytest.approx(ref[2], rel=1e-9)
 
     def test_free_offload_sleeps_every_profitable_sbs(self, rng):
         # With zero conversion factors, any SBS whose sleep power undercuts
