@@ -22,7 +22,7 @@ import numpy as np
 from ..traffic import LoadSnapshot, SbsPlacement
 from .kmeans import ClusteringState, compute_sse, elbow_select_k, kmeans_fit
 from .mlc import mlc_estimate
-from .neighbors import distance_estimate, positions_array, random_estimate
+from .neighbors import check_neighbor_params, distance_estimate, positions_array, random_estimate
 from .result import EstimateResult, NeighborDetail
 
 
@@ -57,12 +57,7 @@ class DistanceConfig:
     distance_floor_m: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.neighbors < 1:
-            raise ValueError("neighbors must be >= 1")
-        if self.weighting is not None and self.weighting < 1:
-            raise ValueError("weighting exponent must be >= 1 when given")
-        if self.distance_floor_m <= 0:
-            raise ValueError("distance_floor_m must be positive")
+        check_neighbor_params(self.neighbors, self.weighting, self.distance_floor_m)
 
     kind = "distance"
 
@@ -77,12 +72,7 @@ class RandomConfig:
     distance_floor_m: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.neighbors < 1:
-            raise ValueError("neighbors must be >= 1")
-        if self.weighting is not None and self.weighting < 1:
-            raise ValueError("weighting exponent must be >= 1 when given")
-        if self.distance_floor_m <= 0:
-            raise ValueError("distance_floor_m must be positive")
+        check_neighbor_params(self.neighbors, self.weighting, self.distance_floor_m)
 
     kind = "random"
 

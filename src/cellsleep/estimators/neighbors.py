@@ -9,9 +9,20 @@ distance weighting
     w = d_max / d**n
 
 with d_max the largest distance among the selected neighbors and n >= 1
-the weighting exponent. d_max cancels in the normalized estimate; it only
-scales the reported weights. Distances below ``distance_floor`` are clamped
-so co-located stations cannot produce infinite weights.
+the weighting exponent. Any per-sleeper factor such as d_max cancels in the
+estimate and in the reported (normalized) weights, so the code scales by
+the first selected distance instead: ``(d_1 / d)**n``, which keeps the
+weights of nearest-ranked neighbors in [0, 1]. Distances below
+``distance_floor`` are clamped so co-located stations cannot produce
+infinite weights.
+
+Both variants go through one ``NeighborTable``: the first K selected
+neighbors of every sleeper, in selection order. An N-neighbor set is the
+first N columns (the nearest N, or the first N of the sleeper's random
+permutation), so one table serves every N <= K and every exponent, each
+estimate read from prefix sums of the weights. Sweeps build the
+nearest-neighbor table once per sleeper set and a random table once per
+slot; ``distance_estimate`` and ``random_estimate`` build one per call.
 """
 
 from __future__ import annotations
@@ -22,6 +33,16 @@ import numpy as np
 
 from ..traffic import LoadSnapshot, SbsPlacement
 from .result import EstimateResult, NeighborDetail
+
+
+def check_neighbor_params(neighbors: int, weighting: int | None, distance_floor: float) -> None:
+    """Reject a neighbor count, weighting exponent or distance floor out of range."""
+    if neighbors < 1:
+        raise ValueError("neighbor count must be >= 1")
+    if weighting is not None and (int(weighting) != weighting or weighting < 1):
+        raise ValueError(f"weighting exponent must be a positive integer, got {weighting!r}")
+    if distance_floor <= 0:
+        raise ValueError("distance floor must be positive")
 
 
 def positions_array(placements: Sequence[SbsPlacement], n_sbs: int) -> np.ndarray:
@@ -39,30 +60,116 @@ def positions_array(placements: Sequence[SbsPlacement], n_sbs: int) -> np.ndarra
     return pos
 
 
-def _combine(loads: np.ndarray, dists: np.ndarray, exponent: int | None) -> tuple[float, np.ndarray]:
-    """Estimate and normalized weights for one sleeper's neighbor set."""
-    n = loads.shape[0]
-    if exponent is None:
-        return float(loads.mean()), np.full(n, 1.0 / n)
-    weights = dists.max() / dists**exponent
-    if np.all(weights == weights[0]):
-        # Equal distances: weighting reduces to the plain mean exactly.
-        return float(loads.mean()), np.full(n, 1.0 / n)
-    normalized = weights / weights.sum()
-    return float((loads * weights).sum() / weights.sum()), normalized
+def _distances(pos: np.ndarray, sleepers: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """Euclidean distance from each sleeper (row) to ``others`` (1-D, or one row per sleeper)."""
+    dx = pos[others, 0] - pos[sleepers, 0][:, None]
+    dy = pos[others, 1] - pos[sleepers, 1][:, None]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
-def _validate(snapshot: LoadSnapshot, neighbors: int, exponent: int | None) -> np.ndarray:
-    if neighbors < 1:
-        raise ValueError("neighbor count must be >= 1")
-    if exponent is not None and (int(exponent) != exponent or exponent < 1):
-        raise ValueError(f"weighting exponent must be a positive integer, got {exponent!r}")
-    active = snapshot.active_ids
-    if active.size == 0:
-        raise ValueError("no active SBS to interpolate from")
-    if neighbors > active.size:
-        raise ValueError(f"requested {neighbors} neighbors but only {active.size} SBSs are active")
-    return active
+def _check_active(k: int, active: np.ndarray) -> None:
+    if k > active.size:
+        raise ValueError(f"requested {k} neighbors but only {active.size} SBSs are active")
+
+
+class NeighborTable:
+    """The first K selected active neighbors of each sleeper, in selection order.
+
+    ``ids`` (sleepers x K) holds SBS ids and ``dists`` their floored
+    distances. The N-neighbor estimate of a row reads its first N columns.
+    """
+
+    def __init__(self, ids: np.ndarray, dists: np.ndarray) -> None:
+        self.ids = ids
+        self.dists = dists
+        # equal[:, j]: the first j+1 distances of the row are all equal
+        self.equal = np.minimum.accumulate(dists, axis=1) == np.maximum.accumulate(dists, axis=1)
+        self._weights: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def weights(self, exponent: int) -> tuple[np.ndarray, np.ndarray]:
+        """IDW weights scaled by the row's first distance, and their prefix sums."""
+        if exponent not in self._weights:
+            w = (self.dists[:, :1] / self.dists) ** exponent
+            self._weights[exponent] = (w, np.cumsum(w, axis=1))
+        return self._weights[exponent]
+
+    def estimates(
+        self, loads: np.ndarray, points: Sequence[tuple[int, int | None]]
+    ) -> list[np.ndarray]:
+        """Per-sleeper estimates for each (N, exponent) point from per-SBS ``loads``.
+
+        A plain mean, or a weighted prefix where all N distances are equal,
+        is the exact mean of the N neighbor loads; other weighted points are
+        ``cumsum(w * load)[N-1] / cumsum(w)[N-1]``.
+        """
+        near = loads[self.ids]
+        weighted_sums: dict[int, np.ndarray] = {}
+        out = []
+        for n, exponent in points:
+            mean = near[:, :n].mean(axis=1)
+            if exponent is None:
+                out.append(mean)
+                continue
+            w, w_sum = self.weights(exponent)
+            if exponent not in weighted_sums:
+                weighted_sums[exponent] = np.cumsum(w * near, axis=1)
+            ratio = weighted_sums[exponent][:, n - 1] / w_sum[:, n - 1]
+            out.append(np.where(self.equal[:, n - 1], mean, ratio))
+        return out
+
+    def result(
+        self, sleepers: np.ndarray, loads: np.ndarray, neighbors: int, weighting: int | None
+    ) -> EstimateResult:
+        """One point's estimates with the per-sleeper audit detail."""
+        (estimates,) = self.estimates(loads, [(neighbors, weighting)])
+        shares = np.full((len(sleepers), neighbors), 1.0 / neighbors)
+        if weighting is not None:
+            w = self.weights(weighting)[0][:, :neighbors]
+            unequal = ~self.equal[:, neighbors - 1]
+            shares[unequal] = w[unequal] / w[unequal].sum(axis=1, keepdims=True)
+        detail = tuple(
+            NeighborDetail(
+                sleeper_id=int(sleeper),
+                neighbor_ids=tuple(int(a) for a in self.ids[i, :neighbors]),
+                weights=tuple(float(v) for v in shares[i]),
+            )
+            for i, sleeper in enumerate(sleepers)
+        )
+        return EstimateResult(
+            sleeper_ids=tuple(int(s) for s in sleepers), estimates=estimates, detail=detail
+        )
+
+
+def nearest_table(
+    pos: np.ndarray, sleepers: np.ndarray, active: np.ndarray, k: int, distance_floor: float
+) -> NeighborTable:
+    """Each sleeper's k nearest active SBSs, ties broken by SBS id."""
+    _check_active(k, active)
+    d = _distances(pos, sleepers, active)
+    order = np.argsort(d, axis=1, kind="stable")[:, :k]
+    return NeighborTable(
+        active[order], np.maximum(np.take_along_axis(d, order, axis=1), distance_floor)
+    )
+
+
+def random_table(
+    pos: np.ndarray,
+    sleepers: np.ndarray,
+    active: np.ndarray,
+    k: int,
+    distance_floor: float,
+    seed: int,
+) -> NeighborTable:
+    """The first k entries of one ``rng.permutation(active)`` per sleeper, in sleeper order."""
+    _check_active(k, active)
+    rng = np.random.default_rng(seed)
+    ids = np.empty((sleepers.size, k), dtype=active.dtype)
+    for row in ids:
+        row[:] = rng.permutation(active)[:k]
+    return NeighborTable(ids, np.maximum(_distances(pos, sleepers, ids), distance_floor))
 
 
 def distance_estimate(
@@ -78,30 +185,11 @@ def distance_estimate(
     Neighbors are ranked by Euclidean distance (ties broken by SBS id) and
     combined by plain mean or inverse distance weighting per ``weighting``.
     """
-    active = _validate(snapshot, neighbors, weighting)
-    pos = positions_array(placements, snapshot.n_sbs)
+    check_neighbor_params(neighbors, weighting, distance_floor)
     sleepers = snapshot.sleeping_ids
-    active_loads = snapshot.loads[active]
-
-    estimates = np.empty(sleepers.size)
-    detail = []
-    for i, sleeper in enumerate(sleepers):
-        d = np.sqrt(((pos[active] - pos[sleeper]) ** 2).sum(axis=1))
-        order = np.argsort(d, kind="stable")[:neighbors]
-        dists = np.maximum(d[order], distance_floor)
-        estimates[i], weights = _combine(active_loads[order], dists, weighting)
-        detail.append(
-            NeighborDetail(
-                sleeper_id=int(sleeper),
-                neighbor_ids=tuple(int(a) for a in active[order]),
-                weights=tuple(float(w) for w in weights),
-            )
-        )
-    return EstimateResult(
-        sleeper_ids=tuple(int(s) for s in sleepers),
-        estimates=estimates,
-        detail=tuple(detail),
-    )
+    pos = positions_array(placements, snapshot.n_sbs)
+    table = nearest_table(pos, sleepers, snapshot.active_ids, neighbors, distance_floor)
+    return table.result(sleepers, snapshot.loads, neighbors, weighting)
 
 
 def random_estimate(
@@ -120,28 +208,8 @@ def random_estimate(
     entries of ``rng.permutation(active_ids)`` with active ids sorted
     ascending. The drawn set is combined exactly as in the distance variant.
     """
-    active = _validate(snapshot, neighbors, weighting)
-    pos = positions_array(placements, snapshot.n_sbs)
+    check_neighbor_params(neighbors, weighting, distance_floor)
     sleepers = snapshot.sleeping_ids
-    rng = np.random.default_rng(seed)
-
-    estimates = np.empty(sleepers.size)
-    detail = []
-    for i, sleeper in enumerate(sleepers):
-        drawn = rng.permutation(active)[:neighbors]
-        dists = np.maximum(
-            np.sqrt(((pos[drawn] - pos[sleeper]) ** 2).sum(axis=1)), distance_floor
-        )
-        estimates[i], weights = _combine(snapshot.loads[drawn], dists, weighting)
-        detail.append(
-            NeighborDetail(
-                sleeper_id=int(sleeper),
-                neighbor_ids=tuple(int(a) for a in drawn),
-                weights=tuple(float(w) for w in weights),
-            )
-        )
-    return EstimateResult(
-        sleeper_ids=tuple(int(s) for s in sleepers),
-        estimates=estimates,
-        detail=tuple(detail),
-    )
+    pos = positions_array(placements, snapshot.n_sbs)
+    table = random_table(pos, sleepers, snapshot.active_ids, neighbors, distance_floor, seed)
+    return table.result(sleepers, snapshot.loads, neighbors, weighting)

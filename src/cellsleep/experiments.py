@@ -17,7 +17,6 @@ CSV, per-iteration details and timing to the JSON sidecar.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -37,6 +36,7 @@ from .estimators import (
     estimate,
     estimation_error,
 )
+from .estimators.neighbors import NeighborTable, nearest_table, positions_array, random_table
 from .power import NetworkPowerConfig, network_power
 from .switching import (
     OffloadScales,
@@ -99,8 +99,10 @@ def build_dataset(config: ExperimentConfig, *, n_sbs: int | None = None, seed: i
             )
             placements = placements[:n]
     spd = series.slots_per_day
+    # Copies the last day out of a multi-day series, so the Dataset does not
+    # pin the whole series; a one-day series is contiguous and kept as is.
+    history = np.ascontiguousarray(series.loads[:, (n_days - 1) * spd :])
     day = daily_average(series, n_days)
-    history = series.loads[:, (n_days - 1) * spd :]
     return Dataset(day=day, history=history, placements=tuple(placements))
 
 
@@ -238,7 +240,8 @@ _STATE: dict = {}
 def _init_error_worker(config: ExperimentConfig, points) -> None:
     _STATE["config"] = config
     _STATE["points"] = points
-    _STATE["dataset"] = build_dataset(config)
+    data = _STATE["dataset"] = build_dataset(config)
+    _STATE["positions"] = positions_array(data.placements, data.day.n_sbs)
 
 
 def _iteration_seed(config: ExperimentConfig, iteration: int) -> int:
@@ -250,21 +253,33 @@ def _draw_sleepers(config: ExperimentConfig, iteration: int, n_sbs: int) -> np.n
     return np.sort(rng.permutation(n_sbs)[: max(1, round(config.sleep_fraction * n_sbs))])
 
 
+def _mlc_key(cfg: MlcConfig) -> tuple:
+    return (cfg.k_override, cfg.kmeans_max_iter, cfg.kmeans_tol, cfg.kmeans_seed, cfg.elbow_k_max)
+
+
 def _error_iteration(iteration: int) -> list[tuple[float, int, int]]:
     """Per-point (relative-error sum, included count, excluded count)."""
     config: ExperimentConfig = _STATE["config"]
     points = _STATE["points"]
     data: Dataset = _STATE["dataset"]
-    n_sbs = data.day.n_sbs
-    sleepers = _draw_sleepers(config, iteration, n_sbs)
+    pos: np.ndarray = _STATE["positions"]
+    sleepers = _draw_sleepers(config, iteration, data.day.n_sbs)
 
     # Identical MLC settings differing only in depth share one run: layer
     # l of a deeper run equals the full run at layers=l (pure refinement).
+    # Neighbor points with one selection rule and distance floor share one
+    # neighbor table: the nearest-neighbor table is ranked once per
+    # iteration (the sleeper set is fixed), the random draw once per slot
+    # (its seed does not depend on N).
     mlc_groups: dict[tuple, int] = {}
-    for _, cfg in points:
+    neighbor_groups: dict[tuple[str, float], list[int]] = {}
+    for idx, (_, cfg) in enumerate(points):
         if isinstance(cfg, MlcConfig):
-            key = (cfg.k_override, cfg.kmeans_max_iter, cfg.kmeans_tol, cfg.kmeans_seed, cfg.elbow_k_max)
+            key = _mlc_key(cfg)
             mlc_groups[key] = max(mlc_groups.get(key, 0), cfg.layers)
+        else:
+            neighbor_groups.setdefault((cfg.kind, cfg.distance_floor_m), []).append(idx)
+    nearest: dict[float, NeighborTable] = {}
 
     totals = [(0.0, 0, 0)] * len(points)
     for slot in config.eval_slots():
@@ -274,6 +289,7 @@ def _error_iteration(iteration: int) -> list[tuple[float, int, int]]:
             raise ValueError(f"iteration {iteration}, slot {slot}: {exc}") from exc
         history = data.history[:, slot]
         actual_sleep = actual[sleepers]
+        estimates: dict[int, np.ndarray] = {}
 
         try:
             mlc_runs = {
@@ -296,20 +312,28 @@ def _error_iteration(iteration: int) -> list[tuple[float, int, int]]:
             raise ValueError(f"iteration {iteration}, slot {slot}, estimator mlc: {exc}") from exc
         for idx, (_, cfg) in enumerate(points):
             if isinstance(cfg, MlcConfig):
-                key = (cfg.k_override, cfg.kmeans_max_iter, cfg.kmeans_tol, cfg.kmeans_seed, cfg.elbow_k_max)
-                estimates = mlc_runs[key].layer_estimates[cfg.layers - 1]
-            else:
-                if isinstance(cfg, RandomConfig):
-                    cfg = dataclasses.replace(
-                        cfg, seed=_iteration_seed(config, iteration) * 100_000 + slot
-                    )
-                try:
-                    estimates = estimate(cfg, snapshot, data.placements, history).estimates
-                except ValueError as exc:
-                    raise ValueError(
-                        f"iteration {iteration}, slot {slot}, estimator {cfg.kind}: {exc}"
-                    ) from exc
-            summary = estimation_error(actual_sleep, estimates, config.epsilon)
+                estimates[idx] = mlc_runs[_mlc_key(cfg)].layer_estimates[cfg.layers - 1]
+
+        for (kind, floor), idxs in neighbor_groups.items():
+            cfgs = [points[idx][1] for idx in idxs]
+            k = max(c.neighbors for c in cfgs)
+            try:
+                if kind == "random":
+                    seed = _iteration_seed(config, iteration) * 100_000 + slot
+                    table = random_table(pos, sleepers, snapshot.active_ids, k, floor, seed)
+                else:
+                    if floor not in nearest:
+                        nearest[floor] = nearest_table(pos, sleepers, snapshot.active_ids, k, floor)
+                    table = nearest[floor]
+            except ValueError as exc:
+                raise ValueError(
+                    f"iteration {iteration}, slot {slot}, estimator {kind}, neighbors {k}: {exc}"
+                ) from exc
+            point_estimates = table.estimates(snapshot.loads, [(c.neighbors, c.weighting) for c in cfgs])
+            estimates.update(zip(idxs, point_estimates))
+
+        for idx in range(len(points)):
+            summary = estimation_error(actual_sleep, estimates[idx], config.epsilon)
             err_sum, n_inc, n_exc = totals[idx]
             totals[idx] = (
                 err_sum + summary.mean_error * summary.n_included,
@@ -468,6 +492,11 @@ def _switch_iteration(task: tuple[int, int]) -> dict:
     return out
 
 
+def _mean(values: np.ndarray) -> float:
+    """Mean of ``values``, NaN when empty."""
+    return float(values.mean()) if values.size else float("nan")
+
+
 def _switching_report(
     experiment: str,
     columns: tuple[str, ...],
@@ -502,6 +531,10 @@ def _switching_report(
             naive = np.array([r["naive"] for r in rows])
             gaps = np.array([r["gap"] for r in rows])
             actuals = np.array([r["power_actual"] for r in by_s[s]])
+            # An infeasible deployed decision is priced with the overloaded
+            # tier capped at full load, which understates its cost: the
+            # deployed-power and gap means cover feasible iterations only.
+            feasible = np.array([r["deployed_feasible"] for r in rows], dtype=bool)
             points.append(
                 SweepPoint(
                     labels={
@@ -514,10 +547,10 @@ def _switching_report(
                         "decision_change_rate": float(rates.mean()),
                         "std_change_rate": float(rates.std()),
                         "power_actual_w": float(actuals.mean()),
-                        "power_deployed_w": float(deployed.mean()),
+                        "power_deployed_w": _mean(deployed[feasible]),
                         "power_estimated_naive_w": float(naive.mean()),
-                        "gap_w": float(gaps.mean()),
-                        "gap_rel": float((gaps / actuals).mean()),
+                        "gap_w": _mean(gaps[feasible]),
+                        "gap_rel": _mean((gaps / actuals)[feasible]),
                         "n_iterations": len(rows),
                     },
                     per_iteration={

@@ -420,7 +420,11 @@ def synthesize_traffic(
 
     day_pattern = np.tile(profile, n_days)
     noise = rng.normal(0.0, noise_std, size=(n_sbs, n_days * slots_per_day))
-    loads = np.clip(intensity[:, None] * day_pattern[None, :] + noise, 0.0, 1.0)
+    # In place: at paper scale each (n_sbs, n_slots) temporary is 173 MB.
+    loads = intensity[:, None] * day_pattern[None, :]
+    loads += noise
+    del noise
+    np.clip(loads, 0.0, 1.0, out=loads)
     series = LoadSeries(loads=loads, slot_minutes=slot_minutes, slots_per_day=slots_per_day)
     return series, placements
 

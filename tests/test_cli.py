@@ -196,3 +196,10 @@ class TestSweepCli:
         assert sum(doc["metadata"]["deployed_infeasible_per_point"]) >= 1
         for point, count in zip(doc["points"], doc["metadata"]["deployed_infeasible_per_point"]):
             assert point["per_iteration"]["deployed_feasible"].count(False) == count
+            # The gap mean covers the feasible iterations only (NaN if none).
+            per_it = point["per_iteration"]
+            feasible_gaps = [g for g, ok in zip(per_it["gap_w"], per_it["deployed_feasible"]) if ok]
+            if feasible_gaps:
+                assert point["metrics"]["gap_w"] == np.mean(feasible_gaps)
+            else:
+                assert np.isnan(point["metrics"]["gap_w"])

@@ -8,7 +8,13 @@ from cellsleep.estimators import (
     estimate,
     estimation_error,
 )
-from cellsleep.estimators.neighbors import distance_estimate, random_estimate
+from cellsleep.estimators.neighbors import (
+    distance_estimate,
+    nearest_table,
+    positions_array,
+    random_estimate,
+    random_table,
+)
 from cellsleep.traffic import LoadSnapshot, SbsPlacement
 
 from conftest import grid_placements, snapshot_of
@@ -119,6 +125,107 @@ class TestRandomEstimate:
         expected = (loads[drawn] * w).sum() / w.sum()
         assert res.detail[0].neighbor_ids == tuple(int(j) for j in drawn)
         assert res.estimates[0] == pytest.approx(expected, rel=1e-12)
+
+
+def naive_estimates(pos, loads, sleepers, active, n, exponent, floor, seed=None):
+    """Per-sleeper neighbor ids and estimates by the plain per-sleeper formula:
+    the n nearest (stable sort by distance) or, with a seed, the first n of
+    one ``rng.permutation(active)`` per sleeper; then the mean, or
+    sum(w * l) / sum(w) with w = d_max / d**n."""
+    rng = None if seed is None else np.random.default_rng(seed)
+    out = []
+    for sleeper in sleepers:
+        d_all = np.sqrt(((pos[active] - pos[sleeper]) ** 2).sum(axis=1))
+        if rng is None:
+            ids = active[np.argsort(d_all, kind="stable")[:n]]
+        else:
+            ids = rng.permutation(active)[:n]
+        d = np.maximum(np.sqrt(((pos[ids] - pos[sleeper]) ** 2).sum(axis=1)), floor)
+        if exponent is None or np.all(d == d[0]):
+            est = loads[ids].mean()
+        else:
+            w = d.max() / d**exponent
+            est = (loads[ids] * w).sum() / w.sum()
+        out.append((tuple(int(i) for i in ids), est))
+    return out
+
+
+def awkward_placements(rng, n_sbs):
+    """Integer-metre placements with duplicate coordinates, stations closer
+    than a 1 m floor, and two rings of stations at one distance from SBS 14."""
+    xy = rng.integers(0, 3000, (n_sbs, 2)).astype(float)
+    xy[1] = xy[0]                                    # duplicates
+    xy[2] = xy[0] + [0.0, 0.5]                       # inside the floor
+    xy[3] = xy[4] = xy[5]
+    offsets = [(50, 0), (-50, 0), (0, 50), (0, -50), (30, 40), (-40, 30), (200, 0), (0, -200)]
+    xy[6:14] = xy[14] + np.array(offsets, dtype=float)   # 6 at exactly 50 m, 2 at 200 m
+    return tuple(SbsPlacement(i, i + 1, float(x), float(y)) for i, (x, y) in enumerate(xy))
+
+
+class TestSharedNeighborPath:
+    N_VALUES = (1, 2, 3, 4, 7, 12, 20)
+    EXPONENTS = (None, 1, 3, 10)
+
+    def test_one_table_matches_per_call_estimates(self, rng):
+        for trial in range(24):
+            n_sbs = int(rng.integers(40, 70))
+            placements = awkward_placements(rng, n_sbs)
+            pos = positions_array(placements, n_sbs)
+            loads = rng.uniform(0.0, 1.0, n_sbs)
+            sleeping = rng.choice(n_sbs, size=int(rng.integers(1, 10)), replace=False)
+            if trial % 2:
+                sleeping = np.union1d(sleeping, [0, 3, 14])  # duplicates and the ring center
+            snap = snapshot_of(loads, sleeping)
+            sleepers, active = snap.sleeping_ids, snap.active_ids
+            floor = [1.0, 0.25, 60.0][trial % 3]             # 60 m floors a whole ring
+            points = [(n, e) for n in self.N_VALUES for e in self.EXPONENTS]
+            seed = int(rng.integers(1 << 31))
+            k = max(self.N_VALUES)
+            near_table = nearest_table(pos, sleepers, active, k, floor)
+            drawn_table = random_table(pos, sleepers, active, k, floor, seed)
+            shared = zip(near_table.estimates(snap.loads, points), drawn_table.estimates(snap.loads, points))
+            for (n, e), (near_est, drawn_est) in zip(points, shared):
+                for est, single, naive in (
+                    (near_est, distance_estimate(snap, placements, n, e, distance_floor=floor),
+                     naive_estimates(pos, loads, sleepers, active, n, e, floor)),
+                    (drawn_est, random_estimate(snap, placements, n, e, seed, distance_floor=floor),
+                     naive_estimates(pos, loads, sleepers, active, n, e, floor, seed)),
+                ):
+                    np.testing.assert_allclose(est, single.estimates, rtol=1e-12, atol=0)
+                    assert [det.neighbor_ids for det in single.detail] == [ids for ids, _ in naive]
+                    np.testing.assert_allclose(est, [v for _, v in naive], rtol=1e-12, atol=0)
+
+    def test_equal_distance_prefix_is_exact_mean(self, rng):
+        # SBS 0 sleeps at the origin. Eight actives sit at exactly 50 m (the
+        # 3-4-5 ring), twelve more at irrational distances within 60 m, and
+        # ten further out.
+        ring = [(50, 0), (-50, 0), (0, 50), (0, -50), (30, 40), (-40, 30), (-30, -40), (40, -30)]
+        angles = 0.1 + np.arange(12) * (2 * np.pi / 12)
+        xy = np.vstack([[0.0, 0.0], ring, np.column_stack([55 * np.cos(angles), 55 * np.sin(angles)]),
+                        rng.uniform(200.0, 900.0, (10, 2))])
+        placements = tuple(SbsPlacement(i, i + 1, float(x), float(y)) for i, (x, y) in enumerate(xy))
+        pos = positions_array(placements, xy.shape[0])
+        loads = rng.uniform(0.0, 1.0, xy.shape[0])
+        snap = snapshot_of(loads, sleeping=[0])
+        points = [(n, e) for n in range(1, 21) for e in self.EXPONENTS]
+        for floor, equal_up_to in ((1.0, 8), (60.0, 20)):
+            for table in (
+                nearest_table(pos, snap.sleeping_ids, snap.active_ids, 20, floor),
+                random_table(pos, snap.sleeping_ids, np.arange(1, equal_up_to + 1), equal_up_to, floor, 3),
+            ):
+                near = loads[table.ids[0]]
+                prefixes = [(n, e) for n, e in points if n <= equal_up_to]
+                for (n, _), est in zip(prefixes, table.estimates(snap.loads, prefixes)):
+                    assert est[0] == near[:n].mean()
+
+    def test_random_draw_is_prefix_of_widest_draw(self, rng):
+        pos = positions_array(grid_placements(64), 64)
+        snap = snapshot_of(rng.uniform(0.0, 1.0, 64), sleeping=[3, 17, 40, 41])
+        widest = random_table(pos, snap.sleeping_ids, snap.active_ids, 30, 1.0, seed=11)
+        for n in (1, 5, 29, 30):
+            narrow = random_table(pos, snap.sleeping_ids, snap.active_ids, n, 1.0, seed=11)
+            assert np.array_equal(narrow.ids, widest.ids[:, :n])
+            assert np.array_equal(narrow.dists, widest.dists[:, :n])
 
 
 class TestDispatch:

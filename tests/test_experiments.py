@@ -64,6 +64,7 @@ class TestBuildDataset:
         b = build_dataset(cfg)
         assert a.day.loads.shape == (30, 144)
         assert a.history.shape == (30, 144)
+        assert a.history.base is None  # a copy: a view would pin all 3 days
         assert a.day.loads.tobytes() == b.day.loads.tobytes()
         assert len(a.placements) == 30
 
