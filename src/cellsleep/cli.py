@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, PROFILES, config_from_dict, config_hash
+from .config import ExperimentConfig, PROFILES, config_from_dict, config_hash, sleeper_count
 from .dataio import (
     read_loads_csv,
     read_placements_json,
@@ -262,7 +262,7 @@ def _cmd_estimate(args) -> int:
         sleeper_ids = _int_list(args.sleepers)
     elif args.sleep_fraction is not None:
         rng = np.random.default_rng(args.seed)
-        count = max(1, round(args.sleep_fraction * series.n_sbs))
+        count = sleeper_count(args.sleep_fraction, series.n_sbs)
         sleeper_ids = sorted(int(i) for i in rng.permutation(series.n_sbs)[:count])
     else:
         sleeper_ids = []

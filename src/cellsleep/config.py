@@ -35,6 +35,11 @@ DEFAULT_SBS_POWER = PowerParams(
 )
 
 
+def sleeper_count(sleep_fraction: float, n_sbs: int) -> int:
+    """How many of ``n_sbs`` SBSs sleep: the rounded fraction, at least one."""
+    return max(1, round(sleep_fraction * n_sbs))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a sweep needs; defaults mirror the reference scale."""
@@ -101,7 +106,7 @@ class ExperimentConfig:
 
     @property
     def n_sleepers(self) -> int:
-        return max(1, round(self.sleep_fraction * self.n_sbs))
+        return sleeper_count(self.sleep_fraction, self.n_sbs)
 
     def eval_slots(self) -> tuple[int, ...]:
         return tuple(range(0, self.slots_per_day, self.slot_stride))

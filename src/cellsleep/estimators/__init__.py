@@ -21,7 +21,7 @@ import numpy as np
 
 from ..traffic import LoadSnapshot, SbsPlacement
 from .kmeans import ClusteringState, compute_sse, elbow_select_k, kmeans_fit
-from .mlc import mlc_estimate
+from .mlc import check_mlc_params, mlc_estimate
 from .neighbors import check_neighbor_params, distance_estimate, positions_array, random_estimate
 from .result import EstimateResult, NeighborDetail
 
@@ -38,12 +38,9 @@ class MlcConfig:
     elbow_k_max: int = 8
 
     def __post_init__(self) -> None:
-        if self.layers < 1:
-            raise ValueError("layers must be >= 1")
-        if self.k_override is not None and self.k_override < 1:
-            raise ValueError("k_override must be >= 1 when given")
-        if self.kmeans_max_iter < 1 or self.kmeans_tol < 0:
-            raise ValueError("kmeans_max_iter must be >= 1 and kmeans_tol >= 0")
+        check_mlc_params(
+            self.layers, self.k_override, self.elbow_k_max, self.kmeans_max_iter, self.kmeans_tol
+        )
 
     kind = "mlc"
 

@@ -5,7 +5,17 @@ fit accepts general vectors so tests can use multi-dimensional fixtures.
 Seeding is "k-means++ style" greedy farthest point: the first centroid is
 drawn by the seeded generator, each further centroid is the point farthest
 from its nearest chosen centroid (first index on ties), so a fit is fully
-determined by (points, k, seed).
+determined by (points, k, seed). The argmax chain does not depend on k,
+so the seeds for any k are the first k seeds for a larger k: ``elbow_fit``
+seeds once for the largest k of its range and starts every smaller k from
+a prefix, which gives each k the same fit as ``kmeans_fit``.
+
+Each Lloyd step recomputes a centroid as its members' sum over their count,
+like ``pts[members].mean(axis=0)``. The members are gathered by one stable
+argsort of the assignments, so each cluster is a contiguous slice in index
+order: the same array, in the same order, that a boolean mask selects, so
+numpy's pairwise sum gives the same bits. A running sum (``np.add.reduceat``
+or prefix sums) adds in another order and changes the last bit.
 """
 
 from __future__ import annotations
@@ -67,7 +77,11 @@ def compute_sse(points, assignments, centroids) -> float:
         )
     if asg.size and (asg.min() < 0 or asg.max() >= cents.shape[0]):
         raise ValueError("assignment index outside centroid range")
-    diff = pts - cents[asg]
+    return _sse(pts, asg, cents)
+
+
+def _sse(pts: np.ndarray, assignments: np.ndarray, centroids: np.ndarray) -> float:
+    diff = pts - centroids[assignments]
     return float((diff * diff).sum())
 
 
@@ -96,42 +110,49 @@ def kmeans_fit(points, k: int, max_iter: int = 100, tol: float = 1e-9, seed: int
         raise ValueError(f"k must lie in 1..{n}, got {k}")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    rng = np.random.default_rng(seed)
-    centroids = _seed_centroids(pts, k, rng)
+    return _lloyd(pts, _seed_centroids(pts, k, np.random.default_rng(seed)), max_iter, tol)
 
-    assignments = np.zeros(n, dtype=int)
+
+def _lloyd(pts: np.ndarray, centroids: np.ndarray, max_iter: int, tol: float) -> ClusteringState:
+    """Lloyd iteration from the given seed centroids (updated in place)."""
+    n, k = pts.shape[0], centroids.shape[0]
     trace: list[float] = []
     for _ in range(max_iter):
         d2 = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         assignments = np.argmin(d2, axis=1)  # ties resolve to the lowest index
+        counts = np.bincount(assignments, minlength=k)
 
-        for cluster in range(k):
-            if (assignments == cluster).any():
-                continue
-            # Steal the worst-placed point from a cluster that can spare one.
-            dist_own = d2[np.arange(n), assignments]
+        if not counts.all():
+            for cluster in range(k):
+                if (assignments == cluster).any():
+                    continue
+                # Steal the worst-placed point from a cluster that can spare one.
+                dist_own = d2[np.arange(n), assignments]
+                counts = np.bincount(assignments, minlength=k)
+                movable = counts[assignments] > 1
+                if not movable.any():
+                    continue
+                worst = int(np.argmax(np.where(movable, dist_own, -np.inf)))
+                centroids[cluster] = pts[worst]
+                assignments[worst] = cluster
+                d2[:, cluster] = ((pts - centroids[cluster]) ** 2).sum(axis=1)
             counts = np.bincount(assignments, minlength=k)
-            movable = counts[assignments] > 1
-            if not movable.any():
-                continue
-            worst = int(np.argmax(np.where(movable, dist_own, -np.inf)))
-            centroids[cluster] = pts[worst]
-            assignments[worst] = cluster
-            d2[:, cluster] = ((pts - centroids[cluster]) ** 2).sum(axis=1)
 
-        trace.append(compute_sse(pts, assignments, centroids))
+        trace.append(_sse(pts, assignments, centroids))
 
-        new_centroids = centroids.copy()
-        for cluster in range(k):
-            members = assignments == cluster
-            if members.any():
-                new_centroids[cluster] = pts[members].mean(axis=0)
+        # Each cluster's members, contiguous and in index order (the
+        # pairwise sum of a slice equals that of a masked copy bit for bit).
+        grouped = pts[np.argsort(assignments, kind="stable")]
+        ends = np.cumsum(counts).tolist()
+        new_centroids = np.empty_like(centroids)
+        for cluster, (a, b) in enumerate(zip([0] + ends[:-1], ends)):
+            new_centroids[cluster] = grouped[a:b].sum(axis=0) / (b - a)
         movement = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
         centroids = new_centroids
         if movement <= tol:
             break
 
-    sse = compute_sse(pts, assignments, centroids)
+    sse = _sse(pts, assignments, centroids)
     trace.append(sse)
     return ClusteringState(
         assignments=assignments,
@@ -161,6 +182,25 @@ def elbow_select_k(
         ValueError: if the range leaves fewer than three candidate k values
             or extends beyond the number of points.
     """
+    return elbow_fit(
+        points, k_range, max_iter=max_iter, tol=tol, seed=seed, warn_on_flat=warn_on_flat
+    ).k
+
+
+def elbow_fit(
+    points,
+    k_range: tuple[int, int] = (1, 8),
+    *,
+    max_iter: int = 100,
+    tol: float = 1e-9,
+    seed: int = 0,
+    warn_on_flat: bool = True,
+) -> ClusteringState:
+    """The fit at ``elbow_select_k``'s choice of k, the same as ``kmeans_fit`` gives.
+
+    The seeding runs once, for the largest k; every smaller k starts Lloyd
+    from the first k of those seeds.
+    """
     pts = _as_points(points)
     lo, hi = int(k_range[0]), int(k_range[1])
     if lo < 1 or hi > pts.shape[0]:
@@ -168,12 +208,17 @@ def elbow_select_k(
     ks = list(range(lo, hi + 1))
     if len(ks) < 3:
         raise ValueError(f"k_range {k_range} spans {len(ks)} values; need at least 3")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
 
-    sse = np.array([kmeans_fit(pts, k, max_iter=max_iter, tol=tol, seed=seed).sse for k in ks])
+    seeds = _seed_centroids(pts, hi, np.random.default_rng(seed))
+    fits = [_lloyd(pts, seeds[:k].copy(), max_iter, tol) for k in ks]
+    sse = np.array([fit.sse for fit in fits])
     curvature = sse[:-2] - 2.0 * sse[1:-1] + sse[2:]
     scale = max(float(sse.max()), 1e-300)
     if curvature.max() <= FLAT_CURVE_RTOL * scale:
         if warn_on_flat:
-            warnings.warn("flat SSE curve: no elbow found, falling back to k=1", stacklevel=2)
-        return 1
-    return ks[1 + int(np.argmax(curvature))]
+            # stacklevel 3: attributed to the caller of elbow_select_k
+            warnings.warn("flat SSE curve: no elbow found, falling back to k=1", stacklevel=3)
+        return fits[0] if lo == 1 else _lloyd(pts, seeds[:1].copy(), max_iter, tol)
+    return fits[1 + int(np.argmax(curvature))]

@@ -22,8 +22,22 @@ from typing import Sequence
 import numpy as np
 
 from ..traffic import LoadSnapshot
-from .kmeans import elbow_select_k, kmeans_fit
+from .kmeans import elbow_fit, kmeans_fit
 from .result import EstimateResult, NeighborDetail
+
+
+def check_mlc_params(
+    layers: int, k_override: int | None, elbow_k_max: int, kmeans_max_iter: int, kmeans_tol: float
+) -> None:
+    """Reject an MLC depth, cluster count, elbow range or Lloyd setting out of range."""
+    if layers < 1:
+        raise ValueError("layers must be >= 1")
+    if k_override is not None and k_override < 1:
+        raise ValueError("k_override must be >= 1 when given")
+    if elbow_k_max < 3:
+        raise ValueError(f"elbow_k_max must be >= 3 (the elbow needs three k values), got {elbow_k_max}")
+    if kmeans_max_iter < 1 or kmeans_tol < 0:
+        raise ValueError("kmeans_max_iter must be >= 1 and kmeans_tol >= 0")
 
 
 def mlc_estimate(
@@ -52,10 +66,7 @@ def mlc_estimate(
         EstimateResult whose ``layer_estimates`` holds the intermediate
         estimate vector after every layer (row L-1 equals ``estimates``).
     """
-    if layers < 1:
-        raise ValueError("layers must be >= 1")
-    if k_override is not None and k_override < 1:
-        raise ValueError("k_override must be >= 1 when given")
+    check_mlc_params(layers, k_override, elbow_k_max, kmeans_max_iter, kmeans_tol)
     active_mask = snapshot.known_mask
     active = snapshot.active_ids
     sleepers = snapshot.sleeping_ids
@@ -82,8 +93,10 @@ def mlc_estimate(
     features[sleepers] = np.where(finite, hist_sleep, global_mean)
 
     estimates = features[sleepers].copy()
-    contributors: list[tuple[int, ...]] = [() for _ in sleepers]
-    sleeper_pos = {int(s): i for i, s in enumerate(sleepers)}
+    # Per sleeper, the active SBSs its current estimate averages.
+    contributors: list[np.ndarray] = [active[:0]] * sleepers.size
+    sleeper_pos = np.full(snapshot.n_sbs, -1)
+    sleeper_pos[sleepers] = np.arange(sleepers.size)
 
     cells: list[np.ndarray] = [np.arange(snapshot.n_sbs)]
     layer_trace = np.empty((layers, sleepers.size))
@@ -92,31 +105,37 @@ def mlc_estimate(
         for cell in cells:
             pts = features[cell][:, None]
             if cell.size < 3 or np.ptp(pts) == 0.0:
-                k = 1
+                assignments = np.zeros(cell.size, dtype=int)  # one cluster
             elif k_override is not None:
-                k = min(k_override, cell.size)
+                assignments = kmeans_fit(
+                    pts,
+                    min(k_override, cell.size),
+                    max_iter=kmeans_max_iter,
+                    tol=kmeans_tol,
+                    seed=kmeans_seed,
+                ).assignments
             else:
-                k = elbow_select_k(
+                assignments = elbow_fit(
                     pts,
                     (1, min(elbow_k_max, cell.size)),
                     max_iter=kmeans_max_iter,
                     tol=kmeans_tol,
                     seed=kmeans_seed,
                     warn_on_flat=False,
-                )
-            state = kmeans_fit(pts, k, max_iter=kmeans_max_iter, tol=kmeans_tol, seed=kmeans_seed)
-            for cluster in range(state.k):
-                sub = cell[state.members(cluster)]
-                sub_active = sub[active_mask[sub]]
-                sub_sleep = sub[~active_mask[sub]]
+                ).assignments
+            # Clusters in index order, each with its members in index order.
+            grouped = cell[np.argsort(assignments, kind="stable")]
+            for sub in np.split(grouped, np.cumsum(np.bincount(assignments))[:-1]):
+                known = active_mask[sub]
+                sub_sleep = sub[~known]
                 if sub_sleep.size == 0:
                     continue
+                sub_active = sub[known]
                 if sub_active.size:
-                    mu = float(snapshot.loads[sub_active].mean())
-                    ids = tuple(int(a) for a in sub_active)
-                    for s in sub_sleep:
-                        estimates[sleeper_pos[int(s)]] = mu
-                        contributors[sleeper_pos[int(s)]] = ids
+                    pos = sleeper_pos[sub_sleep]
+                    estimates[pos] = float(snapshot.loads[sub_active].mean())
+                    for p in pos.tolist():
+                        contributors[p] = sub_active
                 next_cells.append(sub)
         cells = next_cells
         layer_trace[layer] = estimates
@@ -124,8 +143,8 @@ def mlc_estimate(
     detail = tuple(
         NeighborDetail(
             sleeper_id=int(s),
-            neighbor_ids=ids,
-            weights=tuple([1.0 / len(ids)] * len(ids)) if ids else (),
+            neighbor_ids=tuple(ids.tolist()),
+            weights=tuple([1.0 / ids.size] * ids.size) if ids.size else (),
         )
         for s, ids in zip(sleepers, contributors)
     )

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import ExperimentConfig, config_hash
+from .config import ExperimentConfig, config_hash, sleeper_count
 from .dataio import read_loads_csv, read_placements_json
 from .errors import DataFormatError
 from .estimators import (
@@ -250,7 +250,7 @@ def _iteration_seed(config: ExperimentConfig, iteration: int) -> int:
 
 def _draw_sleepers(config: ExperimentConfig, iteration: int, n_sbs: int) -> np.ndarray:
     rng = np.random.default_rng(_iteration_seed(config, iteration))
-    return np.sort(rng.permutation(n_sbs)[: max(1, round(config.sleep_fraction * n_sbs))])
+    return np.sort(rng.permutation(n_sbs)[: sleeper_count(config.sleep_fraction, n_sbs)])
 
 
 def _mlc_key(cfg: MlcConfig) -> tuple:

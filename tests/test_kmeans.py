@@ -1,9 +1,12 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
-from cellsleep.estimators.kmeans import compute_sse, elbow_select_k, kmeans_fit
+from cellsleep.estimators.kmeans import compute_sse, elbow_fit, elbow_select_k, kmeans_fit
+
+import naive_kmeans
 
 
 def brute_force_sse(points, assignments, centroids):
@@ -156,3 +159,61 @@ class TestElbow:
     def test_deterministic(self, rng):
         pts = rng.uniform(0, 1, size=(40, 1))
         assert elbow_select_k(pts, (1, 8), seed=5) == elbow_select_k(pts, (1, 8), seed=5)
+
+
+def assert_same_fit(fit, ref):
+    assert np.array_equal(fit.assignments, ref.assignments)
+    assert np.array_equal(fit.centroids, ref.centroids)
+    assert fit.sse == ref.sse
+    assert fit.sse_trace == ref.sse_trace
+
+
+def tied_points(rng, n, d):
+    """Points on a 0.1 grid, so duplicates and equidistant ties are common."""
+    return np.round(rng.uniform(0, 1, size=(n, d)) * rng.choice([0.3, 1.0, 3.0]), 1)
+
+
+class TestMatchesOriginalLloyd:
+    """Bit-for-bit agreement with the original loop in ``naive_kmeans``."""
+
+    def test_random_fits(self, rng):
+        repaired = 0
+        for trial in range(600):
+            n, d = int(rng.integers(1, 40)), int(rng.integers(1, 4))
+            pts = tied_points(rng, n, d)
+            k = int(rng.integers(1, n + 1))
+            max_iter = int(rng.choice([1, 2, 5, 100]))
+            fit = kmeans_fit(pts, k, max_iter=max_iter, seed=trial)
+            assert_same_fit(fit, naive_kmeans.kmeans_fit(pts, k, max_iter=max_iter, seed=trial))
+            # Fewer distinct points than clusters seeds duplicate centroids,
+            # so the first step leaves a cluster empty and repairs it.
+            repaired += len(np.unique(pts, axis=0)) < k
+        assert repaired >= 100
+
+    def test_forced_repairs(self, rng):
+        for trial in range(100):
+            distinct = tied_points(rng, int(rng.integers(1, 5)), int(rng.integers(1, 4)))
+            pts = distinct[rng.integers(0, len(distinct), size=int(rng.integers(6, 25)))]
+            k = int(rng.integers(len(np.unique(pts, axis=0)) + 1, len(pts) + 1))
+            fit = kmeans_fit(pts, k, seed=trial)
+            assert_same_fit(fit, naive_kmeans.kmeans_fit(pts, k, seed=trial))
+            assert len(set(fit.assignments.tolist())) == k
+
+    def test_elbow_choice_and_fit(self, rng):
+        for trial in range(150):
+            n, d = int(rng.integers(3, 40)), int(rng.integers(1, 4))
+            pts = tied_points(rng, n, d)
+            lo = int(rng.integers(1, 3)) if n >= 4 else 1
+            hi = int(rng.integers(lo + 2, n + 1))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                k = naive_kmeans.elbow_select_k(pts, (lo, hi), seed=trial)
+                assert elbow_select_k(pts, (lo, hi), seed=trial) == k
+                fit = elbow_fit(pts, (lo, hi), seed=trial)
+            assert_same_fit(fit, naive_kmeans.kmeans_fit(pts, k, seed=trial))
+
+    def test_flat_elbow_fit_is_k1(self):
+        pts = np.zeros((6, 1))
+        for lo in (1, 2):
+            fit = elbow_fit(pts, (lo, 5), warn_on_flat=False)
+            assert_same_fit(fit, naive_kmeans.kmeans_fit(pts, 1))

@@ -5,6 +5,7 @@ from cellsleep.estimators import MlcConfig, estimate, estimation_error
 from cellsleep.estimators.mlc import mlc_estimate
 from cellsleep.traffic import daily_average, mask_sleepers, synthesize_traffic
 
+import naive_kmeans
 from conftest import grid_placements, snapshot_of
 
 
@@ -135,6 +136,19 @@ class TestDispatchAndValidation:
         with pytest.raises(ValueError):
             mlc_estimate(snap, np.array([0.1, 0.2]), layers=0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"layers": 0}, {"k_override": 0}, {"elbow_k_max": 2}, {"kmeans_max_iter": 0}, {"kmeans_tol": -1.0}],
+    )
+    def test_config_rejects_out_of_range(self, kwargs):
+        # An elbow over fewer than three k values used to pass construction
+        # and fail mid-sweep.
+        with pytest.raises(ValueError):
+            MlcConfig(**kwargs)
+        snap = snapshot_of([0.1, 0.2, 0.3, 0.4], sleeping=[1])
+        with pytest.raises(ValueError):
+            mlc_estimate(snap, np.full(4, 0.2), **{"layers": 1, **kwargs})
+
     def test_bad_history_shape(self):
         snap = snapshot_of([0.1, 0.2], sleeping=[1])
         with pytest.raises(ValueError, match="history"):
@@ -144,3 +158,24 @@ class TestDispatchAndValidation:
         snap = snapshot_of([0.1, 0.2], sleeping=[1])
         with pytest.raises(ValueError, match="history"):
             mlc_estimate(snap, np.array([0.1, 1.7]), layers=1)
+
+
+class TestMatchesOriginalMlc:
+    """Bit-for-bit agreement with the original layer loop on the original fits."""
+
+    def test_random_snapshots(self, rng):
+        for trial in range(60):
+            n = int(rng.integers(3, 60))
+            loads = np.round(rng.uniform(0, 1, n), int(rng.choice([1, 2, 6])))
+            sleepers = rng.choice(n, size=int(rng.integers(1, max(2, n // 3))), replace=False)
+            history = np.clip(loads + rng.normal(0, 0.05, n), 0, 1)
+            history[rng.uniform(size=n) < 0.2] = np.nan
+            layers = int(rng.integers(1, 6))
+            k_override = None if trial % 3 else int(rng.integers(1, 5))
+            snap = snapshot_of(loads, sleeping=sleepers)
+            res = mlc_estimate(snap, history, layers, k_override=k_override, kmeans_seed=trial)
+            ref_layers, ref_ids = naive_kmeans.mlc_layers(
+                snap.loads, snap.known_mask, history, layers, k_override=k_override, seed=trial
+            )
+            assert np.array_equal(res.layer_estimates, ref_layers)
+            assert [d.neighbor_ids for d in res.detail] == ref_ids
