@@ -110,16 +110,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slot-minutes", type=int, default=10)
     p.add_argument("--grid-side", type=int, default=100, help="grid dimension (100 -> 10000 squares)")
 
+    desk = PROFILES["desk"]()  # synth defaults to the desk profile's traffic
     p = sub.add_parser("synth", help="generate seeded synthetic correlated traffic")
     p.add_argument("--out", default=".")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-sbs", type=int, default=100)
-    p.add_argument("--grid-side", type=int, default=10)
-    p.add_argument("--correlation-length", type=float, default=700.0, metavar="METERS")
-    p.add_argument("--days", type=int, default=7)
-    p.add_argument("--noise-std", type=float, default=0.01)
-    p.add_argument("--field-floor", type=float, default=0.30)
-    p.add_argument("--bumps", type=int, default=8)
+    p.add_argument("--n-sbs", type=int, default=desk.n_sbs)
+    p.add_argument("--grid-side", type=int, default=desk.grid_side)
+    p.add_argument("--correlation-length", type=float, default=desk.correlation_length_m,
+                   metavar="METERS")
+    p.add_argument("--days", type=int, default=desk.n_days)
+    p.add_argument("--noise-std", type=float, default=desk.noise_std)
+    p.add_argument("--field-floor", type=float, default=desk.field_floor)
+    p.add_argument("--bumps", type=int, default=desk.n_field_bumps)
 
     p = sub.add_parser("estimate", help="estimate sleeping-SBS loads at one slot")
     p.add_argument("--loads", required=True, help="canonical loads CSV")
@@ -349,7 +351,7 @@ def _cmd_optimize(args) -> int:
     write_json(doc, Path(args.out))
     print(
         f"optimize[{solution.optimizer}]: power {solution.power:.3f} W, "
-        f"{solution.state.n_off}/{s} SBSs off, feasible={solution.feasible}"
+        f"{np.count_nonzero(solution.state)}/{s} SBSs off, feasible={solution.feasible}"
     )
     return EXIT_OK if solution.feasible else EXIT_INFEASIBLE
 

@@ -18,11 +18,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
 from .power import PowerParams
-from .switching import EXHAUSTIVE_SBS_CAP
+from .switching import EXHAUSTIVE_SBS_CAP, OffloadScales
 
 DEFAULT_HAPS_POWER = PowerParams(
     operational_power=220.0, amplifier_slope=6.0, transmit_power=120.0, sleep_power=0.0
@@ -99,10 +100,12 @@ class ExperimentConfig:
             raise ConfigError("data_source 'milan' requires loads_csv")
         if not (0.0 <= self.base_mbs_load <= 1.0 and 0.0 <= self.base_haps_load <= 1.0):
             raise ConfigError("base tier loads must lie in [0, 1]")
-        if self.offload_to_mbs < 0 or self.offload_to_haps < 0:
-            raise ConfigError("offload scales must be nonnegative")
-        if self.epsilon < 0:
-            raise ConfigError("epsilon must be nonnegative")
+        try:
+            OffloadScales(to_mbs=self.offload_to_mbs, to_haps=self.offload_to_haps)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ConfigError(f"epsilon must be finite and nonnegative, got {self.epsilon!r}")
 
     @property
     def n_sleepers(self) -> int:

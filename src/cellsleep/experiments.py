@@ -39,6 +39,7 @@ from .estimators import (
 from .estimators.neighbors import NeighborTable, nearest_table, positions_array, random_table
 from .power import NetworkPowerConfig, network_power
 from .switching import (
+    ON,
     OffloadScales,
     SwitchingSolution,
     apply_offloads,
@@ -468,7 +469,7 @@ def _switch_iteration(task: tuple[int, int]) -> dict:
         # infeasible and priced with that tier at full load.
         deployed_power = network_power(
             power_cfg, min(deployed_cap.haps_load, 1.0), min(deployed_cap.mbs_load, 1.0),
-            actual, est_sol.state.on_off,
+            actual, est_sol.state == ON,
         )
         return {
             "rate": decision_change_rate(actual_sol.state, est_sol.state),

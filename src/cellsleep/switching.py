@@ -1,9 +1,11 @@
-"""Switch-off state vectors, capacity checks and power minimization.
+"""Switch-off states, capacity checks and power minimization.
 
-A switching state assigns each SBS either ON, or OFF together with an
-offload target (the macro station or the HAPS). Offloaded traffic raises
-the target tier's load by the SBS load times a per-tier conversion factor,
-and a state is feasible only while both tiers stay at or below unit load.
+A switching state is one ``np.int8`` code per SBS: ``ON``, or OFF with its
+traffic offloaded to the macro station (``TO_MBS``) or to the HAPS
+(``TO_HAPS``); ``"-MH"[code]`` is the code's letter in JSON output.
+Offloaded traffic raises the target tier's load by the SBS load times a
+per-tier conversion factor, and a state is feasible only while both tiers
+stay at or below unit load.
 
 Network power is affine in the state. Switching SBS j off onto tier t
 changes it by ``sleep_j + cost_{t,j} - active_j``, where ``cost_{t,j}`` is
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -34,10 +35,8 @@ EXHAUSTIVE_SBS_CAP = 20
 INNER_ENUM_CAP = 10  # OFF-set sizes up to this are assigned by exact enumeration
 _CHUNK_BITS = 14
 
-
-class OffloadTarget(Enum):
-    MBS = "M"
-    HAPS = "H"
+ON, TO_MBS, TO_HAPS = 0, 1, 2  # state codes; "-MH"[code] is the JSON letter
+_TIERS = (TO_MBS, TO_HAPS)  # offload targets in tie-break order
 
 
 @dataclass(frozen=True)
@@ -48,48 +47,18 @@ class OffloadScales:
     to_haps: float = 0.02
 
     def __post_init__(self) -> None:
-        if self.to_mbs < 0 or self.to_haps < 0:
-            raise ValueError("offload scales must be nonnegative")
+        for name, value in (("to_mbs", self.to_mbs), ("to_haps", self.to_haps)):
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"offload scale {name} must be finite and nonnegative, got {value!r}")
 
 
-@dataclass(frozen=True)
-class StateVector:
-    """Per-SBS on/off bits plus an offload target for every OFF SBS."""
-
-    on_off: tuple[bool, ...]
-    targets: tuple[OffloadTarget | None, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "on_off", tuple(bool(b) for b in self.on_off))
-        object.__setattr__(self, "targets", tuple(self.targets))
-        if len(self.on_off) != len(self.targets):
-            raise ValueError("on_off and targets must have equal length")
-        for j, (on, tgt) in enumerate(zip(self.on_off, self.targets)):
-            if on and tgt is not None:
-                raise ValueError(f"SBS {j} is ON but has an offload target")
-            if not on and not isinstance(tgt, OffloadTarget):
-                raise ValueError(f"SBS {j} is OFF but has no offload target")
-
-    @classmethod
-    def all_on(cls, n_sbs: int) -> "StateVector":
-        return cls(on_off=(True,) * n_sbs, targets=(None,) * n_sbs)
-
-    @property
-    def n_sbs(self) -> int:
-        return len(self.on_off)
-
-    @property
-    def n_off(self) -> int:
-        return sum(1 for b in self.on_off if not b)
-
-    def bitstring(self) -> str:
-        return "".join("1" if b else "0" for b in self.on_off)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "on_off": self.bitstring(),
-            "targets": "".join("-" if t is None else t.value for t in self.targets),
-        }
+def _checked_state(state: Sequence[int], n_sbs: int) -> np.ndarray:
+    """A caller's state as an array of ``n_sbs`` integer codes in {ON, TO_MBS, TO_HAPS}."""
+    codes = np.asarray(state)
+    valid = codes.dtype.kind in "iu" and codes.shape == (n_sbs,)
+    if not (valid and ((codes >= ON) & (codes <= TO_HAPS)).all()):
+        raise ValueError(f"a state needs {n_sbs} codes in {{0, 1, 2}}, got {codes.dtype} {codes.shape}")
+    return codes
 
 
 @dataclass(frozen=True)
@@ -127,15 +96,21 @@ class CapacityState:
 
 @dataclass(frozen=True)
 class SwitchingSolution:
-    state: StateVector
+    state: np.ndarray  # one int8 code per SBS
     power: float
-    feasible: bool
     capacity: CapacityState
     optimizer: str
 
+    @property
+    def feasible(self) -> bool:
+        return self.capacity.feasible
+
     def to_json_dict(self) -> dict:
         return {
-            "state": self.state.to_json_dict(),
+            "state": {
+                "on_off": "".join("1" if code == ON else "0" for code in self.state),
+                "targets": "".join("-MH"[code] for code in self.state),
+            },
             "power_w": self.power,
             "feasible": self.feasible,
             "capacity": self.capacity.to_json_dict(),
@@ -166,7 +141,7 @@ def apply_offloads(
     base_mbs_load: float,
     base_haps_load: float,
     sbs_loads: Sequence[float],
-    state: StateVector,
+    state: Sequence[int],
     scales: OffloadScales = OffloadScales(),
 ) -> CapacityState:
     """Accumulate the offloaded load of every OFF SBS onto its target tier.
@@ -174,19 +149,18 @@ def apply_offloads(
     Infeasibility (a tier above unit load) is a flag on the returned state,
     not an error: optimizers evaluate and then skip infeasible states.
     """
-    loads = _validated_loads(base_mbs_load, base_haps_load, sbs_loads, state.n_sbs)
-    to_mbs = np.array([t is OffloadTarget.MBS for t in state.targets], dtype=bool)
-    to_haps = np.array([t is OffloadTarget.HAPS for t in state.targets], dtype=bool)
+    loads = _validated_loads(base_mbs_load, base_haps_load, sbs_loads, np.size(sbs_loads))
+    state = _checked_state(state, loads.size)
     return CapacityState(
         base_mbs=float(base_mbs_load),
         base_haps=float(base_haps_load),
-        offloaded_mbs=_ordered_sum(scales.to_mbs * loads[to_mbs]),
-        offloaded_haps=_ordered_sum(scales.to_haps * loads[to_haps]),
+        offloaded_mbs=_ordered_sum(scales.to_mbs * loads[state == TO_MBS]),
+        offloaded_haps=_ordered_sum(scales.to_haps * loads[state == TO_HAPS]),
     )
 
 
 def objective(
-    state: StateVector,
+    state: Sequence[int],
     sbs_loads: Sequence[float],
     capacity: CapacityState,
     power_config: NetworkPowerConfig,
@@ -197,16 +171,15 @@ def objective(
         haps_load=capacity.haps_load,
         mbs_load=capacity.mbs_load,
         sbs_loads=sbs_loads,
-        on_off=state.on_off,
+        on_off=_checked_state(state, power_config.n_sbs) == ON,
     )
 
 
-def decision_change_rate(state_actual: StateVector, state_estimated: StateVector) -> float:
+def decision_change_rate(state_actual: Sequence[int], state_estimated: Sequence[int]) -> float:
     """Fraction of SBS on/off decisions that differ (offload targets ignored)."""
-    if state_actual.n_sbs != state_estimated.n_sbs:
-        raise ValueError("state vectors must cover the same number of SBSs")
-    diff = sum(1 for a, b in zip(state_actual.on_off, state_estimated.on_off) if a != b)
-    return diff / state_actual.n_sbs
+    actual = _checked_state(state_actual, np.size(state_actual))
+    estimated = _checked_state(state_estimated, actual.size)
+    return np.count_nonzero((actual == ON) != (estimated == ON)) / actual.size
 
 
 @dataclass(frozen=True)
@@ -214,16 +187,18 @@ class _LinearModel:
     """Network power of one instance as an affine function of the state.
 
     A state draws ``base_power`` plus ``active[j]`` for every ON SBS and
-    ``sleep[j] + cost[t][j]`` for every SBS OFF onto tier t. It is feasible
-    while each tier's summed ``use[t]`` stays within ``cap[t]``.
+    ``sleep[j] + cost[t, j]`` for every SBS OFF onto tier t. It is feasible
+    while each tier's summed ``use[t, j]`` stays within ``cap[t]``. Rows of
+    ``cost`` and ``use`` and entries of ``cap`` are indexed by state code;
+    the ``ON`` row costs and uses nothing and its headroom is unbounded.
     """
 
     loads: np.ndarray
     active: np.ndarray
     sleep: np.ndarray
-    cost: dict[OffloadTarget, np.ndarray]
-    use: dict[OffloadTarget, np.ndarray]
-    cap: dict[OffloadTarget, float]
+    cost: np.ndarray  # (3, s)
+    use: np.ndarray  # (3, s)
+    cap: np.ndarray  # (3,)
     base_power: float
 
 
@@ -236,10 +211,8 @@ def _linear_model(
 ) -> _LinearModel:
     loads = _validated_loads(base_mbs_load, base_haps_load, sbs_loads, power_config.n_sbs)
     mbs, haps = power_config.mbs, power_config.haps
-    tiers = {
-        OffloadTarget.MBS: (mbs, scales.to_mbs, base_mbs_load),
-        OffloadTarget.HAPS: (haps, scales.to_haps, base_haps_load),
-    }
+    tiers = ((mbs, scales.to_mbs), (haps, scales.to_haps))  # rows TO_MBS, TO_HAPS
+    none = np.zeros_like(loads)
     return _LinearModel(
         loads=loads,
         active=np.array(
@@ -247,9 +220,9 @@ def _linear_model(
              for p, l in zip(power_config.sbs, loads)]
         ),
         sleep=np.array([p.sleep_power for p in power_config.sbs]),
-        cost={t: p.amplifier_slope * p.transmit_power * k * loads for t, (p, k, _) in tiers.items()},
-        use={t: k * loads for t, (_, k, _) in tiers.items()},
-        cap={t: 1.0 - base for t, (_, _, base) in tiers.items()},
+        cost=np.stack([none] + [p.amplifier_slope * p.transmit_power * k * loads for p, k in tiers]),
+        use=np.stack([none] + [k * loads for _, k in tiers]),
+        cap=np.array([np.inf, 1.0 - base_mbs_load, 1.0 - base_haps_load]),
         base_power=(
             haps.operational_power
             + haps.amplifier_slope * base_haps_load * haps.transmit_power
@@ -259,37 +232,33 @@ def _linear_model(
     )
 
 
-def _cheaper_target(
-    model: _LinearModel, j: int, used: dict[OffloadTarget, float]
-) -> OffloadTarget | None:
-    """The cheaper tier that still fits SBS j on top of ``used``, MBS on ties."""
-    fits = [t for t in OffloadTarget if used[t] + model.use[t][j] <= model.cap[t]]
-    return min(fits, key=lambda t: model.cost[t][j], default=None)
+def _cheaper_target(model: _LinearModel, j: int, used: Sequence[float]) -> int:
+    """The cheaper tier that still fits SBS j on top of ``used``, MBS on ties.
+
+    Returns ``ON`` when neither tier fits.
+    """
+    fits = [t for t in _TIERS if used[t] + model.use[t, j] <= model.cap[t]]
+    return min(fits, key=lambda t: model.cost[t, j], default=ON)
 
 
 def _solution(
-    on_off: tuple[bool, ...],
-    targets: tuple[OffloadTarget | None, ...],
-    loads: np.ndarray,
+    state: np.ndarray,
+    model: _LinearModel,
     base_mbs: float,
     base_haps: float,
     power_config: NetworkPowerConfig,
     scales: OffloadScales,
     optimizer: str,
 ) -> SwitchingSolution:
-    state = StateVector(on_off=on_off, targets=targets)
-    capacity = apply_offloads(base_mbs, base_haps, loads, state, scales)
-    power = objective(state, loads, capacity, power_config)
-    return SwitchingSolution(
-        state=state, power=power, feasible=capacity.feasible, capacity=capacity, optimizer=optimizer
-    )
+    capacity = apply_offloads(base_mbs, base_haps, model.loads, state, scales)
+    power = objective(state, model.loads, capacity, power_config)
+    return SwitchingSolution(state=state, power=power, capacity=capacity, optimizer=optimizer)
 
 
-def _assign_offloads(
-    model: _LinearModel, off_ids: np.ndarray
-) -> tuple[float, list[OffloadTarget]] | None:
+def _assign_offloads(model: _LinearModel, off_ids: np.ndarray) -> tuple[float, list[int]] | None:
     """Cheapest feasible target assignment for one OFF set, or None.
 
+    Returns the offload cost and one target code per entry of ``off_ids``.
     Exact enumeration up to ``INNER_ENUM_CAP`` OFF SBSs (candidates visited
     in lexicographic MBS-before-HAPS order, strict improvement only, so the
     first optimum wins ties); greedy best-fit in descending-load order
@@ -298,36 +267,37 @@ def _assign_offloads(
     m = off_ids.size
     if m <= INNER_ENUM_CAP:
         # Plain float lists and locals: this loop visits 2^m assignments.
-        mbs, haps = OffloadTarget
-        use_m, cost_m = model.use[mbs][off_ids].tolist(), model.cost[mbs][off_ids].tolist()
-        use_h, cost_h = model.use[haps][off_ids].tolist(), model.cost[haps][off_ids].tolist()
-        best: tuple[float, list[OffloadTarget]] | None = None
-        for combo in itertools.product(OffloadTarget, repeat=m):
+        mbs = TO_MBS
+        use_m, cost_m = model.use[mbs, off_ids].tolist(), model.cost[mbs, off_ids].tolist()
+        use_h, cost_h = model.use[TO_HAPS, off_ids].tolist(), model.cost[TO_HAPS, off_ids].tolist()
+        _, cap_m, cap_h = model.cap.tolist()
+        best: tuple[float, list[int]] | None = None
+        for combo in itertools.product(_TIERS, repeat=m):
             used_m = used_h = cost = 0.0
             for i, tgt in enumerate(combo):
-                if tgt is mbs:
+                if tgt == mbs:
                     used_m += use_m[i]
                     cost += cost_m[i]
                 else:
                     used_h += use_h[i]
                     cost += cost_h[i]
-            if used_m > model.cap[mbs] or used_h > model.cap[haps]:
+            if used_m > cap_m or used_h > cap_h:
                 continue
             if best is None or cost < best[0]:
                 best = (cost, list(combo))
         return best
     # Greedy best-fit, largest loads first so the tight ones are placed early.
     order = sorted(range(m), key=lambda i: (-model.loads[off_ids[i]], off_ids[i]))
-    targets: list[OffloadTarget | None] = [None] * m
-    used = dict.fromkeys(OffloadTarget, 0.0)
+    targets = [ON] * m
+    used = [0.0] * 3  # tier usage by state code
     cost = 0.0
     for i in order:
         j = off_ids[i]
         tgt = _cheaper_target(model, j, used)
-        if tgt is None:
+        if tgt == ON:
             return None
-        used[tgt] += model.use[tgt][j]
-        cost += model.cost[tgt][j]
+        used[tgt] += model.use[tgt, j]
+        cost += model.cost[tgt, j]
         targets[i] = tgt
     return cost, targets
 
@@ -359,13 +329,11 @@ def optimize_exhaustive(
     if s > max_sbs:
         raise ValueError(f"exhaustive search capped at {max_sbs} SBSs, got {s}")
 
-    mbs, haps = OffloadTarget
-    prefer_mbs = model.cost[mbs] <= model.cost[haps]
-    best_off_cost = np.where(prefer_mbs, model.cost[mbs], model.cost[haps])
+    prefer_mbs = model.cost[TO_MBS] <= model.cost[TO_HAPS]
+    best_off_cost = np.where(prefer_mbs, model.cost[TO_MBS], model.cost[TO_HAPS])
     shifts = np.arange(s - 1, -1, -1, dtype=np.uint64)  # bit i of the index is delta_{i+1}
     best_power = np.inf
-    best_mask = -1
-    best_targets: list[OffloadTarget] = []
+    best_state: np.ndarray | None = None
 
     for start in range(0, 1 << s, 1 << _CHUNK_BITS):
         stop = min(start + (1 << _CHUNK_BITS), 1 << s)
@@ -374,8 +342,8 @@ def optimize_exhaustive(
         off = ~on
         fixed = on @ model.active + off @ model.sleep
         # Per-SBS cheapest target, valid whenever it happens to fit capacity.
-        greedy_ok = (off @ (model.use[mbs] * prefer_mbs) <= model.cap[mbs]) & (
-            off @ (model.use[haps] * ~prefer_mbs) <= model.cap[haps]
+        greedy_ok = (off @ (model.use[TO_MBS] * prefer_mbs) <= model.cap[TO_MBS]) & (
+            off @ (model.use[TO_HAPS] * ~prefer_mbs) <= model.cap[TO_HAPS]
         )
         chunk_power = model.base_power + fixed + off @ best_off_cost
         chunk_power[~greedy_ok] = np.inf
@@ -388,25 +356,18 @@ def optimize_exhaustive(
         local_best = int(np.argmin(chunk_power))
         if chunk_power[local_best] < best_power:
             best_power = float(chunk_power[local_best])
-            best_mask = start + local_best
-            off_ids = np.flatnonzero(off[local_best])
-            if greedy_ok[local_best]:
-                best_targets = [mbs if prefer_mbs[j] else haps for j in off_ids]
-            else:
+            best_state = np.where(prefer_mbs, TO_MBS, TO_HAPS).astype(np.int8)
+            best_state[on[local_best]] = ON
+            if not greedy_ok[local_best]:
+                off_ids = np.flatnonzero(off[local_best])
                 assigned = _assign_offloads(model, off_ids)
                 assert assigned is not None
-                best_targets = list(assigned[1])
+                best_state[off_ids] = assigned[1]
 
-    if best_mask < 0:
+    if best_state is None:
         raise InfeasibleNetworkError("exhaustive search found no feasible state")
-
-    on_off = tuple(bool((best_mask >> int(sh)) & 1) for sh in shifts)
-    targets: list[OffloadTarget | None] = [None] * s
-    for j, tgt in zip(np.flatnonzero(~np.array(on_off)), best_targets):
-        targets[j] = tgt
     return _solution(
-        on_off, tuple(targets), model.loads, base_mbs_load, base_haps_load,
-        power_config, scales, "exhaustive",
+        best_state, model, base_mbs_load, base_haps_load, power_config, scales, "exhaustive"
     )
 
 
@@ -428,18 +389,12 @@ def optimize_greedy(
     sums, so a solve sorts once and prices only the returned state in full.
     """
     model = _linear_model(sbs_loads, base_mbs_load, base_haps_load, power_config, scales)
-    s = model.loads.size
-    on_off = [True] * s
-    targets: list[OffloadTarget | None] = [None] * s
-    used = dict.fromkeys(OffloadTarget, 0.0)
+    state = np.full(model.loads.size, ON, dtype=np.int8)
+    used = [0.0] * 3  # tier usage by state code
     for j in np.argsort(model.loads, kind="stable"):
         tgt = _cheaper_target(model, j, used)
-        if tgt is None or model.sleep[j] + model.cost[tgt][j] - model.active[j] >= 0:
+        if tgt == ON or model.sleep[j] + model.cost[tgt, j] - model.active[j] >= 0:
             break
-        on_off[j] = False
-        targets[j] = tgt
-        used[tgt] += model.use[tgt][j]
-    return _solution(
-        tuple(on_off), tuple(targets), model.loads, base_mbs_load, base_haps_load,
-        power_config, scales, "greedy",
-    )
+        state[j] = tgt
+        used[tgt] += model.use[tgt, j]
+    return _solution(state, model, base_mbs_load, base_haps_load, power_config, scales, "greedy")

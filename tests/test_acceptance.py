@@ -19,9 +19,10 @@ from cellsleep.estimators.kmeans import elbow_select_k, kmeans_fit
 from cellsleep.estimators.neighbors import distance_estimate
 from cellsleep.power import NetworkPowerConfig, PowerParams, network_power, station_power
 from cellsleep.switching import (
+    ON,
+    TO_HAPS,
+    TO_MBS,
     OffloadScales,
-    OffloadTarget,
-    StateVector,
     apply_offloads,
     objective,
     optimize_exhaustive,
@@ -99,13 +100,13 @@ def test_criterion_1_power_model_exactness():
     # expanded switching objective, hand-summed
     cfg2 = NetworkPowerConfig.uniform(haps, mbs, sbs, 2)
     scales = OffloadScales(to_mbs=0.1, to_haps=0.2)
-    state = StateVector(on_off=(False, False), targets=(OffloadTarget.MBS, OffloadTarget.HAPS))
+    state = np.array([TO_MBS, TO_HAPS], dtype=np.int8)
     cap = apply_offloads(0.2, 0.2, [0.5, 1.0], state, scales)
     # lam_M = 0.25 -> MBS 70 ; lam_H = 0.4 -> HAPS 160 ; sleeps 2*1
     got = objective(state, [0.5, 1.0], cap, cfg2)
     if not np.isclose(got, 160 + 70 + 2.0, rtol=1e-9, atol=0):
         failures.append(f"objective case A: {got} != 232.0")
-    state_b = StateVector(on_off=(True, False), targets=(None, OffloadTarget.MBS))
+    state_b = np.array([ON, TO_MBS], dtype=np.int8)
     cap_b = apply_offloads(0.0, 0.3, [0.6, 0.5], state_b, scales)
     # lam_M = 0.05 -> MBS 62 ; lam_H = 0.3 -> HAPS 145 ; SBS0 on 0.6 -> 16 ; SBS1 sleep 1
     got_b = objective(state_b, [0.6, 0.5], cap_b, cfg2)
@@ -269,8 +270,8 @@ def test_criterion_4_optimizer_oracle():
              for p in cfg.sbs],
             scales.to_mbs, scales.to_haps,
         )
-        bits = tuple(1 if b else 0 for b in sol.state.on_off)
-        letters = tuple("-" if t is None else t.value for t in sol.state.targets)
+        bits = tuple(1 if c == ON else 0 for c in sol.state)
+        letters = tuple("-MH"[c] for c in sol.state)
         if ref is None:
             failures.append(f"trial {trial}: oracle found no feasible state")
             break

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from cellsleep.cli import main
+from cellsleep.cli import build_parser, main
+from cellsleep.config import desk_profile
 from cellsleep.dataio import read_loads_csv, read_placements_json
 
 
@@ -42,6 +43,14 @@ class TestSynth:
         assert (a / "placements.json").read_text() == (b / "placements.json").read_text()
         series = read_loads_csv(a / "loads.csv")
         assert series.loads.min() >= 0.0 and series.loads.max() <= 1.0
+
+    def test_defaults_are_the_desk_profile(self):
+        args = build_parser().parse_args(["synth"])
+        desk = desk_profile()
+        assert (args.n_sbs, args.grid_side, args.correlation_length, args.days,
+                args.noise_std, args.field_floor, args.bumps) == (
+            desk.n_sbs, desk.grid_side, desk.correlation_length_m, desk.n_days,
+            desk.noise_std, desk.field_floor, desk.n_field_bumps)
 
     def test_loads_header(self, synth_dir):
         lines = (synth_dir / "loads.csv").read_text().splitlines()
@@ -167,6 +176,19 @@ class TestSweepCli:
         code = run_cli("sweep", "--experiment", "fig2", "--config", path, "--out", tmp_path)
         assert code == 1
         assert "experiment.n_sbss" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["offload_to_mbs", "offload_to_haps", "epsilon"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.1])
+    def test_bad_scale_or_epsilon_is_usage_error(self, tmp_path, capsys, key, value):
+        cfg = self.write_cfg(tmp_path, {key: value})
+        loads_csv = tmp_path / "one.csv"
+        loads_csv.write_text("sbs_id,slot,load\n0,0,0.1\n")
+        assert run_cli("sweep", "--experiment", "fig5", "--config", cfg, "--out", tmp_path,
+                       "--s-values", "5", "--l-values", "1") == 1
+        for optimizer in ("auto", "greedy"):
+            assert run_cli("optimize", "--loads", loads_csv, "--slot", 0, "--config", cfg,
+                           "--optimizer", optimizer, "--out", tmp_path / "sol.json") == 1
+        assert key.removeprefix("offload_to_") in capsys.readouterr().err
 
     def test_usage_error_exit_code(self):
         assert run_cli("sweep", "--experiment", "fig9") == 1

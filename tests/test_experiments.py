@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from cellsleep import switching
 from cellsleep.config import ExperimentConfig, config_hash, desk_profile, paper_profile
 from cellsleep.dataio import write_loads_csv, write_placements_json
 from cellsleep.errors import ConfigError
@@ -38,6 +41,12 @@ class TestConfig:
     def test_zero_sleep_fraction_rejected(self):
         with pytest.raises(ConfigError, match="sleep_fraction"):
             ExperimentConfig(sleep_fraction=0.0)
+
+    @pytest.mark.parametrize("key", ["offload_to_mbs", "offload_to_haps", "epsilon"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1e-9])
+    def test_non_finite_or_negative_scale_and_epsilon_rejected(self, key, value):
+        with pytest.raises(ConfigError, match="finite and nonnegative"):
+            ExperimentConfig(**{key: value})
 
     def test_profiles_match_reference_scale(self):
         paper = paper_profile()
@@ -174,6 +183,46 @@ class TestSwitchingSweeps:
     def test_tiny_population_rejected(self):
         with pytest.raises(ValueError):
             run_decision_sweep(small_config(), [1], [1])
+
+    # sha256 of the fig4/fig5 CSV text, recorded before the switching state
+    # became an int8 code array. Base loads 0.2 run the exhaustive (s=10, 14)
+    # and greedy (s=100) paths; base loads 0.95 make the tiers bind, which
+    # reaches the offload-assignment search and one deployed decision that is
+    # infeasible at the actual loads.
+    PINNED = {
+        (0.2, (10, 14, 100)): (
+            "fa9ac96e42886040af301186a15cd17f18b6ea184e9f24b3fed2cb2f9954c816",
+            "bab012de0a9bfc9df8feea663204d19ef91096547b3e05b0b7e215486818c8d5",
+        ),
+        (0.95, (10, 100)): (
+            "72808bd836a76e412e078ee066023f9dff8bf24652c7f9e9eb04b18986944ff6",
+            "6857ed548eb6078137edf0b4b916f1c107479c96eaf2c3ed3ad2eb53fe5052c4",
+        ),
+    }
+
+    @pytest.mark.parametrize("base_load, s_values", list(PINNED))
+    def test_csv_bytes_pinned(self, base_load, s_values, monkeypatch):
+        assign = switching._assign_offloads
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return assign(*args)
+
+        monkeypatch.setattr(switching, "_assign_offloads", counted)
+        cfg = desk_profile(
+            n_iterations=4, slot_stride=36, mlc_k_override=3,
+            base_mbs_load=base_load, base_haps_load=base_load,
+        )
+        decision = run_decision_sweep(cfg, s_values, (1, 3))
+        power = run_power_sweep(cfg, s_values, (1, 3))
+        digests = tuple(
+            hashlib.sha256(r.csv_text().encode()).hexdigest() for r in (decision, power)
+        )
+        assert digests == self.PINNED[(base_load, s_values)]
+        tight = base_load == 0.95
+        assert bool(calls) == tight
+        assert sum(power.metadata["deployed_infeasible_per_point"]) == int(tight)
 
 
 class TestReports:

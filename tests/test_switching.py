@@ -3,10 +3,12 @@ import pytest
 
 from cellsleep.power import NetworkPowerConfig, PowerParams, network_power
 from cellsleep.switching import (
+    ON,
+    TO_HAPS,
+    TO_MBS,
     CapacityState,
     OffloadScales,
-    OffloadTarget,
-    StateVector,
+    SwitchingSolution,
     apply_offloads,
     decision_change_rate,
     objective,
@@ -26,9 +28,17 @@ def uniform_config(s):
     return NetworkPowerConfig.uniform(HAPS, MBS, SBS, s)
 
 
+def codes(*values):
+    return np.array(values, dtype=np.int8)
+
+
+def bitstring(state):
+    return "".join("1" if c == ON else "0" for c in state)
+
+
 def as_plain(solution):
-    bits = tuple(1 if b else 0 for b in solution.state.on_off)
-    letters = tuple("-" if t is None else t.value for t in solution.state.targets)
+    bits = tuple(1 if c == ON else 0 for c in solution.state)
+    letters = tuple("-MH"[c] for c in solution.state)
     return bits, letters
 
 
@@ -36,56 +46,81 @@ def params_tuple(p):
     return (p.operational_power, p.amplifier_slope, p.transmit_power, p.sleep_power)
 
 
-class TestStateVector:
-    def test_on_with_target_rejected(self):
-        with pytest.raises(ValueError):
-            StateVector(on_off=(True,), targets=(OffloadTarget.MBS,))
+class TestStateCodes:
+    BAD_STATES = {
+        "short": codes(ON, ON),
+        "long": codes(ON, ON, ON, ON),
+        "code_3": codes(ON, 3, ON),
+        "code_-1": codes(ON, -1, ON),
+        "bool_bits": np.array([True, False, True]),  # on/off bits are not codes
+        "float_codes": np.array([0.0, 1.0, 0.0]),
+        "2d": codes(ON, ON, ON).reshape(1, 3),
+    }
 
-    def test_off_without_target_rejected(self):
-        with pytest.raises(ValueError):
-            StateVector(on_off=(False,), targets=(None,))
+    @pytest.mark.parametrize("bad", BAD_STATES.values(), ids=BAD_STATES.keys())
+    def test_apply_offloads_and_objective_reject_bad_state(self, bad):
+        with pytest.raises(ValueError, match="state"):
+            apply_offloads(0.2, 0.2, [0.1, 0.2, 0.3], bad)
+        cap = CapacityState(0.2, 0.2, 0.0, 0.0)
+        with pytest.raises(ValueError, match="state"):
+            objective(bad, [0.1, 0.2, 0.3], cap, uniform_config(3))
+
+    @pytest.mark.parametrize("bad", BAD_STATES.values(), ids=BAD_STATES.keys())
+    def test_decision_change_rate_rejects_bad_state(self, bad):
+        with pytest.raises(ValueError, match="state"):
+            decision_change_rate(codes(ON, TO_MBS, ON), bad)
+        with pytest.raises(ValueError, match="state"):
+            decision_change_rate(bad, codes(ON, TO_MBS, ON))
 
     def test_bitstring_roundtrip(self):
-        state = StateVector(
-            on_off=(True, False, True), targets=(None, OffloadTarget.HAPS, None)
-        )
-        assert state.bitstring() == "101"
-        assert state.to_json_dict() == {"on_off": "101", "targets": "-H-"}
-        assert state.n_off == 1
+        state = codes(ON, TO_HAPS, ON)
+        cap = apply_offloads(0.2, 0.2, [0.1, 0.2, 0.3], state)
+        solution = SwitchingSolution(state, objective(state, [0.1, 0.2, 0.3], cap, uniform_config(3)),
+                                     cap, "exhaustive")
+        assert solution.to_json_dict()["state"] == {"on_off": "101", "targets": "-H-"}
+        assert np.count_nonzero(state) == 1
+
+
+class TestOffloadScales:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5])
+    def test_non_finite_or_negative_rejected(self, value):
+        for kwargs in ({"to_mbs": value}, {"to_haps": value}):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                OffloadScales(**kwargs)
 
 
 class TestApplyOffloads:
     def test_all_on_keeps_bases(self):
-        cap = apply_offloads(0.3, 0.4, [0.5, 0.6], StateVector.all_on(2))
+        cap = apply_offloads(0.3, 0.4, [0.5, 0.6], codes(ON, ON))
         assert (cap.mbs_load, cap.haps_load) == (0.3, 0.4)
         assert cap.feasible
 
     def test_single_offload_arithmetic(self):
-        state = StateVector(on_off=(False,), targets=(OffloadTarget.HAPS,))
+        state = codes(TO_HAPS)
         cap = apply_offloads(0.2, 0.2, [0.3], state, OffloadScales(to_mbs=0.5, to_haps=0.1))
         assert cap.haps_load == pytest.approx(0.2 + 0.03)
         assert cap.mbs_load == 0.2
 
     def test_overload_is_flag_not_error(self):
-        state = StateVector(on_off=(False,), targets=(OffloadTarget.MBS,))
+        state = codes(TO_MBS)
         cap = apply_offloads(0.9, 0.1, [1.0], state, OffloadScales(to_mbs=0.5, to_haps=0.1))
         assert cap.mbs_load == pytest.approx(1.4)
         assert not cap.feasible
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            apply_offloads(1.5, 0.2, [0.1], StateVector.all_on(1))
+            apply_offloads(1.5, 0.2, [0.1], codes(ON))
         with pytest.raises(ValueError):
-            apply_offloads(0.2, 0.2, [0.1, 0.2], StateVector.all_on(1))
+            apply_offloads(0.2, 0.2, [0.1, 0.2], codes(ON))
         with pytest.raises(ValueError):
-            apply_offloads(0.2, 0.2, [1.7], StateVector.all_on(1))
+            apply_offloads(0.2, 0.2, [1.7], codes(ON))
 
 
 class TestObjective:
     def test_all_on_equals_plain_network_power(self):
         cfg = uniform_config(3)
         loads = [0.2, 0.4, 0.6]
-        state = StateVector.all_on(3)
+        state = codes(ON, ON, ON)
         cap = apply_offloads(0.3, 0.3, loads, state)
         assert objective(state, loads, cap, cfg) == network_power(
             cfg, 0.3, 0.3, loads, [True, True, True]
@@ -95,9 +130,7 @@ class TestObjective:
         cfg = uniform_config(2)
         loads = [0.5, 1.0]
         scales = OffloadScales(to_mbs=0.1, to_haps=0.2)
-        state = StateVector(
-            on_off=(False, False), targets=(OffloadTarget.MBS, OffloadTarget.HAPS)
-        )
+        state = codes(TO_MBS, TO_HAPS)
         cap = apply_offloads(0.2, 0.2, loads, state, scales)
         # lam_M = 0.2 + 0.1*0.5 = 0.25 ; lam_H = 0.2 + 0.2*1.0 = 0.4
         # HAPS: 100 + 3*0.4*50 = 160 ; MBS: 60 + 4*0.25*10 = 70 ; SBS sleep: 2 * 9
@@ -105,7 +138,7 @@ class TestObjective:
 
     def test_infeasible_state_still_evaluates(self):
         cfg = uniform_config(1)
-        state = StateVector(on_off=(False,), targets=(OffloadTarget.MBS,))
+        state = codes(TO_MBS)
         cap = CapacityState(base_mbs=0.9, base_haps=0.2, offloaded_mbs=0.4, offloaded_haps=0.0)
         assert not cap.feasible
         with pytest.raises(ValueError):
@@ -118,10 +151,7 @@ class TestObjective:
 
 class TestDecisionChangeRate:
     def make(self, bits):
-        return StateVector(
-            on_off=tuple(b == 1 for b in bits),
-            targets=tuple(None if b == 1 else OffloadTarget.MBS for b in bits),
-        )
+        return np.array([ON if b == 1 else TO_MBS for b in bits], dtype=np.int8)
 
     def test_identical(self):
         a = self.make([1, 0, 1])
@@ -151,20 +181,20 @@ class TestOptimizeExhaustive:
         off_h = 130.3 + (60 + 4 * 0.2 * 10) + 9.0
         sol = optimize_exhaustive([lam], 0.2, 0.2, cfg, scales)
         assert sol.power == pytest.approx(min(on_power, off_m, off_h), rel=1e-12)
-        assert sol.state.bitstring() == "0"
-        assert sol.state.targets[0] is OffloadTarget.MBS  # 68.2+9 beats both others
+        assert bitstring(sol.state) == "0"
+        assert sol.state[0] == TO_MBS  # 68.2+9 beats both others
 
     def test_zero_load_sbs_all_switched_off(self):
         cfg = uniform_config(4)
         sol = optimize_exhaustive([0.0] * 4, 0.2, 0.2, cfg)
-        assert sol.state.bitstring() == "0000"
+        assert bitstring(sol.state) == "0000"
         # zero offloaded load ties MBS and HAPS costs; MBS preferred
-        assert all(t is OffloadTarget.MBS for t in sol.state.targets)
+        assert all(c == TO_MBS for c in sol.state)
 
     def test_saturated_tiers_force_all_on(self):
         cfg = uniform_config(3)
         sol = optimize_exhaustive([0.5, 0.6, 0.7], 1.0, 1.0, cfg)
-        assert sol.state.bitstring() == "111"
+        assert bitstring(sol.state) == "111"
         assert sol.feasible
 
     def test_cap_rejected(self):
@@ -179,7 +209,7 @@ class TestOptimizeExhaustive:
             loads = rng.uniform(0, 1, s)
             sol = optimize_exhaustive(loads, 0.3, 0.3, cfg)
             recomputed = network_power(
-                cfg, sol.capacity.haps_load, sol.capacity.mbs_load, loads, sol.state.on_off
+                cfg, sol.capacity.haps_load, sol.capacity.mbs_load, loads, sol.state == ON
             )
             assert sol.power == pytest.approx(recomputed, rel=1e-12)
             assert sol.feasible
@@ -217,8 +247,8 @@ class TestOptimizeExhaustive:
         tied = PowerParams(10.0, 2.0, 1.0, 10.0)
         cfg = NetworkPowerConfig.uniform(HAPS, MBS, tied, 3)
         sol = optimize_exhaustive([0.0, 0.0, 0.0], 0.2, 0.2, cfg)
-        assert sol.state.bitstring() == "000"
-        assert all(t is OffloadTarget.MBS for t in sol.state.targets)
+        assert bitstring(sol.state) == "000"
+        assert all(c == TO_MBS for c in sol.state)
 
 
 class TestOptimizeGreedy:
@@ -231,13 +261,13 @@ class TestOptimizeGreedy:
         cfg = uniform_config(3)
         sol_ex = optimize_exhaustive([0.9, 0.95, 1.0], 0.2, 0.2, cfg, self.SCALES)
         sol_gr = optimize_greedy([0.9, 0.95, 1.0], 0.2, 0.2, cfg, self.SCALES)
-        assert sol_ex.state.bitstring() == "111"
-        assert sol_gr.state.bitstring() == "111"
+        assert bitstring(sol_ex.state) == "111"
+        assert bitstring(sol_gr.state) == "111"
 
     def test_zero_load_sbs_switched_off(self):
         cfg = uniform_config(5)
         sol = optimize_greedy([0.0, 0.0, 0.9, 0.0, 0.95], 0.2, 0.2, cfg, self.SCALES)
-        assert sol.state.bitstring() == "00101"
+        assert bitstring(sol.state) == "00101"
 
     def test_never_beats_exhaustive(self, rng):
         for _ in range(150):
@@ -289,7 +319,7 @@ class TestOptimizeGreedy:
             for j, p in enumerate(cfg.sbs):
                 active = p.operational_power + p.amplifier_slope * loads[j] * p.transmit_power
                 if p.sleep_power < active:
-                    assert not sol.state.on_off[j]
+                    assert sol.state[j] != ON
 
 
 class TestHandEnumeratedDecisionChange:
@@ -300,8 +330,8 @@ class TestHandEnumeratedDecisionChange:
         scales = OffloadScales(to_mbs=0.5, to_haps=0.5)
         actual = optimize_exhaustive([0.1], 0.2, 0.2, cfg, scales)
         estimated = optimize_exhaustive([0.9], 0.2, 0.2, cfg, scales)
-        assert actual.state.bitstring() == "0"
-        assert estimated.state.bitstring() == "1"
+        assert bitstring(actual.state) == "0"
+        assert bitstring(estimated.state) == "1"
         assert decision_change_rate(actual.state, estimated.state) == 1.0
         same = optimize_exhaustive([0.12], 0.2, 0.2, cfg, scales)
         assert decision_change_rate(actual.state, same.state) == 0.0
