@@ -36,7 +36,8 @@ def write_loads_csv(series: LoadSeries, path: str | Path, *, config_hash: str | 
 def read_loads_csv(path: str | Path, *, slot_minutes: int = 10) -> LoadSeries:
     """Read a canonical loads CSV back into a LoadSeries.
 
-    Every SBS must cover the same contiguous slot range 0..n_slots-1.
+    Every SBS must cover the same contiguous slot range 0..n_slots-1, with
+    exactly one row per (sbs_id, slot) and every load in [0, 1].
     """
     cells: dict[tuple[int, int], float] = {}
     max_sbs = -1
@@ -58,6 +59,10 @@ def read_loads_csv(path: str | Path, *, slot_minutes: int = 10) -> LoadSeries:
             sbs_id, slot, load = int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError as exc:
             raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+        if sbs_id < 0 or slot < 0:
+            raise DataFormatError(f"{path}:{lineno}: negative sbs_id or slot")
+        if (sbs_id, slot) in cells:
+            raise DataFormatError(f"{path}:{lineno}: duplicate row for sbs_id={sbs_id}, slot={slot}")
         cells[(sbs_id, slot)] = load
         max_sbs = max(max_sbs, sbs_id)
         max_slot = max(max_slot, slot)
@@ -73,7 +78,10 @@ def read_loads_csv(path: str | Path, *, slot_minutes: int = 10) -> LoadSeries:
                 raise DataFormatError(
                     f"{path}: missing load for sbs_id={sbs_id}, slot={slot}"
                 ) from None
-    return LoadSeries(loads=loads, slot_minutes=slot_minutes, slots_per_day=1440 // slot_minutes)
+    try:
+        return LoadSeries(loads=loads, slot_minutes=slot_minutes, slots_per_day=1440 // slot_minutes)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
 
 
 def write_placements_json(

@@ -16,10 +16,21 @@ argsort of the assignments, so each cluster is a contiguous slice in index
 order: the same array, in the same order, that a boolean mask selects, so
 numpy's pairwise sum gives the same bits. A running sum (``np.add.reduceat``
 or prefix sums) adds in another order and changes the last bit.
+
+``_fit_cells`` is the layer-wide form for scalar features, which MLC uses:
+it fits every (cell, k) problem of a clustering layer in one vectorized
+Lloyd pass and gives each problem the same assignments and SSE as
+``kmeans_fit`` or ``elbow_fit`` on that cell alone. Its sums go through
+``_segment_sums``, which adds each segment in numpy's pairwise order:
+below 8 elements one by one from 0.0; up to 128 in eight interleaved lanes
+combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the remainder in
+order; longer runs split at n//2 rounded down to a multiple of 8, left
+plus right.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -213,12 +224,165 @@ def elbow_fit(
 
     seeds = _seed_centroids(pts, hi, np.random.default_rng(seed))
     fits = [_lloyd(pts, seeds[:k].copy(), max_iter, tol) for k in ks]
-    sse = np.array([fit.sse for fit in fits])
-    curvature = sse[:-2] - 2.0 * sse[1:-1] + sse[2:]
-    scale = max(float(sse.max()), 1e-300)
-    if curvature.max() <= FLAT_CURVE_RTOL * scale:
+    pick = int(_elbow_choice(np.array([[fit.sse for fit in fits]]), np.array([len(ks)]))[0])
+    if pick < 0:
         if warn_on_flat:
             # stacklevel 3: attributed to the caller of elbow_select_k
             warnings.warn("flat SSE curve: no elbow found, falling back to k=1", stacklevel=3)
         return fits[0] if lo == 1 else _lloyd(pts, seeds[:1].copy(), max_iter, tol)
-    return fits[1 + int(np.argmax(curvature))]
+    return fits[pick]
+
+
+def _elbow_choice(sse: np.ndarray, n_k: np.ndarray) -> np.ndarray:
+    """Per row of SSE curves, the index of the elbow's k, or -1 for a flat curve.
+
+    Row r holds SSE(k) for n_k[r] >= 3 consecutive k values; the entries
+    beyond them are ignored. The elbow is the interior k with the largest
+    second difference (first on ties).
+    """
+    cols = np.arange(sse.shape[1])
+    sse = np.where(cols < n_k[:, None], sse, 0.0)
+    curvature = sse[:, :-2] - 2.0 * sse[:, 1:-1] + sse[:, 2:]
+    curvature = np.where(cols[:-2] < (n_k - 2)[:, None], curvature, -np.inf)
+    scale = np.maximum(sse.max(axis=1), 1e-300)
+    flat = curvature.max(axis=1) <= FLAT_CURVE_RTOL * scale
+    return np.where(flat, -1, 1 + curvature.argmax(axis=1))
+
+
+# Centroid value for the table slots beyond a problem's k: far from every
+# feature, so it never wins an argmin, yet its squared distance stays finite.
+_FAR = 1e150
+
+
+def _segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Sum of each consecutive segment of ``values``, bit for bit as ``.sum()``.
+
+    ``lengths`` tiles ``values``. Segments longer than 128 are split
+    (iteratively, all at once) the way numpy's pairwise sum splits them;
+    each leaf adds its 8-lane part with one ``bincount`` (sequential per
+    lane) and its remainder with a second one that starts from the combined
+    lanes. The splits are then added back up, left plus right.
+    """
+    lens = np.asarray(lengths, dtype=np.int64)
+    splits = []
+    while (lens > 128).any():
+        big = lens > 128
+        half = lens // 2
+        half -= half % 8
+        width = 1 + big
+        first = np.cumsum(width) - width
+        parts = np.empty(int(width.sum()), dtype=np.int64)
+        parts[first] = np.where(big, half, lens)
+        parts[first[big] + 1] = lens[big] - half[big]
+        splits.append((first, big))
+        lens = parts
+
+    n_leaf = lens.size
+    leaf = np.repeat(np.arange(n_leaf), lens)
+    offset = np.arange(values.size) - np.repeat(np.cumsum(lens) - lens, lens)
+    lane = offset < (lens - lens % 8)[leaf]
+    r = np.bincount(
+        leaf[lane] * 8 + offset[lane] % 8, weights=values[lane], minlength=8 * n_leaf
+    ).reshape(n_leaf, 8)
+    combined = ((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])) + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7]))
+    rest = ~lane
+    sums = np.bincount(
+        np.concatenate([np.arange(n_leaf), leaf[rest]]),
+        weights=np.concatenate([combined, values[rest]]),
+        minlength=n_leaf,
+    )
+    for first, big in reversed(splits):
+        up = sums[first]
+        up[big] += sums[first[big] + 1]
+        sums = up
+    return sums
+
+
+@functools.lru_cache(maxsize=4096)
+def _first_seed(size: int, seed: int) -> int:
+    """The first seed index that ``kmeans_fit`` draws for ``size`` points."""
+    return int(np.random.default_rng(seed).integers(size))
+
+
+def _fit_cells(
+    x: np.ndarray, sizes: np.ndarray, k_hi: np.ndarray, *, elbow: bool, max_iter: int, tol: float, seed: int
+) -> np.ndarray:
+    """Cluster assignments of every cell of a layer of scalar features.
+
+    ``x`` holds the cells back to back, ``sizes`` their lengths (each >= 1).
+    With ``elbow`` a cell gets ``elbow_fit(cell, (1, k_hi))``'s assignments,
+    otherwise ``kmeans_fit(cell, k_hi)``'s, bit for bit, for the same
+    ``max_iter``, ``tol`` and ``seed``. Each (cell, k) is one problem; all
+    problems take their Lloyd steps together, and each leaves the pass at
+    its own stopping step. A problem that meets an empty cluster is fitted
+    alone by ``_lloyd``, which repairs it.
+    """
+    n_cells = sizes.size
+    starts = np.cumsum(sizes) - sizes
+    cell = np.repeat(np.arange(n_cells), sizes)
+    index = np.arange(x.size)
+
+    # Farthest-point chains, one segment argmax (first index on ties) per seed.
+    chosen = np.empty((n_cells, int(k_hi.max())), dtype=np.int64)
+    chosen[:, 0] = starts + [_first_seed(m, seed) for m in sizes.tolist()]
+    d2 = (x - x[chosen[cell, 0]]) ** 2
+    for j in range(1, chosen.shape[1]):
+        top = np.maximum.reduceat(d2, starts)
+        chosen[:, j] = np.minimum.reduceat(np.where(d2 == top[cell], index, x.size), starts)
+        d2 = np.minimum(d2, (x - x[chosen[cell, j]]) ** 2)
+
+    # Problems: k = 1..k_hi of each cell under the elbow, else k_hi alone.
+    n_k = k_hi if elbow else np.ones_like(k_hi)
+    p_cell = np.repeat(np.arange(n_cells), n_k)
+    first_problem = np.cumsum(n_k) - n_k
+    p_k = np.arange(p_cell.size) - first_problem[p_cell] + 1 if elbow else k_hi.copy()
+    p_size = sizes[p_cell]
+    p_start = np.cumsum(p_size) - p_size
+    e_problem = np.repeat(np.arange(p_cell.size), p_size)
+    e_offset = np.arange(e_problem.size) - p_start[e_problem]
+    xe = x[starts[p_cell][e_problem] + e_offset]
+
+    kmax = int(p_k.max())
+    slot = np.arange(kmax)
+    centroids = np.where(slot < p_k[:, None], x[chosen[p_cell, :kmax]], _FAR)
+    assignments = np.zeros(xe.size, dtype=np.int64)
+    final = np.full_like(centroids, _FAR)
+
+    # The live problems, their elements, and each element's live problem.
+    live, live_k, pos, xl, el = np.arange(p_cell.size), p_k, np.arange(xe.size), xe, e_problem
+    for step in range(max_iter):
+        asg = ((xl[:, None] - centroids[el]) ** 2).argmin(axis=1)  # ties: lowest index
+        key = el * kmax + asg
+        counts = np.bincount(key, minlength=centroids.size).reshape(centroids.shape)
+        real = slot < live_k[:, None]
+        empty = ((counts == 0) & real).any(axis=1)
+        sums = _segment_sums(xl[np.argsort(key, kind="stable")], counts.ravel()).reshape(counts.shape)
+        new = np.where(real, sums / np.maximum(counts, 1), _FAR)
+        movement = np.sqrt((new - centroids) ** 2).max(axis=1)
+        done = (movement <= tol) | empty | (step == max_iter - 1)
+        stop = done & ~empty
+        stopped = stop[el]
+        assignments[pos[stopped]] = asg[stopped]
+        final[live[stop]] = new[stop]
+        for p in live[empty].tolist():
+            c, k = p_cell[p], p_k[p]
+            a, b = starts[c], starts[c] + sizes[c]
+            fit = _lloyd(x[a:b, None], x[chosen[c, :k], None], max_iter, tol)
+            assignments[p_start[p] : p_start[p] + sizes[c]] = fit.assignments
+            final[p, :k] = fit.centroids[:, 0]
+        if done.all():
+            break
+        keep = ~done
+        kept = keep[el]
+        renumber = np.cumsum(keep) - 1
+        live, live_k, centroids = live[keep], live_k[keep], new[keep]
+        pos, xl, el = pos[kept], xl[kept], renumber[el[kept]]
+
+    if elbow:
+        diff = xe - final[e_problem, assignments]
+        sse = np.zeros((n_cells, kmax))
+        sse[p_cell, p_k - 1] = _segment_sums(diff * diff, p_size)
+        best = first_problem + np.maximum(_elbow_choice(sse, k_hi), 0)  # flat: k = 1
+    else:
+        best = first_problem
+    return assignments[p_start[best][cell] + index - starts[cell]]

@@ -13,6 +13,14 @@ estimate averages over narrows around the sleeper's feature value layer by
 layer. Clusters that contain no active SBS leave their sleepers' estimates
 unchanged. After the configured number of layers, the most recent
 cluster-mean assignment per sleeper is returned.
+
+A layer's cells are kept back to back, each in SBS index order, and
+``kmeans._fit_cells`` clusters all of them in one vectorized Lloyd pass
+with the fits that ``kmeans_fit`` (fixed k) or ``elbow_fit`` would give
+each cell alone. One stable argsort by (cell, cluster) then lays out the
+next layer's cells, and each group's active mean is its pairwise sum in
+index order over its count (``kmeans._segment_sums``), the bits of
+``loads[members].mean()``.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from ..traffic import LoadSnapshot
-from .kmeans import elbow_fit, kmeans_fit
+from .kmeans import _fit_cells, _segment_sums
 from .result import EstimateResult, NeighborDetail
 
 
@@ -93,64 +101,72 @@ def mlc_estimate(
     features[sleepers] = np.where(finite, hist_sleep, global_mean)
 
     estimates = features[sleepers].copy()
-    # Per sleeper, the active SBSs its current estimate averages.
-    contributors: list[np.ndarray] = [active[:0]] * sleepers.size
     sleeper_pos = np.full(snapshot.n_sbs, -1)
     sleeper_pos[sleepers] = np.arange(sleepers.size)
+    # Per sleeper, the layer and group whose active mean it last took.
+    source_layer = np.full(sleepers.size, -1)
+    source_group = np.full(sleepers.size, -1)
+    groups_of_layer: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
-    cells: list[np.ndarray] = [np.arange(snapshot.n_sbs)]
+    ids = np.arange(snapshot.n_sbs)  # the layer's cells back to back, each in index order
+    sizes = np.array([snapshot.n_sbs])
     layer_trace = np.empty((layers, sleepers.size))
     for layer in range(layers):
-        next_cells: list[np.ndarray] = []
-        for cell in cells:
-            pts = features[cell][:, None]
-            if cell.size < 3 or np.ptp(pts) == 0.0:
-                assignments = np.zeros(cell.size, dtype=int)  # one cluster
-            elif k_override is not None:
-                assignments = kmeans_fit(
-                    pts,
-                    min(k_override, cell.size),
-                    max_iter=kmeans_max_iter,
-                    tol=kmeans_tol,
-                    seed=kmeans_seed,
-                ).assignments
-            else:
-                assignments = elbow_fit(
-                    pts,
-                    (1, min(elbow_k_max, cell.size)),
-                    max_iter=kmeans_max_iter,
-                    tol=kmeans_tol,
-                    seed=kmeans_seed,
-                    warn_on_flat=False,
-                ).assignments
-            # Clusters in index order, each with its members in index order.
-            grouped = cell[np.argsort(assignments, kind="stable")]
-            for sub in np.split(grouped, np.cumsum(np.bincount(assignments))[:-1]):
-                known = active_mask[sub]
-                sub_sleep = sub[~known]
-                if sub_sleep.size == 0:
-                    continue
-                sub_active = sub[known]
-                if sub_active.size:
-                    pos = sleeper_pos[sub_sleep]
-                    estimates[pos] = float(snapshot.loads[sub_active].mean())
-                    for p in pos.tolist():
-                        contributors[p] = sub_active
-                next_cells.append(sub)
-        cells = next_cells
+        starts = np.cumsum(sizes) - sizes
+        cell = np.repeat(np.arange(sizes.size), sizes)
+        feat = features[ids]
+        # A cell of fewer than 3 SBSs or of equal features stays one cluster.
+        fit = (sizes >= 3) & (np.maximum.reduceat(feat, starts) > np.minimum.reduceat(feat, starts))
+        clusters = np.zeros(ids.size, dtype=np.int64)
+        if fit.any():
+            in_fit = fit[cell]
+            clusters[in_fit] = _fit_cells(
+                feat[in_fit],
+                sizes[fit],
+                np.minimum(elbow_k_max if k_override is None else k_override, sizes[fit]),
+                elbow=k_override is None,
+                max_iter=kmeans_max_iter,
+                tol=kmeans_tol,
+                seed=kmeans_seed,
+            )
+
+        # Groups = (cell, cluster) in that order, each with its members in index order.
+        key = cell * snapshot.n_sbs + clusters
+        order = np.argsort(key, kind="stable")
+        ids, key = ids[order], key[order]
+        group = np.cumsum(np.concatenate(([True], key[1:] != key[:-1]))) - 1
+        n_members = np.bincount(group)
+        known = active_mask[ids]
+        n_known = np.bincount(group[known], minlength=n_members.size)
+        known_ids = ids[known]
+        means = _segment_sums(snapshot.loads[known_ids], n_known) / np.maximum(n_known, 1)
+
+        sleeping = ~known
+        pos, sleeper_group = sleeper_pos[ids[sleeping]], group[sleeping]
+        update = n_known[sleeper_group] > 0
+        pos, sleeper_group = pos[update], sleeper_group[update]
+        estimates[pos] = means[sleeper_group]
+        source_layer[pos] = layer
+        source_group[pos] = sleeper_group
+        groups_of_layer.append((known_ids, np.cumsum(n_known) - n_known, n_known))
         layer_trace[layer] = estimates
 
-    detail = tuple(
-        NeighborDetail(
-            sleeper_id=int(s),
-            neighbor_ids=tuple(ids.tolist()),
-            weights=tuple([1.0 / ids.size] * ids.size) if ids.size else (),
-        )
-        for s, ids in zip(sleepers, contributors)
-    )
+        # Groups that hold a sleeper are the next layer's cells.
+        with_sleeper = n_members > n_known
+        ids = ids[with_sleeper[group]]
+        sizes = n_members[with_sleeper]
+
+    detail = []
+    for s, layer, g in zip(sleepers.tolist(), source_layer.tolist(), source_group.tolist()):
+        mates = ()
+        if layer >= 0:
+            known_ids, first, count = groups_of_layer[layer]
+            mates = tuple(known_ids[first[g] : first[g] + count[g]].tolist())
+        weights = tuple([1.0 / len(mates)] * len(mates)) if mates else ()
+        detail.append(NeighborDetail(sleeper_id=s, neighbor_ids=mates, weights=weights))
     return EstimateResult(
         sleeper_ids=tuple(int(s) for s in sleepers),
         estimates=estimates,
-        detail=detail,
+        detail=tuple(detail),
         layer_estimates=layer_trace,
     )

@@ -78,27 +78,43 @@ def build_dataset(config: ExperimentConfig, *, n_sbs: int | None = None, seed: i
             noise_std=config.noise_std,
             field_floor=config.field_floor,
         )
-        n_days = config.n_days
-    else:
-        series = read_loads_csv(config.loads_csv, slot_minutes=config.slot_minutes)
-        placements = read_placements_json(config.placements_json)
-        if series.n_slots % config.slots_per_day:
-            raise DataFormatError(
-                f"{config.loads_csv}: {series.n_slots} slots is not a whole number of days"
-            )
-        n_days = min(series.n_slots // config.slots_per_day, config.n_days)
-        if series.n_sbs < n:
-            raise DataFormatError(
-                f"{config.loads_csv}: has {series.n_sbs} SBSs, config asks for {n}"
-            )
-        if series.n_sbs > n or n_days * config.slots_per_day < series.n_slots:
-            # first n SBSs and the first n_days days present in the input
-            series = LoadSeries(
-                loads=series.loads[:n, : n_days * config.slots_per_day],
-                slot_minutes=series.slot_minutes,
-                slots_per_day=series.slots_per_day,
-            )
-            placements = placements[:n]
+        return _dataset(series, placements, config.n_days)
+    return _first_sbs(config, _read_milan(config), n)
+
+
+def _read_milan(config: ExperimentConfig) -> tuple[LoadSeries, tuple[SbsPlacement, ...]]:
+    """The measured loads (whole days, at most ``config.n_days``) and placements."""
+    series = read_loads_csv(config.loads_csv, slot_minutes=config.slot_minutes)
+    placements = read_placements_json(config.placements_json)
+    if series.n_slots % config.slots_per_day:
+        raise DataFormatError(
+            f"{config.loads_csv}: {series.n_slots} slots is not a whole number of days"
+        )
+    n_slots = min(series.n_slots // config.slots_per_day, config.n_days) * config.slots_per_day
+    if n_slots < series.n_slots:
+        series = LoadSeries(
+            loads=series.loads[:, :n_slots],
+            slot_minutes=series.slot_minutes,
+            slots_per_day=series.slots_per_day,
+        )
+    return series, tuple(placements)
+
+
+def _first_sbs(
+    config: ExperimentConfig, milan: tuple[LoadSeries, tuple[SbsPlacement, ...]], n: int
+) -> Dataset:
+    """The Dataset of the first n SBSs of measured data from ``_read_milan``."""
+    series, placements = milan
+    if series.n_sbs < n:
+        raise DataFormatError(f"{config.loads_csv}: has {series.n_sbs} SBSs, config asks for {n}")
+    if series.n_sbs > n:
+        series = LoadSeries(
+            loads=series.loads[:n], slot_minutes=series.slot_minutes, slots_per_day=series.slots_per_day
+        )
+    return _dataset(series, placements[:n], series.n_slots // series.slots_per_day)
+
+
+def _dataset(series: LoadSeries, placements, n_days: int) -> Dataset:
     spd = series.slots_per_day
     # Copies the last day out of a multi-day series, so the Dataset does not
     # pin the whole series; a one-day series is contiguous and kept as is.
@@ -431,7 +447,13 @@ def _optimize(config: ExperimentConfig, loads: np.ndarray, power_cfg, scales) ->
 def _init_switch_worker(config: ExperimentConfig, s_values, l_values) -> None:
     _STATE["config"] = config
     _STATE["l_values"] = tuple(l_values)
-    _STATE["datasets"] = {s: build_dataset(config, n_sbs=s, seed=config.base_seed + s) for s in s_values}
+    if config.data_source == "milan":
+        milan = _read_milan(config)  # one read for every size
+        _STATE["datasets"] = {s: _first_sbs(config, milan, s) for s in s_values}
+    else:
+        _STATE["datasets"] = {
+            s: build_dataset(config, n_sbs=s, seed=config.base_seed + s) for s in s_values
+        }
     _STATE["power_cfgs"] = {
         s: NetworkPowerConfig.uniform(config.haps_power, config.mbs_power, config.sbs_power, s)
         for s in s_values

@@ -136,7 +136,7 @@ def elbow_select_k(points, k_range=(1, 8), *, max_iter=100, tol=1e-9, seed=0, wa
     return ks[1 + int(np.argmax(curvature))]
 
 
-def mlc_layers(loads, active_mask, history, layers, k_override=None, elbow_k_max=8, seed=0):
+def mlc_layers(loads, active_mask, history, layers, k_override=None, elbow_k_max=8, seed=0, max_iter=100):
     """Per-layer sleeper estimates (layers, n_sleepers) and final contributor ids."""
     loads = np.asarray(loads, dtype=float)
     active = np.flatnonzero(active_mask)
@@ -160,8 +160,10 @@ def mlc_layers(loads, active_mask, history, layers, k_override=None, elbow_k_max
             elif k_override is not None:
                 k = min(k_override, cell.size)
             else:
-                k = elbow_select_k(pts, (1, min(elbow_k_max, cell.size)), seed=seed, warn_on_flat=False)
-            state = kmeans_fit(pts, k, seed=seed)
+                k = elbow_select_k(
+                    pts, (1, min(elbow_k_max, cell.size)), max_iter=max_iter, seed=seed, warn_on_flat=False
+                )
+            state = kmeans_fit(pts, k, max_iter=max_iter, seed=seed)
             for cluster in range(state.k):
                 sub = cell[state.members(cluster)]
                 sub_active = sub[active_mask[sub]]

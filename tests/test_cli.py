@@ -136,6 +136,9 @@ class TestOptimize:
 
     def test_exit_codes_for_bad_inputs(self, tmp_path):
         assert run_cli("optimize", "--loads", tmp_path / "missing.csv", "--slot", 0) == 2
+        for name, rows in (("dup.csv", "0,0,0.5\n0,0,0.7\n"), ("neg.csv", "0,0,0.5\n-1,0,0.7\n")):
+            (tmp_path / name).write_text("sbs_id,slot,load\n" + rows)
+            assert run_cli("optimize", "--loads", tmp_path / name, "--slot", 0) == 2
 
 
 class TestSweepCli:

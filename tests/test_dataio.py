@@ -32,6 +32,25 @@ class TestLoadsCsv:
         with pytest.raises(DataFormatError):
             read_loads_csv(path)
 
+    @pytest.mark.parametrize(
+        "rows, match",
+        [
+            ("0,0,0.5\n0,0,0.7\n", r"bad\.csv:3: duplicate row for sbs_id=0, slot=0"),
+            ("0,0,0.5\n-1,0,0.7\n", r"bad\.csv:3: negative"),
+            ("0,0,0.5\n0,-1,0.7\n", r"bad\.csv:3: negative"),
+            ("0,0,0.5\n0,1,1.5\n", r"bad\.csv: load values must lie in \[0, 1\]"),
+            ("0,0,nan\n", r"bad\.csv: load values must lie in \[0, 1\]"),
+        ],
+        ids=["duplicate", "negative-sbs", "negative-slot", "above-one", "nan"],
+    )
+    def test_bad_rows_name_file_and_line(self, tmp_path, rows, match):
+        # A duplicate row used to win silently and a negative id or slot was
+        # dropped; an out-of-range load failed without naming the file.
+        path = tmp_path / "bad.csv"
+        path.write_text("sbs_id,slot,load\n" + rows)
+        with pytest.raises(DataFormatError, match=match):
+            read_loads_csv(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("sbs_id,slot,load\n")

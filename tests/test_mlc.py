@@ -163,19 +163,44 @@ class TestDispatchAndValidation:
 class TestMatchesOriginalMlc:
     """Bit-for-bit agreement with the original layer loop on the original fits."""
 
+    @staticmethod
+    def assert_matches(loads, sleepers, history, layers, k_override, seed, max_iter=100):
+        snap = snapshot_of(loads, sleeping=sleepers)
+        res = mlc_estimate(
+            snap, history, layers, k_override=k_override, kmeans_seed=seed, kmeans_max_iter=max_iter
+        )
+        ref_layers, ref_ids = naive_kmeans.mlc_layers(
+            snap.loads, snap.known_mask, history, layers, k_override=k_override, seed=seed, max_iter=max_iter
+        )
+        assert np.array_equal(res.layer_estimates, ref_layers)
+        assert [d.neighbor_ids for d in res.detail] == ref_ids
+
+    @staticmethod
+    def random_inputs(rng, n):
+        loads = np.round(rng.uniform(0, 1, n), int(rng.choice([1, 2, 6])))
+        sleepers = rng.choice(n, size=int(rng.integers(1, max(2, n // 3))), replace=False)
+        history = np.clip(loads + rng.normal(0, 0.05, n), 0, 1)
+        history[rng.uniform(size=n) < 0.2] = np.nan
+        return loads, sleepers, history
+
     def test_random_snapshots(self, rng):
         for trial in range(60):
-            n = int(rng.integers(3, 60))
-            loads = np.round(rng.uniform(0, 1, n), int(rng.choice([1, 2, 6])))
-            sleepers = rng.choice(n, size=int(rng.integers(1, max(2, n // 3))), replace=False)
-            history = np.clip(loads + rng.normal(0, 0.05, n), 0, 1)
-            history[rng.uniform(size=n) < 0.2] = np.nan
+            inputs = self.random_inputs(rng, int(rng.integers(3, 60)))
             layers = int(rng.integers(1, 6))
             k_override = None if trial % 3 else int(rng.integers(1, 5))
-            snap = snapshot_of(loads, sleeping=sleepers)
-            res = mlc_estimate(snap, history, layers, k_override=k_override, kmeans_seed=trial)
-            ref_layers, ref_ids = naive_kmeans.mlc_layers(
-                snap.loads, snap.known_mask, history, layers, k_override=k_override, seed=trial
-            )
-            assert np.array_equal(res.layer_estimates, ref_layers)
-            assert [d.neighbor_ids for d in res.detail] == ref_ids
+            self.assert_matches(*inputs, layers, k_override, seed=trial)
+
+    def test_large_cells_and_short_lloyd(self, rng):
+        # Cells past 128 SBSs reach numpy's pairwise block split; a small
+        # max_iter stops problems before they converge.
+        for trial in range(40):
+            inputs = self.random_inputs(rng, int(rng.integers(129, 400)))
+            layers = int(rng.integers(1, 6))
+            k_override = None if trial % 2 else int(rng.integers(1, 6))
+            self.assert_matches(*inputs, layers, k_override, seed=trial, max_iter=(1, 2, 5, 100)[trial % 4])
+
+    def test_paper_like_snapshot(self, rng):
+        n = 1500
+        loads = rng.uniform(0, 1, n)
+        history = np.clip(loads + rng.normal(0, 0.05, n), 0, 1)
+        self.assert_matches(loads, rng.choice(n, size=150, replace=False), history, 7, 3, seed=3)
