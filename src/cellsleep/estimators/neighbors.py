@@ -23,6 +23,9 @@ permutation), so one table serves every N <= K and every exponent, each
 estimate read from prefix sums of the weights. Sweeps build the
 nearest-neighbor table once per sleeper set and a random table once per
 slot; ``distance_estimate`` and ``random_estimate`` build one per call.
+The nearest K are selected by partition (introselect) rather than a full
+sort of each sleeper's distances; the selection equals a stable argsort,
+ties at the K-th distance included.
 """
 
 from __future__ import annotations
@@ -146,13 +149,23 @@ class NeighborTable:
 def nearest_table(
     pos: np.ndarray, sleepers: np.ndarray, active: np.ndarray, k: int, distance_floor: float
 ) -> NeighborTable:
-    """Each sleeper's k nearest active SBSs, ties broken by SBS id."""
+    """Each sleeper's k nearest active SBSs, ties broken by SBS id.
+
+    Equals the first k columns of a stable argsort of each row: the
+    candidates are every distance up to the row's k-th smallest (found by
+    partition), so ties at the boundary stay in, and a stable sort by
+    (row, distance) keeps equal distances in column order, which is SBS id
+    order.
+    """
     _check_active(k, active)
     d = _distances(pos, sleepers, active)
-    order = np.argsort(d, axis=1, kind="stable")[:, :k]
-    return NeighborTable(
-        active[order], np.maximum(np.take_along_axis(d, order, axis=1), distance_floor)
-    )
+    kth = np.take_along_axis(d, np.argpartition(d, k - 1, axis=1)[:, k - 1 : k], axis=1)
+    rows, cols = np.nonzero(d <= kth)
+    cand = d[rows, cols]
+    order = np.lexsort((cand, rows))
+    starts = np.searchsorted(rows, np.arange(len(sleepers)))
+    first_k = order[(starts[:, None] + np.arange(k)).ravel()].reshape(len(sleepers), k)
+    return NeighborTable(active[cols[first_k]], np.maximum(cand[first_k], distance_floor))
 
 
 def random_table(

@@ -21,7 +21,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -47,7 +47,13 @@ from .switching import (
     optimize_exhaustive,
     optimize_greedy,
 )
-from .traffic import LoadSeries, SbsPlacement, daily_average, mask_sleepers, synthesize_traffic
+from .traffic import (
+    MINUTES_PER_DAY,
+    LoadSeries,
+    SbsPlacement,
+    _synthetic_row_blocks,
+    mask_sleepers,
+)
 
 
 @dataclass(frozen=True)
@@ -68,17 +74,17 @@ def build_dataset(config: ExperimentConfig, *, n_sbs: int | None = None, seed: i
     """
     n = n_sbs if n_sbs is not None else config.n_sbs
     if config.data_source == "synthetic":
-        series, placements = synthesize_traffic(
-            seed=seed if seed is not None else config.base_seed,
-            n_sbs=n,
-            grid_side=config.grid_side,
-            correlation_length_m=config.correlation_length_m,
+        placements, slots_per_day, blocks = _synthetic_row_blocks(
+            seed if seed is not None else config.base_seed,
+            n,
+            config.grid_side,
+            config.correlation_length_m,
             n_days=config.n_days,
             n_bumps=config.n_field_bumps,
             noise_std=config.noise_std,
             field_floor=config.field_floor,
         )
-        return _dataset(series, placements, config.n_days)
+        return _dataset(blocks, placements, n, config.n_days, slots_per_day)
     return _first_sbs(config, _read_milan(config), n)
 
 
@@ -107,20 +113,29 @@ def _first_sbs(
     series, placements = milan
     if series.n_sbs < n:
         raise DataFormatError(f"{config.loads_csv}: has {series.n_sbs} SBSs, config asks for {n}")
-    if series.n_sbs > n:
-        series = LoadSeries(
-            loads=series.loads[:n], slot_minutes=series.slot_minutes, slots_per_day=series.slots_per_day
-        )
-    return _dataset(series, placements[:n], series.n_slots // series.slots_per_day)
-
-
-def _dataset(series: LoadSeries, placements, n_days: int) -> Dataset:
     spd = series.slots_per_day
-    # Copies the last day out of a multi-day series, so the Dataset does not
-    # pin the whole series; a one-day series is contiguous and kept as is.
-    history = np.ascontiguousarray(series.loads[:, (n_days - 1) * spd :])
-    day = daily_average(series, n_days)
-    return Dataset(day=day, history=history, placements=tuple(placements))
+    return _dataset([series.loads[:n]], placements[:n], n, series.n_slots // spd, spd)
+
+
+def _dataset(
+    blocks: Iterable[np.ndarray], placements, n_sbs: int, n_days: int, slots_per_day: int
+) -> Dataset:
+    """Fold consecutive blocks of whole SBS rows of a multi-day series into a Dataset.
+
+    Each row's day is the same ``mean(axis=1)`` as ``daily_average``, and
+    its history a copy of its last day, so no block outlives the loop.
+    """
+    spd = slots_per_day
+    day = np.empty((n_sbs, spd))
+    history = np.empty((n_sbs, spd))
+    r0 = 0
+    for block in blocks:
+        r1 = r0 + block.shape[0]
+        day[r0:r1] = block.reshape(r1 - r0, n_days, spd).mean(axis=1)
+        history[r0:r1] = block[:, (n_days - 1) * spd :]
+        r0 = r1
+    day_series = LoadSeries(loads=day, slot_minutes=MINUTES_PER_DAY // spd, slots_per_day=spd)
+    return Dataset(day=day_series, history=history, placements=tuple(placements))
 
 
 @dataclass

@@ -15,8 +15,9 @@ portable and fully determined by the seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -24,6 +25,8 @@ from .errors import DataFormatError
 
 GRID_PITCH_M = 235.0
 MINUTES_PER_DAY = 1440
+# SBS rows per synthetic load block: 64 rows of a 30-day, 10-minute series are 2.2 MB.
+SYNTH_BLOCK_ROWS = 64
 
 ACTIVITY_FIELDS = ("sms_in", "sms_out", "call_in", "call_out", "internet")
 
@@ -381,7 +384,44 @@ def synthesize_traffic(
     grows with distance. An infinite correlation length collapses the field
     to a single shared factor, leaving only noise differences.
 
+    The loads are generated ``SYNTH_BLOCK_ROWS`` SBS rows at a time, the
+    noise drawn row-major, so the draws and bits do not depend on the block
+    size. ``experiments.build_dataset`` folds the same blocks straight into
+    the representative day and never holds the multi-day series.
+
     Deterministic for a given seed (PCG64 via numpy ``default_rng``).
+    """
+    placements, slots_per_day, blocks = _synthetic_row_blocks(
+        seed, n_sbs, grid_side, correlation_length_m, diurnal_profile=diurnal_profile,
+        n_days=n_days, n_bumps=n_bumps, noise_std=noise_std, field_floor=field_floor,
+    )
+    loads = np.empty((n_sbs, n_days * slots_per_day))
+    r0 = 0
+    for block in blocks:
+        loads[r0 : r0 + block.shape[0]] = block
+        r0 += block.shape[0]
+    series = LoadSeries(
+        loads=loads, slot_minutes=MINUTES_PER_DAY // slots_per_day, slots_per_day=slots_per_day
+    )
+    return series, placements
+
+
+def _synthetic_row_blocks(
+    seed: int,
+    n_sbs: int,
+    grid_side: int,
+    correlation_length_m: float,
+    *,
+    diurnal_profile: np.ndarray | None = None,
+    n_days: int,
+    n_bumps: int,
+    noise_std: float,
+    field_floor: float,
+) -> tuple[tuple[SbsPlacement, ...], int, Iterator[np.ndarray]]:
+    """Check the field parameters, then place the SBSs and draw the field.
+
+    Returns the placements, the slots per day and a generator of the loads
+    in consecutive blocks of whole SBS rows (see ``synthesize_traffic``).
     """
     if n_sbs < 1:
         raise ValueError("n_sbs must be >= 1")
@@ -391,6 +431,8 @@ def synthesize_traffic(
         raise ValueError("correlation_length_m must be positive (may be inf)")
     if not (0.0 <= field_floor < 1.0):
         raise ValueError("field_floor must lie in [0, 1)")
+    if not (math.isfinite(noise_std) and noise_std >= 0.0):
+        raise ValueError(f"noise_std must be finite and nonnegative, got {noise_std!r}")
     profile = (
         default_diurnal_profile() if diurnal_profile is None else np.asarray(diurnal_profile, float)
     )
@@ -398,8 +440,6 @@ def synthesize_traffic(
         raise ValueError("diurnal_profile must be a 1-D sequence")
     if MINUTES_PER_DAY % profile.size != 0:
         raise ValueError(f"profile length {profile.size} must divide {MINUTES_PER_DAY} minutes")
-    slots_per_day = profile.size
-    slot_minutes = MINUTES_PER_DAY // slots_per_day
 
     rng = np.random.default_rng(seed)
     squares = rng.permutation(grid_side * grid_side)[:n_sbs] + 1
@@ -418,15 +458,15 @@ def synthesize_traffic(
     else:
         intensity = np.ones(n_sbs)
 
-    day_pattern = np.tile(profile, n_days)
-    noise = rng.normal(0.0, noise_std, size=(n_sbs, n_days * slots_per_day))
-    # In place: at paper scale each (n_sbs, n_slots) temporary is 173 MB.
-    loads = intensity[:, None] * day_pattern[None, :]
-    loads += noise
-    del noise
-    np.clip(loads, 0.0, 1.0, out=loads)
-    series = LoadSeries(loads=loads, slot_minutes=slot_minutes, slots_per_day=slots_per_day)
-    return series, placements
+    def blocks() -> Iterator[np.ndarray]:
+        day_pattern = np.tile(profile, n_days)
+        for r0 in range(0, n_sbs, SYNTH_BLOCK_ROWS):
+            block = intensity[r0 : r0 + SYNTH_BLOCK_ROWS, None] * day_pattern
+            block += rng.normal(0.0, noise_std, size=block.shape)
+            np.clip(block, 0.0, 1.0, out=block)
+            yield block
+
+    return placements, profile.size, blocks()
 
 
 def mask_sleepers(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -51,6 +52,31 @@ class TestSynth:
                 args.noise_std, args.field_floor, args.bumps) == (
             desk.n_sbs, desk.grid_side, desk.correlation_length_m, desk.n_days,
             desk.noise_std, desk.field_floor, desk.n_field_bumps)
+
+    # sha256 of the synth output files, recorded before the loads were
+    # generated in row blocks.
+    PINNED = {
+        3: ("50956be2ee8d946fe87ee0f7fbbd255906efaf30d4c4716c4637bbb364500fd7",
+            "1552d11ae7112b963e1d9fcadc54f5134499224216000bf8807c8ebac1862bd4"),
+        11: ("f5f4e9b5c92ccd47328dfa76f9bc8b5e5eba3dbf1bfc3445fa9ffb306f34ddc2",
+             "3c7ad5f6838b3b14d20ac09a44102469c096ca2d010ecc6e134a4faf528e2ab6"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_output_bytes_pinned(self, tmp_path, seed):
+        out = tmp_path / "out"
+        assert run_cli("synth", "--out", out, "--seed", seed, "--n-sbs", 50, "--grid-side", 10,
+                       "--days", 3) == 0
+        digests = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
+                        for f in ("loads.csv", "placements.json"))
+        assert digests == self.PINNED[seed]
+
+    @pytest.mark.parametrize("noise_std", ["inf", "nan", "-0.1"])
+    def test_bad_noise_std_writes_nothing(self, tmp_path, capsys, noise_std):
+        out = tmp_path / "out"
+        assert run_cli("synth", "--out", out, "--noise-std", noise_std) == 2
+        assert "noise_std" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_loads_header(self, synth_dir):
         lines = (synth_dir / "loads.csv").read_text().splitlines()

@@ -218,6 +218,57 @@ class TestSharedNeighborPath:
                 for (n, _), est in zip(prefixes, table.estimates(snap.loads, prefixes)):
                     assert est[0] == near[:n].mean()
 
+    @staticmethod
+    def stable_argsort_table(pos, sleepers, active, k, floor):
+        """Per sleeper: the first k of a stable argsort of its distances to ``active``."""
+        ids, dists = [], []
+        for sleeper in sleepers:
+            dx = pos[active, 0] - pos[sleeper, 0]
+            dy = pos[active, 1] - pos[sleeper, 1]
+            d = np.sqrt(dx * dx + dy * dy)
+            order = np.argsort(d, kind="stable")[:k]
+            ids.append(active[order])
+            dists.append(np.maximum(d[order], floor))
+        return np.array(ids).reshape(len(sleepers), k), np.array(dists).reshape(len(sleepers), k)
+
+    def assert_nearest_matches_reference(self, pos, sleepers, active, k, floor):
+        table = nearest_table(pos, sleepers, active, k, floor)
+        ids, dists = self.stable_argsort_table(pos, sleepers, active, k, floor)
+        assert np.array_equal(table.ids, ids), (k, floor)
+        assert np.array_equal(table.dists.view(np.int64), dists.view(np.int64)), (k, floor)
+
+    def test_nearest_table_matches_stable_argsort_on_grids(self, rng):
+        # On a grid every sleeper has rings of 4 or 8 actives at one distance,
+        # so most k cut through a ring of ties.
+        for n_sbs in (49, 100, 150):
+            pos = positions_array(grid_placements(n_sbs), n_sbs)
+            for _ in range(4):
+                sleepers = np.sort(rng.choice(n_sbs, size=int(rng.integers(1, n_sbs // 2)), replace=False))
+                active = np.setdiff1d(np.arange(n_sbs), sleepers)
+                for k in (1, 2, 3, 4, 5, 6, 9, 13, 21, active.size - 1, active.size):
+                    for floor in (0.25, 1.0, 60.0, 300.0):
+                        self.assert_nearest_matches_reference(pos, sleepers, active, k, floor)
+
+    def test_nearest_table_keeps_id_order_within_equal_rings(self, rng):
+        # Sleepers 0 and 1 each sit inside a ring of 8 actives at exactly 50 m
+        # (axis points and 30-40-50) and a ring of 12 at exactly 65 m (axis
+        # points, 16-63-65, 33-56-65, 25-60-65, 39-52-65); ids are shuffled.
+        r50 = [(50, 0), (-50, 0), (0, 50), (0, -50), (30, 40), (-40, 30), (-30, -40), (40, -30)]
+        r65 = [(65, 0), (0, -65), (25, 60), (-60, 25), (39, -52), (-52, -39),
+               (16, 63), (-63, 16), (33, -56), (-56, -33), (-25, -60), (60, -25)]
+        centers = [(0.0, 0.0), (1000.0, 0.0)]
+        xy = list(centers) + [(cx + x, cy + y) for cx, cy in centers for x, y in r50 + r65]
+        xy = np.array(xy + [tuple(p) for p in rng.uniform(300.0, 700.0, (6, 2))], dtype=float)
+        perm = np.concatenate([[0, 1], 2 + rng.permutation(xy.shape[0] - 2)])
+        pos = xy[np.argsort(perm)]  # SBS perm[i] sits at xy[i]
+        sleepers = np.array([0, 1])
+        active = np.arange(2, xy.shape[0])
+        for k in (1, 5, 8, 9, 15, 20, 21, active.size):
+            for floor in (0.25, 60.0):
+                self.assert_nearest_matches_reference(pos, sleepers, active, k, floor)
+        ring_ids = np.sort(np.flatnonzero(np.hypot(*(pos[2:] - pos[0]).T) == 50.0) + 2)
+        assert np.array_equal(nearest_table(pos, sleepers, active, 8, 1.0).ids[0], ring_ids)
+
     def test_random_draw_is_prefix_of_widest_draw(self, rng):
         pos = positions_array(grid_placements(64), 64)
         snap = snapshot_of(rng.uniform(0.0, 1.0, 64), sleeping=[3, 17, 40, 41])

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from cellsleep.experiments import (
     run_power_sweep,
     write_report,
 )
-from cellsleep.traffic import mask_sleepers, synthesize_traffic
+from cellsleep.traffic import SYNTH_BLOCK_ROWS, daily_average, mask_sleepers, synthesize_traffic
 
 
 def small_config(**overrides):
@@ -95,6 +96,48 @@ class TestBuildDataset:
         assert np.allclose(
             data.history, series.loads[:, 144:], atol=1e-15
         )  # history = last raw day
+
+
+    @staticmethod
+    def full_series_dataset(cfg):
+        """The day, history and placements folded from the whole multi-day series."""
+        series, placements = synthesize_traffic(
+            seed=cfg.base_seed, n_sbs=cfg.n_sbs, grid_side=cfg.grid_side,
+            correlation_length_m=cfg.correlation_length_m, n_days=cfg.n_days,
+            n_bumps=cfg.n_field_bumps, noise_std=cfg.noise_std, field_floor=cfg.field_floor,
+        )
+        spd = series.slots_per_day
+        return daily_average(series, cfg.n_days).loads, series.loads[:, -spd:], placements
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_row_blocks_match_full_series_bit_for_bit(self, seed):
+        sizes = (10, SYNTH_BLOCK_ROWS, 2 * SYNTH_BLOCK_ROWS + 22)  # below, one, not a multiple
+        for n_sbs in sizes:
+            for n_days in (1, 2, 30):
+                cfg = small_config(n_sbs=n_sbs, n_days=n_days, grid_side=20, base_seed=seed)
+                data = build_dataset(cfg)
+                day, history, placements = self.full_series_dataset(cfg)
+                assert np.array_equal(data.day.loads.view(np.int64), day.view(np.int64))
+                assert np.array_equal(data.history.view(np.int64), history.view(np.int64))
+                assert data.placements == placements
+
+    @pytest.mark.parametrize("noise_std", [float("inf"), float("nan"), -0.1])
+    def test_non_finite_or_negative_noise_rejected(self, noise_std):
+        with pytest.raises(ValueError, match="noise_std"):
+            build_dataset(small_config(noise_std=noise_std))
+
+    def test_never_holds_the_multi_day_series(self):
+        # numpy reports its buffers to tracemalloc. A 2000 x 30-day series
+        # of 10-minute slots is 69 MB; the build may peak at half of it.
+        cfg = paper_profile(n_sbs=2000)
+        series_bytes = cfg.n_sbs * cfg.n_days * cfg.slots_per_day * 8
+        tracemalloc.start()
+        try:
+            build_dataset(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < series_bytes / 2
 
 
 class TestErrorSweep:

@@ -203,6 +203,13 @@ class TestSynthesizeTraffic:
                 diurnal_profile=np.full(100, 0.5),
             )
 
+    @pytest.mark.parametrize("noise_std", [float("inf"), float("nan"), -0.1])
+    def test_non_finite_or_negative_noise_rejected(self, noise_std):
+        with pytest.raises(ValueError, match="noise_std"):
+            synthesize_traffic(
+                seed=0, n_sbs=4, grid_side=2, correlation_length_m=100.0, noise_std=noise_std
+            )
+
 
 class TestGridGeometry:
     def test_adjacent_squares_exactly_one_pitch_apart(self):
