@@ -7,7 +7,7 @@ quantifies how estimation error changes switch-off decisions and total
 network power.
 """
 
-from .power import NetworkPowerConfig, PowerParams, StationKind, network_power, station_power
+from .power import NetworkPowerConfig, PowerParams, network_power, station_power
 from .traffic import (
     CdrRecord,
     LoadSeries,
@@ -30,7 +30,6 @@ __all__ = [
     "NetworkPowerConfig",
     "PowerParams",
     "SbsPlacement",
-    "StationKind",
     "aggregate_activity",
     "daily_average",
     "mask_sleepers",

@@ -335,8 +335,7 @@ def _cmd_optimize(args) -> int:
     )
     if use_exhaustive:
         solution = optimize_exhaustive(
-            loads, config.base_mbs_load, config.base_haps_load, power_cfg, scales,
-            max_sbs=max(config.exhaustive_cap, s if args.optimizer == "exhaustive" else 0),
+            loads, config.base_mbs_load, config.base_haps_load, power_cfg, scales
         )
     else:
         solution = optimize_greedy(

@@ -104,6 +104,10 @@ class ExperimentConfig:
             OffloadScales(to_mbs=self.offload_to_mbs, to_haps=self.offload_to_haps)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if self.exhaustive_cap > EXHAUSTIVE_SBS_CAP:
+            raise ConfigError(
+                f"exhaustive_cap must be at most {EXHAUSTIVE_SBS_CAP}, got {self.exhaustive_cap!r}"
+            )
         if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
             raise ConfigError(f"epsilon must be finite and nonnegative, got {self.epsilon!r}")
 

@@ -58,9 +58,6 @@ class ClusteringState:
     def k(self) -> int:
         return self.centroids.shape[0]
 
-    def members(self, cluster: int) -> np.ndarray:
-        return np.flatnonzero(self.assignments == cluster)
-
 
 def _as_points(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)

@@ -52,12 +52,6 @@ class EstimateResult:
     def n_sleepers(self) -> int:
         return len(self.sleeper_ids)
 
-    def fill(self, loads: np.ndarray) -> np.ndarray:
-        """Return a copy of ``loads`` with sleeper entries replaced by estimates."""
-        out = np.asarray(loads, dtype=float).copy()
-        out[list(self.sleeper_ids)] = self.estimates
-        return out
-
     def to_json_dict(self) -> dict:
         return {
             "sleeper_ids": list(self.sleeper_ids),

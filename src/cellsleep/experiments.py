@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -285,10 +285,6 @@ def _draw_sleepers(config: ExperimentConfig, iteration: int, n_sbs: int) -> np.n
     return np.sort(rng.permutation(n_sbs)[: sleeper_count(config.sleep_fraction, n_sbs)])
 
 
-def _mlc_key(cfg: MlcConfig) -> tuple:
-    return (cfg.k_override, cfg.kmeans_max_iter, cfg.kmeans_tol, cfg.kmeans_seed, cfg.elbow_k_max)
-
-
 def _error_iteration(iteration: int) -> list[tuple[float, int, int]]:
     """Per-point (relative-error sum, included count, excluded count)."""
     config: ExperimentConfig = _STATE["config"]
@@ -303,11 +299,12 @@ def _error_iteration(iteration: int) -> list[tuple[float, int, int]]:
     # neighbor table: the nearest-neighbor table is ranked once per
     # iteration (the sleeper set is fixed), the random draw once per slot
     # (its seed does not depend on N).
-    mlc_groups: dict[tuple, int] = {}
+    mlc_keys: dict[int, MlcConfig] = {}  # point index -> its config at depth 1
+    mlc_groups: dict[MlcConfig, int] = {}
     neighbor_groups: dict[tuple[str, float], list[int]] = {}
     for idx, (_, cfg) in enumerate(points):
         if isinstance(cfg, MlcConfig):
-            key = _mlc_key(cfg)
+            key = mlc_keys[idx] = replace(cfg, layers=1)
             mlc_groups[key] = max(mlc_groups.get(key, 0), cfg.layers)
         else:
             neighbor_groups.setdefault((cfg.kind, cfg.distance_floor_m), []).append(idx)
@@ -326,25 +323,14 @@ def _error_iteration(iteration: int) -> list[tuple[float, int, int]]:
         try:
             mlc_runs = {
                 key: estimate(
-                    MlcConfig(
-                        layers=max_layers,
-                        k_override=key[0],
-                        kmeans_max_iter=key[1],
-                        kmeans_tol=key[2],
-                        kmeans_seed=key[3],
-                        elbow_k_max=key[4],
-                    ),
-                    snapshot,
-                    data.placements,
-                    history,
+                    replace(key, layers=max_layers), snapshot, data.placements, history
                 )
                 for key, max_layers in mlc_groups.items()
             }
         except ValueError as exc:
             raise ValueError(f"iteration {iteration}, slot {slot}, estimator mlc: {exc}") from exc
-        for idx, (_, cfg) in enumerate(points):
-            if isinstance(cfg, MlcConfig):
-                estimates[idx] = mlc_runs[_mlc_key(cfg)].layer_estimates[cfg.layers - 1]
+        for idx, key in mlc_keys.items():
+            estimates[idx] = mlc_runs[key].layer_estimates[points[idx][1].layers - 1]
 
         for (kind, floor), idxs in neighbor_groups.items():
             cfgs = [points[idx][1] for idx in idxs]
@@ -451,8 +437,12 @@ _POWER_COLUMNS = (
 )
 
 
+def _optimizer_name(config: ExperimentConfig, n_sbs: int) -> str:
+    return "exhaustive" if n_sbs <= config.exhaustive_cap else "greedy"
+
+
 def _optimize(config: ExperimentConfig, loads: np.ndarray, power_cfg, scales) -> SwitchingSolution:
-    if loads.shape[0] <= config.exhaustive_cap:
+    if _optimizer_name(config, loads.shape[0]) == "exhaustive":
         return optimize_exhaustive(
             loads, config.base_mbs_load, config.base_haps_load, power_cfg, scales
         )
@@ -561,7 +551,7 @@ def _switching_report(
         ("mlc", layers) for layers in l_values
     ]
     for s in s_values:
-        optimizer = "exhaustive" if s <= config.exhaustive_cap else "greedy"
+        optimizer = _optimizer_name(config, s)
         for estimator, key in estimator_keys:
             rows = [r["by_estimator"][key if estimator == "mlc" else "perfect"] for r in by_s[s]]
             rates = np.array([r["rate"] for r in rows])
@@ -609,9 +599,7 @@ def _switching_report(
         points=points,
         metadata={
             "wall_clock_s": time.perf_counter() - t0,
-            "optimizer_by_s": {
-                str(s): ("exhaustive" if s <= config.exhaustive_cap else "greedy") for s in s_values
-            },
+            "optimizer_by_s": {str(s): _optimizer_name(config, s) for s in s_values},
             "deployed_infeasible_per_point": [
                 p.per_iteration["deployed_feasible"].count(False) for p in points
             ],

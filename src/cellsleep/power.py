@@ -18,14 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
-
-
-class StationKind(Enum):
-    HAPS = "haps"
-    MBS = "mbs"
-    SBS = "sbs"
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,11 @@ Network power is affine in the state. Switching SBS j off onto tier t
 changes it by ``sleep_j + cost_{t,j} - active_j``, where ``cost_{t,j}`` is
 the tier's amplifier power for the offloaded load, and uses ``use_{t,j}`` of
 the tier's headroom. Both optimizers read these per-SBS coefficients from
-one ``_LinearModel``: an exhaustive search prices all 2^s on/off vectors
-(the oracle, capped by ``max_sbs``), and a greedy heuristic switches SBSs
-off in ascending-load order onto the cheaper tier that still fits, while
-that delta is negative. Both are deterministic, including tie-breaks: among
+one ``_LinearModel``: an exhaustive search prices all 2^s on/off vectors,
+each with its exact cheapest offload assignment (the oracle, up to
+``EXHAUSTIVE_SBS_CAP`` = 20 SBSs), and a greedy heuristic switches SBSs off
+in ascending-load order onto the cheaper tier that still fits, while that
+delta is negative. Both are deterministic, including tie-breaks: among
 equal-power optima the exhaustive search returns the lexicographically
 smallest on/off vector, preferring MBS over HAPS targets position by
 position.
@@ -22,7 +23,6 @@ position.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,7 +32,6 @@ from .errors import InfeasibleNetworkError
 from .power import NetworkPowerConfig, network_power
 
 EXHAUSTIVE_SBS_CAP = 20
-INNER_ENUM_CAP = 10  # OFF-set sizes up to this are assigned by exact enumeration
 _CHUNK_BITS = 14
 
 ON, TO_MBS, TO_HAPS = 0, 1, 2  # state codes; "-MH"[code] is the JSON letter
@@ -259,47 +258,26 @@ def _assign_offloads(model: _LinearModel, off_ids: np.ndarray) -> tuple[float, l
     """Cheapest feasible target assignment for one OFF set, or None.
 
     Returns the offload cost and one target code per entry of ``off_ids``.
-    Exact enumeration up to ``INNER_ENUM_CAP`` OFF SBSs (candidates visited
-    in lexicographic MBS-before-HAPS order, strict improvement only, so the
-    first optimum wins ties); greedy best-fit in descending-load order
-    beyond that.
+    Every one of the 2^m assignments is priced in one table, grown one SBS at
+    a time so that entry order is lexicographic (first SBS most significant,
+    MBS before HAPS) and each entry is the left-to-right sum over the SBSs.
+    ``argmin`` then picks the first cheapest feasible entry.
     """
+    # Per OFF SBS, the (MBS, HAPS) branch values of cost, MBS use and HAPS
+    # use; the zero ON row stands in for a tier that a branch leaves alone.
+    branch = np.stack(
+        (model.cost[[TO_MBS, TO_HAPS]], model.use[[TO_MBS, ON]], model.use[[ON, TO_HAPS]])
+    )[:, :, off_ids]
     m = off_ids.size
-    if m <= INNER_ENUM_CAP:
-        # Plain float lists and locals: this loop visits 2^m assignments.
-        mbs = TO_MBS
-        use_m, cost_m = model.use[mbs, off_ids].tolist(), model.cost[mbs, off_ids].tolist()
-        use_h, cost_h = model.use[TO_HAPS, off_ids].tolist(), model.cost[TO_HAPS, off_ids].tolist()
-        _, cap_m, cap_h = model.cap.tolist()
-        best: tuple[float, list[int]] | None = None
-        for combo in itertools.product(_TIERS, repeat=m):
-            used_m = used_h = cost = 0.0
-            for i, tgt in enumerate(combo):
-                if tgt == mbs:
-                    used_m += use_m[i]
-                    cost += cost_m[i]
-                else:
-                    used_h += use_h[i]
-                    cost += cost_h[i]
-            if used_m > cap_m or used_h > cap_h:
-                continue
-            if best is None or cost < best[0]:
-                best = (cost, list(combo))
-        return best
-    # Greedy best-fit, largest loads first so the tight ones are placed early.
-    order = sorted(range(m), key=lambda i: (-model.loads[off_ids[i]], off_ids[i]))
-    targets = [ON] * m
-    used = [0.0] * 3  # tier usage by state code
-    cost = 0.0
-    for i in order:
-        j = off_ids[i]
-        tgt = _cheaper_target(model, j, used)
-        if tgt == ON:
-            return None
-        used[tgt] += model.use[tgt, j]
-        cost += model.cost[tgt, j]
-        targets[i] = tgt
-    return cost, targets
+    table = np.zeros((3, 1))
+    for i in range(m):
+        table = (table[:, :, None] + branch[:, None, :, i]).reshape(3, -1)
+    cost, used_mbs, used_haps = table
+    cost[(used_mbs > model.cap[TO_MBS]) | (used_haps > model.cap[TO_HAPS])] = np.inf
+    best = int(np.argmin(cost))
+    if cost[best] == np.inf:
+        return None
+    return float(cost[best]), [TO_MBS + (best >> (m - 1 - i) & 1) for i in range(m)]
 
 
 def optimize_exhaustive(
@@ -308,26 +286,26 @@ def optimize_exhaustive(
     base_haps_load: float,
     power_config: NetworkPowerConfig,
     scales: OffloadScales = OffloadScales(),
-    *,
-    max_sbs: int = EXHAUSTIVE_SBS_CAP,
 ) -> SwitchingSolution:
     """Global minimum-power state by enumerating every on/off vector.
 
-    For each vector the offload assignment is optimized separately (exact
-    for small OFF sets, greedy best-fit beyond ``INNER_ENUM_CAP``). States
-    are visited in ascending lexicographic order of the on/off vector and
-    only strict power improvements replace the incumbent, which implements
-    the documented tie-break.
+    Each vector whose per-SBS cheaper targets overflow a tier gets its
+    exact cheapest offload assignment from one enumeration of all 2^m
+    target choices of its m OFF SBSs. States are visited in ascending
+    lexicographic order of the on/off vector and only strict power
+    improvements replace the incumbent, which implements the documented
+    tie-break.
 
     Raises:
-        ValueError: if the instance exceeds ``max_sbs``.
+        ValueError: above ``EXHAUSTIVE_SBS_CAP`` SBSs, where the 2^s states
+            and the up to 3 * 2^s entry assignment table are out of reach.
         InfeasibleNetworkError: never for valid inputs (the all-ON state is
             feasible whenever base loads are), kept for defense in depth.
     """
     model = _linear_model(sbs_loads, base_mbs_load, base_haps_load, power_config, scales)
     s = model.loads.size
-    if s > max_sbs:
-        raise ValueError(f"exhaustive search capped at {max_sbs} SBSs, got {s}")
+    if s > EXHAUSTIVE_SBS_CAP:
+        raise ValueError(f"exhaustive search capped at {EXHAUSTIVE_SBS_CAP} SBSs, got {s}")
 
     prefer_mbs = model.cost[TO_MBS] <= model.cost[TO_HAPS]
     best_off_cost = np.where(prefer_mbs, model.cost[TO_MBS], model.cost[TO_HAPS])

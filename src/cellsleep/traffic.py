@@ -427,8 +427,10 @@ def _synthetic_row_blocks(
         raise ValueError("n_sbs must be >= 1")
     if n_sbs > grid_side * grid_side:
         raise ValueError(f"n_sbs {n_sbs} exceeds grid capacity {grid_side * grid_side}")
-    if correlation_length_m <= 0:
-        raise ValueError("correlation_length_m must be positive (may be inf)")
+    if not correlation_length_m > 0:  # NaN fails too
+        raise ValueError(
+            f"correlation_length_m must be positive (may be inf), got {correlation_length_m!r}"
+        )
     if not (0.0 <= field_floor < 1.0):
         raise ValueError("field_floor must lie in [0, 1)")
     if not (math.isfinite(noise_std) and noise_std >= 0.0):

@@ -78,6 +78,13 @@ class TestSynth:
         assert "noise_std" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_nan_correlation_length_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("synth", "--out", out, "--correlation-length", "nan", "--noise-std", 0,
+                       "--n-sbs", 20, "--grid-side", 5) == 2
+        assert "correlation_length_m" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_loads_header(self, synth_dir):
         lines = (synth_dir / "loads.csv").read_text().splitlines()
         assert lines[0].startswith("# config_hash=")
@@ -166,6 +173,14 @@ class TestOptimize:
             (tmp_path / name).write_text("sbs_id,slot,load\n" + rows)
             assert run_cli("optimize", "--loads", tmp_path / name, "--slot", 0) == 2
 
+    def test_exhaustive_above_cap_is_data_error(self, tmp_path, capsys):
+        loads_csv = tmp_path / "many.csv"
+        loads_csv.write_text("sbs_id,slot,load\n" + "".join(f"{j},0,0.1\n" for j in range(21)))
+        assert run_cli("optimize", "--loads", loads_csv, "--slot", 0, "--optimizer", "exhaustive",
+                       "--out", tmp_path / "sol.json") == 2
+        assert "capped at 20" in capsys.readouterr().err
+        assert not (tmp_path / "sol.json").exists()
+
 
 class TestSweepCli:
     def write_cfg(self, tmp_path, extra=None):
@@ -218,6 +233,18 @@ class TestSweepCli:
             assert run_cli("optimize", "--loads", loads_csv, "--slot", 0, "--config", cfg,
                            "--optimizer", optimizer, "--out", tmp_path / "sol.json") == 1
         assert key.removeprefix("offload_to_") in capsys.readouterr().err
+
+    def test_exhaustive_cap_above_limit_is_usage_error(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, {"exhaustive_cap": 21})
+        loads_csv = tmp_path / "one.csv"
+        loads_csv.write_text("sbs_id,slot,load\n0,0,0.1\n")
+        assert run_cli("sweep", "--experiment", "fig5", "--profile", "desk", "--config", cfg,
+                       "--out", tmp_path / "r", "--s-values", "21", "--l-values", "1") == 1
+        assert run_cli("optimize", "--loads", loads_csv, "--slot", 0, "--config", cfg,
+                       "--out", tmp_path / "sol.json") == 1
+        err = capsys.readouterr().err
+        assert err.count("exhaustive_cap") == 2
+        assert not (tmp_path / "r").exists() and not (tmp_path / "sol.json").exists()
 
     def test_usage_error_exit_code(self):
         assert run_cli("sweep", "--experiment", "fig9") == 1

@@ -49,6 +49,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="finite and nonnegative"):
             ExperimentConfig(**{key: value})
 
+    def test_exhaustive_cap_above_search_limit_rejected(self):
+        assert ExperimentConfig(exhaustive_cap=20).exhaustive_cap == 20
+        with pytest.raises(ConfigError, match="exhaustive_cap"):
+            ExperimentConfig(exhaustive_cap=21)
+
     def test_profiles_match_reference_scale(self):
         paper = paper_profile()
         assert (paper.n_sbs, paper.slots_per_day, paper.slot_minutes) == (5000, 144, 10)

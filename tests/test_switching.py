@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from cellsleep import switching
 from cellsleep.power import NetworkPowerConfig, PowerParams, network_power
 from cellsleep.switching import (
     ON,
@@ -44,6 +47,25 @@ def as_plain(solution):
 
 def params_tuple(p):
     return (p.operational_power, p.amplifier_slope, p.transmit_power, p.sleep_power)
+
+
+def naive_reference(loads, base_m, base_h, cfg, scales):
+    return naive_optimize(
+        [float(v) for v in loads],
+        float(base_m),
+        float(base_h),
+        params_tuple(cfg.haps),
+        params_tuple(cfg.mbs),
+        [params_tuple(p) for p in cfg.sbs],
+        scales.to_mbs,
+        scales.to_haps,
+    )
+
+
+def binding_bases(loads, scales, room):
+    """Base tier loads that leave each tier room for ``room`` of the offloaded load."""
+    total = float(np.sum(loads))
+    return 1.0 - room * scales.to_mbs * total, 1.0 - room * scales.to_haps * total
 
 
 class TestStateCodes:
@@ -224,21 +246,28 @@ class TestOptimizeExhaustive:
                 to_mbs=float(rng.uniform(0, 0.4)), to_haps=float(rng.uniform(0, 0.4))
             )
             sol = optimize_exhaustive(loads, base_m, base_h, cfg, scales)
-            ref = naive_optimize(
-                [float(v) for v in loads],
-                float(base_m),
-                float(base_h),
-                params_tuple(cfg.haps),
-                params_tuple(cfg.mbs),
-                [params_tuple(p) for p in cfg.sbs],
-                scales.to_mbs,
-                scales.to_haps,
-            )
+            ref = naive_reference(loads, base_m, base_h, cfg, scales)
             assert ref is not None
             bits, letters = as_plain(sol)
             assert bits == ref[0], f"trial {trial}: state mismatch"
             assert letters == ref[1], f"trial {trial}: target mismatch"
             assert sol.power == pytest.approx(ref[2], rel=1e-9)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_naive_enumerator_with_binding_tiers(self, seed):
+        # Twelve SBSs that all pay to sleep (40 W active against 9 W asleep)
+        # onto tiers that each hold about half of the offloaded load: the
+        # optimum switches 11 off, and their targets must share the tiers.
+        rng = np.random.default_rng(seed)
+        cfg = NetworkPowerConfig.uniform(HAPS, MBS, PowerParams(40.0, 2.0, 1.0, 9.0), 12)
+        scales = OffloadScales()
+        loads = rng.uniform(0.1, 1.0, 12)
+        base_m, base_h = binding_bases(loads, scales, 0.5)
+        sol = optimize_exhaustive(loads, base_m, base_h, cfg, scales)
+        ref = naive_reference(loads, base_m, base_h, cfg, scales)
+        assert ref[0].count(0) > 10
+        assert as_plain(sol) == ref[:2]
+        assert sol.power == pytest.approx(ref[2], rel=1e-9)
 
     def test_tie_break_prefers_lexicographically_smallest(self):
         # sleep == operational and zero loads: every state prices identically,
@@ -249,6 +278,63 @@ class TestOptimizeExhaustive:
         sol = optimize_exhaustive([0.0, 0.0, 0.0], 0.2, 0.2, cfg)
         assert bitstring(sol.state) == "000"
         assert all(c == TO_MBS for c in sol.state)
+
+
+def enumerate_offloads(model, off_ids):
+    """Plain enumeration of every target assignment, left-to-right sums.
+
+    Candidates come in lexicographic MBS-before-HAPS order and only a strict
+    improvement replaces the incumbent, so the first optimum wins ties.
+    """
+    cost_rows, use_rows = model.cost.tolist(), model.use.tolist()
+    _, cap_m, cap_h = model.cap.tolist()
+    best = None
+    for combo in itertools.product((TO_MBS, TO_HAPS), repeat=len(off_ids)):
+        cost = used_m = used_h = 0.0
+        for j, tgt in zip(off_ids.tolist(), combo):
+            cost += cost_rows[tgt][j]
+            if tgt == TO_MBS:
+                used_m += use_rows[tgt][j]
+            else:
+                used_h += use_rows[tgt][j]
+        if used_m <= cap_m and used_h <= cap_h and (best is None or cost < best[0]):
+            best = (cost, list(combo))
+    return best
+
+
+class TestAssignOffloads:
+    S = 16
+    DEFAULT = OffloadScales()
+    # (loads, scales, tier bases): "binding" leaves each tier room for 60 %
+    # of the OFF set's offloaded load, so neither tier takes it all; equal
+    # and zero loads tie many assignments; full tiers fit none.
+    CASES = {
+        "random_binding": ("random", DEFAULT, "binding"),
+        "random_loose": ("random", DEFAULT, (0.2, 0.2)),
+        "equal_binding": ("equal", DEFAULT, "binding"),
+        "zero_binding": ("zero", DEFAULT, "binding"),
+        "free_mbs": ("random", OffloadScales(to_mbs=0.0, to_haps=0.02), "binding"),
+        "free_haps": ("random", OffloadScales(to_mbs=0.05, to_haps=0.0), "binding"),
+        "equal_free_haps": ("equal", OffloadScales(to_mbs=0.05, to_haps=0.0), (0.99, 1.0)),
+        "full_tiers": ("random", DEFAULT, (1.0, 1.0)),
+    }
+
+    @pytest.mark.parametrize("m", range(15))
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_matches_plain_enumeration(self, rng, m, case):
+        kind, scales, bases = case
+        loads = {
+            "random": rng.uniform(0.1, 1.0, self.S),
+            "equal": np.full(self.S, 0.5),
+            "zero": np.zeros(self.S),
+        }[kind]
+        off_ids = np.sort(rng.choice(self.S, m, replace=False))
+        base_m, base_h = binding_bases(loads[off_ids], scales, 0.6) if bases == "binding" else bases
+        model = switching._linear_model(loads, base_m, base_h, uniform_config(self.S), scales)
+        expected = enumerate_offloads(model, off_ids)
+        assert switching._assign_offloads(model, off_ids) == expected
+        if bases == (1.0, 1.0) and m:
+            assert expected is None
 
 
 class TestOptimizeGreedy:

@@ -203,6 +203,11 @@ class TestSynthesizeTraffic:
                 diurnal_profile=np.full(100, 0.5),
             )
 
+    @pytest.mark.parametrize("length", [float("nan"), 0.0, -100.0])
+    def test_nan_or_nonpositive_correlation_length_rejected(self, length):
+        with pytest.raises(ValueError, match="correlation_length_m"):
+            synthesize_traffic(seed=0, n_sbs=4, grid_side=2, correlation_length_m=length)
+
     @pytest.mark.parametrize("noise_std", [float("inf"), float("nan"), -0.1])
     def test_non_finite_or_negative_noise_rejected(self, noise_std):
         with pytest.raises(ValueError, match="noise_std"):
