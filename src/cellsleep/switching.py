@@ -326,10 +326,12 @@ def optimize_exhaustive(
         chunk_power = model.base_power + fixed + off @ best_off_cost
         chunk_power[~greedy_ok] = np.inf
 
+        targets = {}  # the assigned target codes of each binding-tier state
         for local in np.flatnonzero(~greedy_ok):
             assigned = _assign_offloads(model, np.flatnonzero(off[local]))
             if assigned is not None:
                 chunk_power[local] = model.base_power + fixed[local] + assigned[0]
+                targets[local] = assigned[1]
 
         local_best = int(np.argmin(chunk_power))
         if chunk_power[local_best] < best_power:
@@ -337,10 +339,7 @@ def optimize_exhaustive(
             best_state = np.where(prefer_mbs, TO_MBS, TO_HAPS).astype(np.int8)
             best_state[on[local_best]] = ON
             if not greedy_ok[local_best]:
-                off_ids = np.flatnonzero(off[local_best])
-                assigned = _assign_offloads(model, off_ids)
-                assert assigned is not None
-                best_state[off_ids] = assigned[1]
+                best_state[off[local_best]] = targets[local_best]
 
     if best_state is None:
         raise InfeasibleNetworkError("exhaustive search found no feasible state")

@@ -59,7 +59,12 @@ class SbsPlacement:
 
 @dataclass(frozen=True)
 class LoadSeries:
-    """Per-SBS load factors over time, shape (n_sbs, n_slots), all in [0, 1]."""
+    """Per-SBS load factors over time, shape (n_sbs, n_slots), all in [0, 1].
+
+    ``loads`` is stored read-only. A C-ordered float array that is already
+    read-only and owns its data is adopted without a copy: its creator hands
+    it over. Any other input is copied, so the caller's array stays its own.
+    """
 
     loads: np.ndarray
     slot_minutes: int
@@ -76,8 +81,9 @@ class LoadSeries:
                 f"slots_per_day * slot_minutes must equal {MINUTES_PER_DAY}, got "
                 f"{self.slots_per_day} * {self.slot_minutes}"
             )
-        arr = arr.copy()
-        arr.setflags(write=False)
+        if arr.flags.writeable or not (arr.flags.owndata and arr.flags.c_contiguous):
+            arr = arr.copy()
+            arr.setflags(write=False)
         object.__setattr__(self, "loads", arr)
 
     @property
@@ -400,6 +406,7 @@ def synthesize_traffic(
     for block in blocks:
         loads[r0 : r0 + block.shape[0]] = block
         r0 += block.shape[0]
+    loads.setflags(write=False)  # LoadSeries adopts it without a copy
     series = LoadSeries(
         loads=loads, slot_minutes=MINUTES_PER_DAY // slots_per_day, slots_per_day=slots_per_day
     )

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -214,6 +216,36 @@ class TestSynthesizeTraffic:
             synthesize_traffic(
                 seed=0, n_sbs=4, grid_side=2, correlation_length_m=100.0, noise_std=noise_std
             )
+
+    def test_peak_holds_one_series(self):
+        # numpy reports its buffers to tracemalloc. The 1000 x 30-day series
+        # (35 MB) is filled in place and adopted, not copied, so the peak
+        # stays well under two series.
+        tracemalloc.start()
+        try:
+            series, _ = synthesize_traffic(
+                seed=3, n_sbs=1000, grid_side=40, correlation_length_m=500.0, n_days=30
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * series.loads.nbytes
+
+
+class TestLoadSeries:
+    def test_caller_arrays_that_stay_writable_are_copied(self):
+        owner = np.full((2, 3), 0.5)
+        view = owner[:, :]
+        view.setflags(write=False)
+        a, b = (LoadSeries(loads=x, slot_minutes=10, slots_per_day=144) for x in (owner, view))
+        owner[0, 0] = 0.9
+        assert a.loads[0, 0] == b.loads[0, 0] == 0.5
+        assert not a.loads.flags.writeable
+
+    def test_read_only_owner_is_adopted(self):
+        loads = np.full((2, 3), 0.5)
+        loads.setflags(write=False)
+        assert LoadSeries(loads=loads, slot_minutes=10, slots_per_day=144).loads is loads
 
 
 class TestGridGeometry:
