@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
+from .estimators import MlcConfig
 from .power import PowerParams
 from .switching import EXHAUSTIVE_SBS_CAP, OffloadScales
 
@@ -104,6 +105,10 @@ class ExperimentConfig:
             OffloadScales(to_mbs=self.offload_to_mbs, to_haps=self.offload_to_haps)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        try:
+            MlcConfig(k_override=self.mlc_k_override)
+        except ValueError as exc:
+            raise ConfigError(f"mlc_k_override: {exc}") from exc
         if self.exhaustive_cap > EXHAUSTIVE_SBS_CAP:
             raise ConfigError(
                 f"exhaustive_cap must be at most {EXHAUSTIVE_SBS_CAP}, got {self.exhaustive_cap!r}"

@@ -14,13 +14,19 @@ layer. Clusters that contain no active SBS leave their sleepers' estimates
 unchanged. After the configured number of layers, the most recent
 cluster-mean assignment per sleeper is returned.
 
-A layer's cells are kept back to back, each in SBS index order, and
-``kmeans._fit_cells`` clusters all of them in one vectorized Lloyd pass
-with the fits that ``kmeans_fit`` (fixed k) or ``elbow_fit`` would give
-each cell alone. One stable argsort by (cell, cluster) then lays out the
-next layer's cells, and each group's active mean is its pairwise sum in
-index order over its count (``kmeans._segment_sums``), the bits of
-``loads[members].mean()``.
+``mlc_layers`` estimates a stack of S slots that share one sleeper set (the
+evaluation slots of a sweep iteration) together. Slot s's SBSs are the rows
+s*n .. s*n + n - 1 of one flat layout, and layer 1 has one cell per slot. A
+layer's cells are kept back to back, each in row order, and a cell never
+spans two slots. ``kmeans._fit_cells`` clusters every cell of every slot in
+one vectorized Lloyd pass with the fits that ``kmeans_fit`` (fixed k) or
+``elbow_fit`` would give each cell alone. One stable argsort by global
+(cell, cluster) key then lays out the next layer's cells, and each group's
+active mean is its pairwise sum in row order over its count (one
+``kmeans._segment_sums`` pass for all groups), the bits of
+``loads[members].mean()``. So every slot gets the estimates it would get
+alone. ``mlc_estimate`` is the one-slot call that also reports each
+estimate's contributors.
 """
 
 from __future__ import annotations
@@ -48,6 +54,126 @@ def check_mlc_params(
         raise ValueError("kmeans_max_iter must be >= 1 and kmeans_tol >= 0")
 
 
+def mlc_layers(
+    loads: np.ndarray,
+    history: np.ndarray,
+    known_mask: np.ndarray,
+    layers: int,
+    *,
+    k_override: int | None = None,
+    kmeans_max_iter: int = 100,
+    kmeans_tol: float = 1e-9,
+    kmeans_seed: int = 0,
+    elbow_k_max: int = 8,
+) -> tuple[np.ndarray, tuple]:
+    """Every layer's sleeper estimates for S slots that share one sleeper set.
+
+    Args:
+        loads: (S, n) loads, one slot per row; only known entries are read.
+        history: (S, n) stand-in features; NaN means no history, and the
+            sleeper then enters at its slot's mean active load. Only
+            sleepers' entries are read.
+        known_mask: (n,) true for the active SBSs of every slot.
+        layers: number of refinement layers, >= 1.
+        k_override: fixed cluster count per layer; elbow-selected if None.
+
+    Returns:
+        ``(estimates, sources)``. ``estimates[s, l]`` holds slot s's
+        estimates after layer l + 1, one per sleeper in id order.
+        ``sources`` is ``(source_layer, source_group, groups)``: per
+        sleeper (slot-major) the layer and group whose active mean it last
+        took, -1 if none, and per layer ``(known_rows, first, count)``,
+        each group's active rows (``s * n + id``) as a slice of
+        ``known_rows``.
+    """
+    check_mlc_params(layers, k_override, elbow_k_max, kmeans_max_iter, kmeans_tol)
+    loads = np.asarray(loads, dtype=float)
+    known_mask = np.asarray(known_mask, dtype=bool)
+    n_slots, n = loads.shape
+    active = np.flatnonzero(known_mask)
+    sleepers = np.flatnonzero(~known_mask)
+    if active.size == 0:
+        raise ValueError("no active SBS to cluster against")
+    m = sleepers.size
+    if m == 0:
+        none = np.empty(0, dtype=np.int64)
+        return np.empty((n_slots, layers, 0)), (none, none, [])
+
+    hist = np.asarray(history, dtype=float)
+    if hist.shape != loads.shape:
+        raise ValueError(
+            f"history must provide one feature per SBS and slot {loads.shape}, got shape {hist.shape}"
+        )
+    hist_sleep = hist[:, sleepers]
+    # NaN is "no history"; a comparison with NaN is false, one with +-inf is not.
+    if ((hist_sleep < 0.0) | (hist_sleep > 1.0)).any():
+        raise ValueError("history features must lie in [0, 1]")
+
+    slot_means = _segment_sums(loads[:, active].ravel(), np.full(n_slots, active.size)) / active.size
+    features = loads.copy()
+    features[:, sleepers] = np.where(np.isnan(hist_sleep), slot_means[:, None], hist_sleep)
+    features = features.ravel()
+    flat_loads = loads.ravel()
+    known_rows = np.tile(known_mask, n_slots)
+
+    estimates = features[~known_rows]
+    sleeper_pos = np.full(n_slots * n, -1)
+    sleeper_pos[~known_rows] = np.arange(n_slots * m)
+    # Per sleeper, the layer and group whose active mean it last took.
+    source_layer = np.full(n_slots * m, -1)
+    source_group = np.full(n_slots * m, -1)
+    groups_of_layer: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+
+    ids = np.arange(n_slots * n)  # the layer's cells back to back, each in row order
+    sizes = np.full(n_slots, n)
+    layer_trace = np.empty((n_slots, layers, m))
+    for layer in range(layers):
+        starts = np.cumsum(sizes) - sizes
+        cell = np.repeat(np.arange(sizes.size), sizes)
+        feat = features[ids]
+        # A cell of fewer than 3 SBSs or of equal features stays one cluster.
+        fit = (sizes >= 3) & (np.maximum.reduceat(feat, starts) > np.minimum.reduceat(feat, starts))
+        clusters = np.zeros(ids.size, dtype=np.int64)
+        if fit.any():
+            in_fit = fit[cell]
+            clusters[in_fit] = _fit_cells(
+                feat[in_fit],
+                sizes[fit],
+                np.minimum(elbow_k_max if k_override is None else k_override, sizes[fit]),
+                elbow=k_override is None,
+                max_iter=kmeans_max_iter,
+                tol=kmeans_tol,
+                seed=kmeans_seed,
+            )
+
+        # Groups = (cell, cluster) in that order, each with its members in row order.
+        key = cell * n + clusters
+        order = np.argsort(key, kind="stable")
+        ids, key = ids[order], key[order]
+        group = np.cumsum(np.concatenate(([True], key[1:] != key[:-1]))) - 1
+        n_members = np.bincount(group)
+        known = known_rows[ids]
+        n_known = np.bincount(group[known], minlength=n_members.size)
+        known_ids = ids[known]
+        means = _segment_sums(flat_loads[known_ids], n_known) / np.maximum(n_known, 1)
+
+        sleeping = ~known
+        pos, sleeper_group = sleeper_pos[ids[sleeping]], group[sleeping]
+        update = n_known[sleeper_group] > 0
+        pos, sleeper_group = pos[update], sleeper_group[update]
+        estimates[pos] = means[sleeper_group]
+        source_layer[pos] = layer
+        source_group[pos] = sleeper_group
+        groups_of_layer.append((known_ids, np.cumsum(n_known) - n_known, n_known))
+        layer_trace[:, layer] = estimates.reshape(n_slots, m)
+
+        # Groups that hold a sleeper are the next layer's cells.
+        with_sleeper = n_members > n_known
+        ids = ids[with_sleeper[group]]
+        sizes = n_members[with_sleeper]
+    return layer_trace, (source_layer, source_group, groups_of_layer)
+
+
 def mlc_estimate(
     snapshot: LoadSnapshot,
     history: Sequence[float] | np.ndarray,
@@ -72,90 +198,21 @@ def mlc_estimate(
 
     Returns:
         EstimateResult whose ``layer_estimates`` holds the intermediate
-        estimate vector after every layer (row L-1 equals ``estimates``).
+        estimate vector after every layer (row L-1 equals ``estimates``),
+        and whose detail names the active SBSs each estimate averages.
     """
-    check_mlc_params(layers, k_override, elbow_k_max, kmeans_max_iter, kmeans_tol)
-    active_mask = snapshot.known_mask
-    active = snapshot.active_ids
+    trace, (source_layer, source_group, groups_of_layer) = mlc_layers(
+        snapshot.loads[None],
+        np.asarray(history, dtype=float)[None],
+        snapshot.known_mask,
+        layers,
+        k_override=k_override,
+        kmeans_max_iter=kmeans_max_iter,
+        kmeans_tol=kmeans_tol,
+        kmeans_seed=kmeans_seed,
+        elbow_k_max=elbow_k_max,
+    )
     sleepers = snapshot.sleeping_ids
-    if active.size == 0:
-        raise ValueError("no active SBS to cluster against")
-    if sleepers.size == 0:
-        return EstimateResult(
-            sleeper_ids=(), estimates=np.empty(0), detail=(),
-            layer_estimates=np.empty((layers, 0)),
-        )
-
-    hist = np.asarray(history, dtype=float)
-    if hist.shape != (snapshot.n_sbs,):
-        raise ValueError(
-            f"history must provide one feature per SBS ({snapshot.n_sbs}), got shape {hist.shape}"
-        )
-    hist_sleep = hist[sleepers]
-    finite = np.isfinite(hist_sleep)
-    if finite.any() and (hist_sleep[finite].min() < 0.0 or hist_sleep[finite].max() > 1.0):
-        raise ValueError("history features must lie in [0, 1]")
-
-    global_mean = float(snapshot.loads[active].mean())
-    features = snapshot.loads.copy()
-    features[sleepers] = np.where(finite, hist_sleep, global_mean)
-
-    estimates = features[sleepers].copy()
-    sleeper_pos = np.full(snapshot.n_sbs, -1)
-    sleeper_pos[sleepers] = np.arange(sleepers.size)
-    # Per sleeper, the layer and group whose active mean it last took.
-    source_layer = np.full(sleepers.size, -1)
-    source_group = np.full(sleepers.size, -1)
-    groups_of_layer: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-
-    ids = np.arange(snapshot.n_sbs)  # the layer's cells back to back, each in index order
-    sizes = np.array([snapshot.n_sbs])
-    layer_trace = np.empty((layers, sleepers.size))
-    for layer in range(layers):
-        starts = np.cumsum(sizes) - sizes
-        cell = np.repeat(np.arange(sizes.size), sizes)
-        feat = features[ids]
-        # A cell of fewer than 3 SBSs or of equal features stays one cluster.
-        fit = (sizes >= 3) & (np.maximum.reduceat(feat, starts) > np.minimum.reduceat(feat, starts))
-        clusters = np.zeros(ids.size, dtype=np.int64)
-        if fit.any():
-            in_fit = fit[cell]
-            clusters[in_fit] = _fit_cells(
-                feat[in_fit],
-                sizes[fit],
-                np.minimum(elbow_k_max if k_override is None else k_override, sizes[fit]),
-                elbow=k_override is None,
-                max_iter=kmeans_max_iter,
-                tol=kmeans_tol,
-                seed=kmeans_seed,
-            )
-
-        # Groups = (cell, cluster) in that order, each with its members in index order.
-        key = cell * snapshot.n_sbs + clusters
-        order = np.argsort(key, kind="stable")
-        ids, key = ids[order], key[order]
-        group = np.cumsum(np.concatenate(([True], key[1:] != key[:-1]))) - 1
-        n_members = np.bincount(group)
-        known = active_mask[ids]
-        n_known = np.bincount(group[known], minlength=n_members.size)
-        known_ids = ids[known]
-        means = _segment_sums(snapshot.loads[known_ids], n_known) / np.maximum(n_known, 1)
-
-        sleeping = ~known
-        pos, sleeper_group = sleeper_pos[ids[sleeping]], group[sleeping]
-        update = n_known[sleeper_group] > 0
-        pos, sleeper_group = pos[update], sleeper_group[update]
-        estimates[pos] = means[sleeper_group]
-        source_layer[pos] = layer
-        source_group[pos] = sleeper_group
-        groups_of_layer.append((known_ids, np.cumsum(n_known) - n_known, n_known))
-        layer_trace[layer] = estimates
-
-        # Groups that hold a sleeper are the next layer's cells.
-        with_sleeper = n_members > n_known
-        ids = ids[with_sleeper[group]]
-        sizes = n_members[with_sleeper]
-
     detail = []
     for s, layer, g in zip(sleepers.tolist(), source_layer.tolist(), source_group.tolist()):
         mates = ()
@@ -165,8 +222,8 @@ def mlc_estimate(
         weights = tuple([1.0 / len(mates)] * len(mates)) if mates else ()
         detail.append(NeighborDetail(sleeper_id=s, neighbor_ids=mates, weights=weights))
     return EstimateResult(
-        sleeper_ids=tuple(int(s) for s in sleepers),
-        estimates=estimates,
+        sleeper_ids=tuple(sleepers.tolist()),
+        estimates=trace[0, -1],
         detail=tuple(detail),
-        layer_estimates=layer_trace,
+        layer_estimates=trace[0],
     )

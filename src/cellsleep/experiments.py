@@ -33,9 +33,9 @@ from .estimators import (
     EstimatorConfig,
     MlcConfig,
     RandomConfig,
-    estimate,
     estimation_error,
 )
+from .estimators.mlc import mlc_layers
 from .estimators.neighbors import NeighborTable, nearest_table, positions_array, random_table
 from .power import NetworkPowerConfig, network_power
 from .switching import (
@@ -268,6 +268,11 @@ _ERROR_COLUMNS = (
 
 _STATE: dict = {}
 
+# SBS x slot rows that one batched MLC call clusters at most: every desk slot
+# (n=100) in one call, 6 paper slots (n=5000) per call, which bounds the
+# layer-wide Lloyd arrays of a paper-scale iteration.
+_MLC_BATCH_ROWS = 1 << 15
+
 
 def _init_error_worker(config: ExperimentConfig, points) -> None:
     _STATE["config"] = config
@@ -285,6 +290,21 @@ def _draw_sleepers(config: ExperimentConfig, iteration: int, n_sbs: int) -> np.n
     return np.sort(rng.permutation(n_sbs)[: sleeper_count(config.sleep_fraction, n_sbs)])
 
 
+def _mlc_layers(cfg: MlcConfig, loads: np.ndarray, history: np.ndarray, known_mask: np.ndarray) -> np.ndarray:
+    """(slots, layers, sleepers) MLC estimates of slot rows that share one sleeper set."""
+    return mlc_layers(
+        loads,
+        history,
+        known_mask,
+        cfg.layers,
+        k_override=cfg.k_override,
+        kmeans_max_iter=cfg.kmeans_max_iter,
+        kmeans_tol=cfg.kmeans_tol,
+        kmeans_seed=cfg.kmeans_seed,
+        elbow_k_max=cfg.elbow_k_max,
+    )[0]
+
+
 def _error_iteration(iteration: int) -> list[tuple[float, int, int]]:
     """Per-point (relative-error sum, included count, excluded count)."""
     config: ExperimentConfig = _STATE["config"]
@@ -295,6 +315,8 @@ def _error_iteration(iteration: int) -> list[tuple[float, int, int]]:
 
     # Identical MLC settings differing only in depth share one run: layer
     # l of a deeper run equals the full run at layers=l (pure refinement).
+    # The sleeper set is fixed, so each run clusters a batch of whole slots
+    # at once, computed at the batch's first slot once it is masked.
     # Neighbor points with one selection rule and distance floor share one
     # neighbor table: the nearest-neighbor table is ranked once per
     # iteration (the sleeper set is fixed), the random draw once per slot
@@ -310,27 +332,36 @@ def _error_iteration(iteration: int) -> list[tuple[float, int, int]]:
             neighbor_groups.setdefault((cfg.kind, cfg.distance_floor_m), []).append(idx)
     nearest: dict[float, NeighborTable] = {}
 
+    slots = config.eval_slots()
+    batch = max(1, _MLC_BATCH_ROWS // data.day.n_sbs)
+    mlc_runs: dict[MlcConfig, np.ndarray] = {}  # key -> (batch slots, layers, sleepers)
     totals = [(0.0, 0, 0)] * len(points)
-    for slot in config.eval_slots():
+    for j, slot in enumerate(slots):
         try:
             snapshot, actual = mask_sleepers(data.day.loads[:, slot], sleepers)
         except ValueError as exc:
             raise ValueError(f"iteration {iteration}, slot {slot}: {exc}") from exc
-        history = data.history[:, slot]
         actual_sleep = actual[sleepers]
         estimates: dict[int, np.ndarray] = {}
 
-        try:
-            mlc_runs = {
-                key: estimate(
-                    replace(key, layers=max_layers), snapshot, data.placements, history
-                )
-                for key, max_layers in mlc_groups.items()
-            }
-        except ValueError as exc:
-            raise ValueError(f"iteration {iteration}, slot {slot}, estimator mlc: {exc}") from exc
+        if j % batch == 0:
+            cols = list(slots[j : j + batch])
+            try:
+                mlc_runs = {
+                    key: _mlc_layers(
+                        replace(key, layers=max_layers),
+                        data.day.loads[:, cols].T,
+                        data.history[:, cols].T,
+                        snapshot.known_mask,
+                    )
+                    for key, max_layers in mlc_groups.items()
+                }
+            except ValueError as exc:
+                raise ValueError(
+                    f"iteration {iteration}, slots {cols[0]}-{cols[-1]}, estimator mlc: {exc}"
+                ) from exc
         for idx, key in mlc_keys.items():
-            estimates[idx] = mlc_runs[key].layer_estimates[points[idx][1].layers - 1]
+            estimates[idx] = mlc_runs[key][j % batch, points[idx][1].layers - 1]
 
         for (kind, floor), idxs in neighbor_groups.items():
             cfgs = [points[idx][1] for idx in idxs]
@@ -479,7 +510,6 @@ def _switch_iteration(task: tuple[int, int]) -> dict:
     slot = slots[iteration % len(slots)]
     sleepers = _draw_sleepers(config, iteration, s)
     snapshot, actual = mask_sleepers(data.day.loads[:, slot], sleepers)
-    history = data.history[:, slot]
 
     actual_sol = _optimize(config, actual, power_cfg, scales)
 
@@ -508,15 +538,14 @@ def _switch_iteration(task: tuple[int, int]) -> dict:
 
     out["by_estimator"]["perfect"] = evaluate(actual[sleepers].copy())
     if l_values:
-        max_l = max(l_values)
-        mlc = estimate(
-            MlcConfig(layers=max_l, k_override=config.mlc_k_override),
-            snapshot,
-            data.placements,
-            history,
-        )
+        mlc = _mlc_layers(
+            MlcConfig(layers=max(l_values), k_override=config.mlc_k_override),
+            actual[None],
+            data.history[None, :, slot],
+            snapshot.known_mask,
+        )[0]
         for layers in l_values:
-            out["by_estimator"][layers] = evaluate(mlc.layer_estimates[layers - 1])
+            out["by_estimator"][layers] = evaluate(mlc[layers - 1])
     return out
 
 

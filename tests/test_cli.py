@@ -246,6 +246,15 @@ class TestSweepCli:
         assert err.count("exhaustive_cap") == 2
         assert not (tmp_path / "r").exists() and not (tmp_path / "sol.json").exists()
 
+    @pytest.mark.parametrize("experiment", ["fig3", "fig5"])
+    def test_mlc_k_override_below_one_is_usage_error(self, tmp_path, capsys, experiment):
+        cfg = self.write_cfg(tmp_path, {"mlc_k_override": 0})
+        out = tmp_path / "r"
+        assert run_cli("sweep", "--experiment", experiment, "--config", cfg, "--out", out,
+                       "--s-values", "6", "--l-values", "1") == 1
+        assert "mlc_k_override" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_usage_error_exit_code(self):
         assert run_cli("sweep", "--experiment", "fig9") == 1
         assert run_cli("nonsense") == 1

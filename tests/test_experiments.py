@@ -196,6 +196,30 @@ class TestErrorSweep:
         with pytest.raises(ValueError):
             run_error_sweep(small_config(), [])
 
+    # sha256 of desk fig2 and fig3 error-sweep CSV text (3 iterations x 12
+    # slots, the CLI's point grids), recorded while MLC still clustered one
+    # slot per call. fig3 runs with elbow-selected k and with k = 3.
+    N_GRID = (1, 5, 10, 20, 30, 40, 50, 60)
+    PINNED = {
+        ("fig2", None): "e9bf726096f96e6a9f36fb3f10e9cc779e904068ee07d84118d2bbf6b19a0627",
+        ("fig3", None): "141423399cd98a67953acfc44ec33875435465a7f4808cba596891c5f7e076cb",
+        ("fig3", 3): "b90cbdf50f4841b37e022925318baadd0c66c4fe76b4993ecadf08ed3a93fcd5",
+    }
+
+    @pytest.mark.parametrize("experiment, k_override", list(PINNED))
+    def test_csv_bytes_pinned(self, experiment, k_override):
+        cfg = desk_profile(n_iterations=3, mlc_k_override=k_override)
+        if experiment == "fig2":
+            points = [p for n_exp in (1, 3, 5, 10) for p in neighbors_axis("distance", self.N_GRID, n_exp)]
+        else:
+            points = (
+                layers_axis(range(1, 8), k_override=k_override)
+                + neighbors_axis("distance", self.N_GRID)
+                + neighbors_axis("random", self.N_GRID, weighting=1)
+            )
+        report = run_error_sweep(cfg, points, experiment=experiment)
+        assert hashlib.sha256(report.csv_text().encode()).hexdigest() == self.PINNED[(experiment, k_override)]
+
     def test_estimator_precondition_aborts_with_context(self):
         # 30 SBSs, 3 sleeping -> 27 active; asking for 28 neighbors must
         # abort and say where.

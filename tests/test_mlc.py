@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from cellsleep import experiments
+from cellsleep.config import desk_profile
 from cellsleep.estimators import MlcConfig, estimate, estimation_error
-from cellsleep.estimators.mlc import mlc_estimate
+from cellsleep.estimators.mlc import mlc_estimate, mlc_layers
+from cellsleep.experiments import layers_axis, run_error_sweep
 from cellsleep.traffic import daily_average, mask_sleepers, synthesize_traffic
 
 import naive_kmeans
@@ -159,6 +162,19 @@ class TestDispatchAndValidation:
         with pytest.raises(ValueError, match="history"):
             mlc_estimate(snap, np.array([0.1, 1.7]), layers=1)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_history_rejected(self, bad):
+        # Only NaN means "no history"; an infinite feature is out of range
+        # and must not fall back to the active mean.
+        snap = snapshot_of([0.3, 0.3, 0.3, 0.3, 0.0], sleeping=[4])
+        assert mlc_estimate(snap, [np.nan] * 5, layers=1).estimates[0] == pytest.approx(0.3)
+        with pytest.raises(ValueError, match=r"history features must lie in \[0, 1\]"):
+            mlc_estimate(snap, [np.nan] * 4 + [bad], layers=1)
+        history = np.full((3, 5), 0.3)
+        history[2, 4] = bad
+        with pytest.raises(ValueError, match=r"history features must lie in \[0, 1\]"):
+            mlc_layers(np.full((3, 5), 0.3), history, snap.known_mask, 2)
+
 
 class TestMatchesOriginalMlc:
     """Bit-for-bit agreement with the original layer loop on the original fits."""
@@ -204,3 +220,70 @@ class TestMatchesOriginalMlc:
         loads = rng.uniform(0, 1, n)
         history = np.clip(loads + rng.normal(0, 0.05, n), 0, 1)
         self.assert_matches(loads, rng.choice(n, size=150, replace=False), history, 7, 3, seed=3)
+
+
+class TestBatchedSlots:
+    """Stacked slots sharing one sleeper set match the original loop slot by slot."""
+
+    @staticmethod
+    def assert_matches(loads, history, known, layers, k_override, seed, max_iter=100):
+        trace, _ = mlc_layers(
+            loads, history, known, layers, k_override=k_override, kmeans_seed=seed, kmeans_max_iter=max_iter
+        )
+        assert trace.shape == (loads.shape[0], layers, np.count_nonzero(~known))
+        for s in range(loads.shape[0]):
+            ref, _ = naive_kmeans.mlc_layers(
+                loads[s], known, history[s], layers, k_override=k_override, seed=seed, max_iter=max_iter
+            )
+            assert np.array_equal(trace[s], ref)
+
+    @staticmethod
+    def random_stack(rng, n_slots, n):
+        known = np.ones(n, dtype=bool)
+        known[rng.choice(n, size=int(rng.integers(1, max(2, n // 3))), replace=False)] = False
+        loads = np.round(rng.uniform(0, 1, (n_slots, n)), int(rng.choice([1, 2, 6])))
+        history = np.clip(loads + rng.normal(0, 0.05, (n_slots, n)), 0, 1)
+        history[rng.uniform(size=(n_slots, n)) < 0.2] = np.nan
+        if n_slots >= 3:
+            loads[0], history[0] = 0.5, np.nan  # flat: every feature equal
+            history[1] = np.nan  # no history: sleepers enter at the active mean
+        return loads, history, known
+
+    def test_random_stacks(self, rng):
+        for trial in range(40):
+            inputs = self.random_stack(rng, int(rng.integers(1, 7)), int(rng.integers(3, 60)))
+            layers = int(rng.integers(1, 6))
+            k_override = None if trial % 3 else int(rng.integers(1, 5))
+            self.assert_matches(*inputs, layers, k_override, seed=trial)
+
+    def test_large_cells_and_short_lloyd(self, rng):
+        for trial in range(16):
+            inputs = self.random_stack(rng, int(rng.integers(2, 5)), int(rng.integers(129, 300)))
+            layers = int(rng.integers(1, 5))
+            k_override = None if trial % 2 else int(rng.integers(1, 6))
+            self.assert_matches(*inputs, layers, k_override, seed=trial, max_iter=(1, 2, 5, 100)[trial % 4])
+
+    def test_sweep_batches_match_slot_by_slot(self, monkeypatch):
+        # 6 slots in batches of 4 and 2, per iteration and MLC setting; the
+        # CSV is the one of a single batch per iteration.
+        cfg = desk_profile(n_iterations=2, slot_stride=24)
+        points = layers_axis([1, 4]) + layers_axis([2], k_override=3)
+        whole = run_error_sweep(cfg, points).csv_text()
+        calls = []
+
+        def recorded(loads, history, known_mask, layers, **kwargs):
+            out = mlc_layers(loads, history, known_mask, layers, **kwargs)
+            calls.append((loads, history, known_mask, layers, kwargs, out[0]))
+            return out
+
+        monkeypatch.setattr(experiments, "mlc_layers", recorded)
+        monkeypatch.setattr(experiments, "_MLC_BATCH_ROWS", 4 * cfg.n_sbs)
+        assert run_error_sweep(cfg, points).csv_text() == whole
+        assert sorted(call[0].shape[0] for call in calls) == [2] * 4 + [4] * 4
+        for loads, history, known, layers, kwargs, trace in calls:
+            for s in range(loads.shape[0]):
+                ref, _ = naive_kmeans.mlc_layers(
+                    loads[s], known, history[s], layers,
+                    k_override=kwargs["k_override"], seed=kwargs["kmeans_seed"], max_iter=kwargs["kmeans_max_iter"],
+                )
+                assert np.array_equal(trace[s], ref)
