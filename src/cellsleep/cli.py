@@ -31,13 +31,14 @@ from .estimators import DistanceConfig, MlcConfig, RandomConfig, estimate, estim
 from .experiments import (
     layers_axis,
     neighbors_axis,
+    optimize,
     run_decision_sweep,
     run_error_sweep,
     run_power_sweep,
     write_report,
 )
 from .power import NetworkPowerConfig
-from .switching import OffloadScales, optimize_exhaustive, optimize_greedy
+from .switching import OffloadScales
 from .traffic import (
     aggregate_activity,
     normalize_loads,
@@ -62,6 +63,13 @@ def _int_list(text: str) -> list[int]:
         return [int(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"expected comma-separated integers, got {text!r}") from exc
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _options_hash(options: dict) -> str:
@@ -152,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", choices=tuple(PROFILES), default="desk")
     p.add_argument("--config", default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--out", default=".")
     p.add_argument("--n-values", type=_int_list, default=None, help="neighbor-count grid")
     p.add_argument("--exponents", type=_int_list, default=None, help="weighting exponent grid")
@@ -330,17 +338,7 @@ def _cmd_optimize(args) -> int:
         config.haps_power, config.mbs_power, config.sbs_power, s
     )
     scales = OffloadScales(to_mbs=config.offload_to_mbs, to_haps=config.offload_to_haps)
-    use_exhaustive = args.optimizer == "exhaustive" or (
-        args.optimizer == "auto" and s <= config.exhaustive_cap
-    )
-    if use_exhaustive:
-        solution = optimize_exhaustive(
-            loads, config.base_mbs_load, config.base_haps_load, power_cfg, scales
-        )
-    else:
-        solution = optimize_greedy(
-            loads, config.base_mbs_load, config.base_haps_load, power_cfg, scales
-        )
+    solution = optimize(config, loads, power_cfg, scales, args.optimizer)
     doc = {
         "config": config.to_dict(),
         "config_hash": config_hash(config),

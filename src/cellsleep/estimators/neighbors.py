@@ -20,9 +20,11 @@ Both variants go through one ``NeighborTable``: the first K selected
 neighbors of every sleeper, in selection order. An N-neighbor set is the
 first N columns (the nearest N, or the first N of the sleeper's random
 permutation), so one table serves every N <= K and every exponent, each
-estimate read from prefix sums of the weights. Sweeps build the
-nearest-neighbor table once per sleeper set and a random table once per
-slot; ``distance_estimate`` and ``random_estimate`` build one per call.
+estimate read from prefix sums of the weights. A table answers one slot's
+loads or a batch of slots at once. Sweeps rank the nearest-neighbor table
+once per sleeper set and query it once per batch of slots; they draw a
+random table per slot and stack its estimates into the batch's.
+``distance_estimate`` and ``random_estimate`` build one table per call.
 The nearest K are selected by partition (introselect) rather than a full
 sort of each sleeper's distances; the selection equals a stable argsort,
 ties at the K-th distance included.
@@ -104,22 +106,26 @@ class NeighborTable:
     ) -> list[np.ndarray]:
         """Per-sleeper estimates for each (N, exponent) point from per-SBS ``loads``.
 
+        ``loads`` is (..., n_sbs), e.g. one slot per row, and each estimate
+        is (..., sleepers); every leading row equals its own one-row call.
         A plain mean, or a weighted prefix where all N distances are equal,
         is the exact mean of the N neighbor loads; other weighted points are
         ``cumsum(w * load)[N-1] / cumsum(w)[N-1]``.
         """
-        near = loads[self.ids]
+        near = loads[..., self.ids]
+        # Means over a 2-D view: a 3-D reduction may sum in another order.
+        rows = near.reshape(-1, self.ids.shape[1])
         weighted_sums: dict[int, np.ndarray] = {}
         out = []
         for n, exponent in points:
-            mean = near[:, :n].mean(axis=1)
+            mean = rows[:, :n].mean(axis=1).reshape(near.shape[:-1])
             if exponent is None:
                 out.append(mean)
                 continue
             w, w_sum = self.weights(exponent)
             if exponent not in weighted_sums:
-                weighted_sums[exponent] = np.cumsum(w * near, axis=1)
-            ratio = weighted_sums[exponent][:, n - 1] / w_sum[:, n - 1]
+                weighted_sums[exponent] = np.cumsum(w * near, axis=-1)
+            ratio = weighted_sums[exponent][..., n - 1] / w_sum[:, n - 1]
             out.append(np.where(self.equal[:, n - 1], mean, ratio))
         return out
 

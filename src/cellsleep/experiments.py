@@ -1,6 +1,6 @@
 """Reproducible experiment sweeps over estimators and network sizes.
 
-Four study families are provided:
+Three study families are provided:
 
 * error sweeps over an estimator axis (neighbor count, weighting exponent,
   clustering layers),
@@ -11,15 +11,18 @@ Four study families are provided:
 
 Every iteration i draws its sleeping set from seed ``base_seed + i``, so a
 report is a pure function of (config, seed); worker processes only change
-wall-clock time, never a reported digit. Per-point aggregates go to the
-CSV, per-iteration details and timing to the JSON sidecar.
+wall-clock time, never a reported digit. An error iteration walks its
+evaluation slots in batches: every estimator answers a whole batch of slots
+that share the sleeping set, then each slot's errors are pooled in slot
+order. Per-point aggregates go to the CSV, per-iteration details and timing
+to the JSON sidecar.
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -53,6 +56,7 @@ from .traffic import (
     SbsPlacement,
     _synthetic_row_blocks,
     mask_sleepers,
+    sleep_mask,
 )
 
 
@@ -157,23 +161,7 @@ class ExperimentReport:
     metadata: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "profile": self.profile,
-            "base_seed": self.base_seed,
-            "config": self.config,
-            "config_hash": self.config_hash,
-            "columns": list(self.columns),
-            "points": [
-                {
-                    "labels": p.labels,
-                    "metrics": p.metrics,
-                    "per_iteration": p.per_iteration,
-                }
-                for p in self.points
-            ],
-            "metadata": self.metadata,
-        }
+        return asdict(self)
 
     def csv_text(self) -> str:
         lines = [f"# config_hash={self.config_hash}", ",".join(self.columns)]
@@ -305,22 +293,29 @@ def _mlc_layers(cfg: MlcConfig, loads: np.ndarray, history: np.ndarray, known_ma
     )[0]
 
 
-def _error_iteration(iteration: int) -> list[tuple[float, int, int]]:
-    """Per-point (relative-error sum, included count, excluded count)."""
+def _error_iteration(iteration: int) -> list[list]:
+    """Per-point [relative-error sum, included count, excluded count]."""
     config: ExperimentConfig = _STATE["config"]
     points = _STATE["points"]
     data: Dataset = _STATE["dataset"]
     pos: np.ndarray = _STATE["positions"]
+    slots = config.eval_slots()
     sleepers = _draw_sleepers(config, iteration, data.day.n_sbs)
+    try:
+        known_mask = sleep_mask(data.day.n_sbs, sleepers)
+    except ValueError as exc:
+        raise ValueError(f"iteration {iteration}, slot {slots[0]}: {exc}") from exc
+    active = np.flatnonzero(known_mask)
 
+    # The sleeper set is fixed, so every estimator answers a batch of whole
+    # slots at once: (S, m) estimates from the batch's (S, n) loads.
     # Identical MLC settings differing only in depth share one run: layer
     # l of a deeper run equals the full run at layers=l (pure refinement).
-    # The sleeper set is fixed, so each run clusters a batch of whole slots
-    # at once, computed at the batch's first slot once it is masked.
     # Neighbor points with one selection rule and distance floor share one
     # neighbor table: the nearest-neighbor table is ranked once per
-    # iteration (the sleeper set is fixed), the random draw once per slot
-    # (its seed does not depend on N).
+    # iteration, the random draw once per slot (its seed does not depend
+    # on N). A table fails only on too few active SBSs, which does not
+    # depend on the slot, so it fails at the iteration's first slot.
     mlc_keys: dict[int, MlcConfig] = {}  # point index -> its config at depth 1
     mlc_groups: dict[MlcConfig, int] = {}
     neighbor_groups: dict[tuple[str, float], list[int]] = {}
@@ -332,63 +327,52 @@ def _error_iteration(iteration: int) -> list[tuple[float, int, int]]:
             neighbor_groups.setdefault((cfg.kind, cfg.distance_floor_m), []).append(idx)
     nearest: dict[float, NeighborTable] = {}
 
-    slots = config.eval_slots()
     batch = max(1, _MLC_BATCH_ROWS // data.day.n_sbs)
-    mlc_runs: dict[MlcConfig, np.ndarray] = {}  # key -> (batch slots, layers, sleepers)
-    totals = [(0.0, 0, 0)] * len(points)
-    for j, slot in enumerate(slots):
+    totals = [[0.0, 0, 0] for _ in points]
+    for b0 in range(0, len(slots), batch):
+        cols = list(slots[b0 : b0 + batch])
+        loads = data.day.loads[:, cols].T
+        estimates: dict[int, np.ndarray] = {}  # point index -> (slots, sleepers)
         try:
-            snapshot, actual = mask_sleepers(data.day.loads[:, slot], sleepers)
+            mlc_runs = {
+                key: _mlc_layers(replace(key, layers=max_layers), loads, data.history[:, cols].T, known_mask)
+                for key, max_layers in mlc_groups.items()
+            }
         except ValueError as exc:
-            raise ValueError(f"iteration {iteration}, slot {slot}: {exc}") from exc
-        actual_sleep = actual[sleepers]
-        estimates: dict[int, np.ndarray] = {}
-
-        if j % batch == 0:
-            cols = list(slots[j : j + batch])
-            try:
-                mlc_runs = {
-                    key: _mlc_layers(
-                        replace(key, layers=max_layers),
-                        data.day.loads[:, cols].T,
-                        data.history[:, cols].T,
-                        snapshot.known_mask,
-                    )
-                    for key, max_layers in mlc_groups.items()
-                }
-            except ValueError as exc:
-                raise ValueError(
-                    f"iteration {iteration}, slots {cols[0]}-{cols[-1]}, estimator mlc: {exc}"
-                ) from exc
+            raise ValueError(
+                f"iteration {iteration}, slots {cols[0]}-{cols[-1]}, estimator mlc: {exc}"
+            ) from exc
         for idx, key in mlc_keys.items():
-            estimates[idx] = mlc_runs[key][j % batch, points[idx][1].layers - 1]
+            estimates[idx] = mlc_runs[key][:, points[idx][1].layers - 1]
 
         for (kind, floor), idxs in neighbor_groups.items():
             cfgs = [points[idx][1] for idx in idxs]
             k = max(c.neighbors for c in cfgs)
+            pairs = [(c.neighbors, c.weighting) for c in cfgs]
             try:
                 if kind == "random":
-                    seed = _iteration_seed(config, iteration) * 100_000 + slot
-                    table = random_table(pos, sleepers, snapshot.active_ids, k, floor, seed)
-                else:
-                    if floor not in nearest:
-                        nearest[floor] = nearest_table(pos, sleepers, snapshot.active_ids, k, floor)
-                    table = nearest[floor]
+                    seed = _iteration_seed(config, iteration) * 100_000
+                    tables = [random_table(pos, sleepers, active, k, floor, seed + slot) for slot in cols]
+                elif floor not in nearest:
+                    nearest[floor] = nearest_table(pos, sleepers, active, k, floor)
             except ValueError as exc:
                 raise ValueError(
-                    f"iteration {iteration}, slot {slot}, estimator {kind}, neighbors {k}: {exc}"
+                    f"iteration {iteration}, slot {cols[0]}, estimator {kind}, neighbors {k}: {exc}"
                 ) from exc
-            point_estimates = table.estimates(snapshot.loads, [(c.neighbors, c.weighting) for c in cfgs])
-            estimates.update(zip(idxs, point_estimates))
+            if kind == "random":
+                per_slot = [table.estimates(row, pairs) for table, row in zip(tables, loads)]
+                estimates.update(zip(idxs, (np.stack(rows) for rows in zip(*per_slot))))
+            else:
+                estimates.update(zip(idxs, nearest[floor].estimates(loads, pairs)))
 
-        for idx in range(len(points)):
-            summary = estimation_error(actual_sleep, estimates[idx], config.epsilon)
-            err_sum, n_inc, n_exc = totals[idx]
-            totals[idx] = (
-                err_sum + summary.mean_error * summary.n_included,
-                n_inc + summary.n_included,
-                n_exc + summary.n_excluded,
-            )
+        # One slot row at a time, in slot order, so the pooled sums keep their bits.
+        for s, actual_sleep in enumerate(loads[:, sleepers]):
+            for idx in range(len(points)):
+                summary = estimation_error(actual_sleep, estimates[idx][s], config.epsilon)
+                total = totals[idx]
+                total[0] += summary.mean_error * summary.n_included
+                total[1] += summary.n_included
+                total[2] += summary.n_excluded
     return totals
 
 
@@ -468,16 +452,18 @@ _POWER_COLUMNS = (
 )
 
 
-def _optimizer_name(config: ExperimentConfig, n_sbs: int) -> str:
+def optimizer_name(config: ExperimentConfig, n_sbs: int, choice: str = "auto") -> str:
+    """The optimizer ``choice`` names; "auto" is exhaustive up to ``exhaustive_cap`` SBSs, else greedy."""
+    if choice != "auto":
+        return choice
     return "exhaustive" if n_sbs <= config.exhaustive_cap else "greedy"
 
 
-def _optimize(config: ExperimentConfig, loads: np.ndarray, power_cfg, scales) -> SwitchingSolution:
-    if _optimizer_name(config, loads.shape[0]) == "exhaustive":
-        return optimize_exhaustive(
-            loads, config.base_mbs_load, config.base_haps_load, power_cfg, scales
-        )
-    return optimize_greedy(loads, config.base_mbs_load, config.base_haps_load, power_cfg, scales)
+def optimize(config: ExperimentConfig, loads, power_cfg, scales, choice: str = "auto") -> SwitchingSolution:
+    """Minimize network power at ``loads`` with the optimizer ``optimizer_name`` picks."""
+    exhaustive = optimizer_name(config, loads.shape[0], choice) == "exhaustive"
+    search = optimize_exhaustive if exhaustive else optimize_greedy
+    return search(loads, config.base_mbs_load, config.base_haps_load, power_cfg, scales)
 
 
 def _init_switch_worker(config: ExperimentConfig, s_values, l_values) -> None:
@@ -511,14 +497,14 @@ def _switch_iteration(task: tuple[int, int]) -> dict:
     sleepers = _draw_sleepers(config, iteration, s)
     snapshot, actual = mask_sleepers(data.day.loads[:, slot], sleepers)
 
-    actual_sol = _optimize(config, actual, power_cfg, scales)
+    actual_sol = optimize(config, actual, power_cfg, scales)
 
     out: dict = {"power_actual": actual_sol.power, "by_estimator": {}}
 
     def evaluate(estimates: np.ndarray) -> dict:
         filled = actual.copy()
         filled[sleepers] = estimates
-        est_sol = _optimize(config, filled, power_cfg, scales)
+        est_sol = optimize(config, filled, power_cfg, scales)
         deployed_cap = apply_offloads(
             config.base_mbs_load, config.base_haps_load, actual, est_sol.state, scales
         )
@@ -580,7 +566,7 @@ def _switching_report(
         ("mlc", layers) for layers in l_values
     ]
     for s in s_values:
-        optimizer = _optimizer_name(config, s)
+        optimizer = optimizer_name(config, s)
         for estimator, key in estimator_keys:
             rows = [r["by_estimator"][key if estimator == "mlc" else "perfect"] for r in by_s[s]]
             rates = np.array([r["rate"] for r in rows])
@@ -628,7 +614,7 @@ def _switching_report(
         points=points,
         metadata={
             "wall_clock_s": time.perf_counter() - t0,
-            "optimizer_by_s": {str(s): _optimizer_name(config, s) for s in s_values},
+            "optimizer_by_s": {str(s): optimizer_name(config, s) for s in s_values},
             "deployed_infeasible_per_point": [
                 p.per_iteration["deployed_feasible"].count(False) for p in points
             ],

@@ -478,29 +478,35 @@ def _synthetic_row_blocks(
     return placements, profile.size, blocks()
 
 
+def sleep_mask(n_sbs: int, sleeping_ids: Iterable[int]) -> np.ndarray:
+    """(n_sbs,) known mask, false for each given sleeping SBS.
+
+    Raises:
+        ValueError: on an id outside the network, or if every SBS would be
+            masked (estimators need at least one active neighbor).
+    """
+    ids = sorted({int(i) for i in sleeping_ids})
+    for i in ids:
+        if not (0 <= i < n_sbs):
+            raise ValueError(f"unknown SBS id {i} (network has {n_sbs} SBSs)")
+    if len(ids) >= n_sbs:
+        raise ValueError("cannot mask every SBS: nothing left to interpolate from")
+    mask = np.ones(n_sbs, dtype=bool)
+    mask[ids] = False
+    return mask
+
+
 def mask_sleepers(
     loads: np.ndarray, sleeping_ids: Iterable[int]
 ) -> tuple[LoadSnapshot, np.ndarray]:
     """Hide the given SBSs' loads behind the unknown sentinel.
 
     Returns the masked snapshot together with an untouched copy of the full
-    load vector, kept as ground truth for error computation.
-
-    Raises:
-        ValueError: on an id outside the vector, or if every SBS would be
-            masked (estimators need at least one active neighbor).
+    load vector, kept as ground truth for error computation. Raises
+    ``sleep_mask``'s errors.
     """
     actual = np.asarray(loads, dtype=float).copy()
     if actual.ndim != 1:
         raise ValueError("loads must be a 1-D per-SBS vector")
-    n = actual.shape[0]
-    ids = sorted({int(i) for i in sleeping_ids})
-    for i in ids:
-        if not (0 <= i < n):
-            raise ValueError(f"unknown SBS id {i} (network has {n} SBSs)")
-    if len(ids) >= n:
-        raise ValueError("cannot mask every SBS: nothing left to interpolate from")
-    mask = np.ones(n, dtype=bool)
-    mask[ids] = False
-    snapshot = LoadSnapshot(loads=actual, known_mask=mask)
+    snapshot = LoadSnapshot(loads=actual, known_mask=sleep_mask(actual.shape[0], sleeping_ids))
     return snapshot, actual

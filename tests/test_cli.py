@@ -255,6 +255,13 @@ class TestSweepCli:
         assert "mlc_k_override" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_usage_error(self, tmp_path, capsys, workers):
+        out = tmp_path / "r"
+        assert run_cli("sweep", "--experiment", "fig2", "--workers", workers, "--out", out) == 1
+        assert "--workers: must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_usage_error_exit_code(self):
         assert run_cli("sweep", "--experiment", "fig9") == 1
         assert run_cli("nonsense") == 1

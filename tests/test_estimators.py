@@ -218,6 +218,23 @@ class TestSharedNeighborPath:
                 for (n, _), est in zip(prefixes, table.estimates(snap.loads, prefixes)):
                     assert est[0] == near[:n].mean()
 
+    def test_batch_of_slots_matches_one_slot_calls(self, rng):
+        # (S, n) loads give each slot's one-row estimates bit for bit, plain
+        # means at N >= 8 included: a 3-D mean sums those in another order.
+        n_sbs, k = 300, 60
+        pos = positions_array(awkward_placements(rng, n_sbs), n_sbs)
+        sleepers = np.union1d(rng.choice(n_sbs, size=40, replace=False), [0, 3, 14])
+        active = np.setdiff1d(np.arange(n_sbs), sleepers)
+        loads = rng.uniform(0.0, 1.0, (6, n_sbs))
+        points = [(n, e) for n in (1, 3, 8, 10, 17, 33, k) for e in self.EXPONENTS]
+        for table in (nearest_table(pos, sleepers, active, k, 1.0),
+                      random_table(pos, sleepers, active, k, 1.0, seed=5)):
+            batch = table.estimates(loads, points)
+            for s, row in enumerate(loads):
+                for got, want in zip(batch, table.estimates(row, points), strict=True):
+                    assert got.shape == (6, sleepers.size)
+                    assert np.array_equal(got[s], want)
+
     @staticmethod
     def stable_argsort_table(pos, sleepers, active, k, floor):
         """Per sleeper: the first k of a stable argsort of its distances to ``active``."""

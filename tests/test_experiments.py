@@ -227,6 +227,16 @@ class TestErrorSweep:
         with pytest.raises(ValueError, match="iteration 0, slot 0, estimator distance"):
             run_error_sweep(cfg, neighbors_axis("distance", [28], weighting=1))
 
+    @pytest.mark.parametrize("points", [
+        layers_axis([1]), neighbors_axis("distance", [1]), neighbors_axis("random", [1], weighting=1),
+    ])
+    def test_every_sbs_asleep_aborts_with_context(self, points):
+        # 2 SBSs at sleep fraction 0.9 -> both sleep; no estimator may run.
+        cfg = desk_profile(n_sbs=2, grid_side=2, sleep_fraction=0.9, n_iterations=1)
+        msg = "iteration 0, slot 0: cannot mask every SBS: nothing left to interpolate from"
+        with pytest.raises(ValueError, match=f"^{msg}$"):
+            run_error_sweep(cfg, points)
+
 
 class TestSwitchingSweeps:
     def test_perfect_baseline_is_exactly_zero(self):

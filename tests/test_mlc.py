@@ -5,7 +5,7 @@ from cellsleep import experiments
 from cellsleep.config import desk_profile
 from cellsleep.estimators import MlcConfig, estimate, estimation_error
 from cellsleep.estimators.mlc import mlc_estimate, mlc_layers
-from cellsleep.experiments import layers_axis, run_error_sweep
+from cellsleep.experiments import exponent_axis, layers_axis, neighbors_axis, run_error_sweep
 from cellsleep.traffic import daily_average, mask_sleepers, synthesize_traffic
 
 import naive_kmeans
@@ -265,10 +265,17 @@ class TestBatchedSlots:
 
     def test_sweep_batches_match_slot_by_slot(self, monkeypatch):
         # 6 slots in batches of 4 and 2, per iteration and MLC setting; the
-        # CSV is the one of a single batch per iteration.
+        # CSV of every estimator family is the one of a single batch per
+        # iteration and of one slot per batch.
         cfg = desk_profile(n_iterations=2, slot_stride=24)
-        points = layers_axis([1, 4]) + layers_axis([2], k_override=3)
+        points = (
+            layers_axis([1, 4]) + layers_axis([2], k_override=3)
+            + neighbors_axis("distance", [1, 10, 20]) + exponent_axis("distance", 10, [1, 3])
+            + neighbors_axis("random", [1, 10], weighting=1)
+        )
         whole = run_error_sweep(cfg, points).csv_text()
+        monkeypatch.setattr(experiments, "_MLC_BATCH_ROWS", cfg.n_sbs)
+        assert run_error_sweep(cfg, points).csv_text() == whole
         calls = []
 
         def recorded(loads, history, known_mask, layers, **kwargs):
