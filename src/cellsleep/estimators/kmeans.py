@@ -19,13 +19,23 @@ or prefix sums) adds in another order and changes the last bit.
 
 ``_fit_cells`` is the layer-wide form for scalar features, which MLC uses:
 it fits every (cell, k) problem of a clustering layer in one vectorized
-Lloyd pass and gives each problem the same assignments and SSE as
-``kmeans_fit`` or ``elbow_fit`` on that cell alone. Its sums go through
-``_segment_sums``, which adds each segment in numpy's pairwise order:
-below 8 elements one by one from 0.0; up to 128 in eight interleaved lanes
-combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the remainder in
-order; longer runs split at n//2 rounded down to a multiple of 8, left
-plus right.
+pass and gives each problem the same assignments as ``kmeans_fit`` or
+``elbow_fit`` on that cell alone. In 1-D every nearest-centroid cluster is
+a run of the sorted features (Wang & Song 2011, *Ckmeans.1d.dp*, R Journal
+3(2)), so each cell is sorted once, and a Lloyd step is one search for the
+k - 1 midpoints plus run sums read from longdouble prefix sums: O(k log n)
+per problem, with no distance matrix. Those sums are not the exact loop's
+pairwise ones, but their error is bounded (``_error_bounds``). A problem
+with a feature near a midpoint, seeds near each other, an empty run or a
+movement near ``tol`` is fitted alone by ``_lloyd``; an elbow that the
+bound leaves open is picked on the exact SSE. So every assignment keeps
+its bits.
+
+``_segment_sums`` gives those exact sums for many segments at once. It adds
+each segment in numpy's pairwise order: below 8 elements one by one from
+0.0; up to 128 in eight interleaved lanes combined as
+((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the remainder in order; longer
+runs split at n//2 rounded down to a multiple of 8, left plus right.
 """
 
 from __future__ import annotations
@@ -246,11 +256,6 @@ def _elbow_choice(sse: np.ndarray, n_k: np.ndarray) -> np.ndarray:
     return np.where(flat, -1, 1 + curvature.argmax(axis=1))
 
 
-# Centroid value for the table slots beyond a problem's k: far from every
-# feature, so it never wins an argmin, yet its squared distance stays finite.
-_FAR = 1e150
-
-
 def _segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Sum of each consecutive segment of ``values``, bit for bit as ``.sum()``.
 
@@ -301,23 +306,96 @@ def _first_seed(size: int, seed: int) -> int:
     return int(np.random.default_rng(seed).integers(size))
 
 
+# Machine epsilons (twice the unit roundoffs u and u_L) of the features'
+# float64 and of the longdouble prefix sums. Where longdouble is a double,
+# _PREFIX_EPS is float64's: the bounds widen and more problems go exact.
+_EPS = float(np.finfo(float).eps)
+_PREFIX_EPS = float(np.finfo(np.longdouble).eps)
+# Absolute floor of every guard margin. A distance above it has a normal
+# square, so the relative rounding bounds below hold for it.
+_TINY = 2.0**-400
+# Centroid value of the ranks beyond a problem's k: its midpoints lie above
+# every feature below 2^500, so those runs stay empty.
+_PAD = 2.0**510
+
+
+def _error_bounds(x_sorted: np.ndarray, prefix: np.ndarray, starts: np.ndarray, sizes: np.ndarray):
+    """Per cell: feature scale S, pairwise-sum depth h, Pmax, centroid bound delta, tie margin.
+
+    S is the largest |x| of a cell of n features, u and u_L the unit
+    roundoffs. The exact centroid is c = fl(s / m), with s the pairwise sum
+    (in row order) of a run's m features and mu their exact mean.
+    ``_segment_sums`` adds every feature through at most h = 25 +
+    ceil(log2 n) roundings (a leaf of <= 128 takes <= 15 lane, 3 combining
+    and 7 remainder steps; each halving of a longer segment adds one), so
+    |s - m mu| <= gamma_h m S and
+    |c - mu| <= (h + 2) u S (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., ch. 4). The sorted-run centroid c_run reads the
+    run sum as P[b] - P[a] from longdouble prefix sums P. Each recursive
+    step of P rounds by at most u_L |P| (ibid.), so the run sum is off by at
+    most u_L m (Pmax + S), with Pmax a bound on |P| over the cell; its
+    rounding to float64 and the division add 2 u S. Hence
+    |c_run - mu| + |c - mu| <= delta = (h + 3) eps S + 2 eps_L Pmax.
+
+    The exact assignment is argmin_j fl(fl(x - c_j)^2), which is within
+    3.01 u of (x - c_j)^2. It is the nearest centroid whenever every other
+    centroid is farther by at least 6.1 u S. A feature at least ``margin`` =
+    2 delta + 8 eps S + _TINY from a run midpoint (itself within delta + u S
+    of the exact midpoint, and the search interval around it within 2 u S of
+    its width), and centroids more than 2 ``margin`` apart, keep at least
+    24 u S of that slack.
+    """
+    magnitude = np.abs(x_sorted)
+    scale = np.maximum.reduceat(magnitude, starts)
+    depth = 25 + np.ceil(np.log2(sizes))
+    # |P| over a cell is at most its start value plus the cell's sum of |x|;
+    # 1.001 covers the rounding of both for cells below 2^40 features.
+    p_max = 1.001 * (np.abs(prefix[starts]).astype(float) + np.add.reduceat(magnitude, starts))
+    delta = (depth + 3) * _EPS * scale + 2 * _PREFIX_EPS * p_max
+    return scale, depth, p_max, delta, 2 * delta + 8 * _EPS * scale + _TINY
+
+
+def _elbow_settled(sse: np.ndarray, err: np.ndarray, n_k: np.ndarray) -> np.ndarray:
+    """Rows whose ``_elbow_choice`` is the same for every curve within ``err`` of ``sse``."""
+    cols = np.arange(sse.shape[1])
+    valid = cols < n_k[:, None]
+    sse, err = np.where(valid, sse, 0.0), np.where(valid, err, 0.0)
+    curvature = sse[:, :-2] - 2.0 * sse[:, 1:-1] + sse[:, 2:]
+    # The SSE errors, plus the rounding of the second difference on either curve.
+    spread = err[:, :-2] + 2.0 * err[:, 1:-1] + err[:, 2:]
+    spread += 4 * _EPS * (np.abs(sse[:, :-2]) + 2.0 * np.abs(sse[:, 1:-1]) + np.abs(sse[:, 2:]) + spread)
+    interior = cols[:-2] < (n_k - 2)[:, None]
+    upper = np.where(interior, curvature + spread, -np.inf)
+    lower = np.where(interior, curvature - spread, -np.inf)
+    level = FLAT_CURVE_RTOL * np.maximum(sse.max(axis=1), 1e-300)
+    level_err = FLAT_CURVE_RTOL * err.max(axis=1) + _EPS * level
+    flat = upper.max(axis=1) < level - level_err
+    pick = np.where(interior, curvature, -np.inf).argmax(axis=1)
+    rival = np.where(cols[:-2] == pick[:, None], -np.inf, upper).max(axis=1)
+    sharp = (lower.max(axis=1) > level + level_err) & (lower[np.arange(pick.size), pick] > rival)
+    return flat | sharp
+
+
 def _fit_cells(
     x: np.ndarray, sizes: np.ndarray, k_hi: np.ndarray, *, elbow: bool, max_iter: int, tol: float, seed: int
 ) -> np.ndarray:
     """Cluster assignments of every cell of a layer of scalar features.
 
-    ``x`` holds the cells back to back, ``sizes`` their lengths (each >= 1).
-    With ``elbow`` a cell gets ``elbow_fit(cell, (1, k_hi))``'s assignments,
+    ``x`` holds the cells back to back, ``sizes`` their lengths (each >= 1);
+    its features lie below 2^500 in magnitude, so no square overflows. With
+    ``elbow`` a cell gets ``elbow_fit(cell, (1, k_hi))``'s assignments,
     otherwise ``kmeans_fit(cell, k_hi)``'s, bit for bit, for the same
     ``max_iter``, ``tol`` and ``seed``. Each (cell, k) is one problem; all
-    problems take their Lloyd steps together, and each leaves the pass at
-    its own stopping step. A problem that meets an empty cluster is fitted
-    alone by ``_lloyd``, which repairs it.
+    problems take their Lloyd steps together on sorted runs, and each leaves
+    the pass at its own stopping step. A problem that meets an empty run, or
+    comes within the rounding bound of a tie or of ``tol``, is fitted alone
+    by ``_lloyd``.
     """
-    n_cells = sizes.size
+    n_cells, n = sizes.size, x.size
     starts = np.cumsum(sizes) - sizes
+    ends = starts + sizes
     cell = np.repeat(np.arange(n_cells), sizes)
-    index = np.arange(x.size)
+    index = np.arange(n)
 
     # Farthest-point chains, one segment argmax (first index on ties) per seed.
     chosen = np.empty((n_cells, int(k_hi.max())), dtype=np.int64)
@@ -325,7 +403,7 @@ def _fit_cells(
     d2 = (x - x[chosen[cell, 0]]) ** 2
     for j in range(1, chosen.shape[1]):
         top = np.maximum.reduceat(d2, starts)
-        chosen[:, j] = np.minimum.reduceat(np.where(d2 == top[cell], index, x.size), starts)
+        chosen[:, j] = np.minimum.reduceat(np.where(d2 == top[cell], index, n), starts)
         d2 = np.minimum(d2, (x - x[chosen[cell, j]]) ** 2)
 
     # Problems: k = 1..k_hi of each cell under the elbow, else k_hi alone.
@@ -333,53 +411,122 @@ def _fit_cells(
     p_cell = np.repeat(np.arange(n_cells), n_k)
     first_problem = np.cumsum(n_k) - n_k
     p_k = np.arange(p_cell.size) - first_problem[p_cell] + 1 if elbow else k_hi.copy()
-    p_size = sizes[p_cell]
-    p_start = np.cumsum(p_size) - p_size
-    e_problem = np.repeat(np.arange(p_cell.size), p_size)
-    e_offset = np.arange(e_problem.size) - p_start[e_problem]
-    xe = x[starts[p_cell][e_problem] + e_offset]
-
     kmax = int(p_k.max())
     slot = np.arange(kmax)
-    centroids = np.where(slot < p_k[:, None], x[chosen[p_cell, :kmax]], _FAR)
-    assignments = np.zeros(xe.size, dtype=np.int64)
-    final = np.full_like(centroids, _FAR)
 
-    # The live problems, their elements, and each element's live problem.
-    live, live_k, pos, xl, el = np.arange(p_cell.size), p_k, np.arange(xe.size), xe, e_problem
+    # Each cell sorted by value once. Equal features always share a run, so
+    # their order does not matter. The key (cell, rank in the global value
+    # sort) increases along the sorted cells, so one search places every
+    # midpoint in its own cell; ``order`` maps a sorted position to its row.
+    by_value = np.argsort(x)
+    values = x[by_value]
+    value_rank = np.empty_like(by_value)
+    value_rank[by_value] = index
+    key = np.sort(cell * n + value_rank)
+    order = by_value[key - cell * n]
+    xs = x[order]
+    prefix = np.zeros(n + 1, dtype=np.longdouble)
+    np.cumsum(xs, dtype=np.longdouble, out=prefix[1:])
+    scale, depth, p_max, delta, margin = _error_bounds(xs, prefix, starts, sizes)
+
+    # Centroids in value order, _PAD beyond k; perm[p, r] is the seed label of rank r.
+    seeds = x[chosen[p_cell, :kmax]]
+    real = slot < p_k[:, None]
+    perm = np.argsort(np.where(real, seeds, np.inf), axis=1, kind="stable")
+    centroids = np.where(real, np.take_along_axis(seeds, perm, axis=1), _PAD)
+
+    # Each problem's final runs (one run until it has converged on runs).
+    run_edges = np.repeat(ends[p_cell][:, None], kmax + 1, axis=1)
+    run_edges[:, 0] = starts[p_cell]
+    run_means = np.zeros((p_cell.size, kmax))
+    exact: dict[int, ClusteringState] = {}  # problems fitted by _lloyd
+
+    # The sorted cells with +inf after each: cell c's position t sits at t + c.
+    above = np.insert(xs, ends, np.inf)
+    live, shift = np.arange(p_cell.size), p_cell[:, None]
+    base, lo, hi = shift * n, starts[shift], ends[shift]
+    tie_margin, slack0 = margin[shift], 2 * delta[p_cell] + _TINY
+    prev = None
     for step in range(max_iter):
-        asg = ((xl[:, None] - centroids[el]) ** 2).argmin(axis=1)  # ties: lowest index
-        key = el * kmax + asg
-        counts = np.bincount(key, minlength=centroids.size).reshape(centroids.shape)
-        real = slot < live_k[:, None]
-        empty = ((counts == 0) & real).any(axis=1)
-        sums = _segment_sums(xl[np.argsort(key, kind="stable")], counts.ravel()).reshape(counts.shape)
-        new = np.where(real, sums / np.maximum(counts, 1), _FAR)
-        movement = np.sqrt((new - centroids) ** 2).max(axis=1)
-        done = (movement <= tol) | empty | (step == max_iter - 1)
-        stop = done & ~empty
-        stopped = stop[el]
-        assignments[pos[stopped]] = asg[stopped]
-        final[live[stop]] = new[stop]
-        for p in live[empty].tolist():
-            c, k = p_cell[p], p_k[p]
-            a, b = starts[c], starts[c] + sizes[c]
-            fit = _lloyd(x[a:b, None], x[chosen[c, :k], None], max_iter, tol)
-            assignments[p_start[p] : p_start[p] + sizes[c]] = fit.assignments
-            final[p, :k] = fit.centroids[:, 0]
-        if done.all():
-            break
-        keep = ~done
-        kept = keep[el]
-        renumber = np.cumsum(keep) - 1
-        live, live_k, centroids = live[keep], live_k[keep], new[keep]
-        pos, xl, el = pos[kept], xl[kept], renumber[el[kept]]
+        # A midpoint's cut is the first sorted position above it less the
+        # margin; a feature at it within the margin above is a near-tie.
+        mids = (centroids[:, :-1] + centroids[:, 1:]) / 2
+        cuts = np.searchsorted(key, base + np.searchsorted(values, mids - tie_margin, side="right"))
+        near_tie = (above[cuts + shift] - mids <= tie_margin).any(axis=1)
+        edges = np.concatenate([lo, cuts, hi], axis=1)
+        counts = edges[:, 1:] - edges[:, :-1]
+        at = prefix[edges]
+        means = np.where(real, (at[:, 1:] - at[:, :-1]).astype(float) / np.maximum(counts, 1), _PAD)
+        movement = np.abs(means - centroids).max(axis=1)
+        # The exact movement lies within ``slack`` of ours. Runs equal to the
+        # step before repeat the exact centroids bit for bit: movement 0.
+        slack = slack0 + 4 * _EPS * movement
+        off = movement - tol
+        stop = off < -slack
+        if step:
+            stop |= (edges == prev).all(axis=1)
+        else:
+            # Later centroids are means of runs split by margin-wide gaps,
+            # so only the seeds can lie close together (or repeat).
+            near_tie |= ((centroids[:, 1:] - centroids[:, :-1] <= 2 * tie_margin) & real[:, 1:]).any(axis=1)
+        if step == max_iter - 1:
+            stop[:] = True
+        go_exact = near_tie | ((counts == 0) & real).any(axis=1) | ((np.abs(off) <= slack) & ~stop)
+        done = stop | go_exact
+        if done.any():
+            ok = done & ~go_exact
+            run_edges[live[ok]] = edges[ok]
+            run_means[live[ok]] = means[ok]
+            for p in live[go_exact].tolist():
+                a, b = starts[p_cell[p]], ends[p_cell[p]]
+                exact[p] = _lloyd(x[a:b, None], x[chosen[p_cell[p], : p_k[p]], None], max_iter, tol)
+            if done.all():
+                break
+            keep = ~done
+            live, shift, base, lo, hi, tie_margin, slack0, real, means, edges = (
+                a[keep] for a in (live, shift, base, lo, hi, tie_margin, slack0, real, means, edges)
+            )
+        centroids, prev = means, edges
 
+    is_exact = np.zeros(p_cell.size, dtype=bool)
+    is_exact[list(exact)] = True
     if elbow:
-        diff = xe - final[e_problem, assignments]
-        sse = np.zeros((n_cells, kmax))
-        sse[p_cell, p_k - 1] = _segment_sums(diff * diff, p_size)
+        sse, err = np.zeros((n_cells, kmax)), np.zeros((n_cells, kmax))
+        # Run SSEs from prefix sums of x and x^2. Besides the prefix terms
+        # (as for the centroids), their longdouble arithmetic rounds by
+        # < 43 u_L m S^2; centroids off by delta move them by < m delta^2;
+        # and the exact loop's SSE is within (h + 4) u of the true one.
+        runs = np.flatnonzero(~is_exact)
+        left, right = run_edges[runs, :-1], run_edges[runs, 1:]
+        squares = np.zeros(n + 1, dtype=np.longdouble)
+        np.cumsum(np.square(xs.astype(np.longdouble)), out=squares[1:])
+        sum_x, sum_xx = prefix[right] - prefix[left], squares[right] - squares[left]
+        cent = run_means[runs].astype(np.longdouble)
+        est = (sum_xx - cent * (2 * sum_x - (right - left) * cent)).sum(axis=1).astype(float)
+        c = p_cell[runs]
+        q_max = squares[ends].astype(float)  # squares only grow
+        rounding = _PREFIX_EPS * sizes[c] * (q_max[c] + 2 * scale[c] * p_max[c] + 24 * scale[c] ** 2)
+        rounding += 2 * sizes[c] * delta[c] ** 2
+        sse[c, p_k[runs] - 1] = est
+        err[c, p_k[runs] - 1] = rounding + (depth[c] + 5) * _EPS * (np.abs(est) + rounding)
+
+        for p, fit in exact.items():
+            sse[p_cell[p], p_k[p] - 1] = fit.sse
+
+        # Where the estimates leave the elbow open, the exact SSE decides:
+        # each run's members in row order give its exact centroid.
+        for p in runs[~_elbow_settled(sse, err, k_hi)[p_cell[runs]]].tolist():
+            a, b = starts[p_cell[p]], ends[p_cell[p]]
+            ranks = np.empty(b - a, dtype=np.int64)
+            ranks[order[a:b] - a] = np.repeat(slot, np.diff(run_edges[p]))
+            cents = np.array([[x[a:b][ranks == r].mean()] for r in range(p_k[p])])
+            sse[p_cell[p], p_k[p] - 1] = _sse(x[a:b, None], ranks, cents)
         best = first_problem + np.maximum(_elbow_choice(sse, k_hi), 0)  # flat: k = 1
     else:
         best = first_problem
-    return assignments[p_start[best][cell] + index - starts[cell]]
+
+    out = np.empty(n, dtype=np.int64)
+    out[order] = np.repeat(perm[best].ravel(), np.diff(run_edges[best], axis=1).ravel())
+    for p in best[is_exact[best]].tolist():
+        out[starts[p_cell[p]] : ends[p_cell[p]]] = exact[p].assignments
+    return out

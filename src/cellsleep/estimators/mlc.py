@@ -19,14 +19,16 @@ evaluation slots of a sweep iteration) together. Slot s's SBSs are the rows
 s*n .. s*n + n - 1 of one flat layout, and layer 1 has one cell per slot. A
 layer's cells are kept back to back, each in row order, and a cell never
 spans two slots. ``kmeans._fit_cells`` clusters every cell of every slot in
-one vectorized Lloyd pass with the fits that ``kmeans_fit`` (fixed k) or
-``elbow_fit`` would give each cell alone. One stable argsort by global
-(cell, cluster) key then lays out the next layer's cells, and each group's
-active mean is its pairwise sum in row order over its count (one
-``kmeans._segment_sums`` pass for all groups), the bits of
-``loads[members].mean()``. So every slot gets the estimates it would get
-alone. ``mlc_estimate`` is the one-slot call that also reports each
-estimate's contributors.
+one vectorized pass of Lloyd steps on sorted runs, with the assignments
+that ``kmeans_fit`` (fixed k) or ``elbow_fit`` would give each cell alone
+(it falls back to the exact loop wherever rounding could tell the two
+apart). One stable argsort by global (cell, cluster) key then lays out the
+next layer's cells, and each group's active mean is its pairwise sum in
+row order over its count (one ``kmeans._segment_sums`` pass for all
+groups), the bits of ``loads[members].mean()``. So every slot gets the
+estimates it would get alone. No slots or no sleepers give an empty trace.
+``mlc_estimate`` is the one-slot call that also reports each estimate's
+contributors.
 """
 
 from __future__ import annotations
@@ -95,9 +97,9 @@ def mlc_layers(
     if active.size == 0:
         raise ValueError("no active SBS to cluster against")
     m = sleepers.size
-    if m == 0:
+    if m == 0 or n_slots == 0:  # nothing to estimate
         none = np.empty(0, dtype=np.int64)
-        return np.empty((n_slots, layers, 0)), (none, none, [])
+        return np.empty((n_slots, layers, m)), (none, none, [])
 
     hist = np.asarray(history, dtype=float)
     if hist.shape != loads.shape:

@@ -36,8 +36,8 @@ from .estimators import (
     EstimatorConfig,
     MlcConfig,
     RandomConfig,
-    estimation_error,
 )
+from .estimators.kmeans import _segment_sums
 from .estimators.mlc import mlc_layers
 from .estimators.neighbors import NeighborTable, nearest_table, positions_array, random_table
 from .power import NetworkPowerConfig, network_power
@@ -365,14 +365,27 @@ def _error_iteration(iteration: int) -> list[list]:
             else:
                 estimates.update(zip(idxs, nearest[floor].estimates(loads, pairs)))
 
-        # One slot row at a time, in slot order, so the pooled sums keep their bits.
-        for s, actual_sleep in enumerate(loads[:, sleepers]):
-            for idx in range(len(points)):
-                summary = estimation_error(actual_sleep, estimates[idx][s], config.epsilon)
-                total = totals[idx]
-                total[0] += summary.mean_error * summary.n_included
-                total[1] += summary.n_included
-                total[2] += summary.n_excluded
+        # Per point and slot, the mean relative error over the included
+        # sleepers (``estimation_error``'s pairwise sum over their count) times
+        # that count is added to the point's total slot by slot, in slot order.
+        # That order, and mean * count rather than the sum, keep the CSV bits.
+        actual = loads[:, sleepers]
+        included = actual >= config.epsilon
+        n_included = np.count_nonzero(included, axis=1)
+        if not n_included.all():
+            slot = cols[int(np.argmin(n_included))]
+            raise ValueError(
+                f"iteration {iteration}, slot {slot}: all {sleepers.size} sleepers fall below "
+                f"epsilon={config.epsilon}; error undefined"
+            )
+        a = actual[included]
+        rel = np.abs(a - np.stack([estimates[idx] for idx in range(len(points))])[:, included]) / a
+        sums = _segment_sums(rel.ravel(), np.tile(n_included, len(points))).reshape(len(points), -1)
+        pooled = np.column_stack([[total[0] for total in totals], sums / n_included * n_included])
+        for total, running in zip(totals, np.cumsum(pooled, axis=1)[:, -1].tolist()):
+            total[0] = running
+            total[1] += int(n_included.sum())
+            total[2] += included.size - int(n_included.sum())
     return totals
 
 

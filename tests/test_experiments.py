@@ -1,10 +1,11 @@
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from cellsleep import switching
+from cellsleep import experiments, switching
 from cellsleep.config import ExperimentConfig, config_hash, desk_profile, paper_profile
 from cellsleep.dataio import write_loads_csv, write_placements_json
 from cellsleep.errors import ConfigError
@@ -236,6 +237,24 @@ class TestErrorSweep:
         msg = "iteration 0, slot 0: cannot mask every SBS: nothing left to interpolate from"
         with pytest.raises(ValueError, match=f"^{msg}$"):
             run_error_sweep(cfg, points)
+
+    def test_all_sleepers_below_epsilon_aborts_with_context(self):
+        cfg = desk_profile(n_iterations=1, epsilon=2.0)
+        msg = "iteration 0, slot 0: all 10 sleepers fall below epsilon=2.0; error undefined"
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            run_error_sweep(cfg, layers_axis([1]))
+
+    def test_undefined_error_names_its_slot(self):
+        # epsilon just above the quietest evaluation slot's largest sleeper
+        # load leaves that slot alone with no included sleeper.
+        cfg = desk_profile(n_iterations=1)
+        slots = list(cfg.eval_slots())
+        sleepers = experiments._draw_sleepers(cfg, 0, cfg.n_sbs)
+        top = build_dataset(cfg).day.loads[sleepers][:, slots].max(axis=0)
+        cfg = desk_profile(n_iterations=1, epsilon=float(np.nextafter(top.min(), 1.0)))
+        msg = f"iteration 0, slot {slots[int(np.argmin(top))]}: all {sleepers.size} sleepers fall below"
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}"):
+            run_error_sweep(cfg, layers_axis([1]) + neighbors_axis("distance", [1]))
 
 
 class TestSwitchingSweeps:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cellsleep.estimators.kmeans import (
+    _fit_cells,
     _segment_sums,
     compute_sse,
     elbow_fit,
@@ -244,3 +245,36 @@ class TestSegmentSums:
         starts = np.cumsum(lengths) - lengths
         expect = [values[a : a + n].sum() for a, n in zip(starts, lengths)]
         assert _segment_sums(values, lengths).tolist() == expect
+
+
+class TestSortedRunFit:
+    """``_fit_cells`` leaves sorted runs for the exact arithmetic wherever its bounds are too wide."""
+
+    @pytest.mark.parametrize(
+        "cell, seed, max_iter",
+        [([0.8, 1.0, 0.9, 0.9], 80, 5), ([5.0, 6.0, 4.0, 5.0], 34, 100), ([5.0, 4.0, 6.0, 5.0], 73, 3)],
+    )
+    def test_elbow_near_a_curvature_tie(self, cell, seed, max_iter):
+        # Two second differences of the SSE curve agree to the last bits, so
+        # the pick rests on the exact pairwise SSE, not the prefix-sum estimate.
+        x = np.array(cell)
+        k = naive_kmeans.elbow_select_k(x, (1, 4), seed=seed, max_iter=max_iter)
+        ref = naive_kmeans.kmeans_fit(x, k, max_iter=max_iter, seed=seed)
+        got = _fit_cells(x, np.array([4]), np.array([4]), elbow=True, max_iter=max_iter, tol=1e-9, seed=seed)
+        assert np.array_equal(got, ref.assignments)
+
+    def test_movement_at_tol(self, rng):
+        # tol set to the first step's movement, as the exact loop computes
+        # it, and one ulp either side: the stopping step must not move.
+        for seed in range(10):
+            x = rng.uniform(0, 1, 40)
+            pts = x[:, None]
+            centroids = naive_kmeans._seed_centroids(pts, 3, np.random.default_rng(seed))
+            assignments = ((pts - centroids.T) ** 2).argmin(axis=1)
+            means = np.array([pts[assignments == j].mean(axis=0) for j in range(3)])
+            movement = np.sqrt(((means - centroids) ** 2).sum(axis=1)).max()
+            size, k = np.array([40]), np.array([3])
+            for tol in (np.nextafter(movement, 0.0), movement, np.nextafter(movement, 1.0)):
+                ref = naive_kmeans.kmeans_fit(x, 3, tol=tol, seed=seed)
+                got = _fit_cells(x, size, k, elbow=False, max_iter=100, tol=tol, seed=seed)
+                assert np.array_equal(got, ref.assignments)

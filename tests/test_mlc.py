@@ -3,7 +3,7 @@ import pytest
 
 from cellsleep import experiments
 from cellsleep.config import desk_profile
-from cellsleep.estimators import MlcConfig, estimate, estimation_error
+from cellsleep.estimators import MlcConfig, estimate, estimation_error, kmeans
 from cellsleep.estimators.mlc import mlc_estimate, mlc_layers
 from cellsleep.experiments import exponent_axis, layers_axis, neighbors_axis, run_error_sweep
 from cellsleep.traffic import daily_average, mask_sleepers, synthesize_traffic
@@ -134,6 +134,15 @@ class TestDispatchAndValidation:
         assert res.n_sleepers == 0
         assert res.layer_estimates.shape == (2, 0)
 
+    @pytest.mark.parametrize("layers", [1, 3, 7])
+    def test_zero_slot_rows(self, layers):
+        known = np.array([True, True, False, True, False])
+        trace, (source_layer, source_group, groups) = mlc_layers(
+            np.empty((0, 5)), np.empty((0, 5)), known, layers
+        )
+        assert trace.shape == (0, layers, 2)
+        assert source_layer.size == source_group.size == 0 and groups == []
+
     def test_bad_layers(self):
         snap = snapshot_of([0.1, 0.2], sleeping=[1])
         with pytest.raises(ValueError):
@@ -263,6 +272,20 @@ class TestBatchedSlots:
             k_override = None if trial % 2 else int(rng.integers(1, 6))
             self.assert_matches(*inputs, layers, k_override, seed=trial, max_iter=(1, 2, 5, 100)[trial % 4])
 
+    def test_continuous_stacks(self, rng):
+        # Continuous features up to n = 400, so ties are rare and almost every
+        # problem converges on sorted runs; a small max_iter stops them early.
+        for trial in range(12):
+            n_slots, n = int(rng.integers(1, 4)), int(rng.integers(3, 401))
+            known = np.ones(n, dtype=bool)
+            known[rng.choice(n, size=int(rng.integers(1, max(2, n // 3))), replace=False)] = False
+            loads = rng.beta(2, 5, (n_slots, n)) if trial % 2 else rng.uniform(0, 1, (n_slots, n))
+            history = np.clip(loads + rng.normal(0, 0.05, (n_slots, n)), 0, 1)
+            history[rng.uniform(size=(n_slots, n)) < 0.2] = np.nan
+            layers, k_override = int(rng.integers(1, 6)), None if trial % 3 else int(rng.integers(2, 6))
+            max_iter = (1, 2, 5, 100)[trial % 4]
+            self.assert_matches(loads, history, known, layers, k_override, seed=trial, max_iter=max_iter)
+
     def test_sweep_batches_match_slot_by_slot(self, monkeypatch):
         # 6 slots in batches of 4 and 2, per iteration and MLC setting; the
         # CSV of every estimator family is the one of a single batch per
@@ -294,3 +317,72 @@ class TestBatchedSlots:
                     k_override=kwargs["k_override"], seed=kwargs["kmeans_seed"], max_iter=kwargs["kmeans_max_iter"],
                 )
                 assert np.array_equal(trace[s], ref)
+
+
+@pytest.fixture
+def double_prefix(monkeypatch):
+    """The prefix-sum bound of a platform whose longdouble is a double."""
+    monkeypatch.setattr(kmeans, "_PREFIX_EPS", float(np.finfo(float).eps))
+
+
+@pytest.mark.usefixtures("double_prefix")
+class TestMatchesOriginalMlcDoublePrefix(TestMatchesOriginalMlc):
+    """The same bits with a wider bound: more problems take the exact path."""
+
+
+@pytest.mark.usefixtures("double_prefix")
+class TestBatchedSlotsDoublePrefix(TestBatchedSlots):
+    """The same bits with a wider bound: more problems take the exact path."""
+
+
+@pytest.fixture
+def lloyd_calls(monkeypatch):
+    """The k of every problem that the sorted-run fit hands to the exact ``_lloyd``."""
+    calls = []
+    exact = kmeans._lloyd
+
+    def counted(pts, centroids, max_iter, tol):
+        calls.append(centroids.shape[0])
+        return exact(pts, centroids, max_iter, tol)
+
+    monkeypatch.setattr(kmeans, "_lloyd", counted)
+    return calls
+
+
+class TestSortedRunGuard:
+    """Ties and near-ties go to the exact Lloyd loop, and keep the exact loop's bits."""
+
+    def test_sleeper_at_the_midpoint_of_two_clusters(self, lloyd_calls):
+        # The NaN-history sleeper enters at the active mean 0.5, exactly the
+        # midpoint of the k = 2 centroids 0.25 and 0.75 of two equal halves.
+        # argmin gives it to the lower seed label, on either side; a sorted
+        # run would always put it on the left.
+        snap = snapshot_of([0.25] * 8 + [0.75] * 8 + [0.0], sleeping=[16])
+        history = np.full(17, np.nan)
+        estimates = set()
+        for seed in range(8):
+            res = mlc_estimate(snap, history, 1, k_override=2, kmeans_seed=seed)
+            ref, _ = naive_kmeans.mlc_layers(snap.loads, snap.known_mask, history, 1, k_override=2, seed=seed)
+            assert np.array_equal(res.layer_estimates, ref)
+            estimates.add(float(ref[0, 0]))
+        assert estimates == {0.25, 0.75}
+        assert lloyd_calls.count(2) >= 7  # every seed whose first centroid is not the sleeper
+
+    def test_wider_prefix_bound_falls_back_more_with_the_same_bits(self, monkeypatch, lloyd_calls):
+        # The sleeper's history lies 1e-13 above the midpoint 0.5: outside the
+        # longdouble bound, but inside float64's once the prefix sums of the
+        # earlier slots of the stack pass ~100.
+        n_slots = 40
+        loads = np.tile([0.25] * 8 + [0.75] * 8 + [0.0], (n_slots, 1))
+        history = np.full_like(loads, np.nan)
+        history[:, 16] = 0.5 + 1e-13
+        known = np.arange(17) < 16
+        ref, _ = naive_kmeans.mlc_layers(loads[0], known, history[0], 1, k_override=2)
+        fallbacks = []
+        for eps in (kmeans._PREFIX_EPS, float(np.finfo(float).eps)):
+            monkeypatch.setattr(kmeans, "_PREFIX_EPS", eps)
+            lloyd_calls.clear()
+            trace, _ = mlc_layers(loads, history, known, 1, k_override=2)
+            assert all(np.array_equal(row, ref) for row in trace)
+            fallbacks.append(len(lloyd_calls))
+        assert fallbacks[0] == 0 < fallbacks[1] < n_slots
