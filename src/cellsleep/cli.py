@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, PROFILES, config_from_dict, config_hash, sleeper_count
+from .config import ExperimentConfig, PROFILES, config_from_dict, config_hash, draw_sleepers
 from .dataio import (
     read_loads_csv,
     read_placements_json,
@@ -27,7 +27,7 @@ from .dataio import (
     write_placements_json,
 )
 from .errors import CellSleepError, ConfigError, DataFormatError, InfeasibleNetworkError
-from .estimators import DistanceConfig, MlcConfig, RandomConfig, estimate, estimation_error
+from .estimators import DistanceConfig, MlcConfig, RandomConfig, check_epsilon, estimate, estimation_error
 from .experiments import (
     layers_axis,
     neighbors_axis,
@@ -262,18 +262,27 @@ def _cmd_synth(args) -> int:
 def _cmd_estimate(args) -> int:
     from .traffic import mask_sleepers
 
+    try:  # the estimator's config and the epsilon rule are the one check of these flags
+        if args.estimator == "mlc":
+            cfg = MlcConfig(layers=args.layers, k_override=args.k_override)
+        elif args.estimator == "distance":
+            cfg = DistanceConfig(neighbors=args.neighbors, weighting=args.exponent)
+        else:
+            cfg = RandomConfig(neighbors=args.neighbors, weighting=args.exponent, seed=args.seed)
+        check_epsilon(args.epsilon)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
     series = read_loads_csv(args.loads)
     placements = read_placements_json(args.placements)
     if not (0 <= args.slot < series.n_slots):
         raise DataFormatError(f"slot {args.slot} outside 0..{series.n_slots - 1}")
     loads = series.loads[:, args.slot]
 
-    if args.sleepers is not None:
-        sleeper_ids = _int_list(args.sleepers)
+    if args.sleepers is not None:  # the set that is masked: sorted, no repeats
+        sleeper_ids = sorted(set(_int_list(args.sleepers)))
     elif args.sleep_fraction is not None:
-        rng = np.random.default_rng(args.seed)
-        count = sleeper_count(args.sleep_fraction, series.n_sbs)
-        sleeper_ids = sorted(int(i) for i in rng.permutation(series.n_sbs)[:count])
+        sleeper_ids = draw_sleepers(args.sleep_fraction, series.n_sbs, args.seed).tolist()
     else:
         sleeper_ids = []
 
@@ -299,17 +308,11 @@ def _cmd_estimate(args) -> int:
         return EXIT_OK
 
     snapshot, actual = mask_sleepers(loads, sleeper_ids)
+    history = None
     if args.estimator == "mlc":
         # History: same slot of the previous day when available.
         prev = args.slot - series.slots_per_day
         history = series.loads[:, prev] if prev >= 0 else np.full(series.n_sbs, np.nan)
-        cfg = MlcConfig(layers=args.layers, k_override=args.k_override)
-    elif args.estimator == "distance":
-        history = None
-        cfg = DistanceConfig(neighbors=args.neighbors, weighting=args.exponent)
-    else:
-        history = None
-        cfg = RandomConfig(neighbors=args.neighbors, weighting=args.exponent, seed=args.seed)
     result = estimate(cfg, snapshot, placements, history)
     summary = estimation_error(actual[list(result.sleeper_ids)], result.estimates, args.epsilon)
 

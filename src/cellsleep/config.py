@@ -18,11 +18,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigError
-from .estimators import MlcConfig
+from .estimators import MlcConfig, check_epsilon
 from .power import PowerParams
 from .switching import EXHAUSTIVE_SBS_CAP, OffloadScales
 
@@ -38,8 +39,20 @@ DEFAULT_SBS_POWER = PowerParams(
 
 
 def sleeper_count(sleep_fraction: float, n_sbs: int) -> int:
-    """How many of ``n_sbs`` SBSs sleep: the rounded fraction, at least one."""
+    """How many of ``n_sbs`` SBSs sleep: the rounded fraction, at least one.
+
+    Raises:
+        ConfigError: unless 0 < ``sleep_fraction`` < 1.
+    """
+    if not (0.0 < sleep_fraction < 1.0):
+        raise ConfigError(f"sleep_fraction must lie strictly between 0 and 1, got {sleep_fraction}")
     return max(1, round(sleep_fraction * n_sbs))
+
+
+def draw_sleepers(sleep_fraction: float, n_sbs: int, seed: int) -> np.ndarray:
+    """The ``sleeper_count`` first ids of one seeded ``rng.permutation(n_sbs)``, sorted."""
+    rng = np.random.default_rng(seed)
+    return np.sort(rng.permutation(n_sbs)[: sleeper_count(sleep_fraction, n_sbs)])
 
 
 @dataclass(frozen=True)
@@ -91,10 +104,7 @@ class ExperimentConfig:
             raise ConfigError("slots_per_day * slot_minutes must equal 1440")
         if self.n_days < 1 or self.n_iterations < 1 or self.slot_stride < 1:
             raise ConfigError("n_days, n_iterations and slot_stride must be >= 1")
-        if not (0.0 < self.sleep_fraction < 1.0):
-            raise ConfigError(
-                f"sleep_fraction must lie strictly between 0 and 1, got {self.sleep_fraction}"
-            )
+        sleeper_count(self.sleep_fraction, self.n_sbs)  # rejects a fraction outside (0, 1)
         if self.data_source not in ("synthetic", "milan"):
             raise ConfigError(f"unknown data_source {self.data_source!r}")
         if self.data_source == "milan" and not self.loads_csv:
@@ -113,8 +123,10 @@ class ExperimentConfig:
             raise ConfigError(
                 f"exhaustive_cap must be at most {EXHAUSTIVE_SBS_CAP}, got {self.exhaustive_cap!r}"
             )
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
-            raise ConfigError(f"epsilon must be finite and nonnegative, got {self.epsilon!r}")
+        try:
+            check_epsilon(self.epsilon)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     @property
     def n_sleepers(self) -> int:

@@ -7,72 +7,28 @@ Three families are available, selected by the config type:
                         geographically nearest active SBSs.
 * ``RandomConfig``   -- mean / weighted mean of N randomly drawn active SBSs.
 
-All estimators are deterministic functions of (inputs, seed) and return a
-convex combination of active loads, so estimates always lie inside the
-range of the contributing neighbors.
+Each config lives next to its kernel (``mlc``, ``neighbors``), and the
+kernel takes it whole: constructing the config is the one check of its
+settings. All estimators are deterministic functions of (inputs, seed) and
+return a convex combination of active loads, so estimates always lie inside
+the range of the contributing neighbors. ``estimation_error`` is the one
+definition of the relative-error metric, for one slot's sleepers or for
+rows of them; the CLI and the error sweeps both use it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
 from ..traffic import LoadSnapshot, SbsPlacement
-from .kmeans import ClusteringState, compute_sse, elbow_select_k, kmeans_fit
-from .mlc import check_mlc_params, mlc_estimate
-from .neighbors import check_neighbor_params, distance_estimate, positions_array, random_estimate
+from .kmeans import ClusteringState, _segment_sums, compute_sse, elbow_select_k, kmeans_fit
+from .mlc import MlcConfig, mlc_estimate
+from .neighbors import DistanceConfig, RandomConfig, distance_estimate, positions_array, random_estimate
 from .result import EstimateResult, NeighborDetail
-
-
-@dataclass(frozen=True)
-class MlcConfig:
-    """Multi-level clustering: ``layers`` refinement passes, k by elbow or fixed."""
-
-    layers: int = 1
-    k_override: int | None = None
-    kmeans_max_iter: int = 100
-    kmeans_tol: float = 1e-9
-    kmeans_seed: int = 0
-    elbow_k_max: int = 8
-
-    def __post_init__(self) -> None:
-        check_mlc_params(
-            self.layers, self.k_override, self.elbow_k_max, self.kmeans_max_iter, self.kmeans_tol
-        )
-
-    kind = "mlc"
-
-
-@dataclass(frozen=True)
-class DistanceConfig:
-    """Nearest-neighbor selection; ``weighting`` is the IDW exponent (None = plain mean)."""
-
-    neighbors: int = 1
-    weighting: int | None = None
-    distance_floor_m: float = 1.0
-
-    def __post_init__(self) -> None:
-        check_neighbor_params(self.neighbors, self.weighting, self.distance_floor_m)
-
-    kind = "distance"
-
-
-@dataclass(frozen=True)
-class RandomConfig:
-    """Seeded uniform neighbor draw; combination as in DistanceConfig."""
-
-    neighbors: int = 1
-    weighting: int | None = None
-    seed: int = 0
-    distance_floor_m: float = 1.0
-
-    def __post_init__(self) -> None:
-        check_neighbor_params(self.neighbors, self.weighting, self.distance_floor_m)
-
-    kind = "random"
-
 
 EstimatorConfig = Union[MlcConfig, DistanceConfig, RandomConfig]
 
@@ -94,43 +50,40 @@ def estimate(
     if isinstance(config, MlcConfig):
         if history is None:
             raise ValueError("MLC estimation requires per-SBS history features")
-        return mlc_estimate(
-            snapshot,
-            history,
-            config.layers,
-            k_override=config.k_override,
-            kmeans_max_iter=config.kmeans_max_iter,
-            kmeans_tol=config.kmeans_tol,
-            kmeans_seed=config.kmeans_seed,
-            elbow_k_max=config.elbow_k_max,
-        )
+        return mlc_estimate(snapshot, history, config)
     if isinstance(config, DistanceConfig):
-        return distance_estimate(
-            snapshot,
-            placements,
-            config.neighbors,
-            config.weighting,
-            distance_floor=config.distance_floor_m,
-        )
+        return distance_estimate(snapshot, placements, config)
     if isinstance(config, RandomConfig):
-        return random_estimate(
-            snapshot,
-            placements,
-            config.neighbors,
-            config.weighting,
-            config.seed,
-            distance_floor=config.distance_floor_m,
-        )
+        return random_estimate(snapshot, placements, config)
     raise TypeError(f"unknown estimator config type {type(config).__name__}")
 
 
 @dataclass(frozen=True)
 class ErrorSummary:
-    """Mean relative estimation error with exclusion bookkeeping."""
+    """Mean relative estimation error with exclusion bookkeeping.
 
-    mean_error: float
-    n_included: int
-    n_excluded: int
+    Plain numbers for one row of sleepers. For rows, ``mean_error`` is an
+    array of the estimates' leading shape and the counts one per row of
+    the actual loads.
+    """
+
+    mean_error: float | np.ndarray
+    n_included: int | np.ndarray
+    n_excluded: int | np.ndarray
+
+
+class ErrorUndefined(ValueError):
+    """Every sleeper of row ``row`` of the actual loads falls below epsilon."""
+
+    def __init__(self, message: str, row: int) -> None:
+        super().__init__(message)
+        self.row = row
+
+
+def check_epsilon(epsilon: float) -> None:
+    """Reject a negative or non-finite exclusion threshold."""
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
 
 
 def estimation_error(
@@ -140,33 +93,51 @@ def estimation_error(
 ) -> ErrorSummary:
     """Mean of |actual - estimated| / actual over sleepers with actual >= epsilon.
 
+    ``actual`` holds one row of sleeper loads (m,) or rows of them (S, m);
+    ``estimated`` has its shape, or that shape behind leading axes (one set
+    of rows per estimator, say). Each row's mean is the pairwise sum of its
+    included relative errors over their count, the bits of ``rel.mean()``.
     Sleepers whose true load falls below ``epsilon`` are excluded (the
     relative error is unstable there) and counted in the summary.
 
     Raises:
-        ValueError: on misaligned arrays or if every sleeper is excluded.
+        ValueError: on an epsilon ``check_epsilon`` rejects or misaligned arrays.
+        ErrorUndefined: if every sleeper of a row is excluded.
     """
+    check_epsilon(epsilon)
     a = np.asarray(actual, dtype=float)
     e = np.asarray(estimated, dtype=float)
-    if a.shape != e.shape or a.ndim != 1:
-        raise ValueError("actual and estimated must be 1-D arrays of equal length")
+    if a.ndim not in (1, 2) or e.shape[e.ndim - a.ndim :] != a.shape:
+        raise ValueError(f"estimated {e.shape} must end in the shape of actual {a.shape}, (m,) or (S, m)")
     included = a >= epsilon
-    n_exc = int((~included).sum())
-    if not included.any():
-        raise ValueError(f"all {a.size} sleepers fall below epsilon={epsilon}; error undefined")
-    rel = np.abs(a[included] - e[included]) / a[included]
-    return ErrorSummary(mean_error=float(rel.mean()), n_included=int(included.sum()), n_excluded=n_exc)
+    n_included = np.count_nonzero(included, axis=-1)
+    if not n_included.all():
+        raise ErrorUndefined(
+            f"all {a.shape[-1]} sleepers fall below epsilon={epsilon}; error undefined",
+            int(np.argmin(n_included)),
+        )
+    kept = a[included]
+    rel = np.abs(kept - e[..., included]) / kept
+    lead = e.shape[: e.ndim - a.ndim]
+    sums = _segment_sums(rel.ravel(), np.broadcast_to(n_included, lead + n_included.shape).ravel())
+    mean = sums.reshape(lead + n_included.shape) / n_included
+    n_excluded = a.shape[-1] - n_included
+    if mean.ndim == 0:
+        return ErrorSummary(float(mean), int(n_included), int(n_excluded))
+    return ErrorSummary(mean, n_included, n_excluded)
 
 
 __all__ = [
     "ClusteringState",
     "DistanceConfig",
     "ErrorSummary",
+    "ErrorUndefined",
     "EstimateResult",
     "EstimatorConfig",
     "MlcConfig",
     "NeighborDetail",
     "RandomConfig",
+    "check_epsilon",
     "compute_sse",
     "distance_estimate",
     "elbow_select_k",

@@ -28,11 +28,13 @@ row order over its count (one ``kmeans._segment_sums`` pass for all
 groups), the bits of ``loads[members].mean()``. So every slot gets the
 estimates it would get alone. No slots or no sleepers give an empty trace.
 ``mlc_estimate`` is the one-slot call that also reports each estimate's
-contributors.
+contributors. Both take their settings as one ``MlcConfig``, whose
+construction is the only check of them.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -42,31 +44,37 @@ from .kmeans import _fit_cells, _segment_sums
 from .result import EstimateResult, NeighborDetail
 
 
-def check_mlc_params(
-    layers: int, k_override: int | None, elbow_k_max: int, kmeans_max_iter: int, kmeans_tol: float
-) -> None:
-    """Reject an MLC depth, cluster count, elbow range or Lloyd setting out of range."""
-    if layers < 1:
-        raise ValueError("layers must be >= 1")
-    if k_override is not None and k_override < 1:
-        raise ValueError("k_override must be >= 1 when given")
-    if elbow_k_max < 3:
-        raise ValueError(f"elbow_k_max must be >= 3 (the elbow needs three k values), got {elbow_k_max}")
-    if kmeans_max_iter < 1 or kmeans_tol < 0:
-        raise ValueError("kmeans_max_iter must be >= 1 and kmeans_tol >= 0")
+@dataclass(frozen=True)
+class MlcConfig:
+    """Multi-level clustering: ``layers`` refinement passes, k by elbow or fixed."""
+
+    layers: int = 1
+    k_override: int | None = None
+    kmeans_max_iter: int = 100
+    kmeans_tol: float = 1e-9
+    kmeans_seed: int = 0
+    elbow_k_max: int = 8
+
+    def __post_init__(self) -> None:
+        if self.layers < 1:
+            raise ValueError("layers must be >= 1")
+        if self.k_override is not None and self.k_override < 1:
+            raise ValueError("k_override must be >= 1 when given")
+        if self.elbow_k_max < 3:
+            raise ValueError(
+                f"elbow_k_max must be >= 3 (the elbow needs three k values), got {self.elbow_k_max}"
+            )
+        if self.kmeans_max_iter < 1 or self.kmeans_tol < 0:
+            raise ValueError("kmeans_max_iter must be >= 1 and kmeans_tol >= 0")
+
+    kind = "mlc"
 
 
 def mlc_layers(
     loads: np.ndarray,
     history: np.ndarray,
     known_mask: np.ndarray,
-    layers: int,
-    *,
-    k_override: int | None = None,
-    kmeans_max_iter: int = 100,
-    kmeans_tol: float = 1e-9,
-    kmeans_seed: int = 0,
-    elbow_k_max: int = 8,
+    config: MlcConfig,
 ) -> tuple[np.ndarray, tuple]:
     """Every layer's sleeper estimates for S slots that share one sleeper set.
 
@@ -76,8 +84,8 @@ def mlc_layers(
             sleeper then enters at its slot's mean active load. Only
             sleepers' entries are read.
         known_mask: (n,) true for the active SBSs of every slot.
-        layers: number of refinement layers, >= 1.
-        k_override: fixed cluster count per layer; elbow-selected if None.
+        config: depth, cluster count (elbow-selected if ``k_override`` is
+            None) and Lloyd settings.
 
     Returns:
         ``(estimates, sources)``. ``estimates[s, l]`` holds slot s's
@@ -88,7 +96,7 @@ def mlc_layers(
         each group's active rows (``s * n + id``) as a slice of
         ``known_rows``.
     """
-    check_mlc_params(layers, k_override, elbow_k_max, kmeans_max_iter, kmeans_tol)
+    layers, k_override = config.layers, config.k_override
     loads = np.asarray(loads, dtype=float)
     known_mask = np.asarray(known_mask, dtype=bool)
     n_slots, n = loads.shape
@@ -141,11 +149,11 @@ def mlc_layers(
             clusters[in_fit] = _fit_cells(
                 feat[in_fit],
                 sizes[fit],
-                np.minimum(elbow_k_max if k_override is None else k_override, sizes[fit]),
+                np.minimum(config.elbow_k_max if k_override is None else k_override, sizes[fit]),
                 elbow=k_override is None,
-                max_iter=kmeans_max_iter,
-                tol=kmeans_tol,
-                seed=kmeans_seed,
+                max_iter=config.kmeans_max_iter,
+                tol=config.kmeans_tol,
+                seed=config.kmeans_seed,
             )
 
         # Groups = (cell, cluster) in that order, each with its members in row order.
@@ -179,13 +187,7 @@ def mlc_layers(
 def mlc_estimate(
     snapshot: LoadSnapshot,
     history: Sequence[float] | np.ndarray,
-    layers: int,
-    *,
-    k_override: int | None = None,
-    kmeans_max_iter: int = 100,
-    kmeans_tol: float = 1e-9,
-    kmeans_seed: int = 0,
-    elbow_k_max: int = 8,
+    config: MlcConfig,
 ) -> EstimateResult:
     """Estimate sleeping-SBS loads by layered k-means refinement.
 
@@ -195,8 +197,7 @@ def mlc_estimate(
             load from the most recent day the SBS was active); NaN entries
             fall back to the mean of active loads. Only sleepers' entries
             are read.
-        layers: number of refinement layers, >= 1.
-        k_override: fixed cluster count per layer; elbow-selected if None.
+        config: the settings ``mlc_layers`` takes.
 
     Returns:
         EstimateResult whose ``layer_estimates`` holds the intermediate
@@ -204,15 +205,7 @@ def mlc_estimate(
         and whose detail names the active SBSs each estimate averages.
     """
     trace, (source_layer, source_group, groups_of_layer) = mlc_layers(
-        snapshot.loads[None],
-        np.asarray(history, dtype=float)[None],
-        snapshot.known_mask,
-        layers,
-        k_override=k_override,
-        kmeans_max_iter=kmeans_max_iter,
-        kmeans_tol=kmeans_tol,
-        kmeans_seed=kmeans_seed,
-        elbow_k_max=elbow_k_max,
+        snapshot.loads[None], np.asarray(history, dtype=float)[None], snapshot.known_mask, config
     )
     sleepers = snapshot.sleeping_ids
     detail = []

@@ -12,9 +12,9 @@ with d_max the largest distance among the selected neighbors and n >= 1
 the weighting exponent. Any per-sleeper factor such as d_max cancels in the
 estimate and in the reported (normalized) weights, so the code scales by
 the first selected distance instead: ``(d_1 / d)**n``, which keeps the
-weights of nearest-ranked neighbors in [0, 1]. Distances below
-``distance_floor`` are clamped so co-located stations cannot produce
-infinite weights.
+weights of nearest-ranked neighbors in [0, 1]. Distances below the
+config's ``distance_floor_m`` are clamped so co-located stations cannot
+produce infinite weights.
 
 Both variants go through one ``NeighborTable``: the first K selected
 neighbors of every sleeper, in selection order. An N-neighbor set is the
@@ -24,7 +24,9 @@ estimate read from prefix sums of the weights. A table answers one slot's
 loads or a batch of slots at once. Sweeps rank the nearest-neighbor table
 once per sleeper set and query it once per batch of slots; they draw a
 random table per slot and stack its estimates into the batch's.
-``distance_estimate`` and ``random_estimate`` build one table per call.
+``distance_estimate`` and ``random_estimate`` build one table per call
+from a ``DistanceConfig`` or ``RandomConfig``, whose construction is the
+only check of the neighbor count, exponent and distance floor.
 The nearest K are selected by partition (introselect) rather than a full
 sort of each sleeper's distances; the selection equals a stable argsort,
 ties at the K-th distance included.
@@ -32,6 +34,7 @@ ties at the K-th distance included.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -40,14 +43,37 @@ from ..traffic import LoadSnapshot, SbsPlacement
 from .result import EstimateResult, NeighborDetail
 
 
-def check_neighbor_params(neighbors: int, weighting: int | None, distance_floor: float) -> None:
-    """Reject a neighbor count, weighting exponent or distance floor out of range."""
-    if neighbors < 1:
-        raise ValueError("neighbor count must be >= 1")
-    if weighting is not None and (int(weighting) != weighting or weighting < 1):
-        raise ValueError(f"weighting exponent must be a positive integer, got {weighting!r}")
-    if distance_floor <= 0:
-        raise ValueError("distance floor must be positive")
+@dataclass(frozen=True)
+class DistanceConfig:
+    """Nearest-neighbor selection; ``weighting`` is the IDW exponent (None = plain mean)."""
+
+    neighbors: int = 1
+    weighting: int | None = None
+    distance_floor_m: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.neighbors < 1:
+            raise ValueError("neighbor count must be >= 1")
+        if self.weighting is not None and (int(self.weighting) != self.weighting or self.weighting < 1):
+            raise ValueError(f"weighting exponent must be a positive integer, got {self.weighting!r}")
+        if self.distance_floor_m <= 0:
+            raise ValueError("distance floor must be positive")
+
+    kind = "distance"
+
+
+@dataclass(frozen=True)
+class RandomConfig:
+    """Seeded uniform neighbor draw; combination as in DistanceConfig."""
+
+    neighbors: int = 1
+    weighting: int | None = None
+    seed: int = 0
+    distance_floor_m: float = 1.0
+
+    __post_init__ = DistanceConfig.__post_init__  # the same three checks
+
+    kind = "random"
 
 
 def positions_array(placements: Sequence[SbsPlacement], n_sbs: int) -> np.ndarray:
@@ -192,43 +218,33 @@ def random_table(
 
 
 def distance_estimate(
-    snapshot: LoadSnapshot,
-    placements: Sequence[SbsPlacement],
-    neighbors: int,
-    weighting: int | None = None,
-    *,
-    distance_floor: float = 1.0,
+    snapshot: LoadSnapshot, placements: Sequence[SbsPlacement], config: DistanceConfig
 ) -> EstimateResult:
     """Estimate each sleeper from its N nearest active SBSs.
 
     Neighbors are ranked by Euclidean distance (ties broken by SBS id) and
-    combined by plain mean or inverse distance weighting per ``weighting``.
+    combined by plain mean or inverse distance weighting per ``config``.
     """
-    check_neighbor_params(neighbors, weighting, distance_floor)
     sleepers = snapshot.sleeping_ids
     pos = positions_array(placements, snapshot.n_sbs)
-    table = nearest_table(pos, sleepers, snapshot.active_ids, neighbors, distance_floor)
-    return table.result(sleepers, snapshot.loads, neighbors, weighting)
+    table = nearest_table(pos, sleepers, snapshot.active_ids, config.neighbors, config.distance_floor_m)
+    return table.result(sleepers, snapshot.loads, config.neighbors, config.weighting)
 
 
 def random_estimate(
-    snapshot: LoadSnapshot,
-    placements: Sequence[SbsPlacement],
-    neighbors: int,
-    weighting: int | None = None,
-    seed: int = 0,
-    *,
-    distance_floor: float = 1.0,
+    snapshot: LoadSnapshot, placements: Sequence[SbsPlacement], config: RandomConfig
 ) -> EstimateResult:
     """Estimate each sleeper from N active SBSs drawn uniformly.
 
-    Draw procedure (replayable): one PCG64 generator seeded with ``seed``;
-    sleepers are processed in ascending SBS id and each takes the first N
-    entries of ``rng.permutation(active_ids)`` with active ids sorted
-    ascending. The drawn set is combined exactly as in the distance variant.
+    Draw procedure (replayable): one PCG64 generator seeded with
+    ``config.seed``; sleepers are processed in ascending SBS id and each
+    takes the first N entries of ``rng.permutation(active_ids)`` with active
+    ids sorted ascending. The drawn set is combined exactly as in the
+    distance variant.
     """
-    check_neighbor_params(neighbors, weighting, distance_floor)
     sleepers = snapshot.sleeping_ids
     pos = positions_array(placements, snapshot.n_sbs)
-    table = random_table(pos, sleepers, snapshot.active_ids, neighbors, distance_floor, seed)
-    return table.result(sleepers, snapshot.loads, neighbors, weighting)
+    table = random_table(
+        pos, sleepers, snapshot.active_ids, config.neighbors, config.distance_floor_m, config.seed
+    )
+    return table.result(sleepers, snapshot.loads, config.neighbors, config.weighting)

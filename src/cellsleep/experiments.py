@@ -28,16 +28,17 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .config import ExperimentConfig, config_hash, sleeper_count
+from .config import ExperimentConfig, config_hash, draw_sleepers
 from .dataio import read_loads_csv, read_placements_json
 from .errors import DataFormatError
 from .estimators import (
     DistanceConfig,
+    ErrorUndefined,
     EstimatorConfig,
     MlcConfig,
     RandomConfig,
+    estimation_error,
 )
-from .estimators.kmeans import _segment_sums
 from .estimators.mlc import mlc_layers
 from .estimators.neighbors import NeighborTable, nearest_table, positions_array, random_table
 from .power import NetworkPowerConfig, network_power
@@ -274,23 +275,7 @@ def _iteration_seed(config: ExperimentConfig, iteration: int) -> int:
 
 
 def _draw_sleepers(config: ExperimentConfig, iteration: int, n_sbs: int) -> np.ndarray:
-    rng = np.random.default_rng(_iteration_seed(config, iteration))
-    return np.sort(rng.permutation(n_sbs)[: sleeper_count(config.sleep_fraction, n_sbs)])
-
-
-def _mlc_layers(cfg: MlcConfig, loads: np.ndarray, history: np.ndarray, known_mask: np.ndarray) -> np.ndarray:
-    """(slots, layers, sleepers) MLC estimates of slot rows that share one sleeper set."""
-    return mlc_layers(
-        loads,
-        history,
-        known_mask,
-        cfg.layers,
-        k_override=cfg.k_override,
-        kmeans_max_iter=cfg.kmeans_max_iter,
-        kmeans_tol=cfg.kmeans_tol,
-        kmeans_seed=cfg.kmeans_seed,
-        elbow_k_max=cfg.elbow_k_max,
-    )[0]
+    return draw_sleepers(config.sleep_fraction, n_sbs, _iteration_seed(config, iteration))
 
 
 def _error_iteration(iteration: int) -> list[list]:
@@ -317,12 +302,12 @@ def _error_iteration(iteration: int) -> list[list]:
     # on N). A table fails only on too few active SBSs, which does not
     # depend on the slot, so it fails at the iteration's first slot.
     mlc_keys: dict[int, MlcConfig] = {}  # point index -> its config at depth 1
-    mlc_groups: dict[MlcConfig, int] = {}
+    mlc_groups: dict[MlcConfig, MlcConfig] = {}  # depth-1 config -> its deepest point's
     neighbor_groups: dict[tuple[str, float], list[int]] = {}
     for idx, (_, cfg) in enumerate(points):
         if isinstance(cfg, MlcConfig):
             key = mlc_keys[idx] = replace(cfg, layers=1)
-            mlc_groups[key] = max(mlc_groups.get(key, 0), cfg.layers)
+            mlc_groups[key] = max(mlc_groups.get(key, cfg), cfg, key=lambda c: c.layers)
         else:
             neighbor_groups.setdefault((cfg.kind, cfg.distance_floor_m), []).append(idx)
     nearest: dict[float, NeighborTable] = {}
@@ -335,8 +320,8 @@ def _error_iteration(iteration: int) -> list[list]:
         estimates: dict[int, np.ndarray] = {}  # point index -> (slots, sleepers)
         try:
             mlc_runs = {
-                key: _mlc_layers(replace(key, layers=max_layers), loads, data.history[:, cols].T, known_mask)
-                for key, max_layers in mlc_groups.items()
+                key: mlc_layers(loads, data.history[:, cols].T, known_mask, deepest)[0]
+                for key, deepest in mlc_groups.items()
             }
         except ValueError as exc:
             raise ValueError(
@@ -365,27 +350,19 @@ def _error_iteration(iteration: int) -> list[list]:
             else:
                 estimates.update(zip(idxs, nearest[floor].estimates(loads, pairs)))
 
-        # Per point and slot, the mean relative error over the included
-        # sleepers (``estimation_error``'s pairwise sum over their count) times
-        # that count is added to the point's total slot by slot, in slot order.
-        # That order, and mean * count rather than the sum, keep the CSV bits.
-        actual = loads[:, sleepers]
-        included = actual >= config.epsilon
-        n_included = np.count_nonzero(included, axis=1)
-        if not n_included.all():
-            slot = cols[int(np.argmin(n_included))]
-            raise ValueError(
-                f"iteration {iteration}, slot {slot}: all {sleepers.size} sleepers fall below "
-                f"epsilon={config.epsilon}; error undefined"
-            )
-        a = actual[included]
-        rel = np.abs(a - np.stack([estimates[idx] for idx in range(len(points))])[:, included]) / a
-        sums = _segment_sums(rel.ravel(), np.tile(n_included, len(points))).reshape(len(points), -1)
-        pooled = np.column_stack([[total[0] for total in totals], sums / n_included * n_included])
+        # Per point and slot, the mean relative error times its included count
+        # is added to the point's total slot by slot, in slot order. That
+        # order, and mean * count rather than the sum, keep the CSV bits.
+        stacked = np.stack([estimates[idx] for idx in range(len(points))])
+        try:
+            error = estimation_error(loads[:, sleepers], stacked, config.epsilon)
+        except ErrorUndefined as exc:
+            raise ValueError(f"iteration {iteration}, slot {cols[exc.row]}: {exc}") from exc
+        pooled = np.column_stack([[total[0] for total in totals], error.mean_error * error.n_included])
         for total, running in zip(totals, np.cumsum(pooled, axis=1)[:, -1].tolist()):
             total[0] = running
-            total[1] += int(n_included.sum())
-            total[2] += included.size - int(n_included.sum())
+            total[1] += int(error.n_included.sum())
+            total[2] += int(error.n_excluded.sum())
     return totals
 
 
@@ -537,12 +514,12 @@ def _switch_iteration(task: tuple[int, int]) -> dict:
 
     out["by_estimator"]["perfect"] = evaluate(actual[sleepers].copy())
     if l_values:
-        mlc = _mlc_layers(
-            MlcConfig(layers=max(l_values), k_override=config.mlc_k_override),
+        mlc = mlc_layers(
             actual[None],
             data.history[None, :, slot],
             snapshot.known_mask,
-        )[0]
+            MlcConfig(layers=max(l_values), k_override=config.mlc_k_override),
+        )[0][0]
         for layers in l_values:
             out["by_estimator"][layers] = evaluate(mlc[layers - 1])
     return out

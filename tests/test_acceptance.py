@@ -185,9 +185,9 @@ def test_criterion_3_interpolation_algebra():
         loads = rng.uniform(0, 1, 5)
         loads[0] = 0.0
         snap = snapshot_of(loads, sleeping=[0])
-        plain = distance_estimate(snap, cross, neighbors=4).estimates[0]
+        plain = distance_estimate(snap, cross, DistanceConfig(neighbors=4)).estimates[0]
         for n_exp in (1, 2, 5, 10):
-            weighted = distance_estimate(snap, cross, neighbors=4, weighting=n_exp).estimates[0]
+            weighted = distance_estimate(snap, cross, DistanceConfig(neighbors=4, weighting=n_exp)).estimates[0]
             if weighted != plain:
                 failures.append(f"equal-distance trial {trial} n={n_exp}: {weighted} != {plain}")
 
@@ -208,8 +208,8 @@ def test_criterion_3_interpolation_algebra():
         loads[0] = 0.0
         snap = snapshot_of(loads, sleeping=[0])
         n = int(rng.integers(2, n_sbs))
-        est1 = distance_estimate(snap, fixture, n, weighting=1).estimates[0]
-        est10 = distance_estimate(snap, fixture, n, weighting=10).estimates[0]
+        est1 = distance_estimate(snap, fixture, DistanceConfig(n, weighting=1)).estimates[0]
+        est10 = distance_estimate(snap, fixture, DistanceConfig(n, weighting=10)).estimates[0]
         nearest = loads[1]
         if abs(est10 - nearest) > abs(est1 - nearest) + 1e-12:
             failures.append(f"nn-limit trial {trial}: n=10 farther than n=1")

@@ -150,6 +150,52 @@ class TestEstimate:
         )
         assert code == 2
 
+    def estimate_args(self, synth_dir, out, *extra):
+        return ("estimate", "--loads", synth_dir / "loads.csv", "--placements", synth_dir / "placements.json",
+                "--slot", 100, "--out", out, *extra)
+
+    @pytest.mark.parametrize("fraction", [0, -0.5, 1])
+    def test_sleep_fraction_outside_unit_interval_is_usage_error(self, synth_dir, tmp_path, capsys, fraction):
+        out = tmp_path / "e.json"
+        assert run_cli(*self.estimate_args(synth_dir, out, "--sleep-fraction", fraction)) == 1
+        assert "sleep_fraction must lie strictly between 0 and 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sleep_fraction_draw_is_the_sweeps_draw(self, synth_dir, tmp_path):
+        out = tmp_path / "e.json"
+        assert run_cli(*self.estimate_args(synth_dir, out, "--sleep-fraction", 0.25, "--seed", 4)) == 0
+        rng = np.random.default_rng(4)
+        assert json.loads(out.read_text())["config"]["sleepers"] == sorted(rng.permutation(16)[:4].tolist())
+
+    def test_repeated_sleepers_echo_the_masked_set(self, synth_dir, tmp_path, capsys):
+        docs = []
+        for i, ids in enumerate(("3,3,5", "5,3")):
+            out = tmp_path / f"e{i}.json"
+            assert run_cli(*self.estimate_args(synth_dir, out, "--sleepers", ids)) == 0
+            docs.append(json.loads(out.read_text()))
+        assert "estimate: 2 sleepers" in capsys.readouterr().out
+        assert docs[0]["config"]["sleepers"] == [3, 5]
+        assert docs[0]["estimates"]["sleeper_ids"] == [3, 5]
+        assert docs[0] == docs[1]  # same options, hash and estimates
+
+    @pytest.mark.parametrize("estimator, flag", [
+        ("distance", "--neighbors"), ("random", "--neighbors"), ("distance", "--exponent"),
+        ("random", "--exponent"), ("mlc", "--layers"), ("mlc", "--k-override"),
+    ])
+    def test_bad_estimator_flag_is_usage_error(self, synth_dir, tmp_path, capsys, estimator, flag):
+        out = tmp_path / "e.json"
+        args = self.estimate_args(synth_dir, out, "--estimator", estimator, "--sleepers", "1,5", flag, 0)
+        assert run_cli(*args) == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("epsilon", ["-1", "-1e-9", "inf", "nan"])
+    def test_bad_epsilon_is_usage_error(self, synth_dir, tmp_path, capsys, epsilon):
+        out = tmp_path / "e.json"
+        assert run_cli(*self.estimate_args(synth_dir, out, "--sleepers", "1,5", f"--epsilon={epsilon}")) == 1
+        assert "epsilon must be finite and nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestOptimize:
     def test_single_sbs_matches_hand_brute_force(self, tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 from cellsleep.estimators import (
     DistanceConfig,
+    ErrorUndefined,
     MlcConfig,
     RandomConfig,
     estimate,
@@ -39,37 +40,39 @@ class TestDistanceEstimate:
         )
         snap = snapshot_of([0.0, 0.1, 0.2, 0.3, 0.4], sleeping=[0])
         for exponent in (None, 1, 2, 10):
-            res = distance_estimate(snap, placements, neighbors=4, weighting=exponent)
+            res = distance_estimate(snap, placements, DistanceConfig(neighbors=4, weighting=exponent))
             assert res.estimates[0] == np.mean([0.1, 0.2, 0.3, 0.4])  # exact
 
     def test_two_neighbor_weighted_hand_value(self):
         # distances {1, 2}, loads {1.0, 0.0}, n=1: (1*2/1 + 0*2/2) / (2 + 1) = 2/3
         placements = line_placements([0.0, 1.0, 2.0])
         snap = snapshot_of([0.0, 1.0, 0.0], sleeping=[0])
-        res = distance_estimate(snap, placements, neighbors=2, weighting=1, distance_floor=0.5)
+        cfg = DistanceConfig(neighbors=2, weighting=1, distance_floor_m=0.5)
+        res = distance_estimate(snap, placements, cfg)
         assert res.estimates[0] == pytest.approx(2.0 / 3.0, rel=1e-12)
 
     def test_large_exponent_collapses_on_nearest(self):
         placements = line_placements([0.0, 1.0, 2.0])
         snap = snapshot_of([0.0, 1.0, 0.0], sleeping=[0])
-        res = distance_estimate(snap, placements, neighbors=2, weighting=10, distance_floor=0.5)
+        cfg = DistanceConfig(neighbors=2, weighting=10, distance_floor_m=0.5)
+        res = distance_estimate(snap, placements, cfg)
         assert res.estimates[0] >= 0.999
 
     def test_single_neighbor_is_nearest_active_load(self):
         placements = line_placements([0.0, 10.0, 500.0, 1000.0])
         snap = snapshot_of([0.0, 0.8, 0.2, 0.4], sleeping=[0])
-        res = distance_estimate(snap, placements, neighbors=1)
+        res = distance_estimate(snap, placements, DistanceConfig(neighbors=1))
         assert res.estimates[0] == 0.8
         assert res.detail[0].neighbor_ids == (1,)
 
     def test_too_few_actives_rejected(self):
         snap = snapshot_of([0.1, 0.2, 0.3], sleeping=[0, 1])
         with pytest.raises(ValueError, match="active"):
-            distance_estimate(snap, grid_placements(3), neighbors=2)
+            distance_estimate(snap, grid_placements(3), DistanceConfig(neighbors=2))
 
     def test_known_entries_untouched_and_empty_when_no_sleepers(self):
         snap = snapshot_of([0.1, 0.2, 0.3], sleeping=[])
-        res = distance_estimate(snap, grid_placements(3), neighbors=1)
+        res = distance_estimate(snap, grid_placements(3), DistanceConfig(neighbors=1))
         assert res.n_sleepers == 0 and res.estimates.size == 0
 
     def test_dmax_cancels_in_the_estimate(self):
@@ -77,7 +80,7 @@ class TestDistanceEstimate:
         # unchanged, so the d_max convention only affects reported weights.
         placements = line_placements([0.0, 3.0, 7.0, 19.0])
         snap = snapshot_of([0.0, 0.9, 0.3, 0.6], sleeping=[0])
-        res = distance_estimate(snap, placements, neighbors=3, weighting=2)
+        res = distance_estimate(snap, placements, DistanceConfig(neighbors=3, weighting=2))
         d = np.array([3.0, 7.0, 19.0])
         loads = np.array([0.9, 0.3, 0.6])
         for dmax in (1.0, d.max(), 1e6):
@@ -88,7 +91,7 @@ class TestDistanceEstimate:
         placements = grid_placements(25)
         loads = rng.uniform(0, 1, 25)
         snap = snapshot_of(loads, sleeping=[2, 11])
-        res = distance_estimate(snap, placements, neighbors=6, weighting=3)
+        res = distance_estimate(snap, placements, DistanceConfig(neighbors=6, weighting=3))
         for det in res.detail:
             assert sum(det.weights) == pytest.approx(1.0, rel=1e-9)
 
@@ -99,14 +102,14 @@ class TestRandomEstimate:
         snap = snapshot_of(loads, sleeping=[4])
         active = np.delete(loads, 4)
         for seed in (0, 1, 99):
-            res = random_estimate(snap, grid_placements(10), neighbors=9, seed=seed)
+            res = random_estimate(snap, grid_placements(10), RandomConfig(neighbors=9, seed=seed))
             assert res.estimates[0] == pytest.approx(active.mean(), rel=1e-12)
 
     def test_same_seed_same_draw(self, rng):
         loads = rng.uniform(0, 1, 20)
         snap = snapshot_of(loads, sleeping=[3, 8])
-        a = random_estimate(snap, grid_placements(20), neighbors=5, seed=42)
-        b = random_estimate(snap, grid_placements(20), neighbors=5, seed=42)
+        a = random_estimate(snap, grid_placements(20), RandomConfig(neighbors=5, seed=42))
+        b = random_estimate(snap, grid_placements(20), RandomConfig(neighbors=5, seed=42))
         assert np.array_equal(a.estimates, b.estimates)
         assert a.detail == b.detail
 
@@ -116,7 +119,7 @@ class TestRandomEstimate:
         placements = line_placements([0.0, 5.0, 11.0, 23.0])
         loads = np.array([0.0, 0.9, 0.3, 0.6])
         snap = snapshot_of(loads, sleeping=[0])
-        res = random_estimate(snap, placements, neighbors=2, weighting=1, seed=7)
+        res = random_estimate(snap, placements, RandomConfig(neighbors=2, weighting=1, seed=7))
 
         rng = np.random.default_rng(7)
         drawn = rng.permutation(np.array([1, 2, 3]))[:2]
@@ -186,9 +189,9 @@ class TestSharedNeighborPath:
             shared = zip(near_table.estimates(snap.loads, points), drawn_table.estimates(snap.loads, points))
             for (n, e), (near_est, drawn_est) in zip(points, shared):
                 for est, single, naive in (
-                    (near_est, distance_estimate(snap, placements, n, e, distance_floor=floor),
+                    (near_est, distance_estimate(snap, placements, DistanceConfig(n, e, distance_floor_m=floor)),
                      naive_estimates(pos, loads, sleepers, active, n, e, floor)),
-                    (drawn_est, random_estimate(snap, placements, n, e, seed, distance_floor=floor),
+                    (drawn_est, random_estimate(snap, placements, RandomConfig(n, e, seed, distance_floor_m=floor)),
                      naive_estimates(pos, loads, sleepers, active, n, e, floor, seed)),
                 ):
                     np.testing.assert_allclose(est, single.estimates, rtol=1e-12, atol=0)
@@ -358,8 +361,8 @@ class TestInvariants:
             loads[0] = 0.0
             snap = snapshot_of(loads, sleeping=[0])
             n = int(rng.integers(2, n_sbs))
-            est1 = distance_estimate(snap, placements, n, weighting=1).estimates[0]
-            est10 = distance_estimate(snap, placements, n, weighting=10).estimates[0]
+            est1 = distance_estimate(snap, placements, DistanceConfig(n, weighting=1)).estimates[0]
+            est10 = distance_estimate(snap, placements, DistanceConfig(n, weighting=10)).estimates[0]
             nearest = loads[1]
             assert abs(est10 - nearest) <= abs(est1 - nearest) + 1e-12
 
@@ -398,3 +401,35 @@ class TestEstimationError:
     def test_misaligned_rejected(self):
         with pytest.raises(ValueError):
             estimation_error([0.1, 0.2], [0.1])
+
+    @pytest.mark.parametrize("epsilon", [-1.0, float("inf"), float("nan")])
+    def test_bad_epsilon_rejected(self, epsilon):
+        # A negative epsilon used to include a zero load and return inf.
+        with pytest.raises(ValueError, match="epsilon must be finite and nonnegative"):
+            estimation_error([0.0, 0.5], [0.1, 0.5], epsilon=epsilon)
+
+    def test_rows_match_one_row_calls_bit_for_bit(self, rng):
+        # 3 estimators x 5 slots x 300 sleepers: rows past 128 included
+        # sleepers reach numpy's pairwise split.
+        actual = rng.uniform(0.0, 1.0, (5, 300))
+        actual[1, :200] = 0.0
+        estimated = rng.uniform(0.0, 1.0, (3, 5, 300))
+        summary = estimation_error(actual, estimated, epsilon=0.05)
+        assert summary.mean_error.shape == (3, 5) and summary.n_included.shape == (5,)
+        for p in range(3):
+            for s in range(5):
+                row = estimation_error(actual[s], estimated[p, s], epsilon=0.05)
+                assert summary.mean_error[p, s] == row.mean_error
+                assert (summary.n_included[s], summary.n_excluded[s]) == (row.n_included, row.n_excluded)
+        keep = actual[2] >= 0.05
+        assert summary.mean_error[0, 2] == (np.abs(actual[2] - estimated[0, 2]) / actual[2])[keep].mean()
+
+    def test_undefined_row_is_named(self):
+        actual = np.array([[0.5, 0.2], [1e-4, 0.0], [0.0, 0.0]])
+        with pytest.raises(ErrorUndefined, match="all 2 sleepers fall below epsilon=0.001") as info:
+            estimation_error(actual, np.zeros((4, 3, 2)))
+        assert info.value.row == 1
+
+    def test_estimates_must_end_in_the_actual_shape(self):
+        with pytest.raises(ValueError, match="shape"):
+            estimation_error(np.ones((2, 3)), np.ones(3))

@@ -17,13 +17,13 @@ class TestSingleLayer:
         # No history: the sleeper enters at the global active mean v and
         # every cluster's active mean is v.
         snap = snapshot_of([0.4, 0.4, 0.4, 0.4, 0.0], sleeping=[4])
-        res = mlc_estimate(snap, np.full(5, np.nan), layers=1)
+        res = mlc_estimate(snap, np.full(5, np.nan), MlcConfig(layers=1))
         assert res.estimates[0] == pytest.approx(0.4, rel=1e-12)
 
     def test_uniform_actives_one_sleeper_with_matching_history(self):
         snap = snapshot_of([0.4, 0.4, 0.4, 0.4, 0.0], sleeping=[4])
         history = np.array([np.nan, np.nan, np.nan, np.nan, 0.4])
-        res = mlc_estimate(snap, history, layers=1)
+        res = mlc_estimate(snap, history, MlcConfig(layers=1))
         assert res.estimates[0] == pytest.approx(0.4, rel=1e-12)
 
     def test_history_matching_one_active_with_full_k(self):
@@ -32,7 +32,7 @@ class TestSingleLayer:
         # sleeper clusters with that active alone and inherits its load.
         snap = snapshot_of([0.2, 0.5, 0.8, 0.0], sleeping=[3])
         history = np.array([np.nan, np.nan, np.nan, 0.5])
-        res = mlc_estimate(snap, history, layers=1, k_override=3)
+        res = mlc_estimate(snap, history, MlcConfig(layers=1, k_override=3))
         assert res.estimates[0] == pytest.approx(0.5, rel=1e-12)
         assert res.detail[0].neighbor_ids == (1,)
 
@@ -41,7 +41,7 @@ class TestSingleLayer:
         # its cluster has no active member, so the estimate stays put.
         snap = snapshot_of([0.1, 0.12, 0.14, 0.0], sleeping=[3])
         history = np.array([np.nan, np.nan, np.nan, 0.9])
-        res = mlc_estimate(snap, history, layers=1, k_override=2)
+        res = mlc_estimate(snap, history, MlcConfig(layers=1, k_override=2))
         assert res.estimates[0] == pytest.approx(0.9)
         assert res.detail[0].neighbor_ids == ()
 
@@ -52,16 +52,16 @@ class TestLayering:
         snap = snapshot_of([v, v, v, v, 0.0, 0.0], sleeping=[4, 5])
         history = np.array([np.nan] * 4 + [v, v])
         for layers in (1, 3, 7):
-            res = mlc_estimate(snap, history, layers=layers)
+            res = mlc_estimate(snap, history, MlcConfig(layers=layers))
             assert np.allclose(res.estimates, v, atol=1e-12)
 
     def test_layer_estimates_prefix_property(self, rng):
         loads = rng.uniform(0, 1, 40)
         history = np.clip(loads + rng.normal(0, 0.02, 40), 0, 1)
         snap = snapshot_of(loads, sleeping=rng.choice(40, 6, replace=False))
-        deep = mlc_estimate(snap, history, layers=5)
+        deep = mlc_estimate(snap, history, MlcConfig(layers=5))
         for layers in (1, 2, 3, 4, 5):
-            shallow = mlc_estimate(snap, history, layers=layers)
+            shallow = mlc_estimate(snap, history, MlcConfig(layers=layers))
             assert np.array_equal(shallow.estimates, deep.layer_estimates[layers - 1])
 
     def test_deeper_layers_reduce_error_on_correlated_data(self):
@@ -78,7 +78,7 @@ class TestLayering:
             sleepers = np.random.default_rng(100 + it).permutation(n_sbs)[:8]
             for slot in (36, 72, 108):
                 snap, actual = mask_sleepers(day.loads[:, slot], sleepers)
-                res = mlc_estimate(snap, history_all[:, slot], layers=7)
+                res = mlc_estimate(snap, history_all[:, slot], MlcConfig(layers=7))
                 ids = list(res.sleeper_ids)
                 for layers in (1, 7):
                     est = res.layer_estimates[layers - 1]
@@ -92,7 +92,7 @@ class TestLayering:
             history = np.clip(loads + rng.normal(0, 0.1, n), 0, 1)
             sleepers = rng.choice(n, size=max(1, n // 5), replace=False)
             snap = snapshot_of(loads, sleeping=sleepers)
-            res = mlc_estimate(snap, history, layers=int(rng.integers(1, 6)), kmeans_seed=trial)
+            res = mlc_estimate(snap, history, MlcConfig(layers=int(rng.integers(1, 6)), kmeans_seed=trial))
             assert (res.estimates >= 0).all() and (res.estimates <= 1).all()
 
     def test_scale_equivariance(self, rng):
@@ -102,9 +102,9 @@ class TestLayering:
         loads = rng.uniform(0.1, 1.0, 30)
         history = np.clip(loads + rng.normal(0, 0.03, 30), 0.05, 1.0)
         sleepers = [3, 12, 25]
-        base = mlc_estimate(snapshot_of(loads, sleepers), history, layers=3)
+        base = mlc_estimate(snapshot_of(loads, sleepers), history, MlcConfig(layers=3))
         for c in (0.25, 0.5):
-            scaled = mlc_estimate(snapshot_of(c * loads, sleepers), c * history, layers=3)
+            scaled = mlc_estimate(snapshot_of(c * loads, sleepers), c * history, MlcConfig(layers=3))
             assert np.allclose(scaled.estimates, c * base.estimates, rtol=1e-9)
 
     def test_estimate_is_mean_of_reported_contributors(self, rng):
@@ -112,7 +112,7 @@ class TestLayering:
         history = np.clip(loads + rng.normal(0, 0.05, 30), 0, 1)
         sleepers = [4, 9, 20]
         snap = snapshot_of(loads, sleeping=sleepers)
-        res = mlc_estimate(snap, history, layers=3)
+        res = mlc_estimate(snap, history, MlcConfig(layers=3))
         for det, est in zip(res.detail, res.estimates):
             if det.neighbor_ids:
                 assert est == pytest.approx(loads[list(det.neighbor_ids)].mean(), rel=1e-12)
@@ -130,7 +130,7 @@ class TestDispatchAndValidation:
 
     def test_zero_sleepers(self):
         snap = snapshot_of([0.1, 0.2], sleeping=[])
-        res = mlc_estimate(snap, np.array([0.1, 0.2]), layers=2)
+        res = mlc_estimate(snap, np.array([0.1, 0.2]), MlcConfig(layers=2))
         assert res.n_sleepers == 0
         assert res.layer_estimates.shape == (2, 0)
 
@@ -138,7 +138,7 @@ class TestDispatchAndValidation:
     def test_zero_slot_rows(self, layers):
         known = np.array([True, True, False, True, False])
         trace, (source_layer, source_group, groups) = mlc_layers(
-            np.empty((0, 5)), np.empty((0, 5)), known, layers
+            np.empty((0, 5)), np.empty((0, 5)), known, MlcConfig(layers)
         )
         assert trace.shape == (0, layers, 2)
         assert source_layer.size == source_group.size == 0 and groups == []
@@ -146,7 +146,7 @@ class TestDispatchAndValidation:
     def test_bad_layers(self):
         snap = snapshot_of([0.1, 0.2], sleeping=[1])
         with pytest.raises(ValueError):
-            mlc_estimate(snap, np.array([0.1, 0.2]), layers=0)
+            mlc_estimate(snap, np.array([0.1, 0.2]), MlcConfig(layers=0))
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -157,32 +157,29 @@ class TestDispatchAndValidation:
         # and fail mid-sweep.
         with pytest.raises(ValueError):
             MlcConfig(**kwargs)
-        snap = snapshot_of([0.1, 0.2, 0.3, 0.4], sleeping=[1])
-        with pytest.raises(ValueError):
-            mlc_estimate(snap, np.full(4, 0.2), **{"layers": 1, **kwargs})
 
     def test_bad_history_shape(self):
         snap = snapshot_of([0.1, 0.2], sleeping=[1])
         with pytest.raises(ValueError, match="history"):
-            mlc_estimate(snap, np.array([0.1]), layers=1)
+            mlc_estimate(snap, np.array([0.1]), MlcConfig(layers=1))
 
     def test_history_out_of_range(self):
         snap = snapshot_of([0.1, 0.2], sleeping=[1])
         with pytest.raises(ValueError, match="history"):
-            mlc_estimate(snap, np.array([0.1, 1.7]), layers=1)
+            mlc_estimate(snap, np.array([0.1, 1.7]), MlcConfig(layers=1))
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf])
     def test_infinite_history_rejected(self, bad):
         # Only NaN means "no history"; an infinite feature is out of range
         # and must not fall back to the active mean.
         snap = snapshot_of([0.3, 0.3, 0.3, 0.3, 0.0], sleeping=[4])
-        assert mlc_estimate(snap, [np.nan] * 5, layers=1).estimates[0] == pytest.approx(0.3)
+        assert mlc_estimate(snap, [np.nan] * 5, MlcConfig(layers=1)).estimates[0] == pytest.approx(0.3)
         with pytest.raises(ValueError, match=r"history features must lie in \[0, 1\]"):
-            mlc_estimate(snap, [np.nan] * 4 + [bad], layers=1)
+            mlc_estimate(snap, [np.nan] * 4 + [bad], MlcConfig(layers=1))
         history = np.full((3, 5), 0.3)
         history[2, 4] = bad
         with pytest.raises(ValueError, match=r"history features must lie in \[0, 1\]"):
-            mlc_layers(np.full((3, 5), 0.3), history, snap.known_mask, 2)
+            mlc_layers(np.full((3, 5), 0.3), history, snap.known_mask, MlcConfig(2))
 
 
 class TestMatchesOriginalMlc:
@@ -191,9 +188,8 @@ class TestMatchesOriginalMlc:
     @staticmethod
     def assert_matches(loads, sleepers, history, layers, k_override, seed, max_iter=100):
         snap = snapshot_of(loads, sleeping=sleepers)
-        res = mlc_estimate(
-            snap, history, layers, k_override=k_override, kmeans_seed=seed, kmeans_max_iter=max_iter
-        )
+        cfg = MlcConfig(layers, k_override=k_override, kmeans_seed=seed, kmeans_max_iter=max_iter)
+        res = mlc_estimate(snap, history, cfg)
         ref_layers, ref_ids = naive_kmeans.mlc_layers(
             snap.loads, snap.known_mask, history, layers, k_override=k_override, seed=seed, max_iter=max_iter
         )
@@ -236,9 +232,8 @@ class TestBatchedSlots:
 
     @staticmethod
     def assert_matches(loads, history, known, layers, k_override, seed, max_iter=100):
-        trace, _ = mlc_layers(
-            loads, history, known, layers, k_override=k_override, kmeans_seed=seed, kmeans_max_iter=max_iter
-        )
+        cfg = MlcConfig(layers, k_override=k_override, kmeans_seed=seed, kmeans_max_iter=max_iter)
+        trace, _ = mlc_layers(loads, history, known, cfg)
         assert trace.shape == (loads.shape[0], layers, np.count_nonzero(~known))
         for s in range(loads.shape[0]):
             ref, _ = naive_kmeans.mlc_layers(
@@ -301,20 +296,20 @@ class TestBatchedSlots:
         assert run_error_sweep(cfg, points).csv_text() == whole
         calls = []
 
-        def recorded(loads, history, known_mask, layers, **kwargs):
-            out = mlc_layers(loads, history, known_mask, layers, **kwargs)
-            calls.append((loads, history, known_mask, layers, kwargs, out[0]))
+        def recorded(loads, history, known_mask, config):
+            out = mlc_layers(loads, history, known_mask, config)
+            calls.append((loads, history, known_mask, config, out[0]))
             return out
 
         monkeypatch.setattr(experiments, "mlc_layers", recorded)
         monkeypatch.setattr(experiments, "_MLC_BATCH_ROWS", 4 * cfg.n_sbs)
         assert run_error_sweep(cfg, points).csv_text() == whole
         assert sorted(call[0].shape[0] for call in calls) == [2] * 4 + [4] * 4
-        for loads, history, known, layers, kwargs, trace in calls:
+        for loads, history, known, cfg, trace in calls:
             for s in range(loads.shape[0]):
                 ref, _ = naive_kmeans.mlc_layers(
-                    loads[s], known, history[s], layers,
-                    k_override=kwargs["k_override"], seed=kwargs["kmeans_seed"], max_iter=kwargs["kmeans_max_iter"],
+                    loads[s], known, history[s], cfg.layers,
+                    k_override=cfg.k_override, seed=cfg.kmeans_seed, max_iter=cfg.kmeans_max_iter,
                 )
                 assert np.array_equal(trace[s], ref)
 
@@ -361,7 +356,7 @@ class TestSortedRunGuard:
         history = np.full(17, np.nan)
         estimates = set()
         for seed in range(8):
-            res = mlc_estimate(snap, history, 1, k_override=2, kmeans_seed=seed)
+            res = mlc_estimate(snap, history, MlcConfig(1, k_override=2, kmeans_seed=seed))
             ref, _ = naive_kmeans.mlc_layers(snap.loads, snap.known_mask, history, 1, k_override=2, seed=seed)
             assert np.array_equal(res.layer_estimates, ref)
             estimates.add(float(ref[0, 0]))
@@ -382,7 +377,7 @@ class TestSortedRunGuard:
         for eps in (kmeans._PREFIX_EPS, float(np.finfo(float).eps)):
             monkeypatch.setattr(kmeans, "_PREFIX_EPS", eps)
             lloyd_calls.clear()
-            trace, _ = mlc_layers(loads, history, known, 1, k_override=2)
+            trace, _ = mlc_layers(loads, history, known, MlcConfig(1, k_override=2))
             assert all(np.array_equal(row, ref) for row in trace)
             fallbacks.append(len(lloyd_calls))
         assert fallbacks[0] == 0 < fallbacks[1] < n_slots
