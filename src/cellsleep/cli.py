@@ -52,6 +52,11 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INFEASIBLE = 3
 
+# NEP 19 spawn key of the estimate command's random neighbor draw: a child
+# stream of --seed, independent of the sleeper draw, which seeds
+# default_rng(--seed) as the sweeps do.
+_NEIGHBOR_DRAW = (1,)
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1 on usage errors instead of argparse's 2
@@ -267,8 +272,9 @@ def _cmd_estimate(args) -> int:
             cfg = MlcConfig(layers=args.layers, k_override=args.k_override)
         elif args.estimator == "distance":
             cfg = DistanceConfig(neighbors=args.neighbors, weighting=args.exponent)
-        else:
-            cfg = RandomConfig(neighbors=args.neighbors, weighting=args.exponent, seed=args.seed)
+        else:  # its own stream: --seed alone seeds the sleeper draw
+            seed = np.random.SeedSequence(args.seed, spawn_key=_NEIGHBOR_DRAW).generate_state(1)[0]
+            cfg = RandomConfig(neighbors=args.neighbors, weighting=args.exponent, seed=int(seed))
         check_epsilon(args.epsilon)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

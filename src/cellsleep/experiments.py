@@ -14,8 +14,13 @@ report is a pure function of (config, seed); worker processes only change
 wall-clock time, never a reported digit. An error iteration walks its
 evaluation slots in batches: every estimator answers a whole batch of slots
 that share the sleeping set, then each slot's errors are pooled in slot
-order. Per-point aggregates go to the CSV, per-iteration details and timing
-to the JSON sidecar.
+order. Every cell returns plain numbers. An error iteration returns one
+(points, 3) array: each point's relative-error sum and its included and
+excluded sleeper counts. A switching cell (network size, iteration) returns
+the actual optimum's power and one row (change rate, deployed power, naive
+power, gap, deployed feasible) per estimator: perfect estimates first, then
+MLC at each depth. Per-point aggregates go to the CSV, per-iteration details
+and timing to the JSON sidecar.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ from .traffic import (
     LoadSeries,
     SbsPlacement,
     _synthetic_row_blocks,
-    mask_sleepers,
+    default_diurnal_profile,
     sleep_mask,
 )
 
@@ -84,6 +89,7 @@ def build_dataset(config: ExperimentConfig, *, n_sbs: int | None = None, seed: i
             n,
             config.grid_side,
             config.correlation_length_m,
+            diurnal_profile=default_diurnal_profile(config.slots_per_day),
             n_days=config.n_days,
             n_bumps=config.n_field_bumps,
             noise_std=config.noise_std,
@@ -178,6 +184,22 @@ class ExperimentReport:
                     row.append(str(value))
             lines.append(",".join(row))
         return "\n".join(lines) + "\n"
+
+
+def _report(
+    experiment: str, config: ExperimentConfig, columns, points: list[SweepPoint], t0: float, **metadata
+) -> ExperimentReport:
+    """The report of ``points``, stamped with the config and the wall clock since ``t0``."""
+    return ExperimentReport(
+        experiment=experiment,
+        profile=config.profile,
+        base_seed=config.base_seed,
+        config=config.to_dict(),
+        config_hash=config_hash(config),
+        columns=columns,
+        points=points,
+        metadata={"wall_clock_s": time.perf_counter() - t0, **metadata},
+    )
 
 
 def report_basename(experiment: str, profile: str, seed: int) -> str:
@@ -278,8 +300,8 @@ def _draw_sleepers(config: ExperimentConfig, iteration: int, n_sbs: int) -> np.n
     return draw_sleepers(config.sleep_fraction, n_sbs, _iteration_seed(config, iteration))
 
 
-def _error_iteration(iteration: int) -> list[list]:
-    """Per-point [relative-error sum, included count, excluded count]."""
+def _error_iteration(iteration: int) -> np.ndarray:
+    """(points, 3): each point's relative-error sum, included and excluded counts."""
     config: ExperimentConfig = _STATE["config"]
     points = _STATE["points"]
     data: Dataset = _STATE["dataset"]
@@ -313,7 +335,7 @@ def _error_iteration(iteration: int) -> list[list]:
     nearest: dict[float, NeighborTable] = {}
 
     batch = max(1, _MLC_BATCH_ROWS // data.day.n_sbs)
-    totals = [[0.0, 0, 0] for _ in points]
+    totals = np.zeros((len(points), 3))
     for b0 in range(0, len(slots), batch):
         cols = list(slots[b0 : b0 + batch])
         loads = data.day.loads[:, cols].T
@@ -358,11 +380,9 @@ def _error_iteration(iteration: int) -> list[list]:
             error = estimation_error(loads[:, sleepers], stacked, config.epsilon)
         except ErrorUndefined as exc:
             raise ValueError(f"iteration {iteration}, slot {cols[exc.row]}: {exc}") from exc
-        pooled = np.column_stack([[total[0] for total in totals], error.mean_error * error.n_included])
-        for total, running in zip(totals, np.cumsum(pooled, axis=1)[:, -1].tolist()):
-            total[0] = running
-            total[1] += int(error.n_included.sum())
-            total[2] += int(error.n_excluded.sum())
+        pooled = np.column_stack([totals[:, 0], error.mean_error * error.n_included])
+        totals[:, 0] = np.cumsum(pooled, axis=1)[:, -1]
+        totals[:, 1:] += error.n_included.sum(), error.n_excluded.sum()
     return totals
 
 
@@ -380,38 +400,24 @@ def run_error_sweep(
     per_iter = _map_iterations(
         _init_error_worker, (config, list(points)), _error_iteration, config.n_iterations, workers
     )
-
-    report_points = []
-    for idx, (labels, _) in enumerate(points):
-        sums = np.array([it[idx][0] for it in per_iter])
-        incs = np.array([it[idx][1] for it in per_iter])
-        excs = np.array([it[idx][2] for it in per_iter])
-        iter_means = [s / n if n else float("nan") for s, n in zip(sums, incs)]
-        total_inc = int(incs.sum())
-        mean_error = float(sums.sum() / total_inc) if total_inc else float("nan")
-        std_error = float(np.std(np.array(iter_means)))
-        report_points.append(
-            SweepPoint(
-                labels=dict(labels),
-                metrics={
-                    "mean_error": mean_error,
-                    "std_error": std_error,
-                    "n_included": total_inc,
-                    "n_excluded": int(excs.sum()),
-                },
-                per_iteration={"mean_error": [float(m) for m in iter_means]},
-            )
+    # One contiguous (iterations,) row per point and column: each sum below
+    # sees its terms in iteration order, as one point's own array.
+    sums, included, excluded = np.ascontiguousarray(np.stack(per_iter).transpose(2, 1, 0))
+    iter_means = sums / included  # every slot includes at least one sleeper
+    report_points = [
+        SweepPoint(
+            labels=dict(labels),
+            metrics={
+                "mean_error": float(err.sum() / n.sum()),
+                "std_error": float(np.std(means)),
+                "n_included": int(n.sum()),
+                "n_excluded": int(x.sum()),
+            },
+            per_iteration={"mean_error": means.tolist()},
         )
-    return ExperimentReport(
-        experiment=experiment,
-        profile=config.profile,
-        base_seed=config.base_seed,
-        config=config.to_dict(),
-        config_hash=config_hash(config),
-        columns=_ERROR_COLUMNS,
-        points=report_points,
-        metadata={"wall_clock_s": time.perf_counter() - t0, "epsilon": config.epsilon},
-    )
+        for (labels, _), err, n, x, means in zip(points, sums, included, excluded, iter_means)
+    ]
+    return _report(experiment, config, _ERROR_COLUMNS, report_points, t0, epsilon=config.epsilon)
 
 
 # --------------------------------------------------------------------------
@@ -473,8 +479,13 @@ def _init_switch_worker(config: ExperimentConfig, s_values, l_values) -> None:
     _STATE["scales"] = OffloadScales(to_mbs=config.offload_to_mbs, to_haps=config.offload_to_haps)
 
 
-def _switch_iteration(task: tuple[int, int]) -> dict:
-    """One (network size, iteration) cell: optimize actual, perfect and per-L estimates."""
+def _switch_iteration(task: tuple[int, int]) -> tuple[float, np.ndarray]:
+    """One (network size, iteration) cell: the actual optimum's power and its rows.
+
+    Row e is (change rate, deployed power, naive power, gap, deployed
+    feasible) of estimator e: perfect estimates first, then MLC at each
+    depth in ``l_values`` order.
+    """
     s, iteration = task
     config: ExperimentConfig = _STATE["config"]
     l_values: tuple[int, ...] = _STATE["l_values"]
@@ -485,13 +496,12 @@ def _switch_iteration(task: tuple[int, int]) -> dict:
     slots = config.eval_slots()
     slot = slots[iteration % len(slots)]
     sleepers = _draw_sleepers(config, iteration, s)
-    snapshot, actual = mask_sleepers(data.day.loads[:, slot], sleepers)
+    known_mask = sleep_mask(s, sleepers)
+    actual = data.day.loads[:, slot].copy()  # contiguous: BLAS may sum a strided column in another order
 
     actual_sol = optimize(config, actual, power_cfg, scales)
 
-    out: dict = {"power_actual": actual_sol.power, "by_estimator": {}}
-
-    def evaluate(estimates: np.ndarray) -> dict:
+    def evaluate(estimates: np.ndarray) -> tuple[float, float, float, float, bool]:
         filled = actual.copy()
         filled[sleepers] = estimates
         est_sol = optimize(config, filled, power_cfg, scales)
@@ -504,25 +514,24 @@ def _switch_iteration(task: tuple[int, int]) -> dict:
             power_cfg, min(deployed_cap.haps_load, 1.0), min(deployed_cap.mbs_load, 1.0),
             actual, est_sol.state == ON,
         )
-        return {
-            "rate": decision_change_rate(actual_sol.state, est_sol.state),
-            "deployed": deployed_power,
-            "naive": est_sol.power,
-            "gap": deployed_power - actual_sol.power,
-            "deployed_feasible": deployed_cap.feasible,
-        }
+        return (
+            decision_change_rate(actual_sol.state, est_sol.state),
+            deployed_power,
+            est_sol.power,
+            deployed_power - actual_sol.power,
+            deployed_cap.feasible,
+        )
 
-    out["by_estimator"]["perfect"] = evaluate(actual[sleepers].copy())
+    rows = [evaluate(actual[sleepers])]
     if l_values:
         mlc = mlc_layers(
             actual[None],
             data.history[None, :, slot],
-            snapshot.known_mask,
+            known_mask,
             MlcConfig(layers=max(l_values), k_override=config.mlc_k_override),
         )[0][0]
-        for layers in l_values:
-            out["by_estimator"][layers] = evaluate(mlc[layers - 1])
-    return out
+        rows += [evaluate(mlc[layers - 1]) for layers in l_values]
+    return actual_sol.power, np.array(rows, dtype=float)
 
 
 def _mean(values: np.ndarray) -> float:
@@ -544,37 +553,29 @@ def _switching_report(
             raise ValueError("switching sweeps need n_sbs >= 2 per point")
     tasks = [(s, i) for s in s_values for i in range(config.n_iterations)]
     t0 = time.perf_counter()
-    results = _map_iterations(
+    cells = _map_iterations(
         _init_switch_worker, (config, tuple(s_values), tuple(l_values)), _switch_iteration, tasks, workers
     )
-    by_s: dict[int, list[dict]] = {s: [] for s in s_values}
-    for (s, _), res in zip(tasks, results):
-        by_s[s].append(res)
 
     points = []
-    estimator_keys: list[tuple[str, object]] = [("perfect", "perfect")] + [
-        ("mlc", layers) for layers in l_values
-    ]
+    estimators = [("perfect", None)] + [("mlc", layers) for layers in l_values]
     for s in s_values:
-        optimizer = optimizer_name(config, s)
-        for estimator, key in estimator_keys:
-            rows = [r["by_estimator"][key if estimator == "mlc" else "perfect"] for r in by_s[s]]
-            rates = np.array([r["rate"] for r in rows])
-            deployed = np.array([r["deployed"] for r in rows])
-            naive = np.array([r["naive"] for r in rows])
-            gaps = np.array([r["gap"] for r in rows])
-            actuals = np.array([r["power_actual"] for r in by_s[s]])
+        at_s = [cell for (size, _), cell in zip(tasks, cells) if size == s]
+        actuals = np.array([power for power, _ in at_s])
+        # (estimators, 5, iterations): one contiguous row per estimator and column
+        table = np.stack([rows for _, rows in at_s], axis=-1)
+        for (estimator, layers), (rates, deployed, naive, gaps, feasible) in zip(estimators, table):
             # An infeasible deployed decision is priced with the overloaded
             # tier capped at full load, which understates its cost: the
             # deployed-power and gap means cover feasible iterations only.
-            feasible = np.array([r["deployed_feasible"] for r in rows], dtype=bool)
+            feasible = feasible.astype(bool)
             points.append(
                 SweepPoint(
                     labels={
                         "n_sbs": s,
-                        "layers": key if estimator == "mlc" else None,
+                        "layers": layers,
                         "estimator": estimator,
-                        "optimizer": optimizer,
+                        "optimizer": optimizer_name(config, s),
                     },
                     metrics={
                         "decision_change_rate": float(rates.mean()),
@@ -584,31 +585,20 @@ def _switching_report(
                         "power_estimated_naive_w": float(naive.mean()),
                         "gap_w": _mean(gaps[feasible]),
                         "gap_rel": _mean((gaps / actuals)[feasible]),
-                        "n_iterations": len(rows),
+                        "n_iterations": rates.size,
                     },
                     per_iteration={
                         "decision_change_rate": rates.tolist(),
                         "gap_w": gaps.tolist(),
                         "power_actual_w": actuals.tolist(),
-                        "deployed_feasible": [bool(r["deployed_feasible"]) for r in rows],
+                        "deployed_feasible": feasible.tolist(),
                     },
                 )
             )
-    return ExperimentReport(
-        experiment=experiment,
-        profile=config.profile,
-        base_seed=config.base_seed,
-        config=config.to_dict(),
-        config_hash=config_hash(config),
-        columns=columns,
-        points=points,
-        metadata={
-            "wall_clock_s": time.perf_counter() - t0,
-            "optimizer_by_s": {str(s): optimizer_name(config, s) for s in s_values},
-            "deployed_infeasible_per_point": [
-                p.per_iteration["deployed_feasible"].count(False) for p in points
-            ],
-        },
+    return _report(
+        experiment, config, columns, points, t0,
+        optimizer_by_s={str(s): optimizer_name(config, s) for s in s_values},
+        deployed_infeasible_per_point=[p.per_iteration["deployed_feasible"].count(False) for p in points],
     )
 
 

@@ -246,14 +246,13 @@ def aggregate_activity(
     weights: Sequence[float] = (1.0, 1.0, 1.0, 1.0, 1.0),
     *,
     slot_minutes: int = 10,
-    epoch_ms: int | None = None,
 ) -> ActivityMatrix:
     """Combine the five activity counters into one per-(square, slot) measure.
 
     The combined value is the weighted sum over counters; multiple records
     in the same (square, slot) add up (e.g. separate country-code rows).
-    Slots are indexed from ``epoch_ms`` (defaults to the earliest interval
-    seen); cells with no record stay zero and are counted as missing.
+    Slots are indexed from the earliest interval seen (``epoch_ms``); cells
+    with no record stay zero and are counted as missing.
     """
     w = np.asarray(weights, dtype=float)
     if w.shape != (len(ACTIVITY_FIELDS),):
@@ -263,20 +262,12 @@ def aggregate_activity(
     if not records:
         raise DataFormatError("no records to aggregate")
 
-    if epoch_ms is None:
-        epoch_ms = min(r.interval_start for r in records)
+    epoch_ms = min(r.interval_start for r in records)
     slot_ms = slot_minutes * 60_000
 
     squares = sorted({r.square_id for r in records})
     row_of = {sq: i for i, sq in enumerate(squares)}
-    slots = []
-    for r in records:
-        offset = r.interval_start - epoch_ms
-        if offset < 0:
-            raise DataFormatError(
-                f"record at {r.interval_start} precedes the epoch {epoch_ms}"
-            )
-        slots.append(offset // slot_ms)
+    slots = [(r.interval_start - epoch_ms) // slot_ms for r in records]
     n_slots = int(max(slots)) + 1
 
     values = np.zeros((len(squares), n_slots))
@@ -432,6 +423,10 @@ def _synthetic_row_blocks(
     """
     if n_sbs < 1:
         raise ValueError("n_sbs must be >= 1")
+    if n_days < 1:
+        raise ValueError(f"n_days must be >= 1, got {n_days!r}")
+    if n_bumps < 0:
+        raise ValueError(f"n_bumps must be nonnegative, got {n_bumps!r}")
     if n_sbs > grid_side * grid_side:
         raise ValueError(f"n_sbs {n_sbs} exceeds grid capacity {grid_side * grid_side}")
     if not correlation_length_m > 0:  # NaN fails too

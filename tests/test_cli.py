@@ -78,6 +78,15 @@ class TestSynth:
         assert "noise_std" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--days", 0, "n_days"), ("--days", -2, "n_days"), ("--bumps", -1, "n_bumps"),
+    ])
+    def test_bad_days_or_bumps_writes_nothing(self, tmp_path, capsys, flag, value, field):
+        out = tmp_path / "out"
+        assert run_cli("synth", "--out", out, flag, value) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nan_correlation_length_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert run_cli("synth", "--out", out, "--correlation-length", "nan", "--noise-std", 0,
@@ -166,6 +175,18 @@ class TestEstimate:
         assert run_cli(*self.estimate_args(synth_dir, out, "--sleep-fraction", 0.25, "--seed", 4)) == 0
         rng = np.random.default_rng(4)
         assert json.loads(out.read_text())["config"]["sleepers"] == sorted(rng.permutation(16)[:4].tolist())
+
+    def test_random_neighbor_draw_has_its_own_stream(self, synth_dir, tmp_path):
+        out = tmp_path / "e.json"
+        args = ("--estimator", "random", "--neighbors", 3, "--sleep-fraction", 0.25, "--seed", 4)
+        assert run_cli(*self.estimate_args(synth_dir, out, *args)) == 0
+        doc = json.loads(out.read_text())
+        active = np.setdiff1d(np.arange(16), doc["config"]["sleepers"])
+        drawn = doc["estimates"]["detail"][0]["neighbor_ids"]
+        child = np.random.SeedSequence(4, spawn_key=(1,)).generate_state(1)[0]
+        assert drawn == np.random.default_rng(int(child)).permutation(active)[:3].tolist()
+        # not the stream that drew the sleepers
+        assert drawn != np.random.default_rng(4).permutation(active)[:3].tolist()
 
     def test_repeated_sleepers_echo_the_masked_set(self, synth_dir, tmp_path, capsys):
         docs = []

@@ -1,12 +1,14 @@
 import hashlib
+import json
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cellsleep import experiments, switching
-from cellsleep.config import ExperimentConfig, config_hash, desk_profile, paper_profile
+from cellsleep.config import ExperimentConfig, config_from_dict, config_hash, desk_profile, paper_profile
 from cellsleep.dataio import write_loads_csv, write_placements_json
 from cellsleep.errors import ConfigError
 from cellsleep.estimators import MlcConfig, estimate
@@ -72,6 +74,20 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(data_source="csv")
 
+    @staticmethod
+    def shipped(name):
+        doc = json.loads((Path(__file__).parents[1] / "configs" / name).read_text())
+        return doc["experiment"]
+
+    def test_default_json_is_the_resolved_default(self):
+        def strip(doc):
+            return {k: strip(v) if isinstance(v, dict) else v for k, v in doc.items() if not k.startswith("_")}
+
+        assert strip(self.shipped("default.json")) == ExperimentConfig().to_dict()
+
+    def test_desk_json_resolves_to_the_desk_profile(self):
+        assert config_from_dict(self.shipped("desk.json")) == desk_profile()
+
 
 class TestBuildDataset:
     def test_shapes_and_determinism(self):
@@ -131,6 +147,15 @@ class TestBuildDataset:
     def test_non_finite_or_negative_noise_rejected(self, noise_std):
         with pytest.raises(ValueError, match="noise_std"):
             build_dataset(small_config(noise_std=noise_std))
+
+    @pytest.mark.parametrize("slots_per_day, slot_minutes", [(48, 30), (24, 60)])
+    def test_synthetic_day_follows_slots_per_day(self, slots_per_day, slot_minutes):
+        cfg = desk_profile(slots_per_day=slots_per_day, slot_minutes=slot_minutes)
+        data = build_dataset(cfg)
+        assert data.day.loads.shape == data.history.shape == (100, slots_per_day)
+        assert (data.day.slots_per_day, data.day.slot_minutes) == (slots_per_day, slot_minutes)
+        # the day's shape, not its first hours: the evening peak is in the day
+        assert data.day.loads.mean(axis=0).argmax() > slots_per_day // 2
 
     def test_never_holds_the_multi_day_series(self):
         # numpy reports its buffers to tracemalloc. A 2000 x 30-day series

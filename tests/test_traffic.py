@@ -217,6 +217,19 @@ class TestSynthesizeTraffic:
                 seed=0, n_sbs=4, grid_side=2, correlation_length_m=100.0, noise_std=noise_std
             )
 
+    @pytest.mark.parametrize("field, kwargs", [
+        ("n_days", {"n_days": 0}), ("n_days", {"n_days": -2}), ("n_bumps", {"n_bumps": -1}),
+    ])
+    def test_negative_or_empty_shape_rejected(self, field, kwargs):
+        with pytest.raises(ValueError, match=field):
+            synthesize_traffic(seed=0, n_sbs=4, grid_side=2, correlation_length_m=100.0, **kwargs)
+
+    def test_zero_bumps_is_a_flat_field(self):
+        series, _ = synthesize_traffic(
+            seed=4, n_sbs=9, grid_side=3, correlation_length_m=100.0, n_bumps=0, noise_std=0.0
+        )
+        assert np.abs(series.loads - series.loads[0]).max() == 0.0
+
     def test_peak_holds_one_series(self):
         # numpy reports its buffers to tracemalloc. The 1000 x 30-day series
         # (35 MB) is filled in place and adopted, not copied, so the peak
