@@ -105,6 +105,8 @@ class ExperimentConfig:
         if self.n_days < 1 or self.n_iterations < 1 or self.slot_stride < 1:
             raise ConfigError("n_days, n_iterations and slot_stride must be >= 1")
         sleeper_count(self.sleep_fraction, self.n_sbs)  # rejects a fraction outside (0, 1)
+        if self.base_seed < 0:
+            raise ConfigError(f"base_seed must be >= 0, got {self.base_seed!r}")
         if self.data_source not in ("synthetic", "milan"):
             raise ConfigError(f"unknown data_source {self.data_source!r}")
         if self.data_source == "milan" and not self.loads_csv:

@@ -14,19 +14,21 @@ layer. Clusters that contain no active SBS leave their sleepers' estimates
 unchanged. After the configured number of layers, the most recent
 cluster-mean assignment per sleeper is returned.
 
-``mlc_layers`` estimates a stack of S slots that share one sleeper set (the
-evaluation slots of a sweep iteration) together. Slot s's SBSs are the rows
-s*n .. s*n + n - 1 of one flat layout, and layer 1 has one cell per slot. A
-layer's cells are kept back to back, each in row order, and a cell never
-spans two slots. ``kmeans._fit_cells`` clusters every cell of every slot in
-one vectorized pass of Lloyd steps on sorted runs, with the assignments
-that ``kmeans_fit`` (fixed k) or ``elbow_fit`` would give each cell alone
-(it falls back to the exact loop wherever rounding could tell the two
-apart). One stable argsort by global (cell, cluster) key then lays out the
-next layer's cells, and each group's active mean is its pairwise sum in
-row order over its count (one ``kmeans._segment_sums`` pass for all
-groups), the bits of ``loads[members].mean()``. So every slot gets the
-estimates it would get alone. No slots or no sleepers give an empty trace.
+``mlc_layers`` estimates a stack of S slots together, each with its own
+sleeper set of one common size: the evaluation slots of an error-sweep
+iteration share one set, and the iterations of a switching sweep each draw
+their own. Slot s's SBSs are the rows s*n .. s*n + n - 1 of one flat
+layout, and layer 1 has one cell per slot. A layer's cells are kept back to
+back, each in row order, and a cell never spans two slots.
+``kmeans._fit_cells`` clusters every cell of every slot in one vectorized
+pass of Lloyd steps on sorted runs, with the assignments that
+``kmeans_fit`` (fixed k) or ``elbow_fit`` would give each cell alone (it
+falls back to the exact loop wherever rounding could tell the two apart).
+One stable argsort by global (cell, cluster) key then lays out the next
+layer's cells, and each group's active mean is its pairwise sum in row
+order over its count (one ``kmeans._segment_sums`` pass for all groups),
+the bits of ``loads[members].mean()``. So every slot gets the estimates it
+would get alone. No slots or no sleepers give an empty trace.
 ``mlc_estimate`` is the one-slot call that also reports each estimate's
 contributors. Both take their settings as one ``MlcConfig``, whose
 construction is the only check of them.
@@ -76,20 +78,22 @@ def mlc_layers(
     known_mask: np.ndarray,
     config: MlcConfig,
 ) -> tuple[np.ndarray, tuple]:
-    """Every layer's sleeper estimates for S slots that share one sleeper set.
+    """Every layer's sleeper estimates for S slots with m sleepers each.
 
     Args:
         loads: (S, n) loads, one slot per row; only known entries are read.
         history: (S, n) stand-in features; NaN means no history, and the
             sleeper then enters at its slot's mean active load. Only
             sleepers' entries are read.
-        known_mask: (n,) true for the active SBSs of every slot.
+        known_mask: (S, n) true for each slot's active SBSs, or (n,) for
+            one set that every slot shares. Every row needs the same
+            number m of sleepers and at least one active SBS.
         config: depth, cluster count (elbow-selected if ``k_override`` is
             None) and Lloyd settings.
 
     Returns:
         ``(estimates, sources)``. ``estimates[s, l]`` holds slot s's
-        estimates after layer l + 1, one per sleeper in id order.
+        estimates after layer l + 1, one per slot-s sleeper in id order.
         ``sources`` is ``(source_layer, source_group, groups)``: per
         sleeper (slot-major) the layer and group whose active mean it last
         took, -1 if none, and per layer ``(known_rows, first, count)``,
@@ -98,13 +102,15 @@ def mlc_layers(
     """
     layers, k_override = config.layers, config.k_override
     loads = np.asarray(loads, dtype=float)
-    known_mask = np.asarray(known_mask, dtype=bool)
     n_slots, n = loads.shape
-    active = np.flatnonzero(known_mask)
-    sleepers = np.flatnonzero(~known_mask)
-    if active.size == 0:
+    known_mask = np.asarray(known_mask, dtype=bool)
+    n_active = np.count_nonzero(known_mask.reshape(-1, n), axis=1)
+    if (n_active == 0).any():
         raise ValueError("no active SBS to cluster against")
-    m = sleepers.size
+    if (n_active != n_active[:1]).any():
+        counts = sorted(set((n - n_active).tolist()))
+        raise ValueError(f"every slot needs the same number of sleepers, got {counts}")
+    m = n - int(n_active[0]) if n_active.size else 0
     if m == 0 or n_slots == 0:  # nothing to estimate
         none = np.empty(0, dtype=np.int64)
         return np.empty((n_slots, layers, m)), (none, none, [])
@@ -114,18 +120,18 @@ def mlc_layers(
         raise ValueError(
             f"history must provide one feature per SBS and slot {loads.shape}, got shape {hist.shape}"
         )
-    hist_sleep = hist[:, sleepers]
+    known = np.broadcast_to(known_mask, loads.shape)
+    hist_sleep = hist[~known]  # slot-major, each slot's sleepers in id order
     # NaN is "no history"; a comparison with NaN is false, one with +-inf is not.
     if ((hist_sleep < 0.0) | (hist_sleep > 1.0)).any():
         raise ValueError("history features must lie in [0, 1]")
 
-    slot_means = _segment_sums(loads[:, active].ravel(), np.full(n_slots, active.size)) / active.size
+    slot_means = _segment_sums(loads[known], np.full(n_slots, n - m)) / (n - m)
     features = loads.copy()
-    features[:, sleepers] = np.where(np.isnan(hist_sleep), slot_means[:, None], hist_sleep)
+    features[~known] = np.where(np.isnan(hist_sleep), np.repeat(slot_means, m), hist_sleep)
     features = features.ravel()
     flat_loads = loads.ravel()
-    known_rows = np.tile(known_mask, n_slots)
-
+    known_rows = known.ravel()
     estimates = features[~known_rows]
     sleeper_pos = np.full(n_slots * n, -1)
     sleeper_pos[~known_rows] = np.arange(n_slots * m)

@@ -16,8 +16,10 @@ evaluation slots in batches: every estimator answers a whole batch of slots
 that share the sleeping set, then each slot's errors are pooled in slot
 order. Every cell returns plain numbers. An error iteration returns one
 (points, 3) array: each point's relative-error sum and its included and
-excluded sleeper counts. A switching cell (network size, iteration) returns
-the actual optimum's power and one row (change rate, deployed power, naive
+excluded sleeper counts. A switching task is a run of iterations at one
+network size, whose MLC estimates come from one batched call (each
+iteration has its own sleeper set and slot). Per iteration it returns the
+actual optimum's power and one row (change rate, deployed power, naive
 power, gap, deployed feasible) per estimator: perfect estimates first, then
 MLC at each depth. Per-point aggregates go to the CSV, per-iteration details
 and timing to the JSON sidecar.
@@ -281,7 +283,8 @@ _STATE: dict = {}
 
 # SBS x slot rows that one batched MLC call clusters at most: every desk slot
 # (n=100) in one call, 6 paper slots (n=5000) per call, which bounds the
-# layer-wide Lloyd arrays of a paper-scale iteration.
+# layer-wide Lloyd arrays of a paper-scale iteration. A switching run at size
+# s clusters at most this many // s iterations at once.
 _MLC_BATCH_ROWS = 1 << 15
 
 
@@ -479,14 +482,16 @@ def _init_switch_worker(config: ExperimentConfig, s_values, l_values) -> None:
     _STATE["scales"] = OffloadScales(to_mbs=config.offload_to_mbs, to_haps=config.offload_to_haps)
 
 
-def _switch_iteration(task: tuple[int, int]) -> tuple[float, np.ndarray]:
-    """One (network size, iteration) cell: the actual optimum's power and its rows.
+def _switch_run(task: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Iterations ``first .. stop - 1`` at one network size: (iterations,) and (iterations, E, 5).
 
-    Row e is (change rate, deployed power, naive power, gap, deployed
-    feasible) of estimator e: perfect estimates first, then MLC at each
-    depth in ``l_values`` order.
+    Per iteration, the actual optimum's power and one row (change rate,
+    deployed power, naive power, gap, deployed feasible) per estimator e:
+    perfect estimates first, then MLC at each depth in ``l_values`` order.
+    Each iteration draws its own sleeper set and slot; one ``mlc_layers``
+    call estimates them all, every row as it would alone.
     """
-    s, iteration = task
+    s, first, stop = task
     config: ExperimentConfig = _STATE["config"]
     l_values: tuple[int, ...] = _STATE["l_values"]
     data: Dataset = _STATE["datasets"][s]
@@ -494,44 +499,47 @@ def _switch_iteration(task: tuple[int, int]) -> tuple[float, np.ndarray]:
     scales: OffloadScales = _STATE["scales"]
 
     slots = config.eval_slots()
-    slot = slots[iteration % len(slots)]
-    sleepers = _draw_sleepers(config, iteration, s)
-    known_mask = sleep_mask(s, sleepers)
-    actual = data.day.loads[:, slot].copy()  # contiguous: BLAS may sum a strided column in another order
-
-    actual_sol = optimize(config, actual, power_cfg, scales)
-
-    def evaluate(estimates: np.ndarray) -> tuple[float, float, float, float, bool]:
-        filled = actual.copy()
-        filled[sleepers] = estimates
-        est_sol = optimize(config, filled, power_cfg, scales)
-        deployed_cap = apply_offloads(
-            config.base_mbs_load, config.base_haps_load, actual, est_sol.state, scales
-        )
-        # A decision that overloads a tier at the actual loads is recorded as
-        # infeasible and priced with that tier at full load.
-        deployed_power = network_power(
-            power_cfg, min(deployed_cap.haps_load, 1.0), min(deployed_cap.mbs_load, 1.0),
-            actual, est_sol.state == ON,
-        )
-        return (
-            decision_change_rate(actual_sol.state, est_sol.state),
-            deployed_power,
-            est_sol.power,
-            deployed_power - actual_sol.power,
-            deployed_cap.feasible,
-        )
-
-    rows = [evaluate(actual[sleepers])]
+    cols = [slots[i % len(slots)] for i in range(first, stop)]
+    known = np.array([sleep_mask(s, _draw_sleepers(config, i, s)) for i in range(first, stop)])
+    # C order: each iteration's loads are one contiguous row, since BLAS may
+    # sum a strided column in another order.
+    actuals = np.ascontiguousarray(data.day.loads[:, cols].T)
+    mlc = None
     if l_values:
         mlc = mlc_layers(
-            actual[None],
-            data.history[None, :, slot],
-            known_mask,
+            actuals, data.history[:, cols].T, known,
             MlcConfig(layers=max(l_values), k_override=config.mlc_k_override),
-        )[0][0]
-        rows += [evaluate(mlc[layers - 1]) for layers in l_values]
-    return actual_sol.power, np.array(rows, dtype=float)
+        )[0]
+
+    powers, rows = [], []
+    for r, (actual, known_mask) in enumerate(zip(actuals, known)):
+        sleepers = np.flatnonzero(~known_mask)
+        actual_sol = optimize(config, actual, power_cfg, scales)
+
+        def evaluate(estimates: np.ndarray) -> tuple[float, float, float, float, bool]:
+            filled = actual.copy()
+            filled[sleepers] = estimates
+            est_sol = optimize(config, filled, power_cfg, scales)
+            deployed_cap = apply_offloads(
+                config.base_mbs_load, config.base_haps_load, actual, est_sol.state, scales
+            )
+            # A decision that overloads a tier at the actual loads is recorded
+            # as infeasible and priced with that tier at full load.
+            deployed_power = network_power(
+                power_cfg, min(deployed_cap.haps_load, 1.0), min(deployed_cap.mbs_load, 1.0),
+                actual, est_sol.state == ON,
+            )
+            return (
+                decision_change_rate(actual_sol.state, est_sol.state),
+                deployed_power,
+                est_sol.power,
+                deployed_power - actual_sol.power,
+                deployed_cap.feasible,
+            )
+
+        powers.append(actual_sol.power)
+        rows.append([evaluate(actual[sleepers])] + [evaluate(mlc[r, layers - 1]) for layers in l_values])
+    return np.array(powers), np.array(rows, dtype=float)
 
 
 def _mean(values: np.ndarray) -> float:
@@ -551,19 +559,25 @@ def _switching_report(
     for s in s_values:
         if s < 2:
             raise ValueError("switching sweeps need n_sbs >= 2 per point")
-    tasks = [(s, i) for s in s_values for i in range(config.n_iterations)]
+    # Runs of iterations per size: at most _MLC_BATCH_ROWS SBS rows each, and
+    # short enough that every worker gets a run of each size.
+    n_iter = config.n_iterations
+    tasks = []
+    for s in s_values:
+        run = max(1, min(_MLC_BATCH_ROWS // s, -(-n_iter // workers)))
+        tasks += [(s, i, min(i + run, n_iter)) for i in range(0, n_iter, run)]
     t0 = time.perf_counter()
-    cells = _map_iterations(
-        _init_switch_worker, (config, tuple(s_values), tuple(l_values)), _switch_iteration, tasks, workers
+    runs = _map_iterations(
+        _init_switch_worker, (config, tuple(s_values), tuple(l_values)), _switch_run, tasks, workers
     )
 
     points = []
     estimators = [("perfect", None)] + [("mlc", layers) for layers in l_values]
     for s in s_values:
-        at_s = [cell for (size, _), cell in zip(tasks, cells) if size == s]
-        actuals = np.array([power for power, _ in at_s])
+        at_s = [run for (size, _, _), run in zip(tasks, runs) if size == s]
+        actuals = np.concatenate([powers for powers, _ in at_s])
         # (estimators, 5, iterations): one contiguous row per estimator and column
-        table = np.stack([rows for _, rows in at_s], axis=-1)
+        table = np.ascontiguousarray(np.concatenate([rows for _, rows in at_s]).transpose(1, 2, 0))
         for (estimator, layers), (rates, deployed, naive, gaps, feasible) in zip(estimators, table):
             # An infeasible deployed decision is priced with the overloaded
             # tier capped at full load, which understates its cost: the

@@ -17,8 +17,10 @@ All functions are pure and safe to call concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -53,16 +55,34 @@ class PowerParams:
 
 @dataclass(frozen=True)
 class NetworkPowerConfig:
-    """Power coefficients for one HAPS, one MBS and s >= 1 SBSs."""
+    """Power coefficients for one HAPS, one MBS and s >= 1 SBSs.
+
+    The SBS coefficients are also kept as read-only (s,) arrays, one per
+    ``PowerParams`` field, built once here for the vectorized totals.
+    """
 
     haps: PowerParams
     mbs: PowerParams
     sbs: tuple[PowerParams, ...]
+    sbs_operational: np.ndarray = field(init=False, repr=False, compare=False)
+    sbs_slope: np.ndarray = field(init=False, repr=False, compare=False)
+    sbs_transmit: np.ndarray = field(init=False, repr=False, compare=False)
+    sbs_sleep: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sbs", tuple(self.sbs))
         if len(self.sbs) < 1:
             raise ValueError("a network needs at least one SBS (s >= 1)")
+        columns = np.array(
+            [(p.operational_power, p.amplifier_slope, p.transmit_power, p.sleep_power) for p in self.sbs]
+        ).T
+        columns.flags.writeable = False
+        for name, column in zip(("sbs_operational", "sbs_slope", "sbs_transmit", "sbs_sleep"), columns):
+            object.__setattr__(self, name, column)
+
+    def sbs_active_power(self, loads: np.ndarray) -> np.ndarray:
+        """Each SBS's active power at its load, with the bits of ``station_power``."""
+        return self.sbs_operational + self.sbs_slope * loads * self.sbs_transmit
 
     @property
     def n_sbs(self) -> int:
@@ -105,19 +125,24 @@ def network_power(
 
     HAPS and MBS are always active. Each SBS contributes its active term
     when ``on_off[j]`` is true and its sleep power otherwise, so the result
-    is the plain sum of per-station powers.
+    is the plain sum of per-station powers, added left to right: HAPS, MBS,
+    then SBS 0, 1, ...
 
     Raises:
         ValueError: if the SBS load or state vectors do not match the
-            configured SBS count, or any load is out of range.
+            configured SBS count, or any load is out of range (HAPS first,
+            then MBS, then the first bad SBS, as ``station_power`` names it).
     """
     if len(sbs_loads) != config.n_sbs or len(on_off) != config.n_sbs:
         raise ValueError(
             f"expected {config.n_sbs} SBS loads/states, got "
             f"{len(sbs_loads)} loads and {len(on_off)} states"
         )
-    total = station_power(config.haps, haps_load, True)
-    total += station_power(config.mbs, mbs_load, True)
-    for params, load, is_on in zip(config.sbs, sbs_loads, on_off):
-        total += station_power(params, load, bool(is_on))
-    return total
+    tiers = station_power(config.haps, haps_load, True) + station_power(config.mbs, mbs_load, True)
+    loads = np.asarray(sbs_loads, dtype=float)
+    bad = np.flatnonzero(~((loads >= 0.0) & (loads <= 1.0)))
+    if bad.size:  # the first bad load, as the caller passed it
+        station_power(config.sbs[bad[0]], sbs_loads[bad[0]])
+    per_sbs = np.where(np.asarray(on_off, dtype=bool), config.sbs_active_power(loads), config.sbs_sleep)
+    # Left to right from the tiers, as a running Python sum would add them.
+    return float(np.cumsum(np.concatenate(([tiers], per_sbs)))[-1])

@@ -35,7 +35,6 @@ EXHAUSTIVE_SBS_CAP = 20
 _CHUNK_BITS = 14
 
 ON, TO_MBS, TO_HAPS = 0, 1, 2  # state codes; "-MH"[code] is the JSON letter
-_TIERS = (TO_MBS, TO_HAPS)  # offload targets in tie-break order
 
 
 @dataclass(frozen=True)
@@ -214,11 +213,8 @@ def _linear_model(
     none = np.zeros_like(loads)
     return _LinearModel(
         loads=loads,
-        active=np.array(
-            [p.operational_power + p.amplifier_slope * l * p.transmit_power
-             for p, l in zip(power_config.sbs, loads)]
-        ),
-        sleep=np.array([p.sleep_power for p in power_config.sbs]),
+        active=power_config.sbs_active_power(loads),
+        sleep=power_config.sbs_sleep,
         cost=np.stack([none] + [p.amplifier_slope * p.transmit_power * k * loads for p, k in tiers]),
         use=np.stack([none] + [k * loads for _, k in tiers]),
         cap=np.array([np.inf, 1.0 - base_mbs_load, 1.0 - base_haps_load]),
@@ -229,15 +225,6 @@ def _linear_model(
             + mbs.amplifier_slope * base_mbs_load * mbs.transmit_power
         ),
     )
-
-
-def _cheaper_target(model: _LinearModel, j: int, used: Sequence[float]) -> int:
-    """The cheaper tier that still fits SBS j on top of ``used``, MBS on ties.
-
-    Returns ``ON`` when neither tier fits.
-    """
-    fits = [t for t in _TIERS if used[t] + model.use[t, j] <= model.cap[t]]
-    return min(fits, key=lambda t: model.cost[t, j], default=ON)
 
 
 def _solution(
@@ -366,12 +353,29 @@ def optimize_greedy(
     sums, so a solve sorts once and prices only the returned state in full.
     """
     model = _linear_model(sbs_loads, base_mbs_load, base_haps_load, power_config, scales)
-    state = np.full(model.loads.size, ON, dtype=np.int8)
+    order = np.argsort(model.loads, kind="stable")
+    # Rows by state code, columns in scan order, as plain Python floats: the
+    # same double arithmetic as numpy scalars at a fraction of the cost.
+    use, cost, delta = (
+        a[:, order].tolist() for a in (model.use, model.cost, model.sleep + model.cost - model.active)
+    )
+    cap = model.cap.tolist()
     used = [0.0] * 3  # tier usage by state code
-    for j in np.argsort(model.loads, kind="stable"):
-        tgt = _cheaper_target(model, j, used)
-        if tgt == ON or model.sleep[j] + model.cost[tgt, j] - model.active[j] >= 0:
+    targets = []
+    for j in range(order.size):
+        # The cheaper tier that still fits, MBS on ties; stop if none fits.
+        fits_mbs = used[TO_MBS] + use[TO_MBS][j] <= cap[TO_MBS]
+        fits_haps = used[TO_HAPS] + use[TO_HAPS][j] <= cap[TO_HAPS]
+        if fits_mbs and not (fits_haps and cost[TO_HAPS][j] < cost[TO_MBS][j]):
+            tgt = TO_MBS
+        elif fits_haps:
+            tgt = TO_HAPS
+        else:
             break
-        state[j] = tgt
-        used[tgt] += model.use[tgt, j]
+        if delta[tgt][j] >= 0:
+            break
+        targets.append(tgt)
+        used[tgt] += use[tgt][j]
+    state = np.full(model.loads.size, ON, dtype=np.int8)
+    state[order[: len(targets)]] = targets
     return _solution(state, model, base_mbs_load, base_haps_load, power_config, scales, "greedy")

@@ -14,7 +14,11 @@ sweep
     cumsum per exponent), so the peak RSS of both stays under 200 MB.
     Their CSV bytes are pinned too: the only pins on paper-scale MLC
     (k = 3, cells of up to 5000 SBSs), recorded before the sorted-run
-    Lloyd steps replaced the per-step argsort.
+    Lloyd steps replaced the per-step argsort. So are the bytes of paper
+    fig4 and fig5 sweeps (12 iterations, s = 10, 30, 50, 70, L = 1..7,
+    about 0.3 s each), recorded before switching sweeps batched the MLC
+    calls of a run of iterations and greedy read per-SBS coefficient
+    arrays.
 read
     Reading a 5000-SBS x 1-day loads CSV (20 MB) holds the parsed rows and
     the series, not a dict entry per cell: about 40 MB under tracemalloc
@@ -35,19 +39,27 @@ from cellsleep.dataio import read_loads_csv
 PAPER_CSV_SHA256 = {
     "fig2": "945397e907444625da2aecf7238d3aa9cf804eaadf54fb102571f319268801b3",
     "fig3": "5528a5b477e249d89f6c3f737b0ad4d284a6a524d62e606e1d2c2a64510e096b",
+    "fig4": "72b334247fb3455ac09546aa6a9b9055be3d9f0ead9ae2d3140668bccd97962f",
+    "fig5": "ebd15fb3301e4d7d293e928b8d88c2511db6ae99ea648d9aba5f9f0c7d75b000",
 }
+# The pinned runs: error sweeps take one iteration over the full day,
+# switching sweeps 12 iterations (one slot each) at the default grids.
+FULL_DAY = {"n_iterations": 1, "slot_stride": 1}
+PAPER_RUNS = {"fig2": FULL_DAY, "fig3": FULL_DAY, "fig4": {"n_iterations": 12}, "fig5": {"n_iterations": 12}}
 
 
 def sweep_guard() -> bool:
     with tempfile.TemporaryDirectory() as tmp:
-        config = Path(tmp) / "paper_full_day.json"
-        config.write_text(json.dumps({"experiment": {"n_iterations": 1, "slot_stride": 1}}))
-        codes = [main(["sweep", "--experiment", e, "--profile", "paper",
-                       "--config", str(config), "--out", tmp]) for e in PAPER_CSV_SHA256]
+        codes = []
+        for e, run in PAPER_RUNS.items():
+            config = Path(tmp) / f"paper_{e}.json"
+            config.write_text(json.dumps({"experiment": run}))
+            codes.append(main(["sweep", "--experiment", e, "--profile", "paper",
+                               "--config", str(config), "--out", tmp]))
         digests = {e: hashlib.sha256((Path(tmp) / f"{e}_paper_0.csv").read_bytes()).hexdigest()
                    for e in PAPER_CSV_SHA256}
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-    print(f"paper fig2, fig3 sweeps: exit {codes}, peak RSS {peak_mb:.0f} MB (limit 200)")
+    print(f"paper fig2..fig5 sweeps: exit {codes}, peak RSS {peak_mb:.0f} MB (limit 200)")
     moved = [e for e in PAPER_CSV_SHA256 if digests[e] != PAPER_CSV_SHA256[e]]
     print(f"paper CSV sha256: {digests}; moved: {moved or 'none'}")
     return not (any(codes) or peak_mb > 200 or moved)

@@ -94,6 +94,12 @@ class TestSynth:
         assert "correlation_length_m" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        assert run_cli("synth", "--out", out, "--seed", -1, "--n-sbs", 9, "--grid-side", 3) == 1
+        assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_loads_header(self, synth_dir):
         lines = (synth_dir / "loads.csv").read_text().splitlines()
         assert lines[0].startswith("# config_hash=")
@@ -208,6 +214,16 @@ class TestEstimate:
         args = self.estimate_args(synth_dir, out, "--estimator", estimator, "--sleepers", "1,5", flag, 0)
         assert run_cli(*args) == 1
         assert capsys.readouterr().err.startswith("usage error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("estimator", ["random", "mlc"])
+    def test_negative_seed_is_usage_error(self, synth_dir, tmp_path, capsys, estimator):
+        # numpy rejects a negative seed too, but with an exit code that
+        # depended on the estimator and a message that named no flag.
+        out = tmp_path / "e.json"
+        args = ("--estimator", estimator, "--sleep-fraction", 0.25, "--seed", -1)
+        assert run_cli(*self.estimate_args(synth_dir, out, *args)) == 1
+        assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("epsilon", ["-1", "-1e-9", "inf", "nan"])
@@ -327,6 +343,18 @@ class TestSweepCli:
         out = tmp_path / "r"
         assert run_cli("sweep", "--experiment", "fig2", "--workers", workers, "--out", out) == 1
         assert "--workers: must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment", ["fig3", "fig4"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, experiment):
+        out = tmp_path / "r"
+        assert run_cli("sweep", "--experiment", experiment, "--seed", -1, "--out", out,
+                       "--s-values", "6", "--l-values", "1") == 1
+        assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+        cfg = self.write_cfg(tmp_path, {"base_seed": -1})
+        assert run_cli("sweep", "--experiment", experiment, "--config", cfg, "--out", out,
+                       "--s-values", "6", "--l-values", "1") == 1
+        assert "base_seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_usage_error_exit_code(self):

@@ -52,6 +52,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="finite and nonnegative"):
             ExperimentConfig(**{key: value})
 
+    def test_negative_base_seed_rejected(self):
+        assert ExperimentConfig(base_seed=0).base_seed == 0
+        with pytest.raises(ConfigError, match="base_seed must be >= 0"):
+            config_from_dict({"base_seed": -1})
+
     def test_exhaustive_cap_above_search_limit_rejected(self):
         assert ExperimentConfig(exhaustive_cap=20).exhaustive_cap == 20
         with pytest.raises(ConfigError, match="exhaustive_cap"):
@@ -305,6 +310,35 @@ class TestSwitchingSweeps:
         a = run_decision_sweep(cfg, [6], [1, 2])
         b = run_decision_sweep(cfg, [6], [1, 2], workers=2)
         assert a.csv_text() == b.csv_text()
+
+    def test_csv_bytes_do_not_depend_on_runs_or_workers(self, monkeypatch):
+        # Exhaustive (s=10) and greedy (s=40) sizes over the full L grid: one
+        # run per size, runs of at most 2 and 1 iterations, and two workers
+        # give the same fig4 and fig5 bytes.
+        cfg = desk_profile(n_iterations=5, slot_stride=36, mlc_k_override=3)
+        sizes, depths = (10, 40), tuple(range(1, 8))
+
+        def csvs(workers=1):
+            return tuple(
+                run(cfg, sizes, depths, workers=workers).csv_text()
+                for run in (run_decision_sweep, run_power_sweep)
+            )
+
+        rows = []
+        mlc_layers = experiments.mlc_layers
+
+        def recorded(loads, history, known_mask, config):
+            rows.append(loads.shape[0])
+            return mlc_layers(loads, history, known_mask, config)
+
+        monkeypatch.setattr(experiments, "mlc_layers", recorded)
+        whole = csvs()
+        assert rows == [5, 5] * 2
+        rows.clear()
+        monkeypatch.setattr(experiments, "_MLC_BATCH_ROWS", 25)
+        assert csvs() == whole
+        assert rows == [2, 2, 1, 1, 1, 1, 1, 1] * 2
+        assert csvs(workers=2) == whole
 
     def test_tiny_population_rejected(self):
         with pytest.raises(ValueError):

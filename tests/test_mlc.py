@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cellsleep import experiments
 from cellsleep.config import desk_profile
@@ -312,6 +313,81 @@ class TestBatchedSlots:
                     k_override=cfg.k_override, seed=cfg.kmeans_seed, max_iter=cfg.kmeans_max_iter,
                 )
                 assert np.array_equal(trace[s], ref)
+
+
+def contributors(sources, n_sbs):
+    """Per sleeper (slot-major), the ids of the active SBSs its estimate averages."""
+    source_layer, source_group, groups = sources
+    out = []
+    for layer, g in zip(source_layer.tolist(), source_group.tolist()):
+        if layer < 0:
+            out.append(())
+            continue
+        known_rows, first, count = groups[layer]
+        out.append(tuple((known_rows[first[g] : first[g] + count[g]] % n_sbs).tolist()))
+    return out
+
+
+class TestPerRowMasks:
+    """Slots with different sleeper sets in one call, each as it would be alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_slots=st.integers(1, 5),
+        n=st.integers(3, 150),
+        layers=st.integers(1, 5),
+        k_override=st.sampled_from([None, None, 1, 2, 3, 5]),
+        decimals=st.sampled_from([1, 2, 6]),
+    )
+    def test_each_row_matches_its_own_call(self, seed, n_slots, n, layers, k_override, decimals):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, n))
+        known = np.ones((n_slots, n), dtype=bool)
+        for row in known:
+            row[rng.choice(n, size=m, replace=False)] = False
+        loads = np.round(rng.uniform(0, 1, (n_slots, n)), decimals)
+        history = np.clip(loads + rng.normal(0, 0.05, (n_slots, n)), 0, 1)
+        history[rng.uniform(size=(n_slots, n)) < 0.2] = np.nan
+        history[0] = np.nan  # a slot without history: its sleepers enter at the active mean
+        cfg = MlcConfig(layers, k_override=k_override, kmeans_seed=seed % 7)
+
+        trace, sources = mlc_layers(loads, history, known, cfg)
+        assert trace.shape == (n_slots, layers, m)
+        mates = contributors(sources, n)
+        for s in range(n_slots):
+            alone, alone_sources = mlc_layers(loads[s : s + 1], history[s : s + 1], known[s], cfg)
+            assert np.array_equal(trace[s], alone[0])
+            assert mates[s * m : (s + 1) * m] == contributors(alone_sources, n)
+
+    def test_shared_mask_equals_its_broadcast(self, rng):
+        known = np.ones(40, dtype=bool)
+        known[[3, 17, 30]] = False
+        loads = rng.uniform(0, 1, (4, 40))
+        history = np.full((4, 40), np.nan)
+        cfg = MlcConfig(3)
+        shared = mlc_layers(loads, history, known, cfg)[0]
+        assert np.array_equal(shared, mlc_layers(loads, history, np.tile(known, (4, 1)), cfg)[0])
+
+    def test_unequal_sleeper_counts_rejected(self):
+        known = np.ones((2, 6), dtype=bool)
+        known[0, 1] = known[1, [1, 2]] = False
+        with pytest.raises(ValueError, match=r"same number of sleepers, got \[1, 2\]"):
+            mlc_layers(np.full((2, 6), 0.3), np.full((2, 6), np.nan), known, MlcConfig(1))
+
+    def test_row_without_active_sbs_rejected(self):
+        known = np.zeros((2, 4), dtype=bool)
+        known[0, 2] = True
+        with pytest.raises(ValueError, match="no active SBS"):
+            mlc_layers(np.full((2, 4), 0.3), np.full((2, 4), np.nan), known, MlcConfig(1))
+
+    @pytest.mark.parametrize("layers", [1, 4])
+    def test_no_sleepers_give_the_empty_trace(self, layers):
+        trace, (source_layer, source_group, groups) = mlc_layers(
+            np.full((3, 5), 0.3), np.full((3, 5), np.nan), np.ones((3, 5), dtype=bool), MlcConfig(layers)
+        )
+        assert trace.shape == (3, layers, 0)
+        assert source_layer.size == source_group.size == 0 and groups == []
 
 
 @pytest.fixture

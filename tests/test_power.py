@@ -1,3 +1,6 @@
+import re
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -113,3 +116,52 @@ class TestNetworkPower:
                 p.operational_power + p.amplifier_slope * loads[j] * p.transmit_power
             )
             assert after - before == pytest.approx(expected_delta, rel=1e-9, abs=1e-9)
+
+    def test_total_is_the_left_to_right_sum(self, rng):
+        # Bit for bit: HAPS, MBS, then every SBS in id order, one at a time.
+        for _ in range(100):
+            s = int(rng.integers(1, 400))
+            cfg = random_network_config(rng, s)
+            haps_load, mbs_load = rng.uniform(0, 1, 2).tolist()
+            loads = rng.uniform(0, 1, s)
+            on = rng.random(s) < 0.5
+            expected = station_power(cfg.haps, haps_load)
+            expected += station_power(cfg.mbs, mbs_load)
+            for p, load, is_on in zip(cfg.sbs, loads.tolist(), on.tolist()):
+                expected += station_power(p, load, is_on)
+            assert network_power(cfg, haps_load, mbs_load, loads, on) == expected
+            assert network_power(cfg, haps_load, mbs_load, loads.tolist(), on.tolist()) == expected
+
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_bad_load_message_names_the_first_bad_station(self, rng, as_array):
+        cfg = random_network_config(rng, 5)
+
+        def message(value):
+            return f"^{re.escape(f'load must lie in [0, 1], got {value!r}')}$"
+
+        loads = [0.5, 1.5, 0.2, float("nan"), -0.1]
+        if as_array:
+            loads = np.array(loads)
+        on = [True, False, True, True, False]
+        # HAPS first, then MBS, then the first bad SBS (asleep or not),
+        # each with the repr of the value as passed.
+        with pytest.raises(ValueError, match=message(1.2)):
+            network_power(cfg, 1.2, -0.5, loads, on)
+        with pytest.raises(ValueError, match=message(-0.5)):
+            network_power(cfg, 0.5, -0.5, loads, on)
+        with pytest.raises(ValueError, match=message(loads[1])):
+            network_power(cfg, 0.5, 0.5, loads, on)
+        loads[1] = 0.7
+        with pytest.raises(ValueError, match=message(loads[3])):
+            network_power(cfg, 0.5, 0.5, loads, on)
+        with pytest.raises(ValueError, match=message(float("nan"))):
+            network_power(cfg, float("nan"), 0.5, [0.5] * 5, on)
+
+    def test_coefficient_arrays_follow_the_params(self, rng):
+        cfg = random_network_config(rng, 7)
+        for name, field in (("sbs_operational", "operational_power"), ("sbs_slope", "amplifier_slope"),
+                            ("sbs_transmit", "transmit_power"), ("sbs_sleep", "sleep_power")):
+            column = getattr(cfg, name)
+            assert column.tolist() == [getattr(p, field) for p in cfg.sbs]
+            assert not column.flags.writeable
+        assert cfg == NetworkPowerConfig(cfg.haps, cfg.mbs, list(cfg.sbs))

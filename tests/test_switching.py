@@ -355,6 +355,14 @@ class TestOptimizeGreedy:
         sol = optimize_greedy([0.0, 0.0, 0.9, 0.0, 0.95], 0.2, 0.2, cfg, self.SCALES)
         assert bitstring(sol.state) == "00101"
 
+    def test_zero_load_ties_go_to_the_mbs(self):
+        # HAPS is cheaper per unit load here (3*50*0.01 = 1.5 W against
+        # 4*10*0.5 = 20 W), but a zero load costs 0 W on either tier: the
+        # tie goes to the MBS, and the loaded SBS goes to the HAPS.
+        scales = OffloadScales(to_mbs=0.5, to_haps=0.01)
+        sol = optimize_greedy([0.0, 0.1, 0.0], 0.2, 0.2, uniform_config(3), scales)
+        assert "".join("-MH"[c] for c in sol.state) == "MHM"
+
     def test_never_beats_exhaustive(self, rng):
         for _ in range(150):
             s = int(rng.integers(1, 8))
