@@ -111,6 +111,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown data_source {self.data_source!r}")
         if self.data_source == "milan" and not self.loads_csv:
             raise ConfigError("data_source 'milan' requires loads_csv")
+        if self.data_source == "milan" and not self.placements_json:
+            raise ConfigError("data_source 'milan' requires placements_json")
         if not (0.0 <= self.base_mbs_load <= 1.0 and 0.0 <= self.base_haps_load <= 1.0):
             raise ConfigError("base tier loads must lie in [0, 1]")
         try:
@@ -138,10 +140,7 @@ class ExperimentConfig:
         return tuple(range(0, self.slots_per_day, self.slot_stride))
 
     def to_dict(self) -> dict:
-        doc = dataclasses.asdict(self)
-        for tier in ("haps_power", "mbs_power", "sbs_power"):
-            doc[tier] = dataclasses.asdict(getattr(self, tier))
-        return doc
+        return dataclasses.asdict(self)  # the power tiers become nested dicts
 
 
 def config_from_dict(doc: dict, base: ExperimentConfig | None = None, *, path: str = "experiment") -> ExperimentConfig:

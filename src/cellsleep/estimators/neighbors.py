@@ -17,14 +17,13 @@ config's ``distance_floor_m`` are clamped so co-located stations cannot
 produce infinite weights.
 
 Both variants go through one ``NeighborTable``: the first K selected
-neighbors of every sleeper, in selection order. An N-neighbor set is the
-first N columns (the nearest N, or the first N of the sleeper's random
-permutation), so one table serves every N <= K and every exponent, each
-estimate read from prefix sums of the weights. A table answers one slot's
-loads or a batch of slots at once. Sweeps rank the nearest-neighbor table
-once per sleeper set and query it once per batch of slots; they draw a
-random table per slot and stack its estimates into the batch's.
-``distance_estimate`` and ``random_estimate`` build one table per call
+neighbors of every sleeper, in selection order, for T slots. An N-neighbor
+set is the first N columns (the nearest N, or the first N of the sleeper's
+random permutation), so one table serves every N <= K and every exponent,
+each estimate read from prefix sums of the weights. The nearest table has
+T = 1: its one ranking answers every slot. A random table has one draw per
+slot, T = S. Either answers one slot's loads or a batch of S slots in one
+call. ``distance_estimate`` and ``random_estimate`` build a T = 1 table
 from a ``DistanceConfig`` or ``RandomConfig``, whose construction is the
 only check of the neighbor count, exponent and distance floor.
 The nearest K are selected by partition (introselect) rather than a full
@@ -92,7 +91,7 @@ def positions_array(placements: Sequence[SbsPlacement], n_sbs: int) -> np.ndarra
 
 
 def _distances(pos: np.ndarray, sleepers: np.ndarray, others: np.ndarray) -> np.ndarray:
-    """Euclidean distance from each sleeper (row) to ``others`` (1-D, or one row per sleeper)."""
+    """Euclidean distance from each sleeper to ``others``: 1-D, or (..., sleepers, K) rows."""
     dx = pos[others, 0] - pos[sleepers, 0][:, None]
     dy = pos[others, 1] - pos[sleepers, 1][:, None]
     dx *= dx
@@ -109,22 +108,24 @@ def _check_active(k: int, active: np.ndarray) -> None:
 class NeighborTable:
     """The first K selected active neighbors of each sleeper, in selection order.
 
-    ``ids`` (sleepers x K) holds SBS ids and ``dists`` their floored
-    distances. The N-neighbor estimate of a row reads its first N columns.
+    ``ids`` (T, sleepers, K) holds SBS ids and ``dists`` their floored
+    distances: T = 1 for a selection every slot shares, T = S for one
+    selection per slot of a batch. The N-neighbor estimate of a row reads
+    its first N columns.
     """
 
     def __init__(self, ids: np.ndarray, dists: np.ndarray) -> None:
         self.ids = ids
         self.dists = dists
-        # equal[:, j]: the first j+1 distances of the row are all equal
-        self.equal = np.minimum.accumulate(dists, axis=1) == np.maximum.accumulate(dists, axis=1)
+        # equal[..., j]: the first j+1 distances of the row are all equal
+        self.equal = np.minimum.accumulate(dists, axis=-1) == np.maximum.accumulate(dists, axis=-1)
         self._weights: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def weights(self, exponent: int) -> tuple[np.ndarray, np.ndarray]:
         """IDW weights scaled by the row's first distance, and their prefix sums."""
         if exponent not in self._weights:
-            w = (self.dists[:, :1] / self.dists) ** exponent
-            self._weights[exponent] = (w, np.cumsum(w, axis=1))
+            w = (self.dists[..., :1] / self.dists) ** exponent
+            self._weights[exponent] = (w, np.cumsum(w, axis=-1))
         return self._weights[exponent]
 
     def estimates(
@@ -132,43 +133,45 @@ class NeighborTable:
     ) -> list[np.ndarray]:
         """Per-sleeper estimates for each (N, exponent) point from per-SBS ``loads``.
 
-        ``loads`` is (..., n_sbs), e.g. one slot per row, and each estimate
-        is (..., sleepers); every leading row equals its own one-row call.
-        A plain mean, or a weighted prefix where all N distances are equal,
-        is the exact mean of the N neighbor loads; other weighted points are
-        ``cumsum(w * load)[N-1] / cumsum(w)[N-1]``.
+        ``loads`` is one slot (n_sbs,) or a batch (S, n_sbs), slot s read
+        through table ``s`` (or the one table when T = 1). Each estimate is
+        (sleepers,) or (S, sleepers), and every slot equals its own one-slot
+        call. A plain mean, or a weighted prefix where all N distances are
+        equal, is the exact mean of the N neighbor loads; other weighted
+        points are ``cumsum(w * load)[N-1] / cumsum(w)[N-1]``.
         """
-        near = loads[..., self.ids]
+        batch = np.atleast_2d(loads)
+        near = batch[np.arange(batch.shape[0])[:, None, None], self.ids]  # (S, sleepers, K)
         # Means over a 2-D view: a 3-D reduction may sum in another order.
-        rows = near.reshape(-1, self.ids.shape[1])
+        rows = near.reshape(-1, near.shape[-1])
         weighted_sums: dict[int, np.ndarray] = {}
         out = []
         for n, exponent in points:
             mean = rows[:, :n].mean(axis=1).reshape(near.shape[:-1])
-            if exponent is None:
-                out.append(mean)
-                continue
-            w, w_sum = self.weights(exponent)
-            if exponent not in weighted_sums:
-                weighted_sums[exponent] = np.cumsum(w * near, axis=-1)
-            ratio = weighted_sums[exponent][..., n - 1] / w_sum[:, n - 1]
-            out.append(np.where(self.equal[:, n - 1], mean, ratio))
+            if exponent is not None:
+                w, w_sum = self.weights(exponent)
+                if exponent not in weighted_sums:
+                    weighted_sums[exponent] = np.cumsum(w * near, axis=-1)
+                ratio = weighted_sums[exponent][..., n - 1] / w_sum[..., n - 1]
+                mean = np.where(self.equal[..., n - 1], mean, ratio)
+            out.append(mean.reshape(*loads.shape[:-1], -1))
         return out
 
     def result(
         self, sleepers: np.ndarray, loads: np.ndarray, neighbors: int, weighting: int | None
     ) -> EstimateResult:
-        """One point's estimates with the per-sleeper audit detail."""
+        """One point's estimates from one slot's ``loads``, with the per-sleeper audit detail."""
         (estimates,) = self.estimates(loads, [(neighbors, weighting)])
+        (ids,) = self.ids  # the single T = 1 table
         shares = np.full((len(sleepers), neighbors), 1.0 / neighbors)
         if weighting is not None:
-            w = self.weights(weighting)[0][:, :neighbors]
-            unequal = ~self.equal[:, neighbors - 1]
+            w = self.weights(weighting)[0][0, :, :neighbors]
+            unequal = ~self.equal[0, :, neighbors - 1]
             shares[unequal] = w[unequal] / w[unequal].sum(axis=1, keepdims=True)
         detail = tuple(
             NeighborDetail(
                 sleeper_id=int(sleeper),
-                neighbor_ids=tuple(int(a) for a in self.ids[i, :neighbors]),
+                neighbor_ids=tuple(int(a) for a in ids[i, :neighbors]),
                 weights=tuple(float(v) for v in shares[i]),
             )
             for i, sleeper in enumerate(sleepers)
@@ -181,7 +184,7 @@ class NeighborTable:
 def nearest_table(
     pos: np.ndarray, sleepers: np.ndarray, active: np.ndarray, k: int, distance_floor: float
 ) -> NeighborTable:
-    """Each sleeper's k nearest active SBSs, ties broken by SBS id.
+    """Each sleeper's k nearest active SBSs, ties broken by SBS id: one (1, sleepers, k) table.
 
     Equals the first k columns of a stable argsort of each row: the
     candidates are every distance up to the row's k-th smallest (found by
@@ -196,7 +199,7 @@ def nearest_table(
     cand = d[rows, cols]
     order = np.lexsort((cand, rows))
     starts = np.searchsorted(rows, np.arange(len(sleepers)))
-    first_k = order[(starts[:, None] + np.arange(k)).ravel()].reshape(len(sleepers), k)
+    first_k = order[(starts[:, None] + np.arange(k)).ravel()].reshape(1, len(sleepers), k)
     return NeighborTable(active[cols[first_k]], np.maximum(cand[first_k], distance_floor))
 
 
@@ -206,14 +209,16 @@ def random_table(
     active: np.ndarray,
     k: int,
     distance_floor: float,
-    seed: int,
+    seeds: Sequence[int],
 ) -> NeighborTable:
-    """The first k entries of one ``rng.permutation(active)`` per sleeper, in sleeper order."""
+    """One (len(seeds), sleepers, k) table: per seed, the first k of one ``rng.permutation(active)``
+    per sleeper, in sleeper order, all from that seed's ``default_rng``."""
     _check_active(k, active)
-    rng = np.random.default_rng(seed)
-    ids = np.empty((sleepers.size, k), dtype=active.dtype)
-    for row in ids:
-        row[:] = rng.permutation(active)[:k]
+    ids = np.empty((len(seeds), sleepers.size, k), dtype=active.dtype)
+    for table, seed in zip(ids, seeds):
+        rng = np.random.default_rng(seed)
+        for row in table:
+            row[:] = rng.permutation(active)[:k]
     return NeighborTable(ids, np.maximum(_distances(pos, sleepers, ids), distance_floor))
 
 
@@ -245,6 +250,6 @@ def random_estimate(
     sleepers = snapshot.sleeping_ids
     pos = positions_array(placements, snapshot.n_sbs)
     table = random_table(
-        pos, sleepers, snapshot.active_ids, config.neighbors, config.distance_floor_m, config.seed
+        pos, sleepers, snapshot.active_ids, config.neighbors, config.distance_floor_m, [config.seed]
     )
     return table.result(sleepers, snapshot.loads, config.neighbors, config.weighting)

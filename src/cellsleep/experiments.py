@@ -11,17 +11,15 @@ Three study families are provided:
 
 Every iteration i draws its sleeping set from seed ``base_seed + i``, so a
 report is a pure function of (config, seed); worker processes only change
-wall-clock time, never a reported digit. An error iteration walks its
-evaluation slots in batches: every estimator answers a whole batch of slots
-that share the sleeping set, then each slot's errors are pooled in slot
-order. Every cell returns plain numbers. An error iteration returns one
-(points, 3) array: each point's relative-error sum and its included and
-excluded sleeper counts. A switching task is a run of iterations at one
-network size, whose MLC estimates come from one batched call (each
-iteration has its own sleeper set and slot). Per iteration it returns the
-actual optimum's power and one row (change rate, deployed power, naive
-power, gap, deployed feasible) per estimator: perfect estimates first, then
-MLC at each depth. Per-point aggregates go to the CSV, per-iteration details
+wall-clock time, never a reported digit. An error sweep groups its points
+once, before any worker starts: MLC points by their depth-1 config, neighbor
+points by selection rule and distance floor. An error iteration walks its
+evaluation slots in batches that share the sleeping set; each group answers
+a whole batch in one call, and each slot's errors are pooled in slot order.
+A switching task is a run of iterations at one network size, whose MLC
+estimates come from one batched call (each iteration has its own sleeper
+set and slot). Every cell returns plain numbers (``_error_iteration``,
+``_switch_run``): per-point aggregates go to the CSV, per-iteration details
 and timing to the JSON sidecar.
 """
 
@@ -29,14 +27,14 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .config import ExperimentConfig, config_hash, draw_sleepers
-from .dataio import read_loads_csv, read_placements_json
+from .dataio import read_loads_csv, read_placements_json, write_json
 from .errors import DataFormatError
 from .estimators import (
     DistanceConfig,
@@ -170,21 +168,15 @@ class ExperimentReport:
     metadata: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        """The report as plain data: ``dataclasses.asdict`` without its deep copies."""
+        return {**vars(self), "points": [vars(p) for p in self.points]}
 
     def csv_text(self) -> str:
         lines = [f"# config_hash={self.config_hash}", ",".join(self.columns)]
         for p in self.points:
-            row = []
-            for col in self.columns:
-                value = p.labels.get(col, p.metrics.get(col))
-                if value is None:
-                    row.append("")
-                elif isinstance(value, float):
-                    row.append(repr(value))
-                else:
-                    row.append(str(value))
-            lines.append(",".join(row))
+            values = [p.labels.get(col, p.metrics.get(col)) for col in self.columns]
+            cells = ("" if v is None else repr(v) if isinstance(v, float) else str(v) for v in values)
+            lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
 
 
@@ -209,8 +201,6 @@ def report_basename(experiment: str, profile: str, seed: int) -> str:
 
 
 def write_report(report: ExperimentReport, out_dir: str | Path) -> tuple[Path, Path]:
-    from .dataio import write_json
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     base = report_basename(report.experiment, report.profile, report.base_seed)
@@ -288,25 +278,53 @@ _STATE: dict = {}
 _MLC_BATCH_ROWS = 1 << 15
 
 
-def _init_error_worker(config: ExperimentConfig, points) -> None:
+def _plan_points(points: Sequence[tuple[dict, EstimatorConfig]]) -> tuple[int, list, list]:
+    """Group sweep points by the one estimator run that answers them.
+
+    MLC points with one depth-1 config share a run at the group's deepest
+    depth: layer l of a deeper run equals the full run at layers=l (pure
+    refinement). Neighbor points with one selection rule and distance floor
+    share one table of the group's largest N: an N-neighbor set is the
+    first N columns, and the random draw's seed does not depend on N.
+    Returns the point count, MLC groups (deepest config, point indices,
+    0-based depths) and neighbor groups (kind, floor, K, point indices,
+    (N, exponent) pairs), each in order of first appearance.
+    """
+    mlc: dict[MlcConfig, list[int]] = {}
+    neighbor: dict[tuple[str, float], list[int]] = {}
+    cfgs = [cfg for _, cfg in points]
+    for idx, cfg in enumerate(cfgs):
+        if isinstance(cfg, MlcConfig):
+            mlc.setdefault(replace(cfg, layers=1), []).append(idx)
+        else:
+            neighbor.setdefault((cfg.kind, cfg.distance_floor_m), []).append(idx)
+    mlc_groups = [
+        (replace(key, layers=max(cfgs[i].layers for i in idxs)), idxs, [cfgs[i].layers - 1 for i in idxs])
+        for key, idxs in mlc.items()
+    ]
+    neighbor_groups = [
+        (kind, floor, max(cfgs[i].neighbors for i in idxs), idxs,
+         [(cfgs[i].neighbors, cfgs[i].weighting) for i in idxs])
+        for (kind, floor), idxs in neighbor.items()
+    ]
+    return len(cfgs), mlc_groups, neighbor_groups
+
+
+def _init_error_worker(config: ExperimentConfig, plan: tuple[int, list, list]) -> None:
     _STATE["config"] = config
-    _STATE["points"] = points
+    _STATE["plan"] = plan
     data = _STATE["dataset"] = build_dataset(config)
     _STATE["positions"] = positions_array(data.placements, data.day.n_sbs)
 
 
-def _iteration_seed(config: ExperimentConfig, iteration: int) -> int:
-    return config.base_seed + iteration
-
-
 def _draw_sleepers(config: ExperimentConfig, iteration: int, n_sbs: int) -> np.ndarray:
-    return draw_sleepers(config.sleep_fraction, n_sbs, _iteration_seed(config, iteration))
+    return draw_sleepers(config.sleep_fraction, n_sbs, config.base_seed + iteration)
 
 
 def _error_iteration(iteration: int) -> np.ndarray:
     """(points, 3): each point's relative-error sum, included and excluded counts."""
     config: ExperimentConfig = _STATE["config"]
-    points = _STATE["points"]
+    n_points, mlc_groups, neighbor_groups = _STATE["plan"]
     data: Dataset = _STATE["dataset"]
     pos: np.ndarray = _STATE["positions"]
     slots = config.eval_slots()
@@ -317,70 +335,44 @@ def _error_iteration(iteration: int) -> np.ndarray:
         raise ValueError(f"iteration {iteration}, slot {slots[0]}: {exc}") from exc
     active = np.flatnonzero(known_mask)
 
-    # The sleeper set is fixed, so every estimator answers a batch of whole
-    # slots at once: (S, m) estimates from the batch's (S, n) loads.
-    # Identical MLC settings differing only in depth share one run: layer
-    # l of a deeper run equals the full run at layers=l (pure refinement).
-    # Neighbor points with one selection rule and distance floor share one
-    # neighbor table: the nearest-neighbor table is ranked once per
-    # iteration, the random draw once per slot (its seed does not depend
-    # on N). A table fails only on too few active SBSs, which does not
-    # depend on the slot, so it fails at the iteration's first slot.
-    mlc_keys: dict[int, MlcConfig] = {}  # point index -> its config at depth 1
-    mlc_groups: dict[MlcConfig, MlcConfig] = {}  # depth-1 config -> its deepest point's
-    neighbor_groups: dict[tuple[str, float], list[int]] = {}
-    for idx, (_, cfg) in enumerate(points):
-        if isinstance(cfg, MlcConfig):
-            key = mlc_keys[idx] = replace(cfg, layers=1)
-            mlc_groups[key] = max(mlc_groups.get(key, cfg), cfg, key=lambda c: c.layers)
-        else:
-            neighbor_groups.setdefault((cfg.kind, cfg.distance_floor_m), []).append(idx)
+    # The nearest table is ranked once per iteration; a random table holds
+    # one draw per slot of its batch. A table fails only on too few active
+    # SBSs, which does not depend on the slot, so at the iteration's first.
     nearest: dict[float, NeighborTable] = {}
-
     batch = max(1, _MLC_BATCH_ROWS // data.day.n_sbs)
-    totals = np.zeros((len(points), 3))
+    totals = np.zeros((n_points, 3))
     for b0 in range(0, len(slots), batch):
         cols = list(slots[b0 : b0 + batch])
         loads = data.day.loads[:, cols].T
-        estimates: dict[int, np.ndarray] = {}  # point index -> (slots, sleepers)
-        try:
-            mlc_runs = {
-                key: mlc_layers(loads, data.history[:, cols].T, known_mask, deepest)[0]
-                for key, deepest in mlc_groups.items()
-            }
-        except ValueError as exc:
-            raise ValueError(
-                f"iteration {iteration}, slots {cols[0]}-{cols[-1]}, estimator mlc: {exc}"
-            ) from exc
-        for idx, key in mlc_keys.items():
-            estimates[idx] = mlc_runs[key][:, points[idx][1].layers - 1]
-
-        for (kind, floor), idxs in neighbor_groups.items():
-            cfgs = [points[idx][1] for idx in idxs]
-            k = max(c.neighbors for c in cfgs)
-            pairs = [(c.neighbors, c.weighting) for c in cfgs]
+        estimates = np.empty((n_points, len(cols), sleepers.size))
+        for deepest, idxs, depths in mlc_groups:
+            try:
+                run = mlc_layers(loads, data.history[:, cols].T, known_mask, deepest)[0]
+            except ValueError as exc:
+                raise ValueError(
+                    f"iteration {iteration}, slots {cols[0]}-{cols[-1]}, estimator mlc: {exc}"
+                ) from exc
+            estimates[idxs] = run[:, depths].swapaxes(0, 1)
+        for kind, floor, k, idxs, pairs in neighbor_groups:
             try:
                 if kind == "random":
-                    seed = _iteration_seed(config, iteration) * 100_000
-                    tables = [random_table(pos, sleepers, active, k, floor, seed + slot) for slot in cols]
-                elif floor not in nearest:
-                    nearest[floor] = nearest_table(pos, sleepers, active, k, floor)
+                    seed = (config.base_seed + iteration) * 100_000
+                    table = random_table(pos, sleepers, active, k, floor, [seed + slot for slot in cols])
+                elif floor in nearest:
+                    table = nearest[floor]
+                else:
+                    table = nearest[floor] = nearest_table(pos, sleepers, active, k, floor)
             except ValueError as exc:
                 raise ValueError(
                     f"iteration {iteration}, slot {cols[0]}, estimator {kind}, neighbors {k}: {exc}"
                 ) from exc
-            if kind == "random":
-                per_slot = [table.estimates(row, pairs) for table, row in zip(tables, loads)]
-                estimates.update(zip(idxs, (np.stack(rows) for rows in zip(*per_slot))))
-            else:
-                estimates.update(zip(idxs, nearest[floor].estimates(loads, pairs)))
+            estimates[idxs] = table.estimates(loads, pairs)
 
         # Per point and slot, the mean relative error times its included count
         # is added to the point's total slot by slot, in slot order. That
         # order, and mean * count rather than the sum, keep the CSV bits.
-        stacked = np.stack([estimates[idx] for idx in range(len(points))])
         try:
-            error = estimation_error(loads[:, sleepers], stacked, config.epsilon)
+            error = estimation_error(loads[:, sleepers], estimates, config.epsilon)
         except ErrorUndefined as exc:
             raise ValueError(f"iteration {iteration}, slot {cols[exc.row]}: {exc}") from exc
         pooled = np.column_stack([totals[:, 0], error.mean_error * error.n_included])
@@ -401,7 +393,7 @@ def run_error_sweep(
         raise ValueError("run_error_sweep needs at least one sweep point")
     t0 = time.perf_counter()
     per_iter = _map_iterations(
-        _init_error_worker, (config, list(points)), _error_iteration, config.n_iterations, workers
+        _init_error_worker, (config, _plan_points(points)), _error_iteration, config.n_iterations, workers
     )
     # One contiguous (iterations,) row per point and column: each sum below
     # sees its terms in iteration order, as one point's own array.

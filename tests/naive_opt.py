@@ -60,8 +60,9 @@ def naive_greedy(loads, base_mbs, base_haps, haps, mbs, sbs_params, scale_mbs, s
     """Greedy switch-off with every trial state priced in full.
 
     SBSs are visited in ascending load order, equal loads by index. Each is
-    moved onto the cheaper tier that still fits its offloaded load (MBS on
-    ties) and stays off only if total power strictly falls; the first
+    moved onto the tier that still fits its offloaded load and costs less
+    to offload it, in watts at its load (MBS on ties, so at load 0), and
+    stays off only if total power strictly falls; the first
     candidate with no fitting tier or no gain ends the scan.
     Returns (on_off bits tuple, target letters tuple, power).
     """
@@ -86,8 +87,9 @@ def naive_greedy(loads, base_mbs, base_haps, haps, mbs, sbs_params, scale_mbs, s
         lam_m, lam_h = tier_loads()
         fits_m = lam_m + scale_mbs * loads[j] <= 1.0
         fits_h = lam_h + scale_haps * loads[j] <= 1.0
-        cheaper_m = mbs[1] * mbs[2] * scale_mbs <= haps[1] * haps[2] * scale_haps
-        if fits_m and (not fits_h or cheaper_m):
+        cost_m = mbs[1] * mbs[2] * scale_mbs * loads[j]
+        cost_h = haps[1] * haps[2] * scale_haps * loads[j]
+        if fits_m and (not fits_h or cost_m <= cost_h):
             targets[j] = "M"
         elif fits_h:
             targets[j] = "H"

@@ -357,6 +357,14 @@ class TestSweepCli:
         assert "base_seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_milan_config_without_placements_is_usage_error(self, synth_dir, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, {"data_source": "milan", "loads_csv": str(synth_dir / "loads.csv")})
+        out = tmp_path / "r"
+        assert run_cli("sweep", "--experiment", "fig5", "--config", cfg, "--out", out,
+                       "--s-values", "6", "--l-values", "1") == 1
+        assert "data_source 'milan' requires placements_json" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_usage_error_exit_code(self):
         assert run_cli("sweep", "--experiment", "fig9") == 1
         assert run_cli("nonsense") == 1

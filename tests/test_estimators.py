@@ -185,7 +185,7 @@ class TestSharedNeighborPath:
             seed = int(rng.integers(1 << 31))
             k = max(self.N_VALUES)
             near_table = nearest_table(pos, sleepers, active, k, floor)
-            drawn_table = random_table(pos, sleepers, active, k, floor, seed)
+            drawn_table = random_table(pos, sleepers, active, k, floor, [seed])
             shared = zip(near_table.estimates(snap.loads, points), drawn_table.estimates(snap.loads, points))
             for (n, e), (near_est, drawn_est) in zip(points, shared):
                 for est, single, naive in (
@@ -214,9 +214,9 @@ class TestSharedNeighborPath:
         for floor, equal_up_to in ((1.0, 8), (60.0, 20)):
             for table in (
                 nearest_table(pos, snap.sleeping_ids, snap.active_ids, 20, floor),
-                random_table(pos, snap.sleeping_ids, np.arange(1, equal_up_to + 1), equal_up_to, floor, 3),
+                random_table(pos, snap.sleeping_ids, np.arange(1, equal_up_to + 1), equal_up_to, floor, [3]),
             ):
-                near = loads[table.ids[0]]
+                near = loads[table.ids[0, 0]]
                 prefixes = [(n, e) for n, e in points if n <= equal_up_to]
                 for (n, _), est in zip(prefixes, table.estimates(snap.loads, prefixes)):
                     assert est[0] == near[:n].mean()
@@ -224,17 +224,27 @@ class TestSharedNeighborPath:
     def test_batch_of_slots_matches_one_slot_calls(self, rng):
         # (S, n) loads give each slot's one-row estimates bit for bit, plain
         # means at N >= 8 included: a 3-D mean sums those in another order.
+        # The nearest table serves every slot; a random table over S seeds
+        # reads slot s through seed s's draw, which is that seed's own table.
         n_sbs, k = 300, 60
         pos = positions_array(awkward_placements(rng, n_sbs), n_sbs)
         sleepers = np.union1d(rng.choice(n_sbs, size=40, replace=False), [0, 3, 14])
         active = np.setdiff1d(np.arange(n_sbs), sleepers)
         loads = rng.uniform(0.0, 1.0, (6, n_sbs))
         points = [(n, e) for n in (1, 3, 8, 10, 17, 33, k) for e in self.EXPONENTS]
-        for table in (nearest_table(pos, sleepers, active, k, 1.0),
-                      random_table(pos, sleepers, active, k, 1.0, seed=5)):
+        seeds = [5, 500_000, 500_001, 7, 7, 12]
+        near = nearest_table(pos, sleepers, active, k, 1.0)
+        drawn = random_table(pos, sleepers, active, k, 1.0, seeds)
+        assert near.ids.shape == (1, sleepers.size, k)
+        assert drawn.ids.shape == drawn.dists.shape == (len(seeds), sleepers.size, k)
+        for table, per_slot in ((near, [near] * len(seeds)),
+                                (drawn, [random_table(pos, sleepers, active, k, 1.0, [s]) for s in seeds])):
             batch = table.estimates(loads, points)
-            for s, row in enumerate(loads):
-                for got, want in zip(batch, table.estimates(row, points), strict=True):
+            for s, (row, alone) in enumerate(zip(loads, per_slot)):
+                t = s % len(table.ids)  # the one nearest table, or slot s's draw
+                assert np.array_equal(table.ids[t], alone.ids[0])
+                assert np.array_equal(table.dists[t].view(np.int64), alone.dists[0].view(np.int64))
+                for got, want in zip(batch, alone.estimates(row, points), strict=True):
                     assert got.shape == (6, sleepers.size)
                     assert np.array_equal(got[s], want)
 
@@ -254,8 +264,8 @@ class TestSharedNeighborPath:
     def assert_nearest_matches_reference(self, pos, sleepers, active, k, floor):
         table = nearest_table(pos, sleepers, active, k, floor)
         ids, dists = self.stable_argsort_table(pos, sleepers, active, k, floor)
-        assert np.array_equal(table.ids, ids), (k, floor)
-        assert np.array_equal(table.dists.view(np.int64), dists.view(np.int64)), (k, floor)
+        assert np.array_equal(table.ids[0], ids), (k, floor)
+        assert np.array_equal(table.dists[0].view(np.int64), dists.view(np.int64)), (k, floor)
 
     def test_nearest_table_matches_stable_argsort_on_grids(self, rng):
         # On a grid every sleeper has rings of 4 or 8 actives at one distance,
@@ -287,16 +297,16 @@ class TestSharedNeighborPath:
             for floor in (0.25, 60.0):
                 self.assert_nearest_matches_reference(pos, sleepers, active, k, floor)
         ring_ids = np.sort(np.flatnonzero(np.hypot(*(pos[2:] - pos[0]).T) == 50.0) + 2)
-        assert np.array_equal(nearest_table(pos, sleepers, active, 8, 1.0).ids[0], ring_ids)
+        assert np.array_equal(nearest_table(pos, sleepers, active, 8, 1.0).ids[0, 0], ring_ids)
 
     def test_random_draw_is_prefix_of_widest_draw(self, rng):
         pos = positions_array(grid_placements(64), 64)
         snap = snapshot_of(rng.uniform(0.0, 1.0, 64), sleeping=[3, 17, 40, 41])
-        widest = random_table(pos, snap.sleeping_ids, snap.active_ids, 30, 1.0, seed=11)
+        widest = random_table(pos, snap.sleeping_ids, snap.active_ids, 30, 1.0, [11, 12])
         for n in (1, 5, 29, 30):
-            narrow = random_table(pos, snap.sleeping_ids, snap.active_ids, n, 1.0, seed=11)
-            assert np.array_equal(narrow.ids, widest.ids[:, :n])
-            assert np.array_equal(narrow.dists, widest.dists[:, :n])
+            narrow = random_table(pos, snap.sleeping_ids, snap.active_ids, n, 1.0, [11, 12])
+            assert np.array_equal(narrow.ids, widest.ids[..., :n])
+            assert np.array_equal(narrow.dists, widest.dists[..., :n])
 
 
 class TestDispatch:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -395,6 +396,7 @@ class TestReports:
         assert text.splitlines()[0] == f"# config_hash={report.config_hash}"
         assert text.splitlines()[1].startswith("estimator,neighbors,")
         assert json_path.exists()
+        assert report.to_json_dict() == dataclasses.asdict(report)
 
     def test_axis_builders_reject_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -379,10 +379,16 @@ class TestOptimizeGreedy:
 
     def test_matches_naive_greedy(self, rng):
         # Base loads up to 0.99 and scales up to 0.3 make the tiers bind.
-        for trial in range(200):
+        # Every third trial zeroes some loads (both tiers then cost 0 W, a
+        # tie), every third repeats a few values (ties in the scan order).
+        for trial in range(300):
             s = int(rng.integers(1, 41))
             cfg = random_network_config(rng, s)
             loads = rng.uniform(0, 1, s)
+            if trial % 3 == 1:
+                loads[rng.random(s) < 0.4] = 0.0
+            elif trial % 3 == 2:
+                loads = rng.choice(loads[: max(1, s // 4)], s)
             base_m, base_h = rng.uniform(0.0, 0.99, 2)
             scales = OffloadScales(
                 to_mbs=float(rng.uniform(0, 0.3)), to_haps=float(rng.uniform(0, 0.3))
