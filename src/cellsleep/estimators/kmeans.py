@@ -24,7 +24,11 @@ pass and gives each problem the same assignments as ``kmeans_fit`` or
 a run of the sorted features (Wang & Song 2011, *Ckmeans.1d.dp*, R Journal
 3(2)), so each cell is sorted once, and a Lloyd step is one search for the
 k - 1 midpoints plus run sums read from longdouble prefix sums: O(k log n)
-per problem, with no distance matrix. Those sums are not the exact loop's
+per problem, with no distance matrix. The search runs over (cell, feature)
+pairs as complex numbers, which numpy orders lexicographically, so every
+midpoint of every cell is placed by one ``searchsorted``. A problem that
+has finished is masked out of the step; the live arrays are compacted only
+once half of them have finished. Those sums are not the exact loop's
 pairwise ones, but their error is bounded (``_error_bounds``). A problem
 with a feature near a midpoint, seeds near each other, an empty run or a
 movement near ``tol`` is fitted alone by ``_lloyd``; an elbow that the
@@ -416,15 +420,18 @@ def _fit_cells(
 
     # Each cell sorted by value once. Equal features always share a run, so
     # their order does not matter. The key (cell, rank in the global value
-    # sort) increases along the sorted cells, so one search places every
-    # midpoint in its own cell; ``order`` maps a sorted position to its row.
+    # sort) increases along the sorted cells; ``order`` maps a sorted
+    # position to its row. As complex (cell, feature) pairs, which numpy
+    # compares lexicographically, the sorted cells are one sorted array, so
+    # one search places every midpoint in its own cell.
     by_value = np.argsort(x)
-    values = x[by_value]
     value_rank = np.empty_like(by_value)
     value_rank[by_value] = index
     key = np.sort(cell * n + value_rank)
     order = by_value[key - cell * n]
     xs = x[order]
+    cell_xs = np.empty(n, dtype=complex)
+    cell_xs.real, cell_xs.imag = cell, xs
     prefix = np.zeros(n + 1, dtype=np.longdouble)
     np.cumsum(xs, dtype=np.longdouble, out=prefix[1:])
     scale, depth, p_max, delta, margin = _error_bounds(xs, prefix, starts, sizes)
@@ -444,14 +451,20 @@ def _fit_cells(
     # The sorted cells with +inf after each: cell c's position t sits at t + c.
     above = np.insert(xs, ends, np.inf)
     live, shift = np.arange(p_cell.size), p_cell[:, None]
-    base, lo, hi = shift * n, starts[shift], ends[shift]
+    lo, hi = starts[shift], ends[shift]
     tie_margin, slack0 = margin[shift], 2 * delta[p_cell] + _TINY
+    probe = np.empty((p_cell.size, kmax - 1), dtype=complex)  # (cell, midpoint - margin)
+    probe.real = shift
+    # A finished problem is recorded once and then only masked out; the live
+    # arrays are compacted once at least half of them have finished.
+    active = np.ones(live.size, dtype=bool)
     prev = None
     for step in range(max_iter):
         # A midpoint's cut is the first sorted position above it less the
         # margin; a feature at it within the margin above is a near-tie.
         mids = (centroids[:, :-1] + centroids[:, 1:]) / 2
-        cuts = np.searchsorted(key, base + np.searchsorted(values, mids - tie_margin, side="right"))
+        np.subtract(mids, tie_margin, out=probe.imag)
+        cuts = np.searchsorted(cell_xs, probe, side="right")
         near_tie = (above[cuts + shift] - mids <= tie_margin).any(axis=1)
         edges = np.concatenate([lo, cuts, hi], axis=1)
         counts = edges[:, 1:] - edges[:, :-1]
@@ -472,7 +485,8 @@ def _fit_cells(
         if step == max_iter - 1:
             stop[:] = True
         go_exact = near_tie | ((counts == 0) & real).any(axis=1) | ((np.abs(off) <= slack) & ~stop)
-        done = stop | go_exact
+        go_exact &= active
+        done = (stop & active) | go_exact
         if done.any():
             ok = done & ~go_exact
             run_edges[live[ok]] = edges[ok]
@@ -480,12 +494,15 @@ def _fit_cells(
             for p in live[go_exact].tolist():
                 a, b = starts[p_cell[p]], ends[p_cell[p]]
                 exact[p] = _lloyd(x[a:b, None], x[chosen[p_cell[p], : p_k[p]], None], max_iter, tol)
-            if done.all():
+            active &= ~done
+            n_active = np.count_nonzero(active)
+            if n_active == 0:
                 break
-            keep = ~done
-            live, shift, base, lo, hi, tie_margin, slack0, real, means, edges = (
-                a[keep] for a in (live, shift, base, lo, hi, tie_margin, slack0, real, means, edges)
-            )
+            if 2 * n_active <= active.size:
+                live, shift, lo, hi, tie_margin, slack0, probe, real, means, edges, active = (
+                    a[active]
+                    for a in (live, shift, lo, hi, tie_margin, slack0, probe, real, means, edges, active)
+                )
         centroids, prev = means, edges
 
     is_exact = np.zeros(p_cell.size, dtype=bool)

@@ -15,17 +15,21 @@ unchanged. After the configured number of layers, the most recent
 cluster-mean assignment per sleeper is returned.
 
 ``mlc_layers`` estimates a stack of S slots together, each with its own
-sleeper set of one common size: the evaluation slots of an error-sweep
-iteration share one set, and the iterations of a switching sweep each draw
-their own. Slot s's SBSs are the rows s*n .. s*n + n - 1 of one flat
-layout, and layer 1 has one cell per slot. A layer's cells are kept back to
-back, each in row order, and a cell never spans two slots.
-``kmeans._fit_cells`` clusters every cell of every slot in one vectorized
+sleeper set of one common size: an error-sweep run stacks the evaluation
+slots of its iterations (each iteration's slots share its set), and the
+iterations of a switching run each draw their own. Slot s's SBSs are the
+rows s*n .. s*n + n - 1 of one flat layout, and layer 1 has one cell per
+slot. A layer's cells are kept back to back, each in row order, and a cell
+never spans two slots. ``kmeans._fit_cells`` clusters every cell of every slot in one vectorized
 pass of Lloyd steps on sorted runs, with the assignments that
 ``kmeans_fit`` (fixed k) or ``elbow_fit`` would give each cell alone (it
 falls back to the exact loop wherever rounding could tell the two apart).
-One stable argsort by global (cell, cluster) key then lays out the next
-layer's cells, and each group's active mean is its pairwise sum in row
+The rows are then laid out in (cell, cluster) groups, each in row order:
+the stable sort by that key, done as a counting scatter with no comparison
+sort (``_group_layout``). Cells are back to back and labels are small
+integers, so each row goes to its group's start plus the number of earlier
+rows of its group, one pass per label. The groups with a sleeper are the
+next layer's cells, and each group's active mean is its pairwise sum in row
 order over its count (one ``kmeans._segment_sums`` pass for all groups),
 the bits of ``loads[members].mean()``. So every slot gets the estimates it
 would get alone. No slots or no sleepers give an empty trace.
@@ -163,11 +167,9 @@ def mlc_layers(
             )
 
         # Groups = (cell, cluster) in that order, each with its members in row order.
-        key = cell * n + clusters
-        order = np.argsort(key, kind="stable")
-        ids, key = ids[order], key[order]
-        group = np.cumsum(np.concatenate(([True], key[1:] != key[:-1]))) - 1
-        n_members = np.bincount(group)
+        order, n_members = _group_layout(cell, clusters, sizes.size)
+        ids = ids[order]
+        group = np.repeat(np.arange(n_members.size), n_members)
         known = known_rows[ids]
         n_known = np.bincount(group[known], minlength=n_members.size)
         known_ids = ids[known]
@@ -188,6 +190,31 @@ def mlc_layers(
         ids = ids[with_sleeper[group]]
         sizes = n_members[with_sleeper]
     return layer_trace, (source_layer, source_group, groups_of_layer)
+
+
+def _group_layout(cell: np.ndarray, labels: np.ndarray, n_cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stable sort of rows by (cell, label), and the sizes of its non-empty groups.
+
+    ``cell`` is non-decreasing (cells back to back) and ``labels`` are small
+    nonnegative integers, not necessarily dense. ``order`` equals
+    ``np.argsort(cell * n + labels, kind="stable")`` for any n above the
+    largest label: each row goes to its group's start plus the number of
+    earlier rows of its group, one pass per label.
+    """
+    n_labels = int(labels.max()) + 1
+    counts = np.bincount(cell * n_labels + labels, minlength=n_cells * n_labels)
+    starts = (np.cumsum(counts) - counts).reshape(n_cells, n_labels)
+    counts = counts.reshape(n_cells, n_labels)
+    # A label's rows, in row order, fill its groups cell by cell; row j of
+    # them belongs at its group's start plus j less the label's rows in
+    # earlier cells.
+    offsets = starts - (np.cumsum(counts, axis=0) - counts)
+    order = np.empty(labels.size, dtype=np.int64)
+    for label in range(n_labels):
+        rows = np.flatnonzero(labels == label)
+        order[offsets[cell[rows], label] + np.arange(rows.size)] = rows
+    sizes = counts.ravel()
+    return order, sizes[sizes > 0]
 
 
 def mlc_estimate(

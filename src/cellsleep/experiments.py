@@ -11,16 +11,20 @@ Three study families are provided:
 
 Every iteration i draws its sleeping set from seed ``base_seed + i``, so a
 report is a pure function of (config, seed); worker processes only change
-wall-clock time, never a reported digit. An error sweep groups its points
-once, before any worker starts: MLC points by their depth-1 config, neighbor
-points by selection rule and distance floor. An error iteration walks its
-evaluation slots in batches that share the sleeping set; each group answers
-a whole batch in one call, and each slot's errors are pooled in slot order.
-A switching task is a run of iterations at one network size, whose MLC
-estimates come from one batched call (each iteration has its own sleeper
-set and slot). Every cell returns plain numbers (``_error_iteration``,
-``_switch_run``): per-point aggregates go to the CSV, per-iteration details
-and timing to the JSON sidecar.
+wall-clock time, never a reported digit. Both sweep families hand their
+workers runs of iterations (``_iteration_runs``): at most
+``_MLC_BATCH_ROWS`` SBS x slot rows each, and short enough that every
+worker gets one. An error sweep groups its points once, before any worker
+starts: MLC points by their depth-1 config, neighbor points by selection
+rule and distance floor. An error run estimates the evaluation slots of all
+its iterations together: each MLC group answers the run's iterations x
+slots in one call, one sleeper mask per row, and neighbor tables stay per
+iteration (each has its own sleepers). An iteration above the cap runs
+alone, its slots in batches. Each iteration's errors are pooled slot by
+slot in slot order. A switching run is at one network size, and each of its
+iterations has its own sleeper set and slot. Every task returns plain
+numbers (``_error_run``, ``_switch_run``): per-point aggregates go to the
+CSV, per-iteration details and timing to the JSON sidecar.
 """
 
 from __future__ import annotations
@@ -271,10 +275,10 @@ _ERROR_COLUMNS = (
 
 _STATE: dict = {}
 
-# SBS x slot rows that one batched MLC call clusters at most: every desk slot
-# (n=100) in one call, 6 paper slots (n=5000) per call, which bounds the
-# layer-wide Lloyd arrays of a paper-scale iteration. A switching run at size
-# s clusters at most this many // s iterations at once.
+# SBS x slot rows that one batched MLC call clusters at most: 27 desk
+# iterations of 12 slots (n=100) in one call, 6 paper slots (n=5000) per
+# call, which bounds the layer-wide Lloyd arrays of a paper-scale iteration.
+# A switching run at size s clusters at most this many // s iterations.
 _MLC_BATCH_ROWS = 1 << 15
 
 
@@ -321,63 +325,95 @@ def _draw_sleepers(config: ExperimentConfig, iteration: int, n_sbs: int) -> np.n
     return draw_sleepers(config.sleep_fraction, n_sbs, config.base_seed + iteration)
 
 
-def _error_iteration(iteration: int) -> np.ndarray:
-    """(points, 3): each point's relative-error sum, included and excluded counts."""
+def _iteration_runs(n_iterations: int, rows: int, workers: int) -> list[tuple[int, int]]:
+    """Iterations split into runs ``(first, stop)`` of at most ``_MLC_BATCH_ROWS`` rows.
+
+    ``rows`` is what one iteration adds to an MLC call. A run is also short
+    enough that every worker gets one; an iteration above the cap runs alone.
+    """
+    run = max(1, min(_MLC_BATCH_ROWS // rows, -(-n_iterations // workers)))
+    return [(i, min(i + run, n_iterations)) for i in range(0, n_iterations, run)]
+
+
+def _error_run(task: tuple[int, int]) -> np.ndarray:
+    """Iterations ``first .. stop - 1``: (iterations, points, 3), each point's
+    relative-error sum, included and excluded counts.
+
+    A slot batch's rows are iteration-major: iteration r's slots are rows
+    r * B .. r * B + B - 1, each with its iteration's sleepers.
+    """
+    first, stop = task
     config: ExperimentConfig = _STATE["config"]
     n_points, mlc_groups, neighbor_groups = _STATE["plan"]
     data: Dataset = _STATE["dataset"]
     pos: np.ndarray = _STATE["positions"]
+    n, n_iter = data.day.n_sbs, stop - first
     slots = config.eval_slots()
-    sleepers = _draw_sleepers(config, iteration, data.day.n_sbs)
-    try:
-        known_mask = sleep_mask(data.day.n_sbs, sleepers)
-    except ValueError as exc:
-        raise ValueError(f"iteration {iteration}, slot {slots[0]}: {exc}") from exc
-    active = np.flatnonzero(known_mask)
+    sleepers, known = [], []
+    for i in range(first, stop):
+        sleepers.append(_draw_sleepers(config, i, n))
+        try:
+            known.append(sleep_mask(n, sleepers[-1]))
+        except ValueError as exc:
+            raise ValueError(f"iteration {i}, slot {slots[0]}: {exc}") from exc
+    known = np.array(known)
+    m = sleepers[0].size
 
     # The nearest table is ranked once per iteration; a random table holds
     # one draw per slot of its batch. A table fails only on too few active
     # SBSs, which does not depend on the slot, so at the iteration's first.
-    nearest: dict[float, NeighborTable] = {}
-    batch = max(1, _MLC_BATCH_ROWS // data.day.n_sbs)
-    totals = np.zeros((n_points, 3))
+    nearest: list[dict[float, NeighborTable]] = [{} for _ in range(n_iter)]
+    batch = max(1, _MLC_BATCH_ROWS // (n * n_iter))
+    totals = np.zeros((n_iter, n_points, 3))
     for b0 in range(0, len(slots), batch):
         cols = list(slots[b0 : b0 + batch])
-        loads = data.day.loads[:, cols].T
-        estimates = np.empty((n_points, len(cols), sleepers.size))
+        loads, history = data.day.loads[:, cols].T, data.history[:, cols].T
+        rows_loads, rows_known = np.tile(loads, (n_iter, 1)), np.repeat(known, len(cols), axis=0)
+        estimates = np.empty((n_points, n_iter * len(cols), m))
         for deepest, idxs, depths in mlc_groups:
             try:
-                run = mlc_layers(loads, data.history[:, cols].T, known_mask, deepest)[0]
-            except ValueError as exc:
-                raise ValueError(
-                    f"iteration {iteration}, slots {cols[0]}-{cols[-1]}, estimator mlc: {exc}"
-                ) from exc
+                run = mlc_layers(rows_loads, np.tile(history, (n_iter, 1)), rows_known, deepest)[0]
+            except ValueError:
+                # Name the first iteration whose rows fail alone.
+                for i, known_mask in zip(range(first, stop), known):
+                    try:
+                        mlc_layers(loads, history, known_mask, deepest)
+                    except ValueError as exc:
+                        raise ValueError(
+                            f"iteration {i}, slots {cols[0]}-{cols[-1]}, estimator mlc: {exc}"
+                        ) from exc
+                raise
             estimates[idxs] = run[:, depths].swapaxes(0, 1)
-        for kind, floor, k, idxs, pairs in neighbor_groups:
-            try:
-                if kind == "random":
-                    seed = (config.base_seed + iteration) * 100_000
-                    table = random_table(pos, sleepers, active, k, floor, [seed + slot for slot in cols])
-                elif floor in nearest:
-                    table = nearest[floor]
-                else:
-                    table = nearest[floor] = nearest_table(pos, sleepers, active, k, floor)
-            except ValueError as exc:
-                raise ValueError(
-                    f"iteration {iteration}, slot {cols[0]}, estimator {kind}, neighbors {k}: {exc}"
-                ) from exc
-            estimates[idxs] = table.estimates(loads, pairs)
+        for r, i in enumerate(range(first, stop)):
+            active = np.flatnonzero(known[r])
+            rows = slice(r * len(cols), (r + 1) * len(cols))
+            for kind, floor, k, idxs, pairs in neighbor_groups:
+                try:
+                    if kind == "random":
+                        seed = (config.base_seed + i) * 100_000
+                        table = random_table(pos, sleepers[r], active, k, floor, [seed + slot for slot in cols])
+                    elif floor in nearest[r]:
+                        table = nearest[r][floor]
+                    else:
+                        table = nearest[r][floor] = nearest_table(pos, sleepers[r], active, k, floor)
+                except ValueError as exc:
+                    raise ValueError(
+                        f"iteration {i}, slot {cols[0]}, estimator {kind}, neighbors {k}: {exc}"
+                    ) from exc
+                estimates[idxs, rows] = table.estimates(loads, pairs)
 
-        # Per point and slot, the mean relative error times its included count
-        # is added to the point's total slot by slot, in slot order. That
-        # order, and mean * count rather than the sum, keep the CSV bits.
+        # Per iteration and point, the mean relative error times its included
+        # count is added to the total slot by slot, in slot order. That order,
+        # and mean * count rather than the sum, keep the CSV bits.
         try:
-            error = estimation_error(loads[:, sleepers], estimates, config.epsilon)
+            error = estimation_error(rows_loads[~rows_known].reshape(-1, m), estimates, config.epsilon)
         except ErrorUndefined as exc:
-            raise ValueError(f"iteration {iteration}, slot {cols[exc.row]}: {exc}") from exc
-        pooled = np.column_stack([totals[:, 0], error.mean_error * error.n_included])
-        totals[:, 0] = np.cumsum(pooled, axis=1)[:, -1]
-        totals[:, 1:] += error.n_included.sum(), error.n_excluded.sum()
+            r, col = divmod(exc.row, len(cols))
+            raise ValueError(f"iteration {first + r}, slot {cols[col]}: {exc}") from exc
+        by_slot = (error.mean_error * error.n_included).reshape(n_points, n_iter, -1).swapaxes(0, 1)
+        totals[..., 0] = np.cumsum(np.concatenate([totals[..., :1], by_slot], axis=2), axis=2)[..., -1]
+        counts = np.stack([error.n_included, error.n_excluded], axis=1)
+        totals[..., 1:] += counts.reshape(n_iter, -1, 2).sum(axis=1)[:, None]
     return totals
 
 
@@ -392,12 +428,14 @@ def run_error_sweep(
     if not points:
         raise ValueError("run_error_sweep needs at least one sweep point")
     t0 = time.perf_counter()
-    per_iter = _map_iterations(
-        _init_error_worker, (config, _plan_points(points)), _error_iteration, config.n_iterations, workers
+    rows = config.n_sbs * len(config.eval_slots())
+    runs = _map_iterations(
+        _init_error_worker, (config, _plan_points(points)), _error_run,
+        _iteration_runs(config.n_iterations, rows, workers), workers,
     )
     # One contiguous (iterations,) row per point and column: each sum below
     # sees its terms in iteration order, as one point's own array.
-    sums, included, excluded = np.ascontiguousarray(np.stack(per_iter).transpose(2, 1, 0))
+    sums, included, excluded = np.ascontiguousarray(np.concatenate(runs).transpose(2, 1, 0))
     iter_means = sums / included  # every slot includes at least one sleeper
     report_points = [
         SweepPoint(
@@ -551,13 +589,8 @@ def _switching_report(
     for s in s_values:
         if s < 2:
             raise ValueError("switching sweeps need n_sbs >= 2 per point")
-    # Runs of iterations per size: at most _MLC_BATCH_ROWS SBS rows each, and
-    # short enough that every worker gets a run of each size.
-    n_iter = config.n_iterations
-    tasks = []
-    for s in s_values:
-        run = max(1, min(_MLC_BATCH_ROWS // s, -(-n_iter // workers)))
-        tasks += [(s, i, min(i + run, n_iter)) for i in range(0, n_iter, run)]
+    # Runs of iterations per size; an iteration adds one slot row of s SBSs.
+    tasks = [(s, *run) for s in s_values for run in _iteration_runs(config.n_iterations, s, workers)]
     t0 = time.perf_counter()
     runs = _map_iterations(
         _init_switch_worker, (config, tuple(s_values), tuple(l_values)), _switch_run, tasks, workers

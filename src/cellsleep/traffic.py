@@ -169,11 +169,17 @@ def placements_for_squares(square_ids: Sequence[int], grid_side: int) -> tuple[S
     """Assign SBS ids 0..n-1 to the given squares, one SBS per square."""
     if len(set(square_ids)) != len(square_ids):
         raise ValueError("each SBS must map to a distinct grid square")
-    out = []
-    for sbs_id, sq in enumerate(square_ids):
-        x, y = square_center(int(sq), grid_side)
-        out.append(SbsPlacement(sbs_id=sbs_id, square_id=int(sq), x_m=x, y_m=y))
-    return tuple(out)
+    squares = np.asarray(square_ids, dtype=np.int64).reshape(-1)
+    outside = (squares < 1) | (squares > grid_side * grid_side)
+    if outside.any():
+        raise ValueError(f"square_id {squares[outside][0]} outside 1..{grid_side * grid_side}")
+    # square_center's arithmetic, one array at a time
+    xs = ((squares - 1) % grid_side + 0.5) * GRID_PITCH_M
+    ys = ((squares - 1) // grid_side + 0.5) * GRID_PITCH_M
+    return tuple(
+        SbsPlacement(sbs_id=i, square_id=sq, x_m=x, y_m=y)
+        for i, (sq, x, y) in enumerate(zip(squares.tolist(), xs.tolist(), ys.tolist()))
+    )
 
 
 def parse_cdr(
@@ -420,6 +426,8 @@ def _synthetic_row_blocks(
 
     Returns the placements, the slots per day and a generator of the loads
     in consecutive blocks of whole SBS rows (see ``synthesize_traffic``).
+    Every block is drawn into one reused buffer, so a block is valid only
+    until the next one is drawn.
     """
     if n_sbs < 1:
         raise ValueError("n_sbs must be >= 1")
@@ -463,10 +471,16 @@ def _synthetic_row_blocks(
         intensity = np.ones(n_sbs)
 
     def blocks() -> Iterator[np.ndarray]:
+        # noise_std * z + base is what ``base + rng.normal(0.0, noise_std)``
+        # gives: normal draws 0.0 + noise_std * z from the same stream, and
+        # 0.0 + -0.0 = +0.0 adds to base as -0.0 does.
         day_pattern = np.tile(profile, n_days)
+        buffer = np.empty((min(n_sbs, SYNTH_BLOCK_ROWS), day_pattern.size))
         for r0 in range(0, n_sbs, SYNTH_BLOCK_ROWS):
-            block = intensity[r0 : r0 + SYNTH_BLOCK_ROWS, None] * day_pattern
-            block += rng.normal(0.0, noise_std, size=block.shape)
+            block = buffer[: min(SYNTH_BLOCK_ROWS, n_sbs - r0)]
+            rng.standard_normal(out=block)
+            block *= noise_std
+            block += intensity[r0 : r0 + SYNTH_BLOCK_ROWS, None] * day_pattern
             np.clip(block, 0.0, 1.0, out=block)
             yield block
 

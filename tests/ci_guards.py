@@ -18,7 +18,8 @@ sweep
     fig4 and fig5 sweeps (12 iterations, s = 10, 30, 50, 70, L = 1..7,
     about 0.3 s each), recorded before switching sweeps batched the MLC
     calls of a run of iterations and greedy read per-SBS coefficient
-    arrays.
+    arrays. Fig4 and fig5 run again at 2 workers, whose runs of iterations
+    differ, and must hit the same pins.
 read
     Reading a 5000-SBS x 1-day loads CSV (20 MB) holds the parsed rows and
     the series, not a dict entry per cell: about 40 MB under tracemalloc
@@ -46,21 +47,25 @@ PAPER_CSV_SHA256 = {
 # switching sweeps 12 iterations (one slot each) at the default grids.
 FULL_DAY = {"n_iterations": 1, "slot_stride": 1}
 PAPER_RUNS = {"fig2": FULL_DAY, "fig3": FULL_DAY, "fig4": {"n_iterations": 12}, "fig5": {"n_iterations": 12}}
+# Rerun at 2 workers, which splits their iterations into other runs: the
+# same pins must hold.
+PARALLEL_RUNS = ("fig4", "fig5")
 
 
 def sweep_guard() -> bool:
     with tempfile.TemporaryDirectory() as tmp:
-        codes = []
-        for e, run in PAPER_RUNS.items():
+        codes, digests = [], {}
+        for e, workers in [(e, 1) for e in PAPER_RUNS] + [(e, 2) for e in PARALLEL_RUNS]:
+            out = Path(tmp) / f"workers{workers}"
             config = Path(tmp) / f"paper_{e}.json"
-            config.write_text(json.dumps({"experiment": run}))
-            codes.append(main(["sweep", "--experiment", e, "--profile", "paper",
-                               "--config", str(config), "--out", tmp]))
-        digests = {e: hashlib.sha256((Path(tmp) / f"{e}_paper_0.csv").read_bytes()).hexdigest()
-                   for e in PAPER_CSV_SHA256}
+            config.write_text(json.dumps({"experiment": PAPER_RUNS[e]}))
+            codes.append(main(["sweep", "--experiment", e, "--profile", "paper", "--workers", str(workers),
+                               "--config", str(config), "--out", str(out)]))
+            digests[e, workers] = hashlib.sha256((out / f"{e}_paper_0.csv").read_bytes()).hexdigest()
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-    print(f"paper fig2..fig5 sweeps: exit {codes}, peak RSS {peak_mb:.0f} MB (limit 200)")
-    moved = [e for e in PAPER_CSV_SHA256 if digests[e] != PAPER_CSV_SHA256[e]]
+    print(f"paper fig2..fig5 sweeps (fig4, fig5 also at 2 workers): exit {codes}, "
+          f"peak RSS {peak_mb:.0f} MB (limit 200)")
+    moved = [f"{e} at {w} worker(s)" for (e, w), digest in digests.items() if digest != PAPER_CSV_SHA256[e]]
     print(f"paper CSV sha256: {digests}; moved: {moved or 'none'}")
     return not (any(codes) or peak_mb > 200 or moved)
 

@@ -252,6 +252,34 @@ class TestErrorSweep:
         report = run_error_sweep(cfg, points, experiment=experiment)
         assert hashlib.sha256(report.csv_text().encode()).hexdigest() == self.PINNED[(experiment, k_override)]
 
+    def test_csv_bytes_do_not_depend_on_runs_or_workers(self, monkeypatch):
+        # Desk fig3 over 3 iterations x 12 slots of 100 SBSs (1200 SBS x slot
+        # rows per iteration): one run of every iteration, runs of 2 and 1,
+        # runs of one iteration in slot batches of 5, 5 and 2, and two
+        # workers give the pinned bytes. Each MLC call gets iterations x slots.
+        cfg = desk_profile(n_iterations=3)
+        points = (
+            layers_axis(range(1, 8))
+            + neighbors_axis("distance", self.N_GRID)
+            + neighbors_axis("random", self.N_GRID, weighting=1)
+        )
+        rows = []
+        mlc_layers = experiments.mlc_layers
+
+        def recorded(loads, history, known_mask, config):
+            rows.append(loads.shape[0])
+            return mlc_layers(loads, history, known_mask, config)
+
+        monkeypatch.setattr(experiments, "mlc_layers", recorded)
+        for cap, calls in ((1 << 15, [36]), (2400, [24, 12]), (500, [5, 5, 2] * 3)):
+            rows.clear()
+            monkeypatch.setattr(experiments, "_MLC_BATCH_ROWS", cap)
+            csv = run_error_sweep(cfg, points, experiment="fig3").csv_text()
+            assert hashlib.sha256(csv.encode()).hexdigest() == self.PINNED[("fig3", None)]
+            assert rows == calls
+        monkeypatch.setattr(experiments, "_MLC_BATCH_ROWS", 1 << 15)
+        assert run_error_sweep(cfg, points, experiment="fig3", workers=2).csv_text() == csv
+
     def test_estimator_precondition_aborts_with_context(self):
         # 30 SBSs, 3 sleeping -> 27 active; asking for 28 neighbors must
         # abort and say where.
@@ -286,6 +314,41 @@ class TestErrorSweep:
         msg = f"iteration 0, slot {slots[int(np.argmin(top))]}: all {sleepers.size} sleepers fall below"
         with pytest.raises(ValueError, match=f"^{re.escape(msg)}"):
             run_error_sweep(cfg, layers_axis([1]) + neighbors_axis("distance", [1]))
+
+    def test_undefined_error_in_a_later_iteration_of_a_run_names_it(self):
+        # Two iterations of desk fig3 share one run. Epsilon just above the
+        # lowest slot maximum of iteration 1's sleepers, and at most iteration
+        # 0's lowest, fails iteration 1 alone.
+        cfg = desk_profile(n_iterations=2, base_seed=1)
+        slots = list(cfg.eval_slots())
+        assert experiments._iteration_runs(2, cfg.n_sbs * len(slots), 1) == [(0, 2)]
+        day = build_dataset(cfg).day.loads
+        top = [day[experiments._draw_sleepers(cfg, i, cfg.n_sbs)][:, slots].max(axis=0) for i in (0, 1)]
+        epsilon = float(np.nextafter(top[1].min(), 1.0))
+        assert epsilon <= top[0].min()
+        cfg = desk_profile(n_iterations=2, base_seed=1, epsilon=epsilon)
+        msg = f"iteration 1, slot {slots[int(np.argmin(top[1]))]}: all 10 sleepers fall below"
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}"):
+            run_error_sweep(cfg, layers_axis([1]) + neighbors_axis("random", [1]))
+
+    def test_mlc_failure_in_a_later_iteration_of_a_run_names_it(self, monkeypatch):
+        # An MLC call fails on any row with iteration 1's sleepers; the run's
+        # one call fails, and the iteration is found by calling each alone.
+        cfg = desk_profile(n_iterations=3)
+        failing = experiments._draw_sleepers(cfg, 1, cfg.n_sbs)
+        mlc_layers = experiments.mlc_layers
+
+        def fails_on_iteration_1(loads, history, known_mask, config):
+            known = np.broadcast_to(known_mask, loads.shape)
+            if any(np.array_equal(np.flatnonzero(~row), failing) for row in known):
+                raise ValueError("history features must lie in [0, 1]")
+            return mlc_layers(loads, history, known_mask, config)
+
+        monkeypatch.setattr(experiments, "mlc_layers", fails_on_iteration_1)
+        slots = cfg.eval_slots()
+        msg = f"iteration 1, slots {slots[0]}-{slots[-1]}, estimator mlc: history features must lie in [0, 1]"
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            run_error_sweep(cfg, layers_axis([1]))
 
 
 class TestSwitchingSweeps:

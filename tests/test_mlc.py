@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from cellsleep import experiments
 from cellsleep.config import desk_profile
 from cellsleep.estimators import MlcConfig, estimate, estimation_error, kmeans
-from cellsleep.estimators.mlc import mlc_estimate, mlc_layers
+from cellsleep.estimators.mlc import _group_layout, mlc_estimate, mlc_layers
 from cellsleep.experiments import exponent_axis, layers_axis, neighbors_axis, run_error_sweep
 from cellsleep.traffic import daily_average, mask_sleepers, synthesize_traffic
 
@@ -309,10 +309,28 @@ class TestBatchedSlots:
         for loads, history, known, cfg, trace in calls:
             for s in range(loads.shape[0]):
                 ref, _ = naive_kmeans.mlc_layers(
-                    loads[s], known, history[s], cfg.layers,
+                    loads[s], np.broadcast_to(known, loads.shape)[s], history[s], cfg.layers,
                     k_override=cfg.k_override, seed=cfg.kmeans_seed, max_iter=cfg.kmeans_max_iter,
                 )
                 assert np.array_equal(trace[s], ref)
+
+
+class TestGroupLayout:
+    @pytest.mark.parametrize("labels", ["dense", "gaps"])
+    def test_counting_scatter_is_the_stable_argsort(self, rng, labels):
+        # One-row cells, label gaps (the exact loop's labels need not be
+        # dense) and up to 3000 cells.
+        for trial in range(40):
+            n_cells = int(rng.integers(1, 3001)) if trial % 4 == 0 else int(rng.integers(1, 40))
+            sizes = rng.integers(1, 3 if trial % 3 == 0 else 30, n_cells)
+            cell = np.repeat(np.arange(n_cells), sizes)
+            k = int(rng.integers(1, 9))
+            pool = np.arange(k) if labels == "dense" else np.sort(rng.choice(20, size=k, replace=False))
+            clusters = rng.choice(pool, size=cell.size)
+            order, group_sizes = _group_layout(cell, clusters, n_cells)
+            key = cell * 20 + clusters  # any multiplier above the largest label
+            assert np.array_equal(order, np.argsort(key, kind="stable"))
+            assert np.array_equal(group_sizes, np.unique(key, return_counts=True)[1])
 
 
 def contributors(sources, n_sbs):

@@ -6,6 +6,7 @@ import pytest
 from cellsleep.errors import DataFormatError
 from cellsleep.traffic import (
     GRID_PITCH_M,
+    SYNTH_BLOCK_ROWS,
     LoadSeries,
     aggregate_activity,
     daily_average,
@@ -230,6 +231,39 @@ class TestSynthesizeTraffic:
         )
         assert np.abs(series.loads - series.loads[0]).max() == 0.0
 
+    @staticmethod
+    def normal_formula_loads(seed, n_sbs, grid_side, correlation_length_m, n_days, noise_std):
+        """``synthesize_traffic``'s loads (8 bumps, field floor 0.35) and squares,
+        each block's noise added as ``base + rng.normal(0.0, noise_std, size)``."""
+        rng = np.random.default_rng(seed)
+        squares = rng.permutation(grid_side * grid_side)[:n_sbs] + 1
+        pos = np.array([square_center(int(sq), grid_side) for sq in squares])
+        centers = rng.uniform(0.0, grid_side * GRID_PITCH_M, size=(8, 2))
+        amps = rng.uniform(0.3, 1.0, size=8)
+        d2 = ((pos[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        intensity = np.exp(-d2 / (2.0 * correlation_length_m**2)) @ amps
+        floor = 0.35
+        intensity = floor + (1.0 - floor) * (intensity - intensity.min()) / (intensity.max() - intensity.min())
+        day_pattern = np.tile(default_diurnal_profile(), n_days)
+        blocks = []
+        for r0 in range(0, n_sbs, SYNTH_BLOCK_ROWS):
+            block = intensity[r0 : r0 + SYNTH_BLOCK_ROWS, None] * day_pattern
+            block += rng.normal(0.0, noise_std, size=block.shape)
+            blocks.append(np.clip(block, 0.0, 1.0))
+        return np.concatenate(blocks), squares
+
+    @pytest.mark.parametrize("noise_std", [0.0, 0.02])
+    def test_noise_matches_the_normal_formula_bit_for_bit(self, noise_std):
+        # 2 * 64 + 22 SBSs: two full blocks of the reused buffer and a short one.
+        n_sbs = 2 * SYNTH_BLOCK_ROWS + 22
+        series, placements = synthesize_traffic(
+            seed=5, n_sbs=n_sbs, grid_side=15, correlation_length_m=600.0, n_days=2, noise_std=noise_std
+        )
+        loads, squares = self.normal_formula_loads(5, n_sbs, 15, 600.0, 2, noise_std)
+        assert np.array_equal(series.loads.view(np.int64), loads.view(np.int64))
+        assert [p.square_id for p in placements] == squares.tolist()
+        assert [(p.x_m, p.y_m) for p in placements] == [square_center(int(sq), 15) for sq in squares]
+
     def test_peak_holds_one_series(self):
         # numpy reports its buffers to tracemalloc. The 1000 x 30-day series
         # (35 MB) is filled in place and adopted, not copied, so the peak
@@ -272,6 +306,16 @@ class TestGridGeometry:
     def test_placements_reject_duplicate_squares(self):
         with pytest.raises(ValueError):
             placements_for_squares([3, 3], grid_side=10)
+
+    @pytest.mark.parametrize("bad", [0, -4, 101])
+    def test_placements_reject_squares_outside_the_grid(self, bad):
+        with pytest.raises(ValueError, match=f"^square_id {bad} outside 1..100$"):
+            placements_for_squares([5, bad, 7, 200], grid_side=10)
+
+    def test_placements_sit_at_square_centers(self):
+        placements = placements_for_squares([7, 1, 100, 42], grid_side=10)
+        assert [(p.sbs_id, p.square_id) for p in placements] == [(0, 7), (1, 1), (2, 100), (3, 42)]
+        assert [(p.x_m, p.y_m) for p in placements] == [square_center(sq, 10) for sq in (7, 1, 100, 42)]
 
     def test_default_profile_shape(self):
         profile = default_diurnal_profile()
