@@ -11,20 +11,22 @@ Three study families are provided:
 
 Every iteration i draws its sleeping set from seed ``base_seed + i``, so a
 report is a pure function of (config, seed); worker processes only change
-wall-clock time, never a reported digit. Both sweep families hand their
-workers runs of iterations (``_iteration_runs``): at most
-``_MLC_BATCH_ROWS`` SBS x slot rows each, and short enough that every
-worker gets one. An error sweep groups its points once, before any worker
-starts: MLC points by their depth-1 config, neighbor points by selection
-rule and distance floor. An error run estimates the evaluation slots of all
-its iterations together: each MLC group answers the run's iterations x
-slots in one call, one sleeper mask per row, and neighbor tables stay per
-iteration (each has its own sleepers). An iteration above the cap runs
-alone, its slots in batches. Each iteration's errors are pooled slot by
-slot in slot order. A switching run is at one network size, and each of its
-iterations has its own sleeper set and slot. Every task returns plain
-numbers (``_error_run``, ``_switch_run``): per-point aggregates go to the
-CSV, per-iteration details and timing to the JSON sidecar.
+wall-clock time, never a reported digit. Both sweep families hand runs of
+iterations (``_iteration_runs``: at most ``_MLC_BATCH_ROWS`` SBS x slot rows
+each, and at least one per worker) to workers that one initializer sets up
+(``_init_worker``). Every precondition that does not depend on the data (an
+SBS stays active, each neighbor group finds its K) is checked once, in the
+parent, before the first task. An error sweep groups its points once: MLC
+points by their depth-1 config, neighbor points by selection rule and
+distance floor. An error run estimates the evaluation slots of all its
+iterations together: each MLC group answers the run's iterations x slots
+in one call, one sleeper mask per row, and neighbor tables stay per
+iteration. An iteration above the cap runs alone, its slots in batches.
+Each iteration's errors are pooled slot by slot in slot order. A switching
+run is at one network size, and each of its iterations has its own sleeper
+set and slot. Every task returns plain numbers (``_error_run``,
+``_switch_run``): per-point aggregates go to the CSV, per-iteration details
+and timing to the JSON sidecar.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .estimators import (
     estimation_error,
 )
 from .estimators.mlc import mlc_layers
-from .estimators.neighbors import NeighborTable, nearest_table, positions_array, random_table
+from .estimators.neighbors import NeighborTable, _check_active, nearest_table, positions_array, random_table
 from .power import NetworkPowerConfig, network_power
 from .switching import (
     ON,
@@ -314,11 +316,30 @@ def _plan_points(points: Sequence[tuple[dict, EstimatorConfig]]) -> tuple[int, l
     return len(cfgs), mlc_groups, neighbor_groups
 
 
-def _init_error_worker(config: ExperimentConfig, plan: tuple[int, list, list]) -> None:
-    _STATE["config"] = config
-    _STATE["plan"] = plan
-    data = _STATE["dataset"] = build_dataset(config)
-    _STATE["positions"] = positions_array(data.placements, data.day.n_sbs)
+def _init_worker(config: ExperimentConfig, plan, seeds: dict[int, int]) -> None:
+    """A worker of either family: ``plan`` is ``_plan_points``' result or the depths, and
+    ``seeds`` maps each size to its synthetic seed. Measured data is read once for all sizes."""
+    _STATE["config"], _STATE["plan"] = config, plan
+    if config.data_source == "milan":
+        milan = _read_milan(config)
+        datasets = {n: _first_sbs(config, milan, n) for n in seeds}
+    else:
+        datasets = {n: build_dataset(config, n_sbs=n, seed=seed) for n, seed in seeds.items()}
+    _STATE["data"] = {n: (data, positions_array(data.placements, n)) for n, data in datasets.items()}
+
+
+def _check_preconditions(config: ExperimentConfig, n: int, where: str, neighbor_groups=()) -> None:
+    """Fail, before any task, where every iteration at ``n`` SBSs would: each draws
+    ``sleeper_count(sleep_fraction, n)`` sleepers, so iteration 0's set decides for all."""
+    try:
+        active = np.flatnonzero(sleep_mask(n, _draw_sleepers(config, 0, n)))
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+    for kind, _, k, _, _ in neighbor_groups:
+        try:
+            _check_active(k, active)
+        except ValueError as exc:
+            raise ValueError(f"{where}, estimator {kind}, neighbors {k}: {exc}") from exc
 
 
 def _draw_sleepers(config: ExperimentConfig, iteration: int, n_sbs: int) -> np.ndarray:
@@ -345,23 +366,15 @@ def _error_run(task: tuple[int, int]) -> np.ndarray:
     first, stop = task
     config: ExperimentConfig = _STATE["config"]
     n_points, mlc_groups, neighbor_groups = _STATE["plan"]
-    data: Dataset = _STATE["dataset"]
-    pos: np.ndarray = _STATE["positions"]
-    n, n_iter = data.day.n_sbs, stop - first
+    n, n_iter = config.n_sbs, stop - first
+    data, pos = _STATE["data"][n]
     slots = config.eval_slots()
-    sleepers, known = [], []
-    for i in range(first, stop):
-        sleepers.append(_draw_sleepers(config, i, n))
-        try:
-            known.append(sleep_mask(n, sleepers[-1]))
-        except ValueError as exc:
-            raise ValueError(f"iteration {i}, slot {slots[0]}: {exc}") from exc
-    known = np.array(known)
+    sleepers = [_draw_sleepers(config, i, n) for i in range(first, stop)]
+    known = np.array([sleep_mask(n, ids) for ids in sleepers])
     m = sleepers[0].size
 
     # The nearest table is ranked once per iteration; a random table holds
-    # one draw per slot of its batch. A table fails only on too few active
-    # SBSs, which does not depend on the slot, so at the iteration's first.
+    # one draw per slot of its batch.
     nearest: list[dict[float, NeighborTable]] = [{} for _ in range(n_iter)]
     batch = max(1, _MLC_BATCH_ROWS // (n * n_iter))
     totals = np.zeros((n_iter, n_points, 3))
@@ -371,35 +384,19 @@ def _error_run(task: tuple[int, int]) -> np.ndarray:
         rows_loads, rows_known = np.tile(loads, (n_iter, 1)), np.repeat(known, len(cols), axis=0)
         estimates = np.empty((n_points, n_iter * len(cols), m))
         for deepest, idxs, depths in mlc_groups:
-            try:
-                run = mlc_layers(rows_loads, np.tile(history, (n_iter, 1)), rows_known, deepest)[0]
-            except ValueError:
-                # Name the first iteration whose rows fail alone.
-                for i, known_mask in zip(range(first, stop), known):
-                    try:
-                        mlc_layers(loads, history, known_mask, deepest)
-                    except ValueError as exc:
-                        raise ValueError(
-                            f"iteration {i}, slots {cols[0]}-{cols[-1]}, estimator mlc: {exc}"
-                        ) from exc
-                raise
+            run = mlc_layers(rows_loads, np.tile(history, (n_iter, 1)), rows_known, deepest)[0]
             estimates[idxs] = run[:, depths].swapaxes(0, 1)
         for r, i in enumerate(range(first, stop)):
             active = np.flatnonzero(known[r])
             rows = slice(r * len(cols), (r + 1) * len(cols))
             for kind, floor, k, idxs, pairs in neighbor_groups:
-                try:
-                    if kind == "random":
-                        seed = (config.base_seed + i) * 100_000
-                        table = random_table(pos, sleepers[r], active, k, floor, [seed + slot for slot in cols])
-                    elif floor in nearest[r]:
-                        table = nearest[r][floor]
-                    else:
-                        table = nearest[r][floor] = nearest_table(pos, sleepers[r], active, k, floor)
-                except ValueError as exc:
-                    raise ValueError(
-                        f"iteration {i}, slot {cols[0]}, estimator {kind}, neighbors {k}: {exc}"
-                    ) from exc
+                if kind == "random":
+                    seed = (config.base_seed + i) * 100_000
+                    table = random_table(pos, sleepers[r], active, k, floor, [seed + slot for slot in cols])
+                elif floor in nearest[r]:
+                    table = nearest[r][floor]
+                else:
+                    table = nearest[r][floor] = nearest_table(pos, sleepers[r], active, k, floor)
                 estimates[idxs, rows] = table.estimates(loads, pairs)
 
         # Per iteration and point, the mean relative error times its included
@@ -428,10 +425,12 @@ def run_error_sweep(
     if not points:
         raise ValueError("run_error_sweep needs at least one sweep point")
     t0 = time.perf_counter()
-    rows = config.n_sbs * len(config.eval_slots())
+    plan = _plan_points(points)
+    slots = config.eval_slots()
+    _check_preconditions(config, config.n_sbs, f"iteration 0, slot {slots[0]}", plan[2])
     runs = _map_iterations(
-        _init_error_worker, (config, _plan_points(points)), _error_run,
-        _iteration_runs(config.n_iterations, rows, workers), workers,
+        _error_run, _iteration_runs(config.n_iterations, config.n_sbs * len(slots), workers), workers,
+        (config, plan, {config.n_sbs: config.base_seed}),
     )
     # One contiguous (iterations,) row per point and column: each sum below
     # sees its terms in iteration order, as one point's own array.
@@ -495,23 +494,6 @@ def optimize(config: ExperimentConfig, loads, power_cfg, scales, choice: str = "
     return search(loads, config.base_mbs_load, config.base_haps_load, power_cfg, scales)
 
 
-def _init_switch_worker(config: ExperimentConfig, s_values, l_values) -> None:
-    _STATE["config"] = config
-    _STATE["l_values"] = tuple(l_values)
-    if config.data_source == "milan":
-        milan = _read_milan(config)  # one read for every size
-        _STATE["datasets"] = {s: _first_sbs(config, milan, s) for s in s_values}
-    else:
-        _STATE["datasets"] = {
-            s: build_dataset(config, n_sbs=s, seed=config.base_seed + s) for s in s_values
-        }
-    _STATE["power_cfgs"] = {
-        s: NetworkPowerConfig.uniform(config.haps_power, config.mbs_power, config.sbs_power, s)
-        for s in s_values
-    }
-    _STATE["scales"] = OffloadScales(to_mbs=config.offload_to_mbs, to_haps=config.offload_to_haps)
-
-
 def _switch_run(task: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
     """Iterations ``first .. stop - 1`` at one network size: (iterations,) and (iterations, E, 5).
 
@@ -523,10 +505,10 @@ def _switch_run(task: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
     """
     s, first, stop = task
     config: ExperimentConfig = _STATE["config"]
-    l_values: tuple[int, ...] = _STATE["l_values"]
-    data: Dataset = _STATE["datasets"][s]
-    power_cfg = _STATE["power_cfgs"][s]
-    scales: OffloadScales = _STATE["scales"]
+    l_values: tuple[int, ...] = _STATE["plan"]
+    data, _ = _STATE["data"][s]
+    power_cfg = NetworkPowerConfig.uniform(config.haps_power, config.mbs_power, config.sbs_power, s)
+    scales = OffloadScales(to_mbs=config.offload_to_mbs, to_haps=config.offload_to_haps)
 
     slots = config.eval_slots()
     cols = [slots[i % len(slots)] for i in range(first, stop)]
@@ -587,13 +569,14 @@ def _switching_report(
 ) -> ExperimentReport:
     """Optimize actual, perfect and per-L estimated loads for every (s, iteration)."""
     for s in s_values:
-        if s < 2:
+        if s < 2:  # before any draw: rng.permutation rejects a negative size
             raise ValueError("switching sweeps need n_sbs >= 2 per point")
+        _check_preconditions(config, s, f"n_sbs {s}")
     # Runs of iterations per size; an iteration adds one slot row of s SBSs.
     tasks = [(s, *run) for s in s_values for run in _iteration_runs(config.n_iterations, s, workers)]
     t0 = time.perf_counter()
     runs = _map_iterations(
-        _init_switch_worker, (config, tuple(s_values), tuple(l_values)), _switch_run, tasks, workers
+        _switch_run, tasks, workers, (config, tuple(l_values), {s: config.base_seed + s for s in s_values})
     )
 
     points = []
@@ -667,16 +650,13 @@ def run_power_sweep(
 # worker plumbing
 # --------------------------------------------------------------------------
 
-def _map_iterations(initializer: Callable, initargs: tuple, fn: Callable, tasks, workers: int) -> list:
-    """Run fn over tasks with deterministic ordering, inline or in a pool."""
-    if isinstance(tasks, int):
-        tasks = range(tasks)
-    tasks = list(tasks)
+def _map_iterations(fn: Callable, tasks: list, workers: int, initargs: tuple) -> list:
+    """Run fn over tasks in order, inline or in a pool of workers set up by ``_init_worker``."""
     if workers <= 1:
-        initializer(*initargs)
+        _init_worker(*initargs)
         try:
             return [fn(t) for t in tasks]
         finally:
             _STATE.clear()
-    with ProcessPoolExecutor(max_workers=workers, initializer=initializer, initargs=initargs) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=initargs) as pool:
         return list(pool.map(fn, tasks))

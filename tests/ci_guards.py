@@ -18,8 +18,9 @@ sweep
     fig4 and fig5 sweeps (12 iterations, s = 10, 30, 50, 70, L = 1..7,
     about 0.3 s each), recorded before switching sweeps batched the MLC
     calls of a run of iterations and greedy read per-SBS coefficient
-    arrays. Fig4 and fig5 run again at 2 workers, whose runs of iterations
-    differ, and must hit the same pins.
+    arrays. Fig2, fig4 and fig5 run again at 2 workers, and must hit the
+    same pins: fig4's and fig5's runs of iterations differ there, and
+    fig2's one full-day run is set up in a worker process.
 read
     Reading a 5000-SBS x 1-day loads CSV (20 MB) holds the parsed rows and
     the series, not a dict entry per cell: about 40 MB under tracemalloc
@@ -47,9 +48,9 @@ PAPER_CSV_SHA256 = {
 # switching sweeps 12 iterations (one slot each) at the default grids.
 FULL_DAY = {"n_iterations": 1, "slot_stride": 1}
 PAPER_RUNS = {"fig2": FULL_DAY, "fig3": FULL_DAY, "fig4": {"n_iterations": 12}, "fig5": {"n_iterations": 12}}
-# Rerun at 2 workers, which splits their iterations into other runs: the
-# same pins must hold.
-PARALLEL_RUNS = ("fig4", "fig5")
+# Rerun at 2 workers, where each is set up in a worker process and fig4
+# and fig5 split their iterations into other runs: the same pins must hold.
+PARALLEL_RUNS = ("fig2", "fig4", "fig5")
 
 
 def sweep_guard() -> bool:
@@ -63,7 +64,7 @@ def sweep_guard() -> bool:
                                "--config", str(config), "--out", str(out)]))
             digests[e, workers] = hashlib.sha256((out / f"{e}_paper_0.csv").read_bytes()).hexdigest()
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-    print(f"paper fig2..fig5 sweeps (fig4, fig5 also at 2 workers): exit {codes}, "
+    print(f"paper fig2..fig5 sweeps ({', '.join(PARALLEL_RUNS)} also at 2 workers): exit {codes}, "
           f"peak RSS {peak_mb:.0f} MB (limit 200)")
     moved = [f"{e} at {w} worker(s)" for (e, w), digest in digests.items() if digest != PAPER_CSV_SHA256[e]]
     print(f"paper CSV sha256: {digests}; moved: {moved or 'none'}")

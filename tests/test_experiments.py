@@ -331,25 +331,6 @@ class TestErrorSweep:
         with pytest.raises(ValueError, match=f"^{re.escape(msg)}"):
             run_error_sweep(cfg, layers_axis([1]) + neighbors_axis("random", [1]))
 
-    def test_mlc_failure_in_a_later_iteration_of_a_run_names_it(self, monkeypatch):
-        # An MLC call fails on any row with iteration 1's sleepers; the run's
-        # one call fails, and the iteration is found by calling each alone.
-        cfg = desk_profile(n_iterations=3)
-        failing = experiments._draw_sleepers(cfg, 1, cfg.n_sbs)
-        mlc_layers = experiments.mlc_layers
-
-        def fails_on_iteration_1(loads, history, known_mask, config):
-            known = np.broadcast_to(known_mask, loads.shape)
-            if any(np.array_equal(np.flatnonzero(~row), failing) for row in known):
-                raise ValueError("history features must lie in [0, 1]")
-            return mlc_layers(loads, history, known_mask, config)
-
-        monkeypatch.setattr(experiments, "mlc_layers", fails_on_iteration_1)
-        slots = cfg.eval_slots()
-        msg = f"iteration 1, slots {slots[0]}-{slots[-1]}, estimator mlc: history features must lie in [0, 1]"
-        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
-            run_error_sweep(cfg, layers_axis([1]))
-
 
 class TestSwitchingSweeps:
     def test_perfect_baseline_is_exactly_zero(self):
@@ -408,6 +389,36 @@ class TestSwitchingSweeps:
         with pytest.raises(ValueError):
             run_decision_sweep(small_config(), [1], [1])
 
+    def test_every_sbs_asleep_names_the_size(self):
+        # 2 SBSs at sleep fraction 0.9 -> both sleep at size 2.
+        cfg = desk_profile(sleep_fraction=0.9, n_iterations=2)
+        msg = "n_sbs 2: cannot mask every SBS: nothing left to interpolate from"
+        with pytest.raises(ValueError, match=f"^{msg}$"):
+            run_decision_sweep(cfg, s_values=[2], l_values=[1])
+
+    @pytest.mark.parametrize("sweep, msg", [
+        (
+            lambda workers: run_error_sweep(
+                small_config(n_iterations=2), neighbors_axis("distance", [28], weighting=1), workers=workers
+            ),
+            "iteration 0, slot 0, estimator distance, neighbors 28: "
+            "requested 28 neighbors but only 27 SBSs are active",
+        ),
+        (
+            lambda workers: run_power_sweep(
+                desk_profile(sleep_fraction=0.9, n_iterations=2), [10, 2], [1], workers=workers
+            ),
+            "n_sbs 2: cannot mask every SBS: nothing left to interpolate from",
+        ),
+    ], ids=["error", "switching"])
+    def test_preconditions_fail_before_a_pool_exists(self, sweep, msg, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(ValueError, match=f"^{msg}$"):
+            sweep(workers=2)
+
     # sha256 of the fig4/fig5 CSV text, recorded before the switching state
     # became an int8 code array. Base loads 0.2 run the exhaustive (s=10, 14)
     # and greedy (s=100) paths; base loads 0.95 make the tiers bind, which
@@ -447,6 +458,39 @@ class TestSwitchingSweeps:
         tight = base_load == 0.95
         assert bool(calls) == tight
         assert sum(power.metadata["deployed_infeasible_per_point"]) == int(tight)
+
+    # sha256 of the fig5 CSV text on a 60-SBS loads CSV, recorded before both
+    # sweep families shared one worker initializer.
+    MILAN_FIG5_SHA256 = "141809d4c64fc56b685bfe73c4d2fa428f8dc5106c89d6a8d624b00f1e91c406"
+
+    def test_milan_csv_bytes_pinned(self, tmp_path, monkeypatch):
+        # fig5 on measured-style data at sizes 6, 10 and 40 (the first s SBSs
+        # of the CSV): a worker reads the CSV once for every size, and two
+        # workers give the same bytes. Relative paths keep the config hash,
+        # and so the bytes, independent of tmp_path.
+        series, placements = synthesize_traffic(
+            seed=11, n_sbs=60, grid_side=10, correlation_length_m=700.0, n_days=2
+        )
+        monkeypatch.chdir(tmp_path)
+        write_loads_csv(series, "loads.csv")
+        write_placements_json(placements, "placements.json", grid_side=10)
+        cfg = desk_profile(
+            data_source="milan", loads_csv="loads.csv", placements_json="placements.json",
+            n_sbs=60, n_days=2, n_iterations=4, mlc_k_override=3,
+        )
+        reads = []
+        read_loads_csv = experiments.read_loads_csv
+
+        def counted(*args, **kwargs):
+            reads.append(1)
+            return read_loads_csv(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "read_loads_csv", counted)
+        sizes, depths = (6, 10, 40), tuple(range(1, 8))
+        csv = run_power_sweep(cfg, sizes, depths).csv_text()
+        assert len(reads) == 1
+        assert hashlib.sha256(csv.encode()).hexdigest() == self.MILAN_FIG5_SHA256
+        assert run_power_sweep(cfg, sizes, depths, workers=2).csv_text() == csv
 
 
 class TestReports:
