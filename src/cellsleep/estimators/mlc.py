@@ -29,9 +29,10 @@ the stable sort by that key, done as a counting scatter with no comparison
 sort (``_group_layout``). Cells are back to back and labels are small
 integers, so each row goes to its group's start plus the number of earlier
 rows of its group, one pass per label. The groups with a sleeper are the
-next layer's cells, and each group's active mean is its pairwise sum in row
-order over its count (one ``kmeans._segment_sums`` pass for all groups),
-the bits of ``loads[members].mean()``. So every slot gets the estimates it
+next layer's cells, and each of their active means is its pairwise sum in
+row order over its count (one ``kmeans._segment_sums`` pass over the groups
+with a sleeper; no other group's mean is read), the bits of
+``loads[members].mean()``. So every slot gets the estimates it
 would get alone. No slots or no sleepers give an empty trace.
 ``mlc_estimate`` is the one-slot call that also reports each estimate's
 contributors. Both take their settings as one ``MlcConfig``, whose
@@ -173,7 +174,13 @@ def mlc_layers(
         known = known_rows[ids]
         n_known = np.bincount(group[known], minlength=n_members.size)
         known_ids = ids[known]
-        means = _segment_sums(flat_loads[known_ids], n_known) / np.maximum(n_known, 1)
+        # Only a group that holds a sleeper uses its mean; each group's sum
+        # is its own pairwise sum, whichever other groups are summed with it.
+        with_sleeper = n_members > n_known
+        n_used = n_known[with_sleeper]
+        used_ids = known_ids[np.repeat(with_sleeper, n_known)]
+        means = np.zeros(n_members.size)
+        means[with_sleeper] = _segment_sums(flat_loads[used_ids], n_used) / np.maximum(n_used, 1)
 
         sleeping = ~known
         pos, sleeper_group = sleeper_pos[ids[sleeping]], group[sleeping]
@@ -186,7 +193,6 @@ def mlc_layers(
         layer_trace[:, layer] = estimates.reshape(n_slots, m)
 
         # Groups that hold a sleeper are the next layer's cells.
-        with_sleeper = n_members > n_known
         ids = ids[with_sleeper[group]]
         sizes = n_members[with_sleeper]
     return layer_trace, (source_layer, source_group, groups_of_layer)

@@ -28,7 +28,10 @@ from a ``DistanceConfig`` or ``RandomConfig``, whose construction is the
 only check of the neighbor count, exponent and distance floor.
 The nearest K are selected by partition (introselect) rather than a full
 sort of each sleeper's distances; the selection equals a stable argsort,
-ties at the K-th distance included.
+ties at the K-th distance included. The ranking runs in blocks of sleepers
+(at most 2^16 distances each), so its working memory does not grow with
+sleepers x active: at paper scale (500 x 4500) it holds one block, not
+three full matrices.
 """
 
 from __future__ import annotations
@@ -98,6 +101,11 @@ def _distances(pos: np.ndarray, sleepers: np.ndarray, others: np.ndarray) -> np.
     dy *= dy
     dx += dy
     return np.sqrt(dx, out=dx)
+
+
+# The nearest ranking holds at most this many sleeper-to-active distances
+# at once (2^16: 0.5 MB per float temporary), however large the network.
+_NEAREST_BLOCK_DISTANCES = 1 << 16
 
 
 def _check_active(k: int, active: np.ndarray) -> None:
@@ -190,17 +198,25 @@ def nearest_table(
     candidates are every distance up to the row's k-th smallest (found by
     partition), so ties at the boundary stay in, and a stable sort by
     (row, distance) keeps equal distances in column order, which is SBS id
-    order.
+    order. Rows are ranked in blocks of at most ``_NEAREST_BLOCK_DISTANCES``
+    distances (at least one row); every step works row by row, so the
+    table does not depend on the block size.
     """
     _check_active(k, active)
-    d = _distances(pos, sleepers, active)
-    kth = np.take_along_axis(d, np.argpartition(d, k - 1, axis=1)[:, k - 1 : k], axis=1)
-    rows, cols = np.nonzero(d <= kth)
-    cand = d[rows, cols]
-    order = np.lexsort((cand, rows))
-    starts = np.searchsorted(rows, np.arange(len(sleepers)))
-    first_k = order[(starts[:, None] + np.arange(k)).ravel()].reshape(1, len(sleepers), k)
-    return NeighborTable(active[cols[first_k]], np.maximum(cand[first_k], distance_floor))
+    ids = np.empty((1, sleepers.size, k), dtype=active.dtype)
+    dists = np.empty((1, sleepers.size, k), dtype=pos.dtype)
+    block = max(1, _NEAREST_BLOCK_DISTANCES // active.size)
+    for r0 in range(0, sleepers.size, block):
+        d = _distances(pos, sleepers[r0 : r0 + block], active)
+        kth = np.take_along_axis(d, np.argpartition(d, k - 1, axis=1)[:, k - 1 : k], axis=1)
+        rows, cols = np.nonzero(d <= kth)
+        cand = d[rows, cols]
+        order = np.lexsort((cand, rows))
+        starts = np.searchsorted(rows, np.arange(d.shape[0]))
+        first_k = order[starts[:, None] + np.arange(k)]
+        ids[0, r0 : r0 + block] = active[cols[first_k]]
+        np.maximum(cand[first_k], distance_floor, out=dists[0, r0 : r0 + block])
+    return NeighborTable(ids, dists)
 
 
 def random_table(

@@ -126,12 +126,16 @@ def _read_milan(config: ExperimentConfig) -> tuple[LoadSeries, tuple[SbsPlacemen
 def _first_sbs(
     config: ExperimentConfig, milan: tuple[LoadSeries, tuple[SbsPlacement, ...]], n: int
 ) -> Dataset:
-    """The Dataset of the first n SBSs of measured data from ``_read_milan``."""
+    """The Dataset of SBSs 0..n-1 of measured data from ``_read_milan``.
+
+    Their placements are chosen by ``sbs_id``, in whatever order the file lists them.
+    """
     series, placements = milan
     if series.n_sbs < n:
         raise DataFormatError(f"{config.loads_csv}: has {series.n_sbs} SBSs, config asks for {n}")
     spd = series.slots_per_day
-    return _dataset([series.loads[:n]], placements[:n], n, series.n_slots // spd, spd)
+    chosen = [p for p in placements if p.sbs_id < n]
+    return _dataset([series.loads[:n]], chosen, n, series.n_slots // spd, spd)
 
 
 def _dataset(
@@ -151,6 +155,7 @@ def _dataset(
         day[r0:r1] = block.reshape(r1 - r0, n_days, spd).mean(axis=1)
         history[r0:r1] = block[:, (n_days - 1) * spd :]
         r0 = r1
+    day.setflags(write=False)  # LoadSeries adopts it without a copy
     day_series = LoadSeries(loads=day, slot_minutes=MINUTES_PER_DAY // spd, slots_per_day=spd)
     return Dataset(day=day_series, history=history, placements=tuple(placements))
 

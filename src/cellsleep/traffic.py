@@ -351,6 +351,7 @@ def daily_average(series: LoadSeries, days: int) -> LoadSeries:
             f"series has {series.n_slots} slots, expected {days} days * {spd} slots"
         )
     folded = series.loads.reshape(series.n_sbs, days, spd).mean(axis=1)
+    folded.setflags(write=False)  # LoadSeries adopts it without a copy
     return LoadSeries(loads=folded, slot_minutes=series.slot_minutes, slots_per_day=spd)
 
 
@@ -474,13 +475,15 @@ def _synthetic_row_blocks(
         # noise_std * z + base is what ``base + rng.normal(0.0, noise_std)``
         # gives: normal draws 0.0 + noise_std * z from the same stream, and
         # 0.0 + -0.0 = +0.0 adds to base as -0.0 does.
-        day_pattern = np.tile(profile, n_days)
-        buffer = np.empty((min(n_sbs, SYNTH_BLOCK_ROWS), day_pattern.size))
+        # The field is added through a (rows, days, slots) view, so it is
+        # built per day, not per block: the same products in the same order.
+        buffer = np.empty((min(n_sbs, SYNTH_BLOCK_ROWS), n_days * profile.size))
         for r0 in range(0, n_sbs, SYNTH_BLOCK_ROWS):
             block = buffer[: min(SYNTH_BLOCK_ROWS, n_sbs - r0)]
             rng.standard_normal(out=block)
             block *= noise_std
-            block += intensity[r0 : r0 + SYNTH_BLOCK_ROWS, None] * day_pattern
+            days = block.reshape(block.shape[0], n_days, profile.size)
+            days += (intensity[r0 : r0 + SYNTH_BLOCK_ROWS, None] * profile)[:, None, :]
             np.clip(block, 0.0, 1.0, out=block)
             yield block
 

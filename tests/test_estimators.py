@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from cellsleep.estimators import (
     RandomConfig,
     estimate,
     estimation_error,
+    neighbors,
 )
 from cellsleep.estimators.neighbors import (
     distance_estimate,
@@ -298,6 +301,39 @@ class TestSharedNeighborPath:
                 self.assert_nearest_matches_reference(pos, sleepers, active, k, floor)
         ring_ids = np.sort(np.flatnonzero(np.hypot(*(pos[2:] - pos[0]).T) == 50.0) + 2)
         assert np.array_equal(nearest_table(pos, sleepers, active, 8, 1.0).ids[0, 0], ring_ids)
+
+    def test_nearest_table_in_sleeper_blocks_matches_stable_argsort(self, rng, monkeypatch):
+        # Budgets of one distance (still one row per block), exactly 3 rows
+        # and one distance short of 8 rows (7 rows) cut the sleepers of a
+        # grid into blocks, where most k cut through a ring of equal distances.
+        n_sbs = 100
+        pos = positions_array(grid_placements(n_sbs), n_sbs)
+        sleepers = np.sort(rng.choice(n_sbs, size=31, replace=False))
+        active = np.setdiff1d(np.arange(n_sbs), sleepers)
+        whole = {k: nearest_table(pos, sleepers, active, k, 1.0) for k in (1, 4, 9, active.size)}
+        for budget in (1, 3 * active.size, 8 * active.size - 1):
+            monkeypatch.setattr(neighbors, "_NEAREST_BLOCK_DISTANCES", budget)
+            for k, table in whole.items():
+                self.assert_nearest_matches_reference(pos, sleepers, active, k, 1.0)
+                blocked = nearest_table(pos, sleepers, active, k, 1.0)
+                assert np.array_equal(blocked.ids, table.ids)
+                assert np.array_equal(blocked.dists.view(np.int64), table.dists.view(np.int64))
+
+    def test_nearest_table_memory_is_bounded_at_paper_scale(self, rng):
+        # 500 sleepers x 4500 active SBSs: the three full (500, 4500)
+        # matrices of an unblocked ranking took 34 MB under tracemalloc,
+        # to which numpy reports its buffers.
+        pos = rng.uniform(0.0, 10_000.0, (5000, 2))
+        sleepers = np.sort(rng.choice(5000, size=500, replace=False))
+        active = np.setdiff1d(np.arange(5000), sleepers)
+        tracemalloc.start()
+        try:
+            table = nearest_table(pos, sleepers, active, 60, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.ids.shape == (1, 500, 60)
+        assert peak < 8e6
 
     def test_random_draw_is_prefix_of_widest_draw(self, rng):
         pos = positions_array(grid_placements(64), 64)

@@ -176,6 +176,21 @@ class TestBuildDataset:
             tracemalloc.stop()
         assert peak < series_bytes / 2
 
+    def test_paper_build_holds_little_beyond_its_output(self):
+        # The day and history are the output; the field, the row-block
+        # buffer and the placements must fit in 4 MB more (18.6 MB in all
+        # when the build copied the day and built a block-sized field).
+        cfg = paper_profile(n_days=2)
+        output_bytes = 2 * cfg.n_sbs * cfg.slots_per_day * 8
+        tracemalloc.start()
+        try:
+            data = build_dataset(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert data.day.loads.nbytes + data.history.nbytes == output_bytes
+        assert peak < output_bytes + 4e6
+
 
 class TestErrorSweep:
     def test_deterministic_and_sane(self):
@@ -491,6 +506,24 @@ class TestSwitchingSweeps:
         assert len(reads) == 1
         assert hashlib.sha256(csv.encode()).hexdigest() == self.MILAN_FIG5_SHA256
         assert run_power_sweep(cfg, sizes, depths, workers=2).csv_text() == csv
+
+    def test_milan_placements_are_taken_by_id_not_file_order(self, tmp_path, monkeypatch):
+        # A size below the network's takes SBSs 0..s-1, wherever the
+        # placements file lists them: reversed, its first 10 are ids 59..50.
+        series, placements = synthesize_traffic(
+            seed=5, n_sbs=60, grid_side=10, correlation_length_m=700.0, n_days=2
+        )
+        monkeypatch.chdir(tmp_path)
+        write_loads_csv(series, "loads.csv")
+        csv = {}
+        for name, listed in (("ordered", placements), ("reversed", placements[::-1])):
+            write_placements_json(listed, "placements.json", grid_side=10)
+            cfg = desk_profile(
+                data_source="milan", loads_csv="loads.csv", placements_json="placements.json",
+                n_sbs=60, n_days=2, n_iterations=2, mlc_k_override=3,
+            )
+            csv[name] = run_power_sweep(cfg, (10, 60), (1, 2)).csv_text()
+        assert csv["reversed"] == csv["ordered"]
 
 
 class TestReports:
