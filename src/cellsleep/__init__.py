@@ -9,7 +9,7 @@ network power.
 
 from .power import NetworkPowerConfig, PowerParams, network_power, station_power
 from .traffic import (
-    CdrRecord,
+    CDR_RECORD,
     LoadSeries,
     LoadSnapshot,
     SbsPlacement,
@@ -24,7 +24,7 @@ from .traffic import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CdrRecord",
+    "CDR_RECORD",
     "LoadSeries",
     "LoadSnapshot",
     "NetworkPowerConfig",

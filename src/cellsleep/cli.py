@@ -40,6 +40,7 @@ from .experiments import (
 from .power import NetworkPowerConfig
 from .switching import OffloadScales
 from .traffic import (
+    MINUTES_PER_DAY,
     aggregate_activity,
     normalize_loads,
     parse_cdr,
@@ -74,6 +75,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _slot_minutes(text: str) -> int:
+    value = _positive_int(text)
+    if MINUTES_PER_DAY % value:
+        raise argparse.ArgumentTypeError(f"must divide {MINUTES_PER_DAY}, got {value}")
     return value
 
 
@@ -123,13 +131,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="turn raw CDR grid files into canonical loads")
     p.add_argument("inputs", nargs="+", help="CDR text files (Milan layout)")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--n-sbs", type=int, default=None, help="SBS count (default: every square present)")
+    p.add_argument("--n-sbs", type=_positive_int, default=None,
+                   help="SBS count (default: every square present)")
     p.add_argument("--seed", type=_seed, default=0, help="seed for the SBS-to-square draw")
     p.add_argument("--normalize", choices=("global_max", "per_sbs_max"), default="global_max")
     p.add_argument("--weights", type=float, nargs=5, default=(1.0, 1.0, 1.0, 1.0, 1.0),
                    metavar=("SMS_IN", "SMS_OUT", "CALL_IN", "CALL_OUT", "NET"))
-    p.add_argument("--slot-minutes", type=int, default=10)
-    p.add_argument("--grid-side", type=int, default=100, help="grid dimension (100 -> 10000 squares)")
+    p.add_argument("--slot-minutes", type=_slot_minutes, default=10)
+    p.add_argument("--grid-side", type=_positive_int, default=100,
+                   help="grid dimension (100 -> 10000 squares)")
 
     desk = PROFILES["desk"]()  # synth defaults to the desk profile's traffic
     p = sub.add_parser("synth", help="generate seeded synthetic correlated traffic")
@@ -187,9 +197,10 @@ def _cmd_ingest(args) -> int:
     reports = []
     for path in args.inputs:
         recs, rep = parse_cdr(read_text_lines(path), grid_squares=args.grid_side**2)
-        records.extend(recs)
+        records.append(recs)
         reports.append((path, rep))
-    if not records:
+    records = np.concatenate(records)  # drops the per-file arrays
+    if not records.size:
         raise DataFormatError("no valid records in the input files")
     matrix = aggregate_activity(records, args.weights, slot_minutes=args.slot_minutes)
 

@@ -32,15 +32,13 @@ _SKIPPED_LINE = re.compile(
 
 
 def write_loads_csv(series: LoadSeries, path: str | Path, *, config_hash: str | None = None) -> None:
-    lines = []
-    if config_hash:
-        lines.append(f"# config_hash={config_hash}")
-    lines.append(LOADS_CSV_HEADER)
-    for sbs_id in range(series.n_sbs):
-        row = series.loads[sbs_id]
-        for slot in range(series.n_slots):
-            lines.append(f"{sbs_id},{slot},{float(row[slot])!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write one SBS's rows per ``write``, so only one row's text is held at once."""
+    with open(path, "w") as fh:
+        if config_hash:
+            fh.write(f"# config_hash={config_hash}\n")
+        fh.write(LOADS_CSV_HEADER + "\n")
+        for sbs_id, row in enumerate(series.loads):
+            fh.write("".join(f"{sbs_id},{slot},{load!r}\n" for slot, load in enumerate(row.tolist())))
 
 
 def read_loads_csv(path: str | Path, *, slot_minutes: int = 10) -> LoadSeries:

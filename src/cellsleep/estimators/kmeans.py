@@ -310,11 +310,13 @@ def _first_seed(size: int, seed: int) -> int:
     return int(np.random.default_rng(seed).integers(size))
 
 
-# Machine epsilons (twice the unit roundoffs u and u_L) of the features'
-# float64 and of the longdouble prefix sums. Where longdouble is a double,
-# _PREFIX_EPS is float64's: the bounds widen and more problems go exact.
+# The dtype of the prefix sums, and the machine epsilons (twice the unit
+# roundoffs u and u_L) of the features' float64 and of those sums. Where
+# longdouble is a double, _PREFIX_EPS is float64's: the bounds widen and
+# more problems go exact.
+_PREFIX_DTYPE = np.longdouble
 _EPS = float(np.finfo(float).eps)
-_PREFIX_EPS = float(np.finfo(np.longdouble).eps)
+_PREFIX_EPS = float(np.finfo(_PREFIX_DTYPE).eps)
 # Absolute floor of every guard margin. A distance above it has a normal
 # square, so the relative rounding bounds below hold for it.
 _TINY = 2.0**-400
@@ -432,8 +434,8 @@ def _fit_cells(
     xs = x[order]
     cell_xs = np.empty(n, dtype=complex)
     cell_xs.real, cell_xs.imag = cell, xs
-    prefix = np.zeros(n + 1, dtype=np.longdouble)
-    np.cumsum(xs, dtype=np.longdouble, out=prefix[1:])
+    prefix = np.zeros(n + 1, dtype=_PREFIX_DTYPE)
+    np.cumsum(xs, dtype=_PREFIX_DTYPE, out=prefix[1:])
     scale, depth, p_max, delta, margin = _error_bounds(xs, prefix, starts, sizes)
 
     # Centroids in value order, _PAD beyond k; perm[p, r] is the seed label of rank r.
@@ -515,10 +517,10 @@ def _fit_cells(
         # and the exact loop's SSE is within (h + 4) u of the true one.
         runs = np.flatnonzero(~is_exact)
         left, right = run_edges[runs, :-1], run_edges[runs, 1:]
-        squares = np.zeros(n + 1, dtype=np.longdouble)
-        np.cumsum(np.square(xs.astype(np.longdouble)), out=squares[1:])
+        squares = np.zeros(n + 1, dtype=_PREFIX_DTYPE)
+        np.cumsum(np.square(xs.astype(_PREFIX_DTYPE)), out=squares[1:])
         sum_x, sum_xx = prefix[right] - prefix[left], squares[right] - squares[left]
-        cent = run_means[runs].astype(np.longdouble)
+        cent = run_means[runs].astype(_PREFIX_DTYPE)
         est = (sum_xx - cent * (2 * sum_x - (right - left) * cent)).sum(axis=1).astype(float)
         c = p_cell[runs]
         q_max = squares[ends].astype(float)  # squares only grow

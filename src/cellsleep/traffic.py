@@ -16,6 +16,7 @@ portable and fully determined by the seed.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -29,22 +30,11 @@ MINUTES_PER_DAY = 1440
 SYNTH_BLOCK_ROWS = 64
 
 ACTIVITY_FIELDS = ("sms_in", "sms_out", "call_in", "call_out", "internet")
-
-
-@dataclass(frozen=True)
-class CdrRecord:
-    """One grid-cell activity row; absent counters are stored as 0."""
-
-    square_id: int
-    interval_start: int  # epoch milliseconds
-    sms_in: float = 0.0
-    sms_out: float = 0.0
-    call_in: float = 0.0
-    call_out: float = 0.0
-    internet: float = 0.0
-
-    def activity(self) -> tuple[float, float, float, float, float]:
-        return (self.sms_in, self.sms_out, self.call_in, self.call_out, self.internet)
+# One grid-cell activity row (interval_start in epoch milliseconds); the
+# activity counters stand in ACTIVITY_FIELDS order, an absent one as 0.
+CDR_RECORD = np.dtype(
+    [("square_id", np.int64), ("interval_start", np.int64), ("activity", np.float64, len(ACTIVITY_FIELDS))]
+)
 
 
 @dataclass(frozen=True)
@@ -182,21 +172,20 @@ def placements_for_squares(square_ids: Sequence[int], grid_side: int) -> tuple[S
     )
 
 
-def parse_cdr(
-    lines: Iterable[str], *, grid_squares: int = 10_000
-) -> tuple[list[CdrRecord], ParseReport]:
-    """Parse Milan-layout CDR text into records.
+def parse_cdr(lines: Iterable[str], *, grid_squares: int = 10_000) -> tuple[np.ndarray, ParseReport]:
+    """Parse Milan-layout CDR text into a ``CDR_RECORD`` array, one entry per record.
 
     Expected columns (tab- or comma-separated, header optional):
     square_id, interval_ms, country_code, sms_in, sms_out, call_in,
     call_out, internet. Everything after interval_ms may be absent or
     empty and is treated as zero; the country code is ignored. Malformed
-    lines are skipped and reported with their line numbers.
+    lines (an unparseable, negative or non-finite value) are skipped and
+    reported with their line numbers.
 
     Raises:
         DataFormatError: on a square id outside 1..grid_squares.
     """
-    records: list[CdrRecord] = []
+    squares, intervals, counters = array("q"), array("q"), array("d")
     report = ParseReport()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -219,81 +208,88 @@ def parse_cdr(
             report.malformed.append((lineno, "missing interval column"))
             continue
         try:
-            interval = int(float(fields[1]))
-        except ValueError:
+            interval = int(float(fields[1]))  # inf raises OverflowError
+        except (ValueError, OverflowError):
             report.malformed.append((lineno, f"unparseable interval {fields[1]!r}"))
+            continue
+        if abs(interval) >= 2**62:  # keeps the slot arithmetic inside int64
+            report.malformed.append((lineno, f"interval {fields[1]!r} out of range"))
             continue
         # fields[2] is the country code; activity counters start at index 3
         activity = [0.0] * len(ACTIVITY_FIELDS)
-        bad = False
-        for i in range(len(ACTIVITY_FIELDS)):
-            j = 3 + i
-            if j < len(fields) and fields[j].strip():
-                try:
-                    value = float(fields[j])
-                except ValueError:
-                    report.malformed.append((lineno, f"unparseable activity {fields[j]!r}"))
-                    bad = True
-                    break
-                if value < 0.0:
-                    report.malformed.append((lineno, f"negative activity {value}"))
-                    bad = True
-                    break
-                activity[i] = value
+        bad = None
+        for i, text in enumerate(fields[3 : 3 + len(ACTIVITY_FIELDS)]):
+            if not text.strip():
+                continue
+            try:
+                value = float(text)
+            except ValueError:
+                bad = f"unparseable activity {text!r}"
+                break
+            if value < 0.0:
+                bad = f"negative activity {value}"
+                break
+            if not math.isfinite(value):
+                bad = f"non-finite activity {value}"
+                break
+            activity[i] = value
         if bad:
+            report.malformed.append((lineno, bad))
             continue
-        records.append(CdrRecord(square, interval, *activity))
+        squares.append(square)
+        intervals.append(interval)
+        counters.extend(activity)
         report.n_records += 1
+    records = np.empty(report.n_records, dtype=CDR_RECORD)
+    records["square_id"], records["interval_start"] = squares, intervals
+    records["activity"] = np.asarray(counters).reshape(-1, len(ACTIVITY_FIELDS))
     return records, report
 
 
 def aggregate_activity(
-    records: Sequence[CdrRecord],
+    records: np.ndarray,
     weights: Sequence[float] = (1.0, 1.0, 1.0, 1.0, 1.0),
     *,
     slot_minutes: int = 10,
 ) -> ActivityMatrix:
     """Combine the five activity counters into one per-(square, slot) measure.
 
-    The combined value is the weighted sum over counters; multiple records
-    in the same (square, slot) add up (e.g. separate country-code rows).
-    Slots are indexed from the earliest interval seen (``epoch_ms``); cells
-    with no record stay zero and are counted as missing.
+    ``records`` holds ``CDR_RECORD`` entries, as ``parse_cdr`` returns them.
+    The combined value is the weighted sum over counters, added left to
+    right in ``ACTIVITY_FIELDS`` order; records in the same (square, slot)
+    add up in record order (e.g. separate country-code rows). Slots are
+    indexed from the earliest interval seen (``epoch_ms``); cells with no
+    record stay zero and are counted as missing.
     """
     w = np.asarray(weights, dtype=float)
     if w.shape != (len(ACTIVITY_FIELDS),):
         raise ValueError(f"expected {len(ACTIVITY_FIELDS)} weights, got shape {w.shape}")
-    if (w < 0.0).any() or w.sum() <= 0.0:
-        raise ValueError("weights must be nonnegative with a positive sum")
-    if not records:
+    if not (np.isfinite(w).all() and (w >= 0.0).all() and w.sum() > 0.0):
+        raise ValueError(f"weights must be finite and nonnegative with a positive sum, got {w.tolist()}")
+    if slot_minutes < 1:
+        raise ValueError(f"slot_minutes must be >= 1, got {slot_minutes}")
+    records = np.asarray(records, dtype=CDR_RECORD)
+    if not records.size:
         raise DataFormatError("no records to aggregate")
 
-    epoch_ms = min(r.interval_start for r in records)
-    slot_ms = slot_minutes * 60_000
-
-    squares = sorted({r.square_id for r in records})
-    row_of = {sq: i for i, sq in enumerate(squares)}
-    slots = [(r.interval_start - epoch_ms) // slot_ms for r in records]
-    n_slots = int(max(slots)) + 1
-
-    values = np.zeros((len(squares), n_slots))
-    seen: set[tuple[int, int]] = set()
-    duplicates = 0
-    for r, slot in zip(records, slots):
-        key = (r.square_id, slot)
-        if key in seen:
-            duplicates += 1
-        seen.add(key)
-        values[row_of[r.square_id], slot] += float(np.dot(w, r.activity()))
-
-    missing = len(squares) * n_slots - len(seen)
+    squares, rows = np.unique(records["square_id"], return_inverse=True)
+    epoch_ms = int(records["interval_start"].min())
+    slots = (records["interval_start"] - epoch_ms) // (slot_minutes * 60_000)
+    n_slots = int(slots.max()) + 1
+    cells = rows * n_slots + slots
+    activity = records["activity"]
+    combined = activity[:, 0] * w[0]
+    for i in range(1, len(ACTIVITY_FIELDS)):
+        combined += activity[:, i] * w[i]
+    n_cells = squares.size * n_slots
+    filled = np.count_nonzero(np.bincount(cells, minlength=n_cells))
     return ActivityMatrix(
-        values=values,
-        square_ids=tuple(squares),
-        epoch_ms=int(epoch_ms),
+        values=np.bincount(cells, weights=combined, minlength=n_cells).reshape(squares.size, n_slots),
+        square_ids=tuple(squares.tolist()),
+        epoch_ms=epoch_ms,
         slot_minutes=slot_minutes,
-        n_duplicate_records=duplicates,
-        n_missing_cells=missing,
+        n_duplicate_records=records.size - filled,
+        n_missing_cells=n_cells - filled,
     )
 
 

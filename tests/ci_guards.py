@@ -1,11 +1,11 @@
 """Paper-scale guards on memory and CSV bytes, run by CI after the test suite.
 
-Usage (from the repo root; no argument runs both guards, sweep first):
+Usage (from the repo root; no argument runs every guard, sweep first):
 
-    PYTHONPATH=src python tests/ci_guards.py [sweep] [read]
+    PYTHONPATH=src python tests/ci_guards.py [sweep] [read] [ingest]
 
 Exits 1 if any guard fails. The file has no ``test_`` prefix, so pytest
-does not collect it: both guards take about 20 s on a 2-core machine.
+does not collect it: the guards take about 25 s on a 2-core machine.
 
 sweep
     Paper-scale fig2 and fig3 sweeps (n=5000, 30 days; 1 iteration over
@@ -28,6 +28,12 @@ read
     Reading a 5000-SBS x 1-day loads CSV (20 MB) holds the parsed rows and
     the series, not a dict entry per cell: about 40 MB under tracemalloc
     with numpy 2.4, where the dict reader took 217 MB.
+ingest
+    ``cellsleep ingest`` of one generated day of Milan-layout CDR text
+    (about 144 000 records over 955 squares) holds one 56-byte array entry
+    per record, not one object per record, and writes the loads CSV one
+    SBS row at a time: about 22 MB under tracemalloc with numpy 2.4, where
+    per-record objects and a joined CSV text took 64 MB.
 """
 
 import hashlib
@@ -37,6 +43,8 @@ import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+
+import numpy as np
 
 from cellsleep.cli import main
 from cellsleep.dataio import read_loads_csv
@@ -55,6 +63,9 @@ PAPER_RUNS = {"fig2": FULL_DAY, "fig3": FULL_DAY, "fig4": {"n_iterations": 12}, 
 # and fig5 split their iterations into other runs: the same pins must hold.
 PARALLEL_RUNS = ("fig2", "fig4", "fig5")
 RSS_LIMIT_MB = 120
+MILAN_EPOCH_MS = 1383260400000  # 2013-11-01 00:00 CET, the Milan data's first interval
+INGEST_SQUARES = 955
+INGEST_LIMIT_MB = 30
 
 
 def sweep_guard() -> bool:
@@ -88,8 +99,47 @@ def read_guard() -> bool:
     return code == 0 and peak_mb <= 50
 
 
+def write_milan_cdr(path: Path, n_squares: int) -> int:
+    """Write one seeded day of Milan-layout CDR text and return its number of records.
+
+    Every 10-minute interval has one country-39 row for 95 % of the squares
+    and a second, country-46 row for a tenth of those; a quarter of the
+    counters are empty. The counters are written with ``repr``.
+    """
+    rng = np.random.default_rng(0)
+    n_records = 0
+    with open(path, "w") as fh:
+        for slot in range(144):
+            present = np.flatnonzero(rng.random(n_squares) >= 0.05) + 1
+            squares = np.concatenate([present, present[rng.random(present.size) < 0.10]])
+            counters = rng.exponential(1.0, (squares.size, 5)).tolist()
+            empty = (rng.random((squares.size, 5)) < 0.25).tolist()
+            prefix = f"\t{MILAN_EPOCH_MS + slot * 600_000}\t"
+            fh.write("".join(
+                f"{sq}{prefix}{39 if i < present.size else 46}\t"
+                + "\t".join("" if blank else repr(v) for v, blank in zip(row, gaps)) + "\n"
+                for i, (sq, row, gaps) in enumerate(zip(squares.tolist(), counters, empty))
+            ))
+            n_records += squares.size
+    return n_records
+
+
+def ingest_guard() -> bool:
+    with tempfile.TemporaryDirectory() as tmp:
+        cdr = Path(tmp) / "cdr.txt"
+        n_records = write_milan_cdr(cdr, INGEST_SQUARES)
+        tracemalloc.start()
+        code = main(["ingest", str(cdr), "--out", tmp])
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+    peak_mb = peak / 1e6
+    print(f"ingest of {n_records} Milan-layout records: exit {code}, "
+          f"tracemalloc peak {peak_mb:.0f} MB (limit {INGEST_LIMIT_MB})")
+    return code == 0 and peak_mb <= INGEST_LIMIT_MB
+
+
 # In run order: the sweep guard reads the process's peak RSS, so it runs first.
-GUARDS = {"sweep": sweep_guard, "read": read_guard}
+GUARDS = {"sweep": sweep_guard, "read": read_guard, "ingest": ingest_guard}
 
 if __name__ == "__main__":
     names = sys.argv[1:] or list(GUARDS)

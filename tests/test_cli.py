@@ -131,6 +131,30 @@ class TestIngest:
     def test_missing_file_is_data_error(self, tmp_path):
         assert run_cli("ingest", tmp_path / "nope.txt", "--out", tmp_path / "o") == 2
 
+    def test_non_finite_fields_are_malformed_lines(self, tmp_path):
+        src = tmp_path / "cdr.txt"
+        src.write_text(MILAN_SAMPLE + "\n2\tinf\t39\t1\n2\t0\t39\tnan\n1\t0\t39\t\t\t\t\tinf\n")
+        out = tmp_path / "o"
+        assert run_cli("ingest", src, "--out", out) == 0
+        report = json.loads((out / "ingest_report.json").read_text())["files"][str(src)]
+        assert [lineno for lineno, _ in report["malformed"]] == [6, 7, 8, 9]
+        assert read_loads_csv(out / "loads.csv").loads[0, 0] == 1.0  # the sample's cells alone
+
+    def test_non_finite_weight_is_data_error_naming_weights(self, tmp_path, capsys):
+        src = tmp_path / "cdr.txt"
+        src.write_text(MILAN_SAMPLE + "\n")
+        assert run_cli("ingest", src, "--out", tmp_path / "o", "--weights", "nan", 1, 1, 1, 1) == 2
+        assert "weights must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--n-sbs", -3), ("--n-sbs", 0), ("--slot-minutes", 0), ("--slot-minutes", -10),
+                        ("--slot-minutes", 7), ("--grid-side", 0), ("--grid-side", -3)]
+    )
+    def test_bad_flag_is_usage_error_before_any_file_is_read(self, tmp_path, capsys, flag, value):
+        # The input does not exist: reading it first would exit 2.
+        assert run_cli("ingest", tmp_path / "nope.txt", "--out", tmp_path / "o", flag, value) == 1
+        assert f"argument {flag}" in capsys.readouterr().err
+
 
 class TestEstimate:
     def test_zero_sleepers_ok(self, synth_dir, tmp_path):

@@ -26,6 +26,21 @@ class TestLoadsCsv:
         text = path.read_text()
         assert text.startswith("# config_hash=abc123\nsbs_id,slot,load\n")
 
+    def test_written_bytes_and_peak(self, tmp_path):
+        small = LoadSeries(loads=np.array([[0.25, 0.1], [1.0, 0.0]]), slot_minutes=720, slots_per_day=2)
+        write_loads_csv(small, tmp_path / "small.csv", config_hash="h")
+        assert (tmp_path / "small.csv").read_bytes() == (
+            b"# config_hash=h\nsbs_id,slot,load\n0,0,0.25\n0,1,0.1\n1,0,1.0\n1,1,0.0\n"
+        )
+        series, _ = synthesize_traffic(seed=1, n_sbs=500, grid_side=40, correlation_length_m=1500.0)
+        tracemalloc.start()
+        try:
+            write_loads_csv(series, tmp_path / "loads.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6  # one SBS row of text at a time; all 72 000 rows take ~10 MB
+
     def test_missing_cell_rejected(self, tmp_path):
         path = tmp_path / "gap.csv"
         path.write_text("sbs_id,slot,load\n0,0,0.5\n0,2,0.5\n")

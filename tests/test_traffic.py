@@ -5,6 +5,8 @@ import pytest
 
 from cellsleep.errors import DataFormatError
 from cellsleep.traffic import (
+    ACTIVITY_FIELDS,
+    CDR_RECORD,
     GRID_PITCH_M,
     SYNTH_BLOCK_ROWS,
     LoadSeries,
@@ -20,6 +22,7 @@ from cellsleep.traffic import (
 )
 
 MILAN_LINE = "1\t1383260400000\t39\t0.1\t0.2\t0.05\t0.05\t1.6"
+SMS_IN, INTERNET = ACTIVITY_FIELDS.index("sms_in"), ACTIVITY_FIELDS.index("internet")
 
 
 class TestParseCdr:
@@ -27,22 +30,21 @@ class TestParseCdr:
         records, report = parse_cdr([MILAN_LINE])
         assert len(records) == 1
         r = records[0]
-        assert (r.square_id, r.interval_start) == (1, 1383260400000)
-        assert (r.sms_in, r.sms_out, r.call_in, r.call_out) == (0.1, 0.2, 0.05, 0.05)
-        assert r.internet == 1.6
+        assert (r["square_id"], r["interval_start"]) == (1, 1383260400000)
+        assert r["activity"].tolist() == [0.1, 0.2, 0.05, 0.05, 1.6]
         assert report.malformed == []
 
     def test_empty_stream(self):
         records, report = parse_cdr([])
-        assert records == [] and report.n_records == 0
+        assert records.size == 0 and report.n_records == 0
 
     def test_missing_internet_column_is_zero(self):
         records, _ = parse_cdr(["7\t1383260400000\t39\t0.1\t0.2\t0.05\t0.05"])
-        assert records[0].internet == 0.0
+        assert records[0]["activity"][INTERNET] == 0.0
 
     def test_empty_activity_cells_are_zero(self):
         records, _ = parse_cdr(["7\t1383260400000\t39\t\t\t\t\t2.5"])
-        assert records[0].sms_in == 0.0 and records[0].internet == 2.5
+        assert records[0]["activity"][SMS_IN] == 0.0 and records[0]["activity"][INTERNET] == 2.5
 
     def test_header_line_skipped(self):
         records, report = parse_cdr(["square_id\tinterval\tcc\tsi\tso\tci\tco\tnet", MILAN_LINE])
@@ -55,11 +57,41 @@ class TestParseCdr:
 
     def test_comma_separated_accepted(self):
         records, _ = parse_cdr(["5,1383260400000,39,1,2,3,4,5"])
-        assert records[0].square_id == 5 and records[0].internet == 5.0
+        assert records[0]["square_id"] == 5 and records[0]["activity"][INTERNET] == 5.0
 
     def test_square_out_of_bounds_raises(self):
         with pytest.raises(DataFormatError, match="square_id"):
             parse_cdr(["10001\t1383260400000\t39\t1"])
+
+    @pytest.mark.parametrize("interval", ["inf", "-inf", "nan", "1e300"])
+    def test_non_finite_or_huge_interval_reported_with_number(self, interval):
+        records, report = parse_cdr([MILAN_LINE, f"2\t{interval}\t39\t1"])
+        assert len(records) == 1
+        assert [lineno for lineno, _ in report.malformed] == [2]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "NaN", "-inf"])
+    def test_non_finite_activity_reported_with_number(self, value):
+        records, report = parse_cdr([MILAN_LINE, f"2\t1383260400000\t39\t1\t{value}", MILAN_LINE])
+        assert len(records) == 2 and report.n_records == 2
+        assert [lineno for lineno, _ in report.malformed] == [2]
+        assert value.lstrip("-").lower() in report.malformed[0][1]
+
+
+def naive_aggregate(records, weights, slot_minutes):
+    """aggregate_activity record by record: each weighted sum left to right, then added in record order."""
+    epoch = min(int(r["interval_start"]) for r in records)
+    squares = sorted({int(r["square_id"]) for r in records})
+    slots = [(int(r["interval_start"]) - epoch) // (slot_minutes * 60_000) for r in records]
+    values = np.zeros((len(squares), max(slots) + 1))
+    seen = set()
+    for r, slot in zip(records, slots):
+        combined = 0.0
+        for w, a in zip(weights, r["activity"].tolist()):
+            combined += w * a
+        cell = (squares.index(int(r["square_id"])), slot)
+        values[cell] += combined
+        seen.add(cell)
+    return values, squares, epoch, len(records) - len(seen), values.size - len(seen)
 
 
 class TestAggregateActivity:
@@ -97,9 +129,40 @@ class TestAggregateActivity:
         with pytest.raises(ValueError):
             aggregate_activity(self.records(), weights=(0, 0, 0, 0, 0))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_weight_rejected(self, bad):
+        with pytest.raises(ValueError, match="weights must be finite and nonnegative"):
+            aggregate_activity(self.records(), weights=(bad, 1, 1, 1, 1))
+
     def test_no_records_rejected(self):
         with pytest.raises(DataFormatError):
             aggregate_activity([])
+
+    @pytest.mark.parametrize("slot_minutes", [0, -10])
+    def test_slot_minutes_below_one_rejected(self, slot_minutes):
+        with pytest.raises(ValueError, match="slot_minutes"):
+            aggregate_activity(self.records(), slot_minutes=slot_minutes)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_record_by_record_reference_bit_for_bit(self, seed):
+        # Repeated cells, empty cells, unsorted intervals, non-unit weights
+        # and counters of mixed magnitudes, so that the sum order shows.
+        rng = np.random.default_rng(seed)
+        n = 400
+        records = np.empty(n, dtype=CDR_RECORD)
+        records["square_id"] = rng.integers(1, 30, n)
+        records["interval_start"] = 1383260400000 + rng.integers(0, 40 * 600_000, n)
+        records["activity"] = rng.exponential(1.0, (n, 5)) * 10.0 ** rng.integers(-3, 4, (n, 5))
+        records["activity"][rng.random((n, 5)) < 0.3] = 0.0
+        weights = rng.uniform(0.1, 3.0, 5)
+        slot_minutes = int(rng.choice([10, 30, 60]))
+        values, squares, epoch, duplicates, missing = naive_aggregate(records, weights, slot_minutes)
+        matrix = aggregate_activity(records, weights, slot_minutes=slot_minutes)
+        assert matrix.values.tobytes() == values.tobytes() and matrix.values.shape == values.shape
+        assert matrix.square_ids == tuple(squares) and matrix.epoch_ms == epoch
+        assert (matrix.n_duplicate_records, matrix.n_missing_cells) == (duplicates, missing)
+        assert duplicates > 0 and missing > 0
+        assert (np.diff(records["interval_start"]) < 0).any()
 
 
 class TestNormalizeLoads:
