@@ -85,8 +85,8 @@ def _slot_minutes(text: str) -> int:
     return value
 
 
-def _seed(text: str) -> int:
-    """A --seed value: numpy seeds must be non-negative."""
+def _nonnegative_int(text: str) -> int:
+    """A count that may be zero, or a --seed value (numpy seeds must be non-negative)."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
@@ -133,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--n-sbs", type=_positive_int, default=None,
                    help="SBS count (default: every square present)")
-    p.add_argument("--seed", type=_seed, default=0, help="seed for the SBS-to-square draw")
+    p.add_argument("--seed", type=_nonnegative_int, default=0, help="seed for the SBS-to-square draw")
     p.add_argument("--normalize", choices=("global_max", "per_sbs_max"), default="global_max")
     p.add_argument("--weights", type=float, nargs=5, default=(1.0, 1.0, 1.0, 1.0, 1.0),
                    metavar=("SMS_IN", "SMS_OUT", "CALL_IN", "CALL_OUT", "NET"))
@@ -144,15 +144,15 @@ def build_parser() -> argparse.ArgumentParser:
     desk = PROFILES["desk"]()  # synth defaults to the desk profile's traffic
     p = sub.add_parser("synth", help="generate seeded synthetic correlated traffic")
     p.add_argument("--out", default=".")
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--n-sbs", type=int, default=desk.n_sbs)
-    p.add_argument("--grid-side", type=int, default=desk.grid_side)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
+    p.add_argument("--n-sbs", type=_positive_int, default=desk.n_sbs)
+    p.add_argument("--grid-side", type=_positive_int, default=desk.grid_side)
     p.add_argument("--correlation-length", type=float, default=desk.correlation_length_m,
                    metavar="METERS")
-    p.add_argument("--days", type=int, default=desk.n_days)
+    p.add_argument("--days", type=_positive_int, default=desk.n_days)
     p.add_argument("--noise-std", type=float, default=desk.noise_std)
     p.add_argument("--field-floor", type=float, default=desk.field_floor)
-    p.add_argument("--bumps", type=int, default=desk.n_field_bumps)
+    p.add_argument("--bumps", type=_nonnegative_int, default=desk.n_field_bumps)
 
     p = sub.add_parser("estimate", help="estimate sleeping-SBS loads at one slot")
     p.add_argument("--loads", required=True, help="canonical loads CSV")
@@ -161,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimator", choices=("mlc", "distance", "random"), default="distance")
     p.add_argument("--sleepers", default=None, help="comma-separated SBS ids to mask")
     p.add_argument("--sleep-fraction", type=float, default=None, help="random mask instead of --sleepers")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--neighbors", type=int, default=5)
     p.add_argument("--exponent", type=int, default=None)
     p.add_argument("--layers", type=int, default=3)
@@ -175,14 +175,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="JSON config with an 'experiment' section")
     p.add_argument("--profile", choices=tuple(PROFILES), default=None)
     p.add_argument("--optimizer", choices=("auto", "exhaustive", "greedy"), default="auto")
-    p.add_argument("--seed", type=_seed, default=None)
+    p.add_argument("--seed", type=_nonnegative_int, default=None)
     p.add_argument("--out", default="solution.json")
 
     p = sub.add_parser("sweep", help="run one of the packaged studies")
     p.add_argument("--experiment", choices=("fig2", "fig3", "fig4", "fig5"), required=True)
     p.add_argument("--profile", choices=tuple(PROFILES), default="desk")
     p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=_seed, default=None)
+    p.add_argument("--seed", type=_nonnegative_int, default=None)
     p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--out", default=".")
     p.add_argument("--n-values", type=_int_list, default=None, help="neighbor-count grid")

@@ -22,18 +22,23 @@ it fits every (cell, k) problem of a clustering layer in one vectorized
 pass and gives each problem the same assignments as ``kmeans_fit`` or
 ``elbow_fit`` on that cell alone. In 1-D every nearest-centroid cluster is
 a run of the sorted features (Wang & Song 2011, *Ckmeans.1d.dp*, R Journal
-3(2)), so each cell is sorted once, and a Lloyd step is one search for the
-k - 1 midpoints plus run sums read from longdouble prefix sums: O(k log n)
-per problem, with no distance matrix. The search runs over (cell, feature)
-pairs as complex numbers, which numpy orders lexicographically, so every
-midpoint of every cell is placed by one ``searchsorted``. A problem that
-has finished is masked out of the step; the live arrays are compacted only
-once half of them have finished. Those sums are not the exact loop's
-pairwise ones, but their error is bounded (``_error_bounds``). A problem
-with a feature near a midpoint, seeds near each other, an empty run or a
-movement near ``tol`` is fitted alone by ``_lloyd``; an elbow that the
-bound leaves open is picked on the exact SSE. So every assignment keeps
-its bits.
+3(2)), so every cell is a run of one value order (``_SortedCells``): MLC
+sorts each slot row once per call, and a cluster of a cell's run is a run
+again, so no later layer sorts. A Lloyd step is one search for the k - 1
+midpoints plus run sums read from float64 prefix sums that restart at
+every slot row: O(k log n) per problem, with no distance matrix; a cut
+that still holds from the step before is kept without a search. The
+search runs over (run, feature) pairs as complex numbers, which numpy
+orders lexicographically, so every midpoint of every cell is placed by one
+``searchsorted``. The step holds one column per problem, so the
+per-problem reductions run over rows. A problem that has finished is
+masked out of the step; the live arrays are compacted only once half of
+them have finished. Those sums are not the exact loop's pairwise ones,
+but their error is bounded (``_error_bounds``). A problem with a feature
+near a midpoint, seeds near each other, an empty run or a movement near
+``tol`` is fitted alone by ``_lloyd``; an elbow that the bound leaves open
+is picked on the exact SSE. So every assignment keeps its bits. Seeds and
+their ties, and the exact sums, stay in row order.
 
 ``_segment_sums`` gives those exact sums for many segments at once. It adds
 each segment in numpy's pairwise order: below 8 elements one by one from
@@ -235,7 +240,7 @@ def elbow_fit(
 
     seeds = _seed_centroids(pts, hi, np.random.default_rng(seed))
     fits = [_lloyd(pts, seeds[:k].copy(), max_iter, tol) for k in ks]
-    pick = int(_elbow_choice(np.array([[fit.sse for fit in fits]]), np.array([len(ks)]))[0])
+    pick = int(_elbow_choice(np.array([[fit.sse] for fit in fits]), np.array([len(ks)]))[0])
     if pick < 0:
         if warn_on_flat:
             # stacklevel 3: attributed to the caller of elbow_select_k
@@ -245,19 +250,19 @@ def elbow_fit(
 
 
 def _elbow_choice(sse: np.ndarray, n_k: np.ndarray) -> np.ndarray:
-    """Per row of SSE curves, the index of the elbow's k, or -1 for a flat curve.
+    """Per column of SSE curves, the index of the elbow's k, or -1 for a flat curve.
 
-    Row r holds SSE(k) for n_k[r] >= 3 consecutive k values; the entries
+    Column c holds SSE(k) for n_k[c] >= 3 consecutive k values; the entries
     beyond them are ignored. The elbow is the interior k with the largest
     second difference (first on ties).
     """
-    cols = np.arange(sse.shape[1])
-    sse = np.where(cols < n_k[:, None], sse, 0.0)
-    curvature = sse[:, :-2] - 2.0 * sse[:, 1:-1] + sse[:, 2:]
-    curvature = np.where(cols[:-2] < (n_k - 2)[:, None], curvature, -np.inf)
-    scale = np.maximum(sse.max(axis=1), 1e-300)
-    flat = curvature.max(axis=1) <= FLAT_CURVE_RTOL * scale
-    return np.where(flat, -1, 1 + curvature.argmax(axis=1))
+    rows = np.arange(sse.shape[0])[:, None]
+    sse = np.where(rows < n_k, sse, 0.0)
+    curvature = sse[:-2] - 2.0 * sse[1:-1] + sse[2:]
+    curvature = np.where(rows[:-2] < n_k - 2, curvature, -np.inf)
+    scale = np.maximum(sse.max(axis=0), 1e-300)
+    flat = curvature.max(axis=0) <= FLAT_CURVE_RTOL * scale
+    return np.where(flat, -1, 1 + curvature.argmax(axis=0))
 
 
 def _segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -286,10 +291,8 @@ def _segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     n_leaf = lens.size
     leaf = np.repeat(np.arange(n_leaf), lens)
     offset = np.arange(values.size) - np.repeat(np.cumsum(lens) - lens, lens)
-    lane = offset < (lens - lens % 8)[leaf]
-    r = np.bincount(
-        leaf[lane] * 8 + offset[lane] % 8, weights=values[lane], minlength=8 * n_leaf
-    ).reshape(n_leaf, 8)
+    lane = offset < np.repeat(lens & -8, lens)
+    r = np.bincount((leaf * 8 + (offset & 7))[lane], weights=values[lane], minlength=8 * n_leaf).reshape(n_leaf, 8)
     combined = ((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])) + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7]))
     rest = ~lane
     sums = np.bincount(
@@ -310,13 +313,9 @@ def _first_seed(size: int, seed: int) -> int:
     return int(np.random.default_rng(seed).integers(size))
 
 
-# The dtype of the prefix sums, and the machine epsilons (twice the unit
-# roundoffs u and u_L) of the features' float64 and of those sums. Where
-# longdouble is a double, _PREFIX_EPS is float64's: the bounds widen and
-# more problems go exact.
-_PREFIX_DTYPE = np.longdouble
+# The machine epsilon (twice the unit roundoff u) of the features and of
+# their prefix sums, all float64.
 _EPS = float(np.finfo(float).eps)
-_PREFIX_EPS = float(np.finfo(_PREFIX_DTYPE).eps)
 # Absolute floor of every guard margin. A distance above it has a normal
 # square, so the relative rounding bounds below hold for it.
 _TINY = 2.0**-400
@@ -325,11 +324,86 @@ _TINY = 2.0**-400
 _PAD = 2.0**510
 
 
-def _error_bounds(x_sorted: np.ndarray, prefix: np.ndarray, starts: np.ndarray, sizes: np.ndarray):
+class _SortedCells:
+    """Cells of scalar features, each in stable value order, with the prefix sums of its runs.
+
+    ``x`` holds the cells back to back, ``sizes`` their lengths. Cell c
+    takes a row of W + 1 positions (W the largest size), from first_c = c
+    (W + 1): its features in value order, then +inf to the row's end;
+    ``rank[i]`` is feature i's position. ``keys`` pairs every position's
+    label with its value as a complex number, which numpy orders
+    lexicographically. A feature's label is the first position of the run
+    that holds it: its cell, or a group cut from the cell by ``regroup``.
+    The label of +inf is its own position. So the keys are sorted, and a
+    search for (label, v) lands inside that label's run. ``prefix[t]`` sums
+    the features of t's cell that come before t, and ``square_prefix``
+    (kept with ``squares``) their squares, so a run [a, b) sums to
+    ``prefix[b] - prefix[a]``.
+    """
+
+    def __init__(self, x: np.ndarray, sizes: np.ndarray, squares: bool):
+        self.x, self.squares, self.width = x, squares, int(sizes.max()) + 1
+        self.first = np.arange(sizes.size) * self.width
+        place = np.arange(x.size) + np.repeat(self.first - (np.cumsum(sizes) - sizes), sizes)
+        grid = np.full(sizes.size * self.width, np.inf)
+        grid[place] = x
+        by_value = np.argsort(grid.reshape(sizes.size, self.width), axis=1, kind="stable") + self.first[:, None]
+        position = np.empty(grid.size, dtype=np.int64)
+        position[by_value.ravel()] = np.arange(grid.size)
+        self.rank = position[place]
+        self.keys = np.empty(grid.size, dtype=complex)
+        self.keys.real = np.arange(grid.size)
+        self.keys.real[self.rank] = np.repeat(self.first, sizes)
+        self.keys.imag = grid[by_value.ravel()]
+        self._sum_runs()
+
+    def _sum_runs(self) -> None:
+        rows = self.keys.imag.reshape(-1, self.width)[:, :-1]
+        self.prefix = np.zeros((rows.shape[0], self.width))
+        np.cumsum(rows, axis=1, out=self.prefix[:, 1:])
+        self.prefix = self.prefix.ravel()
+        self.square_prefix = None
+        if self.squares:
+            self.square_prefix = np.zeros((rows.shape[0], self.width))
+            np.cumsum(np.square(rows), axis=1, out=self.square_prefix[:, 1:])
+            self.square_prefix = self.square_prefix.ravel()
+
+    def regroup(self, rows: np.ndarray, n_members: np.ndarray) -> np.ndarray:
+        """Each group's first position, once every group of rows is a run.
+
+        ``rows`` lists the features of whole cells in consecutive groups of
+        ``n_members``, each group within one cell. A k-means cluster in 1-D
+        holds an interval of values, but the empty-cluster repair of
+        ``_lloyd`` can part equal features, and a group is a run only if
+        its positions are consecutive. A cell with a group that is not
+        (its rows still carry the cell's label) is laid out again: its
+        groups in turn, each in its own position order, so in value order.
+        Every group's positions then take its first position as their label.
+        """
+        pos = self.rank[rows]
+        first = np.cumsum(n_members) - n_members
+        lo = np.minimum.reduceat(pos, first)
+        split = np.maximum.reduceat(pos, first) - lo + 1 != n_members
+        if split.any():
+            cell = self.keys.real[pos]
+            group = np.repeat(np.arange(n_members.size), n_members)
+            for c in np.unique(cell[first[split]]).tolist():
+                mine = np.flatnonzero(cell == c)
+                moved = rows[mine[np.lexsort((pos[mine], group[mine]))]]
+                self.rank[moved] = pos[mine].min() + np.arange(mine.size)
+                self.keys.imag[self.rank[moved]] = self.x[moved]
+            self._sum_runs()
+            pos = self.rank[rows]
+            lo = np.minimum.reduceat(pos, first)
+        self.keys.real[pos] = np.repeat(lo, n_members)
+        return lo
+
+
+def _error_bounds(x: np.ndarray, prefix: np.ndarray, runs: np.ndarray, starts: np.ndarray, sizes: np.ndarray):
     """Per cell: feature scale S, pairwise-sum depth h, Pmax, centroid bound delta, tie margin.
 
-    S is the largest |x| of a cell of n features, u and u_L the unit
-    roundoffs. The exact centroid is c = fl(s / m), with s the pairwise sum
+    S is the largest |x| of a cell of n features, u the unit roundoff of
+    float64. The exact centroid is c = fl(s / m), with s the pairwise sum
     (in row order) of a run's m features and mu their exact mean.
     ``_segment_sums`` adds every feature through at most h = 25 +
     ceil(log2 n) roundings (a leaf of <= 128 takes <= 15 lane, 3 combining
@@ -337,11 +411,13 @@ def _error_bounds(x_sorted: np.ndarray, prefix: np.ndarray, starts: np.ndarray, 
     |s - m mu| <= gamma_h m S and
     |c - mu| <= (h + 2) u S (Higham, *Accuracy and Stability of Numerical
     Algorithms*, 2nd ed., ch. 4). The sorted-run centroid c_run reads the
-    run sum as P[b] - P[a] from longdouble prefix sums P. Each recursive
-    step of P rounds by at most u_L |P| (ibid.), so the run sum is off by at
-    most u_L m (Pmax + S), with Pmax a bound on |P| over the cell; its
-    rounding to float64 and the division add 2 u S. Hence
-    |c_run - mu| + |c - mu| <= delta = (h + 3) eps S + 2 eps_L Pmax.
+    run sum as P[b] - P[a] from the prefix sums P of the cell's slot row
+    (``_SortedCells``). Each recursive step of P rounds by at most u |P|
+    (ibid.), so the run sum is off by at most u m (Pmax + S), with Pmax a
+    bound on |P| over the cell: at most the slot row's sum of |x|, so at
+    most the row's length for loads in [0, 1]. The subtraction and the
+    division add 2 u S. Hence
+    |c_run - mu| + |c - mu| <= delta = (h + 3) eps S + 2 eps Pmax.
 
     The exact assignment is argmin_j fl(fl(x - c_j)^2), which is within
     3.01 u of (x - c_j)^2. It is the nearest centroid whenever every other
@@ -351,66 +427,84 @@ def _error_bounds(x_sorted: np.ndarray, prefix: np.ndarray, starts: np.ndarray, 
     its width), and centroids more than 2 ``margin`` apart, keep at least
     24 u S of that slack.
     """
-    magnitude = np.abs(x_sorted)
+    magnitude = np.abs(x)
     scale = np.maximum.reduceat(magnitude, starts)
     depth = 25 + np.ceil(np.log2(sizes))
     # |P| over a cell is at most its start value plus the cell's sum of |x|;
     # 1.001 covers the rounding of both for cells below 2^40 features.
-    p_max = 1.001 * (np.abs(prefix[starts]).astype(float) + np.add.reduceat(magnitude, starts))
-    delta = (depth + 3) * _EPS * scale + 2 * _PREFIX_EPS * p_max
+    p_max = 1.001 * (np.abs(prefix[runs]) + np.add.reduceat(magnitude, starts))
+    delta = (depth + 3) * _EPS * scale + 2 * _EPS * p_max
     return scale, depth, p_max, delta, 2 * delta + 8 * _EPS * scale + _TINY
 
 
 def _elbow_settled(sse: np.ndarray, err: np.ndarray, n_k: np.ndarray) -> np.ndarray:
-    """Rows whose ``_elbow_choice`` is the same for every curve within ``err`` of ``sse``."""
-    cols = np.arange(sse.shape[1])
-    valid = cols < n_k[:, None]
+    """Columns whose ``_elbow_choice`` is the same for every curve within ``err`` of ``sse``."""
+    rows = np.arange(sse.shape[0])[:, None]
+    valid = rows < n_k
     sse, err = np.where(valid, sse, 0.0), np.where(valid, err, 0.0)
-    curvature = sse[:, :-2] - 2.0 * sse[:, 1:-1] + sse[:, 2:]
+    curvature = sse[:-2] - 2.0 * sse[1:-1] + sse[2:]
     # The SSE errors, plus the rounding of the second difference on either curve.
-    spread = err[:, :-2] + 2.0 * err[:, 1:-1] + err[:, 2:]
-    spread += 4 * _EPS * (np.abs(sse[:, :-2]) + 2.0 * np.abs(sse[:, 1:-1]) + np.abs(sse[:, 2:]) + spread)
-    interior = cols[:-2] < (n_k - 2)[:, None]
+    spread = err[:-2] + 2.0 * err[1:-1] + err[2:]
+    spread += 4 * _EPS * (np.abs(sse[:-2]) + 2.0 * np.abs(sse[1:-1]) + np.abs(sse[2:]) + spread)
+    interior = rows[:-2] < n_k - 2
     upper = np.where(interior, curvature + spread, -np.inf)
     lower = np.where(interior, curvature - spread, -np.inf)
-    level = FLAT_CURVE_RTOL * np.maximum(sse.max(axis=1), 1e-300)
-    level_err = FLAT_CURVE_RTOL * err.max(axis=1) + _EPS * level
-    flat = upper.max(axis=1) < level - level_err
-    pick = np.where(interior, curvature, -np.inf).argmax(axis=1)
-    rival = np.where(cols[:-2] == pick[:, None], -np.inf, upper).max(axis=1)
-    sharp = (lower.max(axis=1) > level + level_err) & (lower[np.arange(pick.size), pick] > rival)
+    level = FLAT_CURVE_RTOL * np.maximum(sse.max(axis=0), 1e-300)
+    level_err = FLAT_CURVE_RTOL * err.max(axis=0) + _EPS * level
+    flat = upper.max(axis=0) < level - level_err
+    pick = np.where(interior, curvature, -np.inf).argmax(axis=0)
+    rival = np.where(rows[:-2] == pick, -np.inf, upper).max(axis=0)
+    sharp = (lower.max(axis=0) > level + level_err) & (lower[pick, np.arange(pick.size)] > rival)
     return flat | sharp
 
 
 def _fit_cells(
-    x: np.ndarray, sizes: np.ndarray, k_hi: np.ndarray, *, elbow: bool, max_iter: int, tol: float, seed: int
+    x: np.ndarray,
+    sizes: np.ndarray,
+    k_hi: np.ndarray,
+    *,
+    elbow: bool,
+    max_iter: int,
+    tol: float,
+    seed: int,
+    order: _SortedCells | None = None,
+    position: np.ndarray | None = None,
 ) -> np.ndarray:
     """Cluster assignments of every cell of a layer of scalar features.
 
-    ``x`` holds the cells back to back, ``sizes`` their lengths (each >= 1);
-    its features lie below 2^500 in magnitude, so no square overflows. With
-    ``elbow`` a cell gets ``elbow_fit(cell, (1, k_hi))``'s assignments,
-    otherwise ``kmeans_fit(cell, k_hi)``'s, bit for bit, for the same
-    ``max_iter``, ``tol`` and ``seed``. Each (cell, k) is one problem; all
-    problems take their Lloyd steps together on sorted runs, and each leaves
-    the pass at its own stopping step. A problem that meets an empty run, or
-    comes within the rounding bound of a tie or of ``tol``, is fitted alone
-    by ``_lloyd``.
+    ``x`` holds the cells back to back, each in row order, ``sizes`` their
+    lengths (each >= 1); its features lie below 2^500 in magnitude, so no
+    square overflows. With ``elbow`` a cell gets ``elbow_fit(cell, (1,
+    k_hi))``'s assignments, otherwise ``kmeans_fit(cell, k_hi)``'s, bit for
+    bit, for the same ``max_iter``, ``tol`` and ``seed``. ``order`` holds
+    every cell as one run, ``position`` the place of each feature in it
+    (with ``squares`` under ``elbow``); without them the cells are sorted
+    here. Each (cell, k) is one problem; all problems take their Lloyd steps
+    together on sorted runs, and each leaves the pass at its own stopping
+    step. A problem that meets an empty run, or comes within the rounding
+    bound of a tie or of ``tol``, is fitted alone by ``_lloyd``.
     """
-    n_cells, n = sizes.size, x.size
+    n_cells = sizes.size
     starts = np.cumsum(sizes) - sizes
     ends = starts + sizes
-    cell = np.repeat(np.arange(n_cells), sizes)
-    index = np.arange(n)
+    if order is None:
+        order = _SortedCells(x, sizes, squares=elbow)
+        position = order.rank
+    runs = np.minimum.reduceat(position, starts)
+    # Each feature's place in the cells' runs laid back to back.
+    local = position - np.repeat(runs - starts, sizes)
 
-    # Farthest-point chains, one segment argmax (first index on ties) per seed.
+    # Farthest-point chains, one segment argmax (first index on ties) per
+    # seed; the first seed is drawn once per distinct cell size.
     chosen = np.empty((n_cells, int(k_hi.max())), dtype=np.int64)
-    chosen[:, 0] = starts + [_first_seed(m, seed) for m in sizes.tolist()]
-    d2 = (x - x[chosen[cell, 0]]) ** 2
+    distinct, size_of = np.unique(sizes, return_inverse=True)
+    chosen[:, 0] = starts + np.array([_first_seed(m, seed) for m in distinct.tolist()])[size_of]
+    d2 = (x - np.repeat(x[chosen[:, 0]], sizes)) ** 2
     for j in range(1, chosen.shape[1]):
-        top = np.maximum.reduceat(d2, starts)
-        chosen[:, j] = np.minimum.reduceat(np.where(d2 == top[cell], index, n), starts)
-        d2 = np.minimum(d2, (x - x[chosen[cell, j]]) ** 2)
+        top = np.flatnonzero(d2 == np.repeat(np.maximum.reduceat(d2, starts), sizes))
+        chosen[:, j] = top[np.searchsorted(top, starts)]
+        if j + 1 < chosen.shape[1]:
+            d2 = np.minimum(d2, (x - np.repeat(x[chosen[:, j]], sizes)) ** 2)
 
     # Problems: k = 1..k_hi of each cell under the elbow, else k_hi alone.
     n_k = k_hi if elbow else np.ones_like(k_hi)
@@ -419,80 +513,83 @@ def _fit_cells(
     p_k = np.arange(p_cell.size) - first_problem[p_cell] + 1 if elbow else k_hi.copy()
     kmax = int(p_k.max())
     slot = np.arange(kmax)
+    prefix, keys = order.prefix, order.keys
+    scale, depth, p_max, delta, margin = _error_bounds(x, prefix, runs, starts, sizes)
 
-    # Each cell sorted by value once. Equal features always share a run, so
-    # their order does not matter. The key (cell, rank in the global value
-    # sort) increases along the sorted cells; ``order`` maps a sorted
-    # position to its row. As complex (cell, feature) pairs, which numpy
-    # compares lexicographically, the sorted cells are one sorted array, so
-    # one search places every midpoint in its own cell.
-    by_value = np.argsort(x)
-    value_rank = np.empty_like(by_value)
-    value_rank[by_value] = index
-    key = np.sort(cell * n + value_rank)
-    order = by_value[key - cell * n]
-    xs = x[order]
-    cell_xs = np.empty(n, dtype=complex)
-    cell_xs.real, cell_xs.imag = cell, xs
-    prefix = np.zeros(n + 1, dtype=_PREFIX_DTYPE)
-    np.cumsum(xs, dtype=_PREFIX_DTYPE, out=prefix[1:])
-    scale, depth, p_max, delta, margin = _error_bounds(xs, prefix, starts, sizes)
-
-    # Centroids in value order, _PAD beyond k; perm[p, r] is the seed label of rank r.
-    seeds = x[chosen[p_cell, :kmax]]
-    real = slot < p_k[:, None]
-    perm = np.argsort(np.where(real, seeds, np.inf), axis=1, kind="stable")
-    centroids = np.where(real, np.take_along_axis(seeds, perm, axis=1), _PAD)
-
-    # Each problem's final runs (one run until it has converged on runs).
-    run_edges = np.repeat(ends[p_cell][:, None], kmax + 1, axis=1)
-    run_edges[:, 0] = starts[p_cell]
-    run_means = np.zeros((p_cell.size, kmax))
+    # Each problem's final runs (one run until it has converged on runs) and
+    # run means. A problem with k = 1 is one run at its mean: it takes no steps.
+    lo, hi = runs[p_cell], runs[p_cell] + sizes[p_cell]
+    run_edges = np.repeat(hi[None], kmax + 1, axis=0)
+    run_edges[0] = lo
+    run_means = np.zeros((kmax, p_cell.size))
+    run_means[0] = (prefix[hi] - prefix[lo]) / sizes[p_cell]
     exact: dict[int, ClusteringState] = {}  # problems fitted by _lloyd
 
-    # The sorted cells with +inf after each: cell c's position t sits at t + c.
-    above = np.insert(xs, ends, np.inf)
-    live, shift = np.arange(p_cell.size), p_cell[:, None]
-    lo, hi = starts[shift], ends[shift]
-    tie_margin, slack0 = margin[shift], 2 * delta[p_cell] + _TINY
-    probe = np.empty((p_cell.size, kmax - 1), dtype=complex)  # (cell, midpoint - margin)
-    probe.real = shift
+    # The Lloyd steps hold one column per live problem, so that the
+    # per-problem reductions run over rows. Centroids in value order, _PAD
+    # beyond k.
+    live = np.flatnonzero(p_k > 1)
+    in_k = slot < p_k[live, None]
+    centroids = np.ascontiguousarray(np.sort(np.where(in_k, x[chosen[p_cell[live], :kmax]], _PAD), axis=1).T)
+    real = in_k.T.copy()
+    pad = np.where(real, 0.0, _PAD)  # added to the run means: _PAD stays beyond k
+    lo, hi = lo[live][None], hi[live][None]
+    slack0 = 2 * delta[p_cell[live]] + _TINY
+    # Per midpoint, the tie margin; -inf beyond k, where no feature is near.
+    tie_margin = np.where(real[1:], margin[p_cell[live]], -np.inf)
+    values = keys.imag
+    label = np.repeat(lo.astype(float), kmax - 1, axis=0)  # each midpoint's run label
     # A finished problem is recorded once and then only masked out; the live
     # arrays are compacted once at least half of them have finished.
     active = np.ones(live.size, dtype=bool)
     prev = None
-    for step in range(max_iter):
-        # A midpoint's cut is the first sorted position above it less the
-        # margin; a feature at it within the margin above is a near-tie.
-        mids = (centroids[:, :-1] + centroids[:, 1:]) / 2
-        np.subtract(mids, tie_margin, out=probe.imag)
-        cuts = np.searchsorted(cell_xs, probe, side="right")
-        near_tie = (above[cuts + shift] - mids <= tie_margin).any(axis=1)
-        edges = np.concatenate([lo, cuts, hi], axis=1)
-        counts = edges[:, 1:] - edges[:, :-1]
+    for step in range(max_iter if live.size else 0):
+        # A midpoint's cut is the first run position above it less the
+        # margin, searched (once, or where the last cut no longer holds)
+        # for the midpoints within k. A feature at the cut within the margin
+        # above is a near-tie. (A cut at the run's end reads past it, but
+        # then a real run is empty.)
+        mids = (centroids[:-1] + centroids[1:]) / 2
+        below = mids - tie_margin
+        if prev is None:
+            cuts = np.repeat(hi, kmax - 1, axis=0)
+            search = real[1:]
+        else:
+            cuts = prev.copy()
+            search = real[1:] & ((values[cuts - 1] > below) | (below >= values[cuts]))
+        if search.any():
+            probe = np.empty(np.count_nonzero(search), dtype=complex)  # (run label, midpoint - margin)
+            probe.real = label[search]
+            probe.imag = below[search]
+            cuts[search] = keys.searchsorted(probe, side="right")
+        near_tie = (values[cuts] - mids <= tie_margin).any(axis=0)
+        edges = np.concatenate([lo, cuts, hi])
+        counts = edges[1:] - edges[:-1]
         at = prefix[edges]
-        means = np.where(real, (at[:, 1:] - at[:, :-1]).astype(float) / np.maximum(counts, 1), _PAD)
-        movement = np.abs(means - centroids).max(axis=1)
+        means = (at[1:] - at[:-1]) / np.maximum(counts, 1) + pad
+        movement = np.abs(means - centroids).max(axis=0)
         # The exact movement lies within ``slack`` of ours. Runs equal to the
         # step before repeat the exact centroids bit for bit: movement 0.
         slack = slack0 + 4 * _EPS * movement
         off = movement - tol
         stop = off < -slack
         if step:
-            stop |= (edges == prev).all(axis=1)
+            stop |= (cuts == prev).all(axis=0)
         else:
             # Later centroids are means of runs split by margin-wide gaps,
             # so only the seeds can lie close together (or repeat).
-            near_tie |= ((centroids[:, 1:] - centroids[:, :-1] <= 2 * tie_margin) & real[:, 1:]).any(axis=1)
+            near_tie |= (centroids[1:] - centroids[:-1] <= 2 * tie_margin).any(axis=0)
         if step == max_iter - 1:
             stop[:] = True
-        go_exact = near_tie | ((counts == 0) & real).any(axis=1) | ((np.abs(off) <= slack) & ~stop)
+        # An empty run within k, or (unless stopped, when off >= -slack) a
+        # movement near tol, goes exact too.
+        go_exact = near_tie | (counts < real).any(axis=0) | ((off <= slack) & ~stop)
         go_exact &= active
         done = (stop & active) | go_exact
         if done.any():
             ok = done & ~go_exact
-            run_edges[live[ok]] = edges[ok]
-            run_means[live[ok]] = means[ok]
+            run_edges[:, live[ok]] = edges[:, ok]
+            run_means[:, live[ok]] = means[:, ok]
             for p in live[go_exact].tolist():
                 a, b = starts[p_cell[p]], ends[p_cell[p]]
                 exact[p] = _lloyd(x[a:b, None], x[chosen[p_cell[p], : p_k[p]], None], max_iter, tol)
@@ -501,51 +598,47 @@ def _fit_cells(
             if n_active == 0:
                 break
             if 2 * n_active <= active.size:
-                live, shift, lo, hi, tie_margin, slack0, probe, real, means, edges, active = (
-                    a[active]
-                    for a in (live, shift, lo, hi, tie_margin, slack0, probe, real, means, edges, active)
+                live, slack0 = live[active], slack0[active]
+                lo, hi, label, tie_margin, real, pad, means, cuts = (
+                    a[:, active] for a in (lo, hi, label, tie_margin, real, pad, means, cuts)
                 )
-        centroids, prev = means, edges
+                active = active[active]
+        centroids, prev = means, cuts
 
     is_exact = np.zeros(p_cell.size, dtype=bool)
     is_exact[list(exact)] = True
     if elbow:
-        sse, err = np.zeros((n_cells, kmax)), np.zeros((n_cells, kmax))
-        # Run SSEs from prefix sums of x and x^2. Besides the prefix terms
-        # (as for the centroids), their longdouble arithmetic rounds by
-        # < 43 u_L m S^2; centroids off by delta move them by < m delta^2;
+        # Run SSEs from prefix sums of x and x^2 (Q). Besides the prefix
+        # terms (as for the centroids), their arithmetic rounds by
+        # < 43 u m S^2; centroids off by delta move them by < m delta^2;
         # and the exact loop's SSE is within (h + 4) u of the true one.
-        runs = np.flatnonzero(~is_exact)
-        left, right = run_edges[runs, :-1], run_edges[runs, 1:]
-        squares = np.zeros(n + 1, dtype=_PREFIX_DTYPE)
-        np.cumsum(np.square(xs.astype(_PREFIX_DTYPE)), out=squares[1:])
+        squares = order.square_prefix
+        left, right = run_edges[:-1], run_edges[1:]
         sum_x, sum_xx = prefix[right] - prefix[left], squares[right] - squares[left]
-        cent = run_means[runs].astype(_PREFIX_DTYPE)
-        est = (sum_xx - cent * (2 * sum_x - (right - left) * cent)).sum(axis=1).astype(float)
-        c = p_cell[runs]
-        q_max = squares[ends].astype(float)  # squares only grow
-        rounding = _PREFIX_EPS * sizes[c] * (q_max[c] + 2 * scale[c] * p_max[c] + 24 * scale[c] ** 2)
-        rounding += 2 * sizes[c] * delta[c] ** 2
-        sse[c, p_k[runs] - 1] = est
-        err[c, p_k[runs] - 1] = rounding + (depth[c] + 5) * _EPS * (np.abs(est) + rounding)
-
+        est = (sum_xx - run_means * (2 * sum_x - (right - left) * run_means)).sum(axis=0)
+        q_max = squares[runs + sizes]  # Q only grows along a cell
+        rounding = (_EPS * sizes * (q_max + 2 * scale * p_max + 24 * scale**2) + 2 * sizes * delta**2)[p_cell]
+        sse, err = np.zeros((kmax, n_cells)), np.zeros((kmax, n_cells))
+        sse[p_k - 1, p_cell] = est
+        err[p_k - 1, p_cell] = rounding + ((depth + 5) * _EPS)[p_cell] * (np.abs(est) + rounding)
         for p, fit in exact.items():
-            sse[p_cell[p], p_k[p] - 1] = fit.sse
+            sse[p_k[p] - 1, p_cell[p]], err[p_k[p] - 1, p_cell[p]] = fit.sse, 0.0
 
         # Where the estimates leave the elbow open, the exact SSE decides:
         # each run's members in row order give its exact centroid.
-        for p in runs[~_elbow_settled(sse, err, k_hi)[p_cell[runs]]].tolist():
+        for p in np.flatnonzero(~_elbow_settled(sse, err, k_hi)[p_cell] & ~is_exact).tolist():
             a, b = starts[p_cell[p]], ends[p_cell[p]]
-            ranks = np.empty(b - a, dtype=np.int64)
-            ranks[order[a:b] - a] = np.repeat(slot, np.diff(run_edges[p]))
+            ranks = np.repeat(slot, np.diff(run_edges[:, p]))[local[a:b] - a]
             cents = np.array([[x[a:b][ranks == r].mean()] for r in range(p_k[p])])
-            sse[p_cell[p], p_k[p] - 1] = _sse(x[a:b, None], ranks, cents)
+            sse[p_k[p] - 1, p_cell[p]] = _sse(x[a:b, None], ranks, cents)
         best = first_problem + np.maximum(_elbow_choice(sse, k_hi), 0)  # flat: k = 1
     else:
         best = first_problem
 
-    out = np.empty(n, dtype=np.int64)
-    out[order] = np.repeat(perm[best].ravel(), np.diff(run_edges[best], axis=1).ravel())
+    # perm[c, r] is the seed label of rank r in cell c's chosen fit.
+    seeds = np.where(slot < p_k[best][:, None], x[chosen[:, :kmax]], np.inf)
+    perm = np.argsort(seeds, axis=1, kind="stable")
+    out = np.repeat(perm.ravel(), np.diff(run_edges[:, best], axis=0).T.ravel())[local]
     for p in best[is_exact[best]].tolist():
         out[starts[p_cell[p]] : ends[p_cell[p]]] = exact[p].assignments
     return out

@@ -20,19 +20,22 @@ slots of its iterations (each iteration's slots share its set), and the
 iterations of a switching run each draw their own. Slot s's SBSs are the
 rows s*n .. s*n + n - 1 of one flat layout, and layer 1 has one cell per
 slot. A layer's cells are kept back to back, each in row order, and a cell
-never spans two slots. ``kmeans._fit_cells`` clusters every cell of every slot in one vectorized
-pass of Lloyd steps on sorted runs, with the assignments that
-``kmeans_fit`` (fixed k) or ``elbow_fit`` would give each cell alone (it
-falls back to the exact loop wherever rounding could tell the two apart).
-The rows are then laid out in (cell, cluster) groups, each in row order:
-the stable sort by that key, done as a counting scatter with no comparison
-sort (``_group_layout``). Cells are back to back and labels are small
-integers, so each row goes to its group's start plus the number of earlier
-rows of its group, one pass per label. The groups with a sleeper are the
-next layer's cells, and each of their active means is its pairwise sum in
-row order over its count (one ``kmeans._segment_sums`` pass over the groups
-with a sleeper; no other group's mean is read), the bits of
-``loads[members].mean()``. So every slot gets the estimates it
+never spans two slots. Each slot row is sorted by feature once per call
+(``kmeans._SortedCells``), and every cell is a run of that order: a
+cluster in 1-D is an interval of values, so a group cut from a cell is a
+run again. ``_SortedCells.regroup`` checks this (max rank - min rank + 1
+== size) and lays out anew only a cell with a group that is not (the
+exact loop's empty-cluster repair can part equal features). ``kmeans._fit_cells``
+clusters every cell of every slot in one vectorized pass of Lloyd steps on
+those runs, with the assignments that ``kmeans_fit`` (fixed k) or
+``elbow_fit`` would give each cell alone (it falls back to the exact loop
+wherever rounding could tell the two apart). The rows are then laid out in
+(cell, cluster) groups, each in row order: the stable sort by that key,
+a radix sort of small unsigned keys (``_group_layout``). The groups with a
+sleeper are the next layer's cells, and each of their active means is its
+pairwise sum in row order over its count (one ``kmeans._segment_sums``
+pass over the groups with a sleeper; no other group's mean is read), the
+bits of ``loads[members].mean()``. So every slot gets the estimates it
 would get alone. No slots or no sleepers give an empty trace.
 ``mlc_estimate`` is the one-slot call that also reports each estimate's
 contributors. Both take their settings as one ``MlcConfig``, whose
@@ -47,7 +50,7 @@ from typing import Sequence
 import numpy as np
 
 from ..traffic import LoadSnapshot
-from .kmeans import _fit_cells, _segment_sums
+from .kmeans import _SortedCells, _fit_cells, _segment_sums
 from .result import EstimateResult, NeighborDetail
 
 
@@ -145,31 +148,36 @@ def mlc_layers(
     source_group = np.full(n_slots * m, -1)
     groups_of_layer: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
+    # Every slot row in value order, once; each layer's cells are runs of it.
+    elbow = k_override is None
+    order = _SortedCells(features, np.full(n_slots, n), squares=elbow)
     ids = np.arange(n_slots * n)  # the layer's cells back to back, each in row order
     sizes = np.full(n_slots, n)
     layer_trace = np.empty((n_slots, layers, m))
+    runs = order.first  # each cell's first position in the value order
     for layer in range(layers):
-        starts = np.cumsum(sizes) - sizes
         cell = np.repeat(np.arange(sizes.size), sizes)
-        feat = features[ids]
-        # A cell of fewer than 3 SBSs or of equal features stays one cluster.
-        fit = (sizes >= 3) & (np.maximum.reduceat(feat, starts) > np.minimum.reduceat(feat, starts))
+        # A cell of fewer than 3 SBSs or of equal features (its run's first
+        # and last) stays one cluster.
+        fit = (sizes >= 3) & (order.keys.imag[runs] < order.keys.imag[runs + sizes - 1])
         clusters = np.zeros(ids.size, dtype=np.int64)
         if fit.any():
-            in_fit = fit[cell]
+            in_fit = np.repeat(fit, sizes)
             clusters[in_fit] = _fit_cells(
-                feat[in_fit],
+                features[ids[in_fit]],
                 sizes[fit],
-                np.minimum(config.elbow_k_max if k_override is None else k_override, sizes[fit]),
-                elbow=k_override is None,
+                np.minimum(config.elbow_k_max if elbow else k_override, sizes[fit]),
+                elbow=elbow,
                 max_iter=config.kmeans_max_iter,
                 tol=config.kmeans_tol,
                 seed=config.kmeans_seed,
+                order=order,
+                position=order.rank[ids[in_fit]],
             )
 
         # Groups = (cell, cluster) in that order, each with its members in row order.
-        order, n_members = _group_layout(cell, clusters, sizes.size)
-        ids = ids[order]
+        grouped, n_members = _group_layout(cell, clusters, sizes.size)
+        ids = ids[grouped]
         group = np.repeat(np.arange(n_members.size), n_members)
         known = known_rows[ids]
         n_known = np.bincount(group[known], minlength=n_members.size)
@@ -192,9 +200,11 @@ def mlc_layers(
         groups_of_layer.append((known_ids, np.cumsum(n_known) - n_known, n_known))
         layer_trace[:, layer] = estimates.reshape(n_slots, m)
 
-        # Groups that hold a sleeper are the next layer's cells.
-        ids = ids[with_sleeper[group]]
-        sizes = n_members[with_sleeper]
+        # Groups that hold a sleeper are the next layer's cells, each a run.
+        if layer + 1 < layers:
+            runs = order.regroup(ids, n_members)[with_sleeper]
+            ids = ids[with_sleeper[group]]
+            sizes = n_members[with_sleeper]
     return layer_trace, (source_layer, source_group, groups_of_layer)
 
 
@@ -202,25 +212,15 @@ def _group_layout(cell: np.ndarray, labels: np.ndarray, n_cells: int) -> tuple[n
     """The stable sort of rows by (cell, label), and the sizes of its non-empty groups.
 
     ``cell`` is non-decreasing (cells back to back) and ``labels`` are small
-    nonnegative integers, not necessarily dense. ``order`` equals
-    ``np.argsort(cell * n + labels, kind="stable")`` for any n above the
-    largest label: each row goes to its group's start plus the number of
-    earlier rows of its group, one pass per label.
+    nonnegative integers, not necessarily dense. The key cell * n + label (n
+    above the largest label) is held in the smallest unsigned dtype that
+    fits it, so numpy's stable sort of it is a radix sort, counting passes
+    with no comparison, whenever the cells and labels fit in 16 bits.
     """
     n_labels = int(labels.max()) + 1
-    counts = np.bincount(cell * n_labels + labels, minlength=n_cells * n_labels)
-    starts = (np.cumsum(counts) - counts).reshape(n_cells, n_labels)
-    counts = counts.reshape(n_cells, n_labels)
-    # A label's rows, in row order, fill its groups cell by cell; row j of
-    # them belongs at its group's start plus j less the label's rows in
-    # earlier cells.
-    offsets = starts - (np.cumsum(counts, axis=0) - counts)
-    order = np.empty(labels.size, dtype=np.int64)
-    for label in range(n_labels):
-        rows = np.flatnonzero(labels == label)
-        order[offsets[cell[rows], label] + np.arange(rows.size)] = rows
-    sizes = counts.ravel()
-    return order, sizes[sizes > 0]
+    key = (cell * n_labels + labels).astype(np.min_scalar_type(n_cells * n_labels - 1))
+    sizes = np.bincount(key)
+    return np.argsort(key, kind="stable"), sizes[sizes > 0]
 
 
 def mlc_estimate(

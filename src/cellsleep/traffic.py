@@ -428,6 +428,8 @@ def _synthetic_row_blocks(
     """
     if n_sbs < 1:
         raise ValueError("n_sbs must be >= 1")
+    if grid_side < 1:
+        raise ValueError(f"grid_side must be >= 1, got {grid_side!r}")
     if n_days < 1:
         raise ValueError(f"n_days must be >= 1, got {n_days!r}")
     if n_bumps < 0:

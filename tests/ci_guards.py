@@ -15,9 +15,12 @@ sweep
     sleeper-to-active distances at once, so the peak RSS of the whole
     guard stays under 120 MB (74 MB measured with numpy 2.4; 95 MB when
     the ranking held three full 500 x 4500 matrices).
-    Their CSV bytes are pinned too: the only pins on paper-scale MLC
-    (k = 3, cells of up to 5000 SBSs), recorded before the sorted-run
-    Lloyd steps replaced the per-step argsort. So are the bytes of paper
+    Their CSV bytes are pinned too: the pins on paper-scale MLC at k = 3
+    (cells of up to 5000 SBSs), recorded before the sorted-run Lloyd steps
+    replaced the per-step argsort. A paper fig3 run with elbow-selected k
+    (every 12th slot, ``mlc_k_override`` null, about 2 s) pins the elbow
+    path at paper scale, recorded before MLC kept one value order per slot
+    row for all its layers. So are the bytes of paper
     fig4 and fig5 sweeps (12 iterations, s = 10, 30, 50, 70, L = 1..7,
     about 0.3 s each), recorded before switching sweeps batched the MLC
     calls of a run of iterations and greedy read per-SBS coefficient
@@ -52,13 +55,21 @@ from cellsleep.dataio import read_loads_csv
 PAPER_CSV_SHA256 = {
     "fig2": "945397e907444625da2aecf7238d3aa9cf804eaadf54fb102571f319268801b3",
     "fig3": "5528a5b477e249d89f6c3f737b0ad4d284a6a524d62e606e1d2c2a64510e096b",
+    "fig3-elbow": "4bd13911aeffe969ff4131c157b6d44c21d9e6a55aba218e7160efb7dcac7abb",
     "fig4": "72b334247fb3455ac09546aa6a9b9055be3d9f0ead9ae2d3140668bccd97962f",
     "fig5": "ebd15fb3301e4d7d293e928b8d88c2511db6ae99ea648d9aba5f9f0c7d75b000",
 }
-# The pinned runs: error sweeps take one iteration over the full day,
+# The pinned runs, by name: (experiment, its config). Error sweeps take one
+# iteration over the full day, or every 12th slot with elbow-selected k;
 # switching sweeps 12 iterations (one slot each) at the default grids.
 FULL_DAY = {"n_iterations": 1, "slot_stride": 1}
-PAPER_RUNS = {"fig2": FULL_DAY, "fig3": FULL_DAY, "fig4": {"n_iterations": 12}, "fig5": {"n_iterations": 12}}
+PAPER_RUNS = {
+    "fig2": ("fig2", FULL_DAY),
+    "fig3": ("fig3", FULL_DAY),
+    "fig3-elbow": ("fig3", {"n_iterations": 1, "slot_stride": 12, "mlc_k_override": None}),
+    "fig4": ("fig4", {"n_iterations": 12}),
+    "fig5": ("fig5", {"n_iterations": 12}),
+}
 # Rerun at 2 workers, where each is set up in a worker process and fig4
 # and fig5 split their iterations into other runs: the same pins must hold.
 PARALLEL_RUNS = ("fig2", "fig4", "fig5")
@@ -71,17 +82,18 @@ INGEST_LIMIT_MB = 30
 def sweep_guard() -> bool:
     with tempfile.TemporaryDirectory() as tmp:
         codes, digests = [], {}
-        for e, workers in [(e, 1) for e in PAPER_RUNS] + [(e, 2) for e in PARALLEL_RUNS]:
-            out = Path(tmp) / f"workers{workers}"
-            config = Path(tmp) / f"paper_{e}.json"
-            config.write_text(json.dumps({"experiment": PAPER_RUNS[e]}))
+        for name, workers in [(name, 1) for name in PAPER_RUNS] + [(name, 2) for name in PARALLEL_RUNS]:
+            e, experiment = PAPER_RUNS[name]
+            out = Path(tmp) / f"{name}_workers{workers}"
+            config = Path(tmp) / f"paper_{name}.json"
+            config.write_text(json.dumps({"experiment": experiment}))
             codes.append(main(["sweep", "--experiment", e, "--profile", "paper", "--workers", str(workers),
                                "--config", str(config), "--out", str(out)]))
-            digests[e, workers] = hashlib.sha256((out / f"{e}_paper_0.csv").read_bytes()).hexdigest()
+            digests[name, workers] = hashlib.sha256((out / f"{e}_paper_0.csv").read_bytes()).hexdigest()
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-    print(f"paper fig2..fig5 sweeps ({', '.join(PARALLEL_RUNS)} also at 2 workers): exit {codes}, "
+    print(f"paper sweeps {list(PAPER_RUNS)} ({', '.join(PARALLEL_RUNS)} also at 2 workers): exit {codes}, "
           f"peak RSS {peak_mb:.0f} MB (limit {RSS_LIMIT_MB})")
-    moved = [f"{e} at {w} worker(s)" for (e, w), digest in digests.items() if digest != PAPER_CSV_SHA256[e]]
+    moved = [f"{name} at {w} worker(s)" for (name, w), digest in digests.items() if digest != PAPER_CSV_SHA256[name]]
     print(f"paper CSV sha256: {digests}; moved: {moved or 'none'}")
     return not (any(codes) or peak_mb > RSS_LIMIT_MB or moved)
 

@@ -82,10 +82,28 @@ class TestSynth:
         ("--days", 0, "n_days"), ("--days", -2, "n_days"), ("--bumps", -1, "n_bumps"),
     ])
     def test_bad_days_or_bumps_writes_nothing(self, tmp_path, capsys, flag, value, field):
+        # The flag is rejected as a usage error before synthesize_traffic's
+        # own check of the field would exit 2.
         out = tmp_path / "out"
-        assert run_cli("synth", "--out", out, flag, value) == 2
-        assert field in capsys.readouterr().err
+        assert run_cli("synth", "--out", out, flag, value) == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be >= {0 if flag == '--bumps' else 1}, got {value}" in err
+        assert field not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--grid-side", -3), ("--grid-side", 0), ("--n-sbs", 0), ("--n-sbs", -4)])
+    def test_bad_grid_side_or_n_sbs_is_usage_error(self, tmp_path, capsys, flag, value):
+        # --grid-side -3 used to reach numpy and exit 2 with "high - low < 0".
+        out = tmp_path / "out"
+        assert run_cli("synth", "--out", out, "--n-sbs", 4, "--grid-side", 3, flag, value) == 1
+        assert f"argument {flag}: must be >= 1, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_grid_side_in_config_is_data_error_naming_it(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"experiment": {"grid_side": -11}}))
+        assert run_cli("sweep", "--experiment", "fig2", "--config", config, "--out", tmp_path / "o") == 2
+        assert "grid_side must be >= 1, got -11" in capsys.readouterr().err
 
     def test_nan_correlation_length_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cellsleep.estimators.kmeans import (
+    _SortedCells,
     _fit_cells,
     _segment_sums,
     compute_sse,
@@ -278,3 +279,53 @@ class TestSortedRunFit:
                 ref = naive_kmeans.kmeans_fit(x, 3, tol=tol, seed=seed)
                 got = _fit_cells(x, size, k, elbow=False, max_iter=100, tol=tol, seed=seed)
                 assert np.array_equal(got, ref.assignments)
+
+
+class TestSortedCells:
+    """Groups cut from the value order by arbitrary labels are laid out again as runs."""
+
+    def test_regroup_makes_every_group_a_run(self, rng):
+        for trial in range(40):
+            sizes = rng.integers(1, 40, int(rng.integers(1, 6)))
+            x = np.round(rng.uniform(0, 1, sizes.sum()), 1)
+            cell = np.repeat(np.arange(sizes.size), sizes)
+            order = _SortedCells(x, sizes, squares=True)
+            # Labels that part equal features and interleave values.
+            labels = rng.integers(0, 4, x.size)
+            rows = np.lexsort((labels, cell))
+            n_members = np.unique(cell[rows] * 4 + labels[rows], return_counts=True)[1]
+            order.regroup(rows, n_members)
+
+            label, value = order.keys.real, order.keys.imag
+            sorted_keys = (label[1:] > label[:-1]) | ((label[1:] == label[:-1]) & (value[1:] >= value[:-1]))
+            assert sorted_keys.all()
+            for start, m in zip((np.cumsum(n_members) - n_members).tolist(), n_members.tolist()):
+                members = rows[start : start + m]
+                pos = np.sort(order.rank[members])
+                assert np.array_equal(pos, pos[0] + np.arange(m))
+                assert (label[pos] == pos[0]).all()
+                # Stable value order: by value, then by row.
+                by_value = members[np.lexsort((members, x[members]))]
+                assert np.array_equal(by_value, members[np.argsort(order.rank[members])])
+            for first, m in zip(order.first.tolist(), sizes.tolist()):
+                run = value[first : first + m]
+                assert value[first + m] == np.inf
+                assert np.array_equal(order.prefix[first : first + m + 1], np.concatenate([[0.0], np.cumsum(run)]))
+                squares = np.concatenate([[0.0], np.cumsum(run**2)])
+                assert np.array_equal(order.square_prefix[first : first + m + 1], squares)
+
+            # The groups, fitted as cells of the shared order, get the fits
+            # of cells sorted on their own.
+            fit = dict(elbow=False, max_iter=100, tol=1e-9, seed=trial)
+            k = np.minimum(3, n_members)
+            got = _fit_cells(x[rows], n_members, k, order=order, position=order.rank[rows], **fit)
+            assert np.array_equal(got, _fit_cells(x[rows], n_members, k, **fit))
+
+    def test_runs_are_left_in_place(self, rng):
+        x = rng.uniform(0, 1, 50)
+        order = _SortedCells(x, np.array([50]), squares=False)
+        rank = order.rank.copy()
+        rows = np.argsort(x, kind="stable")
+        order.regroup(rows, np.array([10, 25, 15]))
+        assert np.array_equal(order.rank, rank)
+        assert np.array_equal(order.keys.real[:50], np.repeat([0.0, 10.0, 35.0], [10, 25, 15]))

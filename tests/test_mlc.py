@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -410,29 +412,34 @@ class TestPerRowMasks:
 
 @pytest.fixture
 def double_prefix(monkeypatch):
-    """The prefix sums, and their bound, of a platform whose longdouble is a double."""
-    monkeypatch.setattr(kmeans, "_PREFIX_DTYPE", np.float64)
-    monkeypatch.setattr(kmeans, "_PREFIX_EPS", float(np.finfo(np.float64).eps))
+    """A float64 rounding bound a thousand times wider: more problems go to the exact loop."""
+    monkeypatch.setattr(kmeans, "_EPS", 1000 * kmeans._EPS)
 
 
 @pytest.mark.usefixtures("double_prefix")
 class TestMatchesOriginalMlcDoublePrefix(TestMatchesOriginalMlc):
-    """The same bits from float64 prefix sums and their wider bound: more problems go exact."""
+    """The same bits when the float64 prefix sums are trusted less: more problems go exact."""
 
 
 @pytest.mark.usefixtures("double_prefix")
 class TestBatchedSlotsDoublePrefix(TestBatchedSlots):
-    """The same bits from float64 prefix sums and their wider bound: more problems go exact."""
+    """The same bits when the float64 prefix sums are trusted less: more problems go exact."""
+
+
+class LloydCall(NamedTuple):
+    k: int
+    points: int
+    distinct: int  # distinct feature values among the points
 
 
 @pytest.fixture
 def lloyd_calls(monkeypatch):
-    """The k of every problem that the sorted-run fit hands to the exact ``_lloyd``."""
+    """Every problem that the sorted-run fit hands to the exact ``_lloyd``."""
     calls = []
     exact = kmeans._lloyd
 
     def counted(pts, centroids, max_iter, tol):
-        calls.append(centroids.shape[0])
+        calls.append(LloydCall(centroids.shape[0], pts.shape[0], np.unique(pts).size))
         return exact(pts, centroids, max_iter, tol)
 
     monkeypatch.setattr(kmeans, "_lloyd", counted)
@@ -456,12 +463,12 @@ class TestSortedRunGuard:
             assert np.array_equal(res.layer_estimates, ref)
             estimates.add(float(ref[0, 0]))
         assert estimates == {0.25, 0.75}
-        assert lloyd_calls.count(2) >= 7  # every seed whose first centroid is not the sleeper
+        assert sum(call.k == 2 for call in lloyd_calls) >= 7  # every seed whose first centroid is not the sleeper
 
     def test_wider_prefix_bound_falls_back_more_with_the_same_bits(self, monkeypatch, lloyd_calls):
-        # The sleeper's history lies 1e-13 above the midpoint 0.5: outside the
-        # longdouble bound, but inside float64's once the prefix sums of the
-        # earlier slots of the stack pass ~100.
+        # The sleeper's history lies 1e-13 above the midpoint 0.5: outside
+        # the float64 bound, whose prefix sums restart at every slot row, but
+        # inside one a thousand times wider. Every slot then goes exact.
         n_slots = 40
         loads = np.tile([0.25] * 8 + [0.75] * 8 + [0.0], (n_slots, 1))
         history = np.full_like(loads, np.nan)
@@ -469,12 +476,37 @@ class TestSortedRunGuard:
         known = np.arange(17) < 16
         ref, _ = naive_kmeans.mlc_layers(loads[0], known, history[0], 1, k_override=2)
         fallbacks = []
-        for eps in (kmeans._PREFIX_EPS, float(np.finfo(float).eps)):
-            monkeypatch.setattr(kmeans, "_PREFIX_EPS", eps)
+        for eps in (kmeans._EPS, 1000 * kmeans._EPS):
+            monkeypatch.setattr(kmeans, "_EPS", eps)
             lloyd_calls.clear()
             trace, _ = mlc_layers(loads, history, known, MlcConfig(1, k_override=2))
             assert all(np.array_equal(row, ref) for row in trace)
             fallbacks.append(len(lloyd_calls))
-        assert 0 < fallbacks[1] < n_slots
-        if np.finfo(np.longdouble).eps < np.finfo(float).eps:  # else both bounds are float64's
-            assert fallbacks[0] == 0
+        assert fallbacks == [0, n_slots]
+
+    @pytest.mark.parametrize("k_override", [None, 3])
+    def test_continuous_features_stay_on_sorted_runs(self, rng, lloyd_calls, k_override):
+        # Without ties every problem of every layer converges on its runs:
+        # none is handed to the exact loop, so the shared value order, its
+        # run labels and the kept cuts are what placed every midpoint.
+        n_slots, n = 4, 300
+        loads = rng.uniform(0.2, 0.8, (n_slots, n))
+        history = loads + rng.normal(0, 0.02, (n_slots, n))
+        known = np.ones(n, dtype=bool)
+        known[rng.choice(n, size=40, replace=False)] = False
+        TestBatchedSlots.assert_matches(loads, history, known, 6, k_override, seed=5)
+        assert lloyd_calls == []
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 100])
+    def test_repaired_clusters_through_deeper_layers(self, rng, lloyd_calls, max_iter):
+        # One-decimal features leave sub-cells with fewer distinct values
+        # than k = 4, so the exact loop repairs empty clusters below layer 1
+        # and can part equal features; the next layer's cells must still be
+        # runs of the value order.
+        n = 60
+        for trial in range(12):
+            loads = np.round(rng.uniform(0, 1, n), 1)
+            history = np.round(np.clip(loads + rng.normal(0, 0.1, n), 0, 1), 1)
+            sleepers = rng.choice(n, size=int(rng.integers(5, 20)), replace=False)
+            TestMatchesOriginalMlc.assert_matches(loads, sleepers, history, 6, 4, seed=trial, max_iter=max_iter)
+        assert any(call.points < n and call.k > call.distinct for call in lloyd_calls)

@@ -262,6 +262,12 @@ class TestSynthesizeTraffic:
         with pytest.raises(ValueError):
             synthesize_traffic(seed=0, n_sbs=101, grid_side=10, correlation_length_m=100.0)
 
+    @pytest.mark.parametrize("grid_side", [0, -3])
+    def test_nonpositive_grid_side_rejected(self, grid_side):
+        # n_sbs <= grid_side^2 holds for a negative side: the side is checked first.
+        with pytest.raises(ValueError, match=f"grid_side must be >= 1, got {grid_side}"):
+            synthesize_traffic(seed=0, n_sbs=4, grid_side=grid_side, correlation_length_m=100.0)
+
     def test_profile_length_must_divide_day(self):
         with pytest.raises(ValueError):
             synthesize_traffic(
