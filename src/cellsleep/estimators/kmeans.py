@@ -22,22 +22,22 @@ it fits every (cell, k) problem of a clustering layer in one vectorized
 pass and gives each problem the same assignments as ``kmeans_fit`` or
 ``elbow_fit`` on that cell alone. In 1-D every nearest-centroid cluster is
 a run of the sorted features (Wang & Song 2011, *Ckmeans.1d.dp*, R Journal
-3(2)), so every cell is a run of one value order (``_SortedCells``): MLC
-sorts each slot row once per call, and a cluster of a cell's run is a run
-again, so no later layer sorts. A Lloyd step is one search for the k - 1
-midpoints plus run sums read from float64 prefix sums that restart at
-every slot row: O(k log n) per problem, with no distance matrix; a cut
-that still holds from the step before is kept without a search. The
-search runs over (run, feature) pairs as complex numbers, which numpy
-orders lexicographically, so every midpoint of every cell is placed by one
-``searchsorted``. The step holds one column per problem, so the
-per-problem reductions run over rows. A problem that has finished is
+3(2)), so ``_fit_cells`` takes every cell as a run of its caller's value
+order (``_SortedCells``) and never sorts: MLC sorts each slot row once per
+call, and a cluster of a cell's run is a run again. A Lloyd step is one
+search for the k - 1 midpoints plus run sums read from float64 prefix sums
+that restart at every slot row: O(k log n) per problem, with no distance
+matrix; a cut that still holds from the step before is kept without a
+search. The search runs over (run, feature) pairs as complex numbers,
+which numpy orders lexicographically, so every midpoint of every cell is
+placed by one ``searchsorted``. The step holds one column per problem, so
+the per-problem reductions run over rows. A problem that has finished is
 masked out of the step; the live arrays are compacted only once half of
-them have finished. Those sums are not the exact loop's pairwise ones,
-but their error is bounded (``_error_bounds``). A problem with a feature
-near a midpoint, seeds near each other, an empty run or a movement near
-``tol`` is fitted alone by ``_lloyd``; an elbow that the bound leaves open
-is picked on the exact SSE. So every assignment keeps its bits. Seeds and
+them have finished. Those sums are not the exact loop's pairwise ones, but
+their error is bounded (``_error_bounds``). A problem with a feature near
+a midpoint, seeds near each other, an empty run or a movement near ``tol``
+is fitted alone by ``_lloyd``; an elbow that the bound leaves open is
+picked on the exact SSE. So every assignment keeps its bits. Seeds and
 their ties, and the exact sums, stay in row order.
 
 ``_segment_sums`` gives those exact sums for many segments at once. It adds
@@ -149,21 +149,16 @@ def _lloyd(pts: np.ndarray, centroids: np.ndarray, max_iter: int, tol: float) ->
         assignments = np.argmin(d2, axis=1)  # ties resolve to the lowest index
         counts = np.bincount(assignments, minlength=k)
 
-        if not counts.all():
-            for cluster in range(k):
-                if (assignments == cluster).any():
-                    continue
-                # Steal the worst-placed point from a cluster that can spare one.
-                dist_own = d2[np.arange(n), assignments]
-                counts = np.bincount(assignments, minlength=k)
-                movable = counts[assignments] > 1
-                if not movable.any():
-                    continue
-                worst = int(np.argmax(np.where(movable, dist_own, -np.inf)))
-                centroids[cluster] = pts[worst]
-                assignments[worst] = cluster
-                d2[:, cluster] = ((pts - centroids[cluster]) ** 2).sum(axis=1)
-            counts = np.bincount(assignments, minlength=k)
+        # Each empty cluster in turn steals the worst-placed point from a
+        # cluster that can spare one (as k <= n, one can; none is emptied).
+        for cluster in np.flatnonzero(counts == 0).tolist():
+            dist_own = d2[np.arange(n), assignments]
+            worst = int(np.argmax(np.where(counts[assignments] > 1, dist_own, -np.inf)))
+            centroids[cluster] = pts[worst]
+            counts[assignments[worst]] -= 1
+            counts[cluster] += 1
+            assignments[worst] = cluster
+            d2[:, cluster] = ((pts - centroids[cluster]) ** 2).sum(axis=1)
 
         trace.append(_sse(pts, assignments, centroids))
 
@@ -249,20 +244,25 @@ def elbow_fit(
     return fits[pick]
 
 
-def _elbow_choice(sse: np.ndarray, n_k: np.ndarray) -> np.ndarray:
-    """Per column of SSE curves, the index of the elbow's k, or -1 for a flat curve.
+def _elbow_curves(sse: np.ndarray, n_k: np.ndarray):
+    """Column c's SSE(k) for n_k[c] >= 3 consecutive k (zeroed beyond), its second differences, its flat level.
 
-    Column c holds SSE(k) for n_k[c] >= 3 consecutive k values; the entries
-    beyond them are ignored. The elbow is the interior k with the largest
-    second difference (first on ties).
+    The second differences are -inf beyond the interior k, and a column
+    whose largest one is at or below its flat level is flat.
     """
     rows = np.arange(sse.shape[0])[:, None]
     sse = np.where(rows < n_k, sse, 0.0)
-    curvature = sse[:-2] - 2.0 * sse[1:-1] + sse[2:]
-    curvature = np.where(rows[:-2] < n_k - 2, curvature, -np.inf)
-    scale = np.maximum(sse.max(axis=0), 1e-300)
-    flat = curvature.max(axis=0) <= FLAT_CURVE_RTOL * scale
-    return np.where(flat, -1, 1 + curvature.argmax(axis=0))
+    curvature = np.where(rows[:-2] < n_k - 2, sse[:-2] - 2.0 * sse[1:-1] + sse[2:], -np.inf)
+    return sse, curvature, FLAT_CURVE_RTOL * np.maximum(sse.max(axis=0), 1e-300)
+
+
+def _elbow_choice(sse: np.ndarray, n_k: np.ndarray) -> np.ndarray:
+    """Per column (as ``_elbow_curves``), the index of the elbow's k, or -1 for a flat curve.
+
+    The elbow is the interior k with the largest second difference (first on ties).
+    """
+    _, curvature, level = _elbow_curves(sse, n_k)
+    return np.where(curvature.max(axis=0) <= level, -1, 1 + curvature.argmax(axis=0))
 
 
 def _segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -337,12 +337,11 @@ class _SortedCells:
     The label of +inf is its own position. So the keys are sorted, and a
     search for (label, v) lands inside that label's run. ``prefix[t]`` sums
     the features of t's cell that come before t, and ``square_prefix``
-    (kept with ``squares``) their squares, so a run [a, b) sums to
-    ``prefix[b] - prefix[a]``.
+    their squares, so a run [a, b) sums to ``prefix[b] - prefix[a]``.
     """
 
-    def __init__(self, x: np.ndarray, sizes: np.ndarray, squares: bool):
-        self.x, self.squares, self.width = x, squares, int(sizes.max()) + 1
+    def __init__(self, x: np.ndarray, sizes: np.ndarray):
+        self.x, self.width = x, int(sizes.max()) + 1
         self.first = np.arange(sizes.size) * self.width
         place = np.arange(x.size) + np.repeat(self.first - (np.cumsum(sizes) - sizes), sizes)
         grid = np.full(sizes.size * self.width, np.inf)
@@ -359,14 +358,10 @@ class _SortedCells:
 
     def _sum_runs(self) -> None:
         rows = self.keys.imag.reshape(-1, self.width)[:, :-1]
-        self.prefix = np.zeros((rows.shape[0], self.width))
-        np.cumsum(rows, axis=1, out=self.prefix[:, 1:])
-        self.prefix = self.prefix.ravel()
-        self.square_prefix = None
-        if self.squares:
-            self.square_prefix = np.zeros((rows.shape[0], self.width))
-            np.cumsum(np.square(rows), axis=1, out=self.square_prefix[:, 1:])
-            self.square_prefix = self.square_prefix.ravel()
+        sums = np.zeros((2, rows.shape[0], self.width))
+        np.cumsum(rows, axis=1, out=sums[0, :, 1:])
+        np.cumsum(np.square(rows), axis=1, out=sums[1, :, 1:])
+        self.prefix, self.square_prefix = sums.reshape(2, -1)
 
     def regroup(self, rows: np.ndarray, n_members: np.ndarray) -> np.ndarray:
         """Each group's first position, once every group of rows is a run.
@@ -438,28 +433,24 @@ def _error_bounds(x: np.ndarray, prefix: np.ndarray, runs: np.ndarray, starts: n
 
 
 def _elbow_settled(sse: np.ndarray, err: np.ndarray, n_k: np.ndarray) -> np.ndarray:
-    """Columns whose ``_elbow_choice`` is the same for every curve within ``err`` of ``sse``."""
-    rows = np.arange(sse.shape[0])[:, None]
-    valid = rows < n_k
-    sse, err = np.where(valid, sse, 0.0), np.where(valid, err, 0.0)
-    curvature = sse[:-2] - 2.0 * sse[1:-1] + sse[2:]
-    # The SSE errors, plus the rounding of the second difference on either curve.
+    """Columns whose ``_elbow_choice`` is the same for every curve within ``err`` (0 beyond n_k) of ``sse``."""
+    sse, curvature, level = _elbow_curves(sse, n_k)
+    # The SSE errors plus the second difference's rounding on either curve (finite: -inf stays -inf).
     spread = err[:-2] + 2.0 * err[1:-1] + err[2:]
     spread += 4 * _EPS * (np.abs(sse[:-2]) + 2.0 * np.abs(sse[1:-1]) + np.abs(sse[2:]) + spread)
-    interior = rows[:-2] < n_k - 2
-    upper = np.where(interior, curvature + spread, -np.inf)
-    lower = np.where(interior, curvature - spread, -np.inf)
-    level = FLAT_CURVE_RTOL * np.maximum(sse.max(axis=0), 1e-300)
+    upper, lower = curvature + spread, curvature - spread
     level_err = FLAT_CURVE_RTOL * err.max(axis=0) + _EPS * level
     flat = upper.max(axis=0) < level - level_err
-    pick = np.where(interior, curvature, -np.inf).argmax(axis=0)
-    rival = np.where(rows[:-2] == pick, -np.inf, upper).max(axis=0)
+    pick = curvature.argmax(axis=0)
+    rival = np.where(np.arange(upper.shape[0])[:, None] == pick, -np.inf, upper).max(axis=0)
     sharp = (lower.max(axis=0) > level + level_err) & (lower[pick, np.arange(pick.size)] > rival)
     return flat | sharp
 
 
 def _fit_cells(
-    x: np.ndarray,
+    order: _SortedCells,
+    rows: np.ndarray,
+    runs: np.ndarray,
     sizes: np.ndarray,
     k_hi: np.ndarray,
     *,
@@ -467,32 +458,27 @@ def _fit_cells(
     max_iter: int,
     tol: float,
     seed: int,
-    order: _SortedCells | None = None,
-    position: np.ndarray | None = None,
 ) -> np.ndarray:
     """Cluster assignments of every cell of a layer of scalar features.
 
-    ``x`` holds the cells back to back, each in row order, ``sizes`` their
-    lengths (each >= 1); its features lie below 2^500 in magnitude, so no
-    square overflows. With ``elbow`` a cell gets ``elbow_fit(cell, (1,
-    k_hi))``'s assignments, otherwise ``kmeans_fit(cell, k_hi)``'s, bit for
-    bit, for the same ``max_iter``, ``tol`` and ``seed``. ``order`` holds
-    every cell as one run, ``position`` the place of each feature in it
-    (with ``squares`` under ``elbow``); without them the cells are sorted
-    here. Each (cell, k) is one problem; all problems take their Lloyd steps
-    together on sorted runs, and each leaves the pass at its own stopping
-    step. A problem that meets an empty run, or comes within the rounding
-    bound of a tie or of ``tol``, is fitted alone by ``_lloyd``.
+    ``rows`` lists the features ``order.x[rows]`` of the cells back to back,
+    each cell in row order, ``sizes`` their lengths (each >= 1); cell c is
+    the run of ``order`` that starts at position ``runs[c]``. The features
+    lie below 2^500 in magnitude, so no square overflows. With ``elbow`` a
+    cell gets ``elbow_fit(cell, (1, k_hi))``'s assignments, otherwise
+    ``kmeans_fit(cell, k_hi)``'s, bit for bit, for the same ``max_iter``,
+    ``tol`` and ``seed``. Each (cell, k) is one problem; all problems take
+    their Lloyd steps together on sorted runs, and each leaves the pass at
+    its own stopping step. A problem that meets an empty run, or comes
+    within the rounding bound of a tie or of ``tol``, is fitted alone by
+    ``_lloyd``.
     """
+    x = order.x[rows]
     n_cells = sizes.size
     starts = np.cumsum(sizes) - sizes
     ends = starts + sizes
-    if order is None:
-        order = _SortedCells(x, sizes, squares=elbow)
-        position = order.rank
-    runs = np.minimum.reduceat(position, starts)
     # Each feature's place in the cells' runs laid back to back.
-    local = position - np.repeat(runs - starts, sizes)
+    local = order.rank[rows] - np.repeat(runs - starts, sizes)
 
     # Farthest-point chains, one segment argmax (first index on ties) per
     # seed; the first seed is drawn once per distinct cell size.

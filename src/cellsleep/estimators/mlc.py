@@ -150,7 +150,7 @@ def mlc_layers(
 
     # Every slot row in value order, once; each layer's cells are runs of it.
     elbow = k_override is None
-    order = _SortedCells(features, np.full(n_slots, n), squares=elbow)
+    order = _SortedCells(features, np.full(n_slots, n))
     ids = np.arange(n_slots * n)  # the layer's cells back to back, each in row order
     sizes = np.full(n_slots, n)
     layer_trace = np.empty((n_slots, layers, m))
@@ -164,15 +164,15 @@ def mlc_layers(
         if fit.any():
             in_fit = np.repeat(fit, sizes)
             clusters[in_fit] = _fit_cells(
-                features[ids[in_fit]],
+                order,
+                ids[in_fit],
+                runs[fit],
                 sizes[fit],
                 np.minimum(config.elbow_k_max if elbow else k_override, sizes[fit]),
                 elbow=elbow,
                 max_iter=config.kmeans_max_iter,
                 tol=config.kmeans_tol,
                 seed=config.kmeans_seed,
-                order=order,
-                position=order.rank[ids[in_fit]],
             )
 
         # Groups = (cell, cluster) in that order, each with its members in row order.

@@ -24,9 +24,10 @@ sweep
     fig4 and fig5 sweeps (12 iterations, s = 10, 30, 50, 70, L = 1..7,
     about 0.3 s each), recorded before switching sweeps batched the MLC
     calls of a run of iterations and greedy read per-SBS coefficient
-    arrays. Fig2, fig4 and fig5 run again at 2 workers, and must hit the
-    same pins: fig4's and fig5's runs of iterations differ there, and
-    fig2's one full-day run is set up in a worker process.
+    arrays. Fig2, the elbow fig3 run, fig4 and fig5 run again at 2
+    workers, and must hit the same pins: fig4's and fig5's runs of
+    iterations differ there, and fig2's one full-day run and the elbow
+    run are each set up in a worker process.
 read
     Reading a 5000-SBS x 1-day loads CSV (20 MB) holds the parsed rows and
     the series, not a dict entry per cell: about 40 MB under tracemalloc
@@ -72,7 +73,7 @@ PAPER_RUNS = {
 }
 # Rerun at 2 workers, where each is set up in a worker process and fig4
 # and fig5 split their iterations into other runs: the same pins must hold.
-PARALLEL_RUNS = ("fig2", "fig4", "fig5")
+PARALLEL_RUNS = ("fig2", "fig3-elbow", "fig4", "fig5")
 RSS_LIMIT_MB = 120
 MILAN_EPOCH_MS = 1383260400000  # 2013-11-01 00:00 CET, the Milan data's first interval
 INGEST_SQUARES = 955

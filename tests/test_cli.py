@@ -5,8 +5,12 @@ import numpy as np
 import pytest
 
 from cellsleep.cli import build_parser, main
-from cellsleep.config import desk_profile
+from cellsleep.config import config_from_dict, desk_profile
 from cellsleep.dataio import read_loads_csv, read_placements_json
+from cellsleep.estimators import MlcConfig
+from cellsleep.estimators.mlc import mlc_estimate
+from cellsleep.experiments import run_decision_sweep, write_report
+from cellsleep.traffic import mask_sleepers
 
 
 def run_cli(*argv) -> int:
@@ -124,6 +128,13 @@ class TestSynth:
         assert lines[1] == "sbs_id,slot,load"
 
 
+def thirty_squares_cdr(path):
+    """Two 10-minute intervals of Milan-layout records for squares 1..30."""
+    path.write_text("".join(
+        f"{sq}\t{t * 600000}\t39\t{0.1 * sq}\t1\t{t}\t0\t{sq % 7}\n" for t in range(2) for sq in range(1, 31)
+    ))
+
+
 class TestIngest:
     def test_milan_sample(self, tmp_path):
         src = tmp_path / "cdr.txt"
@@ -164,6 +175,27 @@ class TestIngest:
         assert run_cli("ingest", src, "--out", tmp_path / "o", "--weights", "nan", 1, 1, 1, 1) == 2
         assert "weights must be finite" in capsys.readouterr().err
 
+    def test_n_sbs_keeps_a_seeded_sorted_draw_of_squares(self, tmp_path):
+        src = tmp_path / "cdr.txt"
+        thirty_squares_cdr(src)
+        kept = sorted(np.random.default_rng(4).permutation(30)[:12].tolist())
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert run_cli("ingest", src, "--out", out, "--n-sbs", 12, "--seed", 4) == 0
+        placements = read_placements_json(outs[0] / "placements.json")
+        assert [p.square_id for p in placements] == [1, 2, 8, 9, 10, 11, 12, 16, 21, 26, 27, 29]
+        assert [p.square_id - 1 for p in placements] == kept
+        assert read_loads_csv(outs[0] / "loads.csv").n_sbs == 12
+        for name in ("loads.csv", "placements.json", "ingest_report.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_n_sbs_above_the_squares_present_is_data_error(self, tmp_path, capsys):
+        src = tmp_path / "cdr.txt"
+        thirty_squares_cdr(src)
+        assert run_cli("ingest", src, "--out", tmp_path / "o", "--n-sbs", 99) == 2
+        assert "asked for 99 SBSs but only 30 squares have data" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "flag, value", [("--n-sbs", -3), ("--n-sbs", 0), ("--slot-minutes", 0), ("--slot-minutes", -10),
                         ("--slot-minutes", 7), ("--grid-side", 0), ("--grid-side", -3)]
@@ -198,6 +230,26 @@ class TestEstimate:
         doc = json.loads(out.read_text())
         assert doc["estimates"]["sleeper_ids"] == [1, 5]
         assert doc["mean_error"] >= 0.0
+
+    @pytest.mark.parametrize("slot", [100, 200])
+    def test_mlc_estimate_takes_the_previous_days_slot_as_history(self, synth_dir, tmp_path, slot):
+        # The CSV is read as 10-minute slots, so the previous day is 144
+        # slots back; a first-day slot has no history (NaN: the sleeper
+        # enters at the mean active load).
+        out = tmp_path / "e.json"
+        assert run_cli("estimate", "--loads", synth_dir / "loads.csv", "--placements", synth_dir / "placements.json",
+                       "--slot", slot, "--estimator", "mlc", "--sleepers", "1,5,9", "--out", out) == 0
+        loads = read_loads_csv(synth_dir / "loads.csv").loads
+        snapshot, _ = mask_sleepers(loads[:, slot], [1, 5, 9])
+        no_history = np.full(16, np.nan)
+        history = loads[:, slot - 144] if slot >= 144 else no_history
+        cfg = MlcConfig(layers=3)
+        expect = mlc_estimate(snapshot, history, cfg).estimates.tolist()
+        doc = json.loads(out.read_text())["estimates"]
+        assert doc["sleeper_ids"] == [1, 5, 9]
+        assert doc["estimates"] == expect
+        if slot >= 144:  # the history is read, not the fallback
+            assert expect != mlc_estimate(snapshot, no_history, cfg).estimates.tolist()
 
     def test_bad_slot_is_data_error(self, synth_dir, tmp_path):
         code = run_cli(
@@ -338,6 +390,18 @@ class TestSweepCli:
         assert run_cli("sweep", "--experiment", "fig3", "--config", echoed,
                        "--l-values", "1,2", "--n-values", "2,4", "--out", out3) == 0
         assert (out3 / "fig3_desk_13.csv").read_text() == csv1
+
+    def test_fig4_csv_is_the_decision_sweeps(self, tmp_path):
+        cfg = self.write_cfg(tmp_path)
+        out = tmp_path / "r4"
+        assert run_cli("sweep", "--experiment", "fig4", "--profile", "desk", "--config", cfg, "--seed", 13,
+                       "--s-values", "6,10", "--l-values", "1,2", "--out", out) == 0
+        config = config_from_dict(json.loads(cfg.read_text())["experiment"], desk_profile())
+        report = run_decision_sweep(config_from_dict({"base_seed": 13}, config), [6, 10], [1, 2])
+        report.experiment = "fig4"
+        csv_path, _ = write_report(report, tmp_path / "ref")
+        assert csv_path.name == "fig4_desk_13.csv"
+        assert (out / csv_path.name).read_bytes() == csv_path.read_bytes()
 
     def test_unknown_config_key_reports_path(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

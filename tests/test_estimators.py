@@ -375,6 +375,20 @@ class TestDispatch:
             MlcConfig(layers=0)
 
 
+class TestPositionsArray:
+    def test_every_sbs_needs_one_placement(self):
+        placements = grid_placements(4)
+        assert positions_array(placements, 4).shape == (4, 2)
+        with pytest.raises(ValueError, match=r"need placements for all 4 SBSs, got 3"):
+            positions_array(placements[:3], 4)
+        stray = placements[:3] + (SbsPlacement(4, 5, 0.0, 0.0),)
+        with pytest.raises(ValueError, match=r"placement for unknown SBS id 4"):
+            positions_array(stray, 4)
+        repeated = placements[:3] + (placements[1],)
+        with pytest.raises(ValueError, match=r"missing placements for SBS ids \[3\]"):
+            positions_array(repeated, 4)
+
+
 class TestInvariants:
     def test_convex_combination_bounds(self, rng):
         placements = grid_placements(16)

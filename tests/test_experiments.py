@@ -11,7 +11,7 @@ import pytest
 from cellsleep import experiments, switching
 from cellsleep.config import ExperimentConfig, config_from_dict, config_hash, desk_profile, paper_profile
 from cellsleep.dataio import write_loads_csv, write_placements_json
-from cellsleep.errors import ConfigError
+from cellsleep.errors import ConfigError, DataFormatError
 from cellsleep.estimators import MlcConfig, estimate
 from cellsleep.experiments import (
     build_dataset,
@@ -24,7 +24,7 @@ from cellsleep.experiments import (
     run_power_sweep,
     write_report,
 )
-from cellsleep.traffic import SYNTH_BLOCK_ROWS, daily_average, mask_sleepers, synthesize_traffic
+from cellsleep.traffic import SYNTH_BLOCK_ROWS, LoadSeries, daily_average, mask_sleepers, synthesize_traffic
 
 
 def small_config(**overrides):
@@ -124,6 +124,45 @@ class TestBuildDataset:
         assert np.allclose(
             data.history, series.loads[:, 144:], atol=1e-15
         )  # history = last raw day
+
+    @staticmethod
+    def milan_config(tmp_path, series, placements, **overrides):
+        write_loads_csv(series, tmp_path / "loads.csv")
+        write_placements_json(placements, tmp_path / "placements.json", grid_side=7)
+        values = dict(n_sbs=series.n_sbs, n_days=2, data_source="milan", grid_side=7,
+                      loads_csv=str(tmp_path / "loads.csv"), placements_json=str(tmp_path / "placements.json"))
+        values.update(overrides)
+        return small_config(**values)
+
+    def test_milan_source_reads_at_most_n_days(self, tmp_path):
+        # A 2-day file read with n_days 1 is the file cut to its first day.
+        series, placements = synthesize_traffic(
+            seed=3, n_sbs=12, grid_side=7, correlation_length_m=300.0, n_days=2
+        )
+        first_day = LoadSeries(loads=series.loads[:, :144], slot_minutes=10, slots_per_day=144)
+        (tmp_path / "cut").mkdir()
+        data = build_dataset(self.milan_config(tmp_path, series, placements, n_days=1))
+        cut = build_dataset(self.milan_config(tmp_path / "cut", first_day, placements, n_days=1))
+        assert np.array_equal(data.day.loads, cut.day.loads)
+        assert np.array_equal(data.history, cut.history)
+        assert np.array_equal(data.history, series.loads[:, :144])
+        assert data.placements == cut.placements
+        whole = build_dataset(self.milan_config(tmp_path, series, placements))
+        assert not np.array_equal(whole.day.loads, data.day.loads)
+
+    def test_milan_source_needs_whole_days(self, tmp_path):
+        series, placements = synthesize_traffic(
+            seed=3, n_sbs=12, grid_side=7, correlation_length_m=300.0, n_days=2
+        )
+        cut = LoadSeries(loads=series.loads[:, :150], slot_minutes=10, slots_per_day=144)
+        with pytest.raises(DataFormatError, match="150 slots is not a whole number of days"):
+            build_dataset(self.milan_config(tmp_path, cut, placements))
+
+    def test_milan_source_needs_the_configured_sbs_count(self, tmp_path):
+        series, placements = synthesize_traffic(seed=3, n_sbs=40, grid_side=7, correlation_length_m=300.0, n_days=2)
+        cfg = self.milan_config(tmp_path, series, placements, n_sbs=41)
+        with pytest.raises(DataFormatError, match="has 40 SBSs, config asks for 41"):
+            build_dataset(cfg)
 
 
     @staticmethod

@@ -248,6 +248,12 @@ class TestSegmentSums:
         assert _segment_sums(values, lengths).tolist() == expect
 
 
+def fit_alone(x, sizes, k_hi, **fit):
+    """``_fit_cells`` on cells laid out in their own value order."""
+    order = _SortedCells(x, sizes)
+    return _fit_cells(order, np.arange(x.size), order.first, sizes, k_hi, **fit)
+
+
 class TestSortedRunFit:
     """``_fit_cells`` leaves sorted runs for the exact arithmetic wherever its bounds are too wide."""
 
@@ -261,7 +267,7 @@ class TestSortedRunFit:
         x = np.array(cell)
         k = naive_kmeans.elbow_select_k(x, (1, 4), seed=seed, max_iter=max_iter)
         ref = naive_kmeans.kmeans_fit(x, k, max_iter=max_iter, seed=seed)
-        got = _fit_cells(x, np.array([4]), np.array([4]), elbow=True, max_iter=max_iter, tol=1e-9, seed=seed)
+        got = fit_alone(x, np.array([4]), np.array([4]), elbow=True, max_iter=max_iter, tol=1e-9, seed=seed)
         assert np.array_equal(got, ref.assignments)
 
     def test_movement_at_tol(self, rng):
@@ -277,7 +283,7 @@ class TestSortedRunFit:
             size, k = np.array([40]), np.array([3])
             for tol in (np.nextafter(movement, 0.0), movement, np.nextafter(movement, 1.0)):
                 ref = naive_kmeans.kmeans_fit(x, 3, tol=tol, seed=seed)
-                got = _fit_cells(x, size, k, elbow=False, max_iter=100, tol=tol, seed=seed)
+                got = fit_alone(x, size, k, elbow=False, max_iter=100, tol=tol, seed=seed)
                 assert np.array_equal(got, ref.assignments)
 
 
@@ -289,12 +295,12 @@ class TestSortedCells:
             sizes = rng.integers(1, 40, int(rng.integers(1, 6)))
             x = np.round(rng.uniform(0, 1, sizes.sum()), 1)
             cell = np.repeat(np.arange(sizes.size), sizes)
-            order = _SortedCells(x, sizes, squares=True)
+            order = _SortedCells(x, sizes)
             # Labels that part equal features and interleave values.
             labels = rng.integers(0, 4, x.size)
             rows = np.lexsort((labels, cell))
             n_members = np.unique(cell[rows] * 4 + labels[rows], return_counts=True)[1]
-            order.regroup(rows, n_members)
+            runs = order.regroup(rows, n_members)
 
             label, value = order.keys.real, order.keys.imag
             sorted_keys = (label[1:] > label[:-1]) | ((label[1:] == label[:-1]) & (value[1:] >= value[:-1]))
@@ -318,12 +324,12 @@ class TestSortedCells:
             # of cells sorted on their own.
             fit = dict(elbow=False, max_iter=100, tol=1e-9, seed=trial)
             k = np.minimum(3, n_members)
-            got = _fit_cells(x[rows], n_members, k, order=order, position=order.rank[rows], **fit)
-            assert np.array_equal(got, _fit_cells(x[rows], n_members, k, **fit))
+            got = _fit_cells(order, rows, runs, n_members, k, **fit)
+            assert np.array_equal(got, fit_alone(x[rows], n_members, k, **fit))
 
     def test_runs_are_left_in_place(self, rng):
         x = rng.uniform(0, 1, 50)
-        order = _SortedCells(x, np.array([50]), squares=False)
+        order = _SortedCells(x, np.array([50]))
         rank = order.rank.copy()
         rows = np.argsort(x, kind="stable")
         order.regroup(rows, np.array([10, 25, 15]))
