@@ -55,6 +55,13 @@ def draw_sleepers(sleep_fraction: float, n_sbs: int, seed: int) -> np.ndarray:
     return np.sort(rng.permutation(n_sbs)[: sleeper_count(sleep_fraction, n_sbs)])
 
 
+# Keys that count or index something; mlc_k_override may also be None (elbow-selected k).
+_INTEGER_KEYS = (
+    "n_sbs", "n_days", "n_iterations", "slot_stride", "slots_per_day", "slot_minutes", "grid_side",
+    "n_field_bumps", "base_seed", "exhaustive_cap", "mlc_k_override",
+)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a sweep needs; defaults mirror the reference scale."""
@@ -98,6 +105,12 @@ class ExperimentConfig:
     profile: str = "custom"
 
     def __post_init__(self) -> None:
+        for key in _INTEGER_KEYS:
+            value = getattr(self, key)
+            if key == "mlc_k_override" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
         if self.n_sbs < 1:
             raise ConfigError("n_sbs must be >= 1")
         if self.slots_per_day * self.slot_minutes != 1440:

@@ -63,7 +63,6 @@ from .switching import (
     optimize_greedy,
 )
 from .traffic import (
-    MINUTES_PER_DAY,
     LoadSeries,
     SbsPlacement,
     _synthetic_row_blocks,
@@ -74,23 +73,28 @@ from .traffic import (
 
 @dataclass(frozen=True)
 class Dataset:
-    """One representative day plus per-slot history features."""
+    """The representative day and history features at the evaluated slots.
 
-    day: LoadSeries
-    history: np.ndarray  # (n_sbs, slots_per_day): most recent raw day
+    Column j of ``loads`` and ``history`` is slot ``config.eval_slots()[j]``
+    of the config the dataset was built from; both are read-only.
+    """
+
+    loads: np.ndarray  # (n_sbs, len(slots)): the slot-wise mean over all days
+    history: np.ndarray  # (n_sbs, len(slots)): the most recent raw day
     placements: tuple[SbsPlacement, ...]
 
 
 def build_dataset(config: ExperimentConfig, *, n_sbs: int | None = None, seed: int | None = None) -> Dataset:
-    """Assemble the evaluation day, history features and placements.
+    """Assemble the evaluated slots' loads and history features, and the placements.
 
     The representative day is the slot-wise mean over all days; the history
     feature for a slot is the raw load of the most recent day (every SBS
-    was active while the data was recorded).
+    was active while the data was recorded). Only ``config.eval_slots()``
+    are kept, and a synthetic build finishes no other slot (see ``_dataset``).
     """
     n = n_sbs if n_sbs is not None else config.n_sbs
     if config.data_source == "synthetic":
-        placements, slots_per_day, blocks = _synthetic_row_blocks(
+        placements, _, blocks = _synthetic_row_blocks(
             seed if seed is not None else config.base_seed,
             n,
             config.grid_side,
@@ -100,8 +104,9 @@ def build_dataset(config: ExperimentConfig, *, n_sbs: int | None = None, seed: i
             n_bumps=config.n_field_bumps,
             noise_std=config.noise_std,
             field_floor=config.field_floor,
+            slot_stride=config.slot_stride,
         )
-        return _dataset(blocks, placements, n, config.n_days, slots_per_day)
+        return _dataset(blocks, placements, n, len(config.eval_slots()))
     return _first_sbs(config, _read_milan(config), n)
 
 
@@ -134,30 +139,35 @@ def _first_sbs(
     if series.n_sbs < n:
         raise DataFormatError(f"{config.loads_csv}: has {series.n_sbs} SBSs, config asks for {n}")
     spd = series.slots_per_day
+    days = series.loads[:n].reshape(n, series.n_slots // spd, spd)[..., :: config.slot_stride]
     chosen = [p for p in placements if p.sbs_id < n]
-    return _dataset([series.loads[:n]], chosen, n, series.n_slots // spd, spd)
+    return _dataset([days], chosen, n, len(config.eval_slots()))
 
 
-def _dataset(
-    blocks: Iterable[np.ndarray], placements, n_sbs: int, n_days: int, slots_per_day: int
-) -> Dataset:
-    """Fold consecutive blocks of whole SBS rows of a multi-day series into a Dataset.
+def _dataset(blocks: Iterable[np.ndarray], placements, n_sbs: int, n_slots: int) -> Dataset:
+    """Fold consecutive (rows, n_days, n_slots) blocks of whole SBS rows into a Dataset.
 
-    Each row's day is the same ``mean(axis=1)`` as ``daily_average``, and
-    its history a copy of its last day, so no block outlives the loop.
+    The days are added in day order and divided once by their count: the
+    bits of ``daily_average``'s ``mean(axis=1)`` over the whole day, which
+    a reduction over a few (strided) slots would not keep, as it may sum
+    pairwise. The history is a copy of the last day, so no block outlives
+    the loop.
     """
-    spd = slots_per_day
-    day = np.empty((n_sbs, spd))
-    history = np.empty((n_sbs, spd))
+    loads = np.empty((n_sbs, n_slots))
+    history = np.empty((n_sbs, n_slots))
     r0 = 0
     for block in blocks:
         r1 = r0 + block.shape[0]
-        day[r0:r1] = block.reshape(r1 - r0, n_days, spd).mean(axis=1)
-        history[r0:r1] = block[:, (n_days - 1) * spd :]
+        fold = loads[r0:r1]
+        fold[...] = block[:, 0]
+        for d in range(1, block.shape[1]):
+            fold += block[:, d]
+        fold /= block.shape[1]
+        history[r0:r1] = block[:, -1]
         r0 = r1
-    day.setflags(write=False)  # LoadSeries adopts it without a copy
-    day_series = LoadSeries(loads=day, slot_minutes=MINUTES_PER_DAY // spd, slots_per_day=spd)
-    return Dataset(day=day_series, history=history, placements=tuple(placements))
+    loads.setflags(write=False)
+    history.setflags(write=False)
+    return Dataset(loads=loads, history=history, placements=tuple(placements))
 
 
 @dataclass
@@ -384,8 +394,8 @@ def _error_run(task: tuple[int, int]) -> np.ndarray:
     batch = max(1, _MLC_BATCH_ROWS // (n * n_iter))
     totals = np.zeros((n_iter, n_points, 3))
     for b0 in range(0, len(slots), batch):
-        cols = list(slots[b0 : b0 + batch])
-        loads, history = data.day.loads[:, cols].T, data.history[:, cols].T
+        cols = slots[b0 : b0 + batch]
+        loads, history = data.loads[:, b0 : b0 + batch].T, data.history[:, b0 : b0 + batch].T
         rows_loads, rows_known = np.tile(loads, (n_iter, 1)), np.repeat(known, len(cols), axis=0)
         estimates = np.empty((n_points, n_iter * len(cols), m))
         for deepest, idxs, depths in mlc_groups:
@@ -515,12 +525,12 @@ def _switch_run(task: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
     power_cfg = NetworkPowerConfig.uniform(config.haps_power, config.mbs_power, config.sbs_power, s)
     scales = OffloadScales(to_mbs=config.offload_to_mbs, to_haps=config.offload_to_haps)
 
-    slots = config.eval_slots()
-    cols = [slots[i % len(slots)] for i in range(first, stop)]
+    # Iteration i takes the dataset's column i % len(eval_slots()).
+    cols = [i % data.loads.shape[1] for i in range(first, stop)]
     known = np.array([sleep_mask(s, _draw_sleepers(config, i, s)) for i in range(first, stop)])
     # C order: each iteration's loads are one contiguous row, since BLAS may
     # sum a strided column in another order.
-    actuals = np.ascontiguousarray(data.day.loads[:, cols].T)
+    actuals = np.ascontiguousarray(data.loads[:, cols].T)
     mlc = None
     if l_values:
         mlc = mlc_layers(
@@ -533,10 +543,12 @@ def _switch_run(task: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
         sleepers = np.flatnonzero(~known_mask)
         actual_sol = optimize(config, actual, power_cfg, scales)
 
-        def evaluate(estimates: np.ndarray) -> tuple[float, float, float, float, bool]:
+        def estimated(estimates: np.ndarray) -> SwitchingSolution:
             filled = actual.copy()
             filled[sleepers] = estimates
-            est_sol = optimize(config, filled, power_cfg, scales)
+            return optimize(config, filled, power_cfg, scales)
+
+        def evaluate(est_sol: SwitchingSolution) -> tuple[float, float, float, float, bool]:
             deployed_cap = apply_offloads(
                 config.base_mbs_load, config.base_haps_load, actual, est_sol.state, scales
             )
@@ -555,7 +567,8 @@ def _switch_run(task: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
             )
 
         powers.append(actual_sol.power)
-        rows.append([evaluate(actual[sleepers])] + [evaluate(mlc[r, layers - 1]) for layers in l_values])
+        # Perfect estimates fill in the actual loads bit for bit: their decision is the actual optimum.
+        rows.append([evaluate(actual_sol)] + [evaluate(estimated(mlc[r, layers - 1])) for layers in l_values])
     return np.array(powers), np.array(rows, dtype=float)
 
 
@@ -573,9 +586,11 @@ def _switching_report(
     workers: int,
 ) -> ExperimentReport:
     """Optimize actual, perfect and per-L estimated loads for every (s, iteration)."""
-    for s in s_values:
+    for idx, s in enumerate(s_values):
         if s < 2:  # before any draw: rng.permutation rejects a negative size
             raise ValueError("switching sweeps need n_sbs >= 2 per point")
+        if s in s_values[:idx]:  # each point pools every run at its size
+            raise ValueError(f"switching sweeps need distinct sizes: n_sbs {s} is repeated")
         _check_preconditions(config, s, f"n_sbs {s}")
     # Runs of iterations per size; an iteration adds one slot row of s SBSs.
     tasks = [(s, *run) for s in s_values for run in _iteration_runs(config.n_iterations, s, workers)]

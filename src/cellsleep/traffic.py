@@ -386,19 +386,20 @@ def synthesize_traffic(
 
     The loads are generated ``SYNTH_BLOCK_ROWS`` SBS rows at a time, the
     noise drawn row-major, so the draws and bits do not depend on the block
-    size. ``experiments.build_dataset`` folds the same blocks straight into
-    the representative day and never holds the multi-day series.
+    size. ``experiments.build_dataset`` draws the same blocks, finishes only
+    the slots a study evaluates, folds them straight into the representative
+    day and never holds the multi-day series.
 
     Deterministic for a given seed (PCG64 via numpy ``default_rng``).
     """
     placements, slots_per_day, blocks = _synthetic_row_blocks(
         seed, n_sbs, grid_side, correlation_length_m, diurnal_profile=diurnal_profile,
-        n_days=n_days, n_bumps=n_bumps, noise_std=noise_std, field_floor=field_floor,
+        n_days=n_days, n_bumps=n_bumps, noise_std=noise_std, field_floor=field_floor, slot_stride=1,
     )
     loads = np.empty((n_sbs, n_days * slots_per_day))
     r0 = 0
     for block in blocks:
-        loads[r0 : r0 + block.shape[0]] = block
+        loads[r0 : r0 + block.shape[0]] = block.reshape(block.shape[0], -1)
         r0 += block.shape[0]
     loads.setflags(write=False)  # LoadSeries adopts it without a copy
     series = LoadSeries(
@@ -418,13 +419,18 @@ def _synthetic_row_blocks(
     n_bumps: int,
     noise_std: float,
     field_floor: float,
+    slot_stride: int,
 ) -> tuple[tuple[SbsPlacement, ...], int, Iterator[np.ndarray]]:
     """Check the field parameters, then place the SBSs and draw the field.
 
     Returns the placements, the slots per day and a generator of the loads
-    in consecutive blocks of whole SBS rows (see ``synthesize_traffic``).
-    Every block is drawn into one reused buffer, so a block is valid only
-    until the next one is drawn.
+    in consecutive blocks of whole SBS rows (see ``synthesize_traffic``),
+    each a (rows, n_days, slots) view of every ``slot_stride``-th slot of
+    the day from slot 0. The noise of every slot is drawn, so the stream
+    and the finished slots' bits do not depend on the stride; the noise
+    scale, field and clip touch only the slots in the view. Every block is
+    drawn into one reused buffer, so a block is valid only until the next
+    one is drawn.
     """
     if n_sbs < 1:
         raise ValueError("n_sbs must be >= 1")
@@ -479,11 +485,11 @@ def _synthetic_row_blocks(
         for r0 in range(0, n_sbs, SYNTH_BLOCK_ROWS):
             block = buffer[: min(SYNTH_BLOCK_ROWS, n_sbs - r0)]
             rng.standard_normal(out=block)
-            block *= noise_std
-            days = block.reshape(block.shape[0], n_days, profile.size)
-            days += (intensity[r0 : r0 + SYNTH_BLOCK_ROWS, None] * profile)[:, None, :]
-            np.clip(block, 0.0, 1.0, out=block)
-            yield block
+            days = block.reshape(block.shape[0], n_days, profile.size)[..., ::slot_stride]
+            days *= noise_std
+            days += (intensity[r0 : r0 + SYNTH_BLOCK_ROWS, None] * profile[::slot_stride])[:, None, :]
+            np.clip(days, 0.0, 1.0, out=days)
+            yield days
 
     return placements, profile.size, blocks()
 

@@ -20,11 +20,13 @@ sweep
     replaced the per-step argsort. A paper fig3 run with elbow-selected k
     (every 12th slot, ``mlc_k_override`` null, about 2 s) pins the elbow
     path at paper scale, recorded before MLC kept one value order per slot
-    row for all its layers. So are the bytes of paper
-    fig4 and fig5 sweeps (12 iterations, s = 10, 30, 50, 70, L = 1..7,
-    about 0.3 s each), recorded before switching sweeps batched the MLC
-    calls of a run of iterations and greedy read per-SBS coefficient
-    arrays. Fig2, the elbow fig3 run, fig4 and fig5 run again at 2
+    row for all its layers. Paper fig2 and fig3 over slot 0 alone
+    (``slot_stride`` 144, about 1.5 s together) pin the one-column fold of
+    30 days, recorded before a build finished only the evaluated slots. So
+    are the bytes of paper fig4 and fig5 sweeps (12 iterations, s = 10, 30,
+    50, 70, L = 1..7, about 0.3 s each), recorded before switching sweeps
+    batched the MLC calls of a run of iterations and greedy read per-SBS
+    coefficient arrays. Fig2, the elbow fig3 run, fig4 and fig5 run again at 2
     workers, and must hit the same pins: fig4's and fig5's runs of
     iterations differ there, and fig2's one full-day run and the elbow
     run are each set up in a worker process.
@@ -57,17 +59,23 @@ PAPER_CSV_SHA256 = {
     "fig2": "945397e907444625da2aecf7238d3aa9cf804eaadf54fb102571f319268801b3",
     "fig3": "5528a5b477e249d89f6c3f737b0ad4d284a6a524d62e606e1d2c2a64510e096b",
     "fig3-elbow": "4bd13911aeffe969ff4131c157b6d44c21d9e6a55aba218e7160efb7dcac7abb",
+    "fig2-one-slot": "bba590c24fcb95b628c25b50b9024989fd2ae786ce199e5adf309dd391fc0786",
+    "fig3-one-slot": "50ee75fd820a2753edb96c851d2560c37f3abd24074a4c560a90c771d09e9208",
     "fig4": "72b334247fb3455ac09546aa6a9b9055be3d9f0ead9ae2d3140668bccd97962f",
     "fig5": "ebd15fb3301e4d7d293e928b8d88c2511db6ae99ea648d9aba5f9f0c7d75b000",
 }
 # The pinned runs, by name: (experiment, its config). Error sweeps take one
-# iteration over the full day, or every 12th slot with elbow-selected k;
-# switching sweeps 12 iterations (one slot each) at the default grids.
+# iteration over the full day, over slot 0 alone, or every 12th slot with
+# elbow-selected k; switching sweeps 12 iterations (one slot each) at the
+# default grids.
 FULL_DAY = {"n_iterations": 1, "slot_stride": 1}
+ONE_SLOT = {"n_iterations": 1, "slot_stride": 144}
 PAPER_RUNS = {
     "fig2": ("fig2", FULL_DAY),
     "fig3": ("fig3", FULL_DAY),
     "fig3-elbow": ("fig3", {"n_iterations": 1, "slot_stride": 12, "mlc_k_override": None}),
+    "fig2-one-slot": ("fig2", ONE_SLOT),
+    "fig3-one-slot": ("fig3", ONE_SLOT),
     "fig4": ("fig4", {"n_iterations": 12}),
     "fig5": ("fig5", {"n_iterations": 12}),
 }

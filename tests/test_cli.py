@@ -444,6 +444,24 @@ class TestSweepCli:
         assert "mlc_k_override" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_integer_count_is_usage_error(self, tmp_path, capsys):
+        # A float stride used to end in a TypeError traceback from eval_slots.
+        cfg = self.write_cfg(tmp_path, {"slot_stride": 12.5})
+        out = tmp_path / "r"
+        assert run_cli("sweep", "--experiment", "fig2", "--config", cfg, "--out", out) == 1
+        assert "slot_stride must be an integer, got 12.5" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_switching_size_is_data_error(self, tmp_path, capsys):
+        # Each point pools every run at its size: 6,6 used to write four rows
+        # that each counted both sizes' iterations.
+        cfg = self.write_cfg(tmp_path, {"n_iterations": 2})
+        out = tmp_path / "r"
+        assert run_cli("sweep", "--experiment", "fig5", "--config", cfg, "--out", out,
+                       "--s-values", "6,6", "--l-values", "1") == 2
+        assert "n_sbs 6 is repeated" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_is_usage_error(self, tmp_path, capsys, workers):
         out = tmp_path / "r"

@@ -10,7 +10,7 @@ import pytest
 
 from cellsleep import experiments, switching
 from cellsleep.config import ExperimentConfig, config_from_dict, config_hash, desk_profile, paper_profile
-from cellsleep.dataio import write_loads_csv, write_placements_json
+from cellsleep.dataio import read_loads_csv, write_loads_csv, write_placements_json
 from cellsleep.errors import ConfigError, DataFormatError
 from cellsleep.estimators import MlcConfig, estimate
 from cellsleep.experiments import (
@@ -58,6 +58,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="base_seed must be >= 0"):
             config_from_dict({"base_seed": -1})
 
+    INTEGER_KEYS = ("n_sbs", "n_days", "n_iterations", "slot_stride", "slots_per_day", "slot_minutes",
+                    "grid_side", "n_field_bumps", "base_seed", "exhaustive_cap", "mlc_k_override")
+
+    @pytest.mark.parametrize("key", INTEGER_KEYS)
+    @pytest.mark.parametrize("value", [12.5, 1.0, True, "3"])
+    def test_non_integer_counts_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key} must be an integer, got {re.escape(repr(value))}$"):
+            config_from_dict({key: value})
+
     def test_exhaustive_cap_above_search_limit_rejected(self):
         assert ExperimentConfig(exhaustive_cap=20).exhaustive_cap == 20
         with pytest.raises(ConfigError, match="exhaustive_cap"):
@@ -100,10 +109,11 @@ class TestBuildDataset:
         cfg = small_config()
         a = build_dataset(cfg)
         b = build_dataset(cfg)
-        assert a.day.loads.shape == (30, 144)
-        assert a.history.shape == (30, 144)
+        assert cfg.eval_slots() == (0, 36, 72, 108)
+        assert a.loads.shape == a.history.shape == (30, 4)
         assert a.history.base is None  # a copy: a view would pin all 3 days
-        assert a.day.loads.tobytes() == b.day.loads.tobytes()
+        assert not (a.loads.flags.writeable or a.history.flags.writeable)
+        assert a.loads.tobytes() == b.loads.tobytes()
         assert len(a.placements) == 30
 
     def test_milan_source_roundtrip(self, tmp_path):
@@ -120,10 +130,10 @@ class TestBuildDataset:
             placements_json=str(tmp_path / "placements.json"),
         )
         data = build_dataset(cfg)
-        assert data.day.loads.shape == (12, 144)
+        assert data.loads.shape == (12, 4)
         assert np.allclose(
-            data.history, series.loads[:, 144:], atol=1e-15
-        )  # history = last raw day
+            data.history, series.loads[:, 144::36], atol=1e-15
+        )  # history = last raw day at the evaluated slots
 
     @staticmethod
     def milan_config(tmp_path, series, placements, **overrides):
@@ -143,12 +153,12 @@ class TestBuildDataset:
         (tmp_path / "cut").mkdir()
         data = build_dataset(self.milan_config(tmp_path, series, placements, n_days=1))
         cut = build_dataset(self.milan_config(tmp_path / "cut", first_day, placements, n_days=1))
-        assert np.array_equal(data.day.loads, cut.day.loads)
+        assert np.array_equal(data.loads, cut.loads)
         assert np.array_equal(data.history, cut.history)
-        assert np.array_equal(data.history, series.loads[:, :144])
+        assert np.array_equal(data.history, series.loads[:, :144:36])
         assert data.placements == cut.placements
         whole = build_dataset(self.milan_config(tmp_path, series, placements))
-        assert not np.array_equal(whole.day.loads, data.day.loads)
+        assert not np.array_equal(whole.loads, data.loads)
 
     def test_milan_source_needs_whole_days(self, tmp_path):
         series, placements = synthesize_traffic(
@@ -166,27 +176,45 @@ class TestBuildDataset:
 
 
     @staticmethod
-    def full_series_dataset(cfg):
-        """The day, history and placements folded from the whole multi-day series."""
-        series, placements = synthesize_traffic(
-            seed=cfg.base_seed, n_sbs=cfg.n_sbs, grid_side=cfg.grid_side,
-            correlation_length_m=cfg.correlation_length_m, n_days=cfg.n_days,
-            n_bumps=cfg.n_field_bumps, noise_std=cfg.noise_std, field_floor=cfg.field_floor,
-        )
-        spd = series.slots_per_day
-        return daily_average(series, cfg.n_days).loads, series.loads[:, -spd:], placements
+    def assert_evaluated_slots_of(data, series, cfg):
+        """``data`` holds the evaluated slots of ``series``' ``daily_average`` and last day, bit for bit."""
+        slots = list(cfg.eval_slots())
+        day = daily_average(series, series.n_slots // series.slots_per_day).loads[:, slots]
+        last_day = series.loads[:, -series.slots_per_day :][:, slots]
+        assert np.array_equal(data.loads.view(np.int64), day.view(np.int64))
+        assert np.array_equal(data.history.view(np.int64), last_day.view(np.int64))
+
+    STRIDES = (1, 12, 144)  # the whole day, 12 slots, one slot
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_row_blocks_match_full_series_bit_for_bit(self, seed):
+        # A strided selection of a few of the 144 slots folds its days in
+        # day order, as the full-width mean does, not pairwise.
         sizes = (10, SYNTH_BLOCK_ROWS, 2 * SYNTH_BLOCK_ROWS + 22)  # below, one, not a multiple
         for n_sbs in sizes:
             for n_days in (1, 2, 30):
                 cfg = small_config(n_sbs=n_sbs, n_days=n_days, grid_side=20, base_seed=seed)
-                data = build_dataset(cfg)
-                day, history, placements = self.full_series_dataset(cfg)
-                assert np.array_equal(data.day.loads.view(np.int64), day.view(np.int64))
-                assert np.array_equal(data.history.view(np.int64), history.view(np.int64))
-                assert data.placements == placements
+                series, placements = synthesize_traffic(
+                    seed=seed, n_sbs=n_sbs, grid_side=cfg.grid_side,
+                    correlation_length_m=cfg.correlation_length_m, n_days=n_days,
+                    n_bumps=cfg.n_field_bumps, noise_std=cfg.noise_std, field_floor=cfg.field_floor,
+                )
+                for stride in self.STRIDES:
+                    cfg = dataclasses.replace(cfg, slot_stride=stride)
+                    data = build_dataset(cfg)
+                    self.assert_evaluated_slots_of(data, series, cfg)
+                    assert data.placements == placements
+
+    @pytest.mark.parametrize("n_days", [1, 2, 30])
+    def test_milan_source_matches_full_series_bit_for_bit(self, tmp_path, n_days):
+        series, placements = synthesize_traffic(
+            seed=n_days, n_sbs=12, grid_side=7, correlation_length_m=300.0, n_days=n_days
+        )
+        cfg = self.milan_config(tmp_path, series, placements, n_days=n_days)
+        assert np.array_equal(read_loads_csv(cfg.loads_csv).loads, series.loads)  # repr round-trips
+        for stride in self.STRIDES:
+            cfg = dataclasses.replace(cfg, slot_stride=stride)
+            self.assert_evaluated_slots_of(build_dataset(cfg), series, cfg)
 
     @pytest.mark.parametrize("noise_std", [float("inf"), float("nan"), -0.1])
     def test_non_finite_or_negative_noise_rejected(self, noise_std):
@@ -195,12 +223,11 @@ class TestBuildDataset:
 
     @pytest.mark.parametrize("slots_per_day, slot_minutes", [(48, 30), (24, 60)])
     def test_synthetic_day_follows_slots_per_day(self, slots_per_day, slot_minutes):
-        cfg = desk_profile(slots_per_day=slots_per_day, slot_minutes=slot_minutes)
+        cfg = desk_profile(slots_per_day=slots_per_day, slot_minutes=slot_minutes, slot_stride=1)
         data = build_dataset(cfg)
-        assert data.day.loads.shape == data.history.shape == (100, slots_per_day)
-        assert (data.day.slots_per_day, data.day.slot_minutes) == (slots_per_day, slot_minutes)
+        assert data.loads.shape == data.history.shape == (100, slots_per_day)
         # the day's shape, not its first hours: the evening peak is in the day
-        assert data.day.loads.mean(axis=0).argmax() > slots_per_day // 2
+        assert data.loads.mean(axis=0).argmax() > slots_per_day // 2
 
     def test_never_holds_the_multi_day_series(self):
         # numpy reports its buffers to tracemalloc. A 2000 x 30-day series
@@ -227,8 +254,24 @@ class TestBuildDataset:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert data.day.loads.nbytes + data.history.nbytes == output_bytes
+        assert data.loads.nbytes + data.history.nbytes == output_bytes
         assert peak < output_bytes + 4e6
+
+    def test_one_slot_paper_build_holds_little_beyond_its_block_buffer(self):
+        # At slot_stride 144 the output is one column of 5000 SBSs. The
+        # 64-row block buffer of all 30 x 144 slots (2.2 MB) is drawn whole;
+        # the placements and the field fit in 3 MB more (16.4 MB when the
+        # build folded all 144 slots and kept the full day).
+        cfg = paper_profile(slot_stride=144)
+        buffer_bytes = SYNTH_BLOCK_ROWS * cfg.n_days * cfg.slots_per_day * 8
+        tracemalloc.start()
+        try:
+            data = build_dataset(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert data.loads.shape == data.history.shape == (cfg.n_sbs, 1)
+        assert peak < buffer_bytes + 3e6
 
 
 class TestErrorSweep:
@@ -252,10 +295,10 @@ class TestErrorSweep:
             for iteration in range(cfg.n_iterations):
                 rng = np.random.default_rng(cfg.base_seed + iteration)
                 sleepers = np.sort(rng.permutation(cfg.n_sbs)[: cfg.n_sleepers])
-                for slot in cfg.eval_slots():
-                    snap, actual = mask_sleepers(data.day.loads[:, slot], sleepers)
+                for col, _ in enumerate(cfg.eval_slots()):
+                    snap, actual = mask_sleepers(data.loads[:, col], sleepers)
                     res = estimate(
-                        MlcConfig(layers=layers), snap, data.placements, data.history[:, slot]
+                        MlcConfig(layers=layers), snap, data.placements, data.history[:, col]
                     )
                     rel = np.abs(actual[sleepers] - res.estimates) / actual[sleepers]
                     keep = actual[sleepers] >= cfg.epsilon
@@ -363,7 +406,7 @@ class TestErrorSweep:
         cfg = desk_profile(n_iterations=1)
         slots = list(cfg.eval_slots())
         sleepers = experiments._draw_sleepers(cfg, 0, cfg.n_sbs)
-        top = build_dataset(cfg).day.loads[sleepers][:, slots].max(axis=0)
+        top = build_dataset(cfg).loads[sleepers].max(axis=0)
         cfg = desk_profile(n_iterations=1, epsilon=float(np.nextafter(top.min(), 1.0)))
         msg = f"iteration 0, slot {slots[int(np.argmin(top))]}: all {sleepers.size} sleepers fall below"
         with pytest.raises(ValueError, match=f"^{re.escape(msg)}"):
@@ -376,8 +419,8 @@ class TestErrorSweep:
         cfg = desk_profile(n_iterations=2, base_seed=1)
         slots = list(cfg.eval_slots())
         assert experiments._iteration_runs(2, cfg.n_sbs * len(slots), 1) == [(0, 2)]
-        day = build_dataset(cfg).day.loads
-        top = [day[experiments._draw_sleepers(cfg, i, cfg.n_sbs)][:, slots].max(axis=0) for i in (0, 1)]
+        loads = build_dataset(cfg).loads
+        top = [loads[experiments._draw_sleepers(cfg, i, cfg.n_sbs)].max(axis=0) for i in (0, 1)]
         epsilon = float(np.nextafter(top[1].min(), 1.0))
         assert epsilon <= top[0].min()
         cfg = desk_profile(n_iterations=2, base_seed=1, epsilon=epsilon)
@@ -443,6 +486,11 @@ class TestSwitchingSweeps:
         with pytest.raises(ValueError):
             run_decision_sweep(small_config(), [1], [1])
 
+    @pytest.mark.parametrize("run", [run_decision_sweep, run_power_sweep])
+    def test_repeated_size_rejected(self, run):
+        with pytest.raises(ValueError, match="^switching sweeps need distinct sizes: n_sbs 6 is repeated$"):
+            run(small_config(n_iterations=2), [6, 10, 6], [1])
+
     def test_every_sbs_asleep_names_the_size(self):
         # 2 SBSs at sleep fraction 0.9 -> both sleep at size 2.
         cfg = desk_profile(sleep_fraction=0.9, n_iterations=2)
@@ -499,6 +547,13 @@ class TestSwitchingSweeps:
             return assign(*args)
 
         monkeypatch.setattr(switching, "_assign_offloads", counted)
+        optimize, solves = experiments.optimize, []
+
+        def counted_optimize(*args, **kwargs):
+            solves.append(1)
+            return optimize(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "optimize", counted_optimize)
         cfg = desk_profile(
             n_iterations=4, slot_stride=36, mlc_k_override=3,
             base_mbs_load=base_load, base_haps_load=base_load,
@@ -509,6 +564,9 @@ class TestSwitchingSweeps:
             hashlib.sha256(r.csv_text().encode()).hexdigest() for r in (decision, power)
         )
         assert digests == self.PINNED[(base_load, s_values)]
+        # Per iteration: the actual loads and each MLC depth; the perfect
+        # estimates' decision is the actual optimum, not solved again.
+        assert len(solves) == 2 * len(s_values) * cfg.n_iterations * (1 + 2)
         tight = base_load == 0.95
         assert bool(calls) == tight
         assert sum(power.metadata["deployed_infeasible_per_point"]) == int(tight)
