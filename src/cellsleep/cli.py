@@ -37,8 +37,6 @@ from .experiments import (
     run_power_sweep,
     write_report,
 )
-from .power import NetworkPowerConfig
-from .switching import OffloadScales
 from .traffic import (
     MINUTES_PER_DAY,
     aggregate_activity,
@@ -361,12 +359,7 @@ def _cmd_optimize(args) -> int:
     if not (0 <= args.slot < series.n_slots):
         raise DataFormatError(f"slot {args.slot} outside 0..{series.n_slots - 1}")
     loads = series.loads[:, args.slot]
-    s = series.n_sbs
-    power_cfg = NetworkPowerConfig.uniform(
-        config.haps_power, config.mbs_power, config.sbs_power, s
-    )
-    scales = OffloadScales(to_mbs=config.offload_to_mbs, to_haps=config.offload_to_haps)
-    solution = optimize(config, loads, power_cfg, scales, args.optimizer)
+    solution = optimize(config, loads, args.optimizer)
     doc = {
         "config": config.to_dict(),
         "config_hash": config_hash(config),
@@ -376,7 +369,7 @@ def _cmd_optimize(args) -> int:
     write_json(doc, Path(args.out))
     print(
         f"optimize[{solution.optimizer}]: power {solution.power:.3f} W, "
-        f"{np.count_nonzero(solution.state)}/{s} SBSs off, feasible={solution.feasible}"
+        f"{np.count_nonzero(solution.state)}/{series.n_sbs} SBSs off, feasible={solution.feasible}"
     )
     return EXIT_OK if solution.feasible else EXIT_INFEASIBLE
 
@@ -393,6 +386,17 @@ def _cmd_sweep(args) -> int:
     exponents = args.exponents or [1, 3, 5, 10]
     s_values = args.s_values or (_DESK_S_GRID if config.profile == "desk" else _PAPER_S_GRID)
     l_values = args.l_values or _L_GRID
+    # The estimator configs are the one check of a grid value; a bad one is a usage error.
+    for flag, values, check in (
+        ("--n-values", n_values, lambda n: DistanceConfig(neighbors=n)),
+        ("--exponents", exponents, lambda n_exp: DistanceConfig(weighting=n_exp)),
+        ("--l-values", l_values, lambda layers: MlcConfig(layers=layers)),
+    ):
+        try:
+            for value in values:
+                check(value)
+        except ValueError as exc:
+            raise ConfigError(f"{flag}: {exc}") from exc
 
     if args.experiment == "fig2":
         points = []

@@ -75,7 +75,7 @@ def read_loads_csv(path: str | Path, *, slot_minutes: int = 10) -> LoadSeries:
     loads.reshape(-1)[cell] = rows["load"]
     loads.setflags(write=False)  # LoadSeries adopts it without a copy
     try:
-        return LoadSeries(loads=loads, slot_minutes=slot_minutes, slots_per_day=1440 // slot_minutes)
+        return LoadSeries(loads=loads, slot_minutes=slot_minutes)
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
 

@@ -191,7 +191,6 @@ def elbow_select_k(
     max_iter: int = 100,
     tol: float = 1e-9,
     seed: int = 0,
-    warn_on_flat: bool = True,
 ) -> int:
     """Pick the cluster count at the sharpest bend of the SSE-vs-k curve.
 
@@ -204,9 +203,7 @@ def elbow_select_k(
         ValueError: if the range leaves fewer than three candidate k values
             or extends beyond the number of points.
     """
-    return elbow_fit(
-        points, k_range, max_iter=max_iter, tol=tol, seed=seed, warn_on_flat=warn_on_flat
-    ).k
+    return elbow_fit(points, k_range, max_iter=max_iter, tol=tol, seed=seed).k
 
 
 def elbow_fit(
@@ -216,7 +213,6 @@ def elbow_fit(
     max_iter: int = 100,
     tol: float = 1e-9,
     seed: int = 0,
-    warn_on_flat: bool = True,
 ) -> ClusteringState:
     """The fit at ``elbow_select_k``'s choice of k, the same as ``kmeans_fit`` gives.
 
@@ -237,9 +233,8 @@ def elbow_fit(
     fits = [_lloyd(pts, seeds[:k].copy(), max_iter, tol) for k in ks]
     pick = int(_elbow_choice(np.array([[fit.sse] for fit in fits]), np.array([len(ks)]))[0])
     if pick < 0:
-        if warn_on_flat:
-            # stacklevel 3: attributed to the caller of elbow_select_k
-            warnings.warn("flat SSE curve: no elbow found, falling back to k=1", stacklevel=3)
+        # stacklevel 3: attributed to the caller of elbow_select_k
+        warnings.warn("flat SSE curve: no elbow found, falling back to k=1", stacklevel=3)
         return fits[0] if lo == 1 else _lloyd(pts, seeds[:1].copy(), max_iter, tol)
     return fits[pick]
 

@@ -67,7 +67,7 @@ class MlcConfig:
 
     def __post_init__(self) -> None:
         if self.layers < 1:
-            raise ValueError("layers must be >= 1")
+            raise ValueError(f"layers must be >= 1, got {self.layers!r}")
         if self.k_override is not None and self.k_override < 1:
             raise ValueError("k_override must be >= 1 when given")
         if self.elbow_k_max < 3:

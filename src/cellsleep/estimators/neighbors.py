@@ -12,9 +12,10 @@ with d_max the largest distance among the selected neighbors and n >= 1
 the weighting exponent. Any per-sleeper factor such as d_max cancels in the
 estimate and in the reported (normalized) weights, so the code scales by
 the first selected distance instead: ``(d_1 / d)**n``, which keeps the
-weights of nearest-ranked neighbors in [0, 1]. Distances below the
-config's ``distance_floor_m`` are clamped so co-located stations cannot
-produce infinite weights.
+weights of nearest-ranked neighbors in [0, 1]. Distances below
+``DISTANCE_FLOOR_M`` (1 m) are clamped so co-located stations cannot
+produce infinite weights; the table builders take the floor as an argument,
+and every estimator passes that constant.
 
 Both variants go through one ``NeighborTable``: the first K selected
 neighbors of every sleeper, in selection order, for T slots. An N-neighbor
@@ -25,7 +26,7 @@ T = 1: its one ranking answers every slot. A random table has one draw per
 slot, T = S. Either answers one slot's loads or a batch of S slots in one
 call. ``distance_estimate`` and ``random_estimate`` build a T = 1 table
 from a ``DistanceConfig`` or ``RandomConfig``, whose construction is the
-only check of the neighbor count, exponent and distance floor.
+only check of the neighbor count and exponent.
 The nearest K are selected by partition (introselect) rather than a full
 sort of each sleeper's distances; the selection equals a stable argsort,
 ties at the K-th distance included. The ranking runs in blocks of sleepers
@@ -44,6 +45,8 @@ import numpy as np
 from ..traffic import LoadSnapshot, SbsPlacement
 from .result import EstimateResult, NeighborDetail
 
+DISTANCE_FLOOR_M = 1.0  # SBSs on distinct grid squares are 235 m apart or more
+
 
 @dataclass(frozen=True)
 class DistanceConfig:
@@ -51,15 +54,12 @@ class DistanceConfig:
 
     neighbors: int = 1
     weighting: int | None = None
-    distance_floor_m: float = 1.0
 
     def __post_init__(self) -> None:
         if self.neighbors < 1:
-            raise ValueError("neighbor count must be >= 1")
+            raise ValueError(f"neighbor count must be >= 1, got {self.neighbors!r}")
         if self.weighting is not None and (int(self.weighting) != self.weighting or self.weighting < 1):
             raise ValueError(f"weighting exponent must be a positive integer, got {self.weighting!r}")
-        if self.distance_floor_m <= 0:
-            raise ValueError("distance floor must be positive")
 
     kind = "distance"
 
@@ -71,9 +71,8 @@ class RandomConfig:
     neighbors: int = 1
     weighting: int | None = None
     seed: int = 0
-    distance_floor_m: float = 1.0
 
-    __post_init__ = DistanceConfig.__post_init__  # the same three checks
+    __post_init__ = DistanceConfig.__post_init__  # the same two checks
 
     kind = "random"
 
@@ -248,7 +247,7 @@ def distance_estimate(
     """
     sleepers = snapshot.sleeping_ids
     pos = positions_array(placements, snapshot.n_sbs)
-    table = nearest_table(pos, sleepers, snapshot.active_ids, config.neighbors, config.distance_floor_m)
+    table = nearest_table(pos, sleepers, snapshot.active_ids, config.neighbors, DISTANCE_FLOOR_M)
     return table.result(sleepers, snapshot.loads, config.neighbors, config.weighting)
 
 
@@ -266,6 +265,6 @@ def random_estimate(
     sleepers = snapshot.sleeping_ids
     pos = positions_array(placements, snapshot.n_sbs)
     table = random_table(
-        pos, sleepers, snapshot.active_ids, config.neighbors, config.distance_floor_m, [config.seed]
+        pos, sleepers, snapshot.active_ids, config.neighbors, DISTANCE_FLOOR_M, [config.seed]
     )
     return table.result(sleepers, snapshot.loads, config.neighbors, config.weighting)

@@ -17,12 +17,12 @@ each, and at least one per worker) to workers that one initializer sets up
 (``_init_worker``). Every precondition that does not depend on the data (an
 SBS stays active, each neighbor group finds its K) is checked once, in the
 parent, before the first task. An error sweep groups its points once: MLC
-points by their depth-1 config, neighbor points by selection rule and
-distance floor. An error run estimates the evaluation slots of all its
-iterations together: each MLC group answers the run's iterations x slots
-in one call, one sleeper mask per row, and neighbor tables stay per
-iteration. An iteration above the cap runs alone, its slots in batches.
-Each iteration's errors are pooled slot by slot in slot order. A switching
+points by their depth-1 config, neighbor points by selection rule. An
+error run estimates the evaluation slots of all its iterations together:
+each MLC group answers the run's iterations x slots in one call, one
+sleeper mask per row, and neighbor tables stay per iteration. An
+iteration above the cap runs alone, its slots in batches. Each
+iteration's errors are pooled slot by slot in slot order. A switching
 run is at one network size, and each of its iterations has its own sleeper
 set and slot. Every task returns plain numbers (``_error_run``,
 ``_switch_run``): per-point aggregates go to the CSV, per-iteration details
@@ -51,7 +51,7 @@ from .estimators import (
     estimation_error,
 )
 from .estimators.mlc import mlc_layers
-from .estimators.neighbors import NeighborTable, _check_active, nearest_table, positions_array, random_table
+from .estimators.neighbors import DISTANCE_FLOOR_M, _check_active, nearest_table, positions_array, random_table
 from .power import NetworkPowerConfig, network_power
 from .switching import (
     ON,
@@ -66,7 +66,6 @@ from .traffic import (
     LoadSeries,
     SbsPlacement,
     _synthetic_row_blocks,
-    default_diurnal_profile,
     sleep_mask,
 )
 
@@ -94,12 +93,12 @@ def build_dataset(config: ExperimentConfig, *, n_sbs: int | None = None, seed: i
     """
     n = n_sbs if n_sbs is not None else config.n_sbs
     if config.data_source == "synthetic":
-        placements, _, blocks = _synthetic_row_blocks(
+        placements, blocks = _synthetic_row_blocks(
             seed if seed is not None else config.base_seed,
             n,
             config.grid_side,
             config.correlation_length_m,
-            diurnal_profile=default_diurnal_profile(config.slots_per_day),
+            slots_per_day=config.slots_per_day,
             n_days=config.n_days,
             n_bumps=config.n_field_bumps,
             noise_std=config.noise_std,
@@ -120,11 +119,7 @@ def _read_milan(config: ExperimentConfig) -> tuple[LoadSeries, tuple[SbsPlacemen
         )
     n_slots = min(series.n_slots // config.slots_per_day, config.n_days) * config.slots_per_day
     if n_slots < series.n_slots:
-        series = LoadSeries(
-            loads=series.loads[:, :n_slots],
-            slot_minutes=series.slot_minutes,
-            slots_per_day=series.slots_per_day,
-        )
+        series = LoadSeries(loads=series.loads[:, :n_slots], slot_minutes=series.slot_minutes)
     return series, tuple(placements)
 
 
@@ -304,29 +299,29 @@ def _plan_points(points: Sequence[tuple[dict, EstimatorConfig]]) -> tuple[int, l
 
     MLC points with one depth-1 config share a run at the group's deepest
     depth: layer l of a deeper run equals the full run at layers=l (pure
-    refinement). Neighbor points with one selection rule and distance floor
-    share one table of the group's largest N: an N-neighbor set is the
-    first N columns, and the random draw's seed does not depend on N.
-    Returns the point count, MLC groups (deepest config, point indices,
-    0-based depths) and neighbor groups (kind, floor, K, point indices,
-    (N, exponent) pairs), each in order of first appearance.
+    refinement). Neighbor points with one selection rule share one table of
+    the group's largest N: an N-neighbor set is the first N columns, and the
+    random draw's seed does not depend on N. Returns the point count, MLC
+    groups (deepest config, point indices, 0-based depths) and neighbor
+    groups (kind, K, point indices, (N, exponent) pairs), each in order of
+    first appearance.
     """
     mlc: dict[MlcConfig, list[int]] = {}
-    neighbor: dict[tuple[str, float], list[int]] = {}
+    neighbor: dict[str, list[int]] = {}
     cfgs = [cfg for _, cfg in points]
     for idx, cfg in enumerate(cfgs):
         if isinstance(cfg, MlcConfig):
             mlc.setdefault(replace(cfg, layers=1), []).append(idx)
         else:
-            neighbor.setdefault((cfg.kind, cfg.distance_floor_m), []).append(idx)
+            neighbor.setdefault(cfg.kind, []).append(idx)
     mlc_groups = [
         (replace(key, layers=max(cfgs[i].layers for i in idxs)), idxs, [cfgs[i].layers - 1 for i in idxs])
         for key, idxs in mlc.items()
     ]
     neighbor_groups = [
-        (kind, floor, max(cfgs[i].neighbors for i in idxs), idxs,
+        (kind, max(cfgs[i].neighbors for i in idxs), idxs,
          [(cfgs[i].neighbors, cfgs[i].weighting) for i in idxs])
-        for (kind, floor), idxs in neighbor.items()
+        for kind, idxs in neighbor.items()
     ]
     return len(cfgs), mlc_groups, neighbor_groups
 
@@ -350,7 +345,7 @@ def _check_preconditions(config: ExperimentConfig, n: int, where: str, neighbor_
         active = np.flatnonzero(sleep_mask(n, _draw_sleepers(config, 0, n)))
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from exc
-    for kind, _, k, _, _ in neighbor_groups:
+    for kind, k, _, _ in neighbor_groups:
         try:
             _check_active(k, active)
         except ValueError as exc:
@@ -388,9 +383,9 @@ def _error_run(task: tuple[int, int]) -> np.ndarray:
     known = np.array([sleep_mask(n, ids) for ids in sleepers])
     m = sleepers[0].size
 
-    # The nearest table is ranked once per iteration; a random table holds
-    # one draw per slot of its batch.
-    nearest: list[dict[float, NeighborTable]] = [{} for _ in range(n_iter)]
+    # The nearest table is ranked once per iteration (row r); a random table
+    # holds one draw per slot of its batch.
+    nearest = {}
     batch = max(1, _MLC_BATCH_ROWS // (n * n_iter))
     totals = np.zeros((n_iter, n_points, 3))
     for b0 in range(0, len(slots), batch):
@@ -404,14 +399,14 @@ def _error_run(task: tuple[int, int]) -> np.ndarray:
         for r, i in enumerate(range(first, stop)):
             active = np.flatnonzero(known[r])
             rows = slice(r * len(cols), (r + 1) * len(cols))
-            for kind, floor, k, idxs, pairs in neighbor_groups:
+            for kind, k, idxs, pairs in neighbor_groups:
                 if kind == "random":
-                    seed = (config.base_seed + i) * 100_000
-                    table = random_table(pos, sleepers[r], active, k, floor, [seed + slot for slot in cols])
-                elif floor in nearest[r]:
-                    table = nearest[r][floor]
+                    seeds = [(config.base_seed + i) * 100_000 + slot for slot in cols]
+                    table = random_table(pos, sleepers[r], active, k, DISTANCE_FLOOR_M, seeds)
+                elif r in nearest:
+                    table = nearest[r]
                 else:
-                    table = nearest[r][floor] = nearest_table(pos, sleepers[r], active, k, floor)
+                    table = nearest[r] = nearest_table(pos, sleepers[r], active, k, DISTANCE_FLOOR_M)
                 estimates[idxs, rows] = table.estimates(loads, pairs)
 
         # Per iteration and point, the mean relative error times its included
@@ -502,10 +497,17 @@ def optimizer_name(config: ExperimentConfig, n_sbs: int, choice: str = "auto") -
     return "exhaustive" if n_sbs <= config.exhaustive_cap else "greedy"
 
 
-def optimize(config: ExperimentConfig, loads, power_cfg, scales, choice: str = "auto") -> SwitchingSolution:
+def _switching_model(config: ExperimentConfig, n_sbs: int) -> tuple[NetworkPowerConfig, OffloadScales]:
+    """The power coefficients and offload scales of ``config`` for a network of ``n_sbs`` SBSs."""
+    power_cfg = NetworkPowerConfig(config.haps_power, config.mbs_power, config.sbs_power, n_sbs)
+    return power_cfg, OffloadScales(to_mbs=config.offload_to_mbs, to_haps=config.offload_to_haps)
+
+
+def optimize(config: ExperimentConfig, loads, choice: str = "auto") -> SwitchingSolution:
     """Minimize network power at ``loads`` with the optimizer ``optimizer_name`` picks."""
     exhaustive = optimizer_name(config, loads.shape[0], choice) == "exhaustive"
     search = optimize_exhaustive if exhaustive else optimize_greedy
+    power_cfg, scales = _switching_model(config, loads.shape[0])
     return search(loads, config.base_mbs_load, config.base_haps_load, power_cfg, scales)
 
 
@@ -522,8 +524,7 @@ def _switch_run(task: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
     config: ExperimentConfig = _STATE["config"]
     l_values: tuple[int, ...] = _STATE["plan"]
     data, _ = _STATE["data"][s]
-    power_cfg = NetworkPowerConfig.uniform(config.haps_power, config.mbs_power, config.sbs_power, s)
-    scales = OffloadScales(to_mbs=config.offload_to_mbs, to_haps=config.offload_to_haps)
+    power_cfg, scales = _switching_model(config, s)
 
     # Iteration i takes the dataset's column i % len(eval_slots()).
     cols = [i % data.loads.shape[1] for i in range(first, stop)]
@@ -541,12 +542,12 @@ def _switch_run(task: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
     powers, rows = [], []
     for r, (actual, known_mask) in enumerate(zip(actuals, known)):
         sleepers = np.flatnonzero(~known_mask)
-        actual_sol = optimize(config, actual, power_cfg, scales)
+        actual_sol = optimize(config, actual)
 
         def estimated(estimates: np.ndarray) -> SwitchingSolution:
             filled = actual.copy()
             filled[sleepers] = estimates
-            return optimize(config, filled, power_cfg, scales)
+            return optimize(config, filled)
 
         def evaluate(est_sol: SwitchingSolution) -> tuple[float, float, float, float, bool]:
             deployed_cap = apply_offloads(
@@ -586,6 +587,8 @@ def _switching_report(
     workers: int,
 ) -> ExperimentReport:
     """Optimize actual, perfect and per-L estimated loads for every (s, iteration)."""
+    for layers in l_values:  # MlcConfig is the one check of a depth; a run reads only the deepest
+        MlcConfig(layers=layers)
     for idx, s in enumerate(s_values):
         if s < 2:  # before any draw: rng.permutation rejects a negative size
             raise ValueError("switching sweeps need n_sbs >= 2 per point")

@@ -7,9 +7,10 @@ amplifier term while active, and a distinct sleep power while off:
     asleep:  P = P_sleep
 
 The macro and HAPS tiers are always active; small base stations (SBSs)
-toggle between the two branches. Whether a station is active is carried by
-an explicit boolean, never by a zero load: an active station at zero load
-still draws its operational power.
+toggle between the two branches and, as in the paper, all share one set
+of coefficients. Whether a station is active is carried by an explicit
+boolean, never by a zero load: an active station at zero load still draws
+its operational power.
 
 All functions are pure and safe to call concurrently.
 """
@@ -17,7 +18,7 @@ All functions are pure and safe to call concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -55,45 +56,20 @@ class PowerParams:
 
 @dataclass(frozen=True)
 class NetworkPowerConfig:
-    """Power coefficients for one HAPS, one MBS and s >= 1 SBSs.
-
-    The SBS coefficients are also kept as read-only (s,) arrays, one per
-    ``PowerParams`` field, built once here for the vectorized totals.
-    """
+    """Power coefficients for one HAPS, one MBS and ``n_sbs`` >= 1 SBSs that share ``sbs``."""
 
     haps: PowerParams
     mbs: PowerParams
-    sbs: tuple[PowerParams, ...]
-    sbs_operational: np.ndarray = field(init=False, repr=False, compare=False)
-    sbs_slope: np.ndarray = field(init=False, repr=False, compare=False)
-    sbs_transmit: np.ndarray = field(init=False, repr=False, compare=False)
-    sbs_sleep: np.ndarray = field(init=False, repr=False, compare=False)
+    sbs: PowerParams
+    n_sbs: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sbs", tuple(self.sbs))
-        if len(self.sbs) < 1:
+        if self.n_sbs < 1:
             raise ValueError("a network needs at least one SBS (s >= 1)")
-        columns = np.array(
-            [(p.operational_power, p.amplifier_slope, p.transmit_power, p.sleep_power) for p in self.sbs]
-        ).T
-        columns.flags.writeable = False
-        for name, column in zip(("sbs_operational", "sbs_slope", "sbs_transmit", "sbs_sleep"), columns):
-            object.__setattr__(self, name, column)
 
     def sbs_active_power(self, loads: np.ndarray) -> np.ndarray:
         """Each SBS's active power at its load, with the bits of ``station_power``."""
-        return self.sbs_operational + self.sbs_slope * loads * self.sbs_transmit
-
-    @property
-    def n_sbs(self) -> int:
-        return len(self.sbs)
-
-    @classmethod
-    def uniform(
-        cls, haps: PowerParams, mbs: PowerParams, sbs: PowerParams, n_sbs: int
-    ) -> "NetworkPowerConfig":
-        """All SBSs share the same coefficients."""
-        return cls(haps=haps, mbs=mbs, sbs=(sbs,) * n_sbs)
+        return self.sbs.operational_power + self.sbs.amplifier_slope * loads * self.sbs.transmit_power
 
 
 def station_power(params: PowerParams, load: float, is_on: bool = True) -> float:
@@ -142,7 +118,7 @@ def network_power(
     loads = np.asarray(sbs_loads, dtype=float)
     bad = np.flatnonzero(~((loads >= 0.0) & (loads <= 1.0)))
     if bad.size:  # the first bad load, as the caller passed it
-        station_power(config.sbs[bad[0]], sbs_loads[bad[0]])
-    per_sbs = np.where(np.asarray(on_off, dtype=bool), config.sbs_active_power(loads), config.sbs_sleep)
+        station_power(config.sbs, sbs_loads[bad[0]])
+    per_sbs = np.where(np.asarray(on_off, dtype=bool), config.sbs_active_power(loads), config.sbs.sleep_power)
     # Left to right from the tiers, as a running Python sum would add them.
     return float(np.cumsum(np.concatenate(([tiers], per_sbs)))[-1])

@@ -5,7 +5,11 @@ traffic offloaded to the macro station (``TO_MBS``) or to the HAPS
 (``TO_HAPS``); ``"-MH"[code]`` is the code's letter in JSON output.
 Offloaded traffic raises the target tier's load by the SBS load times a
 per-tier conversion factor, and a state is feasible only while both tiers
-stay at or below unit load.
+stay at or below unit load. That is decided by one rule, ``_fits``: a
+tier's base load plus the left-to-right sum of its offloaded loads in SBS
+id order is at most 1.0. ``CapacityState`` and both optimizers apply it to
+the same sums, so no optimizer returns a state that its pricing rejects at
+a tier boundary.
 
 Network power is affine in the state. Switching SBS j off onto tier t
 changes it by ``sleep_j + cost_{t,j} - active_j``, where ``cost_{t,j}`` is
@@ -33,6 +37,9 @@ from .power import NetworkPowerConfig, network_power
 
 EXHAUSTIVE_SBS_CAP = 20
 _CHUNK_BITS = 14
+# The scan-order and id-order sums of a greedy tier differ by rounding only,
+# far below this for up to 10^6 nonnegative terms that sum to about 1.
+_CAP_MARGIN = 1e-9
 
 ON, TO_MBS, TO_HAPS = 0, 1, 2  # state codes; "-MH"[code] is the JSON letter
 
@@ -78,7 +85,7 @@ class CapacityState:
 
     @property
     def feasible(self) -> bool:
-        return self.mbs_load <= 1.0 and self.haps_load <= 1.0
+        return bool(_fits(self.base_mbs, self.offloaded_mbs) and _fits(self.base_haps, self.offloaded_haps))
 
     def to_json_dict(self) -> dict:
         return {
@@ -128,6 +135,11 @@ def _validated_loads(
     if loads.size and (np.isnan(loads).any() or loads.min() < 0.0 or loads.max() > 1.0):
         raise ValueError("SBS loads must lie in [0, 1]")
     return loads
+
+
+def _fits(base_load, offloaded):
+    """The capacity rule: base load plus the id-order offloaded sum is at most 1 (scalars or arrays)."""
+    return base_load + offloaded <= 1.0
 
 
 def _ordered_sum(values: np.ndarray) -> float:
@@ -186,9 +198,10 @@ class _LinearModel:
 
     A state draws ``base_power`` plus ``active[j]`` for every ON SBS and
     ``sleep[j] + cost[t, j]`` for every SBS OFF onto tier t. It is feasible
-    while each tier's summed ``use[t, j]`` stays within ``cap[t]``. Rows of
-    ``cost`` and ``use`` and entries of ``cap`` are indexed by state code;
-    the ``ON`` row costs and uses nothing and its headroom is unbounded.
+    while, for each tier t, ``base_load[t]`` plus the id-order sum of its
+    ``use[t, j]`` ``_fits``. Rows of ``cost`` and ``use`` and entries of
+    ``base_load`` are indexed by state code; the ``ON`` row costs and uses
+    nothing.
     """
 
     loads: np.ndarray
@@ -196,7 +209,7 @@ class _LinearModel:
     sleep: np.ndarray
     cost: np.ndarray  # (3, s)
     use: np.ndarray  # (3, s)
-    cap: np.ndarray  # (3,)
+    base_load: np.ndarray  # (3,)
     base_power: float
 
 
@@ -214,10 +227,10 @@ def _linear_model(
     return _LinearModel(
         loads=loads,
         active=power_config.sbs_active_power(loads),
-        sleep=power_config.sbs_sleep,
+        sleep=np.full(loads.size, power_config.sbs.sleep_power),  # BLAS products take an array
         cost=np.stack([none] + [p.amplifier_slope * p.transmit_power * k * loads for p, k in tiers]),
         use=np.stack([none] + [k * loads for _, k in tiers]),
-        cap=np.array([np.inf, 1.0 - base_mbs_load, 1.0 - base_haps_load]),
+        base_load=np.array([0.0, base_mbs_load, base_haps_load]),
         base_power=(
             haps.operational_power
             + haps.amplifier_slope * base_haps_load * haps.transmit_power
@@ -241,6 +254,14 @@ def _solution(
     return SwitchingSolution(state=state, power=power, capacity=capacity, optimizer=optimizer)
 
 
+def _id_order_sums(off: np.ndarray, use: np.ndarray) -> np.ndarray:
+    """Per row of ``off``, ``use`` summed over its OFF SBSs in id order, as ``apply_offloads`` adds it."""
+    used = np.zeros(off.shape[0])
+    for j in np.flatnonzero(use):  # an SBS that uses nothing adds an exact zero
+        used += np.where(off[:, j], use[j], 0.0)
+    return used
+
+
 def _assign_offloads(model: _LinearModel, off_ids: np.ndarray) -> tuple[float, list[int]] | None:
     """Cheapest feasible target assignment for one OFF set, or None.
 
@@ -260,7 +281,7 @@ def _assign_offloads(model: _LinearModel, off_ids: np.ndarray) -> tuple[float, l
     for i in range(m):
         table = (table[:, :, None] + branch[:, None, :, i]).reshape(3, -1)
     cost, used_mbs, used_haps = table
-    cost[(used_mbs > model.cap[TO_MBS]) | (used_haps > model.cap[TO_HAPS])] = np.inf
+    cost[~(_fits(model.base_load[TO_MBS], used_mbs) & _fits(model.base_load[TO_HAPS], used_haps))] = np.inf
     best = int(np.argmin(cost))
     if cost[best] == np.inf:
         return None
@@ -307,9 +328,8 @@ def optimize_exhaustive(
         off = ~on
         fixed = on @ model.active + off @ model.sleep
         # Per-SBS cheapest target, valid whenever it happens to fit capacity.
-        greedy_ok = (off @ (model.use[TO_MBS] * prefer_mbs) <= model.cap[TO_MBS]) & (
-            off @ (model.use[TO_HAPS] * ~prefer_mbs) <= model.cap[TO_HAPS]
-        )
+        greedy_ok = _fits(model.base_load[TO_MBS], _id_order_sums(off, model.use[TO_MBS] * prefer_mbs))
+        greedy_ok &= _fits(model.base_load[TO_HAPS], _id_order_sums(off, model.use[TO_HAPS] * ~prefer_mbs))
         chunk_power = model.base_power + fixed + off @ best_off_cost
         chunk_power[~greedy_ok] = np.inf
 
@@ -350,7 +370,9 @@ def optimize_greedy(
     ``sleep_j + cost_{t,j} - active_j``: the move is kept while that delta
     is negative, and the scan stops at the first candidate that has no
     fitting tier or would not lower the power. Tier usage is kept as running
-    sums, so a solve sorts once and prices only the returned state in full.
+    sums in scan order, so a solve sorts once and prices only the returned
+    state in full. A sum that lands within ``_CAP_MARGIN`` of a tier's cap
+    is settled by ``_fits`` on the id-order sum, as ``CapacityState`` adds it.
     """
     model = _linear_model(sbs_loads, base_mbs_load, base_haps_load, power_config, scales)
     order = np.argsort(model.loads, kind="stable")
@@ -359,13 +381,21 @@ def optimize_greedy(
     use, cost, delta = (
         a[:, order].tolist() for a in (model.use, model.cost, model.sleep + model.cost - model.active)
     )
-    cap = model.cap.tolist()
+    cap = (1.0 - model.base_load).tolist()
+    clear = [c - _CAP_MARGIN for c in cap]  # a running sum up to here fits by either sum
     used = [0.0] * 3  # tier usage by state code
     targets = []
+
+    def near_cap_fits(tier: int, j: int) -> bool:
+        if used[tier] + use[tier][j] > cap[tier] + _CAP_MARGIN:
+            return False
+        ids = np.sort(np.append(order[: len(targets)][np.equal(targets, tier)], order[j]))
+        return bool(_fits(model.base_load[tier], _ordered_sum(model.use[tier, ids])))
+
     for j in range(order.size):
         # The cheaper tier that still fits, MBS on ties; stop if none fits.
-        fits_mbs = used[TO_MBS] + use[TO_MBS][j] <= cap[TO_MBS]
-        fits_haps = used[TO_HAPS] + use[TO_HAPS][j] <= cap[TO_HAPS]
+        fits_mbs = used[TO_MBS] + use[TO_MBS][j] <= clear[TO_MBS] or near_cap_fits(TO_MBS, j)
+        fits_haps = used[TO_HAPS] + use[TO_HAPS][j] <= clear[TO_HAPS] or near_cap_fits(TO_HAPS, j)
         if fits_mbs and not (fits_haps and cost[TO_HAPS][j] < cost[TO_MBS][j]):
             tgt = TO_MBS
         elif fits_haps:

@@ -58,7 +58,6 @@ class LoadSeries:
 
     loads: np.ndarray
     slot_minutes: int
-    slots_per_day: int
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.loads, dtype=float)
@@ -66,15 +65,17 @@ class LoadSeries:
             raise ValueError(f"loads must be 2-D (n_sbs, n_slots), got shape {arr.shape}")
         if arr.size and (np.isnan(arr).any() or arr.min() < 0.0 or arr.max() > 1.0):
             raise ValueError("load values must lie in [0, 1]")
-        if self.slots_per_day * self.slot_minutes != MINUTES_PER_DAY:
-            raise ValueError(
-                f"slots_per_day * slot_minutes must equal {MINUTES_PER_DAY}, got "
-                f"{self.slots_per_day} * {self.slot_minutes}"
-            )
+        if self.slot_minutes < 1 or MINUTES_PER_DAY % self.slot_minutes:
+            raise ValueError(f"slot_minutes must divide {MINUTES_PER_DAY}, got {self.slot_minutes!r}")
         if arr.flags.writeable or not (arr.flags.owndata and arr.flags.c_contiguous):
             arr = arr.copy()
             arr.setflags(write=False)
         object.__setattr__(self, "loads", arr)
+
+    @property
+    def slots_per_day(self) -> int:
+        """Slots in the 1440-minute day, which ``slot_minutes`` must divide."""
+        return MINUTES_PER_DAY // self.slot_minutes
 
     @property
     def n_sbs(self) -> int:
@@ -330,25 +331,17 @@ def normalize_loads(
         loads = arr / peaks[:, None]
     else:
         raise ValueError(f"unknown normalization mode {mode!r}")
-    return LoadSeries(
-        loads=loads,
-        slot_minutes=slot_minutes,
-        slots_per_day=MINUTES_PER_DAY // slot_minutes,
-    )
+    return LoadSeries(loads=loads, slot_minutes=slot_minutes)
 
 
-def daily_average(series: LoadSeries, days: int) -> LoadSeries:
-    """Fold a multi-day series into one representative day by slot-wise mean."""
+def daily_average(series: LoadSeries) -> LoadSeries:
+    """Fold a series of whole days into one representative day by slot-wise mean."""
     spd = series.slots_per_day
-    if days < 1:
-        raise ValueError("days must be >= 1")
-    if series.n_slots != days * spd:
-        raise ValueError(
-            f"series has {series.n_slots} slots, expected {days} days * {spd} slots"
-        )
-    folded = series.loads.reshape(series.n_sbs, days, spd).mean(axis=1)
+    if series.n_slots == 0 or series.n_slots % spd:
+        raise ValueError(f"series has {series.n_slots} slots, not a positive whole number of {spd}-slot days")
+    folded = series.loads.reshape(series.n_sbs, series.n_slots // spd, spd).mean(axis=1)
     folded.setflags(write=False)  # LoadSeries adopts it without a copy
-    return LoadSeries(loads=folded, slot_minutes=series.slot_minutes, slots_per_day=spd)
+    return LoadSeries(loads=folded, slot_minutes=series.slot_minutes)
 
 
 def default_diurnal_profile(slots_per_day: int = 144) -> np.ndarray:
@@ -365,24 +358,24 @@ def synthesize_traffic(
     n_sbs: int,
     grid_side: int,
     correlation_length_m: float,
-    diurnal_profile: np.ndarray | None = None,
     *,
     n_days: int = 1,
     n_bumps: int = 8,
     noise_std: float = 0.02,
     field_floor: float = 0.35,
 ) -> tuple[LoadSeries, tuple[SbsPlacement, ...]]:
-    """Generate seeded, spatially correlated synthetic traffic.
+    """Generate seeded, spatially correlated synthetic traffic in 10-minute slots.
 
     Construction: SBSs occupy distinct squares of a ``grid_side`` x
     ``grid_side`` grid (uniform draw without replacement). A smooth spatial
     intensity field is built as a superposition of ``n_bumps`` radial
     Gaussian bumps with length scale ``correlation_length_m`` and rescaled
-    to [field_floor, 1]; each SBS's load is its field intensity times the
-    diurnal profile, plus small Gaussian noise, clipped to [0, 1]. Nearby
-    SBSs therefore carry similar loads and the expected load difference
-    grows with distance. An infinite correlation length collapses the field
-    to a single shared factor, leaving only noise differences.
+    to [field_floor, 1]; each SBS's load is its field intensity times
+    ``default_diurnal_profile``, plus small Gaussian noise, clipped to
+    [0, 1]. Nearby SBSs therefore carry similar loads and the expected load
+    difference grows with distance. An infinite correlation length
+    collapses the field to a single shared factor, leaving only noise
+    differences.
 
     The loads are generated ``SYNTH_BLOCK_ROWS`` SBS rows at a time, the
     noise drawn row-major, so the draws and bits do not depend on the block
@@ -392,20 +385,17 @@ def synthesize_traffic(
 
     Deterministic for a given seed (PCG64 via numpy ``default_rng``).
     """
-    placements, slots_per_day, blocks = _synthetic_row_blocks(
-        seed, n_sbs, grid_side, correlation_length_m, diurnal_profile=diurnal_profile,
+    placements, blocks = _synthetic_row_blocks(
+        seed, n_sbs, grid_side, correlation_length_m, slots_per_day=144,
         n_days=n_days, n_bumps=n_bumps, noise_std=noise_std, field_floor=field_floor, slot_stride=1,
     )
-    loads = np.empty((n_sbs, n_days * slots_per_day))
+    loads = np.empty((n_sbs, n_days * 144))
     r0 = 0
     for block in blocks:
         loads[r0 : r0 + block.shape[0]] = block.reshape(block.shape[0], -1)
         r0 += block.shape[0]
     loads.setflags(write=False)  # LoadSeries adopts it without a copy
-    series = LoadSeries(
-        loads=loads, slot_minutes=MINUTES_PER_DAY // slots_per_day, slots_per_day=slots_per_day
-    )
-    return series, placements
+    return LoadSeries(loads=loads, slot_minutes=10), placements
 
 
 def _synthetic_row_blocks(
@@ -414,19 +404,21 @@ def _synthetic_row_blocks(
     grid_side: int,
     correlation_length_m: float,
     *,
-    diurnal_profile: np.ndarray | None = None,
+    slots_per_day: int,
     n_days: int,
     n_bumps: int,
     noise_std: float,
     field_floor: float,
     slot_stride: int,
-) -> tuple[tuple[SbsPlacement, ...], int, Iterator[np.ndarray]]:
+) -> tuple[tuple[SbsPlacement, ...], Iterator[np.ndarray]]:
     """Check the field parameters, then place the SBSs and draw the field.
 
-    Returns the placements, the slots per day and a generator of the loads
-    in consecutive blocks of whole SBS rows (see ``synthesize_traffic``),
-    each a (rows, n_days, slots) view of every ``slot_stride``-th slot of
-    the day from slot 0. The noise of every slot is drawn, so the stream
+    ``slots_per_day`` must divide the day (``ExperimentConfig`` checks it),
+    and the day's shape is ``default_diurnal_profile(slots_per_day)``.
+    Returns the placements and a generator of the loads in consecutive
+    blocks of whole SBS rows (see ``synthesize_traffic``), each a (rows,
+    n_days, slots) view of every ``slot_stride``-th slot of the day from
+    slot 0. The noise of every slot is drawn, so the stream
     and the finished slots' bits do not depend on the stride; the noise
     scale, field and clip touch only the slots in the view. Every block is
     drawn into one reused buffer, so a block is valid only until the next
@@ -450,13 +442,7 @@ def _synthetic_row_blocks(
         raise ValueError("field_floor must lie in [0, 1)")
     if not (math.isfinite(noise_std) and noise_std >= 0.0):
         raise ValueError(f"noise_std must be finite and nonnegative, got {noise_std!r}")
-    profile = (
-        default_diurnal_profile() if diurnal_profile is None else np.asarray(diurnal_profile, float)
-    )
-    if profile.ndim != 1 or profile.size < 1:
-        raise ValueError("diurnal_profile must be a 1-D sequence")
-    if MINUTES_PER_DAY % profile.size != 0:
-        raise ValueError(f"profile length {profile.size} must divide {MINUTES_PER_DAY} minutes")
+    profile = default_diurnal_profile(slots_per_day)
 
     rng = np.random.default_rng(seed)
     squares = rng.permutation(grid_side * grid_side)[:n_sbs] + 1
@@ -491,7 +477,7 @@ def _synthetic_row_blocks(
             np.clip(days, 0.0, 1.0, out=days)
             yield days
 
-    return placements, profile.size, blocks()
+    return placements, blocks()
 
 
 def sleep_mask(n_sbs: int, sleeping_ids: Iterable[int]) -> np.ndarray:

@@ -30,6 +30,14 @@ sweep
     workers, and must hit the same pins: fig4's and fig5's runs of
     iterations differ there, and fig2's one full-day run and the elbow
     run are each set up in a worker process.
+    One desk fig5 study pins greedy where tiers fill, at 1 and 2 workers:
+    1000 synthetic SBSs read as measured data, L = 1 and 3, 4 iterations
+    over slots 0 and 36, where both tiers fill (MBS 0.995, HAPS 0.999) and
+    one deployed decision is infeasible (about 0.5 s). It was recorded
+    before every optimizer decided feasibility by ``CapacityState``'s rule
+    and all SBSs shared one power coefficient set. Its inputs are named
+    relative to the guard's temporary directory, so the config hash in the
+    CSV's first line does not depend on where that directory lies.
 read
     Reading a 5000-SBS x 1-day loads CSV (20 MB) holds the parsed rows and
     the series, not a dict entry per cell: about 40 MB under tracemalloc
@@ -44,6 +52,7 @@ ingest
 
 import hashlib
 import json
+import os
 import resource
 import sys
 import tempfile
@@ -55,7 +64,7 @@ import numpy as np
 from cellsleep.cli import main
 from cellsleep.dataio import read_loads_csv
 
-PAPER_CSV_SHA256 = {
+CSV_SHA256 = {
     "fig2": "945397e907444625da2aecf7238d3aa9cf804eaadf54fb102571f319268801b3",
     "fig3": "5528a5b477e249d89f6c3f737b0ad4d284a6a524d62e606e1d2c2a64510e096b",
     "fig3-elbow": "4bd13911aeffe969ff4131c157b6d44c21d9e6a55aba218e7160efb7dcac7abb",
@@ -63,6 +72,7 @@ PAPER_CSV_SHA256 = {
     "fig3-one-slot": "50ee75fd820a2753edb96c851d2560c37f3abd24074a4c560a90c771d09e9208",
     "fig4": "72b334247fb3455ac09546aa6a9b9055be3d9f0ead9ae2d3140668bccd97962f",
     "fig5": "ebd15fb3301e4d7d293e928b8d88c2511db6ae99ea648d9aba5f9f0c7d75b000",
+    "fig5-binding": "9c7a4ea8bd781ff9574795677162d678bfa5963634d5f3dd553af0d7f7601277",
 }
 # The pinned runs, by name: (experiment, its config). Error sweeps take one
 # iteration over the full day, over slot 0 alone, or every 12th slot with
@@ -79,9 +89,20 @@ PAPER_RUNS = {
     "fig4": ("fig4", {"n_iterations": 12}),
     "fig5": ("fig5", {"n_iterations": 12}),
 }
+# Every pinned run, by name: (experiment, profile, config, grid flags). The
+# binding-tier study reads the 1000 SBSs that BINDING_SYNTH writes.
+RUNS = {name: (e, "paper", config, []) for name, (e, config) in PAPER_RUNS.items()}
+RUNS["fig5-binding"] = (
+    "fig5", "desk",
+    {"data_source": "milan", "loads_csv": "inp/loads.csv", "placements_json": "inp/placements.json",
+     "n_days": 1, "mlc_k_override": 3, "n_iterations": 4, "slot_stride": 36},
+    ["--s-values", "1000", "--l-values", "1,3"],
+)
+BINDING_SYNTH = ["synth", "--out", "inp", "--seed", "3", "--n-sbs", "1000", "--grid-side", "40", "--days", "1",
+                 "--correlation-length", "1500"]
 # Rerun at 2 workers, where each is set up in a worker process and fig4
 # and fig5 split their iterations into other runs: the same pins must hold.
-PARALLEL_RUNS = ("fig2", "fig3-elbow", "fig4", "fig5")
+PARALLEL_RUNS = ("fig2", "fig3-elbow", "fig4", "fig5", "fig5-binding")
 RSS_LIMIT_MB = 120
 MILAN_EPOCH_MS = 1383260400000  # 2013-11-01 00:00 CET, the Milan data's first interval
 INGEST_SQUARES = 955
@@ -89,21 +110,26 @@ INGEST_LIMIT_MB = 30
 
 
 def sweep_guard() -> bool:
+    home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        codes, digests = [], {}
-        for name, workers in [(name, 1) for name in PAPER_RUNS] + [(name, 2) for name in PARALLEL_RUNS]:
-            e, experiment = PAPER_RUNS[name]
-            out = Path(tmp) / f"{name}_workers{workers}"
-            config = Path(tmp) / f"paper_{name}.json"
-            config.write_text(json.dumps({"experiment": experiment}))
-            codes.append(main(["sweep", "--experiment", e, "--profile", "paper", "--workers", str(workers),
-                               "--config", str(config), "--out", str(out)]))
-            digests[name, workers] = hashlib.sha256((out / f"{e}_paper_0.csv").read_bytes()).hexdigest()
+        os.chdir(tmp)  # the binding-tier run names its inputs relative to here
+        try:
+            codes, digests = [main(BINDING_SYNTH)], {}
+            for name, workers in [(name, 1) for name in RUNS] + [(name, 2) for name in PARALLEL_RUNS]:
+                e, profile, experiment, grid = RUNS[name]
+                out = Path(tmp) / f"{name}_workers{workers}"
+                config = Path(tmp) / f"{profile}_{name}.json"
+                config.write_text(json.dumps({"experiment": experiment}))
+                codes.append(main(["sweep", "--experiment", e, "--profile", profile, "--workers", str(workers),
+                                   "--config", str(config), "--out", str(out), *grid]))
+                digests[name, workers] = hashlib.sha256((out / f"{e}_{profile}_0.csv").read_bytes()).hexdigest()
+        finally:
+            os.chdir(home)
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-    print(f"paper sweeps {list(PAPER_RUNS)} ({', '.join(PARALLEL_RUNS)} also at 2 workers): exit {codes}, "
+    print(f"sweeps {list(RUNS)} ({', '.join(PARALLEL_RUNS)} also at 2 workers): exit {codes}, "
           f"peak RSS {peak_mb:.0f} MB (limit {RSS_LIMIT_MB})")
-    moved = [f"{name} at {w} worker(s)" for (name, w), digest in digests.items() if digest != PAPER_CSV_SHA256[name]]
-    print(f"paper CSV sha256: {digests}; moved: {moved or 'none'}")
+    moved = [f"{name} at {w} worker(s)" for (name, w), digest in digests.items() if digest != CSV_SHA256[name]]
+    print(f"CSV sha256: {digests}; moved: {moved or 'none'}")
     return not (any(codes) or peak_mb > RSS_LIMIT_MB or moved)
 
 

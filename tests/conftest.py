@@ -43,7 +43,8 @@ def random_network_config(rng: np.random.Generator, n_sbs: int) -> NetworkPowerC
     return NetworkPowerConfig(
         haps=random_power_params(rng),
         mbs=random_power_params(rng),
-        sbs=tuple(random_power_params(rng) for _ in range(n_sbs)),
+        sbs=random_power_params(rng),
+        n_sbs=n_sbs,
     )
 
 

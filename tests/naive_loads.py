@@ -58,6 +58,6 @@ def naive_read_loads_csv(path, *, slot_minutes=10):
                     f"{path}: missing load for sbs_id={sbs_id}, slot={slot}"
                 ) from None
     try:
-        return LoadSeries(loads=loads, slot_minutes=slot_minutes, slots_per_day=1440 // slot_minutes)
+        return LoadSeries(loads=loads, slot_minutes=slot_minutes)
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc

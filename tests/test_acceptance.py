@@ -92,13 +92,13 @@ def test_criterion_1_power_model_exactness():
         (4, 0.5, 0.5, [0.25] * 4, [1] * 4, 175 + 80 + 4 * 12.5, "uniform quarter load"),
     ]
     for i, (s, hl, ml, loads, bits, expected, note) in enumerate(network_cases):
-        cfg = NetworkPowerConfig.uniform(haps, mbs, sbs, s)
+        cfg = NetworkPowerConfig(haps, mbs, sbs, s)
         got = network_power(cfg, hl, ml, loads, [bool(b) for b in bits])
         if not np.isclose(got, expected, rtol=1e-9, atol=0):
             failures.append(f"network case {i} ({note}): {got} != {expected}")
 
     # expanded switching objective, hand-summed
-    cfg2 = NetworkPowerConfig.uniform(haps, mbs, sbs, 2)
+    cfg2 = NetworkPowerConfig(haps, mbs, sbs, 2)
     scales = OffloadScales(to_mbs=0.1, to_haps=0.2)
     state = np.array([TO_MBS, TO_HAPS], dtype=np.int8)
     cap = apply_offloads(0.2, 0.2, [0.5, 1.0], state, scales)
@@ -124,7 +124,7 @@ def test_criterion_1_power_model_exactness():
         before = network_power(cfg, 0.4, 0.4, loads, on)
         on[j] = False
         after = network_power(cfg, 0.4, 0.4, loads, on)
-        p = cfg.sbs[j]
+        p = cfg.sbs
         expected = p.sleep_power - (p.operational_power + p.amplifier_slope * loads[j] * p.transmit_power)
         if not np.isclose(after - before, expected, rtol=1e-9, atol=1e-9):
             failures.append(f"delta fixture {trial}: {after - before} != {expected}")
@@ -266,8 +266,8 @@ def test_criterion_4_optimizer_oracle():
              cfg.haps.transmit_power, cfg.haps.sleep_power),
             (cfg.mbs.operational_power, cfg.mbs.amplifier_slope,
              cfg.mbs.transmit_power, cfg.mbs.sleep_power),
-            [(p.operational_power, p.amplifier_slope, p.transmit_power, p.sleep_power)
-             for p in cfg.sbs],
+            [(cfg.sbs.operational_power, cfg.sbs.amplifier_slope,
+              cfg.sbs.transmit_power, cfg.sbs.sleep_power)] * s,
             scales.to_mbs, scales.to_haps,
         )
         bits = tuple(1 if c == ON else 0 for c in sol.state)

@@ -452,6 +452,24 @@ class TestSweepCli:
         assert "slot_stride must be an integer, got 12.5" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("experiment, flag, value, message", [
+        ("fig2", "--n-values", "0", "neighbor count must be >= 1, got 0"),
+        ("fig3", "--n-values", "5,0", "neighbor count must be >= 1, got 0"),
+        ("fig2", "--exponents", "0", "weighting exponent must be a positive integer, got 0"),
+        ("fig3", "--l-values", "0", "layers must be >= 1, got 0"),
+        ("fig4", "--l-values", "-1", "layers must be >= 1, got -1"),
+        ("fig5", "--l-values", "0,3", "layers must be >= 1, got 0"),
+    ])
+    def test_bad_grid_value_is_usage_error_naming_the_flag(self, tmp_path, capsys, experiment, flag, value, message):
+        # These used to exit 2 naming no flag, and fig5 at --l-values 0,3
+        # exited 0 with a layers=0 row holding L = 3's numbers.
+        cfg = self.write_cfg(tmp_path, {"n_iterations": 2})
+        out = tmp_path / "r"
+        assert run_cli("sweep", "--experiment", experiment, "--config", cfg, "--out", out,
+                       "--s-values", "6", f"{flag}={value}") == 1
+        assert f"usage error: {flag}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_repeated_switching_size_is_data_error(self, tmp_path, capsys):
         # Each point pools every run at its size: 6,6 used to write four rows
         # that each counted both sizes' iterations.

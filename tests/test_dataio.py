@@ -18,7 +18,7 @@ from naive_loads import naive_read_loads_csv
 
 class TestLoadsCsv:
     def test_roundtrip_is_exact(self, tmp_path, rng):
-        series = LoadSeries(loads=rng.uniform(0, 1, (5, 12)), slot_minutes=10, slots_per_day=144)
+        series = LoadSeries(loads=rng.uniform(0, 1, (5, 12)), slot_minutes=10)
         path = tmp_path / "loads.csv"
         write_loads_csv(series, path, config_hash="abc123")
         back = read_loads_csv(path)
@@ -27,7 +27,7 @@ class TestLoadsCsv:
         assert text.startswith("# config_hash=abc123\nsbs_id,slot,load\n")
 
     def test_written_bytes_and_peak(self, tmp_path):
-        small = LoadSeries(loads=np.array([[0.25, 0.1], [1.0, 0.0]]), slot_minutes=720, slots_per_day=2)
+        small = LoadSeries(loads=np.array([[0.25, 0.1], [1.0, 0.0]]), slot_minutes=720)
         write_loads_csv(small, tmp_path / "small.csv", config_hash="h")
         assert (tmp_path / "small.csv").read_bytes() == (
             b"# config_hash=h\nsbs_id,slot,load\n0,0,0.25\n0,1,0.1\n1,0,1.0\n1,1,0.0\n"

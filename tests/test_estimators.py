@@ -50,14 +50,14 @@ class TestDistanceEstimate:
         # distances {1, 2}, loads {1.0, 0.0}, n=1: (1*2/1 + 0*2/2) / (2 + 1) = 2/3
         placements = line_placements([0.0, 1.0, 2.0])
         snap = snapshot_of([0.0, 1.0, 0.0], sleeping=[0])
-        cfg = DistanceConfig(neighbors=2, weighting=1, distance_floor_m=0.5)
+        cfg = DistanceConfig(neighbors=2, weighting=1)
         res = distance_estimate(snap, placements, cfg)
         assert res.estimates[0] == pytest.approx(2.0 / 3.0, rel=1e-12)
 
     def test_large_exponent_collapses_on_nearest(self):
         placements = line_placements([0.0, 1.0, 2.0])
         snap = snapshot_of([0.0, 1.0, 0.0], sleeping=[0])
-        cfg = DistanceConfig(neighbors=2, weighting=10, distance_floor_m=0.5)
+        cfg = DistanceConfig(neighbors=2, weighting=10)
         res = distance_estimate(snap, placements, cfg)
         assert res.estimates[0] >= 0.999
 
@@ -172,7 +172,7 @@ class TestSharedNeighborPath:
     N_VALUES = (1, 2, 3, 4, 7, 12, 20)
     EXPONENTS = (None, 1, 3, 10)
 
-    def test_one_table_matches_per_call_estimates(self, rng):
+    def test_one_table_matches_per_call_estimates(self, rng, monkeypatch):
         for trial in range(24):
             n_sbs = int(rng.integers(40, 70))
             placements = awkward_placements(rng, n_sbs)
@@ -184,6 +184,7 @@ class TestSharedNeighborPath:
             snap = snapshot_of(loads, sleeping)
             sleepers, active = snap.sleeping_ids, snap.active_ids
             floor = [1.0, 0.25, 60.0][trial % 3]             # 60 m floors a whole ring
+            monkeypatch.setattr(neighbors, "DISTANCE_FLOOR_M", floor)  # what the estimators pass
             points = [(n, e) for n in self.N_VALUES for e in self.EXPONENTS]
             seed = int(rng.integers(1 << 31))
             k = max(self.N_VALUES)
@@ -192,9 +193,9 @@ class TestSharedNeighborPath:
             shared = zip(near_table.estimates(snap.loads, points), drawn_table.estimates(snap.loads, points))
             for (n, e), (near_est, drawn_est) in zip(points, shared):
                 for est, single, naive in (
-                    (near_est, distance_estimate(snap, placements, DistanceConfig(n, e, distance_floor_m=floor)),
+                    (near_est, distance_estimate(snap, placements, DistanceConfig(n, e)),
                      naive_estimates(pos, loads, sleepers, active, n, e, floor)),
-                    (drawn_est, random_estimate(snap, placements, RandomConfig(n, e, seed, distance_floor_m=floor)),
+                    (drawn_est, random_estimate(snap, placements, RandomConfig(n, e, seed)),
                      naive_estimates(pos, loads, sleepers, active, n, e, floor, seed)),
                 ):
                     np.testing.assert_allclose(est, single.estimates, rtol=1e-12, atol=0)

@@ -149,7 +149,7 @@ class TestBuildDataset:
         series, placements = synthesize_traffic(
             seed=3, n_sbs=12, grid_side=7, correlation_length_m=300.0, n_days=2
         )
-        first_day = LoadSeries(loads=series.loads[:, :144], slot_minutes=10, slots_per_day=144)
+        first_day = LoadSeries(loads=series.loads[:, :144], slot_minutes=10)
         (tmp_path / "cut").mkdir()
         data = build_dataset(self.milan_config(tmp_path, series, placements, n_days=1))
         cut = build_dataset(self.milan_config(tmp_path / "cut", first_day, placements, n_days=1))
@@ -164,7 +164,7 @@ class TestBuildDataset:
         series, placements = synthesize_traffic(
             seed=3, n_sbs=12, grid_side=7, correlation_length_m=300.0, n_days=2
         )
-        cut = LoadSeries(loads=series.loads[:, :150], slot_minutes=10, slots_per_day=144)
+        cut = LoadSeries(loads=series.loads[:, :150], slot_minutes=10)
         with pytest.raises(DataFormatError, match="150 slots is not a whole number of days"):
             build_dataset(self.milan_config(tmp_path, cut, placements))
 
@@ -179,7 +179,7 @@ class TestBuildDataset:
     def assert_evaluated_slots_of(data, series, cfg):
         """``data`` holds the evaluated slots of ``series``' ``daily_average`` and last day, bit for bit."""
         slots = list(cfg.eval_slots())
-        day = daily_average(series, series.n_slots // series.slots_per_day).loads[:, slots]
+        day = daily_average(series).loads[:, slots]
         last_day = series.loads[:, -series.slots_per_day :][:, slots]
         assert np.array_equal(data.loads.view(np.int64), day.view(np.int64))
         assert np.array_equal(data.history.view(np.int64), last_day.view(np.int64))
@@ -490,6 +490,14 @@ class TestSwitchingSweeps:
     def test_repeated_size_rejected(self, run):
         with pytest.raises(ValueError, match="^switching sweeps need distinct sizes: n_sbs 6 is repeated$"):
             run(small_config(n_iterations=2), [6, 10, 6], [1])
+
+    @pytest.mark.parametrize("layers", [0, -1])
+    def test_depth_below_one_rejected_before_any_task(self, layers, monkeypatch):
+        # A run reads depth L at index L - 1 of the deepest run's layers, so
+        # depth 0 or -1 used to write a row holding another depth's numbers.
+        monkeypatch.setattr(experiments, "_map_iterations", None)  # no task may start
+        with pytest.raises(ValueError, match=f"^layers must be >= 1, got {layers}$"):
+            run_power_sweep(small_config(n_iterations=2), [6], [layers, 3])
 
     def test_every_sbs_asleep_names_the_size(self):
         # 2 SBSs at sleep fraction 0.9 -> both sleep at size 2.

@@ -223,7 +223,8 @@ class TestMatchesOriginalLloyd:
     def test_flat_elbow_fit_is_k1(self):
         pts = np.zeros((6, 1))
         for lo in (1, 2):
-            fit = elbow_fit(pts, (lo, 5), warn_on_flat=False)
+            with pytest.warns(UserWarning, match="flat"):
+                fit = elbow_fit(pts, (lo, 5))
             assert_same_fit(fit, naive_kmeans.kmeans_fit(pts, 1))
 
 

@@ -73,7 +73,7 @@ class TestLayering:
             seed=5, n_sbs=n_sbs, grid_side=9, correlation_length_m=700.0,
             n_days=n_days, noise_std=0.01, field_floor=0.3,
         )
-        day = daily_average(series, n_days)
+        day = daily_average(series)
         spd = series.slots_per_day
         history_all = series.loads[:, (n_days - 1) * spd:]
         errs = {1: [], 7: []}

@@ -56,7 +56,7 @@ class TestStationPower:
 
 class TestNetworkPower:
     def make_config(self, s=3):
-        return NetworkPowerConfig.uniform(
+        return NetworkPowerConfig(
             haps=PowerParams(100.0, 3.0, 50.0, 0.0),
             mbs=PowerParams(50.0, 4.0, 10.0, 20.0),
             sbs=PARAMS,
@@ -76,7 +76,7 @@ class TestNetworkPower:
 
     def test_empty_sbs_list_rejected(self):
         with pytest.raises(ValueError):
-            NetworkPowerConfig(haps=PARAMS, mbs=PARAMS, sbs=())
+            NetworkPowerConfig(haps=PARAMS, mbs=PARAMS, sbs=PARAMS, n_sbs=0)
 
     def test_length_mismatch_rejected(self):
         cfg = self.make_config(s=3)
@@ -95,7 +95,7 @@ class TestNetworkPower:
             expected = (
                 station_power(cfg.haps, haps_load)
                 + station_power(cfg.mbs, mbs_load)
-                + sum(station_power(p, l, o) for p, l, o in zip(cfg.sbs, loads, on))
+                + sum(station_power(cfg.sbs, l, o) for l, o in zip(loads, on))
             )
             got = network_power(cfg, haps_load, mbs_load, loads, on)
             assert got == pytest.approx(expected, rel=1e-9)
@@ -111,7 +111,7 @@ class TestNetworkPower:
             before = network_power(cfg, 0.3, 0.3, loads, on)
             on[j] = False
             after = network_power(cfg, 0.3, 0.3, loads, on)
-            p = cfg.sbs[j]
+            p = cfg.sbs
             expected_delta = p.sleep_power - (
                 p.operational_power + p.amplifier_slope * loads[j] * p.transmit_power
             )
@@ -127,8 +127,8 @@ class TestNetworkPower:
             on = rng.random(s) < 0.5
             expected = station_power(cfg.haps, haps_load)
             expected += station_power(cfg.mbs, mbs_load)
-            for p, load, is_on in zip(cfg.sbs, loads.tolist(), on.tolist()):
-                expected += station_power(p, load, is_on)
+            for load, is_on in zip(loads.tolist(), on.tolist()):
+                expected += station_power(cfg.sbs, load, is_on)
             assert network_power(cfg, haps_load, mbs_load, loads, on) == expected
             assert network_power(cfg, haps_load, mbs_load, loads.tolist(), on.tolist()) == expected
 
@@ -156,12 +156,3 @@ class TestNetworkPower:
             network_power(cfg, 0.5, 0.5, loads, on)
         with pytest.raises(ValueError, match=message(float("nan"))):
             network_power(cfg, float("nan"), 0.5, [0.5] * 5, on)
-
-    def test_coefficient_arrays_follow_the_params(self, rng):
-        cfg = random_network_config(rng, 7)
-        for name, field in (("sbs_operational", "operational_power"), ("sbs_slope", "amplifier_slope"),
-                            ("sbs_transmit", "transmit_power"), ("sbs_sleep", "sleep_power")):
-            column = getattr(cfg, name)
-            assert column.tolist() == [getattr(p, field) for p in cfg.sbs]
-            assert not column.flags.writeable
-        assert cfg == NetworkPowerConfig(cfg.haps, cfg.mbs, list(cfg.sbs))

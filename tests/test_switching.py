@@ -28,7 +28,7 @@ SBS = PowerParams(12.0, 2.0, 1.0, 9.0)
 
 
 def uniform_config(s):
-    return NetworkPowerConfig.uniform(HAPS, MBS, SBS, s)
+    return NetworkPowerConfig(HAPS, MBS, SBS, s)
 
 
 def codes(*values):
@@ -56,7 +56,7 @@ def naive_reference(loads, base_m, base_h, cfg, scales):
         float(base_h),
         params_tuple(cfg.haps),
         params_tuple(cfg.mbs),
-        [params_tuple(p) for p in cfg.sbs],
+        [params_tuple(cfg.sbs)] * cfg.n_sbs,
         scales.to_mbs,
         scales.to_haps,
     )
@@ -259,7 +259,7 @@ class TestOptimizeExhaustive:
         # onto tiers that each hold about half of the offloaded load: the
         # optimum switches 11 off, and their targets must share the tiers.
         rng = np.random.default_rng(seed)
-        cfg = NetworkPowerConfig.uniform(HAPS, MBS, PowerParams(40.0, 2.0, 1.0, 9.0), 12)
+        cfg = NetworkPowerConfig(HAPS, MBS, PowerParams(40.0, 2.0, 1.0, 9.0), 12)
         scales = OffloadScales()
         loads = rng.uniform(0.1, 1.0, 12)
         base_m, base_h = binding_bases(loads, scales, 0.5)
@@ -274,20 +274,21 @@ class TestOptimizeExhaustive:
         # so the all-OFF vector (lexicographically smallest) must win, with
         # MBS-before-HAPS targets.
         tied = PowerParams(10.0, 2.0, 1.0, 10.0)
-        cfg = NetworkPowerConfig.uniform(HAPS, MBS, tied, 3)
+        cfg = NetworkPowerConfig(HAPS, MBS, tied, 3)
         sol = optimize_exhaustive([0.0, 0.0, 0.0], 0.2, 0.2, cfg)
         assert bitstring(sol.state) == "000"
         assert all(c == TO_MBS for c in sol.state)
 
 
 def enumerate_offloads(model, off_ids):
-    """Plain enumeration of every target assignment, left-to-right sums.
+    """Plain enumeration of every target assignment, left-to-right sums in id
+    order, each tier feasible while its base load plus that sum is at most 1.
 
     Candidates come in lexicographic MBS-before-HAPS order and only a strict
     improvement replaces the incumbent, so the first optimum wins ties.
     """
     cost_rows, use_rows = model.cost.tolist(), model.use.tolist()
-    _, cap_m, cap_h = model.cap.tolist()
+    _, base_m, base_h = model.base_load.tolist()
     best = None
     for combo in itertools.product((TO_MBS, TO_HAPS), repeat=len(off_ids)):
         cost = used_m = used_h = 0.0
@@ -297,7 +298,7 @@ def enumerate_offloads(model, off_ids):
                 used_m += use_rows[tgt][j]
             else:
                 used_h += use_rows[tgt][j]
-        if used_m <= cap_m and used_h <= cap_h and (best is None or cost < best[0]):
+        if base_m + used_m <= 1.0 and base_h + used_h <= 1.0 and (best is None or cost < best[0]):
             best = (cost, list(combo))
     return best
 
@@ -400,7 +401,7 @@ class TestOptimizeGreedy:
                 float(base_h),
                 params_tuple(cfg.haps),
                 params_tuple(cfg.mbs),
-                [params_tuple(p) for p in cfg.sbs],
+                [params_tuple(cfg.sbs)] * cfg.n_sbs,
                 scales.to_mbs,
                 scales.to_haps,
             )
@@ -416,10 +417,58 @@ class TestOptimizeGreedy:
             cfg = random_network_config(rng, s)
             loads = rng.uniform(0, 1, s)
             sol = optimize_exhaustive(loads, 0.5, 0.5, cfg, scales)
-            for j, p in enumerate(cfg.sbs):
+            p = cfg.sbs
+            for j in range(s):
                 active = p.operational_power + p.amplifier_slope * loads[j] * p.transmit_power
                 if p.sleep_power < active:
                     assert sol.state[j] != ON
+
+
+class TestTierBoundary:
+    """A tier filled to within rounding of unit load: both optimizers decide by
+    ``CapacityState``'s rule, so the state they return is one that it accepts
+    and ``network_power`` prices. ``naive_opt`` is not asked about these cases."""
+
+    MBS = PowerParams(130.0, 0.1, 1.0, 75.0)
+    SBS = PowerParams(12.0, 2.0, 1.0, 9.0)
+    UNIT = OffloadScales(1.0, 1.0)
+
+    def assert_priced(self, sol, loads, base_m, base_h, cfg):
+        assert apply_offloads(base_m, base_h, loads, sol.state, self.UNIT).feasible
+        power = network_power(cfg, sol.capacity.haps_load, sol.capacity.mbs_load, loads, sol.state == ON)
+        assert sol.feasible and sol.power == power
+
+    def test_greedy_settles_a_scan_order_fit_by_the_id_order_sum(self):
+        # In scan order 0.03 + 0.33 + 0.54 is 0.9, which fits 1 - 0.1; in id
+        # order 0.54 + 0.03 + 0.33 is 0.9000000000000001, which does not.
+        cfg = NetworkPowerConfig(PowerParams(220.0, 6.0, 120.0, 0.0), self.MBS, self.SBS, 3)
+        loads = [0.54, 0.03, 0.33]
+        sol = optimize_greedy(loads, 0.1, 0.95, cfg, self.UNIT)
+        self.assert_priced(sol, loads, 0.1, 0.95, cfg)
+        assert sol.state.tolist() == [ON, TO_MBS, TO_MBS]
+
+    def test_exhaustive_sums_tier_use_in_id_order(self):
+        # A BLAS product of the cheaper targets' use fits 1 - 0.1 where the
+        # id-order sum plus the base exceeds 1.
+        cfg = NetworkPowerConfig(PowerParams(220.0, 0.1, 1.0, 0.0), self.MBS, self.SBS, 10)
+        loads = [0.51, 0.46, 0.38, 0.33, 0.18, 0.55, 0.15, 0.19, 0.54, 0.36]
+        sol = optimize_exhaustive(loads, 0.1, 0.9, cfg, self.UNIT)
+        self.assert_priced(sol, loads, 0.1, 0.9, cfg)
+
+    @pytest.mark.parametrize("optimizer, s_max", [(optimize_greedy, 12), (optimize_exhaustive, 8)])
+    def test_two_decimal_loads_give_feasible_states(self, optimizer, s_max):
+        # Every SBS saves power asleep and the tiers cost little, so the
+        # optimizers fill the tiers; each tier's room is a sum of the smallest
+        # loads, which the greedy's ascending scan can fill exactly.
+        rng = np.random.default_rng(2402)
+        for trial in range(300):
+            s = int(rng.integers(2, s_max + 1))
+            cfg = NetworkPowerConfig(PowerParams(220.0, 0.1, 1.0, 0.0), self.MBS, self.SBS, s)
+            loads = np.round(rng.uniform(0.0, 1.0, s), 2)
+            room = np.concatenate([[0.0], np.cumsum(np.sort(loads))])
+            base_m, base_h = (min(1.0, max(0.0, round(1.0 - room[int(rng.integers(s + 1))], 2))) for _ in "mh")
+            sol = optimizer(loads, base_m, base_h, cfg, self.UNIT)
+            assert apply_offloads(base_m, base_h, loads, sol.state, self.UNIT).feasible, f"trial {trial}"
 
 
 class TestHandEnumeratedDecisionChange:

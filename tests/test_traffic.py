@@ -200,28 +200,28 @@ class TestNormalizeLoads:
 
 class TestDailyAverage:
     def make_series(self, values):
-        return LoadSeries(loads=np.asarray(values, float), slot_minutes=10, slots_per_day=144)
+        return LoadSeries(loads=np.asarray(values, float), slot_minutes=10)
 
     def test_two_day_mean(self):
         loads = np.zeros((1, 288))
         loads[0, 0] = 0.2
         loads[0, 144] = 0.4
-        day = daily_average(self.make_series(loads), days=2)
+        day = daily_average(self.make_series(loads))
         assert day.loads[0, 0] == pytest.approx(0.3)
         assert day.n_slots == 144
 
     def test_single_day_identity(self):
         loads = np.linspace(0, 1, 144)[None, :]
-        day = daily_average(self.make_series(loads), days=1)
+        day = daily_average(self.make_series(loads))
         assert np.array_equal(day.loads, loads)
 
     def test_constant_month(self):
-        day = daily_average(self.make_series(np.full((2, 30 * 144), 0.37)), days=30)
+        day = daily_average(self.make_series(np.full((2, 30 * 144), 0.37)))
         assert np.allclose(day.loads, 0.37)
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            daily_average(self.make_series(np.zeros((1, 288))), days=3)
+        with pytest.raises(ValueError, match="290 slots, not a positive whole number of 144-slot days"):
+            daily_average(self.make_series(np.zeros((1, 290))))
 
 
 class TestSynthesizeTraffic:
@@ -267,13 +267,6 @@ class TestSynthesizeTraffic:
         # n_sbs <= grid_side^2 holds for a negative side: the side is checked first.
         with pytest.raises(ValueError, match=f"grid_side must be >= 1, got {grid_side}"):
             synthesize_traffic(seed=0, n_sbs=4, grid_side=grid_side, correlation_length_m=100.0)
-
-    def test_profile_length_must_divide_day(self):
-        with pytest.raises(ValueError):
-            synthesize_traffic(
-                seed=0, n_sbs=4, grid_side=2, correlation_length_m=100.0,
-                diurnal_profile=np.full(100, 0.5),
-            )
 
     @pytest.mark.parametrize("length", [float("nan"), 0.0, -100.0])
     def test_nan_or_nonpositive_correlation_length_rejected(self, length):
@@ -353,7 +346,7 @@ class TestLoadSeries:
         owner = np.full((2, 3), 0.5)
         view = owner[:, :]
         view.setflags(write=False)
-        a, b = (LoadSeries(loads=x, slot_minutes=10, slots_per_day=144) for x in (owner, view))
+        a, b = (LoadSeries(loads=x, slot_minutes=10) for x in (owner, view))
         owner[0, 0] = 0.9
         assert a.loads[0, 0] == b.loads[0, 0] == 0.5
         assert not a.loads.flags.writeable
@@ -361,7 +354,15 @@ class TestLoadSeries:
     def test_read_only_owner_is_adopted(self):
         loads = np.full((2, 3), 0.5)
         loads.setflags(write=False)
-        assert LoadSeries(loads=loads, slot_minutes=10, slots_per_day=144).loads is loads
+        assert LoadSeries(loads=loads, slot_minutes=10).loads is loads
+
+    def test_slots_per_day_follow_slot_minutes(self):
+        assert LoadSeries(loads=np.zeros((1, 48)), slot_minutes=30).slots_per_day == 48
+
+    @pytest.mark.parametrize("slot_minutes", [7, 0, -10])
+    def test_slot_minutes_must_divide_the_day(self, slot_minutes):
+        with pytest.raises(ValueError, match=f"^slot_minutes must divide 1440, got {slot_minutes}$"):
+            LoadSeries(loads=np.zeros((1, 4)), slot_minutes=slot_minutes)
 
 
 class TestGridGeometry:
