@@ -57,12 +57,15 @@ import resource
 import sys
 import tempfile
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
+from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
 
 from cellsleep.cli import main
-from cellsleep.dataio import read_loads_csv
+from cellsleep.dataio import read_loads_csv, read_placements_json, write_placements_json
 
 CSV_SHA256 = {
     "fig2": "945397e907444625da2aecf7238d3aa9cf804eaadf54fb102571f319268801b3",
@@ -73,6 +76,7 @@ CSV_SHA256 = {
     "fig4": "72b334247fb3455ac09546aa6a9b9055be3d9f0ead9ae2d3140668bccd97962f",
     "fig5": "ebd15fb3301e4d7d293e928b8d88c2511db6ae99ea648d9aba5f9f0c7d75b000",
     "fig5-binding": "9c7a4ea8bd781ff9574795677162d678bfa5963634d5f3dd553af0d7f7601277",
+    "fig2-jittered": "a201738f55431d60169410a4b844e3debfa89768c78d930bc7bd6fec35ad8081",
 }
 # The pinned runs, by name: (experiment, its config). Error sweeps take one
 # iteration over the full day, over slot 0 alone, or every 12th slot with
@@ -100,22 +104,49 @@ RUNS["fig5-binding"] = (
 )
 BINDING_SYNTH = ["synth", "--out", "inp", "--seed", "3", "--n-sbs", "1000", "--grid-side", "40", "--days", "1",
                  "--correlation-length", "1500"]
+# The jittered study reads the 5000 SBSs that JITTER_SYNTH writes, moved by write_jittered_input.
+RUNS["fig2-jittered"] = (
+    "fig2", "paper",
+    {"data_source": "milan", "loads_csv": "jit/loads.csv", "placements_json": "jit/placements.json",
+     "n_days": 1, **ONE_SLOT},
+    [],
+)
+JITTER_SYNTH = ["synth", "--out", "jit", "--seed", "4", "--n-sbs", "5000", "--grid-side", "100", "--days", "1"]
 # Rerun at 2 workers, where each is set up in a worker process and fig4
 # and fig5 split their iterations into other runs: the same pins must hold.
 PARALLEL_RUNS = ("fig2", "fig3-elbow", "fig4", "fig5", "fig5-binding")
+# Run at 2 workers only: its one task reads the 20 MB loads CSV in a worker
+# process, so the read does not lift this process's peak RSS.
+WORKER_ONLY_RUNS = ("fig2-jittered",)
 RSS_LIMIT_MB = 120
 MILAN_EPOCH_MS = 1383260400000  # 2013-11-01 00:00 CET, the Milan data's first interval
 INGEST_SQUARES = 955
 INGEST_LIMIT_MB = 30
 
 
+def write_jittered_input(root: str) -> int:
+    """Write JITTER_SYNTH's input under ``root``, each placement moved to a seeded
+    uniform point of its 235 m square; return the synth's exit code."""
+    code = main([*JITTER_SYNTH[:2], str(Path(root) / JITTER_SYNTH[2]), *JITTER_SYNTH[3:]])
+    path = Path(root) / "jit" / "placements.json"
+    placements = read_placements_json(path)
+    offsets = np.random.default_rng(0).uniform(-117.5, 117.5, (len(placements), 2)).tolist()
+    moved = [replace(p, x_m=p.x_m + dx, y_m=p.y_m + dy) for p, (dx, dy) in zip(placements, offsets)]
+    write_placements_json(moved, path, grid_side=100)
+    return code
+
+
 def sweep_guard() -> bool:
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        os.chdir(tmp)  # the binding-tier run names its inputs relative to here
+        os.chdir(tmp)  # the binding-tier and jittered runs name their inputs relative to here
         try:
             codes, digests = [main(BINDING_SYNTH)], {}
-            for name, workers in [(name, 1) for name in RUNS] + [(name, 2) for name in PARALLEL_RUNS]:
+            # In a child process: the synth's 5000-row series would lift this process's peak RSS.
+            with ProcessPoolExecutor(max_workers=1, mp_context=get_context("spawn")) as pool:
+                codes.append(pool.submit(write_jittered_input, tmp).result())
+            for name, workers in ([(name, 1) for name in RUNS if name not in WORKER_ONLY_RUNS]
+                                  + [(name, 2) for name in PARALLEL_RUNS + WORKER_ONLY_RUNS]):
                 e, profile, experiment, grid = RUNS[name]
                 out = Path(tmp) / f"{name}_workers{workers}"
                 config = Path(tmp) / f"{profile}_{name}.json"
@@ -126,7 +157,8 @@ def sweep_guard() -> bool:
         finally:
             os.chdir(home)
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-    print(f"sweeps {list(RUNS)} ({', '.join(PARALLEL_RUNS)} also at 2 workers): exit {codes}, "
+    print(f"sweeps {list(RUNS)} ({', '.join(PARALLEL_RUNS)} also, {', '.join(WORKER_ONLY_RUNS)} only, "
+          f"at 2 workers): exit {codes}, "
           f"peak RSS {peak_mb:.0f} MB (limit {RSS_LIMIT_MB})")
     moved = [f"{name} at {w} worker(s)" for (name, w), digest in digests.items() if digest != CSV_SHA256[name]]
     print(f"CSV sha256: {digests}; moved: {moved or 'none'}")
