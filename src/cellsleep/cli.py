@@ -29,6 +29,7 @@ from .dataio import (
 from .errors import CellSleepError, ConfigError, DataFormatError, InfeasibleNetworkError
 from .estimators import DistanceConfig, MlcConfig, RandomConfig, check_epsilon, estimate, estimation_error
 from .experiments import (
+    check_switching_size,
     layers_axis,
     neighbors_axis,
     optimize,
@@ -386,15 +387,20 @@ def _cmd_sweep(args) -> int:
     exponents = args.exponents or [1, 3, 5, 10]
     s_values = args.s_values or (_DESK_S_GRID if config.profile == "desk" else _PAPER_S_GRID)
     l_values = args.l_values or _L_GRID
-    # The estimator configs are the one check of a grid value; a bad one is a usage error.
+    # The estimator configs and the size check are the one check of a grid
+    # value, and a grid names each value once (a repeat would be written
+    # twice); a bad grid is a usage error.
     for flag, values, check in (
         ("--n-values", n_values, lambda n: DistanceConfig(neighbors=n)),
         ("--exponents", exponents, lambda n_exp: DistanceConfig(weighting=n_exp)),
+        ("--s-values", s_values, check_switching_size),
         ("--l-values", l_values, lambda layers: MlcConfig(layers=layers)),
     ):
         try:
-            for value in values:
+            for idx, value in enumerate(values):
                 check(value)
+                if value in values[:idx]:
+                    raise ValueError(f"{value} is repeated")
         except ValueError as exc:
             raise ConfigError(f"{flag}: {exc}") from exc
 

@@ -72,19 +72,22 @@ from .traffic import (
 
 @dataclass(frozen=True)
 class Dataset:
-    """The representative day and history features at the evaluated slots.
+    """The representative day and history features at the evaluated slots, and the SBS positions.
 
     Column j of ``loads`` and ``history`` is slot ``config.eval_slots()[j]``
-    of the config the dataset was built from; both are read-only.
+    of the config the dataset was built from. Row i of ``positions`` is
+    SBS i's planar coordinates in meters: what ``positions_array`` makes of
+    the placements, which a synthetic build never creates as objects. All
+    three arrays are read-only.
     """
 
     loads: np.ndarray  # (n_sbs, len(slots)): the slot-wise mean over all days
     history: np.ndarray  # (n_sbs, len(slots)): the most recent raw day
-    placements: tuple[SbsPlacement, ...]
+    positions: np.ndarray  # (n_sbs, 2)
 
 
 def build_dataset(config: ExperimentConfig, *, n_sbs: int | None = None, seed: int | None = None) -> Dataset:
-    """Assemble the evaluated slots' loads and history features, and the placements.
+    """Assemble the evaluated slots' loads and history features, and the SBS positions.
 
     The representative day is the slot-wise mean over all days; the history
     feature for a slot is the raw load of the most recent day (every SBS
@@ -93,7 +96,7 @@ def build_dataset(config: ExperimentConfig, *, n_sbs: int | None = None, seed: i
     """
     n = n_sbs if n_sbs is not None else config.n_sbs
     if config.data_source == "synthetic":
-        placements, blocks = _synthetic_row_blocks(
+        _, positions, blocks = _synthetic_row_blocks(
             seed if seed is not None else config.base_seed,
             n,
             config.grid_side,
@@ -105,7 +108,7 @@ def build_dataset(config: ExperimentConfig, *, n_sbs: int | None = None, seed: i
             field_floor=config.field_floor,
             slot_stride=config.slot_stride,
         )
-        return _dataset(blocks, placements, n, len(config.eval_slots()))
+        return _dataset(blocks, positions, n, len(config.eval_slots()))
     return _first_sbs(config, _read_milan(config), n)
 
 
@@ -128,18 +131,19 @@ def _first_sbs(
 ) -> Dataset:
     """The Dataset of SBSs 0..n-1 of measured data from ``_read_milan``.
 
-    Their placements are chosen by ``sbs_id``, in whatever order the file lists them.
+    Their placements are chosen by ``sbs_id``, in whatever order the file
+    lists them, and become the positions array here, once per size.
     """
     series, placements = milan
     if series.n_sbs < n:
         raise DataFormatError(f"{config.loads_csv}: has {series.n_sbs} SBSs, config asks for {n}")
     spd = series.slots_per_day
     days = series.loads[:n].reshape(n, series.n_slots // spd, spd)[..., :: config.slot_stride]
-    chosen = [p for p in placements if p.sbs_id < n]
-    return _dataset([days], chosen, n, len(config.eval_slots()))
+    positions = positions_array([p for p in placements if p.sbs_id < n], n)
+    return _dataset([days], positions, n, len(config.eval_slots()))
 
 
-def _dataset(blocks: Iterable[np.ndarray], placements, n_sbs: int, n_slots: int) -> Dataset:
+def _dataset(blocks: Iterable[np.ndarray], positions: np.ndarray, n_sbs: int, n_slots: int) -> Dataset:
     """Fold consecutive (rows, n_days, n_slots) blocks of whole SBS rows into a Dataset.
 
     The days are added in day order and divided once by their count: the
@@ -160,9 +164,9 @@ def _dataset(blocks: Iterable[np.ndarray], placements, n_sbs: int, n_slots: int)
         fold /= block.shape[1]
         history[r0:r1] = block[:, -1]
         r0 = r1
-    loads.setflags(write=False)
-    history.setflags(write=False)
-    return Dataset(loads=loads, history=history, placements=tuple(placements))
+    for array in (loads, history, positions):
+        array.setflags(write=False)
+    return Dataset(loads=loads, history=history, positions=positions)
 
 
 @dataclass
@@ -332,10 +336,9 @@ def _init_worker(config: ExperimentConfig, plan, seeds: dict[int, int]) -> None:
     _STATE["config"], _STATE["plan"] = config, plan
     if config.data_source == "milan":
         milan = _read_milan(config)
-        datasets = {n: _first_sbs(config, milan, n) for n in seeds}
+        _STATE["data"] = {n: _first_sbs(config, milan, n) for n in seeds}
     else:
-        datasets = {n: build_dataset(config, n_sbs=n, seed=seed) for n, seed in seeds.items()}
-    _STATE["data"] = {n: (data, positions_array(data.placements, n)) for n, data in datasets.items()}
+        _STATE["data"] = {n: build_dataset(config, n_sbs=n, seed=seed) for n, seed in seeds.items()}
 
 
 def _check_preconditions(config: ExperimentConfig, n: int, where: str, neighbor_groups=()) -> None:
@@ -377,7 +380,8 @@ def _error_run(task: tuple[int, int]) -> np.ndarray:
     config: ExperimentConfig = _STATE["config"]
     n_points, mlc_groups, neighbor_groups = _STATE["plan"]
     n, n_iter = config.n_sbs, stop - first
-    data, pos = _STATE["data"][n]
+    data: Dataset = _STATE["data"][n]
+    pos = data.positions
     slots = config.eval_slots()
     sleepers = [_draw_sleepers(config, i, n) for i in range(first, stop)]
     known = np.array([sleep_mask(n, ids) for ids in sleepers])
@@ -523,7 +527,7 @@ def _switch_run(task: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
     s, first, stop = task
     config: ExperimentConfig = _STATE["config"]
     l_values: tuple[int, ...] = _STATE["plan"]
-    data, _ = _STATE["data"][s]
+    data: Dataset = _STATE["data"][s]
     power_cfg, scales = _switching_model(config, s)
 
     # Iteration i takes the dataset's column i % len(eval_slots()).
@@ -578,6 +582,13 @@ def _mean(values: np.ndarray) -> float:
     return float(values.mean()) if values.size else float("nan")
 
 
+def check_switching_size(s: int) -> None:
+    """A switching sweep's network size: at least 2 SBSs, checked before any
+    draw (``rng.permutation`` rejects a negative size)."""
+    if s < 2:
+        raise ValueError(f"switching sweeps need n_sbs >= 2 per point, got {s}")
+
+
 def _switching_report(
     experiment: str,
     columns: tuple[str, ...],
@@ -590,8 +601,7 @@ def _switching_report(
     for layers in l_values:  # MlcConfig is the one check of a depth; a run reads only the deepest
         MlcConfig(layers=layers)
     for idx, s in enumerate(s_values):
-        if s < 2:  # before any draw: rng.permutation rejects a negative size
-            raise ValueError("switching sweeps need n_sbs >= 2 per point")
+        check_switching_size(s)
         if s in s_values[:idx]:  # each point pools every run at its size
             raise ValueError(f"switching sweeps need distinct sizes: n_sbs {s} is repeated")
         _check_preconditions(config, s, f"n_sbs {s}")

@@ -164,13 +164,18 @@ def placements_for_squares(square_ids: Sequence[int], grid_side: int) -> tuple[S
     outside = (squares < 1) | (squares > grid_side * grid_side)
     if outside.any():
         raise ValueError(f"square_id {squares[outside][0]} outside 1..{grid_side * grid_side}")
-    # square_center's arithmetic, one array at a time
-    xs = ((squares - 1) % grid_side + 0.5) * GRID_PITCH_M
-    ys = ((squares - 1) // grid_side + 0.5) * GRID_PITCH_M
+    xy = _square_positions(squares, grid_side)
     return tuple(
         SbsPlacement(sbs_id=i, square_id=sq, x_m=x, y_m=y)
-        for i, (sq, x, y) in enumerate(zip(squares.tolist(), xs.tolist(), ys.tolist()))
+        for i, (sq, (x, y)) in enumerate(zip(squares.tolist(), xy.tolist()))
     )
+
+
+def _square_positions(squares: np.ndarray, grid_side: int) -> np.ndarray:
+    """(n, 2) centres of 1-based squares: ``square_center``'s arithmetic, one array at a time."""
+    xs = ((squares - 1) % grid_side + 0.5) * GRID_PITCH_M
+    ys = ((squares - 1) // grid_side + 0.5) * GRID_PITCH_M
+    return np.column_stack([xs, ys])
 
 
 def parse_cdr(lines: Iterable[str], *, grid_squares: int = 10_000) -> tuple[np.ndarray, ParseReport]:
@@ -385,7 +390,7 @@ def synthesize_traffic(
 
     Deterministic for a given seed (PCG64 via numpy ``default_rng``).
     """
-    placements, blocks = _synthetic_row_blocks(
+    squares, _, blocks = _synthetic_row_blocks(
         seed, n_sbs, grid_side, correlation_length_m, slots_per_day=144,
         n_days=n_days, n_bumps=n_bumps, noise_std=noise_std, field_floor=field_floor, slot_stride=1,
     )
@@ -395,7 +400,7 @@ def synthesize_traffic(
         loads[r0 : r0 + block.shape[0]] = block.reshape(block.shape[0], -1)
         r0 += block.shape[0]
     loads.setflags(write=False)  # LoadSeries adopts it without a copy
-    return LoadSeries(loads=loads, slot_minutes=10), placements
+    return LoadSeries(loads=loads, slot_minutes=10), placements_for_squares(squares.tolist(), grid_side)
 
 
 def _synthetic_row_blocks(
@@ -410,19 +415,20 @@ def _synthetic_row_blocks(
     noise_std: float,
     field_floor: float,
     slot_stride: int,
-) -> tuple[tuple[SbsPlacement, ...], Iterator[np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray, Iterator[np.ndarray]]:
     """Check the field parameters, then place the SBSs and draw the field.
 
     ``slots_per_day`` must divide the day (``ExperimentConfig`` checks it),
     and the day's shape is ``default_diurnal_profile(slots_per_day)``.
-    Returns the placements and a generator of the loads in consecutive
-    blocks of whole SBS rows (see ``synthesize_traffic``), each a (rows,
-    n_days, slots) view of every ``slot_stride``-th slot of the day from
-    slot 0. The noise of every slot is drawn, so the stream
-    and the finished slots' bits do not depend on the stride; the noise
-    scale, field and clip touch only the slots in the view. Every block is
-    drawn into one reused buffer, so a block is valid only until the next
-    one is drawn.
+    Returns the squares (1-based, distinct; SBS i sits on ``squares[i]``),
+    their centres as an (n_sbs, 2) array in meters, and a generator of the
+    loads in consecutive blocks of whole SBS rows (see
+    ``synthesize_traffic``), each a (rows, n_days, slots) view of every
+    ``slot_stride``-th slot of the day from slot 0. The noise of every slot
+    is drawn, so the stream and the finished slots' bits do not depend on
+    the stride; the noise scale, field and clip touch only the slots in the
+    view. Every block is drawn into one reused buffer, so a block is valid
+    only until the next one is drawn.
     """
     if n_sbs < 1:
         raise ValueError("n_sbs must be >= 1")
@@ -446,8 +452,7 @@ def _synthetic_row_blocks(
 
     rng = np.random.default_rng(seed)
     squares = rng.permutation(grid_side * grid_side)[:n_sbs] + 1
-    placements = placements_for_squares([int(s) for s in squares], grid_side)
-    pos = np.array([(p.x_m, p.y_m) for p in placements])
+    pos = _square_positions(squares, grid_side)
 
     extent = grid_side * GRID_PITCH_M
     centers = rng.uniform(0.0, extent, size=(n_bumps, 2))
@@ -477,7 +482,7 @@ def _synthetic_row_blocks(
             np.clip(days, 0.0, 1.0, out=days)
             yield days
 
-    return placements, blocks()
+    return squares, pos, blocks()
 
 
 def sleep_mask(n_sbs: int, sleeping_ids: Iterable[int]) -> np.ndarray:

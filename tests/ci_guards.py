@@ -111,7 +111,7 @@ RUNS["fig2-jittered"] = (
      "n_days": 1, **ONE_SLOT},
     [],
 )
-JITTER_SYNTH = ["synth", "--out", "jit", "--seed", "4", "--n-sbs", "5000", "--grid-side", "100", "--days", "1"]
+JITTER_SYNTH = ["synth", "--seed", "4", "--n-sbs", "5000", "--grid-side", "100", "--days", "1"]
 # Rerun at 2 workers, where each is set up in a worker process and fig4
 # and fig5 split their iterations into other runs: the same pins must hold.
 PARALLEL_RUNS = ("fig2", "fig3-elbow", "fig4", "fig5", "fig5-binding")
@@ -127,7 +127,7 @@ INGEST_LIMIT_MB = 30
 def write_jittered_input(root: str) -> int:
     """Write JITTER_SYNTH's input under ``root``, each placement moved to a seeded
     uniform point of its 235 m square; return the synth's exit code."""
-    code = main([*JITTER_SYNTH[:2], str(Path(root) / JITTER_SYNTH[2]), *JITTER_SYNTH[3:]])
+    code = main([*JITTER_SYNTH, "--out", str(Path(root) / "jit")])
     path = Path(root) / "jit" / "placements.json"
     placements = read_placements_json(path)
     offsets = np.random.default_rng(0).uniform(-117.5, 117.5, (len(placements), 2)).tolist()

@@ -459,6 +459,8 @@ class TestSweepCli:
         ("fig3", "--l-values", "0", "layers must be >= 1, got 0"),
         ("fig4", "--l-values", "-1", "layers must be >= 1, got -1"),
         ("fig5", "--l-values", "0,3", "layers must be >= 1, got 0"),
+        ("fig5", "--s-values", "1", "switching sweeps need n_sbs >= 2 per point, got 1"),
+        ("fig4", "--s-values", "6,0", "switching sweeps need n_sbs >= 2 per point, got 0"),
     ])
     def test_bad_grid_value_is_usage_error_naming_the_flag(self, tmp_path, capsys, experiment, flag, value, message):
         # These used to exit 2 naming no flag, and fig5 at --l-values 0,3
@@ -470,14 +472,21 @@ class TestSweepCli:
         assert f"usage error: {flag}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_repeated_switching_size_is_data_error(self, tmp_path, capsys):
-        # Each point pools every run at its size: 6,6 used to write four rows
-        # that each counted both sizes' iterations.
+    @pytest.mark.parametrize("experiment, flag, value, repeated", [
+        ("fig2", "--n-values", "5,5", 5),
+        ("fig3", "--n-values", "1,5,1", 1),
+        ("fig2", "--exponents", "3,1,3", 3),
+        ("fig5", "--s-values", "6,6", 6),
+        ("fig4", "--l-values", "3,3", 3),
+    ])
+    def test_repeated_grid_value_is_usage_error(self, tmp_path, capsys, experiment, flag, value, repeated):
+        # A repeated N, exponent or depth used to be written twice; a repeated
+        # size exited 2 naming no flag.
         cfg = self.write_cfg(tmp_path, {"n_iterations": 2})
         out = tmp_path / "r"
-        assert run_cli("sweep", "--experiment", "fig5", "--config", cfg, "--out", out,
-                       "--s-values", "6,6", "--l-values", "1") == 2
-        assert "n_sbs 6 is repeated" in capsys.readouterr().err
+        assert run_cli("sweep", "--experiment", experiment, "--config", cfg, "--out", out,
+                       "--s-values", "6", f"{flag}={value}") == 1
+        assert f"usage error: {flag}: {repeated} is repeated" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["0", "-3"])

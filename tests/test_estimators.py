@@ -320,6 +320,88 @@ class TestSharedNeighborPath:
                 assert np.array_equal(blocked.ids, table.ids)
                 assert np.array_equal(blocked.dists.view(np.int64), table.dists.view(np.int64))
 
+    @staticmethod
+    def paper_layouts(rng, n_sbs):
+        """n_sbs SBSs on the paper's 100 x 100 grid of 235 m squares: at square
+        centres (rings of equal distances), moved uniformly within their
+        squares, and in 6 clusters of whole metres with a fifth of the SBSs
+        co-located with another."""
+        squares = rng.permutation(10_000)[:n_sbs]
+        lattice = np.column_stack([squares % 100 + 0.5, squares // 100 + 0.5]) * 235.0
+        clustered = np.round(rng.uniform(0.0, 23_500.0, (6, 2))[rng.integers(0, 6, n_sbs)]
+                             + rng.normal(0.0, 900.0, (n_sbs, 2)))
+        clustered[rng.choice(n_sbs, n_sbs // 5, replace=False)] = clustered[rng.choice(n_sbs, n_sbs // 5)]
+        return {
+            "lattice": lattice,
+            "jittered": lattice + rng.uniform(-117.5, 117.5, lattice.shape),
+            "clustered": clustered,
+        }
+
+    @staticmethod
+    def count_distances(monkeypatch) -> list[tuple[int, int]]:
+        """Record (distances measured, dimensions of ``others``) per ``_distances`` call:
+        the neighborhood pass measures (rows, width) regions, the all-pairs pass whole rows."""
+        calls = []
+        distances = neighbors._distances
+
+        def counted(pos, sleepers, others):
+            d = distances(pos, sleepers, others)
+            calls.append((d.size, others.ndim))
+            return d
+
+        monkeypatch.setattr(neighbors, "_distances", counted)
+        return calls
+
+    @pytest.mark.parametrize("n_sbs", [2000, 5000])
+    @pytest.mark.parametrize("layout", ["lattice", "jittered", "clustered"])
+    def test_neighborhood_ranking_matches_stable_argsort(self, rng, monkeypatch, layout, n_sbs):
+        # At 2000-5000 SBSs with a tenth asleep, k < active count ranks each
+        # sleeper within its neighborhood; at paper scale that measures under
+        # a fifth of all sleeper-to-active pairs on the grid layouts. At k =
+        # active count the neighborhood would cover the network: all pairs.
+        pos = self.paper_layouts(rng, n_sbs)[layout]
+        sleepers = np.sort(rng.choice(n_sbs, size=n_sbs // 10, replace=False))
+        active = np.setdiff1d(np.arange(n_sbs), sleepers)
+        ids, dists = self.stable_argsort_table(pos, sleepers, active, active.size, 1.0)
+        calls = self.count_distances(monkeypatch)
+        all_pairs = sleepers.size * active.size
+        for k in (1, 5, 60, active.size):
+            calls.clear()
+            table = nearest_table(pos, sleepers, active, k, 1.0)
+            assert np.array_equal(table.ids[0], ids[:, :k]), k
+            assert np.array_equal(table.dists[0].view(np.int64), dists[:, :k].view(np.int64)), k
+            measured = sum(size for size, _ in calls)
+            if k == active.size:
+                assert measured == all_pairs and {ndim for _, ndim in calls} == {1}
+            else:
+                assert any(ndim == 2 for _, ndim in calls)
+                if n_sbs == 5000 and layout != "clustered":
+                    assert measured < all_pairs / 5, (k, measured / all_pairs)
+
+    def test_neighborhood_ranking_at_edge_and_corner_buckets(self, rng, monkeypatch):
+        # 5000 SBSs on the paper grid around an empty disc of 8 squares'
+        # radius. The sleepers: every SBS on the grid's border (edge and
+        # corner buckets, whose outer sides count as infinitely far), one
+        # at the disc's centre, whose k-th nearest lies beyond its
+        # neighborhood, so it falls back to all pairs, and two moved outside
+        # the grid past a corner and an edge.
+        col, row = np.divmod(np.arange(10_000), 100)
+        outside_hole = np.hypot(col - 49.5, row - 49.5) > 8
+        squares = np.sort(rng.choice(np.flatnonzero(outside_hole), size=4999, replace=False))
+        pos = np.vstack([np.column_stack([squares % 100 + 0.5, squares // 100 + 0.5]) * 235.0,
+                         [[50 * 235.0, 50 * 235.0]]])
+        border = np.flatnonzero((pos.min(axis=1) < 235.0) | (pos.max(axis=1) > 99 * 235.0))
+        moved = rng.choice(np.setdiff1d(np.arange(4999), border), size=2, replace=False)
+        pos[moved] = [[-900.0, -400.0], [12_000.0, 24_000.0]]
+        sleepers = np.union1d(np.union1d(border, moved), [4999])
+        active = np.setdiff1d(np.arange(5000), sleepers)
+        calls = self.count_distances(monkeypatch)
+        for k in (1, 5, 60):
+            calls.clear()
+            self.assert_nearest_matches_reference(pos, sleepers, active, k, 1.0)
+            fallback_rows = sum(size for size, ndim in calls if ndim == 1) // active.size
+            assert any(ndim == 2 for _, ndim in calls) and fallback_rows >= 1, k
+
     def test_nearest_table_memory_is_bounded_at_paper_scale(self, rng):
         # 500 sleepers x 4500 active SBSs: the three full (500, 4500)
         # matrices of an unblocked ranking took 34 MB under tracemalloc,

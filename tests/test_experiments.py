@@ -12,7 +12,7 @@ from cellsleep import experiments, switching
 from cellsleep.config import ExperimentConfig, config_from_dict, config_hash, desk_profile, paper_profile
 from cellsleep.dataio import read_loads_csv, write_loads_csv, write_placements_json
 from cellsleep.errors import ConfigError, DataFormatError
-from cellsleep.estimators import MlcConfig, estimate
+from cellsleep.estimators import MlcConfig, estimate, positions_array
 from cellsleep.experiments import (
     build_dataset,
     exponent_axis,
@@ -112,9 +112,9 @@ class TestBuildDataset:
         assert cfg.eval_slots() == (0, 36, 72, 108)
         assert a.loads.shape == a.history.shape == (30, 4)
         assert a.history.base is None  # a copy: a view would pin all 3 days
-        assert not (a.loads.flags.writeable or a.history.flags.writeable)
+        assert not (a.loads.flags.writeable or a.history.flags.writeable or a.positions.flags.writeable)
         assert a.loads.tobytes() == b.loads.tobytes()
-        assert len(a.placements) == 30
+        assert a.positions.shape == (30, 2)
 
     def test_milan_source_roundtrip(self, tmp_path):
         series, placements = synthesize_traffic(
@@ -131,6 +131,8 @@ class TestBuildDataset:
         )
         data = build_dataset(cfg)
         assert data.loads.shape == (12, 4)
+        assert np.array_equal(data.positions, positions_array(placements, 12))
+        assert not data.positions.flags.writeable
         assert np.allclose(
             data.history, series.loads[:, 144::36], atol=1e-15
         )  # history = last raw day at the evaluated slots
@@ -156,7 +158,7 @@ class TestBuildDataset:
         assert np.array_equal(data.loads, cut.loads)
         assert np.array_equal(data.history, cut.history)
         assert np.array_equal(data.history, series.loads[:, :144:36])
-        assert data.placements == cut.placements
+        assert np.array_equal(data.positions, cut.positions)
         whole = build_dataset(self.milan_config(tmp_path, series, placements))
         assert not np.array_equal(whole.loads, data.loads)
 
@@ -203,7 +205,7 @@ class TestBuildDataset:
                     cfg = dataclasses.replace(cfg, slot_stride=stride)
                     data = build_dataset(cfg)
                     self.assert_evaluated_slots_of(data, series, cfg)
-                    assert data.placements == placements
+                    assert np.array_equal(data.positions, positions_array(placements, n_sbs))
 
     @pytest.mark.parametrize("n_days", [1, 2, 30])
     def test_milan_source_matches_full_series_bit_for_bit(self, tmp_path, n_days):
@@ -244,7 +246,7 @@ class TestBuildDataset:
 
     def test_paper_build_holds_little_beyond_its_output(self):
         # The day and history are the output; the field, the row-block
-        # buffer and the placements must fit in 4 MB more (18.6 MB in all
+        # buffer and the positions must fit in 4 MB more (18.6 MB in all
         # when the build copied the day and built a block-sized field).
         cfg = paper_profile(n_days=2)
         output_bytes = 2 * cfg.n_sbs * cfg.slots_per_day * 8
@@ -260,7 +262,7 @@ class TestBuildDataset:
     def test_one_slot_paper_build_holds_little_beyond_its_block_buffer(self):
         # At slot_stride 144 the output is one column of 5000 SBSs. The
         # 64-row block buffer of all 30 x 144 slots (2.2 MB) is drawn whole;
-        # the placements and the field fit in 3 MB more (16.4 MB when the
+        # the positions and the field fit in 3 MB more (16.4 MB when the
         # build folded all 144 slots and kept the full day).
         cfg = paper_profile(slot_stride=144)
         buffer_bytes = SYNTH_BLOCK_ROWS * cfg.n_days * cfg.slots_per_day * 8
@@ -297,8 +299,8 @@ class TestErrorSweep:
                 sleepers = np.sort(rng.permutation(cfg.n_sbs)[: cfg.n_sleepers])
                 for col, _ in enumerate(cfg.eval_slots()):
                     snap, actual = mask_sleepers(data.loads[:, col], sleepers)
-                    res = estimate(
-                        MlcConfig(layers=layers), snap, data.placements, data.history[:, col]
+                    res = estimate(  # MLC reads no placements
+                        MlcConfig(layers=layers), snap, (), data.history[:, col]
                     )
                     rel = np.abs(actual[sleepers] - res.estimates) / actual[sleepers]
                     keep = actual[sleepers] >= cfg.epsilon
