@@ -21,17 +21,16 @@ iterations of a switching run each draw their own. Slot s's SBSs are the
 rows s*n .. s*n + n - 1 of one flat layout, and layer 1 has one cell per
 slot. A layer's cells are kept back to back, each in row order, and a cell
 never spans two slots. Each slot row is sorted by feature once per call
-(``kmeans._SortedCells``), and every cell is a run of that order: a
-cluster in 1-D is an interval of values, so a group cut from a cell is a
-run again. ``_SortedCells.regroup`` checks this (max rank - min rank + 1
-== size) and lays out anew only a cell with a group that is not (the
-exact loop's empty-cluster repair can part equal features). ``kmeans._fit_cells``
-clusters every cell of every slot in one vectorized pass of Lloyd steps on
-those runs, with the assignments that ``kmeans_fit`` (fixed k) or
-``elbow_fit`` would give each cell alone (it falls back to the exact loop
-wherever rounding could tell the two apart). The rows are then laid out in
-(cell, cluster) groups, each in row order: the stable sort by that key,
-a radix sort of small unsigned keys (``_group_layout``). The groups with a
+(``kmeans._SortedCells``), and every cell is a run of that order.
+``kmeans._fit_cells`` clusters every cell of every slot in one vectorized
+pass by MLC's clustering rule, the sorted-run Lloyd on the slot row's
+float64 prefix sums (stated in the ``kmeans`` docstring): each cluster is
+a run of its cell, labelled by its rank in value order, and equal features
+share one, so the groups cut from a cell are runs again, which
+``_SortedCells.regroup`` labels as the next layer's cells. The rows are
+then laid out in (cell, cluster) groups, each in row order: the stable
+sort by that key, a radix sort of small unsigned keys (``_group_layout``;
+an empty run leaves its rank unused). The groups with a
 sleeper are the next layer's cells, and each of their active means is its
 pairwise sum in row order over its count (one ``kmeans._segment_sums``
 pass over the groups with a sleeper; no other group's mean is read), the
@@ -44,6 +43,7 @@ construction is the only check of them.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -66,6 +66,12 @@ class MlcConfig:
     elbow_k_max: int = 8
 
     def __post_init__(self) -> None:
+        for name in ("layers", "k_override", "kmeans_max_iter", "kmeans_seed", "elbow_k_max"):
+            value = getattr(self, name)
+            if (value is not None or name != "k_override") and (
+                isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            ):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.layers < 1:
             raise ValueError(f"layers must be >= 1, got {self.layers!r}")
         if self.k_override is not None and self.k_override < 1:
@@ -74,8 +80,12 @@ class MlcConfig:
             raise ValueError(
                 f"elbow_k_max must be >= 3 (the elbow needs three k values), got {self.elbow_k_max}"
             )
-        if self.kmeans_max_iter < 1 or self.kmeans_tol < 0:
-            raise ValueError("kmeans_max_iter must be >= 1 and kmeans_tol >= 0")
+        if self.kmeans_max_iter < 1:
+            raise ValueError(f"kmeans_max_iter must be >= 1, got {self.kmeans_max_iter!r}")
+        if not self.kmeans_tol >= 0:  # NaN too
+            raise ValueError(f"kmeans_tol must be >= 0, got {self.kmeans_tol!r}")
+        if self.kmeans_seed < 0:
+            raise ValueError(f"kmeans_seed must be >= 0, got {self.kmeans_seed!r}")
 
     kind = "mlc"
 

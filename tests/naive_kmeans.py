@@ -3,11 +3,19 @@
 Shares no code with the package. ``kmeans_fit`` and ``elbow_select_k``
 keep the original Lloyd loop: a boolean mask and ``mean`` per cluster, the
 SSE through the validating ``compute_sse``, and a fresh seeding for every
-k of an elbow. ``mlc_layers`` is the original MLC layer loop on top of
-them: it selects k by the elbow, then fits that k again. The package must
-reproduce all of it bit for bit.
+k of an elbow. The package's ``kmeans_fit`` and ``elbow_fit`` must
+reproduce them bit for bit.
+
+``sorted_run_fit`` is the oracle of MLC's clustering rule, the sorted-run
+Lloyd on float64 prefix sums (the ``cellsleep.estimators.kmeans``
+docstring states it). It fits one cell at a time, in plain Python floats,
+with the prefix sums of the cell's slot row added one by one, in
+``np.cumsum``'s order (``sorted_row``). ``mlc_layers`` is the original MLC
+layer loop on that rule; the package's ``mlc_layers`` must reproduce it
+bit for bit.
 """
 
+import bisect
 import warnings
 from typing import NamedTuple
 
@@ -136,8 +144,115 @@ def elbow_select_k(points, k_range=(1, 8), *, max_iter=100, tol=1e-9, seed=0, wa
     return ks[1 + int(np.argmax(curvature))]
 
 
-def mlc_layers(loads, active_mask, history, layers, k_override=None, elbow_k_max=8, seed=0, max_iter=100):
-    """Per-layer sleeper estimates (layers, n_sleepers) and final contributor ids."""
+class SortedRow(NamedTuple):
+    values: list  # the slot row's features, ascending
+    prefix: list  # prefix[t] = values[0] + ... + values[t - 1], added one by one
+    squares: list  # the same for the squared values
+
+
+def sorted_row(features):
+    values = sorted(float(v) for v in features)
+    prefix, squares = [0.0], [0.0]
+    for v in values:
+        prefix.append(prefix[-1] + v)
+        squares.append(squares[-1] + v * v)
+    return SortedRow(values, prefix, squares)
+
+
+class RunFit(NamedTuple):
+    labels: np.ndarray  # per feature of the cell (row order), the rank of its run
+    k: int
+    empty_runs: int  # steps, over every problem fitted, that left a run within k empty
+    closest: float  # smallest distance of a feature to a midpoint, over every step and problem
+    movements: tuple  # the chosen problem's movement per step
+
+
+def _farthest_point_chain(xs, k, seed):
+    first = int(np.random.default_rng(seed).integers(len(xs)))
+    chosen = [first]
+    d2 = [(v - xs[first]) * (v - xs[first]) for v in xs]
+    while len(chosen) < k:
+        nxt = max(range(len(xs)), key=d2.__getitem__)  # first index on ties
+        chosen.append(nxt)
+        d2 = [min(d, (v - xs[nxt]) * (v - xs[nxt])) for d, v in zip(d2, xs)]
+    return [xs[i] for i in chosen]
+
+
+def _runs_lloyd(row, a, b, seeds, max_iter, tol):
+    """One problem: its final run edges and centroids, empty-run steps, closest midpoint distance, movements."""
+    centroids = sorted(seeds)
+    k = len(centroids)
+    edges, means = [a, b], [(row.prefix[b] - row.prefix[a]) / (b - a)]
+    empty, closest, movements = 0, np.inf, []
+    for _ in range(max_iter if k > 1 else 0):
+        mids = [(centroids[j] + centroids[j + 1]) / 2 for j in range(k - 1)]
+        cuts = [bisect.bisect_right(row.values, m, a, b) for m in mids]
+        for m, e in zip(mids, cuts):
+            if e > a:
+                closest = min(closest, m - row.values[e - 1])
+            if e < b:
+                closest = min(closest, row.values[e] - m)
+        edges = [a] + cuts + [b]
+        means = []
+        for j in range(k):
+            n = edges[j + 1] - edges[j]
+            means.append((row.prefix[edges[j + 1]] - row.prefix[edges[j]]) / n if n else centroids[j])
+        empty += any(edges[j + 1] == edges[j] for j in range(k))
+        movements.append(max(abs(new - old) for new, old in zip(means, centroids)))
+        centroids = sorted(means)
+        if movements[-1] <= tol:
+            break
+    return edges, means, empty, closest, tuple(movements)
+
+
+def _runs_sse(row, edges, means):
+    total = None
+    for j, mu in enumerate(means):
+        lo, hi = edges[j], edges[j + 1]
+        sum_x, sum_xx = row.prefix[hi] - row.prefix[lo], row.squares[hi] - row.squares[lo]
+        term = sum_xx - mu * (2 * sum_x - (hi - lo) * mu)
+        total = term if total is None else total + term
+    return total
+
+
+def sorted_run_fit(row, cell, k, *, elbow, max_iter=100, tol=1e-9, seed=0):
+    """The sorted-run Lloyd on one cell: at k, or with ``elbow`` at the elbow of 1..k.
+
+    ``cell`` holds the cell's features in row order, and the cell is the run
+    of ``row`` that holds exactly its values.
+    """
+    xs = [float(v) for v in cell]
+    a = bisect.bisect_left(row.values, min(xs))
+    b = a + len(xs)
+    assert row.values[a:b] == sorted(xs), "the cell is not a run of its slot row"
+    seeds = _farthest_point_chain(xs, k, seed)
+    ks = range(1, k + 1) if elbow else [k]
+    fits = {j: _runs_lloyd(row, a, b, seeds[:j], max_iter, tol) for j in ks}
+    pick = k
+    if elbow:
+        sse = [_runs_sse(row, fits[j][0], fits[j][1]) for j in ks]
+        curvature = [sse[i] - 2.0 * sse[i + 1] + sse[i + 2] for i in range(len(sse) - 2)]
+        top = max(curvature)
+        pick = 1 if top <= FLAT_CURVE_RTOL * max(max(sse), 1e-300) else 2 + curvature.index(top)
+    edges, _, _, _, movements = fits[pick]
+    cuts = edges[1:-1]
+    labels = np.array([bisect.bisect_right(cuts, bisect.bisect_left(row.values, v)) for v in xs])
+    return RunFit(
+        labels=labels,
+        k=pick,
+        empty_runs=sum(fit[2] for fit in fits.values()),
+        closest=min(fit[3] for fit in fits.values()),
+        movements=movements,
+    )
+
+
+def mlc_layers(
+    loads, active_mask, history, layers, k_override=None, elbow_k_max=8, seed=0, max_iter=100, tol=1e-9, fits=None
+):
+    """Per-layer sleeper estimates (layers, n_sleepers) and final contributor ids.
+
+    Each fitted cell's ``RunFit`` is appended to ``fits`` when given.
+    """
     loads = np.asarray(loads, dtype=float)
     active = np.flatnonzero(active_mask)
     sleepers = np.flatnonzero(~active_mask)
@@ -145,6 +260,7 @@ def mlc_layers(loads, active_mask, history, layers, k_override=None, elbow_k_max
     finite = np.isfinite(hist_sleep)
     features = np.where(active_mask, loads, 0.0)
     features[sleepers] = np.where(finite, hist_sleep, float(loads[active].mean()))
+    row = sorted_row(features)
 
     estimates = features[sleepers].copy()
     contributors = [() for _ in sleepers]
@@ -154,18 +270,17 @@ def mlc_layers(loads, active_mask, history, layers, k_override=None, elbow_k_max
     for layer in range(layers):
         next_cells = []
         for cell in cells:
-            pts = features[cell][:, None]
-            if cell.size < 3 or np.ptp(pts) == 0.0:
-                k = 1
-            elif k_override is not None:
-                k = min(k_override, cell.size)
+            if cell.size < 3 or np.ptp(features[cell]) == 0.0:
+                labels, k = np.zeros(cell.size, dtype=int), 1
             else:
-                k = elbow_select_k(
-                    pts, (1, min(elbow_k_max, cell.size)), max_iter=max_iter, seed=seed, warn_on_flat=False
-                )
-            state = kmeans_fit(pts, k, max_iter=max_iter, seed=seed)
-            for cluster in range(state.k):
-                sub = cell[state.members(cluster)]
+                elbow = k_override is None
+                k = min(elbow_k_max if elbow else k_override, cell.size)
+                fit = sorted_run_fit(row, features[cell], k, elbow=elbow, max_iter=max_iter, tol=tol, seed=seed)
+                labels = fit.labels
+                if fits is not None:
+                    fits.append(fit)
+            for cluster in range(k):
+                sub = cell[labels == cluster]
                 sub_active = sub[active_mask[sub]]
                 sub_sleep = sub[~active_mask[sub]]
                 if sub_sleep.size == 0:

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cellsleep.estimators.kmeans import (
     _SortedCells,
@@ -139,6 +140,14 @@ class TestKmeansFit:
         with pytest.raises(ValueError):
             kmeans_fit([1.0], 0)
 
+    @pytest.mark.parametrize("fit", [lambda tol: kmeans_fit([0.1, 0.5, 0.9], 2, tol=tol),
+                                     lambda tol: elbow_fit([0.1, 0.5, 0.9], (1, 3), tol=tol)],
+                             ids=["kmeans_fit", "elbow_fit"])
+    def test_nan_tol_rejected(self, fit):
+        # A NaN tol never compares true, so every fit would run all max_iter steps.
+        with pytest.raises(ValueError, match="tol must not be NaN"):
+            fit(np.nan)
+
 
 class TestElbow:
     def test_three_blob_fixture_elects_three(self, rng):
@@ -255,8 +264,17 @@ def fit_alone(x, sizes, k_hi, **fit):
     return _fit_cells(order, np.arange(x.size), order.first, sizes, k_hi, **fit)
 
 
+def oracle_alone(x, k, **fit):
+    """The sorted-run oracle on a cell that is its own slot row."""
+    return naive_kmeans.sorted_run_fit(naive_kmeans.sorted_row(x), x, k, **fit)
+
+
+def same_partition(a, b):
+    return len(set(zip(a.tolist(), b.tolist()))) == len(set(a.tolist())) == len(set(b.tolist()))
+
+
 class TestSortedRunFit:
-    """``_fit_cells`` leaves sorted runs for the exact arithmetic wherever its bounds are too wide."""
+    """``_fit_cells`` follows the sorted-run rule bit for bit where rounding decides."""
 
     @pytest.mark.parametrize(
         "cell, seed, max_iter",
@@ -264,32 +282,118 @@ class TestSortedRunFit:
     )
     def test_elbow_near_a_curvature_tie(self, cell, seed, max_iter):
         # Two second differences of the SSE curve agree to the last bits, so
-        # the pick rests on the exact pairwise SSE, not the prefix-sum estimate.
+        # the pick rests on the prefix-sum SSE added in the rule's order (the
+        # second cell picks k = 2 where the exact pairwise SSE picks 3).
         x = np.array(cell)
-        k = naive_kmeans.elbow_select_k(x, (1, 4), seed=seed, max_iter=max_iter)
-        ref = naive_kmeans.kmeans_fit(x, k, max_iter=max_iter, seed=seed)
+        ref = oracle_alone(x, 4, elbow=True, max_iter=max_iter, tol=1e-9, seed=seed)
         got = fit_alone(x, np.array([4]), np.array([4]), elbow=True, max_iter=max_iter, tol=1e-9, seed=seed)
-        assert np.array_equal(got, ref.assignments)
+        assert np.array_equal(got, ref.labels)
 
     def test_movement_at_tol(self, rng):
-        # tol set to the first step's movement, as the exact loop computes
-        # it, and one ulp either side: the stopping step must not move.
+        # tol set to the first step's movement, as the rule computes it, and
+        # one ulp either side: the problem stops after that step exactly when
+        # the movement is at or below tol.
+        stopped_elsewhere = 0
+        size, k = np.array([40]), np.array([3])
         for seed in range(10):
             x = rng.uniform(0, 1, 40)
-            pts = x[:, None]
-            centroids = naive_kmeans._seed_centroids(pts, 3, np.random.default_rng(seed))
-            assignments = ((pts - centroids.T) ** 2).argmin(axis=1)
-            means = np.array([pts[assignments == j].mean(axis=0) for j in range(3)])
-            movement = np.sqrt(((means - centroids) ** 2).sum(axis=1)).max()
-            size, k = np.array([40]), np.array([3])
+            movement = oracle_alone(x, 3, elbow=False, max_iter=1, seed=seed).movements[0]
+            fits = {}
             for tol in (np.nextafter(movement, 0.0), movement, np.nextafter(movement, 1.0)):
-                ref = naive_kmeans.kmeans_fit(x, 3, tol=tol, seed=seed)
+                ref = oracle_alone(x, 3, elbow=False, tol=tol, seed=seed)
+                assert (len(ref.movements) == 1) == (tol >= movement)
                 got = fit_alone(x, size, k, elbow=False, max_iter=100, tol=tol, seed=seed)
-                assert np.array_equal(got, ref.assignments)
+                assert np.array_equal(got, ref.labels)
+                fits[tol >= movement] = got
+            stopped_elsewhere += not np.array_equal(fits[True], fits[False])
+        assert stopped_elsewhere >= 5  # the stopping step changes the partition
+
+    def test_centroids_reordered_by_rounding(self, rng):
+        # Float neighbours of 0.51 deep in their slot row (prefix sums near
+        # 65) with coinciding seeds: a run mean rounds past a kept centroid,
+        # and the midpoints of the unordered centroids would cut out of order.
+        v = 0.51
+        x = np.array([v, np.nextafter(v, 1), np.nextafter(v, 1), 0.96, 0.96])
+        for trial in range(20):
+            below = rng.uniform(0, 0.05, int(rng.integers(2000, 3000)))
+            features = np.concatenate([below, x])
+            order = _SortedCells(features, np.array([features.size]))
+            # The cell x is the second of two groups cut from the row.
+            runs = order.regroup(np.argsort(features, kind="stable"), np.array([below.size, x.size]))
+            rows = below.size + np.arange(x.size)
+            for seed, max_iter in itertools.product(range(4), (2, 3, 100)):
+                # tol 0: the step after the reordering runs.
+                fit = dict(elbow=False, max_iter=max_iter, tol=0.0, seed=seed)
+                got = _fit_cells(order, rows, runs[1:], np.array([5]), np.array([5]), **fit)
+                ref = naive_kmeans.sorted_run_fit(naive_kmeans.sorted_row(features), x, 5, **fit)
+                assert np.array_equal(got, ref.labels)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 120),
+        k=st.integers(2, 8),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    )
+    def test_partition_of_kmeans_fit_away_from_ties(self, seed, n, k, scale):
+        # Where no feature comes near a midpoint, no run empties and no
+        # movement comes near tol on any step, the exact loop takes the same
+        # steps: its centroids differ from the prefix-sum ones by rounding only.
+        x = np.random.default_rng(seed).uniform(0, scale, n)
+        ref = oracle_alone(x, min(k, n), elbow=False, seed=seed % 11)
+        assume(ref.closest > 1e-9 * scale and ref.empty_runs == 0)
+        assume(all(abs(m - 1e-9) > 1e-12 * scale for m in ref.movements))
+        got = fit_alone(x, np.array([n]), np.array([min(k, n)]), elbow=False, max_iter=100, tol=1e-9, seed=seed % 11)
+        assert np.array_equal(got, ref.labels)
+        assert same_partition(got, kmeans_fit(x, min(k, n), seed=seed % 11).assignments)
+
+
+def stable_layout(x, sizes):
+    """``_SortedCells``' rank, keys and prefix sums from one stable argsort per row."""
+    width = int(sizes.max()) + 1
+    first = np.arange(sizes.size) * width
+    place = np.arange(x.size) + np.repeat(first - (np.cumsum(sizes) - sizes), sizes)
+    grid = np.full(sizes.size * width, np.inf)
+    grid[place] = x
+    by_value = (np.argsort(grid.reshape(-1, width), axis=1, kind="stable") + first[:, None]).ravel()
+    position = np.empty(grid.size, dtype=np.int64)
+    position[by_value] = np.arange(grid.size)
+    rank = position[place]
+    label = np.arange(grid.size, dtype=float)
+    label[rank] = np.repeat(first, sizes)
+    values = grid[by_value].reshape(-1, width)
+    prefix = np.zeros((sizes.size, width))
+    prefix[:, 1:] = np.cumsum(values[:, :-1], axis=1)
+    squares = np.zeros((sizes.size, width))
+    squares[:, 1:] = np.cumsum(values[:, :-1] ** 2, axis=1)
+    return rank, label, values.ravel(), prefix.ravel(), squares.ravel()
 
 
 class TestSortedCells:
-    """Groups cut from the value order by arbitrary labels are laid out again as runs."""
+    """The value order of a layer's cells, and groups cut from it as runs."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(1, 80), min_size=1, max_size=6),
+        kind=st.sampled_from(["1 decimal", "2 decimals", "all equal", "continuous"]),
+    )
+    def test_value_order_matches_stable_argsort(self, seed, sizes, kind):
+        # Unequal sizes pad the shorter rows with +inf.
+        rng = np.random.default_rng(seed)
+        sizes = np.array(sizes)
+        x = rng.uniform(0, 1, int(sizes.sum()))
+        if kind == "all equal":
+            x = np.repeat(np.round(rng.uniform(0, 1, sizes.size), 2), sizes)
+        elif kind != "continuous":
+            x = np.round(x, 1 if kind == "1 decimal" else 2)
+        order = _SortedCells(x, sizes)
+        rank, label, values, prefix, squares = stable_layout(x, sizes)
+        assert np.array_equal(order.rank, rank)
+        assert np.array_equal(order.keys.real, label)
+        assert np.array_equal(order.keys.imag, values)
+        assert np.array_equal(order.prefix, prefix)
+        assert np.array_equal(order.square_prefix, squares)
 
     def test_regroup_makes_every_group_a_run(self, rng):
         for trial in range(40):
@@ -297,8 +401,9 @@ class TestSortedCells:
             x = np.round(rng.uniform(0, 1, sizes.sum()), 1)
             cell = np.repeat(np.arange(sizes.size), sizes)
             order = _SortedCells(x, sizes)
-            # Labels that part equal features and interleave values.
-            labels = rng.integers(0, 4, x.size)
+            # Labels that cut the values at thresholds, as clusters do: each
+            # group is a run, and equal features share it.
+            labels = np.searchsorted(np.sort(rng.uniform(0, 1, 3)), x)
             rows = np.lexsort((labels, cell))
             n_members = np.unique(cell[rows] * 4 + labels[rows], return_counts=True)[1]
             runs = order.regroup(rows, n_members)
@@ -306,7 +411,8 @@ class TestSortedCells:
             label, value = order.keys.real, order.keys.imag
             sorted_keys = (label[1:] > label[:-1]) | ((label[1:] == label[:-1]) & (value[1:] >= value[:-1]))
             assert sorted_keys.all()
-            for start, m in zip((np.cumsum(n_members) - n_members).tolist(), n_members.tolist()):
+            starts = np.cumsum(n_members) - n_members
+            for start, m in zip(starts.tolist(), n_members.tolist()):
                 members = rows[start : start + m]
                 pos = np.sort(order.rank[members])
                 assert np.array_equal(pos, pos[0] + np.arange(m))
@@ -314,19 +420,17 @@ class TestSortedCells:
                 # Stable value order: by value, then by row.
                 by_value = members[np.lexsort((members, x[members]))]
                 assert np.array_equal(by_value, members[np.argsort(order.rank[members])])
-            for first, m in zip(order.first.tolist(), sizes.tolist()):
-                run = value[first : first + m]
-                assert value[first + m] == np.inf
-                assert np.array_equal(order.prefix[first : first + m + 1], np.concatenate([[0.0], np.cumsum(run)]))
-                squares = np.concatenate([[0.0], np.cumsum(run**2)])
-                assert np.array_equal(order.square_prefix[first : first + m + 1], squares)
 
-            # The groups, fitted as cells of the shared order, get the fits
-            # of cells sorted on their own.
+            # The groups, fitted as cells of the shared order, read the prefix
+            # sums of their cell's row: the oracle's fits on that row.
             fit = dict(elbow=False, max_iter=100, tol=1e-9, seed=trial)
             k = np.minimum(3, n_members)
             got = _fit_cells(order, rows, runs, n_members, k, **fit)
-            assert np.array_equal(got, fit_alone(x[rows], n_members, k, **fit))
+            for start, m, k_group in zip(starts.tolist(), n_members.tolist(), k.tolist()):
+                members = rows[start : start + m]
+                row = naive_kmeans.sorted_row(x[cell == cell[members[0]]])
+                ref = naive_kmeans.sorted_run_fit(row, x[members], k_group, **fit)
+                assert np.array_equal(got[start : start + m], ref.labels)
 
     def test_runs_are_left_in_place(self, rng):
         x = rng.uniform(0, 1, 50)

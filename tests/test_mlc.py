@@ -1,5 +1,3 @@
-from typing import NamedTuple
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -161,6 +159,24 @@ class TestDispatchAndValidation:
         with pytest.raises(ValueError):
             MlcConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("layers", 2.0), ("layers", True), ("k_override", 2.5), ("k_override", False),
+            ("kmeans_max_iter", 10.0), ("kmeans_max_iter", True), ("elbow_k_max", 8.0), ("elbow_k_max", True),
+            ("kmeans_seed", -1), ("kmeans_seed", 1.5), ("kmeans_seed", True), ("kmeans_tol", float("nan")),
+        ],
+    )
+    def test_config_rejects_bad_setting_naming_it(self, name, value):
+        # Each used to pass construction and fail inside mlc_layers with a
+        # numpy error naming no setting, or (a NaN tol) run every Lloyd step.
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            MlcConfig(**{name: value})
+
+    def test_config_takes_numpy_integers(self):
+        cfg = MlcConfig(layers=np.int64(3), k_override=np.int32(2), kmeans_seed=np.int64(4))
+        assert cfg.layers == 3 and cfg.k_override == 2 and cfg.kmeans_seed == 4
+
     def test_bad_history_shape(self):
         snap = snapshot_of([0.1, 0.2], sleeping=[1])
         with pytest.raises(ValueError, match="history"):
@@ -186,15 +202,16 @@ class TestDispatchAndValidation:
 
 
 class TestMatchesOriginalMlc:
-    """Bit-for-bit agreement with the original layer loop on the original fits."""
+    """Bit-for-bit agreement with the original layer loop on the sorted-run oracle's fits."""
 
     @staticmethod
-    def assert_matches(loads, sleepers, history, layers, k_override, seed, max_iter=100):
+    def assert_matches(loads, sleepers, history, layers, k_override, seed, max_iter=100, fits=None):
         snap = snapshot_of(loads, sleeping=sleepers)
         cfg = MlcConfig(layers, k_override=k_override, kmeans_seed=seed, kmeans_max_iter=max_iter)
         res = mlc_estimate(snap, history, cfg)
         ref_layers, ref_ids = naive_kmeans.mlc_layers(
-            snap.loads, snap.known_mask, history, layers, k_override=k_override, seed=seed, max_iter=max_iter
+            snap.loads, snap.known_mask, history, layers, k_override=k_override, seed=seed, max_iter=max_iter,
+            fits=fits,
         )
         assert np.array_equal(res.layer_estimates, ref_layers)
         assert [d.neighbor_ids for d in res.detail] == ref_ids
@@ -234,15 +251,21 @@ class TestBatchedSlots:
     """Stacked slots sharing one sleeper set match the original loop slot by slot."""
 
     @staticmethod
-    def assert_matches(loads, history, known, layers, k_override, seed, max_iter=100):
-        cfg = MlcConfig(layers, k_override=k_override, kmeans_seed=seed, kmeans_max_iter=max_iter)
-        trace, _ = mlc_layers(loads, history, known, cfg)
-        assert trace.shape == (loads.shape[0], layers, np.count_nonzero(~known))
+    def assert_matches(loads, history, known, layers, k_override, seed, max_iter=100, elbow_k_max=8):
+        cfg = MlcConfig(
+            layers, k_override=k_override, kmeans_seed=seed, kmeans_max_iter=max_iter, elbow_k_max=elbow_k_max
+        )
+        trace, sources = mlc_layers(loads, history, known, cfg)
+        m = np.count_nonzero(~known)
+        assert trace.shape == (loads.shape[0], layers, m)
+        mates = contributors(sources, loads.shape[1])
         for s in range(loads.shape[0]):
-            ref, _ = naive_kmeans.mlc_layers(
-                loads[s], known, history[s], layers, k_override=k_override, seed=seed, max_iter=max_iter
+            ref, ref_ids = naive_kmeans.mlc_layers(
+                loads[s], known, history[s], layers, k_override=k_override, seed=seed, max_iter=max_iter,
+                elbow_k_max=elbow_k_max,
             )
             assert np.array_equal(trace[s], ref)
+            assert mates[s * m : (s + 1) * m] == ref_ids
 
     @staticmethod
     def random_stack(rng, n_slots, n):
@@ -320,8 +343,8 @@ class TestBatchedSlots:
 class TestGroupLayout:
     @pytest.mark.parametrize("labels", ["dense", "gaps"])
     def test_counting_scatter_is_the_stable_argsort(self, rng, labels):
-        # One-row cells, label gaps (the exact loop's labels need not be
-        # dense) and up to 3000 cells.
+        # One-row cells, label gaps (an empty run leaves its rank unused)
+        # and up to 3000 cells.
         for trial in range(40):
             n_cells = int(rng.integers(1, 3001)) if trial % 4 == 0 else int(rng.integers(1, 40))
             sizes = rng.integers(1, 3 if trial % 3 == 0 else 30, n_cells)
@@ -411,102 +434,104 @@ class TestPerRowMasks:
 
 
 @pytest.fixture
-def double_prefix(monkeypatch):
-    """A float64 rounding bound a thousand times wider: more problems go to the exact loop."""
-    monkeypatch.setattr(kmeans, "_EPS", 1000 * kmeans._EPS)
+def no_exact_loop(monkeypatch):
+    """Fail any call of the exact ``_lloyd``: MLC's clustering is the sorted-run rule alone."""
+
+    def refused(*args):
+        raise AssertionError("_fit_cells called the exact Lloyd loop")
+
+    monkeypatch.setattr(kmeans, "_lloyd", refused)
 
 
-@pytest.mark.usefixtures("double_prefix")
-class TestMatchesOriginalMlcDoublePrefix(TestMatchesOriginalMlc):
-    """The same bits when the float64 prefix sums are trusted less: more problems go exact."""
-
-
-@pytest.mark.usefixtures("double_prefix")
-class TestBatchedSlotsDoublePrefix(TestBatchedSlots):
-    """The same bits when the float64 prefix sums are trusted less: more problems go exact."""
-
-
-class LloydCall(NamedTuple):
-    k: int
-    points: int
-    distinct: int  # distinct feature values among the points
-
-
-@pytest.fixture
-def lloyd_calls(monkeypatch):
-    """Every problem that the sorted-run fit hands to the exact ``_lloyd``."""
-    calls = []
-    exact = kmeans._lloyd
-
-    def counted(pts, centroids, max_iter, tol):
-        calls.append(LloydCall(centroids.shape[0], pts.shape[0], np.unique(pts).size))
-        return exact(pts, centroids, max_iter, tol)
-
-    monkeypatch.setattr(kmeans, "_lloyd", counted)
-    return calls
-
-
+@pytest.mark.usefixtures("no_exact_loop")
 class TestSortedRunGuard:
-    """Ties and near-ties go to the exact Lloyd loop, and keep the exact loop's bits."""
+    """Ties, repairs and stopping steps follow the sorted-run rule, with the oracle's bits."""
 
-    def test_sleeper_at_the_midpoint_of_two_clusters(self, lloyd_calls):
+    def test_sleeper_at_the_midpoint_of_two_clusters(self):
         # The NaN-history sleeper enters at the active mean 0.5, exactly the
         # midpoint of the k = 2 centroids 0.25 and 0.75 of two equal halves.
-        # argmin gives it to the lower seed label, on either side; a sorted
-        # run would always put it on the left.
+        # (argmin in kmeans_fit gives it to the lower seed label, on either
+        # side.) The rule's cut puts it in the lower-valued cluster for every
+        # seed that does not start the chain at the sleeper itself.
         snap = snapshot_of([0.25] * 8 + [0.75] * 8 + [0.0], sleeping=[16])
         history = np.full(17, np.nan)
-        estimates = set()
-        for seed in range(8):
+        at_tie = 0
+        for seed in range(12):
             res = mlc_estimate(snap, history, MlcConfig(1, k_override=2, kmeans_seed=seed))
-            ref, _ = naive_kmeans.mlc_layers(snap.loads, snap.known_mask, history, 1, k_override=2, seed=seed)
+            ref, ref_ids = naive_kmeans.mlc_layers(snap.loads, snap.known_mask, history, 1, k_override=2, seed=seed)
             assert np.array_equal(res.layer_estimates, ref)
-            estimates.add(float(ref[0, 0]))
-        assert estimates == {0.25, 0.75}
-        assert sum(call.k == 2 for call in lloyd_calls) >= 7  # every seed whose first centroid is not the sleeper
+            assert [d.neighbor_ids for d in res.detail] == ref_ids
+            if kmeans._first_seed(17, seed) != 16:
+                at_tie += 1
+                assert res.estimates[0] == 0.25 and res.detail[0].neighbor_ids == tuple(range(8))
+        assert at_tie >= 10
 
-    def test_wider_prefix_bound_falls_back_more_with_the_same_bits(self, monkeypatch, lloyd_calls):
-        # The sleeper's history lies 1e-13 above the midpoint 0.5: outside
-        # the float64 bound, whose prefix sums restart at every slot row, but
-        # inside one a thousand times wider. Every slot then goes exact.
+    def test_sleeper_just_above_the_midpoint_joins_the_upper_cluster(self):
+        # The sleeper's history lies 1e-13 above the midpoint 0.5, in each of
+        # 40 stacked slots, whose prefix sums restart at every slot row.
         n_slots = 40
         loads = np.tile([0.25] * 8 + [0.75] * 8 + [0.0], (n_slots, 1))
         history = np.full_like(loads, np.nan)
         history[:, 16] = 0.5 + 1e-13
         known = np.arange(17) < 16
         ref, _ = naive_kmeans.mlc_layers(loads[0], known, history[0], 1, k_override=2)
-        fallbacks = []
-        for eps in (kmeans._EPS, 1000 * kmeans._EPS):
-            monkeypatch.setattr(kmeans, "_EPS", eps)
-            lloyd_calls.clear()
-            trace, _ = mlc_layers(loads, history, known, MlcConfig(1, k_override=2))
-            assert all(np.array_equal(row, ref) for row in trace)
-            fallbacks.append(len(lloyd_calls))
-        assert fallbacks == [0, n_slots]
+        assert ref[0, 0] == 0.75
+        trace, _ = mlc_layers(loads, history, known, MlcConfig(1, k_override=2))
+        assert all(np.array_equal(row, ref) for row in trace)
 
     @pytest.mark.parametrize("k_override", [None, 3])
-    def test_continuous_features_stay_on_sorted_runs(self, rng, lloyd_calls, k_override):
-        # Without ties every problem of every layer converges on its runs:
-        # none is handed to the exact loop, so the shared value order, its
-        # run labels and the kept cuts are what placed every midpoint.
+    def test_continuous_features_stay_on_sorted_runs(self, rng, k_override):
+        # Without ties every problem of every layer runs on its runs: the
+        # shared value order, its run labels and the kept cuts are what
+        # placed every midpoint, and the exact loop is never called.
         n_slots, n = 4, 300
         loads = rng.uniform(0.2, 0.8, (n_slots, n))
         history = loads + rng.normal(0, 0.02, (n_slots, n))
         known = np.ones(n, dtype=bool)
         known[rng.choice(n, size=40, replace=False)] = False
         TestBatchedSlots.assert_matches(loads, history, known, 6, k_override, seed=5)
-        assert lloyd_calls == []
 
     @pytest.mark.parametrize("max_iter", [1, 2, 100])
-    def test_repaired_clusters_through_deeper_layers(self, rng, lloyd_calls, max_iter):
+    def test_repaired_clusters_through_deeper_layers(self, rng, max_iter):
         # One-decimal features leave sub-cells with fewer distinct values
-        # than k = 4, so the exact loop repairs empty clusters below layer 1
-        # and can part equal features; the next layer's cells must still be
-        # runs of the value order.
+        # than k = 4, so coinciding seeds leave runs empty below layer 1; an
+        # empty run keeps its centroid, and the next layer's cells are runs
+        # of the value order again.
         n = 60
+        fits = []
         for trial in range(12):
             loads = np.round(rng.uniform(0, 1, n), 1)
             history = np.round(np.clip(loads + rng.normal(0, 0.1, n), 0, 1), 1)
             sleepers = rng.choice(n, size=int(rng.integers(5, 20)), replace=False)
-            TestMatchesOriginalMlc.assert_matches(loads, sleepers, history, 6, 4, seed=trial, max_iter=max_iter)
-        assert any(call.points < n and call.k > call.distinct for call in lloyd_calls)
+            TestMatchesOriginalMlc.assert_matches(
+                loads, sleepers, history, 6, 4, seed=trial, max_iter=max_iter, fits=fits
+            )
+        assert any(fit.empty_runs and fit.labels.size < n for fit in fits)
+
+
+class TestSortedRunOracle:
+    """``mlc_layers`` against the sorted-run oracle over MLC's whole input range."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_slots=st.integers(1, 3),
+        n=st.integers(3, 120),
+        layers=st.integers(1, 6),
+        k_override=st.one_of(st.none(), st.integers(1, 9)),
+        elbow_k_max=st.integers(3, 12),
+        decimals=st.sampled_from([1, 2, 6]),
+        max_iter=st.sampled_from([1, 2, 5, 100]),
+    )
+    def test_every_setting(self, seed, n_slots, n, layers, k_override, elbow_k_max, decimals, max_iter):
+        # 1 and 2 decimals give ties at midpoints and cells with fewer
+        # distinct values than k (coinciding seeds, empty runs).
+        rng = np.random.default_rng(seed)
+        known = np.ones(n, dtype=bool)
+        known[rng.choice(n, size=int(rng.integers(1, max(2, n // 3))), replace=False)] = False
+        loads = np.round(rng.uniform(0, 1, (n_slots, n)), decimals)
+        history = np.round(np.clip(loads + rng.normal(0, 0.05, (n_slots, n)), 0, 1), decimals)
+        history[rng.uniform(size=(n_slots, n)) < 0.2] = np.nan
+        TestBatchedSlots.assert_matches(
+            loads, history, known, layers, k_override, seed=seed % 13, max_iter=max_iter, elbow_k_max=elbow_k_max
+        )
