@@ -173,6 +173,9 @@ def read_placements_json(path: str | Path) -> tuple[SbsPlacement, ...]:
         raise DataFormatError(f"{path}: malformed placement document: {exc}") from exc
     if not out:
         raise DataFormatError(f"{path}: empty placement list")
+    bad = np.flatnonzero(~np.isfinite([(p.x_m, p.y_m) for p in out]).all(axis=1))
+    if bad.size:
+        raise DataFormatError(f"{path}: non-finite coordinates for SBS id {out[bad[0]].sbs_id}")
     return out
 
 

@@ -52,13 +52,12 @@ from .estimators import (
 )
 from .estimators.mlc import mlc_layers
 from .estimators.neighbors import DISTANCE_FLOOR_M, _check_active, nearest_table, positions_array, random_table
-from .power import NetworkPowerConfig, network_power
+from .power import NetworkPowerConfig
 from .switching import (
-    ON,
     OffloadScales,
     SwitchingSolution,
-    apply_offloads,
-    decision_change_rate,
+    _change_rate,
+    _priced,
     optimize_exhaustive,
     optimize_greedy,
 )
@@ -554,17 +553,13 @@ def _switch_run(task: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
             return optimize(config, filled)
 
         def evaluate(est_sol: SwitchingSolution) -> tuple[float, float, float, float, bool]:
-            deployed_cap = apply_offloads(
-                config.base_mbs_load, config.base_haps_load, actual, est_sol.state, scales
-            )
             # A decision that overloads a tier at the actual loads is recorded
             # as infeasible and priced with that tier at full load.
-            deployed_power = network_power(
-                power_cfg, min(deployed_cap.haps_load, 1.0), min(deployed_cap.mbs_load, 1.0),
-                actual, est_sol.state == ON,
+            deployed_cap, deployed_power = _priced(
+                est_sol.state, actual, config.base_mbs_load, config.base_haps_load, power_cfg, scales
             )
             return (
-                decision_change_rate(actual_sol.state, est_sol.state),
+                _change_rate(actual_sol.state, est_sol.state),
                 deployed_power,
                 est_sol.power,
                 deployed_power - actual_sol.power,
@@ -572,8 +567,10 @@ def _switch_run(task: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
             )
 
         powers.append(actual_sol.power)
-        # Perfect estimates fill in the actual loads bit for bit: their decision is the actual optimum.
-        rows.append([evaluate(actual_sol)] + [evaluate(estimated(mlc[r, layers - 1])) for layers in l_values])
+        # Perfect estimates fill in the actual loads bit for bit: their decision
+        # is the actual optimum, which fits, so it deploys at its own power.
+        perfect = (0.0, actual_sol.power, actual_sol.power, 0.0, True)
+        rows.append([perfect] + [evaluate(estimated(mlc[r, layers - 1])) for layers in l_values])
     return np.array(powers), np.array(rows, dtype=float)
 
 

@@ -53,6 +53,10 @@ class PowerParams:
                 f"({self.operational_power})"
             )
 
+    def active_power(self, load):
+        """Active power at ``load`` (a float or an array), unchecked."""
+        return self.operational_power + self.amplifier_slope * load * self.transmit_power
+
 
 @dataclass(frozen=True)
 class NetworkPowerConfig:
@@ -67,9 +71,10 @@ class NetworkPowerConfig:
         if self.n_sbs < 1:
             raise ValueError("a network needs at least one SBS (s >= 1)")
 
-    def sbs_active_power(self, loads: np.ndarray) -> np.ndarray:
-        """Each SBS's active power at its load, with the bits of ``station_power``."""
-        return self.sbs.operational_power + self.sbs.amplifier_slope * loads * self.sbs.transmit_power
+
+def _check_load(load: float) -> None:
+    if not (0.0 <= load <= 1.0):
+        raise ValueError(f"load must lie in [0, 1], got {load!r}")
 
 
 def station_power(params: PowerParams, load: float, is_on: bool = True) -> float:
@@ -83,11 +88,8 @@ def station_power(params: PowerParams, load: float, is_on: bool = True) -> float
     Raises:
         ValueError: if load is outside [0, 1] or not a number.
     """
-    if not (0.0 <= load <= 1.0):
-        raise ValueError(f"load must lie in [0, 1], got {load!r}")
-    if not is_on:
-        return params.sleep_power
-    return params.operational_power + params.amplifier_slope * load * params.transmit_power
+    _check_load(load)
+    return params.active_power(load) if is_on else params.sleep_power
 
 
 def network_power(
@@ -114,11 +116,21 @@ def network_power(
             f"expected {config.n_sbs} SBS loads/states, got "
             f"{len(sbs_loads)} loads and {len(on_off)} states"
         )
-    tiers = station_power(config.haps, haps_load, True) + station_power(config.mbs, mbs_load, True)
+    _check_load(haps_load)
+    _check_load(mbs_load)
     loads = np.asarray(sbs_loads, dtype=float)
     bad = np.flatnonzero(~((loads >= 0.0) & (loads <= 1.0)))
     if bad.size:  # the first bad load, as the caller passed it
-        station_power(config.sbs, sbs_loads[bad[0]])
-    per_sbs = np.where(np.asarray(on_off, dtype=bool), config.sbs_active_power(loads), config.sbs.sleep_power)
+        _check_load(sbs_loads[bad[0]])
+    return _network_power(config, haps_load, mbs_load, loads, np.asarray(on_off, dtype=bool))
+
+
+def _network_power(
+    config: NetworkPowerConfig, haps_load: float, mbs_load: float, loads: np.ndarray, on: np.ndarray
+) -> float:
+    """``network_power`` without its checks: ``loads`` and ``on`` are float and
+    bool arrays of ``config.n_sbs`` entries, and every load lies in [0, 1]."""
+    tiers = config.haps.active_power(haps_load) + config.mbs.active_power(mbs_load)
+    per_sbs = np.where(on, config.sbs.active_power(loads), config.sbs.sleep_power)
     # Left to right from the tiers, as a running Python sum would add them.
     return float(np.cumsum(np.concatenate(([tiers], per_sbs)))[-1])

@@ -11,13 +11,20 @@ id order is at most 1.0. ``CapacityState`` and both optimizers apply it to
 the same sums, so no optimizer returns a state that its pricing rejects at
 a tier boundary.
 
+Inputs are checked once, where they enter: at ``optimize_*``,
+``apply_offloads``, ``objective`` and ``decision_change_rate``. Behind them,
+one unchecked kernel, ``_priced``, prices every state an optimizer returns
+and every decision a switching sweep deploys at the actual loads.
+
 Network power is affine in the state. Switching SBS j off onto tier t
 changes it by ``sleep_j + cost_{t,j} - active_j``, where ``cost_{t,j}`` is
 the tier's amplifier power for the offloaded load, and uses ``use_{t,j}`` of
 the tier's headroom. Both optimizers read these per-SBS coefficients from
 one ``_LinearModel``: an exhaustive search prices all 2^s on/off vectors,
 each with its exact cheapest offload assignment (the oracle, up to
-``EXHAUSTIVE_SBS_CAP`` = 20 SBSs), and a greedy heuristic switches SBSs off
+``EXHAUSTIVE_SBS_CAP`` = 20 SBSs; it unpacks the vectors from the bits of
+their indices and forms their id-order tier sums by doubling over the
+SBSs, chunk by chunk), and a greedy heuristic switches SBSs off
 in ascending-load order onto the cheaper tier that still fits, while that
 delta is negative. Both are deterministic, including tie-breaks: among
 equal-power optima the exhaustive search returns the lexicographically
@@ -33,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InfeasibleNetworkError
-from .power import NetworkPowerConfig, network_power
+from .power import NetworkPowerConfig, _network_power, network_power
 
 EXHAUSTIVE_SBS_CAP = 20
 _CHUNK_BITS = 14
@@ -160,7 +167,13 @@ def apply_offloads(
     not an error: optimizers evaluate and then skip infeasible states.
     """
     loads = _validated_loads(base_mbs_load, base_haps_load, sbs_loads, np.size(sbs_loads))
-    state = _checked_state(state, loads.size)
+    return _capacity(base_mbs_load, base_haps_load, loads, _checked_state(state, loads.size), scales)
+
+
+def _capacity(
+    base_mbs_load: float, base_haps_load: float, loads: np.ndarray, state: np.ndarray, scales: OffloadScales
+) -> CapacityState:
+    """``apply_offloads`` on checked loads and state."""
     return CapacityState(
         base_mbs=float(base_mbs_load),
         base_haps=float(base_haps_load),
@@ -185,10 +198,36 @@ def objective(
     )
 
 
+def _priced(
+    state: np.ndarray,
+    loads: np.ndarray,
+    base_mbs_load: float,
+    base_haps_load: float,
+    power_config: NetworkPowerConfig,
+    scales: OffloadScales,
+) -> tuple[CapacityState, float]:
+    """The capacity and network power of a checked state at checked loads.
+
+    The one pricing kernel behind every returned and deployed state. Each
+    tier is priced at its load capped at 1: a state that fits is priced as
+    ``objective`` prices it, and one that overloads a tier as if that tier
+    ran at full load.
+    """
+    capacity = _capacity(base_mbs_load, base_haps_load, loads, state, scales)
+    power = _network_power(
+        power_config, min(capacity.haps_load, 1.0), min(capacity.mbs_load, 1.0), loads, state == ON
+    )
+    return capacity, power
+
+
 def decision_change_rate(state_actual: Sequence[int], state_estimated: Sequence[int]) -> float:
     """Fraction of SBS on/off decisions that differ (offload targets ignored)."""
     actual = _checked_state(state_actual, np.size(state_actual))
-    estimated = _checked_state(state_estimated, actual.size)
+    return _change_rate(actual, _checked_state(state_estimated, actual.size))
+
+
+def _change_rate(actual: np.ndarray, estimated: np.ndarray) -> float:
+    """``decision_change_rate`` of two checked states."""
     return np.count_nonzero((actual == ON) != (estimated == ON)) / actual.size
 
 
@@ -226,7 +265,7 @@ def _linear_model(
     none = np.zeros_like(loads)
     return _LinearModel(
         loads=loads,
-        active=power_config.sbs_active_power(loads),
+        active=power_config.sbs.active_power(loads),
         sleep=np.full(loads.size, power_config.sbs.sleep_power),  # BLAS products take an array
         cost=np.stack([none] + [p.amplifier_slope * p.transmit_power * k * loads for p, k in tiers]),
         use=np.stack([none] + [k * loads for _, k in tiers]),
@@ -249,17 +288,45 @@ def _solution(
     scales: OffloadScales,
     optimizer: str,
 ) -> SwitchingSolution:
-    capacity = apply_offloads(base_mbs, base_haps, model.loads, state, scales)
-    power = objective(state, model.loads, capacity, power_config)
+    capacity, power = _priced(state, model.loads, base_mbs, base_haps, power_config, scales)
     return SwitchingSolution(state=state, power=power, capacity=capacity, optimizer=optimizer)
 
 
-def _id_order_sums(off: np.ndarray, use: np.ndarray) -> np.ndarray:
-    """Per row of ``off``, ``use`` summed over its OFF SBSs in id order, as ``apply_offloads`` adds it."""
-    used = np.zeros(off.shape[0])
-    for j in np.flatnonzero(use):  # an SBS that uses nothing adds an exact zero
-        used += np.where(off[:, j], use[j], 0.0)
-    return used
+def _off_sums(start: np.ndarray, use: np.ndarray) -> np.ndarray:
+    """Per row of ``use``, its sum over the OFF SBSs of every on/off vector.
+
+    Columns of ``use`` are SBSs in id order; entry i of a result row is the
+    vector whose bits, first SBS most significant, spell i (1 = ON). Each
+    sum starts from the row's ``start`` value and adds the OFF SBSs' use
+    left to right in id order, as ``apply_offloads`` adds it: the table
+    doubles once per SBS, its OFF half adding that SBS's use.
+    """
+    sums = start[:, None]
+    for column in use.T:
+        doubled = np.empty((*sums.shape, 2))
+        np.add(sums, column[:, None], out=doubled[..., 0])
+        doubled[..., 1] = sums
+        sums = doubled.reshape(use.shape[0], -1)
+    return sums
+
+
+def _state_chunks(use: np.ndarray):
+    """Every on/off vector of ``use.shape[1]`` SBSs, in chunks of ascending index.
+
+    Yields each chunk's on/off rows (C-contiguous bools, first SBS first,
+    True = ON) and ``_off_sums`` of ``use`` over them. A chunk of 2^low
+    states fixes the first s - low SBSs to its number's bits, so the OFF
+    sums over those SBSs start its sums over the rest.
+    """
+    s = use.shape[1]
+    low = min(s, _CHUNK_BITS)
+    heads = _off_sums(np.zeros(use.shape[0]), use[:, : s - low])
+    for chunk in range(1 << (s - low)):
+        # Big-endian indices shifted up to bit 31: their first s bits, unpacked,
+        # are each state's on/off row.
+        idx = np.arange(chunk << low, (chunk + 1) << low, dtype=np.uint32) << (32 - s)
+        on = np.unpackbits(idx.astype(">u4").view(np.uint8).reshape(-1, 4), axis=1, count=s).view(bool)
+        yield on, _off_sums(heads[:, chunk], use[:, s - low :])
 
 
 def _assign_offloads(model: _LinearModel, off_ids: np.ndarray) -> tuple[float, list[int]] | None:
@@ -317,19 +384,16 @@ def optimize_exhaustive(
 
     prefer_mbs = model.cost[TO_MBS] <= model.cost[TO_HAPS]
     best_off_cost = np.where(prefer_mbs, model.cost[TO_MBS], model.cost[TO_HAPS])
-    shifts = np.arange(s - 1, -1, -1, dtype=np.uint64)  # bit i of the index is delta_{i+1}
+    # Per tier, the use of each SBS whose cheaper target it is.
+    cheaper_use = np.stack((model.use[TO_MBS] * prefer_mbs, model.use[TO_HAPS] * ~prefer_mbs))
     best_power = np.inf
     best_state: np.ndarray | None = None
 
-    for start in range(0, 1 << s, 1 << _CHUNK_BITS):
-        stop = min(start + (1 << _CHUNK_BITS), 1 << s)
-        idx = np.arange(start, stop, dtype=np.uint64)
-        on = ((idx[:, None] >> shifts[None, :]) & 1).astype(bool)
+    for on, used in _state_chunks(cheaper_use):
         off = ~on
         fixed = on @ model.active + off @ model.sleep
         # Per-SBS cheapest target, valid whenever it happens to fit capacity.
-        greedy_ok = _fits(model.base_load[TO_MBS], _id_order_sums(off, model.use[TO_MBS] * prefer_mbs))
-        greedy_ok &= _fits(model.base_load[TO_HAPS], _id_order_sums(off, model.use[TO_HAPS] * ~prefer_mbs))
+        greedy_ok = _fits(model.base_load[TO_MBS], used[0]) & _fits(model.base_load[TO_HAPS], used[1])
         chunk_power = model.base_power + fixed + off @ best_off_cost
         chunk_power[~greedy_ok] = np.inf
 

@@ -38,6 +38,11 @@ sweep
     and all SBSs shared one power coefficient set. Its inputs are named
     relative to the guard's temporary directory, so the config hash in the
     CSV's first line does not depend on where that directory lies.
+    One paper fig5 study at s = 16 alone (L = 1 and 3, 12 iterations,
+    about 0.5 s) pins the exhaustive search where the incumbent carries
+    across its four 2^14-state chunks, at 1 and 2 workers. It was
+    recorded before the search unpacked its states from index bits and
+    summed tier use by doubling over the SBSs.
 read
     Reading a 5000-SBS x 1-day loads CSV (20 MB) holds the parsed rows and
     the series, not a dict entry per cell: about 40 MB under tracemalloc
@@ -77,6 +82,7 @@ CSV_SHA256 = {
     "fig5": "ebd15fb3301e4d7d293e928b8d88c2511db6ae99ea648d9aba5f9f0c7d75b000",
     "fig5-binding": "9c7a4ea8bd781ff9574795677162d678bfa5963634d5f3dd553af0d7f7601277",
     "fig2-jittered": "a201738f55431d60169410a4b844e3debfa89768c78d930bc7bd6fec35ad8081",
+    "fig5-chunks": "eef5c79136386541d7a0f335746c477e41643c2139009dfab883171dc6558e3e",
 }
 # The pinned runs, by name: (experiment, its config). Error sweeps take one
 # iteration over the full day, over slot 0 alone, or every 12th slot with
@@ -112,9 +118,11 @@ RUNS["fig2-jittered"] = (
     [],
 )
 JITTER_SYNTH = ["synth", "--seed", "4", "--n-sbs", "5000", "--grid-side", "100", "--days", "1"]
+# Exhaustive search over 2^16 states, four chunks of 2^14, at L = 1 and 3.
+RUNS["fig5-chunks"] = ("fig5", "paper", {"n_iterations": 12}, ["--s-values", "16", "--l-values", "1,3"])
 # Rerun at 2 workers, where each is set up in a worker process and fig4
 # and fig5 split their iterations into other runs: the same pins must hold.
-PARALLEL_RUNS = ("fig2", "fig3-elbow", "fig4", "fig5", "fig5-binding")
+PARALLEL_RUNS = ("fig2", "fig3-elbow", "fig4", "fig5", "fig5-binding", "fig5-chunks")
 # Run at 2 workers only: its one task reads the 20 MB loads CSV in a worker
 # process, so the read does not lift this process's peak RSS.
 WORKER_ONLY_RUNS = ("fig2-jittered",)

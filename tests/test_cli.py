@@ -516,6 +516,23 @@ class TestSweepCli:
         assert "data_source 'milan' requires placements_json" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["Infinity", "NaN"])
+    def test_non_finite_placement_is_data_error(self, synth_dir, tmp_path, capsys, value):
+        # Unchecked, an infinite x_m puts that SBS infinitely far away, and
+        # NaN makes SBS 5's placement read as missing.
+        doc = json.loads((synth_dir / "placements.json").read_text())
+        doc["placements"][5]["x_m"] = float(value)
+        placements = tmp_path / "placements.json"
+        placements.write_text(json.dumps(doc))
+        assert value in placements.read_text()
+        cfg = self.write_cfg(tmp_path, {"data_source": "milan", "loads_csv": str(synth_dir / "loads.csv"),
+                                        "placements_json": str(placements), "n_sbs": 16})
+        out = tmp_path / "r"
+        assert run_cli("sweep", "--experiment", "fig2", "--config", cfg, "--out", out) == 2
+        sbs_id = doc["placements"][5]["sbs_id"]
+        assert f"data error: {placements}: non-finite coordinates for SBS id {sbs_id}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_usage_error_exit_code(self):
         assert run_cli("sweep", "--experiment", "fig9") == 1
         assert run_cli("nonsense") == 1

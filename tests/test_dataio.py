@@ -1,3 +1,5 @@
+import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -228,4 +230,19 @@ class TestPlacementsJson:
         path = tmp_path / "z.json"
         path.write_text('{"placements": []}')
         with pytest.raises(DataFormatError, match="empty"):
+            read_placements_json(path)
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_coordinate_rejected(self, tmp_path, value):
+        # Unchecked, NaN reads as a missing placement further on, and an
+        # infinity as an SBS infinitely far away. The first bad SBS is named.
+        _, placements = synthesize_traffic(seed=4, n_sbs=9, grid_side=3, correlation_length_m=200.0)
+        path = tmp_path / "placements.json"
+        write_placements_json(placements, path, grid_side=3)
+        doc = json.loads(path.read_text())
+        doc["placements"][5]["x_m"] = value
+        doc["placements"][7]["y_m"] = value
+        path.write_text(json.dumps(doc))
+        msg = f"{path}: non-finite coordinates for SBS id {placements[5].sbs_id}"
+        with pytest.raises(DataFormatError, match=f"^{re.escape(msg)}$"):
             read_placements_json(path)

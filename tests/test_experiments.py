@@ -432,14 +432,37 @@ class TestErrorSweep:
 
 
 class TestSwitchingSweeps:
-    def test_perfect_baseline_is_exactly_zero(self):
-        cfg = small_config(n_iterations=4, sleep_fraction=0.25)
-        report = run_decision_sweep(cfg, s_values=[6, 10], l_values=[1, 2])
-        for p in report.points:
-            if p.labels["estimator"] == "perfect":
-                assert p.metrics["decision_change_rate"] == 0.0
-                assert p.metrics["gap_w"] == 0.0
-                assert all(g == 0.0 for g in p.per_iteration["gap_w"])
+    def test_perfect_baseline_is_exactly_zero(self, monkeypatch):
+        # Both sweep families, on loose tiers and on tiers at 0.95 base load
+        # (exhaustive at s = 10, greedy at s = 100): in every iteration the
+        # perfect estimates deploy the actual optimum at its own power.
+        runs = []
+        switch_run = experiments._switch_run
+
+        def recorded(task):
+            runs.append(switch_run(task))
+            return runs[-1]
+
+        monkeypatch.setattr(experiments, "_switch_run", recorded)
+        tight = desk_profile(
+            n_iterations=4, slot_stride=36, mlc_k_override=3, base_mbs_load=0.95, base_haps_load=0.95
+        )
+        for cfg, s_values in ((small_config(n_iterations=4, sleep_fraction=0.25), [6, 10]), (tight, [10, 100])):
+            for run in (run_decision_sweep, run_power_sweep):
+                report = run(cfg, s_values=s_values, l_values=[1, 2])
+                for p in report.points:
+                    if p.labels["estimator"] == "perfect":
+                        assert p.metrics["decision_change_rate"] == 0.0
+                        assert p.metrics["gap_w"] == 0.0
+                        assert all(g == 0.0 for g in p.per_iteration["gap_w"])
+                        assert all(p.per_iteration["deployed_feasible"])
+                        assert p.metrics["power_deployed_w"] == p.metrics["power_actual_w"]
+                        assert p.metrics["power_estimated_naive_w"] == p.metrics["power_actual_w"]
+        assert len(runs) == 8
+        for powers, rows in runs:
+            rate, deployed, naive, gap, feasible = rows[:, 0].T  # the perfect row of each iteration
+            assert (rate == 0.0).all() and (gap == 0.0).all() and (feasible == 1.0).all()
+            assert (deployed == powers).all() and (naive == powers).all()
 
     def test_gap_never_negative_and_optimizer_labels(self):
         cfg = small_config(n_iterations=4, sleep_fraction=0.25, exhaustive_cap=8)

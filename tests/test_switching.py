@@ -280,6 +280,83 @@ class TestOptimizeExhaustive:
         assert all(c == TO_MBS for c in sol.state)
 
 
+def shift_and_mask_rows(s):
+    """Every on/off row of s SBSs in index order, by the shifts the search once used."""
+    shifts = np.arange(s - 1, -1, -1, dtype=np.uint64)
+    return ((np.arange(1 << s, dtype=np.uint64)[:, None] >> shifts[None, :]) & 1).astype(bool)
+
+
+def where_loop_sums(off, use):
+    """Per row of ``off``, ``use`` summed over its OFF SBSs in id order, by the loop the search once used."""
+    used = np.zeros(off.shape[0])
+    for j in np.flatnonzero(use):
+        used += np.where(off[:, j], use[j], 0.0)
+    return used
+
+
+class TestChunkedSearch:
+    """The exhaustive search visits 2^s states in chunks of 2^_CHUNK_BITS and
+    carries its incumbent from chunk to chunk."""
+
+    @pytest.mark.parametrize("s", [1, 2, 13, 14, 15, 17])
+    def test_rows_and_sums_match_shift_and_mask(self, rng, s):
+        # Each SBS uses one tier, as the cheaper-target sums do, and some
+        # use none at all.
+        loads = rng.uniform(0.0, 1.0, s)
+        loads[rng.random(s) < 0.3] = 0.0
+        to_mbs = rng.random(s) < 0.5
+        use = np.stack((0.05 * loads * to_mbs, 0.02 * loads * ~to_mbs))
+        chunks = list(switching._state_chunks(use))
+        assert len(chunks) == 1 << max(0, s - switching._CHUNK_BITS)
+        assert all(on.dtype == bool and on.flags.c_contiguous for on, _ in chunks)
+        rows = shift_and_mask_rows(s)
+        np.testing.assert_array_equal(np.concatenate([on for on, _ in chunks]), rows)
+        used = np.concatenate([used for _, used in chunks], axis=1)
+        for tier in range(2):
+            assert used[tier].tobytes() == where_loop_sums(~rows, use[tier]).tobytes()
+
+    def instances(self, s):
+        """Twenty seeded instances of s SBSs: random power models, loads and
+        tier bases (each tier holds every SBS's offloaded load, so a solve
+        stays fast), then one whose optimum keeps SBSs 0 and 1 on (a state
+        past the first chunk) and one where every state prices the same."""
+        rng = np.random.default_rng(s)
+        for _ in range(18):
+            scales = OffloadScales(float(rng.uniform(0, 0.03)), float(rng.uniform(0, 0.03)))
+            yield rng.uniform(0, 1, s), *rng.uniform(0.0, 0.5, 2), random_network_config(rng, s), scales
+        # At these scales an SBS sleeps below load 1/6 (TestOptimizeGreedy).
+        yield np.array([0.9, 0.8] + [0.01] * (s - 2)), 0.05, 0.05, uniform_config(s), TestOptimizeGreedy.SCALES
+        tied = NetworkPowerConfig(HAPS, MBS, PowerParams(10.0, 2.0, 1.0, 10.0), s)
+        yield np.zeros(s), 0.2, 0.2, tied, OffloadScales()
+
+    @staticmethod
+    def solve_both_ways(monkeypatch, loads, base_m, base_h, cfg, scales):
+        chunked = optimize_exhaustive(loads, base_m, base_h, cfg, scales)
+        with monkeypatch.context() as m:
+            m.setattr(switching, "_CHUNK_BITS", 16)  # one chunk at s <= 16
+            whole = optimize_exhaustive(loads, base_m, base_h, cfg, scales)
+        assert chunked.state.tobytes() == whole.state.tobytes()
+        assert chunked.power.hex() == whole.power.hex()
+        assert chunked.capacity == whole.capacity
+        return chunked
+
+    @pytest.mark.parametrize("s", [15, 16])
+    def test_chunks_give_the_one_chunk_optimum(self, monkeypatch, s):
+        solutions = [self.solve_both_ways(monkeypatch, *case) for case in self.instances(s)]
+        *_, late, tied = solutions
+        assert late.state.tolist() == [ON, ON] + [TO_MBS] * (s - 2)  # index 3 * 2^(s-2), in the last chunk
+        assert tied.state.tolist() == [TO_MBS] * s  # index 0: no later chunk ties its way in
+
+    def test_chunks_give_the_one_chunk_optimum_with_binding_tiers(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        loads = rng.uniform(0.1, 1.0, 15)
+        scales = OffloadScales()
+        base_m, base_h = binding_bases(loads, scales, 0.5)
+        sol = self.solve_both_ways(monkeypatch, loads, base_m, base_h, uniform_config(15), scales)
+        # Half the load fits the tiers, so the optimum sends some SBSs to each.
+        assert {TO_MBS, TO_HAPS} <= set(sol.state.tolist())
+
+
 def enumerate_offloads(model, off_ids):
     """Plain enumeration of every target assignment, left-to-right sums in id
     order, each tier feasible while its base load plus that sum is at most 1.
@@ -469,6 +546,41 @@ class TestTierBoundary:
             base_m, base_h = (min(1.0, max(0.0, round(1.0 - room[int(rng.integers(s + 1))], 2))) for _ in "mh")
             sol = optimizer(loads, base_m, base_h, cfg, self.UNIT)
             assert apply_offloads(base_m, base_h, loads, sol.state, self.UNIT).feasible, f"trial {trial}"
+
+
+class TestPricingKernel:
+    def test_prices_as_the_checked_functions(self, rng):
+        # Decisions made on noisy loads, and random states, priced at the
+        # actual loads. Base loads of 0.9-0.99 in every other instance make
+        # the tiers bind, so some deployed decisions overload a tier.
+        overloaded = {"decision": 0, "random": 0}
+        for trial in range(300):
+            s = int(rng.integers(1, 13))
+            cfg = random_network_config(rng, s)
+            loads = rng.uniform(0, 1, s)
+            if trial % 3 == 1:
+                loads[rng.random(s) < 0.4] = 0.0
+            base_m, base_h = rng.uniform(0.9, 0.99, 2) if trial % 2 else rng.uniform(0.0, 1.0, 2)
+            scales = OffloadScales(float(rng.uniform(0, 0.3)), float(rng.uniform(0, 0.3)))
+            estimated = np.clip(loads + rng.normal(0.0, 0.2, s), 0.0, 1.0)
+            optimizer = optimize_exhaustive if s <= 8 else optimize_greedy
+            decision = optimizer(estimated, base_m, base_h, cfg, scales)
+            # The solution's own pricing at the loads it was solved for.
+            assert decision.capacity == apply_offloads(base_m, base_h, estimated, decision.state, scales)
+            assert decision.power == objective(decision.state, estimated, decision.capacity, cfg)
+            random_state = rng.integers(ON, TO_HAPS + 1, s).astype(np.int8)
+            for kind, state in (("decision", decision.state), ("random", random_state)):
+                capacity, power = switching._priced(state, loads, base_m, base_h, cfg, scales)
+                assert capacity == apply_offloads(base_m, base_h, loads, state, scales)
+                capped = min(capacity.haps_load, 1.0), min(capacity.mbs_load, 1.0)
+                assert power == network_power(cfg, *capped, loads, state == ON)
+                if capacity.feasible:
+                    assert power == objective(state, loads, capacity, cfg)
+                else:
+                    overloaded[kind] += 1
+                    with pytest.raises(ValueError, match="load must lie in"):
+                        objective(state, loads, capacity, cfg)
+        assert min(overloaded.values()) >= 10, overloaded
 
 
 class TestHandEnumeratedDecisionChange:
