@@ -25,7 +25,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from ..traffic import LoadSnapshot, SbsPlacement
-from .kmeans import ClusteringState, _segment_sums, compute_sse, elbow_select_k, kmeans_fit
+from .kmeans import ClusteringState, compute_sse, elbow_select_k, kmeans_fit
 from .mlc import MlcConfig, mlc_estimate
 from .neighbors import DistanceConfig, RandomConfig, distance_estimate, positions_array, random_estimate
 from .result import EstimateResult, NeighborDetail
@@ -62,12 +62,14 @@ def estimate(
 class ErrorSummary:
     """Mean relative estimation error with exclusion bookkeeping.
 
-    Plain numbers for one row of sleepers. For rows, ``mean_error`` is an
-    array of the estimates' leading shape and the counts one per row of
-    the actual loads.
+    Plain numbers for one row of sleepers. For rows, ``mean_error`` and
+    ``total_error`` are arrays of the estimates' leading shape and the
+    counts one per row of the actual loads. ``total_error`` is the sum
+    that ``mean_error`` divides by ``n_included``.
     """
 
     mean_error: float | np.ndarray
+    total_error: float | np.ndarray
     n_included: int | np.ndarray
     n_excluded: int | np.ndarray
 
@@ -95,8 +97,9 @@ def estimation_error(
 
     ``actual`` holds one row of sleeper loads (m,) or rows of them (S, m);
     ``estimated`` has its shape, or that shape behind leading axes (one set
-    of rows per estimator, say). Each row's mean is the pairwise sum of its
-    included relative errors over their count, the bits of ``rel.mean()``.
+    of rows per estimator, say). A row's sum adds its included relative
+    errors left to right in sleeper order (one ``np.cumsum`` along the row,
+    each excluded entry +0.0), and its mean is that sum over their count.
     Sleepers whose true load falls below ``epsilon`` are excluded (the
     relative error is unstable there) and counted in the summary.
 
@@ -116,15 +119,14 @@ def estimation_error(
             f"all {a.shape[-1]} sleepers fall below epsilon={epsilon}; error undefined",
             int(np.argmin(n_included)),
         )
-    kept = a[included]
-    rel = np.abs(kept - e[..., included]) / kept
-    lead = e.shape[: e.ndim - a.ndim]
-    sums = _segment_sums(rel.ravel(), np.broadcast_to(n_included, lead + n_included.shape).ravel())
-    mean = sums.reshape(lead + n_included.shape) / n_included
+    rel = np.where(included, np.abs(a - e) / np.where(included, a, 1.0), 0.0)
+    # (a.shape[-1] is 0 only for no rows of no sleepers)
+    total = np.cumsum(rel, axis=-1)[..., -1] if a.shape[-1] else np.zeros(rel.shape[:-1])
+    mean = total / n_included
     n_excluded = a.shape[-1] - n_included
     if mean.ndim == 0:
-        return ErrorSummary(float(mean), int(n_included), int(n_excluded))
-    return ErrorSummary(mean, n_included, n_excluded)
+        return ErrorSummary(float(mean), float(total), int(n_included), int(n_excluded))
+    return ErrorSummary(mean, total, n_included, n_excluded)
 
 
 __all__ = [

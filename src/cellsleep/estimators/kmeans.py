@@ -54,12 +54,6 @@ lexicographically, so every midpoint of every cell is placed by one
 ``searchsorted``, and a cut that still holds from the step before is kept
 without a search. A problem that has stopped is masked out of the step;
 the live arrays are compacted only once half of them have stopped.
-
-``_segment_sums`` gives MLC's exact sums for many segments at once. It adds
-each segment in numpy's pairwise order: below 8 elements one by one from
-0.0; up to 128 in eight interleaved lanes combined as
-((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the remainder in order; longer
-runs split at n//2 rounded down to a multiple of 8, left plus right.
 """
 
 from __future__ import annotations
@@ -275,48 +269,6 @@ def _elbow_choice(sse: np.ndarray, n_k: np.ndarray) -> np.ndarray:
     return np.where(curvature.max(axis=0) <= level, -1, 1 + curvature.argmax(axis=0))
 
 
-def _segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Sum of each consecutive segment of ``values``, bit for bit as ``.sum()``.
-
-    ``lengths`` tiles ``values``. Segments longer than 128 are split
-    (iteratively, all at once) the way numpy's pairwise sum splits them;
-    each leaf adds its 8-lane part with one ``bincount`` (sequential per
-    lane) and its remainder with a second one that starts from the combined
-    lanes. The splits are then added back up, left plus right.
-    """
-    lens = np.asarray(lengths, dtype=np.int64)
-    splits = []
-    while (lens > 128).any():
-        big = lens > 128
-        half = lens // 2
-        half -= half % 8
-        width = 1 + big
-        first = np.cumsum(width) - width
-        parts = np.empty(int(width.sum()), dtype=np.int64)
-        parts[first] = np.where(big, half, lens)
-        parts[first[big] + 1] = lens[big] - half[big]
-        splits.append((first, big))
-        lens = parts
-
-    n_leaf = lens.size
-    leaf = np.repeat(np.arange(n_leaf), lens)
-    offset = np.arange(values.size) - np.repeat(np.cumsum(lens) - lens, lens)
-    lane = offset < np.repeat(lens & -8, lens)
-    r = np.bincount((leaf * 8 + (offset & 7))[lane], weights=values[lane], minlength=8 * n_leaf).reshape(n_leaf, 8)
-    combined = ((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])) + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7]))
-    rest = ~lane
-    sums = np.bincount(
-        np.concatenate([np.arange(n_leaf), leaf[rest]]),
-        weights=np.concatenate([combined, values[rest]]),
-        minlength=n_leaf,
-    )
-    for first, big in reversed(splits):
-        up = sums[first]
-        up[big] += sums[first[big] + 1]
-        sums = up
-    return sums
-
-
 @functools.lru_cache(maxsize=4096)
 def _first_seed(size: int, seed: int) -> int:
     """The first seed index that ``kmeans_fit`` draws for ``size`` points."""
@@ -341,7 +293,7 @@ class _SortedCells:
     ``regroup``. The label of +inf is its own position. So the keys are
     sorted, and a search for (label, v) lands inside that label's run.
     ``prefix[t]`` sums the features of t's row that come before t, one by
-    one (``np.cumsum``), and ``square_prefix`` their squares, so a run
+    one (``prefix_of``), and ``square_prefix`` their squares, so a run
     [a, b) sums to ``prefix[b] - prefix[a]``.
     """
 
@@ -368,10 +320,17 @@ class _SortedCells:
         self.keys.real = np.arange(grid.size)
         self.keys.real[self.rank] = np.repeat(self.first, sizes)
         self.keys.imag = values.ravel()
-        sums = np.zeros((2, sizes.size, self.width))
-        np.cumsum(values[:, :-1], axis=1, out=sums[0, :, 1:])
-        np.cumsum(np.square(values[:, :-1]), axis=1, out=sums[1, :, 1:])
-        self.prefix, self.square_prefix = sums.reshape(2, -1)
+        self.prefix, self.square_prefix = self.prefix_of(x), self.prefix_of(x * x)
+
+    def prefix_of(self, v: np.ndarray) -> np.ndarray:
+        """Per position t, the sum of ``v`` (one value per feature) over the
+        features of t's row that come before t, added one by one in value
+        order from 0.0 (``np.cumsum``); +inf past the row's last feature."""
+        grid = np.full(self.keys.size, np.inf)
+        grid[self.rank] = v
+        sums = np.zeros_like(grid).reshape(-1, self.width)
+        np.cumsum(grid.reshape(-1, self.width)[:, :-1], axis=1, out=sums[:, 1:])
+        return sums.ravel()
 
     def regroup(self, rows: np.ndarray, n_members: np.ndarray) -> np.ndarray:
         """Label consecutive groups of ``rows`` as runs; return each group's first position.

@@ -31,11 +31,14 @@ share one, so the groups cut from a cell are runs again, which
 then laid out in (cell, cluster) groups, each in row order: the stable
 sort by that key, a radix sort of small unsigned keys (``_group_layout``;
 an empty run leaves its rank unused). The groups with a
-sleeper are the next layer's cells, and each of their active means is its
-pairwise sum in row order over its count (one ``kmeans._segment_sums``
-pass over the groups with a sleeper; no other group's mean is read), the
-bits of ``loads[members].mean()``. So every slot gets the estimates it
-would get alone. No slots or no sleepers give an empty trace.
+sleeper are the next layer's cells. Each group is a run of its slot row's
+value order, so its active sum is a difference of one prefix array: the
+row's active loads added left to right in value order, each sleeper
+adding 0.0 (``_SortedCells.prefix_of``). The active mean is that sum over
+the group's active count, and a slot's mean active load is its active
+loads added left to right in id order over their count. So every slot
+gets the estimates it would get alone. No slots or no sleepers give an
+empty trace.
 ``mlc_estimate`` is the one-slot call that also reports each estimate's
 contributors. Both take their settings as one ``MlcConfig``, whose
 construction is the only check of them.
@@ -50,8 +53,18 @@ from typing import Sequence
 import numpy as np
 
 from ..traffic import LoadSnapshot
-from .kmeans import _SortedCells, _fit_cells, _segment_sums
+from .kmeans import _SortedCells, _fit_cells
 from .result import EstimateResult, NeighborDetail
+
+
+def _check_integers(config, names: tuple[str, ...], optional: str | None = None) -> None:
+    """Reject a setting among ``names`` that is not an integer (a bool is not); ``optional`` may be None."""
+    for name in names:
+        value = getattr(config, name)
+        if (value is not None or name != optional) and (
+            isinstance(value, bool) or not isinstance(value, numbers.Integral)
+        ):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -66,12 +79,8 @@ class MlcConfig:
     elbow_k_max: int = 8
 
     def __post_init__(self) -> None:
-        for name in ("layers", "k_override", "kmeans_max_iter", "kmeans_seed", "elbow_k_max"):
-            value = getattr(self, name)
-            if (value is not None or name != "k_override") and (
-                isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            ):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        names = ("layers", "k_override", "kmeans_max_iter", "kmeans_seed", "elbow_k_max")
+        _check_integers(self, names, "k_override")
         if self.layers < 1:
             raise ValueError(f"layers must be >= 1, got {self.layers!r}")
         if self.k_override is not None and self.k_override < 1:
@@ -144,11 +153,10 @@ def mlc_layers(
     if ((hist_sleep < 0.0) | (hist_sleep > 1.0)).any():
         raise ValueError("history features must lie in [0, 1]")
 
-    slot_means = _segment_sums(loads[known], np.full(n_slots, n - m)) / (n - m)
+    slot_means = np.cumsum(loads[known].reshape(n_slots, n - m), axis=1)[:, -1] / (n - m)
     features = loads.copy()
     features[~known] = np.where(np.isnan(hist_sleep), np.repeat(slot_means, m), hist_sleep)
     features = features.ravel()
-    flat_loads = loads.ravel()
     known_rows = known.ravel()
     estimates = features[~known_rows]
     sleeper_pos = np.full(n_slots * n, -1)
@@ -161,6 +169,7 @@ def mlc_layers(
     # Every slot row in value order, once; each layer's cells are runs of it.
     elbow = k_override is None
     order = _SortedCells(features, np.full(n_slots, n))
+    active_prefix = order.prefix_of(np.where(known_rows, loads.ravel(), 0.0))
     ids = np.arange(n_slots * n)  # the layer's cells back to back, each in row order
     sizes = np.full(n_slots, n)
     layer_trace = np.empty((n_slots, layers, m))
@@ -192,13 +201,11 @@ def mlc_layers(
         known = known_rows[ids]
         n_known = np.bincount(group[known], minlength=n_members.size)
         known_ids = ids[known]
-        # Only a group that holds a sleeper uses its mean; each group's sum
-        # is its own pairwise sum, whichever other groups are summed with it.
         with_sleeper = n_members > n_known
-        n_used = n_known[with_sleeper]
-        used_ids = known_ids[np.repeat(with_sleeper, n_known)]
-        means = np.zeros(n_members.size)
-        means[with_sleeper] = _segment_sums(flat_loads[used_ids], n_used) / np.maximum(n_used, 1)
+        # Each group is the run [lo, lo + size) of its row's value order.
+        lo = order.regroup(ids, n_members)
+        sums = active_prefix[lo + n_members] - active_prefix[lo]
+        means = np.divide(sums, n_known, out=np.zeros(n_members.size), where=n_known > 0)
 
         sleeping = ~known
         pos, sleeper_group = sleeper_pos[ids[sleeping]], group[sleeping]
@@ -212,7 +219,7 @@ def mlc_layers(
 
         # Groups that hold a sleeper are the next layer's cells, each a run.
         if layer + 1 < layers:
-            runs = order.regroup(ids, n_members)[with_sleeper]
+            runs = lo[with_sleeper]
             ids = ids[with_sleeper[group]]
             sizes = n_members[with_sleeper]
     return layer_trace, (source_layer, source_group, groups_of_layer)

@@ -55,6 +55,7 @@ from typing import Sequence
 import numpy as np
 
 from ..traffic import LoadSnapshot, SbsPlacement
+from .mlc import _check_integers
 from .result import EstimateResult, NeighborDetail
 
 DISTANCE_FLOOR_M = 1.0  # SBSs on distinct grid squares are 235 m apart or more
@@ -68,9 +69,10 @@ class DistanceConfig:
     weighting: int | None = None
 
     def __post_init__(self) -> None:
+        _check_integers(self, ("neighbors", "weighting"), "weighting")
         if self.neighbors < 1:
             raise ValueError(f"neighbor count must be >= 1, got {self.neighbors!r}")
-        if self.weighting is not None and (int(self.weighting) != self.weighting or self.weighting < 1):
+        if self.weighting is not None and self.weighting < 1:
             raise ValueError(f"weighting exponent must be a positive integer, got {self.weighting!r}")
 
     kind = "distance"
@@ -84,7 +86,11 @@ class RandomConfig:
     weighting: int | None = None
     seed: int = 0
 
-    __post_init__ = DistanceConfig.__post_init__  # the same two checks
+    def __post_init__(self) -> None:
+        DistanceConfig.__post_init__(self)
+        _check_integers(self, ("seed",))
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 
     kind = "random"
 
@@ -142,12 +148,14 @@ class NeighborTable:
     def __init__(self, ids: np.ndarray, dists: np.ndarray) -> None:
         self.ids = ids
         self.dists = dists
-        # equal[..., j]: the first j+1 distances of the row are all equal
-        self.equal = np.minimum.accumulate(dists, axis=-1) == np.maximum.accumulate(dists, axis=-1)
         self._weights: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def weights(self, exponent: int) -> tuple[np.ndarray, np.ndarray]:
-        """IDW weights scaled by the row's first distance, and their prefix sums."""
+    def weights(self, exponent: int | None) -> tuple[np.ndarray, np.ndarray]:
+        """IDW weights scaled by the row's first distance, and their prefix sums.
+
+        A plain mean (None) weighs every neighbor 1.0, exponent 0.
+        """
+        exponent = exponent or 0
         if exponent not in self._weights:
             w = (self.dists[..., :1] / self.dists) ** exponent
             self._weights[exponent] = (w, np.cumsum(w, axis=-1))
@@ -161,29 +169,20 @@ class NeighborTable:
         ``loads`` is one slot (n_sbs,) or a batch (S, n_sbs), slot s read
         through table ``s`` (or the one table when T = 1). Each estimate is
         (sleepers,) or (S, sleepers), and every slot equals its own one-slot
-        call. A plain mean, or a weighted prefix where all N distances are
-        equal, is the exact mean of the N neighbor loads; other weighted
-        points are ``cumsum(w * load)[N-1] / cumsum(w)[N-1]``. Each N's
-        mean and each exponent's weighted sums are computed once per call.
+        call. Every point is ``cumsum(w * load)[N-1] / cumsum(w)[N-1]``
+        along K: a plain mean has w = 1, so it is the N loads added left to
+        right over N, and so is a weighted point whose first N distances are
+        equal. Each exponent's prefix sums are computed once per call.
         """
         batch = np.atleast_2d(loads)
         near = batch[np.arange(batch.shape[0])[:, None, None], self.ids]  # (S, sleepers, K)
-        # Means over a 2-D view: a 3-D reduction may sum in another order.
-        rows = near.reshape(-1, near.shape[-1])
-        means: dict[int, np.ndarray] = {}
-        weighted_sums: dict[int, np.ndarray] = {}
+        ratios: dict[int | None, np.ndarray] = {}
         out = []
         for n, exponent in points:
-            if n not in means:
-                means[n] = rows[:, :n].mean(axis=1).reshape(near.shape[:-1])
-            mean = means[n]
-            if exponent is not None:
+            if exponent not in ratios:
                 w, w_sum = self.weights(exponent)
-                if exponent not in weighted_sums:
-                    weighted_sums[exponent] = np.cumsum(w * near, axis=-1)
-                ratio = weighted_sums[exponent][..., n - 1] / w_sum[..., n - 1]
-                mean = np.where(self.equal[..., n - 1], mean, ratio)
-            out.append(mean.reshape(*loads.shape[:-1], -1))
+                ratios[exponent] = np.cumsum(w * near, axis=-1) / w_sum
+            out.append(ratios[exponent][..., n - 1].reshape(*loads.shape[:-1], -1))
         return out
 
     def result(
@@ -192,11 +191,8 @@ class NeighborTable:
         """One point's estimates from one slot's ``loads``, with the per-sleeper audit detail."""
         (estimates,) = self.estimates(loads, [(neighbors, weighting)])
         (ids,) = self.ids  # the single T = 1 table
-        shares = np.full((len(sleepers), neighbors), 1.0 / neighbors)
-        if weighting is not None:
-            w = self.weights(weighting)[0][0, :, :neighbors]
-            unequal = ~self.equal[0, :, neighbors - 1]
-            shares[unequal] = w[unequal] / w[unequal].sum(axis=1, keepdims=True)
+        w, w_sum = self.weights(weighting)
+        shares = w[0, :, :neighbors] / w_sum[0, :, neighbors - 1 : neighbors]
         detail = tuple(
             NeighborDetail(
                 sleeper_id=int(sleeper),

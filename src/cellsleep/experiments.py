@@ -22,7 +22,8 @@ error run estimates the evaluation slots of all its iterations together:
 each MLC group answers the run's iterations x slots in one call, one
 sleeper mask per row, and neighbor tables stay per iteration. An
 iteration above the cap runs alone, its slots in batches. Each
-iteration's errors are pooled slot by slot in slot order. A switching
+iteration's error sum adds its slots' sums left to right in slot order,
+and every pooled report number goes through ``_moments``. A switching
 run is at one network size, and each of its iterations has its own sleeper
 set and slot. Every task returns plain numbers (``_error_run``,
 ``_switch_run``): per-point aggregates go to the CSV, per-iteration details
@@ -412,16 +413,15 @@ def _error_run(task: tuple[int, int]) -> np.ndarray:
                     table = nearest[r] = nearest_table(pos, sleepers[r], active, k, DISTANCE_FLOOR_M)
                 estimates[idxs, rows] = table.estimates(loads, pairs)
 
-        # Per iteration and point, the mean relative error times its included
-        # count is added to the total slot by slot, in slot order. That order,
-        # and mean * count rather than the sum, keep the CSV bits.
+        # Per iteration and point, each slot's error sum is added to the
+        # running total left to right, in slot order.
         try:
             error = estimation_error(rows_loads[~rows_known].reshape(-1, m), estimates, config.epsilon)
         except ErrorUndefined as exc:
             r, col = divmod(exc.row, len(cols))
             raise ValueError(f"iteration {first + r}, slot {cols[col]}: {exc}") from exc
-        by_slot = (error.mean_error * error.n_included).reshape(n_points, n_iter, -1).swapaxes(0, 1)
-        totals[..., 0] = np.cumsum(np.concatenate([totals[..., :1], by_slot], axis=2), axis=2)[..., -1]
+        by_slot = error.total_error.reshape(n_points, n_iter, -1).swapaxes(0, 1)
+        totals[..., 0] = _moments(np.concatenate([totals[..., :1], by_slot], axis=2))[0]
         counts = np.stack([error.n_included, error.n_excluded], axis=1)
         totals[..., 1:] += counts.reshape(n_iter, -1, 2).sum(axis=1)[:, None]
     return totals
@@ -445,22 +445,23 @@ def run_error_sweep(
         _error_run, _iteration_runs(config.n_iterations, config.n_sbs * len(slots), workers), workers,
         (config, plan, {config.n_sbs: config.base_seed}),
     )
-    # One contiguous (iterations,) row per point and column: each sum below
-    # sees its terms in iteration order, as one point's own array.
-    sums, included, excluded = np.ascontiguousarray(np.concatenate(runs).transpose(2, 1, 0))
-    iter_means = sums / included  # every slot includes at least one sleeper
+    # (points, iterations) per column; every sum below runs in iteration order.
+    per_iteration = np.concatenate(runs).transpose(2, 1, 0)
+    err, n, x = _moments(per_iteration)[0]
+    iter_means = per_iteration[0] / per_iteration[1]  # every slot includes at least one sleeper
+    std = _moments(iter_means)[2]
     report_points = [
         SweepPoint(
             labels=dict(labels),
             metrics={
-                "mean_error": float(err.sum() / n.sum()),
-                "std_error": float(np.std(means)),
-                "n_included": int(n.sum()),
-                "n_excluded": int(x.sum()),
+                "mean_error": float(err[p] / n[p]),
+                "std_error": float(std[p]),
+                "n_included": int(n[p]),
+                "n_excluded": int(x[p]),
             },
-            per_iteration={"mean_error": means.tolist()},
+            per_iteration={"mean_error": iter_means[p].tolist()},
         )
-        for (labels, _), err, n, x, means in zip(points, sums, included, excluded, iter_means)
+        for p, (labels, _) in enumerate(points)
     ]
     return _report(experiment, config, _ERROR_COLUMNS, report_points, t0, epsilon=config.epsilon)
 
@@ -532,9 +533,7 @@ def _switch_run(task: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
     # Iteration i takes the dataset's column i % len(eval_slots()).
     cols = [i % data.loads.shape[1] for i in range(first, stop)]
     known = np.array([sleep_mask(s, _draw_sleepers(config, i, s)) for i in range(first, stop)])
-    # C order: each iteration's loads are one contiguous row, since BLAS may
-    # sum a strided column in another order.
-    actuals = np.ascontiguousarray(data.loads[:, cols].T)
+    actuals = data.loads[:, cols].T
     mlc = None
     if l_values:
         mlc = mlc_layers(
@@ -574,9 +573,27 @@ def _switch_run(task: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
     return np.array(powers), np.array(rows, dtype=float)
 
 
+def _moments(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sum, mean and population standard deviation of ``values`` along its last axis.
+
+    The one order of every pooled report number: each sum adds its terms
+    left to right in index order (``np.cumsum``), the mean is the sum over
+    the count, and the deviation is the root of the squared deviations'
+    sum over the count. No values give sum 0.0 and NaN mean and deviation.
+    """
+    count = values.shape[-1]
+    if count == 0:
+        nan = np.full(values.shape[:-1], np.nan)
+        return np.zeros(values.shape[:-1]), nan, nan
+    total = np.cumsum(values, axis=-1)[..., -1]
+    mean = total / count
+    dev = values - mean[..., None]
+    return total, mean, np.sqrt(np.cumsum(dev * dev, axis=-1)[..., -1] / count)
+
+
 def _mean(values: np.ndarray) -> float:
-    """Mean of ``values``, NaN when empty."""
-    return float(values.mean()) if values.size else float("nan")
+    """Mean of ``values`` (``_moments``), NaN when empty."""
+    return float(_moments(values)[1])
 
 
 def check_switching_size(s: int) -> None:
@@ -614,8 +631,7 @@ def _switching_report(
     for s in s_values:
         at_s = [run for (size, _, _), run in zip(tasks, runs) if size == s]
         actuals = np.concatenate([powers for powers, _ in at_s])
-        # (estimators, 5, iterations): one contiguous row per estimator and column
-        table = np.ascontiguousarray(np.concatenate([rows for _, rows in at_s]).transpose(1, 2, 0))
+        table = np.concatenate([rows for _, rows in at_s]).transpose(1, 2, 0)  # (estimators, 5, iterations)
         for (estimator, layers), (rates, deployed, naive, gaps, feasible) in zip(estimators, table):
             # An infeasible deployed decision is priced with the overloaded
             # tier capped at full load, which understates its cost: the
@@ -630,11 +646,11 @@ def _switching_report(
                         "optimizer": optimizer_name(config, s),
                     },
                     metrics={
-                        "decision_change_rate": float(rates.mean()),
-                        "std_change_rate": float(rates.std()),
-                        "power_actual_w": float(actuals.mean()),
+                        "decision_change_rate": _mean(rates),
+                        "std_change_rate": float(_moments(rates)[2]),
+                        "power_actual_w": _mean(actuals),
                         "power_deployed_w": _mean(deployed[feasible]),
-                        "power_estimated_naive_w": float(naive.mean()),
+                        "power_estimated_naive_w": _mean(naive),
                         "gap_w": _mean(gaps[feasible]),
                         "gap_rel": _mean((gaps / actuals)[feasible]),
                         "n_iterations": rates.size,

@@ -23,13 +23,13 @@ the tier's headroom. Both optimizers read these per-SBS coefficients from
 one ``_LinearModel``: an exhaustive search prices all 2^s on/off vectors,
 each with its exact cheapest offload assignment (the oracle, up to
 ``EXHAUSTIVE_SBS_CAP`` = 20 SBSs; it unpacks the vectors from the bits of
-their indices and forms their id-order tier sums by doubling over the
-SBSs, chunk by chunk), and a greedy heuristic switches SBSs off
-in ascending-load order onto the cheaper tier that still fits, while that
-delta is negative. Both are deterministic, including tie-breaks: among
-equal-power optima the exhaustive search returns the lexicographically
-smallest on/off vector, preferring MBS over HAPS targets position by
-position.
+their indices and forms their id-order tier and power sums by doubling
+over the SBSs, chunk by chunk, with no BLAS product), and a greedy
+heuristic switches SBSs off in ascending-load order onto the cheaper tier
+that still fits, while that delta is negative. Both are deterministic,
+including tie-breaks: among equal-power optima the exhaustive search
+returns the lexicographically smallest on/off vector, preferring MBS over
+HAPS targets position by position.
 """
 
 from __future__ import annotations
@@ -266,7 +266,7 @@ def _linear_model(
     return _LinearModel(
         loads=loads,
         active=power_config.sbs.active_power(loads),
-        sleep=np.full(loads.size, power_config.sbs.sleep_power),  # BLAS products take an array
+        sleep=np.full(loads.size, power_config.sbs.sleep_power),
         cost=np.stack([none] + [p.amplifier_slope * p.transmit_power * k * loads for p, k in tiers]),
         use=np.stack([none] + [k * loads for _, k in tiers]),
         base_load=np.array([0.0, base_mbs_load, base_haps_load]),
@@ -292,41 +292,39 @@ def _solution(
     return SwitchingSolution(state=state, power=power, capacity=capacity, optimizer=optimizer)
 
 
-def _off_sums(start: np.ndarray, use: np.ndarray) -> np.ndarray:
-    """Per row of ``use``, its sum over the OFF SBSs of every on/off vector.
+def _state_sums(start: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """Per row of ``terms``, its sum over every on/off vector.
 
-    Columns of ``use`` are SBSs in id order; entry i of a result row is the
+    ``terms`` is (rows, SBSs, 2): per SBS in id order, what it adds when
+    OFF (column 0) and when ON (column 1). Entry i of a result row is the
     vector whose bits, first SBS most significant, spell i (1 = ON). Each
-    sum starts from the row's ``start`` value and adds the OFF SBSs' use
-    left to right in id order, as ``apply_offloads`` adds it: the table
-    doubles once per SBS, its OFF half adding that SBS's use.
+    sum starts from the row's ``start`` value and adds the SBSs' terms left
+    to right in id order, as ``apply_offloads`` adds a tier's use: the
+    table doubles once per SBS.
     """
     sums = start[:, None]
-    for column in use.T:
-        doubled = np.empty((*sums.shape, 2))
-        np.add(sums, column[:, None], out=doubled[..., 0])
-        doubled[..., 1] = sums
-        sums = doubled.reshape(use.shape[0], -1)
+    for j in range(terms.shape[1]):
+        sums = (sums[:, :, None] + terms[:, None, j]).reshape(terms.shape[0], -1)
     return sums
 
 
-def _state_chunks(use: np.ndarray):
-    """Every on/off vector of ``use.shape[1]`` SBSs, in chunks of ascending index.
+def _state_chunks(terms: np.ndarray):
+    """Every on/off vector of ``terms.shape[1]`` SBSs, in chunks of ascending index.
 
     Yields each chunk's on/off rows (C-contiguous bools, first SBS first,
-    True = ON) and ``_off_sums`` of ``use`` over them. A chunk of 2^low
-    states fixes the first s - low SBSs to its number's bits, so the OFF
-    sums over those SBSs start its sums over the rest.
+    True = ON) and ``_state_sums`` of ``terms`` over them. A chunk of 2^low
+    states fixes the first s - low SBSs to its number's bits, so the sums
+    over those SBSs start its sums over the rest.
     """
-    s = use.shape[1]
+    s = terms.shape[1]
     low = min(s, _CHUNK_BITS)
-    heads = _off_sums(np.zeros(use.shape[0]), use[:, : s - low])
+    heads = _state_sums(np.zeros(terms.shape[0]), terms[:, : s - low])
     for chunk in range(1 << (s - low)):
         # Big-endian indices shifted up to bit 31: their first s bits, unpacked,
         # are each state's on/off row.
         idx = np.arange(chunk << low, (chunk + 1) << low, dtype=np.uint32) << (32 - s)
         on = np.unpackbits(idx.astype(">u4").view(np.uint8).reshape(-1, 4), axis=1, count=s).view(bool)
-        yield on, _off_sums(heads[:, chunk], use[:, s - low :])
+        yield on, _state_sums(heads[:, chunk], terms[:, s - low :])
 
 
 def _assign_offloads(model: _LinearModel, off_ids: np.ndarray) -> tuple[float, list[int]] | None:
@@ -383,18 +381,25 @@ def optimize_exhaustive(
         raise ValueError(f"exhaustive search capped at {EXHAUSTIVE_SBS_CAP} SBSs, got {s}")
 
     prefer_mbs = model.cost[TO_MBS] <= model.cost[TO_HAPS]
-    best_off_cost = np.where(prefer_mbs, model.cost[TO_MBS], model.cost[TO_HAPS])
-    # Per tier, the use of each SBS whose cheaper target it is.
-    cheaper_use = np.stack((model.use[TO_MBS] * prefer_mbs, model.use[TO_HAPS] * ~prefer_mbs))
+    none = np.zeros(s)
+    # Per SBS, its (OFF, ON) terms of each state sum: the MBS and HAPS use
+    # of its cheaper target, its own power, and its cheaper target's cost.
+    terms = np.stack(
+        (
+            (model.use[TO_MBS] * prefer_mbs, none),
+            (model.use[TO_HAPS] * ~prefer_mbs, none),
+            (model.sleep, model.active),
+            (np.where(prefer_mbs, model.cost[TO_MBS], model.cost[TO_HAPS]), none),
+        )
+    ).transpose(0, 2, 1)
     best_power = np.inf
     best_state: np.ndarray | None = None
 
-    for on, used in _state_chunks(cheaper_use):
+    for on, (used_mbs, used_haps, fixed, off_cost) in _state_chunks(terms):
         off = ~on
-        fixed = on @ model.active + off @ model.sleep
         # Per-SBS cheapest target, valid whenever it happens to fit capacity.
-        greedy_ok = _fits(model.base_load[TO_MBS], used[0]) & _fits(model.base_load[TO_HAPS], used[1])
-        chunk_power = model.base_power + fixed + off @ best_off_cost
+        greedy_ok = _fits(model.base_load[TO_MBS], used_mbs) & _fits(model.base_load[TO_HAPS], used_haps)
+        chunk_power = model.base_power + fixed + off_cost
         chunk_power[~greedy_ok] = np.inf
 
         targets = {}  # the assigned target codes of each binding-tier state

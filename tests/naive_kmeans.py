@@ -259,8 +259,19 @@ def mlc_layers(
     hist_sleep = np.asarray(history, dtype=float)[sleepers]
     finite = np.isfinite(hist_sleep)
     features = np.where(active_mask, loads, 0.0)
-    features[sleepers] = np.where(finite, hist_sleep, float(loads[active].mean()))
+    active_sum = 0.0  # left to right in id order
+    for a in active:
+        active_sum += float(loads[a])
+    features[sleepers] = np.where(finite, hist_sleep, active_sum / active.size)
     row = sorted_row(features)
+    # Each group is a run of the row's stable value order; its active sum is
+    # a difference of the prefix sums of active loads in that order, each
+    # sleeper adding 0.0.
+    by_value = sorted(range(loads.size), key=lambda i: features[i])
+    position = {i: t for t, i in enumerate(by_value)}
+    active_prefix = [0.0]
+    for i in by_value:
+        active_prefix.append(active_prefix[-1] + (float(loads[i]) if active_mask[i] else 0.0))
 
     estimates = features[sleepers].copy()
     contributors = [() for _ in sleepers]
@@ -286,7 +297,9 @@ def mlc_layers(
                 if sub_sleep.size == 0:
                     continue
                 if sub_active.size:
-                    mu = float(loads[sub_active].mean())
+                    first = min(position[int(i)] for i in sub)
+                    assert max(position[int(i)] for i in sub) == first + sub.size - 1, "not a run"
+                    mu = (active_prefix[first + sub.size] - active_prefix[first]) / sub_active.size
                     ids = tuple(int(a) for a in sub_active)
                     for s in sub_sleep:
                         estimates[sleeper_pos[int(s)]] = mu

@@ -156,6 +156,14 @@ def naive_estimates(pos, loads, sleepers, active, n, exponent, floor, seed=None)
     return out
 
 
+def python_sum(values):
+    """The values' sum added left to right in plain Python floats."""
+    total = 0.0
+    for v in values:
+        total += float(v)
+    return total
+
+
 def awkward_placements(rng, n_sbs):
     """Integer-metre placements with duplicate coordinates, stations closer
     than a 1 m floor, and two rings of stations at one distance from SBS 14."""
@@ -223,7 +231,25 @@ class TestSharedNeighborPath:
                 near = loads[table.ids[0, 0]]
                 prefixes = [(n, e) for n, e in points if n <= equal_up_to]
                 for (n, _), est in zip(prefixes, table.estimates(snap.loads, prefixes)):
-                    assert est[0] == near[:n].mean()
+                    assert est[0] == python_sum(near[:n]) / n
+
+    def test_every_prefix_adds_left_to_right(self, rng):
+        # Every N <= K of every exponent is sum(w * load) / sum(w) over the
+        # first N columns, both sums added left to right, and w = 1 for a
+        # plain mean, against a plain-Python loop over each row.
+        n_sbs, k = 120, 40
+        pos = positions_array(awkward_placements(rng, n_sbs), n_sbs)
+        sleepers = np.array([0, 3, 14, 50, 99])
+        active = np.setdiff1d(np.arange(n_sbs), sleepers)
+        loads = rng.uniform(0.0, 1.0, n_sbs)
+        points = [(n, e) for n in range(1, k + 1) for e in self.EXPONENTS]
+        tables = (nearest_table(pos, sleepers, active, k, 1.0), random_table(pos, sleepers, active, k, 1.0, [9]))
+        for table in tables:
+            for (n, e), est in zip(points, table.estimates(loads, points)):
+                for i, ids in enumerate(table.ids[0]):
+                    row_w = [1.0] * k if e is None else table.weights(e)[0][0, i].tolist()
+                    num = python_sum(row_w[j] * float(loads[ids[j]]) for j in range(n))
+                    assert est[i] == num / python_sum(row_w[:n]), (n, e, i)
 
     def test_batch_of_slots_matches_one_slot_calls(self, rng):
         # (S, n) loads give each slot's one-row estimates bit for bit, plain
@@ -457,6 +483,25 @@ class TestDispatch:
         with pytest.raises(ValueError):
             MlcConfig(layers=0)
 
+    @pytest.mark.parametrize(
+        "config, name, value",
+        [
+            (config, name, value)
+            for config in (DistanceConfig, RandomConfig)
+            for name, value in (("neighbors", 2.5), ("neighbors", True), ("weighting", True), ("weighting", 2.0))
+        ]
+        + [(RandomConfig, "seed", value) for value in (-1, 1.5, True)],
+    )
+    def test_neighbor_config_rejects_bad_setting_naming_it(self, config, name, value):
+        # Each used to pass construction; neighbors=2.5 then failed inside
+        # nearest_table with a numpy TypeError naming no setting.
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            config(**{name: value})
+
+    def test_neighbor_configs_take_numpy_integers(self):
+        assert DistanceConfig(np.int64(3), np.int32(2)) == DistanceConfig(3, 2)
+        assert RandomConfig(np.int64(3), None, np.uint32(7)).seed == 7
+
 
 class TestPositionsArray:
     def test_every_sbs_needs_one_placement(self):
@@ -552,8 +597,8 @@ class TestEstimationError:
             estimation_error([0.0, 0.5], [0.1, 0.5], epsilon=epsilon)
 
     def test_rows_match_one_row_calls_bit_for_bit(self, rng):
-        # 3 estimators x 5 slots x 300 sleepers: rows past 128 included
-        # sleepers reach numpy's pairwise split.
+        # 3 estimators x 5 slots x 300 sleepers, long enough that a pairwise
+        # sum would round differently from the left-to-right one.
         actual = rng.uniform(0.0, 1.0, (5, 300))
         actual[1, :200] = 0.0
         estimated = rng.uniform(0.0, 1.0, (3, 5, 300))
@@ -565,7 +610,26 @@ class TestEstimationError:
                 assert summary.mean_error[p, s] == row.mean_error
                 assert (summary.n_included[s], summary.n_excluded[s]) == (row.n_included, row.n_excluded)
         keep = actual[2] >= 0.05
-        assert summary.mean_error[0, 2] == (np.abs(actual[2] - estimated[0, 2]) / actual[2])[keep].mean()
+        rel = (np.abs(actual[2] - estimated[0, 2]) / actual[2])[keep]
+        assert summary.mean_error[0, 2] == python_sum(rel) / rel.size
+
+    def test_row_sums_add_included_errors_left_to_right(self, rng):
+        # Exclusions at the first, a middle and the last sleeper, and at all
+        # three in one row, against a plain-Python loop in sleeper order.
+        actual = rng.uniform(0.01, 1.0, (4, 200))
+        actual[0, 0] = 0.0
+        actual[1, 100] = 1e-5
+        actual[2, -1] = 0.0
+        actual[3, [0, 100, 199]] = 0.0
+        estimated = rng.uniform(0.0, 1.0, (2, 4, 200))
+        summary = estimation_error(actual, estimated, epsilon=1e-3)
+        assert summary.n_included.tolist() == [199, 199, 199, 197]
+        for p in range(2):
+            for s in range(4):
+                kept = [(a, e) for a, e in zip(actual[s].tolist(), estimated[p, s].tolist()) if a >= 1e-3]
+                total = python_sum(abs(a - e) / a for a, e in kept)
+                assert summary.total_error[p, s] == total
+                assert summary.mean_error[p, s] == total / len(kept)
 
     def test_undefined_row_is_named(self):
         actual = np.array([[0.5, 0.2], [1e-4, 0.0], [0.0, 0.0]])

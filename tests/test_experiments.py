@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import re
 import tracemalloc
 from pathlib import Path
@@ -328,13 +329,14 @@ class TestErrorSweep:
             run_error_sweep(small_config(), [])
 
     # sha256 of desk fig2 and fig3 error-sweep CSV text (3 iterations x 12
-    # slots, the CLI's point grids), recorded while MLC still clustered one
-    # slot per call. fig3 runs with elbow-selected k and with k = 3.
+    # slots, the CLI's point grids), re-recorded when every study sum moved
+    # to one written left-to-right order (each value moved by under 1e-13
+    # relative). fig3 runs with elbow-selected k and with k = 3.
     N_GRID = (1, 5, 10, 20, 30, 40, 50, 60)
     PINNED = {
-        ("fig2", None): "e9bf726096f96e6a9f36fb3f10e9cc779e904068ee07d84118d2bbf6b19a0627",
-        ("fig3", None): "141423399cd98a67953acfc44ec33875435465a7f4808cba596891c5f7e076cb",
-        ("fig3", 3): "b90cbdf50f4841b37e022925318baadd0c66c4fe76b4993ecadf08ed3a93fcd5",
+        ("fig2", None): "362c4bc40f3ead47273894148a6ebf558c74a8eb619fae381ffbc2233ade8a3f",
+        ("fig3", None): "ad430d65685b6714667bada845303a4a9d2731504e9c42231c84e188ea5a077c",
+        ("fig3", 3): "3cbd8b5001f55425bf2f1653d4045fbea88a7039bae82ed17977b8c0c88f9113",
     }
 
     @pytest.mark.parametrize("experiment, k_override", list(PINNED))
@@ -654,6 +656,26 @@ class TestSwitchingSweeps:
             )
             csv[name] = run_power_sweep(cfg, (10, 60), (1, 2)).csv_text()
         assert csv["reversed"] == csv["ordered"]
+
+
+class TestMoments:
+    """Every pooled report number adds left to right (``_moments``)."""
+
+    def test_matches_a_python_loop(self, rng):
+        for n in (1, 2, 7, 8, 9, 130, 300):
+            values = rng.uniform(0.0, 1.0, (3, n)) * 10.0 ** rng.integers(-3, 4, (3, n))
+            for row, total, mean, std in zip(values, *experiments._moments(values)):
+                ref = 0.0
+                for v in row.tolist():
+                    ref += v
+                squares = 0.0
+                for v in row.tolist():
+                    squares += (v - ref / n) * (v - ref / n)
+                assert (total, mean, std) == (ref, ref / n, math.sqrt(squares / n)), n
+
+    def test_no_values(self):
+        total, mean, std = experiments._moments(np.empty((2, 0)))
+        assert total.tolist() == [0.0, 0.0] and np.isnan(mean).all() and np.isnan(std).all()
 
 
 class TestReports:

@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings, strategies as st
 from cellsleep.estimators.kmeans import (
     _SortedCells,
     _fit_cells,
-    _segment_sums,
     compute_sse,
     elbow_fit,
     elbow_select_k,
@@ -235,27 +234,6 @@ class TestMatchesOriginalLloyd:
             with pytest.warns(UserWarning, match="flat"):
                 fit = elbow_fit(pts, (lo, 5))
             assert_same_fit(fit, naive_kmeans.kmeans_fit(pts, 1))
-
-
-class TestSegmentSums:
-    """``_segment_sums`` must add in numpy's pairwise order, bit for bit."""
-
-    def test_every_length_matches_numpy_sum(self, rng):
-        values = rng.uniform(0, 1, 1200) * 10.0 ** rng.integers(-3, 4, 1200)
-        for n in range(1, 1101):
-            s = int(rng.integers(0, values.size - n + 1))
-            part = values[s : s + n]
-            got = _segment_sums(part, np.array([n]))[0]
-            assert got == part.sum(), n
-            assert got == part[:, None].sum(axis=0)[0], n
-
-    def test_many_segments_at_once(self, rng):
-        lengths = rng.integers(0, 700, 200)
-        lengths[:5] = 0
-        values = rng.uniform(0, 1, int(lengths.sum()))
-        starts = np.cumsum(lengths) - lengths
-        expect = [values[a : a + n].sum() for a, n in zip(starts, lengths)]
-        assert _segment_sums(values, lengths).tolist() == expect
 
 
 def fit_alone(x, sizes, k_hi, **fit):

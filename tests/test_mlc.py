@@ -232,7 +232,7 @@ class TestMatchesOriginalMlc:
             self.assert_matches(*inputs, layers, k_override, seed=trial)
 
     def test_large_cells_and_short_lloyd(self, rng):
-        # Cells past 128 SBSs reach numpy's pairwise block split; a small
+        # Cells past 128 SBSs, where a pairwise sum would split; a small
         # max_iter stops problems before they converge.
         for trial in range(40):
             inputs = self.random_inputs(rng, int(rng.integers(129, 400)))

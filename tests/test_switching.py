@@ -286,11 +286,12 @@ def shift_and_mask_rows(s):
     return ((np.arange(1 << s, dtype=np.uint64)[:, None] >> shifts[None, :]) & 1).astype(bool)
 
 
-def where_loop_sums(off, use):
-    """Per row of ``off``, ``use`` summed over its OFF SBSs in id order, by the loop the search once used."""
+def where_loop_sums(off, use, on_use=None):
+    """Per row of ``off``, ``use`` summed over its OFF SBSs in id order, by the loop the search once used;
+    with ``on_use``, each ON SBS adds its ``on_use`` entry instead of nothing."""
     used = np.zeros(off.shape[0])
-    for j in np.flatnonzero(use):
-        used += np.where(off[:, j], use[j], 0.0)
+    for j in range(use.size) if on_use is not None else np.flatnonzero(use):
+        used += np.where(off[:, j], use[j], 0.0 if on_use is None else on_use[j])
     return used
 
 
@@ -301,12 +302,14 @@ class TestChunkedSearch:
     @pytest.mark.parametrize("s", [1, 2, 13, 14, 15, 17])
     def test_rows_and_sums_match_shift_and_mask(self, rng, s):
         # Each SBS uses one tier, as the cheaper-target sums do, and some
-        # use none at all.
+        # use none at all; a third row adds a term for ON SBSs too, as the
+        # power sums do.
         loads = rng.uniform(0.0, 1.0, s)
         loads[rng.random(s) < 0.3] = 0.0
         to_mbs = rng.random(s) < 0.5
-        use = np.stack((0.05 * loads * to_mbs, 0.02 * loads * ~to_mbs))
-        chunks = list(switching._state_chunks(use))
+        use = np.stack((0.05 * loads * to_mbs, 0.02 * loads * ~to_mbs, rng.uniform(0.0, 20.0, s)))
+        on_use = np.stack((np.zeros(s), np.zeros(s), rng.uniform(20.0, 40.0, s)))
+        chunks = list(switching._state_chunks(np.stack((use, on_use), axis=-1)))
         assert len(chunks) == 1 << max(0, s - switching._CHUNK_BITS)
         assert all(on.dtype == bool and on.flags.c_contiguous for on, _ in chunks)
         rows = shift_and_mask_rows(s)
@@ -314,6 +317,7 @@ class TestChunkedSearch:
         used = np.concatenate([used for _, used in chunks], axis=1)
         for tier in range(2):
             assert used[tier].tobytes() == where_loop_sums(~rows, use[tier]).tobytes()
+        assert used[2].tobytes() == where_loop_sums(~rows, use[2], on_use[2]).tobytes()
 
     def instances(self, s):
         """Twenty seeded instances of s SBSs: random power models, loads and
