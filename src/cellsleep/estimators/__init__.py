@@ -25,7 +25,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from ..traffic import LoadSnapshot, SbsPlacement
-from .kmeans import ClusteringState, compute_sse, elbow_select_k, kmeans_fit
+from .kmeans import ClusteringState, elbow_select_k, kmeans_fit
 from .mlc import MlcConfig, mlc_estimate
 from .neighbors import DistanceConfig, RandomConfig, distance_estimate, positions_array, random_estimate
 from .result import EstimateResult, NeighborDetail
@@ -140,7 +140,6 @@ __all__ = [
     "NeighborDetail",
     "RandomConfig",
     "check_epsilon",
-    "compute_sse",
     "distance_estimate",
     "elbow_select_k",
     "estimate",

@@ -5,10 +5,9 @@ fit accepts general vectors so tests can use multi-dimensional fixtures.
 Seeding is "k-means++ style" greedy farthest point: the first centroid is
 drawn by the seeded generator, each further centroid is the point farthest
 from its nearest chosen centroid (first index on ties), so a fit is fully
-determined by (points, k, seed). The argmax chain does not depend on k,
-so the seeds for any k are the first k seeds for a larger k: ``elbow_fit``
-seeds once for the largest k of its range and starts every smaller k from
-a prefix, which gives each k the same fit as ``kmeans_fit``.
+determined by (points, k, seed). ``elbow_select_k`` fits every k of its
+range with ``kmeans_fit`` and picks k from the SSE curve
+(``_elbow_choice``).
 
 Each Lloyd step of ``kmeans_fit`` recomputes a centroid as its members' sum
 over their count, like ``pts[members].mean(axis=0)``. The members are
@@ -21,11 +20,13 @@ sorted-run Lloyd on float64 prefix sums. In 1-D every nearest-centroid
 cluster is a run of the sorted features (Wang & Song 2011, *Ckmeans.1d.dp*,
 R Journal 3(2)), so a cell is a run [a, b) of its slot row in stable value
 order (``_SortedCells``), and P and Q are that row's prefix sums of x and
-x^2, added one by one from the row's start (``np.cumsum``). One (cell, k)
-problem:
+x^2, added one by one from the row's start (``np.cumsum``). The rule has no
+free settings: ``LLOYD_MAX_ITER``, ``LLOYD_TOL``, ``LLOYD_SEED`` and
+``ELBOW_K_MAX`` below are its values. One (cell, k) problem:
 
 - Its seeds are the first k of the cell's farthest-point chain, drawn as
-  ``kmeans_fit`` draws them, and become its centroids in ascending order.
+  ``kmeans_fit`` draws them, with ``default_rng(LLOYD_SEED)`` (seed 0),
+  and become its centroids in ascending order.
 - A step cuts the cell at each midpoint m_j = (c_j + c_{j+1}) / 2 of
   consecutive centroids: e_j is the first position of [a, b) whose feature
   exceeds m_j (``searchsorted(side="right")``), so a feature exactly at a
@@ -35,13 +36,15 @@ problem:
   run (coinciding seeds leave one) keeps its centroid; this is the one
   repair. The movement is the largest |new - old| centroid change, and the
   new centroids are put in ascending order for the next step.
-- The problem stops after the first step whose movement is <= ``tol``, or
-  after ``max_iter`` steps. Its clusters are that step's runs, labelled by
-  rank 0..k-1 in value order (an empty run labels nothing).
-- The elbow reads SSE(k) as the sum over runs, in rank order, of
+- The problem stops after the first step whose movement is <= ``LLOYD_TOL``
+  (1e-9), or after ``LLOYD_MAX_ITER`` (100) steps. Its clusters are that
+  step's runs, labelled by rank 0..k-1 in value order (an empty run labels
+  nothing).
+- The elbow runs over k = 1..``ELBOW_K_MAX`` (8), or up to the cell's size
+  if smaller. It reads SSE(k) as the sum over runs, in rank order, of
   (Q[e_j] - Q[e_{j-1}]) - mu_j (2 (P[e_j] - P[e_{j-1}]) - n_j mu_j), with
   mu_j the last step's new centroid and n_j the run's size, and picks k
-  from that curve as ``elbow_fit`` does (``_elbow_choice``).
+  from that curve as ``elbow_select_k`` does (``_elbow_choice``).
 
 Wherever no feature lies near a midpoint this finds ``kmeans_fit``'s
 partition; the centroid bits differ (prefix-sum differences, not pairwise
@@ -49,11 +52,13 @@ sums). ``tests/naive_kmeans.py`` holds a pure-Python oracle of the rule.
 
 ``_fit_cells`` runs every problem of a clustering layer in one vectorized
 pass with no distance matrix: O(k log n) per step and problem. The search
-runs over (run, feature) pairs as complex numbers, which numpy orders
-lexicographically, so every midpoint of every cell is placed by one
-``searchsorted``, and a cut that still holds from the step before is kept
-without a search. A problem that has stopped is masked out of the step;
-the live arrays are compacted only once half of them have stopped.
+runs over (slot row, feature) pairs as complex numbers, which numpy orders
+lexicographically, so every midpoint of every cell is placed in its slot
+row by one ``searchsorted``. A run holds every feature of its row between
+its ends, so the row's cut, clamped to the run, is the run's cut. A cut
+that still holds from the step before is kept without a search. A problem
+that has stopped is masked out of the step; the live arrays are compacted
+only once half of them have stopped.
 """
 
 from __future__ import annotations
@@ -67,6 +72,12 @@ import numpy as np
 
 # Relative second-difference level below which an SSE curve counts as flat.
 FLAT_CURVE_RTOL = 1e-12
+
+# The values of MLC's clustering rule (module docstring).
+LLOYD_MAX_ITER = 100  # Lloyd steps at most
+LLOYD_TOL = 1e-9  # a step that moves no centroid further stops
+LLOYD_SEED = 0  # of the generator that draws the first seed
+ELBOW_K_MAX = 8  # the elbow's largest k
 
 
 @dataclass(frozen=True)
@@ -83,10 +94,6 @@ class ClusteringState:
     sse: float
     sse_trace: tuple[float, ...]
 
-    @property
-    def k(self) -> int:
-        return self.centroids.shape[0]
-
 
 def _as_points(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
@@ -97,24 +104,6 @@ def _as_points(points) -> np.ndarray:
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
     return pts
-
-
-def compute_sse(points, assignments, centroids) -> float:
-    """Sum of squared distances of every point to its assigned centroid."""
-    pts = _as_points(points)
-    asg = np.asarray(assignments, dtype=int)
-    cents = np.asarray(centroids, dtype=float)
-    if cents.ndim == 1:
-        cents = cents[:, None]
-    if asg.shape != (pts.shape[0],):
-        raise ValueError("assignments must give one cluster index per point")
-    if cents.shape[1] != pts.shape[1]:
-        raise ValueError(
-            f"centroid dimension {cents.shape[1]} does not match points ({pts.shape[1]})"
-        )
-    if asg.size and (asg.min() < 0 or asg.max() >= cents.shape[0]):
-        raise ValueError("assignment index outside centroid range")
-    return _sse(pts, asg, cents)
 
 
 def _sse(pts: np.ndarray, assignments: np.ndarray, centroids: np.ndarray) -> float:
@@ -145,20 +134,11 @@ def kmeans_fit(points, k: int, max_iter: int = 100, tol: float = 1e-9, seed: int
     n = pts.shape[0]
     if not (1 <= k <= n):
         raise ValueError(f"k must lie in 1..{n}, got {k}")
-    _check_lloyd_settings(max_iter, tol)
-    return _lloyd(pts, _seed_centroids(pts, k, np.random.default_rng(seed)), max_iter, tol)
-
-
-def _check_lloyd_settings(max_iter: int, tol: float) -> None:
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     if math.isnan(tol):
         raise ValueError("tol must not be NaN")
-
-
-def _lloyd(pts: np.ndarray, centroids: np.ndarray, max_iter: int, tol: float) -> ClusteringState:
-    """Lloyd iteration from the given seed centroids (updated in place)."""
-    n, k = pts.shape[0], centroids.shape[0]
+    centroids = _seed_centroids(pts, k, np.random.default_rng(seed))
     trace: list[float] = []
     for _ in range(max_iter):
         d2 = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
@@ -210,30 +190,15 @@ def elbow_select_k(
 ) -> int:
     """Pick the cluster count at the sharpest bend of the SSE-vs-k curve.
 
-    Fits every k in the inclusive range and returns the interior k with the
-    largest discrete second difference SSE(k-1) - 2*SSE(k) + SSE(k+1),
-    smallest k on ties. A flat curve (second differences below
-    ``FLAT_CURVE_RTOL`` of the SSE scale) falls back to k = 1 with a warning.
+    Fits every k in the inclusive range with ``kmeans_fit`` and returns the
+    interior k with the largest discrete second difference
+    SSE(k-1) - 2*SSE(k) + SSE(k+1), smallest k on ties. A flat curve (second
+    differences below ``FLAT_CURVE_RTOL`` of the SSE scale) falls back to
+    k = 1 with a warning.
 
     Raises:
         ValueError: if the range leaves fewer than three candidate k values
             or extends beyond the number of points.
-    """
-    return elbow_fit(points, k_range, max_iter=max_iter, tol=tol, seed=seed).k
-
-
-def elbow_fit(
-    points,
-    k_range: tuple[int, int] = (1, 8),
-    *,
-    max_iter: int = 100,
-    tol: float = 1e-9,
-    seed: int = 0,
-) -> ClusteringState:
-    """The fit at ``elbow_select_k``'s choice of k, the same as ``kmeans_fit`` gives.
-
-    The seeding runs once, for the largest k; every smaller k starts Lloyd
-    from the first k of those seeds.
     """
     pts = _as_points(points)
     lo, hi = int(k_range[0]), int(k_range[1])
@@ -242,16 +207,12 @@ def elbow_fit(
     ks = list(range(lo, hi + 1))
     if len(ks) < 3:
         raise ValueError(f"k_range {k_range} spans {len(ks)} values; need at least 3")
-    _check_lloyd_settings(max_iter, tol)
-
-    seeds = _seed_centroids(pts, hi, np.random.default_rng(seed))
-    fits = [_lloyd(pts, seeds[:k].copy(), max_iter, tol) for k in ks]
-    pick = int(_elbow_choice(np.array([[fit.sse] for fit in fits]), np.array([len(ks)]))[0])
+    sse = np.array([[kmeans_fit(pts, k, max_iter=max_iter, tol=tol, seed=seed).sse] for k in ks])
+    pick = int(_elbow_choice(sse, np.array([len(ks)]))[0])
     if pick < 0:
-        # stacklevel 3: attributed to the caller of elbow_select_k
-        warnings.warn("flat SSE curve: no elbow found, falling back to k=1", stacklevel=3)
-        return fits[0] if lo == 1 else _lloyd(pts, seeds[:1].copy(), max_iter, tol)
-    return fits[pick]
+        warnings.warn("flat SSE curve: no elbow found, falling back to k=1", stacklevel=2)
+        return 1
+    return ks[pick]
 
 
 def _elbow_choice(sse: np.ndarray, n_k: np.ndarray) -> np.ndarray:
@@ -281,24 +242,22 @@ _PAD = 2.0**510
 
 
 class _SortedCells:
-    """Cells of scalar features, each in stable value order, with the prefix sums of its row.
+    """Rows of scalar features, each in stable value order, with its prefix sums; read-only.
 
-    ``x`` holds the cells back to back, ``sizes`` their lengths. Cell c
-    takes a row of W + 1 positions (W the largest size), from first_c = c
-    (W + 1): its features in value order, equal ones in row order, then
-    +inf to the row's end; ``rank[i]`` is feature i's position. ``keys``
-    pairs every position's label with its value as a complex number, which
-    numpy orders lexicographically. A feature's label is the first position
-    of the run that holds it: its cell, or a group cut from the cell by
-    ``regroup``. The label of +inf is its own position. So the keys are
-    sorted, and a search for (label, v) lands inside that label's run.
-    ``prefix[t]`` sums the features of t's row that come before t, one by
-    one (``prefix_of``), and ``square_prefix`` their squares, so a run
-    [a, b) sums to ``prefix[b] - prefix[a]``.
+    ``x`` holds the rows back to back, ``sizes`` their lengths. Row c takes
+    W + 1 positions (W the largest size), from first_c = c (W + 1): its
+    features in value order, equal ones in row order, then +inf to the
+    row's end; ``rank[i]`` is feature i's position. ``keys`` pairs every
+    position's row label first_c with its value as a complex number, which
+    numpy orders lexicographically, so the keys are sorted and a search for
+    (first_c, v) lands in row c. ``prefix[t]`` sums the features of t's row
+    that come before t, one by one (``prefix_of``), and ``square_prefix``
+    their squares, so a run [a, b) sums to ``prefix[b] - prefix[a]``. Built
+    once, the arrays are never written again.
     """
 
     def __init__(self, x: np.ndarray, sizes: np.ndarray):
-        self.x, self.width = x, int(sizes.max()) + 1
+        self.x, self.width = x.view(), int(sizes.max()) + 1
         self.first = np.arange(sizes.size) * self.width
         place = np.arange(x.size) + np.repeat(self.first - (np.cumsum(sizes) - sizes), sizes)
         grid = np.full(sizes.size * self.width, np.inf)
@@ -317,10 +276,11 @@ class _SortedCells:
         position[(by_value + self.first[:, None]).ravel()] = np.arange(grid.size)
         self.rank = position[place]
         self.keys = np.empty(grid.size, dtype=complex)
-        self.keys.real = np.arange(grid.size)
-        self.keys.real[self.rank] = np.repeat(self.first, sizes)
+        self.keys.real = np.repeat(self.first, self.width)
         self.keys.imag = values.ravel()
         self.prefix, self.square_prefix = self.prefix_of(x), self.prefix_of(x * x)
+        for array in (self.x, self.first, self.rank, self.keys, self.prefix, self.square_prefix):
+            array.flags.writeable = False
 
     def prefix_of(self, v: np.ndarray) -> np.ndarray:
         """Per position t, the sum of ``v`` (one value per feature) over the
@@ -332,19 +292,6 @@ class _SortedCells:
         np.cumsum(grid.reshape(-1, self.width)[:, :-1], axis=1, out=sums[:, 1:])
         return sums.ravel()
 
-    def regroup(self, rows: np.ndarray, n_members: np.ndarray) -> np.ndarray:
-        """Label consecutive groups of ``rows`` as runs; return each group's first position.
-
-        ``rows`` lists the features of whole cells in consecutive groups of
-        ``n_members``, each group a run of the value order (a cluster of
-        ``_fit_cells``). Every group's positions take its first position as
-        their label.
-        """
-        pos = self.rank[rows]
-        lo = np.minimum.reduceat(pos, np.cumsum(n_members) - n_members)
-        self.keys.real[pos] = np.repeat(lo, n_members)
-        return lo
-
 
 def _fit_cells(
     order: _SortedCells,
@@ -354,9 +301,6 @@ def _fit_cells(
     k_hi: np.ndarray,
     *,
     elbow: bool,
-    max_iter: int,
-    tol: float,
-    seed: int,
 ) -> np.ndarray:
     """Cluster labels of every cell of a layer of scalar features, by the sorted-run Lloyd.
 
@@ -380,7 +324,7 @@ def _fit_cells(
     # seed; the first seed is drawn once per distinct cell size.
     chosen = np.empty((n_cells, int(k_hi.max())), dtype=np.int64)
     distinct, size_of = np.unique(sizes, return_inverse=True)
-    chosen[:, 0] = starts + np.array([_first_seed(m, seed) for m in distinct.tolist()])[size_of]
+    chosen[:, 0] = starts + np.array([_first_seed(m, LLOYD_SEED) for m in distinct.tolist()])[size_of]
     d2 = (x - np.repeat(x[chosen[:, 0]], sizes)) ** 2
     for j in range(1, chosen.shape[1]):
         top = np.flatnonzero(d2 == np.repeat(np.maximum.reduceat(d2, starts), sizes))
@@ -410,12 +354,12 @@ def _fit_cells(
     real = in_k.T[1:].copy()  # the midpoints within k
     lo, hi = lo[live][None], hi[live][None]
     values = keys.imag
-    label = np.repeat(lo.astype(float), kmax - 1, axis=0)  # each midpoint's run label
+    label = np.repeat((lo - lo % order.width).astype(float), kmax - 1, axis=0)  # each midpoint's row label
     # A stopped problem is recorded once and then only masked out; the live
     # arrays are compacted once at least half of them have stopped.
     active = np.ones(live.size, dtype=bool)
     prev = None
-    for step in range(max_iter if live.size else 0):
+    for step in range(LLOYD_MAX_ITER if live.size else 0):
         # A cut is the first run position above its midpoint, searched on the
         # first step and then only where the last step's cut no longer holds.
         # (At a run's start or end the test reads a position of another run
@@ -428,17 +372,20 @@ def _fit_cells(
             cuts = prev
             search = real & ((values[cuts - 1] > mids) | (mids >= values[cuts]))
         if search.any():
-            probe = np.empty(np.count_nonzero(search), dtype=complex)  # (run label, midpoint)
+            # The first position of the slot row above the midpoint, clamped
+            # to the run (where a kept cut lies already).
+            probe = np.empty(np.count_nonzero(search), dtype=complex)  # (row label, midpoint)
             probe.real = label[search]
             probe.imag = mids[search]
             cuts[search] = keys.searchsorted(probe, side="right")
+            np.clip(cuts, lo, hi, out=cuts)
         edges = np.concatenate([lo, cuts, hi])
         counts = edges[1:] - edges[:-1]
         at = prefix[edges]
         # An empty run (and every rank beyond k) keeps its centroid.
         means = np.divide(at[1:] - at[:-1], counts, out=centroids.copy(), where=counts > 0)
-        stop = np.abs(means - centroids).max(axis=0) <= tol
-        if step == max_iter - 1:
+        stop = np.abs(means - centroids).max(axis=0) <= LLOYD_TOL
+        if step == LLOYD_MAX_ITER - 1:
             stop[:] = True
         done = stop & active
         if done.any():

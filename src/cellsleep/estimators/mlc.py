@@ -21,24 +21,23 @@ iterations of a switching run each draw their own. Slot s's SBSs are the
 rows s*n .. s*n + n - 1 of one flat layout, and layer 1 has one cell per
 slot. A layer's cells are kept back to back, each in row order, and a cell
 never spans two slots. Each slot row is sorted by feature once per call
-(``kmeans._SortedCells``), and every cell is a run of that order.
-``kmeans._fit_cells`` clusters every cell of every slot in one vectorized
-pass by MLC's clustering rule, the sorted-run Lloyd on the slot row's
-float64 prefix sums (stated in the ``kmeans`` docstring): each cluster is
-a run of its cell, labelled by its rank in value order, and equal features
-share one, so the groups cut from a cell are runs again, which
-``_SortedCells.regroup`` labels as the next layer's cells. The rows are
-then laid out in (cell, cluster) groups, each in row order: the stable
-sort by that key, a radix sort of small unsigned keys (``_group_layout``;
-an empty run leaves its rank unused). The groups with a
-sleeper are the next layer's cells. Each group is a run of its slot row's
-value order, so its active sum is a difference of one prefix array: the
-row's active loads added left to right in value order, each sleeper
-adding 0.0 (``_SortedCells.prefix_of``). The active mean is that sum over
-the group's active count, and a slot's mean active load is its active
-loads added left to right in id order over their count. So every slot
-gets the estimates it would get alone. No slots or no sleepers give an
-empty trace.
+(``kmeans._SortedCells``, read-only), and every cell is a run of that
+order. ``kmeans._fit_cells`` clusters every cell of every slot in one
+vectorized pass by MLC's clustering rule, the sorted-run Lloyd on the slot
+row's float64 prefix sums, with constant settings (both in the ``kmeans``
+docstring): each cluster is a run of its cell, labelled by its rank in
+value order, and equal features share one, so the groups cut from a cell
+are runs again. The rows are then laid out in (cell, cluster) groups, each
+in row order: the stable sort by that key, a radix sort of small unsigned
+keys (``_group_layout``; an empty run leaves its rank unused). Each group
+starts at its members' smallest position (``np.minimum.reduceat``), which
+labels the next layer's cells: the groups with a sleeper. Its active sum
+is a difference of one prefix array: the row's active loads added left to
+right in value order, each sleeper adding 0.0
+(``_SortedCells.prefix_of``). The active mean is that sum over the group's
+active count, and a slot's mean active load is its active loads added left
+to right in id order over their count. So every slot gets the estimates it
+would get alone. No slots or no sleepers give an empty trace.
 ``mlc_estimate`` is the one-slot call that also reports each estimate's
 contributors. Both take their settings as one ``MlcConfig``, whose
 construction is the only check of them.
@@ -53,7 +52,7 @@ from typing import Sequence
 import numpy as np
 
 from ..traffic import LoadSnapshot
-from .kmeans import _SortedCells, _fit_cells
+from . import kmeans
 from .result import EstimateResult, NeighborDetail
 
 
@@ -73,28 +72,13 @@ class MlcConfig:
 
     layers: int = 1
     k_override: int | None = None
-    kmeans_max_iter: int = 100
-    kmeans_tol: float = 1e-9
-    kmeans_seed: int = 0
-    elbow_k_max: int = 8
 
     def __post_init__(self) -> None:
-        names = ("layers", "k_override", "kmeans_max_iter", "kmeans_seed", "elbow_k_max")
-        _check_integers(self, names, "k_override")
+        _check_integers(self, ("layers", "k_override"), "k_override")
         if self.layers < 1:
             raise ValueError(f"layers must be >= 1, got {self.layers!r}")
         if self.k_override is not None and self.k_override < 1:
             raise ValueError("k_override must be >= 1 when given")
-        if self.elbow_k_max < 3:
-            raise ValueError(
-                f"elbow_k_max must be >= 3 (the elbow needs three k values), got {self.elbow_k_max}"
-            )
-        if self.kmeans_max_iter < 1:
-            raise ValueError(f"kmeans_max_iter must be >= 1, got {self.kmeans_max_iter!r}")
-        if not self.kmeans_tol >= 0:  # NaN too
-            raise ValueError(f"kmeans_tol must be >= 0, got {self.kmeans_tol!r}")
-        if self.kmeans_seed < 0:
-            raise ValueError(f"kmeans_seed must be >= 0, got {self.kmeans_seed!r}")
 
     kind = "mlc"
 
@@ -115,8 +99,8 @@ def mlc_layers(
         known_mask: (S, n) true for each slot's active SBSs, or (n,) for
             one set that every slot shares. Every row needs the same
             number m of sleepers and at least one active SBS.
-        config: depth, cluster count (elbow-selected if ``k_override`` is
-            None) and Lloyd settings.
+        config: depth and cluster count (elbow-selected if ``k_override``
+            is None).
 
     Returns:
         ``(estimates, sources)``. ``estimates[s, l]`` holds slot s's
@@ -168,7 +152,7 @@ def mlc_layers(
 
     # Every slot row in value order, once; each layer's cells are runs of it.
     elbow = k_override is None
-    order = _SortedCells(features, np.full(n_slots, n))
+    order = kmeans._SortedCells(features, np.full(n_slots, n))
     active_prefix = order.prefix_of(np.where(known_rows, loads.ravel(), 0.0))
     ids = np.arange(n_slots * n)  # the layer's cells back to back, each in row order
     sizes = np.full(n_slots, n)
@@ -182,16 +166,13 @@ def mlc_layers(
         clusters = np.zeros(ids.size, dtype=np.int64)
         if fit.any():
             in_fit = np.repeat(fit, sizes)
-            clusters[in_fit] = _fit_cells(
+            clusters[in_fit] = kmeans._fit_cells(
                 order,
                 ids[in_fit],
                 runs[fit],
                 sizes[fit],
-                np.minimum(config.elbow_k_max if elbow else k_override, sizes[fit]),
+                np.minimum(kmeans.ELBOW_K_MAX if elbow else k_override, sizes[fit]),
                 elbow=elbow,
-                max_iter=config.kmeans_max_iter,
-                tol=config.kmeans_tol,
-                seed=config.kmeans_seed,
             )
 
         # Groups = (cell, cluster) in that order, each with its members in row order.
@@ -203,7 +184,7 @@ def mlc_layers(
         known_ids = ids[known]
         with_sleeper = n_members > n_known
         # Each group is the run [lo, lo + size) of its row's value order.
-        lo = order.regroup(ids, n_members)
+        lo = np.minimum.reduceat(order.rank[ids], np.cumsum(n_members) - n_members)
         sums = active_prefix[lo + n_members] - active_prefix[lo]
         means = np.divide(sums, n_known, out=np.zeros(n_members.size), where=n_known > 0)
 

@@ -14,8 +14,7 @@ estimate and in the reported (normalized) weights, so the code scales by
 the first selected distance instead: ``(d_1 / d)**n``, which keeps the
 weights of nearest-ranked neighbors in [0, 1]. Distances below
 ``DISTANCE_FLOOR_M`` (1 m) are clamped so co-located stations cannot
-produce infinite weights; the table builders take the floor as an argument,
-and every estimator passes that constant.
+produce infinite weights.
 
 Both variants go through one ``NeighborTable``: the first K selected
 neighbors of every sleeper, in selection order, for T slots. An N-neighbor
@@ -291,9 +290,7 @@ def _neighborhoods(pos: np.ndarray, sleepers: np.ndarray, active: np.ndarray, k:
     return _Neighborhoods(order, starts, lengths, edge)
 
 
-def nearest_table(
-    pos: np.ndarray, sleepers: np.ndarray, active: np.ndarray, k: int, distance_floor: float
-) -> NeighborTable:
+def nearest_table(pos: np.ndarray, sleepers: np.ndarray, active: np.ndarray, k: int) -> NeighborTable:
     """Each sleeper's k nearest active SBSs, ties broken by SBS id: one (1, sleepers, k) table.
 
     Equals the first k columns of a stable argsort of each row of
@@ -329,7 +326,7 @@ def nearest_table(
     for r0 in range(0, rest.size, block):
         rows = rest[r0 : r0 + block]
         cols[rows], near[rows], _ = _rank_rows(_distances(pos, sleepers[rows], active), k)
-    return NeighborTable(active[cols][None], np.maximum(near, distance_floor)[None])
+    return NeighborTable(active[cols][None], np.maximum(near, DISTANCE_FLOOR_M)[None])
 
 
 def random_table(
@@ -337,7 +334,6 @@ def random_table(
     sleepers: np.ndarray,
     active: np.ndarray,
     k: int,
-    distance_floor: float,
     seeds: Sequence[int],
 ) -> NeighborTable:
     """One (len(seeds), sleepers, k) table: per seed, the first k of one ``rng.permutation(active)``
@@ -348,7 +344,7 @@ def random_table(
         rng = np.random.default_rng(seed)
         for row in table:
             row[:] = rng.permutation(active)[:k]
-    return NeighborTable(ids, np.maximum(_distances(pos, sleepers, ids), distance_floor))
+    return NeighborTable(ids, np.maximum(_distances(pos, sleepers, ids), DISTANCE_FLOOR_M))
 
 
 def distance_estimate(
@@ -361,7 +357,7 @@ def distance_estimate(
     """
     sleepers = snapshot.sleeping_ids
     pos = positions_array(placements, snapshot.n_sbs)
-    table = nearest_table(pos, sleepers, snapshot.active_ids, config.neighbors, DISTANCE_FLOOR_M)
+    table = nearest_table(pos, sleepers, snapshot.active_ids, config.neighbors)
     return table.result(sleepers, snapshot.loads, config.neighbors, config.weighting)
 
 
@@ -378,7 +374,5 @@ def random_estimate(
     """
     sleepers = snapshot.sleeping_ids
     pos = positions_array(placements, snapshot.n_sbs)
-    table = random_table(
-        pos, sleepers, snapshot.active_ids, config.neighbors, DISTANCE_FLOOR_M, [config.seed]
-    )
+    table = random_table(pos, sleepers, snapshot.active_ids, config.neighbors, [config.seed])
     return table.result(sleepers, snapshot.loads, config.neighbors, config.weighting)

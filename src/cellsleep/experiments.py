@@ -17,7 +17,7 @@ each, and at least one per worker) to workers that one initializer sets up
 (``_init_worker``). Every precondition that does not depend on the data (an
 SBS stays active, each neighbor group finds its K) is checked once, in the
 parent, before the first task. An error sweep groups its points once: MLC
-points by their depth-1 config, neighbor points by selection rule. An
+points by their ``k_override``, neighbor points by selection rule. An
 error run estimates the evaluation slots of all its iterations together:
 each MLC group answers the run's iterations x slots in one call, one
 sleeper mask per row, and neighbor tables stay per iteration. An
@@ -32,9 +32,10 @@ and timing to the JSON sidecar.
 
 from __future__ import annotations
 
+import functools
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -52,7 +53,7 @@ from .estimators import (
     estimation_error,
 )
 from .estimators.mlc import mlc_layers
-from .estimators.neighbors import DISTANCE_FLOOR_M, _check_active, nearest_table, positions_array, random_table
+from .estimators.neighbors import _check_active, nearest_table, positions_array, random_table
 from .power import NetworkPowerConfig
 from .switching import (
     OffloadScales,
@@ -301,7 +302,7 @@ _MLC_BATCH_ROWS = 1 << 15
 def _plan_points(points: Sequence[tuple[dict, EstimatorConfig]]) -> tuple[int, list, list]:
     """Group sweep points by the one estimator run that answers them.
 
-    MLC points with one depth-1 config share a run at the group's deepest
+    MLC points with one ``k_override`` share a run at the group's deepest
     depth: layer l of a deeper run equals the full run at layers=l (pure
     refinement). Neighbor points with one selection rule share one table of
     the group's largest N: an N-neighbor set is the first N columns, and the
@@ -310,17 +311,17 @@ def _plan_points(points: Sequence[tuple[dict, EstimatorConfig]]) -> tuple[int, l
     groups (kind, K, point indices, (N, exponent) pairs), each in order of
     first appearance.
     """
-    mlc: dict[MlcConfig, list[int]] = {}
+    mlc: dict[int | None, list[int]] = {}
     neighbor: dict[str, list[int]] = {}
     cfgs = [cfg for _, cfg in points]
     for idx, cfg in enumerate(cfgs):
         if isinstance(cfg, MlcConfig):
-            mlc.setdefault(replace(cfg, layers=1), []).append(idx)
+            mlc.setdefault(cfg.k_override, []).append(idx)
         else:
             neighbor.setdefault(cfg.kind, []).append(idx)
     mlc_groups = [
-        (replace(key, layers=max(cfgs[i].layers for i in idxs)), idxs, [cfgs[i].layers - 1 for i in idxs])
-        for key, idxs in mlc.items()
+        (MlcConfig(max(cfgs[i].layers for i in idxs), k_override), idxs, [cfgs[i].layers - 1 for i in idxs])
+        for k_override, idxs in mlc.items()
     ]
     neighbor_groups = [
         (kind, max(cfgs[i].neighbors for i in idxs), idxs,
@@ -339,6 +340,22 @@ def _init_worker(config: ExperimentConfig, plan, seeds: dict[int, int]) -> None:
         _STATE["data"] = {n: _first_sbs(config, milan, n) for n in seeds}
     else:
         _STATE["data"] = {n: build_dataset(config, n_sbs=n, seed=seed) for n, seed in seeds.items()}
+
+
+def _init_pool_worker(*initargs) -> None:
+    """``_init_worker`` in a pool process, its exception kept for every task to
+    raise (``_pool_task``): raised by an initializer, it would break the pool."""
+    try:
+        _init_worker(*initargs)
+    except Exception as exc:
+        _STATE["error"] = exc
+
+
+def _pool_task(fn: Callable, task):
+    """fn(task) in a pool process, or the exception its worker's setup raised."""
+    if "error" in _STATE:
+        raise _STATE["error"]
+    return fn(task)
 
 
 def _check_preconditions(config: ExperimentConfig, n: int, where: str, neighbor_groups=()) -> None:
@@ -406,11 +423,11 @@ def _error_run(task: tuple[int, int]) -> np.ndarray:
             for kind, k, idxs, pairs in neighbor_groups:
                 if kind == "random":
                     seeds = [(config.base_seed + i) * 100_000 + slot for slot in cols]
-                    table = random_table(pos, sleepers[r], active, k, DISTANCE_FLOOR_M, seeds)
+                    table = random_table(pos, sleepers[r], active, k, seeds)
                 elif r in nearest:
                     table = nearest[r]
                 else:
-                    table = nearest[r] = nearest_table(pos, sleepers[r], active, k, DISTANCE_FLOOR_M)
+                    table = nearest[r] = nearest_table(pos, sleepers[r], active, k)
                 estimates[idxs, rows] = table.estimates(loads, pairs)
 
         # Per iteration and point, each slot's error sum is added to the
@@ -697,12 +714,14 @@ def run_power_sweep(
 # --------------------------------------------------------------------------
 
 def _map_iterations(fn: Callable, tasks: list, workers: int, initargs: tuple) -> list:
-    """Run fn over tasks in order, inline or in a pool of workers set up by ``_init_worker``."""
+    """Run fn over tasks in order, inline or in a pool of workers set up by
+    ``_init_worker``, at most one per task (an idle one would still build the data)."""
     if workers <= 1:
         _init_worker(*initargs)
         try:
             return [fn(t) for t in tasks]
         finally:
             _STATE.clear()
-    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=initargs) as pool:
-        return list(pool.map(fn, tasks))
+    n_workers = max(1, min(workers, len(tasks)))
+    with ProcessPoolExecutor(max_workers=n_workers, initializer=_init_pool_worker, initargs=initargs) as pool:
+        return list(pool.map(functools.partial(_pool_task, fn), tasks))

@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from cellsleep.estimators import kmeans
 from cellsleep.power import NetworkPowerConfig, PowerParams
 from cellsleep.traffic import GRID_PITCH_M, LoadSnapshot, SbsPlacement
 
@@ -20,6 +23,13 @@ def grid_placements(n_sbs: int, grid_side: int | None = None) -> tuple[SbsPlacem
             )
         )
     return tuple(out)
+
+
+def mlc_rule(seed=0, max_iter=100, tol=1e-9, elbow_k_max=8):
+    """MLC's clustering constants in ``kmeans`` set to other values within a ``with`` block."""
+    return mock.patch.multiple(
+        kmeans, LLOYD_SEED=seed, LLOYD_MAX_ITER=max_iter, LLOYD_TOL=tol, ELBOW_K_MAX=elbow_k_max
+    )
 
 
 def snapshot_of(loads, sleeping) -> LoadSnapshot:

@@ -3,7 +3,7 @@
 Shares no code with the package. ``kmeans_fit`` and ``elbow_select_k``
 keep the original Lloyd loop: a boolean mask and ``mean`` per cluster, the
 SSE through the validating ``compute_sse``, and a fresh seeding for every
-k of an elbow. The package's ``kmeans_fit`` and ``elbow_fit`` must
+k of an elbow. The package's ``kmeans_fit`` and ``elbow_select_k`` must
 reproduce them bit for bit.
 
 ``sorted_run_fit`` is the oracle of MLC's clustering rule, the sorted-run
@@ -12,7 +12,9 @@ docstring states it). It fits one cell at a time, in plain Python floats,
 with the prefix sums of the cell's slot row added one by one, in
 ``np.cumsum``'s order (``sorted_row``). ``mlc_layers`` is the original MLC
 layer loop on that rule; the package's ``mlc_layers`` must reproduce it
-bit for bit.
+bit for bit. Its Lloyd settings stay parameters here, while the package
+holds them as ``kmeans`` constants, which the tests patch to reach other
+values.
 """
 
 import bisect

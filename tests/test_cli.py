@@ -533,6 +533,32 @@ class TestSweepCli:
         assert f"data error: {placements}: non-finite coordinates for SBS id {sbs_id}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("case", ["noise_std", "grid_capacity", "missing_loads_csv"])
+    def test_worker_setup_error_is_the_same_data_error_at_any_workers(self, synth_dir, tmp_path, capsys, case):
+        # Each input fails where a worker builds or reads the data. In a
+        # pool's initializer that used to break the pool: a BrokenProcessPool
+        # traceback and exit 1 at --workers 2.
+        cfg = tmp_path / "cfg.json"
+        missing = tmp_path / "nope.csv"
+        args, message = {
+            "noise_std": (["--experiment", "fig2", "--config", cfg],
+                          "data error: noise_std must be finite and nonnegative, got -1.0"),
+            "grid_capacity": (["--experiment", "fig5", "--s-values", "6,150"],
+                              "data error: n_sbs 150 exceeds grid capacity 100"),
+            "missing_loads_csv": (["--experiment", "fig2", "--config", cfg], f"data error: cannot read {missing}: "),
+        }[case]
+        experiment = {"noise_std": {"noise_std": -1.0, "n_iterations": 2},
+                      "missing_loads_csv": {"data_source": "milan", "loads_csv": str(missing),
+                                            "placements_json": str(synth_dir / "placements.json")}}.get(case, {})
+        cfg.write_text(json.dumps({"experiment": experiment}))
+        lines = []
+        for workers in (1, 2):
+            out = tmp_path / f"r{workers}"
+            assert run_cli("sweep", *args, "--workers", workers, "--out", out) == 2
+            lines.append(capsys.readouterr().err)
+            assert not out.exists()
+        assert lines[0] == lines[1] and lines[0].startswith(message) and lines[0].count("\n") == 1
+
     def test_usage_error_exit_code(self):
         assert run_cli("sweep", "--experiment", "fig9") == 1
         assert run_cli("nonsense") == 1

@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -192,12 +193,12 @@ class TestSharedNeighborPath:
             snap = snapshot_of(loads, sleeping)
             sleepers, active = snap.sleeping_ids, snap.active_ids
             floor = [1.0, 0.25, 60.0][trial % 3]             # 60 m floors a whole ring
-            monkeypatch.setattr(neighbors, "DISTANCE_FLOOR_M", floor)  # what the estimators pass
+            monkeypatch.setattr(neighbors, "DISTANCE_FLOOR_M", floor)  # what the table builders floor at
             points = [(n, e) for n in self.N_VALUES for e in self.EXPONENTS]
             seed = int(rng.integers(1 << 31))
             k = max(self.N_VALUES)
-            near_table = nearest_table(pos, sleepers, active, k, floor)
-            drawn_table = random_table(pos, sleepers, active, k, floor, [seed])
+            near_table = nearest_table(pos, sleepers, active, k)
+            drawn_table = random_table(pos, sleepers, active, k, [seed])
             shared = zip(near_table.estimates(snap.loads, points), drawn_table.estimates(snap.loads, points))
             for (n, e), (near_est, drawn_est) in zip(points, shared):
                 for est, single, naive in (
@@ -210,7 +211,7 @@ class TestSharedNeighborPath:
                     assert [det.neighbor_ids for det in single.detail] == [ids for ids, _ in naive]
                     np.testing.assert_allclose(est, [v for _, v in naive], rtol=1e-12, atol=0)
 
-    def test_equal_distance_prefix_is_exact_mean(self, rng):
+    def test_equal_distance_prefix_is_exact_mean(self, rng, monkeypatch):
         # SBS 0 sleeps at the origin. Eight actives sit at exactly 50 m (the
         # 3-4-5 ring), twelve more at irrational distances within 60 m, and
         # ten further out.
@@ -224,9 +225,10 @@ class TestSharedNeighborPath:
         snap = snapshot_of(loads, sleeping=[0])
         points = [(n, e) for n in range(1, 21) for e in self.EXPONENTS]
         for floor, equal_up_to in ((1.0, 8), (60.0, 20)):
+            monkeypatch.setattr(neighbors, "DISTANCE_FLOOR_M", floor)
             for table in (
-                nearest_table(pos, snap.sleeping_ids, snap.active_ids, 20, floor),
-                random_table(pos, snap.sleeping_ids, np.arange(1, equal_up_to + 1), equal_up_to, floor, [3]),
+                nearest_table(pos, snap.sleeping_ids, snap.active_ids, 20),
+                random_table(pos, snap.sleeping_ids, np.arange(1, equal_up_to + 1), equal_up_to, [3]),
             ):
                 near = loads[table.ids[0, 0]]
                 prefixes = [(n, e) for n, e in points if n <= equal_up_to]
@@ -243,7 +245,7 @@ class TestSharedNeighborPath:
         active = np.setdiff1d(np.arange(n_sbs), sleepers)
         loads = rng.uniform(0.0, 1.0, n_sbs)
         points = [(n, e) for n in range(1, k + 1) for e in self.EXPONENTS]
-        tables = (nearest_table(pos, sleepers, active, k, 1.0), random_table(pos, sleepers, active, k, 1.0, [9]))
+        tables = (nearest_table(pos, sleepers, active, k), random_table(pos, sleepers, active, k, [9]))
         for table in tables:
             for (n, e), est in zip(points, table.estimates(loads, points)):
                 for i, ids in enumerate(table.ids[0]):
@@ -263,12 +265,12 @@ class TestSharedNeighborPath:
         loads = rng.uniform(0.0, 1.0, (6, n_sbs))
         points = [(n, e) for n in (1, 3, 8, 10, 17, 33, k) for e in self.EXPONENTS]
         seeds = [5, 500_000, 500_001, 7, 7, 12]
-        near = nearest_table(pos, sleepers, active, k, 1.0)
-        drawn = random_table(pos, sleepers, active, k, 1.0, seeds)
+        near = nearest_table(pos, sleepers, active, k)
+        drawn = random_table(pos, sleepers, active, k, seeds)
         assert near.ids.shape == (1, sleepers.size, k)
         assert drawn.ids.shape == drawn.dists.shape == (len(seeds), sleepers.size, k)
         for table, per_slot in ((near, [near] * len(seeds)),
-                                (drawn, [random_table(pos, sleepers, active, k, 1.0, [s]) for s in seeds])):
+                                (drawn, [random_table(pos, sleepers, active, k, [s]) for s in seeds])):
             batch = table.estimates(loads, points)
             for s, (row, alone) in enumerate(zip(loads, per_slot)):
                 t = s % len(table.ids)  # the one nearest table, or slot s's draw
@@ -292,7 +294,8 @@ class TestSharedNeighborPath:
         return np.array(ids).reshape(len(sleepers), k), np.array(dists).reshape(len(sleepers), k)
 
     def assert_nearest_matches_reference(self, pos, sleepers, active, k, floor):
-        table = nearest_table(pos, sleepers, active, k, floor)
+        with mock.patch.object(neighbors, "DISTANCE_FLOOR_M", floor):
+            table = nearest_table(pos, sleepers, active, k)
         ids, dists = self.stable_argsort_table(pos, sleepers, active, k, floor)
         assert np.array_equal(table.ids[0], ids), (k, floor)
         assert np.array_equal(table.dists[0].view(np.int64), dists.view(np.int64)), (k, floor)
@@ -327,7 +330,7 @@ class TestSharedNeighborPath:
             for floor in (0.25, 60.0):
                 self.assert_nearest_matches_reference(pos, sleepers, active, k, floor)
         ring_ids = np.sort(np.flatnonzero(np.hypot(*(pos[2:] - pos[0]).T) == 50.0) + 2)
-        assert np.array_equal(nearest_table(pos, sleepers, active, 8, 1.0).ids[0, 0], ring_ids)
+        assert np.array_equal(nearest_table(pos, sleepers, active, 8).ids[0, 0], ring_ids)
 
     def test_nearest_table_in_sleeper_blocks_matches_stable_argsort(self, rng, monkeypatch):
         # Budgets of one distance (still one row per block), exactly 3 rows
@@ -337,12 +340,12 @@ class TestSharedNeighborPath:
         pos = positions_array(grid_placements(n_sbs), n_sbs)
         sleepers = np.sort(rng.choice(n_sbs, size=31, replace=False))
         active = np.setdiff1d(np.arange(n_sbs), sleepers)
-        whole = {k: nearest_table(pos, sleepers, active, k, 1.0) for k in (1, 4, 9, active.size)}
+        whole = {k: nearest_table(pos, sleepers, active, k) for k in (1, 4, 9, active.size)}
         for budget in (1, 3 * active.size, 8 * active.size - 1):
             monkeypatch.setattr(neighbors, "_NEAREST_BLOCK_DISTANCES", budget)
             for k, table in whole.items():
                 self.assert_nearest_matches_reference(pos, sleepers, active, k, 1.0)
-                blocked = nearest_table(pos, sleepers, active, k, 1.0)
+                blocked = nearest_table(pos, sleepers, active, k)
                 assert np.array_equal(blocked.ids, table.ids)
                 assert np.array_equal(blocked.dists.view(np.int64), table.dists.view(np.int64))
 
@@ -393,7 +396,7 @@ class TestSharedNeighborPath:
         all_pairs = sleepers.size * active.size
         for k in (1, 5, 60, active.size):
             calls.clear()
-            table = nearest_table(pos, sleepers, active, k, 1.0)
+            table = nearest_table(pos, sleepers, active, k)
             assert np.array_equal(table.ids[0], ids[:, :k]), k
             assert np.array_equal(table.dists[0].view(np.int64), dists[:, :k].view(np.int64)), k
             measured = sum(size for size, _ in calls)
@@ -437,7 +440,7 @@ class TestSharedNeighborPath:
         active = np.setdiff1d(np.arange(5000), sleepers)
         tracemalloc.start()
         try:
-            table = nearest_table(pos, sleepers, active, 60, 1.0)
+            table = nearest_table(pos, sleepers, active, 60)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -447,9 +450,9 @@ class TestSharedNeighborPath:
     def test_random_draw_is_prefix_of_widest_draw(self, rng):
         pos = positions_array(grid_placements(64), 64)
         snap = snapshot_of(rng.uniform(0.0, 1.0, 64), sleeping=[3, 17, 40, 41])
-        widest = random_table(pos, snap.sleeping_ids, snap.active_ids, 30, 1.0, [11, 12])
+        widest = random_table(pos, snap.sleeping_ids, snap.active_ids, 30, [11, 12])
         for n in (1, 5, 29, 30):
-            narrow = random_table(pos, snap.sleeping_ids, snap.active_ids, n, 1.0, [11, 12])
+            narrow = random_table(pos, snap.sleeping_ids, snap.active_ids, n, [11, 12])
             assert np.array_equal(narrow.ids, widest.ids[..., :n])
             assert np.array_equal(narrow.dists, widest.dists[..., :n])
 

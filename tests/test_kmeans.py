@@ -1,20 +1,17 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cellsleep.estimators.kmeans import (
-    _SortedCells,
-    _fit_cells,
-    compute_sse,
-    elbow_fit,
-    elbow_select_k,
-    kmeans_fit,
-)
+from cellsleep.estimators import kmeans
+from cellsleep.estimators.kmeans import _SortedCells, _fit_cells, elbow_select_k, kmeans_fit
+from cellsleep.estimators.mlc import MlcConfig, mlc_layers
 
 import naive_kmeans
+from conftest import mlc_rule
 
 
 def brute_force_sse(points, assignments, centroids):
@@ -51,27 +48,6 @@ def three_blobs(rng, spread=0.05, per_blob=6):
     pts = np.concatenate([c + rng.normal(0, spread, size=(per_blob, 2)) for c in corners])
     labels = np.repeat(np.arange(3), per_blob)
     return pts, labels
-
-
-class TestComputeSse:
-    def test_points_at_centroids(self):
-        assert compute_sse([1.0, 1.0, 1.0], [0, 0, 0], [1.0]) == 0.0
-
-    def test_two_points_one_centroid(self):
-        # (0-1)^2 + (2-1)^2
-        assert compute_sse([0.0, 2.0], [0, 0], [1.0]) == pytest.approx(2.0)
-
-    def test_each_point_its_own_centroid(self):
-        pts = [0.0, 3.0, 9.0]
-        assert compute_sse(pts, [0, 1, 2], pts) == 0.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            compute_sse([[0.0, 1.0]], [0], [[0.0]])
-
-    def test_bad_assignment_index(self):
-        with pytest.raises(ValueError):
-            compute_sse([0.0, 1.0], [0, 5], [0.5])
 
 
 class TestKmeansFit:
@@ -140,8 +116,8 @@ class TestKmeansFit:
             kmeans_fit([1.0], 0)
 
     @pytest.mark.parametrize("fit", [lambda tol: kmeans_fit([0.1, 0.5, 0.9], 2, tol=tol),
-                                     lambda tol: elbow_fit([0.1, 0.5, 0.9], (1, 3), tol=tol)],
-                             ids=["kmeans_fit", "elbow_fit"])
+                                     lambda tol: elbow_select_k([0.1, 0.5, 0.9], (1, 3), tol=tol)],
+                             ids=["kmeans_fit", "elbow_select_k"])
     def test_nan_tol_rejected(self, fit):
         # A NaN tol never compares true, so every fit would run all max_iter steps.
         with pytest.raises(ValueError, match="tol must not be NaN"):
@@ -161,8 +137,10 @@ class TestElbow:
         assert int(np.argmax(d2)) + 2 == 3
 
     def test_identical_points_fall_back_to_one(self):
-        with pytest.warns(UserWarning, match="flat"):
-            assert elbow_select_k(np.zeros((10, 1)), (1, 5)) == 1
+        # k = 1 also when the range starts above it.
+        for lo in (1, 2):
+            with pytest.warns(UserWarning, match="flat"):
+                assert elbow_select_k(np.zeros((10, 1)), (lo, 5)) == 1
 
     def test_short_span_rejected(self):
         with pytest.raises(ValueError, match="at least 3"):
@@ -215,7 +193,7 @@ class TestMatchesOriginalLloyd:
             assert_same_fit(fit, naive_kmeans.kmeans_fit(pts, k, seed=trial))
             assert len(set(fit.assignments.tolist())) == k
 
-    def test_elbow_choice_and_fit(self, rng):
+    def test_elbow_choice(self, rng):
         for trial in range(150):
             n, d = int(rng.integers(3, 40)), int(rng.integers(1, 4))
             pts = tied_points(rng, n, d)
@@ -225,21 +203,18 @@ class TestMatchesOriginalLloyd:
                 warnings.simplefilter("ignore")
                 k = naive_kmeans.elbow_select_k(pts, (lo, hi), seed=trial)
                 assert elbow_select_k(pts, (lo, hi), seed=trial) == k
-                fit = elbow_fit(pts, (lo, hi), seed=trial)
-            assert_same_fit(fit, naive_kmeans.kmeans_fit(pts, k, seed=trial))
 
-    def test_flat_elbow_fit_is_k1(self):
-        pts = np.zeros((6, 1))
-        for lo in (1, 2):
-            with pytest.warns(UserWarning, match="flat"):
-                fit = elbow_fit(pts, (lo, 5))
-            assert_same_fit(fit, naive_kmeans.kmeans_fit(pts, 1))
+
+def fit_cells(order, rows, runs, sizes, k_hi, *, elbow, max_iter=100, tol=1e-9, seed=0):
+    """``_fit_cells`` with the rule's constants set to the given values."""
+    with mlc_rule(seed=seed, max_iter=max_iter, tol=tol):
+        return _fit_cells(order, rows, runs, sizes, k_hi, elbow=elbow)
 
 
 def fit_alone(x, sizes, k_hi, **fit):
-    """``_fit_cells`` on cells laid out in their own value order."""
+    """``fit_cells`` on cells laid out in their own value order."""
     order = _SortedCells(x, sizes)
-    return _fit_cells(order, np.arange(x.size), order.first, sizes, k_hi, **fit)
+    return fit_cells(order, np.arange(x.size), order.first, sizes, k_hi, **fit)
 
 
 def oracle_alone(x, k, **fit):
@@ -296,13 +271,13 @@ class TestSortedRunFit:
             below = rng.uniform(0, 0.05, int(rng.integers(2000, 3000)))
             features = np.concatenate([below, x])
             order = _SortedCells(features, np.array([features.size]))
-            # The cell x is the second of two groups cut from the row.
-            runs = order.regroup(np.argsort(features, kind="stable"), np.array([below.size, x.size]))
+            # The cell x is the run of the row's top x.size positions.
+            runs = order.first + below.size
             rows = below.size + np.arange(x.size)
             for seed, max_iter in itertools.product(range(4), (2, 3, 100)):
                 # tol 0: the step after the reordering runs.
                 fit = dict(elbow=False, max_iter=max_iter, tol=0.0, seed=seed)
-                got = _fit_cells(order, rows, runs[1:], np.array([5]), np.array([5]), **fit)
+                got = fit_cells(order, rows, runs, np.array([5]), np.array([5]), **fit)
                 ref = naive_kmeans.sorted_run_fit(naive_kmeans.sorted_row(features), x, 5, **fit)
                 assert np.array_equal(got, ref.labels)
 
@@ -337,8 +312,7 @@ def stable_layout(x, sizes):
     position = np.empty(grid.size, dtype=np.int64)
     position[by_value] = np.arange(grid.size)
     rank = position[place]
-    label = np.arange(grid.size, dtype=float)
-    label[rank] = np.repeat(first, sizes)
+    label = np.repeat(first, width).astype(float)  # every position of a row: the row's first
     values = grid[by_value].reshape(-1, width)
     prefix = np.zeros((sizes.size, width))
     prefix[:, 1:] = np.cumsum(values[:, :-1], axis=1)
@@ -347,8 +321,11 @@ def stable_layout(x, sizes):
     return rank, label, values.ravel(), prefix.ravel(), squares.ravel()
 
 
+ORDER_ARRAYS = ("x", "first", "rank", "keys", "prefix", "square_prefix")
+
+
 class TestSortedCells:
-    """The value order of a layer's cells, and groups cut from it as runs."""
+    """The value order of slot rows, and groups cut from it as runs."""
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -373,7 +350,7 @@ class TestSortedCells:
         assert np.array_equal(order.prefix, prefix)
         assert np.array_equal(order.square_prefix, squares)
 
-    def test_regroup_makes_every_group_a_run(self, rng):
+    def test_groups_cut_at_thresholds_are_runs(self, rng):
         for trial in range(40):
             sizes = rng.integers(1, 40, int(rng.integers(1, 6)))
             x = np.round(rng.uniform(0, 1, sizes.sum()), 1)
@@ -384,17 +361,11 @@ class TestSortedCells:
             labels = np.searchsorted(np.sort(rng.uniform(0, 1, 3)), x)
             rows = np.lexsort((labels, cell))
             n_members = np.unique(cell[rows] * 4 + labels[rows], return_counts=True)[1]
-            runs = order.regroup(rows, n_members)
-
-            label, value = order.keys.real, order.keys.imag
-            sorted_keys = (label[1:] > label[:-1]) | ((label[1:] == label[:-1]) & (value[1:] >= value[:-1]))
-            assert sorted_keys.all()
             starts = np.cumsum(n_members) - n_members
-            for start, m in zip(starts.tolist(), n_members.tolist()):
+            runs = np.minimum.reduceat(order.rank[rows], starts)  # as mlc_layers takes them
+            for start, m, run in zip(starts.tolist(), n_members.tolist(), runs.tolist()):
                 members = rows[start : start + m]
-                pos = np.sort(order.rank[members])
-                assert np.array_equal(pos, pos[0] + np.arange(m))
-                assert (label[pos] == pos[0]).all()
+                assert np.array_equal(np.sort(order.rank[members]), run + np.arange(m))
                 # Stable value order: by value, then by row.
                 by_value = members[np.lexsort((members, x[members]))]
                 assert np.array_equal(by_value, members[np.argsort(order.rank[members])])
@@ -403,18 +374,159 @@ class TestSortedCells:
             # sums of their cell's row: the oracle's fits on that row.
             fit = dict(elbow=False, max_iter=100, tol=1e-9, seed=trial)
             k = np.minimum(3, n_members)
-            got = _fit_cells(order, rows, runs, n_members, k, **fit)
+            got = fit_cells(order, rows, runs, n_members, k, **fit)
             for start, m, k_group in zip(starts.tolist(), n_members.tolist(), k.tolist()):
                 members = rows[start : start + m]
                 row = naive_kmeans.sorted_row(x[cell == cell[members[0]]])
                 ref = naive_kmeans.sorted_run_fit(row, x[members], k_group, **fit)
                 assert np.array_equal(got[start : start + m], ref.labels)
 
-    def test_runs_are_left_in_place(self, rng):
-        x = rng.uniform(0, 1, 50)
-        order = _SortedCells(x, np.array([50]))
-        rank = order.rank.copy()
-        rows = np.argsort(x, kind="stable")
-        order.regroup(rows, np.array([10, 25, 15]))
-        assert np.array_equal(order.rank, rank)
-        assert np.array_equal(order.keys.real[:50], np.repeat([0.0, 10.0, 35.0], [10, 25, 15]))
+    def test_mlc_layers_leaves_the_order_untouched(self, rng, monkeypatch):
+        # One order per call, read-only once built, and every layer of both
+        # clustering modes reads it as built.
+        built = []
+
+        def recorded(x, sizes):
+            order = _SortedCells(x, sizes)
+            built.append((order, {name: getattr(order, name).copy() for name in ORDER_ARRAYS}))
+            return order
+
+        monkeypatch.setattr(kmeans, "_SortedCells", recorded)
+        n = 80
+        loads = np.round(rng.uniform(0, 1, (3, n)), 2)
+        history = np.clip(loads + rng.normal(0, 0.05, (3, n)), 0, 1)
+        known = np.ones(n, dtype=bool)
+        known[rng.choice(n, size=15, replace=False)] = False
+        for k_override in (None, 3):
+            mlc_layers(loads, history, known, MlcConfig(5, k_override=k_override))
+        assert len(built) == 2
+        for order, arrays in built:
+            for name, before in arrays.items():
+                assert not getattr(order, name).flags.writeable, name
+                assert np.array_equal(getattr(order, name), before), name
+        with pytest.raises(ValueError, match="read-only"):
+            order.keys.real[0] = 1.0
+        x = rng.uniform(0, 1, 10)
+        _SortedCells(x, np.array([10]))
+        x[0] = 0.5  # the caller's features stay writeable
+
+
+U = 2.0**-53  # float64 unit roundoff
+
+
+def gamma(m):
+    """Higham's gamma_m = m u / (1 - m u), which bounds the relative error of m roundings."""
+    return m * U / (1 - m * U)
+
+
+def prefix_sse_bound(prefix, squares, edges):
+    """A bound on |prefix SSE - exact SSE| for the runs [edges[j], edges[j + 1]) of one row.
+
+    ``prefix`` and ``squares`` are the row's prefix sums of its nonnegative
+    features and of their squares, with ``prefix[0]`` at the row's start,
+    so entry t adds t values (squares rounded first) from 0.0 one by one
+    and lies within gamma(t + 1) of itself, relative (Higham 2002, Accuracy
+    and Stability of Numerical Algorithms, eq. 4.4). A run's S = P[b] - P[a]
+    and T = Q[b] - Q[a] are then off by at most e_S = gamma(b + 2) (P[a] +
+    P[b]) and e_T, the same of Q, the subtraction included. With mu =
+    fl(S / n), T - mu (2 S - n mu) = T - S^2 / n + n (mu - S / n)^2, so the
+    run's term is off by e_T + e_S (2 S + e_S) / n + n (u mu)^2, plus its
+    three other roundings, at most 8 u (T + mu S). The terms' sum over at
+    most 8 runs and the two-pass ``math.fsum`` reference add 16 u T.
+    """
+    bound, total = 0.0, 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        if b == a:
+            continue
+        n, g = b - a, gamma(b + 2)
+        s, t = prefix[b] - prefix[a], squares[b] - squares[a]
+        e_s, e_t = g * (prefix[a] + prefix[b]), g * (squares[a] + squares[b])
+        mu = s / n
+        bound += e_t + e_s * (2 * s + e_s) / n + n * (U * mu) ** 2 + 8 * U * (t + mu * s)
+        total += t
+    return bound + 16 * U * total
+
+
+def two_pass_sse(x, labels):
+    """Within-run SSE, each run's mean and squared deviations summed by ``math.fsum``."""
+    deviations = []
+    for run in np.unique(labels).tolist():
+        xs = x[labels == run].tolist()
+        mean = math.fsum(xs) / len(xs)
+        deviations += [(v - mean) ** 2 for v in xs]
+    return math.fsum(deviations)
+
+
+class TestElbowSse:
+    """MLC's prefix-sum SSE curve against a two-pass SSE, at paper scale."""
+
+    def test_prefix_sse_within_its_bound_and_same_elbow(self, rng, monkeypatch):
+        # 16 slot rows of 5000 features in [0, 1], each in 100 clumps of
+        # random sizes, cut into cells of 3..300 consecutive values from the
+        # row's middle on, where the prefix sums are large.
+        n, n_rows = 5000, 16
+
+        def clumped_row():
+            counts = rng.multinomial(n, rng.dirichlet(np.full(100, 0.3)))
+            return np.clip(np.repeat(rng.uniform(0, 1, 100), counts) + rng.normal(0, 0.001, n), 0, 1)
+
+        x = np.concatenate([clumped_row() for _ in range(n_rows)])
+        order = _SortedCells(x, np.full(n_rows, n))
+        feature_at = np.empty(order.keys.size, dtype=np.int64)
+        feature_at[order.rank] = np.arange(x.size)
+        runs, sizes = [], []
+        for first in order.first.tolist():
+            a = n // 2
+            while True:
+                size = int(rng.integers(3, 301))
+                if a + size > n:
+                    break
+                runs.append(first + a)
+                sizes.append(size)
+                a += size + int(rng.integers(0, 20))
+        runs, sizes = np.array(runs), np.array(sizes)
+        rows = np.concatenate([np.sort(feature_at[r : r + m]) for r, m in zip(runs.tolist(), sizes.tolist())])
+        starts = np.cumsum(sizes) - sizes
+        k_hi = np.minimum(kmeans.ELBOW_K_MAX, sizes)
+
+        curves = []
+        choice = kmeans._elbow_choice
+
+        def recorded(sse, n_k):
+            curves.append(sse.copy())
+            return choice(sse, n_k)
+
+        monkeypatch.setattr(kmeans, "_elbow_choice", recorded)
+        _fit_cells(order, rows, runs, sizes, k_hi, elbow=True)
+        (curve,) = curves
+        picks = np.maximum(choice(curve, k_hi), 0) + 1
+
+        # Each k's partition, the one its elbow problem ends in.
+        labels = {k: _fit_cells(order, rows, runs, sizes, np.minimum(k, sizes), elbow=False)
+                  for k in range(1, kmeans.ELBOW_K_MAX + 1)}
+        checked, worst = 0, 0.0
+        for c, (run, size, start) in enumerate(zip(runs.tolist(), sizes.tolist(), starts.tolist())):
+            first = run - run % order.width
+            prefix, squares = order.prefix[first : first + n + 1], order.square_prefix[first : first + n + 1]
+            xs = x[rows[start : start + size]]
+            exact, bounds = [], []
+            for k in range(1, int(k_hi[c]) + 1):
+                cell_labels = labels[k][start : start + size]
+                edges = run - first + np.concatenate([[0], np.cumsum(np.bincount(cell_labels, minlength=k))])
+                exact.append(two_pass_sse(xs, cell_labels))
+                bounds.append(prefix_sse_bound(prefix, squares, edges.tolist()))
+                difference = abs(curve[k - 1, c] - exact[-1])
+                assert difference <= bounds[-1], (c, k, difference, bounds[-1])
+                worst = max(worst, difference)
+            # The pick from the exact curve, wherever rounding cannot move
+            # it: a second difference is off by at most 4 of the bounds.
+            margin = 4 * max(bounds)
+            curvature = sorted((exact[j - 1] - 2 * exact[j] + exact[j + 1], j) for j in range(1, len(exact) - 1))
+            (top, j), runner_up = curvature[-1], curvature[-2][0] if len(curvature) > 1 else -np.inf
+            level = kmeans.FLAT_CURVE_RTOL * max(exact)
+            if top - runner_up > margin and abs(top - level) > margin:
+                checked += 1
+                assert picks[c] == (1 if top <= level else j + 1), c
+        assert runs.size >= 200 and checked >= 0.9 * runs.size
+        assert set(picks.tolist()) >= {2, 3}
+        assert worst > 0.0  # the prefix formula does round here

@@ -10,7 +10,7 @@ from cellsleep.experiments import exponent_axis, layers_axis, neighbors_axis, ru
 from cellsleep.traffic import daily_average, mask_sleepers, synthesize_traffic
 
 import naive_kmeans
-from conftest import grid_placements, snapshot_of
+from conftest import grid_placements, mlc_rule, snapshot_of
 
 
 class TestSingleLayer:
@@ -93,7 +93,8 @@ class TestLayering:
             history = np.clip(loads + rng.normal(0, 0.1, n), 0, 1)
             sleepers = rng.choice(n, size=max(1, n // 5), replace=False)
             snap = snapshot_of(loads, sleeping=sleepers)
-            res = mlc_estimate(snap, history, MlcConfig(layers=int(rng.integers(1, 6)), kmeans_seed=trial))
+            with mlc_rule(seed=trial):
+                res = mlc_estimate(snap, history, MlcConfig(layers=int(rng.integers(1, 6))))
             assert (res.estimates >= 0).all() and (res.estimates <= 1).all()
 
     def test_scale_equivariance(self, rng):
@@ -149,33 +150,24 @@ class TestDispatchAndValidation:
         with pytest.raises(ValueError):
             mlc_estimate(snap, np.array([0.1, 0.2]), MlcConfig(layers=0))
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [{"layers": 0}, {"k_override": 0}, {"elbow_k_max": 2}, {"kmeans_max_iter": 0}, {"kmeans_tol": -1.0}],
-    )
+    @pytest.mark.parametrize("kwargs", [{"layers": 0}, {"k_override": 0}])
     def test_config_rejects_out_of_range(self, kwargs):
-        # An elbow over fewer than three k values used to pass construction
-        # and fail mid-sweep.
         with pytest.raises(ValueError):
             MlcConfig(**kwargs)
 
     @pytest.mark.parametrize(
         "name, value",
-        [
-            ("layers", 2.0), ("layers", True), ("k_override", 2.5), ("k_override", False),
-            ("kmeans_max_iter", 10.0), ("kmeans_max_iter", True), ("elbow_k_max", 8.0), ("elbow_k_max", True),
-            ("kmeans_seed", -1), ("kmeans_seed", 1.5), ("kmeans_seed", True), ("kmeans_tol", float("nan")),
-        ],
+        [("layers", 2.0), ("layers", True), ("k_override", 2.5), ("k_override", False)],
     )
     def test_config_rejects_bad_setting_naming_it(self, name, value):
         # Each used to pass construction and fail inside mlc_layers with a
-        # numpy error naming no setting, or (a NaN tol) run every Lloyd step.
+        # numpy error naming no setting.
         with pytest.raises(ValueError, match=f"^{name} must be"):
             MlcConfig(**{name: value})
 
     def test_config_takes_numpy_integers(self):
-        cfg = MlcConfig(layers=np.int64(3), k_override=np.int32(2), kmeans_seed=np.int64(4))
-        assert cfg.layers == 3 and cfg.k_override == 2 and cfg.kmeans_seed == 4
+        cfg = MlcConfig(layers=np.int64(3), k_override=np.int32(2))
+        assert cfg.layers == 3 and cfg.k_override == 2
 
     def test_bad_history_shape(self):
         snap = snapshot_of([0.1, 0.2], sleeping=[1])
@@ -207,8 +199,8 @@ class TestMatchesOriginalMlc:
     @staticmethod
     def assert_matches(loads, sleepers, history, layers, k_override, seed, max_iter=100, fits=None):
         snap = snapshot_of(loads, sleeping=sleepers)
-        cfg = MlcConfig(layers, k_override=k_override, kmeans_seed=seed, kmeans_max_iter=max_iter)
-        res = mlc_estimate(snap, history, cfg)
+        with mlc_rule(seed=seed, max_iter=max_iter):
+            res = mlc_estimate(snap, history, MlcConfig(layers, k_override=k_override))
         ref_layers, ref_ids = naive_kmeans.mlc_layers(
             snap.loads, snap.known_mask, history, layers, k_override=k_override, seed=seed, max_iter=max_iter,
             fits=fits,
@@ -252,10 +244,8 @@ class TestBatchedSlots:
 
     @staticmethod
     def assert_matches(loads, history, known, layers, k_override, seed, max_iter=100, elbow_k_max=8):
-        cfg = MlcConfig(
-            layers, k_override=k_override, kmeans_seed=seed, kmeans_max_iter=max_iter, elbow_k_max=elbow_k_max
-        )
-        trace, sources = mlc_layers(loads, history, known, cfg)
+        with mlc_rule(seed=seed, max_iter=max_iter, elbow_k_max=elbow_k_max):
+            trace, sources = mlc_layers(loads, history, known, MlcConfig(layers, k_override=k_override))
         m = np.count_nonzero(~known)
         assert trace.shape == (loads.shape[0], layers, m)
         mates = contributors(sources, loads.shape[1])
@@ -335,7 +325,7 @@ class TestBatchedSlots:
             for s in range(loads.shape[0]):
                 ref, _ = naive_kmeans.mlc_layers(
                     loads[s], np.broadcast_to(known, loads.shape)[s], history[s], cfg.layers,
-                    k_override=cfg.k_override, seed=cfg.kmeans_seed, max_iter=cfg.kmeans_max_iter,
+                    k_override=cfg.k_override,
                 )
                 assert np.array_equal(trace[s], ref)
 
@@ -393,15 +383,16 @@ class TestPerRowMasks:
         history = np.clip(loads + rng.normal(0, 0.05, (n_slots, n)), 0, 1)
         history[rng.uniform(size=(n_slots, n)) < 0.2] = np.nan
         history[0] = np.nan  # a slot without history: its sleepers enter at the active mean
-        cfg = MlcConfig(layers, k_override=k_override, kmeans_seed=seed % 7)
+        cfg = MlcConfig(layers, k_override=k_override)
 
-        trace, sources = mlc_layers(loads, history, known, cfg)
-        assert trace.shape == (n_slots, layers, m)
-        mates = contributors(sources, n)
-        for s in range(n_slots):
-            alone, alone_sources = mlc_layers(loads[s : s + 1], history[s : s + 1], known[s], cfg)
-            assert np.array_equal(trace[s], alone[0])
-            assert mates[s * m : (s + 1) * m] == contributors(alone_sources, n)
+        with mlc_rule(seed=seed % 7):
+            trace, sources = mlc_layers(loads, history, known, cfg)
+            assert trace.shape == (n_slots, layers, m)
+            mates = contributors(sources, n)
+            for s in range(n_slots):
+                alone, alone_sources = mlc_layers(loads[s : s + 1], history[s : s + 1], known[s], cfg)
+                assert np.array_equal(trace[s], alone[0])
+                assert mates[s * m : (s + 1) * m] == contributors(alone_sources, n)
 
     def test_shared_mask_equals_its_broadcast(self, rng):
         known = np.ones(40, dtype=bool)
@@ -435,12 +426,12 @@ class TestPerRowMasks:
 
 @pytest.fixture
 def no_exact_loop(monkeypatch):
-    """Fail any call of the exact ``_lloyd``: MLC's clustering is the sorted-run rule alone."""
+    """Fail any call of the exact Lloyd loop: MLC's clustering is the sorted-run rule alone."""
 
-    def refused(*args):
+    def refused(*args, **kwargs):
         raise AssertionError("_fit_cells called the exact Lloyd loop")
 
-    monkeypatch.setattr(kmeans, "_lloyd", refused)
+    monkeypatch.setattr(kmeans, "kmeans_fit", refused)
 
 
 @pytest.mark.usefixtures("no_exact_loop")
@@ -457,7 +448,8 @@ class TestSortedRunGuard:
         history = np.full(17, np.nan)
         at_tie = 0
         for seed in range(12):
-            res = mlc_estimate(snap, history, MlcConfig(1, k_override=2, kmeans_seed=seed))
+            with mlc_rule(seed=seed):
+                res = mlc_estimate(snap, history, MlcConfig(1, k_override=2))
             ref, ref_ids = naive_kmeans.mlc_layers(snap.loads, snap.known_mask, history, 1, k_override=2, seed=seed)
             assert np.array_equal(res.layer_estimates, ref)
             assert [d.neighbor_ids for d in res.detail] == ref_ids
