@@ -22,7 +22,8 @@ R Journal 3(2)), so a cell is a run [a, b) of its slot row in stable value
 order (``_SortedCells``), and P and Q are that row's prefix sums of x and
 x^2, added one by one from the row's start (``np.cumsum``). The rule has no
 free settings: ``LLOYD_MAX_ITER``, ``LLOYD_TOL``, ``LLOYD_SEED`` and
-``ELBOW_K_MAX`` below are its values. One (cell, k) problem:
+``ELBOW_K_MAX`` below are its values, and the defaults of ``kmeans_fit``
+and ``elbow_select_k``. One (cell, k) problem:
 
 - Its seeds are the first k of the cell's farthest-point chain, drawn as
   ``kmeans_fit`` draws them, with ``default_rng(LLOYD_SEED)`` (seed 0),
@@ -122,7 +123,9 @@ def _seed_centroids(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     return pts[chosen].copy()
 
 
-def kmeans_fit(points, k: int, max_iter: int = 100, tol: float = 1e-9, seed: int = 0) -> ClusteringState:
+def kmeans_fit(
+    points, k: int, max_iter: int = LLOYD_MAX_ITER, tol: float = LLOYD_TOL, seed: int = LLOYD_SEED
+) -> ClusteringState:
     """Cluster points into k non-empty groups by Lloyd iteration.
 
     Stops when no centroid moves more than ``tol`` or after ``max_iter``
@@ -138,6 +141,8 @@ def kmeans_fit(points, k: int, max_iter: int = 100, tol: float = 1e-9, seed: int
         raise ValueError("max_iter must be >= 1")
     if math.isnan(tol):
         raise ValueError("tol must not be NaN")
+    if tol < 0:
+        raise ValueError(f"tol must be >= 0, got {tol!r}")  # like NaN, it would run every step
     centroids = _seed_centroids(pts, k, np.random.default_rng(seed))
     trace: list[float] = []
     for _ in range(max_iter):
@@ -182,11 +187,11 @@ def kmeans_fit(points, k: int, max_iter: int = 100, tol: float = 1e-9, seed: int
 
 def elbow_select_k(
     points,
-    k_range: tuple[int, int] = (1, 8),
+    k_range: tuple[int, int] = (1, ELBOW_K_MAX),
     *,
-    max_iter: int = 100,
-    tol: float = 1e-9,
-    seed: int = 0,
+    max_iter: int = LLOYD_MAX_ITER,
+    tol: float = LLOYD_TOL,
+    seed: int = LLOYD_SEED,
 ) -> int:
     """Pick the cluster count at the sharpest bend of the SSE-vs-k curve.
 

@@ -181,6 +181,19 @@ class TestSharedNeighborPath:
     N_VALUES = (1, 2, 3, 4, 7, 12, 20)
     EXPONENTS = (None, 1, 3, 10)
 
+    @pytest.mark.parametrize("builder", ["nearest", "random"])
+    def test_tables_floor_a_co_located_active_at_one_metre(self, builder):
+        # SBS 1 shares the sleeper's position; SBS 2 is a 3-4-5 triangle away.
+        pos = np.array([[10.0, 20.0], [10.0, 20.0], [310.0, 420.0]])
+        sleepers, active = np.array([0]), np.array([1, 2])
+        if builder == "nearest":
+            table = nearest_table(pos, sleepers, active, 2)
+        else:
+            table = random_table(pos, sleepers, active, 2, [3, 4])
+        expected = {1: neighbors.DISTANCE_FLOOR_M, 2: 500.0}
+        assert neighbors.DISTANCE_FLOOR_M == 1.0
+        assert [expected[i] for i in table.ids.ravel().tolist()] == table.dists.ravel().tolist()
+
     def test_one_table_matches_per_call_estimates(self, rng, monkeypatch):
         for trial in range(24):
             n_sbs = int(rng.integers(40, 70))

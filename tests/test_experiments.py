@@ -556,6 +556,42 @@ class TestSwitchingSweeps:
         with pytest.raises(ValueError, match=f"^{msg}$"):
             sweep(workers=2)
 
+    def test_pool_has_at_most_one_worker_per_task(self, monkeypatch):
+        # Two iterations make two tasks; an idle third or fourth worker would
+        # still build the data.
+        sizes = []
+        pool = experiments.ProcessPoolExecutor
+
+        def recorded(*args, max_workers, **kwargs):
+            sizes.append(max_workers)
+            return pool(*args, max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", recorded)
+        cfg, points = small_config(n_iterations=2), neighbors_axis("distance", [3], weighting=1)
+        assert run_error_sweep(cfg, points, workers=4).csv_text() == run_error_sweep(cfg, points).csv_text()
+        assert sizes == [2]
+
+    def test_worker_setup_error_is_raised_by_every_task(self, monkeypatch):
+        # Raised by a pool's initializer, the error would break the pool and
+        # lose its message; kept, each task raises it instead of running.
+        error = ValueError("the data cannot be built")
+
+        def broken(*args, **kwargs):
+            raise error
+
+        def never(task):
+            raise AssertionError("a task ran without its data")
+
+        monkeypatch.setattr(experiments, "build_dataset", broken)
+        try:
+            experiments._init_pool_worker(small_config(), None, {30: 7})
+            for task in range(3):
+                with pytest.raises(ValueError) as raised:
+                    experiments._pool_task(never, task)
+                assert raised.value is error
+        finally:
+            experiments._STATE.clear()
+
     # sha256 of the fig4/fig5 CSV text, recorded before the switching state
     # became an int8 code array. Base loads 0.2 run the exhaustive (s=10, 14)
     # and greedy (s=100) paths; base loads 0.95 make the tiers bind, which

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import warnings
@@ -123,6 +124,31 @@ class TestKmeansFit:
         with pytest.raises(ValueError, match="tol must not be NaN"):
             fit(np.nan)
 
+    @pytest.mark.parametrize("entry", ["kmeans_fit", "elbow_select_k"])
+    @pytest.mark.parametrize("setting, value, message",
+                             [("max_iter", 0, "max_iter must be >= 1"), ("tol", -1.0, "tol must be >= 0")])
+    def test_bad_lloyd_setting_rejected(self, entry, setting, value, message):
+        # Zero steps leave no clusters, and a negative tol, like NaN, runs every step.
+        fit = {"kmeans_fit": lambda **kw: kmeans_fit([0.1, 0.5, 0.9], 2, **kw),
+               "elbow_select_k": lambda **kw: elbow_select_k([0.1, 0.5, 0.9], (1, 3), **kw)}[entry]
+        with pytest.raises(ValueError, match=message):
+            fit(**{setting: value})
+
+
+class TestRuleConstants:
+    """MLC's clustering rule has fixed values, which the public fits default to."""
+
+    def test_documented_values(self):
+        # The kmeans module docstring and the README state these.
+        assert (kmeans.LLOYD_MAX_ITER, kmeans.LLOYD_TOL, kmeans.LLOYD_SEED, kmeans.ELBOW_K_MAX) == (100, 1e-9, 0, 8)
+
+    def test_fits_default_to_the_rule(self):
+        rule = {"max_iter": kmeans.LLOYD_MAX_ITER, "tol": kmeans.LLOYD_TOL, "seed": kmeans.LLOYD_SEED}
+        for fit in (kmeans_fit, elbow_select_k):
+            defaults = {name: p.default for name, p in inspect.signature(fit).parameters.items()}
+            assert {name: defaults[name] for name in rule} == rule, fit.__name__
+        assert inspect.signature(elbow_select_k).parameters["k_range"].default == (1, kmeans.ELBOW_K_MAX)
+
 
 class TestElbow:
     def test_three_blob_fixture_elects_three(self, rng):
@@ -193,7 +219,7 @@ class TestMatchesOriginalLloyd:
             assert_same_fit(fit, naive_kmeans.kmeans_fit(pts, k, seed=trial))
             assert len(set(fit.assignments.tolist())) == k
 
-    def test_elbow_choice(self, rng):
+    def test_elbow_choice_and_fit(self, rng):
         for trial in range(150):
             n, d = int(rng.integers(3, 40)), int(rng.integers(1, 4))
             pts = tied_points(rng, n, d)
@@ -203,6 +229,15 @@ class TestMatchesOriginalLloyd:
                 warnings.simplefilter("ignore")
                 k = naive_kmeans.elbow_select_k(pts, (lo, hi), seed=trial)
                 assert elbow_select_k(pts, (lo, hi), seed=trial) == k
+            assert_same_fit(kmeans_fit(pts, k, seed=trial), naive_kmeans.kmeans_fit(pts, k, seed=trial))
+
+    def test_flat_elbow_fit_is_k1(self):
+        pts = np.zeros((6, 1))
+        for lo in (1, 2):
+            with pytest.warns(UserWarning, match="flat"):
+                k = elbow_select_k(pts, (lo, 5))
+            assert k == 1
+            assert_same_fit(kmeans_fit(pts, k), naive_kmeans.kmeans_fit(pts, 1))
 
 
 def fit_cells(order, rows, runs, sizes, k_hi, *, elbow, max_iter=100, tol=1e-9, seed=0):
@@ -458,7 +493,41 @@ def two_pass_sse(x, labels):
 
 
 class TestElbowSse:
-    """MLC's prefix-sum SSE curve against a two-pass SSE, at paper scale."""
+    """MLC's prefix-sum SSE curve against a two-pass SSE: worked cells, and at paper scale."""
+
+    @staticmethod
+    def curve_alone(x, monkeypatch):
+        """The elbow's SSE(k) for x as one cell of its own row, k = 1..min(ELBOW_K_MAX, x.size)."""
+        curves = []
+        choice = kmeans._elbow_choice
+
+        def recorded(sse, n_k):
+            curves.append(sse.copy())
+            return choice(sse, n_k)
+
+        monkeypatch.setattr(kmeans, "_elbow_choice", recorded)
+        x = np.asarray(x, dtype=float)
+        sizes = np.array([x.size])
+        k_hi = np.minimum(kmeans.ELBOW_K_MAX, sizes)
+        order = _SortedCells(x, sizes)
+        _fit_cells(order, np.arange(x.size), order.first, sizes, k_hi, elbow=True)
+        (curve,) = curves
+        return curve[: k_hi[0], 0]
+
+    # Features with few binary digits, so every prefix sum and SSE is exact.
+
+    def test_equal_features_have_zero_sse(self, monkeypatch):
+        assert np.array_equal(self.curve_alone([0.75] * 6, monkeypatch), np.zeros(6))
+
+    def test_two_values_one_cluster(self, monkeypatch):
+        # k = 1: (0 - 1)^2 twice and (2 - 1)^2 twice; each further k splits the values.
+        assert np.array_equal(self.curve_alone([2.0, 0.0, 2.0, 0.0], monkeypatch), [4.0, 0.0, 0.0, 0.0])
+
+    def test_each_feature_its_own_cluster(self, monkeypatch):
+        x = np.array([6.25, 0.5, 3.0, 1.5])
+        curve = self.curve_alone(x, monkeypatch)
+        assert curve[0] == two_pass_sse(x, np.zeros(4, dtype=int)) == 18.921875
+        assert curve[-1] == 0.0
 
     def test_prefix_sse_within_its_bound_and_same_elbow(self, rng, monkeypatch):
         # 16 slot rows of 5000 features in [0, 1], each in 100 clumps of
