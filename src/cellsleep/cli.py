@@ -26,18 +26,9 @@ from .dataio import (
     write_loads_csv,
     write_placements_json,
 )
-from .errors import CellSleepError, ConfigError, DataFormatError, InfeasibleNetworkError
+from .errors import CellSleepError, ConfigError, DataFormatError, GridError, InfeasibleNetworkError
 from .estimators import DistanceConfig, MlcConfig, RandomConfig, check_epsilon, estimate, estimation_error
-from .experiments import (
-    check_switching_size,
-    layers_axis,
-    neighbors_axis,
-    optimize,
-    run_decision_sweep,
-    run_error_sweep,
-    run_power_sweep,
-    write_report,
-)
+from .experiments import FIGURES, optimize, run_figure, write_report
 from .traffic import (
     MINUTES_PER_DAY,
     aggregate_activity,
@@ -178,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="solution.json")
 
     p = sub.add_parser("sweep", help="run one of the packaged studies")
-    p.add_argument("--experiment", choices=("fig2", "fig3", "fig4", "fig5"), required=True)
+    p.add_argument("--experiment", choices=FIGURES, required=True)
     p.add_argument("--profile", choices=tuple(PROFILES), default="desk")
     p.add_argument("--config", default=None)
     p.add_argument("--seed", type=_nonnegative_int, default=None)
@@ -375,54 +366,13 @@ def _cmd_optimize(args) -> int:
     return EXIT_OK if solution.feasible else EXIT_INFEASIBLE
 
 
-_DESK_N_GRID = [1, 5, 10, 20, 30, 40, 50, 60]
-_DESK_S_GRID = [6, 10, 14]
-_PAPER_S_GRID = [10, 30, 50, 70]
-_L_GRID = [1, 2, 3, 4, 5, 6, 7]
-
-
 def _cmd_sweep(args) -> int:
     config = _load_config(args)
-    n_values = args.n_values or [n for n in _DESK_N_GRID if n < config.n_sbs - config.n_sleepers]
-    exponents = args.exponents or [1, 3, 5, 10]
-    s_values = args.s_values or (_DESK_S_GRID if config.profile == "desk" else _PAPER_S_GRID)
-    l_values = args.l_values or _L_GRID
-    # The estimator configs and the size check are the one check of a grid
-    # value, and a grid names each value once (a repeat would be written
-    # twice); a bad grid is a usage error.
-    for flag, values, check in (
-        ("--n-values", n_values, lambda n: DistanceConfig(neighbors=n)),
-        ("--exponents", exponents, lambda n_exp: DistanceConfig(weighting=n_exp)),
-        ("--s-values", s_values, check_switching_size),
-        ("--l-values", l_values, lambda layers: MlcConfig(layers=layers)),
-    ):
-        try:
-            for idx, value in enumerate(values):
-                check(value)
-                if value in values[:idx]:
-                    raise ValueError(f"{value} is repeated")
-        except ValueError as exc:
-            raise ConfigError(f"{flag}: {exc}") from exc
-
-    if args.experiment == "fig2":
-        points = []
-        for n_exp in exponents:
-            points.extend(neighbors_axis("distance", n_values, weighting=n_exp))
-        report = run_error_sweep(config, points, workers=args.workers, experiment="fig2")
-    elif args.experiment == "fig3":
-        points = (
-            layers_axis(l_values, k_override=config.mlc_k_override)
-            + neighbors_axis("distance", n_values, weighting=None)
-            + neighbors_axis("random", n_values, weighting=1)
-        )
-        report = run_error_sweep(config, points, workers=args.workers, experiment="fig3")
-    elif args.experiment == "fig4":
-        report = run_decision_sweep(config, s_values, l_values, workers=args.workers)
-        report.experiment = "fig4"
-    else:
-        report = run_power_sweep(config, s_values, l_values, workers=args.workers)
-        report.experiment = "fig5"
-    report.metadata["workers"] = args.workers
+    grids = {grid: getattr(args, grid) for grid in ("n_values", "exponents", "s_values", "l_values")}
+    try:
+        report = run_figure(args.experiment, config, workers=args.workers, **grids)
+    except GridError as exc:  # a bad grid is a usage error naming its flag
+        raise ConfigError(f"--{exc.grid.replace('_', '-')}: {exc.reason}") from exc
     csv_path, json_path = write_report(report, args.out)
     print(f"sweep {args.experiment}: {len(report.points)} points -> {csv_path} / {json_path}")
     return EXIT_OK

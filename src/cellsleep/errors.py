@@ -20,3 +20,11 @@ class DataFormatError(CellSleepError):
 
 class InfeasibleNetworkError(CellSleepError):
     """No switching state satisfies the MBS/HAPS capacity constraints."""
+
+
+class GridError(ConfigError, ValueError):
+    """A sweep grid value that fails its check or repeats; ``grid`` names the grid."""
+
+    def __init__(self, grid: str, reason) -> None:
+        super().__init__(f"{grid}: {reason}")
+        self.grid, self.reason = grid, str(reason)

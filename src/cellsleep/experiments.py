@@ -9,6 +9,10 @@ Three study families are provided:
 * power sweeps pricing the estimated-load decision at the actual loads
   (the deployed cost) next to the actual optimum.
 
+Each figure of the paper (``run_figure``) is one study over named grids,
+each with one default and one check (``_GRIDS``); every grid names each
+value once (``_check_grid``).
+
 Every iteration i draws its sleeping set from seed ``base_seed + i``, so a
 report is a pure function of (config, seed); worker processes only change
 wall-clock time, never a reported digit. Both sweep families hand runs of
@@ -43,7 +47,7 @@ import numpy as np
 
 from .config import ExperimentConfig, config_hash, draw_sleepers
 from .dataio import read_loads_csv, read_placements_json, write_json
-from .errors import DataFormatError
+from .errors import DataFormatError, GridError
 from .estimators import (
     DistanceConfig,
     ErrorUndefined,
@@ -236,32 +240,20 @@ def write_report(report: ExperimentReport, out_dir: str | Path) -> tuple[Path, P
 # axis builders
 # --------------------------------------------------------------------------
 
-def _neighbor_points(
-    kind: str, pairs: Sequence[tuple[int, int | None]]
+def neighbors_axis(
+    kind: str, values: Sequence[int], weighting: int | None = None
 ) -> list[tuple[dict, EstimatorConfig]]:
-    """Labelled distance or random estimator configs, one per (neighbors, exponent)."""
+    """Sweep the neighbor count of the distance or random estimator at one weighting exponent."""
     configs = {"distance": DistanceConfig, "random": RandomConfig}
     if kind not in configs:
         raise ValueError(f"neighbor axes need 'distance' or 'random', got {kind!r}")
     return [
         (
-            {"estimator": kind, "neighbors": n, "exponent": n_exp, "layers": None},
-            configs[kind](neighbors=n, weighting=n_exp),
+            {"estimator": kind, "neighbors": n, "exponent": weighting, "layers": None},
+            configs[kind](neighbors=n, weighting=weighting),
         )
-        for n, n_exp in pairs
+        for n in values
     ]
-
-
-def neighbors_axis(
-    kind: str, values: Sequence[int], weighting: int | None = None
-) -> list[tuple[dict, EstimatorConfig]]:
-    """Sweep the neighbor count of the distance or random estimator."""
-    return _neighbor_points(kind, [(n, weighting) for n in values])
-
-
-def exponent_axis(kind: str, neighbors: int, values: Sequence[int]) -> list[tuple[dict, EstimatorConfig]]:
-    """Sweep the inverse-distance weighting exponent at fixed neighbor count."""
-    return _neighbor_points(kind, [(neighbors, n_exp) for n_exp in values])
 
 
 def layers_axis(values: Sequence[int], k_override: int | None = None) -> list[tuple[dict, EstimatorConfig]]:
@@ -454,6 +446,7 @@ def run_error_sweep(
     """Mean estimation error per sweep point, pooled over iterations and slots."""
     if not points:
         raise ValueError("run_error_sweep needs at least one sweep point")
+    _check_grid("points", [labels for labels, _ in points])
     t0 = time.perf_counter()
     plan = _plan_points(points)
     slots = config.eval_slots()
@@ -480,34 +473,18 @@ def run_error_sweep(
         )
         for p, (labels, _) in enumerate(points)
     ]
-    return _report(experiment, config, _ERROR_COLUMNS, report_points, t0, epsilon=config.epsilon)
+    return _report(experiment, config, _ERROR_COLUMNS, report_points, t0, workers=workers, epsilon=config.epsilon)
 
 
 # --------------------------------------------------------------------------
 # decision and power sweeps
 # --------------------------------------------------------------------------
 
-_DECISION_COLUMNS = (
-    "n_sbs",
-    "layers",
-    "estimator",
-    "optimizer",
-    "decision_change_rate",
-    "std_change_rate",
-    "n_iterations",
-)
-
+_SWITCHING_LABELS = ("n_sbs", "layers", "estimator", "optimizer")
+_DECISION_COLUMNS = (*_SWITCHING_LABELS, "decision_change_rate", "std_change_rate", "n_iterations")
 _POWER_COLUMNS = (
-    "n_sbs",
-    "layers",
-    "estimator",
-    "optimizer",
-    "power_actual_w",
-    "power_deployed_w",
-    "power_estimated_naive_w",
-    "gap_w",
-    "gap_rel",
-    "n_iterations",
+    *_SWITCHING_LABELS,
+    "power_actual_w", "power_deployed_w", "power_estimated_naive_w", "gap_w", "gap_rel", "n_iterations",
 )
 
 
@@ -629,12 +606,9 @@ def _switching_report(
     workers: int,
 ) -> ExperimentReport:
     """Optimize actual, perfect and per-L estimated loads for every (s, iteration)."""
-    for layers in l_values:  # MlcConfig is the one check of a depth; a run reads only the deepest
-        MlcConfig(layers=layers)
-    for idx, s in enumerate(s_values):
-        check_switching_size(s)
-        if s in s_values[:idx]:  # each point pools every run at its size
-            raise ValueError(f"switching sweeps need distinct sizes: n_sbs {s} is repeated")
+    _check_grid("s_values", s_values)
+    _check_grid("l_values", l_values)  # a run reads only the deepest depth
+    for s in s_values:
         _check_preconditions(config, s, f"n_sbs {s}")
     # Runs of iterations per size; an iteration adds one slot row of s SBSs.
     tasks = [(s, *run) for s in s_values for run in _iteration_runs(config.n_iterations, s, workers)]
@@ -681,7 +655,7 @@ def _switching_report(
                 )
             )
     return _report(
-        experiment, config, columns, points, t0,
+        experiment, config, columns, points, t0, workers=workers,
         optimizer_by_s={str(s): optimizer_name(config, s) for s in s_values},
         deployed_infeasible_per_point=[p.per_iteration["deployed_feasible"].count(False) for p in points],
     )
@@ -693,9 +667,10 @@ def run_decision_sweep(
     l_values: Sequence[int],
     *,
     workers: int = 1,
+    experiment: str = "decision_sweep",
 ) -> ExperimentReport:
     """Switch-off decision disagreement between actual and estimated loads."""
-    return _switching_report("decision_sweep", _DECISION_COLUMNS, config, s_values, l_values, workers)
+    return _switching_report(experiment, _DECISION_COLUMNS, config, s_values, l_values, workers)
 
 
 def run_power_sweep(
@@ -704,9 +679,81 @@ def run_power_sweep(
     l_values: Sequence[int],
     *,
     workers: int = 1,
+    experiment: str = "power_sweep",
 ) -> ExperimentReport:
     """Actual-optimal power next to the deployed cost of estimated decisions."""
-    return _switching_report("power_sweep", _POWER_COLUMNS, config, s_values, l_values, workers)
+    return _switching_report(experiment, _POWER_COLUMNS, config, s_values, l_values, workers)
+
+
+# --------------------------------------------------------------------------
+# figures
+# --------------------------------------------------------------------------
+
+FIGURES = ("fig2", "fig3", "fig4", "fig5")
+
+_N_GRID = (1, 5, 10, 20, 30, 40, 50, 60)
+
+# Each grid of the figures: its default at a config, and the one check of a value.
+_GRIDS: dict[str, tuple[Callable, Callable]] = {
+    "n_values": (
+        lambda config: [n for n in _N_GRID if n < config.n_sbs - config.n_sleepers],
+        lambda n: DistanceConfig(neighbors=n),
+    ),
+    "exponents": (lambda config: [1, 3, 5, 10], lambda n_exp: DistanceConfig(weighting=n_exp)),
+    "s_values": (lambda config: [6, 10, 14] if config.profile == "desk" else [10, 30, 50, 70], check_switching_size),
+    "l_values": (lambda config: list(range(1, 8)), lambda layers: MlcConfig(layers=layers)),
+}
+
+
+def _check_grid(grid: str, values: Sequence) -> None:
+    """The one grid rule: each value passes its check (``_GRIDS``; a sweep point's config
+    checks itself) and appears once, as it names its own report rows."""
+    try:
+        for idx, value in enumerate(values):
+            if grid in _GRIDS:
+                _GRIDS[grid][1](value)
+            if value in values[:idx]:
+                raise ValueError(f"{value} is repeated")
+    except ValueError as exc:
+        raise GridError(grid, exc) from exc
+
+
+def _figure(figure: str, config: ExperimentConfig, **overrides) -> tuple[Callable, tuple]:
+    """The sweep that makes ``figure`` at ``config``, and its arguments after the config.
+
+    A grid is its override, or else its default at ``config``. Every
+    override is checked, the figure's own or not; an empty one is rejected.
+    """
+    if figure not in FIGURES:
+        raise ValueError(f"unknown figure {figure!r}; expected one of {', '.join(FIGURES)}")
+    grids = {grid: default(config) for grid, (default, _) in _GRIDS.items()}
+    for grid, values in overrides.items():
+        if grid not in grids:
+            raise TypeError(f"unknown grid {grid!r}")
+        if values is not None:
+            grids[grid] = values = list(values)
+            if not values:
+                raise GridError(grid, "no values")
+            _check_grid(grid, values)
+    n_values, exponents, s_values, l_values = grids.values()
+    if figure == "fig2":
+        return run_error_sweep, ([p for n_exp in exponents for p in neighbors_axis("distance", n_values, n_exp)],)
+    if figure == "fig3":
+        return run_error_sweep, (
+            layers_axis(l_values, k_override=config.mlc_k_override)
+            + neighbors_axis("distance", n_values)
+            + neighbors_axis("random", n_values, weighting=1),
+        )
+    return (run_decision_sweep if figure == "fig4" else run_power_sweep), (s_values, l_values)
+
+
+def run_figure(figure: str, config: ExperimentConfig, *, workers: int = 1, **grids) -> ExperimentReport:
+    """The study of a figure in ``FIGURES`` at ``config``, its report named after it.
+
+    ``grids`` overrides any of ``_GRIDS``; a bad one raises ``GridError`` before any work.
+    """
+    sweep, args = _figure(figure, config, **grids)
+    return sweep(config, *args, workers=workers, experiment=figure)
 
 
 # --------------------------------------------------------------------------

@@ -28,13 +28,8 @@ from cellsleep.switching import (
     optimize_exhaustive,
     optimize_greedy,
 )
-from cellsleep.experiments import (
-    layers_axis,
-    neighbors_axis,
-    run_error_sweep,
-    run_power_sweep,
-    write_report,
-)
+from cellsleep import experiments
+from cellsleep.experiments import layers_axis, neighbors_axis, run_error_sweep, run_figure, write_report
 
 from conftest import grid_placements, random_network_config, snapshot_of
 from naive_opt import naive_optimize
@@ -296,30 +291,27 @@ def test_criterion_4_optimizer_oracle():
 # 5. weighted-distance error trend across neighbor counts
 # ---------------------------------------------------------------------------
 
-N_GRID = (1, 5, 10, 20, 30, 40, 50, 60)
-
-
 def test_criterion_5_distance_weighting_trend():
     t0 = time.perf_counter()
     failures = []
     cfg = desk_profile()
-    points = []
-    for n_exp in (1, 5, 10):
-        points.extend(neighbors_axis("distance", N_GRID, weighting=n_exp))
-    report = run_error_sweep(cfg, points, experiment="fig2_acceptance")
+    report = run_figure("fig2", cfg, exponents=(1, 5, 10))  # fig2's N grid
 
-    curves = {}  # exponent -> aggregate means over N_GRID
-    per_seed = {}  # exponent -> (n_iterations, len(N_GRID))
-    for (labels, _), point in zip(points, report.points):
-        curves.setdefault(labels["exponent"], []).append(point.metrics["mean_error"])
-        per_seed.setdefault(labels["exponent"], []).append(point.per_iteration["mean_error"])
+    n_grid = []  # N in fig2's order, for one exponent
+    curves = {}  # exponent -> aggregate means over the N grid
+    per_seed = {}  # exponent -> (n_iterations, len(n_grid))
+    for point in report.points:
+        if point.labels["exponent"] == 1:
+            n_grid.append(point.labels["neighbors"])
+        curves.setdefault(point.labels["exponent"], []).append(point.metrics["mean_error"])
+        per_seed.setdefault(point.labels["exponent"], []).append(point.per_iteration["mean_error"])
     for exp in per_seed:
         per_seed[exp] = np.array(per_seed[exp]).T  # (iterations, N)
 
-    big_idx = [i for i, n in enumerate(N_GRID) if n >= 20]
+    big_idx = [i for i, n in enumerate(n_grid) if n >= 20]
     for i in big_idx:
         if not curves[5][i] < curves[1][i]:
-            failures.append(f"aggregate: error(n=5, N={N_GRID[i]}) !< error(n=1)")
+            failures.append(f"aggregate: error(n=5, N={n_grid[i]}) !< error(n=1)")
 
     ok_seeds = sum(
         1
@@ -349,8 +341,9 @@ def test_criterion_6_mlc_layer_trend():
     t0 = time.perf_counter()
     failures = []
     cfg = desk_profile()
-    layers = (1, 2, 3, 4, 5, 6, 7)
-    report = run_error_sweep(cfg, layers_axis(layers), experiment="fig3_acceptance")
+    _, (points,) = experiments._figure("fig3", cfg)
+    report = run_error_sweep(cfg, [p for p in points if p[0]["estimator"] == "mlc"])  # fig3's depths
+    layers = [p.labels["layers"] for p in report.points]
 
     means = [p.metrics["mean_error"] for p in report.points]
     stds = [p.metrics["std_error"] for p in report.points]
@@ -376,9 +369,8 @@ def test_criterion_7_decision_and_power_consistency():
     t0 = time.perf_counter()
     failures = []
     cfg = desk_profile(n_iterations=60, sleep_fraction=0.3)
-    s_values = (6, 10, 14)  # exhaustive mode everywhere (cap 20, s <= 15)
-    l_values = (1, 3, 5, 7)
-    report = run_power_sweep(cfg, s_values, l_values)
+    # fig5's desk sizes 6, 10 and 14: exhaustive mode everywhere (cap 20, s <= 15)
+    report = run_figure("fig5", cfg, l_values=(1, 3, 5, 7))
 
     by_s: dict = {}
     for p in report.points:
@@ -461,16 +453,13 @@ def test_milan_ordering_informative():
         placements_json=os.path.join(root, "placements.json"),
         profile="milan",
     )
-    points = []
-    for n_exp in (1, 5):
-        points.extend(neighbors_axis("distance", N_GRID, weighting=n_exp))
-    report = run_error_sweep(cfg, points, experiment="fig2_milan")
+    report = run_figure("fig2", cfg, exponents=(1, 5))
     curves = {}
-    for (labels, _), point in zip(points, report.points):
-        curves.setdefault(labels["exponent"], []).append(point.metrics["mean_error"])
+    for point in report.points:
+        curves.setdefault(point.labels["exponent"], {})[point.labels["neighbors"]] = point.metrics["mean_error"]
     print("\n  Milan absolute errors (informative):")
     for exp, vals in curves.items():
-        print(f"    n={exp}: {[round(v, 4) for v in vals]}")
-    for i, n in enumerate(N_GRID):
+        print(f"    n={exp}: {[round(v, 4) for v in vals.values()]}")
+    for n in curves[1]:
         if n >= 20:
-            assert curves[5][i] < curves[1][i]
+            assert curves[5][n] < curves[1][n]

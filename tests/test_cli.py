@@ -9,7 +9,7 @@ from cellsleep.config import config_from_dict, desk_profile
 from cellsleep.dataio import read_loads_csv, read_placements_json
 from cellsleep.estimators import MlcConfig
 from cellsleep.estimators.mlc import mlc_estimate
-from cellsleep.experiments import run_decision_sweep, write_report
+from cellsleep.experiments import run_figure, write_report
 from cellsleep.traffic import mask_sleepers
 
 
@@ -397,8 +397,7 @@ class TestSweepCli:
         assert run_cli("sweep", "--experiment", "fig4", "--profile", "desk", "--config", cfg, "--seed", 13,
                        "--s-values", "6,10", "--l-values", "1,2", "--out", out) == 0
         config = config_from_dict(json.loads(cfg.read_text())["experiment"], desk_profile())
-        report = run_decision_sweep(config_from_dict({"base_seed": 13}, config), [6, 10], [1, 2])
-        report.experiment = "fig4"
+        report = run_figure("fig4", config_from_dict({"base_seed": 13}, config), s_values=[6, 10], l_values=[1, 2])
         csv_path, _ = write_report(report, tmp_path / "ref")
         assert csv_path.name == "fig4_desk_13.csv"
         assert (out / csv_path.name).read_bytes() == csv_path.read_bytes()
@@ -461,10 +460,15 @@ class TestSweepCli:
         ("fig5", "--l-values", "0,3", "layers must be >= 1, got 0"),
         ("fig5", "--s-values", "1", "switching sweeps need n_sbs >= 2 per point, got 1"),
         ("fig4", "--s-values", "6,0", "switching sweeps need n_sbs >= 2 per point, got 0"),
+        ("fig4", "--l-values", ",", "no values"),
+        ("fig5", "--s-values", "", "no values"),
+        ("fig2", "--n-values", ",,", "no values"),
+        ("fig3", "--exponents", ",", "no values"),
     ])
     def test_bad_grid_value_is_usage_error_naming_the_flag(self, tmp_path, capsys, experiment, flag, value, message):
         # These used to exit 2 naming no flag, and fig5 at --l-values 0,3
-        # exited 0 with a layers=0 row holding L = 3's numbers.
+        # exited 0 with a layers=0 row holding L = 3's numbers. A flag with
+        # no values used to run the default grid.
         cfg = self.write_cfg(tmp_path, {"n_iterations": 2})
         out = tmp_path / "r"
         assert run_cli("sweep", "--experiment", experiment, "--config", cfg, "--out", out,
@@ -487,6 +491,22 @@ class TestSweepCli:
         assert run_cli("sweep", "--experiment", experiment, "--config", cfg, "--out", out,
                        "--s-values", "6", f"{flag}={value}") == 1
         assert f"usage error: {flag}: {repeated} is repeated" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_default_n_grid_keeps_n_below_the_active_count(self, tmp_path, capsys):
+        # 16 SBSs, 2 asleep, 14 active: fig2's default N grid is 1, 5, 10,
+        # and an explicit N = 20 fails the sweep's precondition.
+        cfg = self.write_cfg(tmp_path, {"n_sbs": 16, "grid_side": 4, "n_iterations": 1})
+        out = tmp_path / "r"
+        assert run_cli("sweep", "--experiment", "fig2", "--config", cfg, "--exponents", "1", "--out", out) == 0
+        rows = (out / "fig2_desk_0.csv").read_text().splitlines()[2:]
+        assert [row.split(",")[:3] for row in rows] == [["distance", n, "1"] for n in ("1", "5", "10")]
+        out = tmp_path / "r20"
+        assert run_cli("sweep", "--experiment", "fig2", "--config", cfg, "--n-values", "20", "--out", out) == 2
+        assert capsys.readouterr().err == (
+            "data error: iteration 0, slot 0, estimator distance, neighbors 20: "
+            "requested 20 neighbors but only 14 SBSs are active\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["0", "-3"])

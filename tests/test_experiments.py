@@ -12,16 +12,16 @@ import pytest
 from cellsleep import experiments, switching
 from cellsleep.config import ExperimentConfig, config_from_dict, config_hash, desk_profile, paper_profile
 from cellsleep.dataio import read_loads_csv, write_loads_csv, write_placements_json
-from cellsleep.errors import ConfigError, DataFormatError
+from cellsleep.errors import ConfigError, DataFormatError, GridError
 from cellsleep.estimators import MlcConfig, estimate, positions_array
 from cellsleep.experiments import (
     build_dataset,
-    exponent_axis,
     layers_axis,
     neighbors_axis,
     report_basename,
     run_decision_sweep,
     run_error_sweep,
+    run_figure,
     run_power_sweep,
     write_report,
 )
@@ -320,7 +320,8 @@ class TestErrorSweep:
 
     def test_random_axis_runs(self):
         cfg = small_config(n_iterations=3)
-        report = run_error_sweep(cfg, exponent_axis("random", 4, [1, 5]))
+        points = neighbors_axis("random", [4], weighting=1) + neighbors_axis("random", [4], weighting=5)
+        report = run_error_sweep(cfg, points)
         assert len(report.points) == 2
         assert all(np.isfinite(p.metrics["mean_error"]) for p in report.points)
 
@@ -328,11 +329,20 @@ class TestErrorSweep:
         with pytest.raises(ValueError):
             run_error_sweep(small_config(), [])
 
+    def test_repeated_point_rejected_before_any_task(self, monkeypatch):
+        # A repeated point used to write its row twice.
+        monkeypatch.setattr(experiments, "_map_iterations", None)  # no task may start
+        labels = {"estimator": "distance", "neighbors": 5, "exponent": 1, "layers": None}
+        with pytest.raises(GridError, match=f"^points: {re.escape(str(labels))} is repeated$"):
+            run_error_sweep(small_config(), neighbors_axis("distance", [5, 5], weighting=1))
+        points = layers_axis([2]) + layers_axis([2], k_override=3)  # two rows the CSV cannot tell apart
+        with pytest.raises(GridError, match="is repeated$"):
+            run_error_sweep(small_config(), points)
+
     # sha256 of desk fig2 and fig3 error-sweep CSV text (3 iterations x 12
-    # slots, the CLI's point grids), re-recorded when every study sum moved
-    # to one written left-to-right order (each value moved by under 1e-13
-    # relative). fig3 runs with elbow-selected k and with k = 3.
-    N_GRID = (1, 5, 10, 20, 30, 40, 50, 60)
+    # slots, the figures' default grids), re-recorded when every study sum
+    # moved to one written left-to-right order (each value moved by under
+    # 1e-13 relative). fig3 runs with elbow-selected k and with k = 3.
     PINNED = {
         ("fig2", None): "362c4bc40f3ead47273894148a6ebf558c74a8eb619fae381ffbc2233ade8a3f",
         ("fig3", None): "ad430d65685b6714667bada845303a4a9d2731504e9c42231c84e188ea5a077c",
@@ -341,16 +351,7 @@ class TestErrorSweep:
 
     @pytest.mark.parametrize("experiment, k_override", list(PINNED))
     def test_csv_bytes_pinned(self, experiment, k_override):
-        cfg = desk_profile(n_iterations=3, mlc_k_override=k_override)
-        if experiment == "fig2":
-            points = [p for n_exp in (1, 3, 5, 10) for p in neighbors_axis("distance", self.N_GRID, n_exp)]
-        else:
-            points = (
-                layers_axis(range(1, 8), k_override=k_override)
-                + neighbors_axis("distance", self.N_GRID)
-                + neighbors_axis("random", self.N_GRID, weighting=1)
-            )
-        report = run_error_sweep(cfg, points, experiment=experiment)
+        report = run_figure(experiment, desk_profile(n_iterations=3, mlc_k_override=k_override))
         assert hashlib.sha256(report.csv_text().encode()).hexdigest() == self.PINNED[(experiment, k_override)]
 
     def test_csv_bytes_do_not_depend_on_runs_or_workers(self, monkeypatch):
@@ -359,11 +360,6 @@ class TestErrorSweep:
         # runs of one iteration in slot batches of 5, 5 and 2, and two
         # workers give the pinned bytes. Each MLC call gets iterations x slots.
         cfg = desk_profile(n_iterations=3)
-        points = (
-            layers_axis(range(1, 8))
-            + neighbors_axis("distance", self.N_GRID)
-            + neighbors_axis("random", self.N_GRID, weighting=1)
-        )
         rows = []
         mlc_layers = experiments.mlc_layers
 
@@ -375,11 +371,11 @@ class TestErrorSweep:
         for cap, calls in ((1 << 15, [36]), (2400, [24, 12]), (500, [5, 5, 2] * 3)):
             rows.clear()
             monkeypatch.setattr(experiments, "_MLC_BATCH_ROWS", cap)
-            csv = run_error_sweep(cfg, points, experiment="fig3").csv_text()
+            csv = run_figure("fig3", cfg).csv_text()
             assert hashlib.sha256(csv.encode()).hexdigest() == self.PINNED[("fig3", None)]
             assert rows == calls
         monkeypatch.setattr(experiments, "_MLC_BATCH_ROWS", 1 << 15)
-        assert run_error_sweep(cfg, points, experiment="fig3", workers=2).csv_text() == csv
+        assert run_figure("fig3", cfg, workers=2).csv_text() == csv
 
     def test_estimator_precondition_aborts_with_context(self):
         # 30 SBSs, 3 sleeping -> 27 active; asking for 28 neighbors must
@@ -515,15 +511,22 @@ class TestSwitchingSweeps:
 
     @pytest.mark.parametrize("run", [run_decision_sweep, run_power_sweep])
     def test_repeated_size_rejected(self, run):
-        with pytest.raises(ValueError, match="^switching sweeps need distinct sizes: n_sbs 6 is repeated$"):
+        with pytest.raises(GridError, match="^s_values: 6 is repeated$"):
             run(small_config(n_iterations=2), [6, 10, 6], [1])
+
+    @pytest.mark.parametrize("run", [run_decision_sweep, run_power_sweep])
+    def test_repeated_depth_rejected_before_any_task(self, run, monkeypatch):
+        # A repeated depth used to write its row twice, e.g. two 6,3,mlc rows.
+        monkeypatch.setattr(experiments, "_map_iterations", None)  # no task may start
+        with pytest.raises(GridError, match="^l_values: 3 is repeated$"):
+            run(desk_profile(n_iterations=2), [6], [3, 3])
 
     @pytest.mark.parametrize("layers", [0, -1])
     def test_depth_below_one_rejected_before_any_task(self, layers, monkeypatch):
         # A run reads depth L at index L - 1 of the deepest run's layers, so
         # depth 0 or -1 used to write a row holding another depth's numbers.
         monkeypatch.setattr(experiments, "_map_iterations", None)  # no task may start
-        with pytest.raises(ValueError, match=f"^layers must be >= 1, got {layers}$"):
+        with pytest.raises(ValueError, match=f"^l_values: layers must be >= 1, got {layers}$"):
             run_power_sweep(small_config(n_iterations=2), [6], [layers, 3])
 
     def test_every_sbs_asleep_names_the_size(self):
@@ -629,8 +632,7 @@ class TestSwitchingSweeps:
             n_iterations=4, slot_stride=36, mlc_k_override=3,
             base_mbs_load=base_load, base_haps_load=base_load,
         )
-        decision = run_decision_sweep(cfg, s_values, (1, 3))
-        power = run_power_sweep(cfg, s_values, (1, 3))
+        decision, power = (run_figure(fig, cfg, s_values=s_values, l_values=(1, 3)) for fig in ("fig4", "fig5"))
         digests = tuple(
             hashlib.sha256(r.csv_text().encode()).hexdigest() for r in (decision, power)
         )
@@ -669,11 +671,10 @@ class TestSwitchingSweeps:
             return read_loads_csv(*args, **kwargs)
 
         monkeypatch.setattr(experiments, "read_loads_csv", counted)
-        sizes, depths = (6, 10, 40), tuple(range(1, 8))
-        csv = run_power_sweep(cfg, sizes, depths).csv_text()
+        csv = run_figure("fig5", cfg, s_values=(6, 10, 40)).csv_text()  # L = 1..7
         assert len(reads) == 1
         assert hashlib.sha256(csv.encode()).hexdigest() == self.MILAN_FIG5_SHA256
-        assert run_power_sweep(cfg, sizes, depths, workers=2).csv_text() == csv
+        assert run_figure("fig5", cfg, s_values=(6, 10, 40), workers=2).csv_text() == csv
 
     def test_milan_placements_are_taken_by_id_not_file_order(self, tmp_path, monkeypatch):
         # A size below the network's takes SBSs 0..s-1, wherever the
@@ -692,6 +693,62 @@ class TestSwitchingSweeps:
             )
             csv[name] = run_power_sweep(cfg, (10, 60), (1, 2)).csv_text()
         assert csv["reversed"] == csv["ordered"]
+
+
+class TestFigures:
+    """One definition per figure: its sweep, its grids' defaults and their checks."""
+
+    def points(self, figure, config, **grids):
+        return experiments._figure(figure, config, **grids)[1][0]
+
+    def test_default_error_grids(self):
+        # At desk (90 active SBSs) every N of the grid stays; perfbench's copy
+        # of the grid is checked in test_benchmark_grids.
+        desk, n_grid = desk_profile(), experiments._N_GRID
+        fig2 = [(p["exponent"], p["neighbors"]) for p, _ in self.points("fig2", desk)]
+        assert fig2 == [(e, n) for e in (1, 3, 5, 10) for n in n_grid]
+        fig3 = [(p["estimator"], p["layers"] or p["neighbors"], p["exponent"]) for p, _ in self.points("fig3", desk)]
+        assert fig3[:7] == [("mlc", layers, None) for layers in range(1, 8)]
+        assert fig3[7:] == [(kind, n, n_exp) for kind, n_exp in (("distance", None), ("random", 1)) for n in n_grid]
+        assert {cfg.k_override for _, cfg in self.points("fig3", paper_profile())[:7]} == {3}
+
+    def test_default_n_grid_keeps_n_below_the_active_count(self):
+        # 16 SBSs, 2 asleep: 14 active, so N = 20 and above drop out.
+        cfg = desk_profile(n_sbs=16, grid_side=4)
+        assert cfg.n_sleepers == 2
+        assert [p["neighbors"] for p, _ in self.points("fig2", cfg, exponents=[1])] == [1, 5, 10]
+
+    @pytest.mark.parametrize("profile, sizes", [(desk_profile, [6, 10, 14]), (paper_profile, [10, 30, 50, 70])])
+    @pytest.mark.parametrize("figure, sweep", [("fig4", "run_decision_sweep"), ("fig5", "run_power_sweep")])
+    def test_default_switching_grids_by_profile(self, profile, sizes, figure, sweep):
+        run, args = experiments._figure(figure, profile())
+        assert run is getattr(experiments, sweep)
+        assert args == (sizes, list(range(1, 8)))
+
+    def test_report_is_named_after_the_figure(self):
+        cfg = small_config(n_iterations=2, sleep_fraction=0.25)
+        report = run_figure("fig4", cfg, s_values=[6], l_values=[1], workers=1)
+        assert report.experiment == "fig4" and report.metadata["workers"] == 1
+        assert report.csv_text() == run_decision_sweep(cfg, [6], [1]).csv_text()
+
+    @pytest.mark.parametrize("grids, message", [
+        ({"l_values": []}, "l_values: no values"),
+        ({"n_values": [5, 0]}, "n_values: neighbor count must be >= 1, got 0"),
+        ({"exponents": [3, 1, 3]}, "exponents: 3 is repeated"),
+        ({"s_values": [1]}, "s_values: switching sweeps need n_sbs >= 2 per point, got 1"),
+    ])
+    def test_bad_override_rejected_before_any_task_even_off_the_figure(self, grids, message, monkeypatch):
+        monkeypatch.setattr(experiments, "_map_iterations", None)  # no task may start
+        for figure in experiments.FIGURES:
+            with pytest.raises(GridError, match=f"^{message}$") as raised:
+                run_figure(figure, small_config(), **grids)
+            assert raised.value.grid == next(iter(grids))  # what the CLI names as the flag
+
+    def test_unknown_figure_or_grid_rejected(self):
+        with pytest.raises(ValueError, match="unknown figure 'fig9'"):
+            run_figure("fig9", small_config())
+        with pytest.raises(TypeError, match="unknown grid 'k_values'"):
+            run_figure("fig2", small_config(), k_values=[1])
 
 
 class TestMoments:
@@ -729,5 +786,3 @@ class TestReports:
     def test_axis_builders_reject_unknown_kind(self):
         with pytest.raises(ValueError):
             neighbors_axis("kriging", [1])
-        with pytest.raises(ValueError):
-            exponent_axis("mlc", 2, [1])

@@ -6,7 +6,7 @@ from cellsleep import experiments
 from cellsleep.config import desk_profile
 from cellsleep.estimators import MlcConfig, estimate, estimation_error, kmeans
 from cellsleep.estimators.mlc import _group_layout, mlc_estimate, mlc_layers
-from cellsleep.experiments import exponent_axis, layers_axis, neighbors_axis, run_error_sweep
+from cellsleep.experiments import layers_axis, neighbors_axis, run_error_sweep
 from cellsleep.traffic import daily_average, mask_sleepers, synthesize_traffic
 
 import naive_kmeans
@@ -304,7 +304,8 @@ class TestBatchedSlots:
         cfg = desk_profile(n_iterations=2, slot_stride=24)
         points = (
             layers_axis([1, 4]) + layers_axis([2], k_override=3)
-            + neighbors_axis("distance", [1, 10, 20]) + exponent_axis("distance", 10, [1, 3])
+            + neighbors_axis("distance", [1, 10, 20])
+            + neighbors_axis("distance", [10], weighting=1) + neighbors_axis("distance", [10], weighting=3)
             + neighbors_axis("random", [1, 10], weighting=1)
         )
         whole = run_error_sweep(cfg, points).csv_text()
