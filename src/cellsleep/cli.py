@@ -58,7 +58,7 @@ def _int_list(text: str) -> list[int]:
     try:
         return [int(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
 def _positive_int(text: str) -> int:
@@ -149,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--placements", required=True, help="placements JSON")
     p.add_argument("--slot", type=int, required=True, help="absolute slot index into the series")
     p.add_argument("--estimator", choices=("mlc", "distance", "random"), default="distance")
-    p.add_argument("--sleepers", default=None, help="comma-separated SBS ids to mask")
+    p.add_argument("--sleepers", type=_int_list, default=None, help="comma-separated SBS ids to mask")
     p.add_argument("--sleep-fraction", type=float, default=None, help="random mask instead of --sleepers")
     p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--neighbors", type=int, default=5)
@@ -295,7 +295,7 @@ def _cmd_estimate(args) -> int:
     loads = series.loads[:, args.slot]
 
     if args.sleepers is not None:  # the set that is masked: sorted, no repeats
-        sleeper_ids = sorted(set(_int_list(args.sleepers)))
+        sleeper_ids = sorted(set(args.sleepers))
     elif args.sleep_fraction is not None:
         sleeper_ids = draw_sleepers(args.sleep_fraction, series.n_sbs, args.seed).tolist()
     else:

@@ -24,14 +24,15 @@ parent, before the first task. An error sweep groups its points once: MLC
 points by their ``k_override``, neighbor points by selection rule. An
 error run estimates the evaluation slots of all its iterations together:
 each MLC group answers the run's iterations x slots in one call, one
-sleeper mask per row, and neighbor tables stay per iteration. An
-iteration above the cap runs alone, its slots in batches. Each
-iteration's error sum adds its slots' sums left to right in slot order,
-and every pooled report number goes through ``_moments``. A switching
+sleeper mask per row, and a nearest table is ranked once per iteration.
+An iteration above the cap runs alone, its slots in batches. A switching
 run is at one network size, and each of its iterations has its own sleeper
-set and slot. Every task returns plain numbers (``_error_run``,
-``_switch_run``): per-point aggregates go to the CSV, per-iteration details
-and timing to the JSON sidecar.
+set and slot. A task returns only what it measures, per iteration: an
+error run each point's error sum (its slots' sums added left to right in
+slot order) and the sleeper counts, a switching run the actual optimum's
+power and one row per MLC depth. The report pools them (``_moments``),
+builds the perfect-estimate point from the actual powers, and writes
+per-point aggregates to the CSV, per-iteration details and timing to JSON.
 """
 
 from __future__ import annotations
@@ -378,12 +379,13 @@ def _iteration_runs(n_iterations: int, rows: int, workers: int) -> list[tuple[in
     return [(i, min(i + run, n_iterations)) for i in range(0, n_iterations, run)]
 
 
-def _error_run(task: tuple[int, int]) -> np.ndarray:
-    """Iterations ``first .. stop - 1``: (iterations, points, 3), each point's
-    relative-error sum, included and excluded counts.
+def _error_run(task: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Iterations ``first .. stop - 1``: each point's relative-error sum
+    (points, iterations) and the included and excluded counts (2, iterations).
 
     A slot batch's rows are iteration-major: iteration r's slots are rows
-    r * B .. r * B + B - 1, each with its iteration's sleepers.
+    r * B .. r * B + B - 1, each with its iteration's sleepers. The sums and
+    counts are kept per (iteration, slot) and pooled over the slots at the end.
     """
     first, stop = task
     config: ExperimentConfig = _STATE["config"]
@@ -394,46 +396,46 @@ def _error_run(task: tuple[int, int]) -> np.ndarray:
     slots = config.eval_slots()
     sleepers = [_draw_sleepers(config, i, n) for i in range(first, stop)]
     known = np.array([sleep_mask(n, ids) for ids in sleepers])
+    actives = [np.flatnonzero(row) for row in known]
     m = sleepers[0].size
 
-    # The nearest table is ranked once per iteration (row r); a random table
-    # holds one draw per slot of its batch.
-    nearest = {}
+    # A nearest table is ranked once per iteration, before the slot batches; a
+    # random table holds one draw per slot of its batch.
+    nearest = [
+        [nearest_table(pos, ids, active, k) for ids, active in zip(sleepers, actives)] if kind == "distance" else None
+        for kind, k, _, _ in neighbor_groups
+    ]
     batch = max(1, _MLC_BATCH_ROWS // (n * n_iter))
-    totals = np.zeros((n_iter, n_points, 3))
+    sums = np.empty((n_points, n_iter, len(slots)))
+    counts = np.empty((2, n_iter, len(slots)), dtype=int)
     for b0 in range(0, len(slots), batch):
         cols = slots[b0 : b0 + batch]
-        loads, history = data.loads[:, b0 : b0 + batch].T, data.history[:, b0 : b0 + batch].T
+        b1 = b0 + len(cols)
+        loads, history = data.loads[:, b0:b1].T, data.history[:, b0:b1].T
         rows_loads, rows_known = np.tile(loads, (n_iter, 1)), np.repeat(known, len(cols), axis=0)
         estimates = np.empty((n_points, n_iter * len(cols), m))
         for deepest, idxs, depths in mlc_groups:
             run = mlc_layers(rows_loads, np.tile(history, (n_iter, 1)), rows_known, deepest)[0]
             estimates[idxs] = run[:, depths].swapaxes(0, 1)
         for r, i in enumerate(range(first, stop)):
-            active = np.flatnonzero(known[r])
             rows = slice(r * len(cols), (r + 1) * len(cols))
-            for kind, k, idxs, pairs in neighbor_groups:
-                if kind == "random":
+            for (kind, k, idxs, pairs), tables in zip(neighbor_groups, nearest):
+                if tables is None:
                     seeds = [(config.base_seed + i) * 100_000 + slot for slot in cols]
-                    table = random_table(pos, sleepers[r], active, k, seeds)
-                elif r in nearest:
-                    table = nearest[r]
+                    table = random_table(pos, sleepers[r], actives[r], k, seeds)
                 else:
-                    table = nearest[r] = nearest_table(pos, sleepers[r], active, k)
+                    table = tables[r]
                 estimates[idxs, rows] = table.estimates(loads, pairs)
-
-        # Per iteration and point, each slot's error sum is added to the
-        # running total left to right, in slot order.
         try:
             error = estimation_error(rows_loads[~rows_known].reshape(-1, m), estimates, config.epsilon)
         except ErrorUndefined as exc:
             r, col = divmod(exc.row, len(cols))
             raise ValueError(f"iteration {first + r}, slot {cols[col]}: {exc}") from exc
-        by_slot = error.total_error.reshape(n_points, n_iter, -1).swapaxes(0, 1)
-        totals[..., 0] = _moments(np.concatenate([totals[..., :1], by_slot], axis=2))[0]
-        counts = np.stack([error.n_included, error.n_excluded], axis=1)
-        totals[..., 1:] += counts.reshape(n_iter, -1, 2).sum(axis=1)[:, None]
-    return totals
+        sums[..., b0:b1] = error.total_error.reshape(n_points, n_iter, -1)
+        counts[..., b0:b1] = np.reshape([error.n_included, error.n_excluded], (2, n_iter, -1))
+    # Each iteration's sum adds its slots' sums left to right, in slot order;
+    # copied, so that no task result keeps the whole cumsum alive.
+    return _moments(sums)[0].copy(), counts.sum(axis=2)
 
 
 def run_error_sweep(
@@ -455,19 +457,20 @@ def run_error_sweep(
         _error_run, _iteration_runs(config.n_iterations, config.n_sbs * len(slots), workers), workers,
         (config, plan, {config.n_sbs: config.base_seed}),
     )
-    # (points, iterations) per column; every sum below runs in iteration order.
-    per_iteration = np.concatenate(runs).transpose(2, 1, 0)
-    err, n, x = _moments(per_iteration)[0]
-    iter_means = per_iteration[0] / per_iteration[1]  # every slot includes at least one sleeper
+    # Every sum below runs in iteration order.
+    sums, counts = (np.concatenate(parts, axis=1) for parts in zip(*runs))  # (points | 2, iterations)
+    n_included, n_excluded = counts.sum(axis=1).tolist()
+    err = _moments(sums)[0]
+    iter_means = sums / counts[0]  # every slot includes at least one sleeper
     std = _moments(iter_means)[2]
     report_points = [
         SweepPoint(
             labels=dict(labels),
             metrics={
-                "mean_error": float(err[p] / n[p]),
+                "mean_error": float(err[p] / n_included),
                 "std_error": float(std[p]),
-                "n_included": int(n[p]),
-                "n_excluded": int(x[p]),
+                "n_included": n_included,
+                "n_excluded": n_excluded,
             },
             per_iteration={"mean_error": iter_means[p].tolist()},
         )
@@ -510,13 +513,12 @@ def optimize(config: ExperimentConfig, loads, choice: str = "auto") -> Switching
 
 
 def _switch_run(task: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Iterations ``first .. stop - 1`` at one network size: (iterations,) and (iterations, E, 5).
+    """Iterations ``first .. stop - 1`` at one network size: (iterations,) and (iterations, L, 5).
 
     Per iteration, the actual optimum's power and one row (change rate,
-    deployed power, naive power, gap, deployed feasible) per estimator e:
-    perfect estimates first, then MLC at each depth in ``l_values`` order.
-    Each iteration draws its own sleeper set and slot; one ``mlc_layers``
-    call estimates them all, every row as it would alone.
+    deployed power, naive power, gap, deployed feasible) per MLC depth, in
+    ``l_values`` order. Each iteration draws its own sleeper set and slot;
+    one ``mlc_layers`` call estimates them all, every row as it would alone.
     """
     s, first, stop = task
     config: ExperimentConfig = _STATE["config"]
@@ -528,43 +530,27 @@ def _switch_run(task: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
     cols = [i % data.loads.shape[1] for i in range(first, stop)]
     known = np.array([sleep_mask(s, _draw_sleepers(config, i, s)) for i in range(first, stop)])
     actuals = data.loads[:, cols].T
-    mlc = None
     if l_values:
-        mlc = mlc_layers(
-            actuals, data.history[:, cols].T, known,
-            MlcConfig(layers=max(l_values), k_override=config.mlc_k_override),
-        )[0]
+        deepest = MlcConfig(layers=max(l_values), k_override=config.mlc_k_override)
+        mlc = mlc_layers(actuals, data.history[:, cols].T, known, deepest)[0]
 
-    powers, rows = [], []
-    for r, (actual, known_mask) in enumerate(zip(actuals, known)):
-        sleepers = np.flatnonzero(~known_mask)
+    powers = np.empty(len(cols))
+    rows = np.empty((len(cols), len(l_values), 5))
+    for r, actual in enumerate(actuals):
         actual_sol = optimize(config, actual)
-
-        def estimated(estimates: np.ndarray) -> SwitchingSolution:
+        powers[r] = actual_sol.power
+        for e, layers in enumerate(l_values):
             filled = actual.copy()
-            filled[sleepers] = estimates
-            return optimize(config, filled)
-
-        def evaluate(est_sol: SwitchingSolution) -> tuple[float, float, float, float, bool]:
+            filled[~known[r]] = mlc[r, layers - 1]
+            est_sol = optimize(config, filled)
             # A decision that overloads a tier at the actual loads is recorded
             # as infeasible and priced with that tier at full load.
-            deployed_cap, deployed_power = _priced(
+            deployed_cap, deployed = _priced(
                 est_sol.state, actual, config.base_mbs_load, config.base_haps_load, power_cfg, scales
             )
-            return (
-                _change_rate(actual_sol.state, est_sol.state),
-                deployed_power,
-                est_sol.power,
-                deployed_power - actual_sol.power,
-                deployed_cap.feasible,
-            )
-
-        powers.append(actual_sol.power)
-        # Perfect estimates fill in the actual loads bit for bit: their decision
-        # is the actual optimum, which fits, so it deploys at its own power.
-        perfect = (0.0, actual_sol.power, actual_sol.power, 0.0, True)
-        rows.append([perfect] + [evaluate(estimated(mlc[r, layers - 1])) for layers in l_values])
-    return np.array(powers), np.array(rows, dtype=float)
+            rate = _change_rate(actual_sol.state, est_sol.state)
+            rows[r, e] = rate, deployed, est_sol.power, deployed - actual_sol.power, deployed_cap.feasible
+    return powers, rows
 
 
 def _moments(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -605,7 +591,7 @@ def _switching_report(
     l_values: Sequence[int],
     workers: int,
 ) -> ExperimentReport:
-    """Optimize actual, perfect and per-L estimated loads for every (s, iteration)."""
+    """Optimize actual and per-L estimated loads for every (s, iteration), next to perfect estimates."""
     _check_grid("s_values", s_values)
     _check_grid("l_values", l_values)  # a run reads only the deepest depth
     for s in s_values:
@@ -622,8 +608,12 @@ def _switching_report(
     for s in s_values:
         at_s = [run for (size, _, _), run in zip(tasks, runs) if size == s]
         actuals = np.concatenate([powers for powers, _ in at_s])
-        table = np.concatenate([rows for _, rows in at_s]).transpose(1, 2, 0)  # (estimators, 5, iterations)
-        for (estimator, layers), (rates, deployed, naive, gaps, feasible) in zip(estimators, table):
+        # Perfect estimates fill in the actual loads bit for bit: their decision
+        # is the actual optimum, which fits, so it deploys at its own power.
+        zeros = np.zeros_like(actuals)
+        perfect = np.stack([zeros, actuals, actuals, zeros, np.ones_like(actuals)])
+        table = np.concatenate([rows for _, rows in at_s]).transpose(1, 2, 0)  # (L, 5, iterations)
+        for (estimator, layers), (rates, deployed, naive, gaps, feasible) in zip(estimators, [perfect, *table]):
             # An infeasible deployed decision is priced with the overloaded
             # tier capped at full load, which understates its cost: the
             # deployed-power and gap means cover feasible iterations only.

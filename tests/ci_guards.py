@@ -29,7 +29,10 @@ sweep
     coefficient arrays. Fig2, the elbow fig3 run, fig4 and fig5 run again at 2
     workers, and must hit the same pins: fig4's and fig5's runs of
     iterations differ there, and fig2's one full-day run and the elbow
-    run are each set up in a worker process.
+    run are each set up in a worker process. Fig5 runs a third time at 2
+    workers whose processes spawn, as forkserver workers (the default start
+    method on Linux from Python 3.14) do too: each imports the package
+    afresh and inherits none of the parent's state.
     One desk fig5 study pins greedy where tiers fill, at 1 and 2 workers:
     1000 synthetic SBSs read as measured data, L = 1 and 3, 4 iterations
     over slots 0 and 36, where both tiers fill (MBS 0.995, HAPS 0.999) and
@@ -55,6 +58,7 @@ ingest
     per-record objects and a joined CSV text took 64 MB.
 """
 
+import functools
 import hashlib
 import json
 import os
@@ -69,6 +73,7 @@ from pathlib import Path
 
 import numpy as np
 
+from cellsleep import experiments
 from cellsleep.cli import main
 from cellsleep.dataio import read_loads_csv, read_placements_json, write_placements_json
 
@@ -129,6 +134,9 @@ PARALLEL_RUNS = ("fig2", "fig3-elbow", "fig4", "fig5", "fig5-binding", "fig5-chu
 # Run at 2 workers only: its one task reads the 20 MB loads CSV in a worker
 # process, so the read does not lift this process's peak RSS.
 WORKER_ONLY_RUNS = ("fig2-jittered",)
+# Rerun at 2 workers started by spawn rather than the platform's default: two
+# tasks per size, each in a process that inherits no state. The same pin must hold.
+SPAWN_RUNS = ("fig5",)
 RSS_LIMIT_MB = 120
 MILAN_EPOCH_MS = 1383260400000  # 2013-11-01 00:00 CET, the Milan data's first interval
 INGEST_SQUARES = 955
@@ -156,22 +164,27 @@ def sweep_guard() -> bool:
             # In a child process: the synth's 5000-row series would lift this process's peak RSS.
             with ProcessPoolExecutor(max_workers=1, mp_context=get_context("spawn")) as pool:
                 codes.append(pool.submit(write_jittered_input, tmp).result())
-            for name, workers in ([(name, 1) for name in RUNS if name not in WORKER_ONLY_RUNS]
-                                  + [(name, 2) for name in PARALLEL_RUNS + WORKER_ONLY_RUNS]):
+            for name, workers, start in ([(name, 1, None) for name in RUNS if name not in WORKER_ONLY_RUNS]
+                                         + [(name, 2, None) for name in PARALLEL_RUNS + WORKER_ONLY_RUNS]
+                                         + [(name, 2, "spawn") for name in SPAWN_RUNS]):
                 e, profile, experiment, grid = RUNS[name]
-                out = Path(tmp) / f"{name}_workers{workers}"
+                out = Path(tmp) / f"{name}_workers{workers}_{start}"
                 config = Path(tmp) / f"{profile}_{name}.json"
                 config.write_text(json.dumps({"experiment": experiment}))
+                experiments.ProcessPoolExecutor = functools.partial(ProcessPoolExecutor, mp_context=get_context(start))
                 codes.append(main(["sweep", "--experiment", e, "--profile", profile, "--workers", str(workers),
                                    "--config", str(config), "--out", str(out), *grid]))
-                digests[name, workers] = hashlib.sha256((out / f"{e}_{profile}_0.csv").read_bytes()).hexdigest()
+                digest = hashlib.sha256((out / f"{e}_{profile}_0.csv").read_bytes()).hexdigest()
+                digests[name, workers, start or "default"] = digest
         finally:
             os.chdir(home)
+            experiments.ProcessPoolExecutor = ProcessPoolExecutor
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     print(f"sweeps {list(RUNS)} ({', '.join(PARALLEL_RUNS)} also, {', '.join(WORKER_ONLY_RUNS)} only, "
-          f"at 2 workers): exit {codes}, "
+          f"at 2 workers; {', '.join(SPAWN_RUNS)} also at 2 spawned workers): exit {codes}, "
           f"peak RSS {peak_mb:.0f} MB (limit {RSS_LIMIT_MB})")
-    moved = [f"{name} at {w} worker(s)" for (name, w), digest in digests.items() if digest != CSV_SHA256[name]]
+    moved = [f"{name} at {w} worker(s), {start} start" for (name, w, start), digest in digests.items()
+             if digest != CSV_SHA256[name]]
     print(f"CSV sha256: {digests}; moved: {moved or 'none'}")
     return not (any(codes) or peak_mb > RSS_LIMIT_MB or moved)
 

@@ -299,6 +299,14 @@ class TestEstimate:
         assert docs[0]["estimates"]["sleeper_ids"] == [3, 5]
         assert docs[0] == docs[1]  # same options, hash and estimates
 
+    def test_non_integer_sleeper_is_usage_error_naming_the_flag(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "e.json"
+        assert run_cli(*self.estimate_args(synth_dir, out, "--sleepers", "1,x")) == 1
+        assert "usage error: argument --sleepers: expected comma-separated integers, got '1,x'" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("estimator, flag", [
         ("distance", "--neighbors"), ("random", "--neighbors"), ("distance", "--exponent"),
         ("random", "--exponent"), ("mlc", "--layers"), ("mlc", "--k-override"),
@@ -474,6 +482,16 @@ class TestSweepCli:
         assert run_cli("sweep", "--experiment", experiment, "--config", cfg, "--out", out,
                        "--s-values", "6", f"{flag}={value}") == 1
         assert f"usage error: {flag}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_integer_grid_value_is_usage_error_naming_the_flag(self, tmp_path, capsys):
+        # The message used to name no flag: the list parse raised past argparse.
+        out = tmp_path / "r"
+        assert run_cli("sweep", "--experiment", "fig2", "--config", self.write_cfg(tmp_path), "--out", out,
+                       "--n-values", "1,x") == 1
+        assert "usage error: argument --n-values: expected comma-separated integers, got '1,x'" in (
+            capsys.readouterr().err
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("experiment, flag, value, repeated", [

@@ -1,9 +1,12 @@
 import dataclasses
+import functools
 import hashlib
 import json
 import math
+import multiprocessing
 import re
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -289,6 +292,33 @@ class TestErrorSweep:
             assert min(per_iter) - 1e-12 <= p.metrics["mean_error"] <= max(per_iter) + 1e-12
             assert p.metrics["n_included"] > 0
 
+    def test_counts_cover_every_sleeper_of_every_slot(self, monkeypatch):
+        # Runs of one iteration, each in slot batches of 3 and 1: every point
+        # counts each sleeper of each iteration's 4 slots once.
+        monkeypatch.setattr(experiments, "_MLC_BATCH_ROWS", 90)
+        cfg = small_config()
+        points = neighbors_axis("distance", [2, 5], weighting=1) + layers_axis([1, 2])
+        points += neighbors_axis("random", [3], weighting=1)
+        report = run_error_sweep(cfg, points)
+        counts = {(p.metrics["n_included"], p.metrics["n_excluded"]) for p in report.points}
+        assert len(counts) == 1
+        included, excluded = counts.pop()
+        assert included + excluded == cfg.n_iterations * len(cfg.eval_slots()) * cfg.n_sleepers
+
+    def test_error_run_returns_arrays_that_own_their_memory(self, monkeypatch):
+        # A view would keep its whole base (a cumsum over every slot) alive
+        # for as long as the sweep holds the task's result.
+        monkeypatch.setattr(experiments, "_MLC_BATCH_ROWS", 180)  # slot batches of 3 and 1
+        cfg = small_config(n_iterations=2)
+        plan = experiments._plan_points(neighbors_axis("distance", [2], weighting=1) + layers_axis([1, 2]))
+        experiments._init_worker(cfg, plan, {cfg.n_sbs: cfg.base_seed})
+        try:
+            sums, counts = experiments._error_run((0, 2))
+        finally:
+            experiments._STATE.clear()
+        assert sums.shape == (3, 2) and counts.shape == (2, 2)
+        assert sums.base is None and counts.base is None
+
     def test_mlc_layer_sharing_matches_direct_runs(self):
         cfg = small_config(n_iterations=2)
         report = run_error_sweep(cfg, layers_axis([1, 3]))
@@ -433,13 +463,15 @@ class TestSwitchingSweeps:
     def test_perfect_baseline_is_exactly_zero(self, monkeypatch):
         # Both sweep families, on loose tiers and on tiers at 0.95 base load
         # (exhaustive at s = 10, greedy at s = 100): in every iteration the
-        # perfect estimates deploy the actual optimum at its own power.
+        # perfect estimates deploy the actual optimum at its own power. A
+        # switching run returns one row per MLC depth and the actual powers
+        # that the report's perfect point is built from.
         runs = []
         switch_run = experiments._switch_run
 
         def recorded(task):
-            runs.append(switch_run(task))
-            return runs[-1]
+            runs.append((task, switch_run(task)))
+            return runs[-1][1]
 
         monkeypatch.setattr(experiments, "_switch_run", recorded)
         tight = desk_profile(
@@ -447,7 +479,14 @@ class TestSwitchingSweeps:
         )
         for cfg, s_values in ((small_config(n_iterations=4, sleep_fraction=0.25), [6, 10]), (tight, [10, 100])):
             for run in (run_decision_sweep, run_power_sweep):
+                runs.clear()
                 report = run(cfg, s_values=s_values, l_values=[1, 2])
+                assert [s for (s, _, _), _ in runs] == s_values  # one run of all 4 iterations per size
+                for (s, _, _), (powers, rows) in runs:
+                    assert rows.shape == (4, 2, 5)
+                    at_s = [p for p in report.points if p.labels["n_sbs"] == s]
+                    assert [p.labels["estimator"] for p in at_s] == ["perfect", "mlc", "mlc"]
+                    assert all(p.per_iteration["power_actual_w"] == powers.tolist() for p in at_s)
                 for p in report.points:
                     if p.labels["estimator"] == "perfect":
                         assert p.metrics["decision_change_rate"] == 0.0
@@ -456,11 +495,6 @@ class TestSwitchingSweeps:
                         assert all(p.per_iteration["deployed_feasible"])
                         assert p.metrics["power_deployed_w"] == p.metrics["power_actual_w"]
                         assert p.metrics["power_estimated_naive_w"] == p.metrics["power_actual_w"]
-        assert len(runs) == 8
-        for powers, rows in runs:
-            rate, deployed, naive, gap, feasible = rows[:, 0].T  # the perfect row of each iteration
-            assert (rate == 0.0).all() and (gap == 0.0).all() and (feasible == 1.0).all()
-            assert (deployed == powers).all() and (naive == powers).all()
 
     def test_gap_never_negative_and_optimizer_labels(self):
         cfg = small_config(n_iterations=4, sleep_fraction=0.25, exhaustive_cap=8)
@@ -743,6 +777,16 @@ class TestFigures:
             with pytest.raises(GridError, match=f"^{message}$") as raised:
                 run_figure(figure, small_config(), **grids)
             assert raised.value.grid == next(iter(grids))  # what the CLI names as the flag
+
+    def test_spawned_workers_give_the_one_worker_bytes(self, monkeypatch):
+        # Python 3.14 makes forkserver the default start method on Linux: a
+        # worker that spawns imports everything afresh and inherits no state.
+        spawn = functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn"))
+        cfgs = {"fig3": desk_profile(n_iterations=3), "fig4": desk_profile(n_iterations=4, mlc_k_override=3)}
+        serial = {figure: run_figure(figure, cfg).csv_text() for figure, cfg in cfgs.items()}
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", spawn)
+        for figure, cfg in cfgs.items():
+            assert run_figure(figure, cfg, workers=2).csv_text() == serial[figure]
 
     def test_unknown_figure_or_grid_rejected(self):
         with pytest.raises(ValueError, match="unknown figure 'fig9'"):
